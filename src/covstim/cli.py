@@ -9,16 +9,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .codec import CodecError, Vocab, validate_and_decode
+from .codec import Vocab, validate_and_decode
 from .corpus import load_bundled_corpus, load_corpus_dir
 from .curation import CurationConfig, curate, load_dataset
 from .evaluation import ablate, eval_policy, write_ablation
 from .hdl import ParseError, lint, parse
 from .policy import TabularPolicy
-from .sim import Stimulus, average_score, simulate
+from .sim import SimulationError, Stimulus, simulate
 from .training import TrainConfig, TrainingError, train
 
 
@@ -30,6 +30,31 @@ DEFAULT_CURATION = {"tau1": 0.7, "tau2": 1.2, "pairs_per_dut": 400,
 DEFAULT_TRAIN = {"mode": "CDDPO", "beta": 0.2, "f_variant": "identity_clamp",
                  "learning_rate": 4.0, "epochs": 120, "batch_size": 16, "seed": 42}
 DEFAULT_EVAL = {"n": 20, "tau": 1.0, "seed": 42}
+
+
+def _check_fields(prefix: str, values, defaults: dict) -> None:
+    """Reject a non-object, a key not in defaults, or a value of another JSON type.
+
+    A value must have its default's type, except that a float field takes
+    an int and a field whose default is None takes a string.  No field is
+    boolean, so booleans are rejected (bool is an int subclass).
+    """
+    if not isinstance(values, dict):
+        raise ValueError(f"config {prefix.rstrip('.') or 'top level'} must be a JSON object")
+    unknown = sorted(prefix + key for key in set(values) - set(defaults))
+    if unknown:
+        raise ValueError(f"unknown config field(s): {', '.join(unknown)}")
+    for key, value in values.items():
+        default = defaults[key]
+        if default is None:
+            expected = (str, type(None))
+        elif isinstance(default, float):
+            expected = (int, float)
+        else:
+            expected = type(default)
+        if isinstance(value, bool) or not isinstance(value, expected):
+            raise ValueError(f"config field {prefix}{key} has the wrong type "
+                             f"{type(value).__name__}")
 
 
 @dataclass
@@ -44,16 +69,22 @@ class ExperimentConfig:
     train: dict = field(default_factory=lambda: dict(DEFAULT_TRAIN))
     eval: dict = field(default_factory=lambda: dict(DEFAULT_EVAL))
 
-    KNOWN = ("corpus_dir", "report_dir", "dataset_file", "wmax", "t_max", "k",
-             "curation", "train", "eval")
+    def __post_init__(self):
+        # The top level sets CurationConfig's t_max, wmax and k.
+        curation = {k: v for k, v in vars(CurationConfig()).items()
+                    if k not in ("t_max", "wmax", "k")}
+        _check_fields("curation.", self.curation, curation)
+        _check_fields("train.", self.train, vars(TrainConfig()))
+        _check_fields("eval.", self.eval, DEFAULT_EVAL)
+        # Built here so that value errors surface before any stage runs.
+        self.curation_config()
+        self.train_config()
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-        unknown = set(doc) - set(cls.KNOWN)
-        if unknown:
-            raise ValueError(f"unknown config field(s): {', '.join(sorted(unknown))}")
+        _check_fields("", doc, vars(cls()))
         return cls(**doc)
 
     def load_corpus(self):
@@ -65,16 +96,26 @@ class ExperimentConfig:
         return CurationConfig(t_max=self.t_max, wmax=self.wmax, k=self.k, **self.curation)
 
     def train_config(self, mode: str | None = None) -> TrainConfig:
-        fields = dict(self.train)
-        if mode is not None:
-            fields["mode"] = mode
-        return TrainConfig(**fields)
+        config = TrainConfig(**self.train)
+        return config if mode is None else replace(config, mode=mode)
 
     def eval_settings(self) -> tuple[int, float, int]:
-        return (self.eval.get("n", 20), self.eval.get("tau", 1.0), self.eval.get("seed", 42))
+        settings = {**DEFAULT_EVAL, **self.eval}
+        return settings["n"], settings["tau"], settings["seed"]
 
     def dataset_path(self) -> Path:
         return Path(self.report_dir) / self.dataset_file
+
+
+def _write_json(path, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
+def _save_trained(report_dir: Path, name: str, policy: TabularPolicy, history) -> None:
+    policy.save(report_dir / f"{name}.ckpt.json")
+    _write_json(report_dir / f"{name}.history.json", history.to_dict())
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -107,11 +148,7 @@ def cmd_simulate(args) -> int:
     if args.stim is not None:
         values = [int(v) for v in args.stim.split(",") if v.strip() != ""]
         tokens = [vocab.bos] + values + [vocab.eos]
-        try:
-            stim = validate_and_decode(dut, tokens, vocab, args.t_max)
-        except CodecError as err:
-            print(f"codec error: {err}", file=sys.stderr)
-            return 1
+        stim = validate_and_decode(dut, tokens, vocab, args.t_max)
     else:
         cycles = []
         for chunk in args.cycles.split(";"):
@@ -128,10 +165,7 @@ def cmd_simulate(args) -> int:
 
 def _curate_with_stats(config: ExperimentConfig, corpus):
     stats = curate(corpus, config.curation_config(), config.dataset_path())
-    stats_path = Path(config.report_dir) / "curation_stats.json"
-    with open(stats_path, "w", encoding="utf-8") as fh:
-        json.dump(stats.to_dict(), fh, indent=2)
-        fh.write("\n")
+    _write_json(Path(config.report_dir) / "curation_stats.json", stats.to_dict())
     return stats
 
 
@@ -151,13 +185,8 @@ def _train_one(config: ExperimentConfig, mode: str | None, dataset):
     init = TabularPolicy(vocab, config.k, config.t_max)
     train_config = config.train_config(mode)
     result = train(dataset, train_config, init)
-    report_dir = Path(config.report_dir)
-    ckpt = report_dir / f"{train_config.mode.lower()}.ckpt.json"
-    hist = report_dir / f"{train_config.mode.lower()}.history.json"
-    result.policy.save(ckpt)
-    with open(hist, "w", encoding="utf-8") as fh:
-        json.dump(result.history.to_dict(), fh, indent=2)
-        fh.write("\n")
+    _save_trained(Path(config.report_dir), train_config.mode.lower(),
+                  result.policy, result.history)
     return train_config.mode, result
 
 
@@ -179,10 +208,7 @@ def cmd_eval(args) -> int:
                for dut in corpus]
     report_dir = Path(config.report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
-    out = report_dir / "eval.json"
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump([r.to_dict() for r in reports], fh, indent=2)
-        fh.write("\n")
+    _write_json(report_dir / "eval.json", [r.to_dict() for r in reports])
     for r in reports:
         print(f"{r.dut}: mean@{n} avg {r.mean['average']:.4f}, "
               f"best@{n} avg {r.best['average']:.4f}")
@@ -198,12 +224,11 @@ def _run_ablation(config: ExperimentConfig, dataset):
                              config.k, config.t_max, tau_eval=tau)
     report_dir = Path(config.report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
-    write_ablation(table, report_dir / "ablation.csv", report_dir / "ablation.json")
+    write_ablation(table, report_dir / "ablation.csv")
+    _write_json(report_dir / "ablation.json",
+                {"n": table.n, "tau": table.tau, "seed": table.seed, "rows": table.rows})
     for name in ("sft", "dpo", "cddpo"):
-        policies[name].save(report_dir / f"{name}.ckpt.json")
-        with open(report_dir / f"{name}.history.json", "w", encoding="utf-8") as fh:
-            json.dump(table.histories[name].to_dict(), fh, indent=2)
-            fh.write("\n")
+        _save_trained(report_dir, name, policies[name], table.histories[name])
     return table
 
 
@@ -278,10 +303,7 @@ def main(argv=None) -> int:
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 1
-    except (CodecError, TrainingError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except ValueError as err:
+    except (SimulationError, TrainingError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except OSError as err:

@@ -41,7 +41,7 @@ class Vocab:
         return self.n_values + 2
 
 
-class CodecError(Exception):
+class CodecError(ValueError):
     """First rule violated by a token sequence, with its position."""
 
     def __init__(self, kind: str, position: int, message: str):
@@ -54,29 +54,26 @@ def total_input_width(dut: DutModel) -> int:
     return sum(p.width for p in dut.input_ports)
 
 
-def is_well_formed(tokens, vocab: Vocab, t_max: int) -> bool:
-    if len(tokens) < 2 or tokens[0] != vocab.bos or tokens[-1] != vocab.eos:
-        return False
-    interior = tokens[1:-1]
-    if any(t in (vocab.bos, vocab.eos) or not 0 <= t < vocab.n_values for t in interior):
-        return False
-    return len(interior) <= t_max
-
-
-def validate_and_decode(dut: DutModel, tokens, vocab: Vocab, t_max: int) -> Stimulus:
-    """Decode a token sequence into a Stimulus or raise CodecError."""
+def check_well_formed(tokens, vocab: Vocab, t_max: int) -> None:
+    """Raise CodecError unless tokens are BOS, at most t_max value tokens, EOS."""
     if len(tokens) < 2 or tokens[0] != vocab.bos:
         raise CodecError("not_well_formed", 0, "sequence must start with BOS")
     if tokens[-1] != vocab.eos:
         raise CodecError("not_well_formed", len(tokens) - 1, "sequence must end with EOS")
+    n_values = vocab.n_values
+    for i in range(1, len(tokens) - 1):
+        if not 0 <= tokens[i] < n_values:
+            raise CodecError("not_well_formed", i, f"interior token {tokens[i]} is not a value token")
+    if len(tokens) - 2 > t_max:
+        raise CodecError("too_long", t_max + 1, f"{len(tokens) - 2} cycles exceed limit {t_max}")
+
+
+def validate_and_decode(dut: DutModel, tokens, vocab: Vocab, t_max: int) -> Stimulus:
+    """Decode a token sequence into a Stimulus or raise CodecError."""
+    check_well_formed(tokens, vocab, t_max)
     interior = tokens[1:-1]
-    for i, t in enumerate(interior):
-        if t in (vocab.bos, vocab.eos) or not 0 <= t < vocab.n_values:
-            raise CodecError("not_well_formed", i + 1, f"interior token {t} is not a value token")
     if not interior:
         raise CodecError("empty_stimulus", 1, "at least one cycle is required")
-    if len(interior) > t_max:
-        raise CodecError("too_long", t_max + 1, f"{len(interior)} cycles exceed limit {t_max}")
 
     width = total_input_width(dut)
     limit = 1 << width

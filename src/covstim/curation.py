@@ -10,14 +10,14 @@ candidates are invalid, or where scores tie, are dropped.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Union
 
 import numpy as np
 
 from .codec import CodecError, Vocab, validate_and_decode
 from .hdl import DutModel, lint, pretty_print
-from .policy import TabularPolicy
+from .policy import TabularPolicy, masked_softmax
 from .sim import CoverageReport, average_score, simulate
 from .training import PreferencePair
 
@@ -71,11 +71,7 @@ class NoveltyTeacher:
                 z[t] = self.REPEAT_PENALTY
             if len(emitted) < self.MIN_VALUES:
                 z[self.vocab.eos] = self.EOS_PENALTY
-            z = z / tau
-            z[self.vocab.bos] = -np.inf
-            e = np.exp(z - z[np.isfinite(z)].max())
-            e[self.vocab.bos] = 0.0
-            probs = e / e.sum()
+            probs = masked_softmax(z / tau, self.vocab.bos)
             token = int(rng.choice(self.vocab.size, p=probs))
             tokens.append(token)
             if token == self.vocab.eos:
@@ -103,24 +99,13 @@ class PairRecord:
     chosen_score: float
     rejected_score: float
     chosen_cov: dict
-    rejected_cov: Optional[dict]  # absent (None) when the rejected candidate was invalid
     meta: dict
+    rejected_cov: Optional[dict]  # absent (None) when the rejected candidate was invalid
 
     def to_json_dict(self) -> dict:
-        doc = {
-            "version": DATASET_VERSION,
-            "id": self.id,
-            "dut": self.dut,
-            "prompt": self.prompt,
-            "chosen": list(self.chosen),
-            "rejected": list(self.rejected),
-            "chosen_score": self.chosen_score,
-            "rejected_score": self.rejected_score,
-            "chosen_cov": self.chosen_cov,
-            "meta": self.meta,
-        }
-        if self.rejected_cov is not None:
-            doc["rejected_cov"] = self.rejected_cov
+        doc = {"version": DATASET_VERSION, **asdict(self)}
+        if self.rejected_cov is None:
+            del doc["rejected_cov"]
         return doc
 
 
@@ -193,11 +178,7 @@ class CurationStats:
     dropped_tie: int = 0
     gap_histogram: list = field(default_factory=lambda: [0] * 10)
 
-    def to_dict(self) -> dict:
-        return {"attempted": self.attempted, "kept": self.kept,
-                "dropped_both_invalid": self.dropped_both_invalid,
-                "dropped_tie": self.dropped_tie,
-                "gap_histogram": self.gap_histogram}
+    to_dict = asdict
 
 
 def curate(corpus, config: CurationConfig, out_path) -> CurationStats:

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -29,19 +28,11 @@ class EvalReport:
     n: int
     tau: float
     seed: int
-    generations: list = field(default_factory=list)
     mean: dict = field(default_factory=dict)
     best: dict = field(default_factory=dict)
+    generations: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "dut": self.dut, "n": self.n, "tau": self.tau, "seed": self.seed,
-            "mean": self.mean, "best": self.best,
-            "generations": [
-                {"tokens": g.tokens, "valid": g.valid, "fractions": g.fractions}
-                for g in self.generations
-            ],
-        }
+    to_dict = asdict
 
 
 def eval_policy(policy, dut, n: int, tau: float, seed: int,
@@ -107,8 +98,7 @@ def ablate(corpus, dataset, base_config: TrainConfig, n: int, seed: int,
     policies = {"vanilla": init}
     table = AblationTable(n=n, tau=tau_eval, seed=seed)
     for name, mode in (("sft", "SFT"), ("dpo", "DPO"), ("cddpo", "CDDPO")):
-        config = TrainConfig(**{**base_config.to_dict(), "mode": mode})
-        result = train(dataset, config, init)
+        result = train(dataset, replace(base_config, mode=mode), init)
         policies[name] = result.policy
         table.histories[name] = result.history
     for name in ABLATION_POLICIES:
@@ -120,11 +110,6 @@ def ablate(corpus, dataset, base_config: TrainConfig, n: int, seed: int,
     return table, policies
 
 
-def write_ablation(table: AblationTable, csv_path, json_path=None) -> None:
+def write_ablation(table: AblationTable, csv_path) -> None:
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(table.to_csv())
-    if json_path is not None:
-        doc = {"n": table.n, "tau": table.tau, "seed": table.seed, "rows": table.rows}
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")

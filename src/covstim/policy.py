@@ -9,13 +9,25 @@ terminates and scores consistently.
 
 from __future__ import annotations
 
-import copy
 import json
 import math
 
 import numpy as np
 
-from .codec import Vocab
+from .codec import Vocab, check_well_formed
+
+
+def _mask_and_shift(z: np.ndarray, bos: int):
+    """Mask BOS out of logits z (in place); return (z - m, m) for the shift m."""
+    z[bos] = -np.inf
+    m = z[np.isfinite(z)].max(initial=0.0)
+    return z - m, m
+
+
+def masked_softmax(z: np.ndarray, bos: int) -> np.ndarray:
+    """Softmax of logits z (overwritten) over every token but BOS."""
+    e = np.exp(_mask_and_shift(z, bos)[0])
+    return e / e.sum()
 
 
 class SparseGrad:
@@ -50,9 +62,6 @@ class SparseGrad:
 
     def norm(self) -> float:
         return math.sqrt(sum(float(np.dot(v, v)) for v in self.data.values()))
-
-    def keys(self):
-        return self.data.keys()
 
 
 class TabularPolicy:
@@ -100,13 +109,7 @@ class TabularPolicy:
         if position >= self.t_max:
             probs[self.vocab.eos] = 1.0
             return probs
-        z = self.logits(dut_id, ctx) / tau
-        z = z.copy()
-        z[self.vocab.bos] = -np.inf
-        z -= z[np.isfinite(z)].max(initial=0.0)
-        e = np.exp(z)
-        e[self.vocab.bos] = 0.0
-        return e / e.sum()
+        return masked_softmax(self.logits(dut_id, ctx) / tau, self.vocab.bos)
 
     def _contexts(self, tokens: list[int]):
         """Sliding k-contexts over a BOS-started prefix, left-BOS-padded."""
@@ -126,25 +129,12 @@ class TabularPolicy:
                 return tokens
             position += 1
 
-    def _check_well_formed(self, seq) -> list[int]:
-        seq = list(seq)
-        if len(seq) < 2 or seq[0] != self.vocab.bos or seq[-1] != self.vocab.eos:
-            raise ValueError("sequence must start with BOS and end with EOS")
-        interior = seq[1:-1]
-        if any(t in (self.vocab.bos, self.vocab.eos) for t in interior):
-            raise ValueError("interior BOS/EOS not allowed")
-        if any(not 0 <= t < self.vocab.size for t in interior):
-            raise ValueError("token id outside vocabulary")
-        if len(interior) > self.t_max:
-            raise ValueError(f"interior length {len(interior)} exceeds t_max {self.t_max}")
-        return seq
-
     def log_prob(self, dut_id, seq) -> tuple[float, list[float]]:
         """Total and per-step log-probability at temperature 1.
 
         The forced-EOS step at interior position t_max contributes exactly 0.
         """
-        seq = self._check_well_formed(seq)
+        check_well_formed(seq, self.vocab, self.t_max)
         per_step = []
         for j in range(1, len(seq)):
             position = j - 1
@@ -152,16 +142,15 @@ class TabularPolicy:
                 per_step.append(0.0)
                 continue
             ctx = self._contexts(seq[:j])
-            z = self.logits(dut_id, ctx).copy()
-            z[self.vocab.bos] = -np.inf
-            m = z[np.isfinite(z)].max(initial=0.0)
-            lse = m + math.log(np.exp(z - m).sum())
+            z = self.logits(dut_id, ctx)
+            shifted, m = _mask_and_shift(z.copy(), self.vocab.bos)
+            lse = m + math.log(np.exp(shifted).sum())
             per_step.append(float(z[seq[j]] - lse))
         return sum(per_step), per_step
 
     def grad_log_prob(self, dut_id, seq) -> SparseGrad:
         """d log pi(seq) / d logits; forced positions contribute nothing."""
-        seq = self._check_well_formed(seq)
+        check_well_formed(seq, self.vocab, self.t_max)
         grad = SparseGrad()
         for j in range(1, len(seq)):
             position = j - 1
@@ -207,20 +196,10 @@ class TabularPolicy:
 
 
 class ReferencePolicy:
-    """Frozen deep copy of a policy; read-only scoring interface."""
+    """Frozen copy of a policy; read-only scoring interface."""
 
     def __init__(self, policy: TabularPolicy):
-        self._policy = copy.deepcopy(policy)
-
-    @property
-    def vocab(self) -> Vocab:
-        return self._policy.vocab
+        self._policy = policy.copy()
 
     def log_prob(self, dut_id, seq):
         return self._policy.log_prob(dut_id, seq)
-
-    def step_distribution(self, dut_id, ctx, tau: float = 1.0, position: int = 0):
-        return self._policy.step_distribution(dut_id, ctx, tau, position)
-
-    def sample(self, dut_id, tau: float, rng: np.random.Generator) -> list[int]:
-        return self._policy.sample(dut_id, tau, rng)

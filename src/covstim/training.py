@@ -10,7 +10,7 @@ clearer coverage difference drive larger updates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -58,14 +58,12 @@ class TrainConfig:
             raise ValueError("beta and learning_rate must be > 0")
         if self.ref_source not in ("initial_policy", "post_sft_policy"):
             raise ValueError(f"unknown ref_source {self.ref_source!r}")
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "mode": self.mode, "beta": self.beta, "f_variant": self.f_variant,
-            "learning_rate": self.learning_rate, "epochs": self.epochs,
-            "batch_size": self.batch_size, "seed": self.seed,
-            "ref_source": self.ref_source,
-        }
+    to_dict = asdict
 
 
 @dataclass(frozen=True)
@@ -83,9 +81,7 @@ class TrainHistory:
     epoch_loss: list = field(default_factory=list)
     epoch_update_norm: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {"config": self.config, "epoch_loss": self.epoch_loss,
-                "epoch_update_norm": self.epoch_update_norm}
+    to_dict = asdict
 
 
 def _sigmoid(x: float) -> float:
@@ -191,9 +187,10 @@ class TrainResult:
 
 
 def _update_norm(before: TabularPolicy, after: TabularPolicy) -> float:
-    keys = set(before.table) | set(after.table)
+    # Summed in key order: set order follows the string hash seed, and a
+    # different order changes the float sum in its last digits.
     total = 0.0
-    for dut_id, ctx in keys:
+    for dut_id, ctx in sorted(set(before.table) | set(after.table)):
         diff = after.logits(dut_id, ctx) - before.logits(dut_id, ctx)
         total += float(np.dot(diff, diff))
     return math.sqrt(total)
@@ -207,8 +204,7 @@ def train(dataset, config: TrainConfig, init: TabularPolicy) -> TrainResult:
 
     theta = init.copy()
     if config.mode in ("DPO", "CDDPO") and config.ref_source == "post_sft_policy":
-        sft_cfg = TrainConfig(**{**config.to_dict(), "mode": "SFT"})
-        theta = train(dataset, sft_cfg, init).policy
+        theta = train(dataset, replace(config, mode="SFT"), init).policy
     ref = ReferencePolicy(theta)
 
     bounds = gap_range(dataset) if config.f_variant == "dataset_minmax" else None

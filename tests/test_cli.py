@@ -1,7 +1,10 @@
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covstim.cli import ExperimentConfig, main
 from covstim.corpus import BUNDLED_NAMES, bundled_source, load_bundled_corpus
@@ -68,6 +71,15 @@ class TestSimulateCommand:
         assert main(["simulate", toy1_file, "--cycles", "a=1"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["average"] == pytest.approx(5 / 9)
+
+    @pytest.mark.parametrize("cycles, message", [
+        ("a=5", "out of range"),
+        ("a=1;b=1", "missing input value"),
+    ])
+    def test_bad_cycle_stimulus(self, toy1_file, capsys, cycles, message):
+        assert main(["simulate", toy1_file, "--cycles", cycles]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
 
 
 class TestBundledCorpus:
@@ -149,8 +161,66 @@ class TestPipelineCommands:
         assert main(["curate", "--config", str(path)]) == 1
         assert "banana" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, field", [
+        ({"curation": {"banana": 1}}, "curation.banana"),
+        ({"train": {"banana": 1}}, "train.banana"),
+        ({"eval": {"banana": 1}}, "eval.banana"),
+        ({"curation": {"t_max": 8}}, "curation.t_max"),
+        ({"curation": {"wmax": 4}}, "curation.wmax"),
+        ({"curation": {"k": 2}}, "curation.k"),
+        ([1, 2], "top level"),
+        ({"train": [1]}, "train"),
+        ({"eval": "n=4"}, "eval"),
+        ({"train": {"epochs": 0}}, "epochs"),
+        ({"train": {"batch_size": 0}}, "batch_size"),
+        ({"train": {"epochs": "3"}}, "train.epochs"),
+        ({"curation": {"pairs_per_dut": 1.5}}, "curation.pairs_per_dut"),
+        ({"wmax": True}, "wmax"),
+    ])
+    def test_config_rejected_at_every_level(self, tmp_path, monkeypatch, capsys, doc, field):
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig.from_file(path)
+        # Every stage validates the whole config before it runs.
+        assert main(["curate", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+        assert not (tmp_path / "report").exists()
+
     def test_default_config_values(self):
         config = ExperimentConfig()
         assert config.eval_settings() == (20, 1.0, 42)
         assert config.train_config().beta == 0.2
         assert config.curation_config().pairs_per_dut >= 200
+
+
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 10**6),
+                     st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=4))
+_JSON = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=6)
+_SECTION_KEYS = ("tau1", "tau2", "pairs_per_dut", "teacher", "seed", "t_max", "wmax", "k",
+                 "mode", "beta", "f_variant", "learning_rate", "epochs", "batch_size",
+                 "ref_source", "n", "tau", "banana")
+_SECTION = st.dictionaries(st.sampled_from(_SECTION_KEYS), _JSON, max_size=4)
+_TOP_KEYS = ("corpus_dir", "report_dir", "dataset_file", "wmax", "t_max", "k",
+             "curation", "train", "eval", "banana")
+_CONFIG = st.one_of(_JSON, st.dictionaries(st.sampled_from(_TOP_KEYS), st.one_of(_SECTION, _JSON),
+                                           max_size=5))
+
+
+@given(_CONFIG)
+@settings(max_examples=300, deadline=None)
+def test_any_json_config_raises_only_value_error(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc))
+        try:
+            config = ExperimentConfig.from_file(path)
+            config.curation_config()
+            config.train_config()
+            config.eval_settings()
+        except ValueError:
+            pass

@@ -3,11 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covstim.codec import CodecError, Vocab, encode, is_well_formed, total_input_width, validate_and_decode
+from covstim.codec import (CodecError, Vocab, check_well_formed, encode, total_input_width,
+                           validate_and_decode)
 from covstim.hdl import parse
+from covstim.policy import TabularPolicy
 
 VOCAB = Vocab(4)
 T_MAX = 8
+# Three input bits: values 8..15 exercise the input-width rejection.
+THREE_BIT_DUT = parse("module m (input a[2], input b[1], output y[1]); assign y = b; endmodule")
 
 
 class TestVocab:
@@ -114,9 +118,51 @@ class TestRoundTripProperty:
         assert encode(dut, stim, VOCAB, T_MAX) == tokens
 
 
+def _rejection(tokens):
+    """(kind, position) of check_well_formed's CodecError, or None if accepted."""
+    try:
+        check_well_formed(tokens, VOCAB, T_MAX)
+    except CodecError as err:
+        return err.kind, err.position
+    return None
+
+
+# Any int list, plus BOS...EOS framings so that accepted sequences are common.
+TOKEN_LISTS = st.one_of(
+    st.lists(st.integers(), max_size=T_MAX + 4),
+    st.lists(st.integers(-1, VOCAB.size), max_size=T_MAX + 2).map(
+        lambda interior: [VOCAB.bos] + interior + [VOCAB.eos]),
+)
+
+
 class TestWellFormed:
     def test_well_formed_predicate(self):
-        assert is_well_formed([VOCAB.bos, VOCAB.eos], VOCAB, T_MAX)
-        assert is_well_formed([VOCAB.bos, 0, 15, VOCAB.eos], VOCAB, T_MAX)
-        assert not is_well_formed([VOCAB.bos, VOCAB.bos, VOCAB.eos], VOCAB, T_MAX)
-        assert not is_well_formed([VOCAB.bos] + [0] * (T_MAX + 1) + [VOCAB.eos], VOCAB, T_MAX)
+        assert _rejection([VOCAB.bos, VOCAB.eos]) is None
+        assert _rejection([VOCAB.bos, 0, 15, VOCAB.eos]) is None
+        assert _rejection([]) == ("not_well_formed", 0)
+        assert _rejection([VOCAB.bos, 1]) == ("not_well_formed", 1)
+        assert _rejection([VOCAB.bos, VOCAB.bos, VOCAB.eos]) == ("not_well_formed", 1)
+        assert _rejection([VOCAB.bos, 0, VOCAB.eos, VOCAB.eos]) == ("not_well_formed", 2)
+        assert _rejection([VOCAB.bos, 0, -1, VOCAB.eos]) == ("not_well_formed", 2)
+        assert _rejection([VOCAB.bos] + [0] * (T_MAX + 1) + [VOCAB.eos]) == ("too_long", T_MAX + 1)
+
+    def test_codec_error_is_value_error(self):
+        with pytest.raises(ValueError):
+            check_well_formed([VOCAB.eos], VOCAB, T_MAX)
+
+    @given(TOKEN_LISTS)
+    @settings(max_examples=300, deadline=None)
+    def test_policy_and_decoder_share_the_check(self, tokens):
+        rejection = _rejection(tokens)
+        try:
+            TabularPolicy(VOCAB, 2, T_MAX).log_prob("d", tokens)
+        except CodecError as err:
+            assert (err.kind, err.position) == rejection
+        else:
+            assert rejection is None
+        # Any other exception from the decoder fails the test.
+        try:
+            validate_and_decode(THREE_BIT_DUT, tokens, VOCAB, T_MAX)
+        except CodecError as err:
+            if rejection is not None:
+                assert (err.kind, err.position) == rejection

@@ -1,0 +1,27 @@
+"""The benchmark's traced run patches covstim functions by name.
+
+A refactor that renames or moves one of them must fail here, in Tier-1,
+and not only when the traced benchmark runs.
+"""
+
+from pathlib import Path
+
+from covstim import policy, sim
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_every_trace_point_resolves(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    from spans import Tracer
+
+    log_prob, simulate = policy.TabularPolicy.__dict__["log_prob"], sim.simulate
+    tracer = Tracer()
+    try:
+        layers.install(tracer)
+        assert sim.simulate is not simulate
+    finally:
+        tracer.uninstall()
+    assert policy.TabularPolicy.__dict__["log_prob"] is log_prob
+    assert sim.simulate is simulate

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import covstim
 from covstim.codec import Vocab
 from covstim.policy import ReferencePolicy, TabularPolicy
 from covstim.training import (
@@ -280,6 +285,30 @@ class TestTrain:
         r2.policy.save(p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_history_identical_across_hash_seeds(self, tmp_path):
+        # Policy tables are dicts keyed by strings, whose iteration order
+        # follows PYTHONHASHSEED; no float result may depend on it.
+        script = (
+            "import json, sys\n"
+            "from covstim.codec import Vocab\n"
+            "from covstim.corpus import load_bundled_corpus\n"
+            "from covstim.curation import CurationConfig, curate, load_dataset\n"
+            "from covstim.policy import TabularPolicy\n"
+            "from covstim.training import TrainConfig, train\n"
+            "curate(load_bundled_corpus(), CurationConfig(pairs_per_dut=40, seed=3), sys.argv[1])\n"
+            "result = train(load_dataset(sys.argv[1]), TrainConfig(epochs=2, seed=3),\n"
+            "               TabularPolicy(Vocab(4), 2, 8))\n"
+            "print(json.dumps(result.history.to_dict()))\n"
+        )
+        src = str(Path(covstim.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+            run = subprocess.run([sys.executable, "-c", script, str(tmp_path / f"{hash_seed}.jsonl")],
+                                 env=env, capture_output=True, check=True, timeout=120)
+            outputs.append(run.stdout)
+        assert outputs[0] == outputs[1]
+
     def test_history_shape_and_config_echo(self):
         config = TrainConfig(mode="DPO", epochs=5, batch_size=2, seed=1)
         result = train([make_pair()], config, TabularPolicy(VOCAB))
@@ -292,6 +321,11 @@ class TestTrain:
     def test_empty_dataset_rejected(self):
         with pytest.raises(TrainingError):
             train([], TrainConfig(), TabularPolicy(VOCAB))
+
+    @pytest.mark.parametrize("field", ["epochs", "batch_size"])
+    def test_step_counts_validated(self, field):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: 0})
 
     def test_post_sft_reference(self):
         pairs = [make_pair(chosen=(BOS, 1, EOS), rejected=(BOS, 3, EOS))]
