@@ -202,6 +202,7 @@ def cmd_eval(args) -> int:
     config = _load_config(args)
     corpus = config.load_corpus()
     policy = TabularPolicy.load(args.checkpoint)
+    policy.check_settings(config.wmax, config.k, config.t_max)
     vocab = Vocab(config.wmax)
     n, tau, seed = config.eval_settings()
     reports = [eval_policy(policy, dut, n, tau, seed, vocab, config.t_max)

@@ -22,15 +22,22 @@ def load_bundled_corpus() -> list[DutModel]:
 
 
 def load_corpus_dir(path) -> list[DutModel]:
-    """Parse every *.hdl file in a directory, sorted by filename."""
+    """Parse every *.hdl file in a directory, sorted by filename.
+
+    Module names must be unique: policy rows and pair ids are keyed by them.
+    """
     files = sorted(Path(path).glob("*.hdl"))
     if not files:
         raise ValueError(f"no *.hdl files in {path}")
     corpus = []
+    seen: dict[str, Path] = {}
     for f in files:
         dut = parse(f.read_text(encoding="utf-8"))
         issues = lint(dut)
         if issues:
             raise ValueError(f"{f}: lint issues: {', '.join(i.kind for i in issues)}")
+        if dut.name in seen:
+            raise ValueError(f"{seen[dut.name]} and {f} both declare module {dut.name!r}")
+        seen[dut.name] = f
         corpus.append(dut)
     return corpus

@@ -4,15 +4,25 @@ Designs are single modules with input/output ports, registers updated
 through ``next`` statements, wires driven by ``assign``, conditionals, and
 ``cover`` groups declaring value bins on a signal.  The parser is total
 over arbitrary text: it either returns a :class:`DutModel` or raises
-:class:`ParseError` at the first offending token.
+:class:`ParseError` at the first offending token.  Expressions and
+conditionals nested deeper than ``MAX_DEPTH`` are syntax errors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from functools import cached_property
+from typing import Union
 
 MAX_WIDTH = 16
+# Most operators (unary or binary) on one path of an expression tree, and
+# most conditionals nested in one another, that parse accepts.  Every walker
+# over a model (lint, pretty_print, simulate) recurses once per level, so
+# the bound keeps them far from Python's recursion limit.  Parentheses and
+# unary operators open at once are bounded by 2 * MAX_DEPTH, which bounds
+# the parser's own recursion and still admits pretty_print's output, which
+# writes two of them per operator.
+MAX_DEPTH = 24
 
 KEYWORDS = {
     "module", "endmodule", "input", "output", "reg", "wire",
@@ -91,7 +101,10 @@ def _lex(text: str) -> list[Token]:
                 # Reject '12ab' outright rather than splitting tokens.
                 if j < n and (text[j].isalpha() or text[j] == "_"):
                     raise ParseError(line, col, "lex", f"malformed number {text[i:j + 1]!r}")
-                value = int(text[i:j])
+                try:
+                    value = int(text[i:j])
+                except ValueError:  # more digits than int() converts
+                    raise ParseError(line, col, "lex", "number literal too long") from None
             tokens.append(Token("int", text[i:j], value, line, col))
             col += j - i
             i = j
@@ -147,6 +160,7 @@ class Assign:
     expr: Expr
     line: int = field(default=0, compare=False)
     column: int = field(default=0, compare=False)
+    index: int = field(default=0, compare=False)  # pre-order among Assigns
 
 
 @dataclass(frozen=True)
@@ -156,6 +170,7 @@ class Conditional:
     else_body: tuple["Stmt", ...]
     line: int = field(default=0, compare=False)
     column: int = field(default=0, compare=False)
+    index: int = field(default=0, compare=False)  # pre-order among Conditionals
 
 
 Stmt = Union[Assign, Conditional]
@@ -204,53 +219,36 @@ class Covergroup:
 
 @dataclass(frozen=True)
 class DutModel:
+    """A parsed design; the parser numbers its statements and sets the totals."""
+
     name: str
     ports: tuple[Port, ...]
     regs: tuple[Reg, ...]
     wires: tuple[Wire, ...]
     body: tuple[Stmt, ...]
     covergroups: tuple[Covergroup, ...]
+    total_statements: int
+    total_branch_outcomes: int
 
-    @property
+    @cached_property
     def input_ports(self) -> tuple[Port, ...]:
         return tuple(p for p in self.ports if p.direction == "input")
 
-    @property
+    @cached_property
     def output_ports(self) -> tuple[Port, ...]:
         return tuple(p for p in self.ports if p.direction == "output")
 
-    @property
-    def total_statements(self) -> int:
-        return sum(1 for s in _walk_statements(self.body) if isinstance(s, Assign))
-
-    @property
-    def total_branch_outcomes(self) -> int:
-        return 2 * sum(1 for s in _walk_statements(self.body) if isinstance(s, Conditional))
+    @cached_property
+    def widths(self) -> dict[str, int]:
+        """Width of every declared name; the first of ports, regs, wires wins."""
+        widths: dict[str, int] = {}
+        for d in (*self.ports, *self.regs, *self.wires):
+            widths.setdefault(d.name, d.width)
+        return widths
 
     @property
     def total_bins(self) -> int:
         return sum(len(cg.bins) for cg in self.covergroups)
-
-    def signal_width(self, name: str) -> Optional[int]:
-        for p in self.ports:
-            if p.name == name:
-                return p.width
-        for r in self.regs:
-            if r.name == name:
-                return r.width
-        for w in self.wires:
-            if w.name == name:
-                return w.width
-        return None
-
-
-def _walk_statements(body):
-    """Pre-order walk over every statement node, nested ones included."""
-    for stmt in body:
-        yield stmt
-        if isinstance(stmt, Conditional):
-            yield from _walk_statements(stmt.then_body)
-            yield from _walk_statements(stmt.else_body)
 
 
 # --- Parser ---------------------------------------------------------------
@@ -259,6 +257,8 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.n_statements = 0
+        self.n_conditionals = 0
 
     @property
     def cur(self) -> Token:
@@ -299,6 +299,12 @@ class _Parser:
     def at_kw(self, kw: str) -> bool:
         return self.cur.kind == "kw" and self.cur.text == kw
 
+    @staticmethod
+    def _nest(tok: Token, depth: int, limit: int, what: str) -> None:
+        if depth > limit:
+            raise ParseError(tok.line, tok.column, "syntax",
+                             f"more than {limit} {what} nested")
+
     def parse_dut(self) -> DutModel:
         self.expect_kw("module")
         name = self.expect_ident().text
@@ -335,6 +341,8 @@ class _Parser:
             wires=tuple(wires),
             body=tuple(body),
             covergroups=tuple(covergroups),
+            total_statements=self.n_statements,
+            total_branch_outcomes=2 * self.n_conditionals,
         )
 
     def parse_port(self) -> Port:
@@ -387,34 +395,40 @@ class _Parser:
         hi = self.expect_int().value
         return CoverBin(name, lo, hi)
 
-    def parse_stmt(self) -> Stmt:
+    def parse_stmt(self, nest: int = 0) -> Stmt:
+        """Parse one statement inside ``nest`` enclosing conditionals."""
         if self.at_kw("assign") or self.at_kw("next"):
             kw = self.advance()
+            index = self.n_statements
+            self.n_statements += 1
             target = self.expect_ident().text
             self.expect_sym("=")
-            expr = self.parse_expr()
+            expr, _ = self.parse_expr()
             self.expect_sym(";")
-            return Assign(kw.text, target, expr, kw.line, kw.column)
+            return Assign(kw.text, target, expr, kw.line, kw.column, index)
         if self.at_kw("if"):
             kw = self.advance()
+            self._nest(kw, nest + 1, MAX_DEPTH, "conditionals")
+            index = self.n_conditionals
+            self.n_conditionals += 1
             self.expect_sym("(")
-            cond = self.parse_expr()
+            cond, _ = self.parse_expr()
             self.expect_sym(")")
-            then_body = self.parse_block()
+            then_body = self.parse_block(nest + 1)
             else_body: tuple[Stmt, ...] = ()
             if self.at_kw("else"):
                 self.advance()
-                else_body = self.parse_block()
-            return Conditional(cond, then_body, else_body, kw.line, kw.column)
+                else_body = self.parse_block(nest + 1)
+            return Conditional(cond, then_body, else_body, kw.line, kw.column, index)
         self._fail(f"expected statement, found {self.cur.text or 'end of input'!r}")
 
-    def parse_block(self) -> tuple[Stmt, ...]:
+    def parse_block(self, nest: int) -> tuple[Stmt, ...]:
         self.expect_sym("{")
         stmts: list[Stmt] = []
         while not self.at_sym("}"):
             if self.cur.kind == "eof":
                 self._fail("expected '}'")
-            stmts.append(self.parse_stmt())
+            stmts.append(self.parse_stmt(nest))
         self.advance()
         return tuple(stmts)
 
@@ -422,34 +436,47 @@ class _Parser:
     # |  ^  &  (== != < >)  (<< >>)  (+ -)  unary  primary
     _LEVELS = [["|"], ["^"], ["&"], ["==", "!=", "<", ">"], ["<<", ">>"], ["+", "-"]]
 
-    def parse_expr(self, level: int = 0) -> Expr:
+    def parse_expr(self, opened: int = 0, level: int = 0) -> tuple[Expr, int]:
+        """Parse an expression; return it with its operator depth.
+
+        ``opened`` counts the parentheses and unary operators open around it.
+        """
         if level == len(self._LEVELS):
-            return self.parse_unary()
-        left = self.parse_expr(level + 1)
+            return self.parse_unary(opened)
+        left, depth = self.parse_expr(opened, level + 1)
         ops = self._LEVELS[level]
         while self.cur.kind == "sym" and self.cur.text in ops:
-            op = self.advance().text
-            right = self.parse_expr(level + 1)
-            left = BinOp(op, left, right)
-        return left
+            op = self.advance()
+            right, right_depth = self.parse_expr(opened, level + 1)
+            depth = 1 + max(depth, right_depth)
+            self._nest(op, depth, MAX_DEPTH, "operators")
+            left = BinOp(op.text, left, right)
+        return left, depth
 
-    def parse_unary(self) -> Expr:
+    def _open(self, opened: int) -> None:
+        self._nest(self.cur, opened + 1, 2 * MAX_DEPTH, "parentheses and unary operators")
+        self.advance()
+
+    def parse_unary(self, opened: int) -> tuple[Expr, int]:
         if self.cur.kind == "sym" and self.cur.text in ("~", "!"):
-            op = self.advance().text
-            return UnOp(op, self.parse_unary())
-        return self.parse_primary()
+            op = self.cur
+            self._open(opened)
+            operand, depth = self.parse_unary(opened + 1)
+            self._nest(op, depth + 1, MAX_DEPTH, "operators")
+            return UnOp(op.text, operand), depth + 1
+        return self.parse_primary(opened)
 
-    def parse_primary(self) -> Expr:
+    def parse_primary(self, opened: int) -> tuple[Expr, int]:
         if self.cur.kind == "ident":
             t = self.advance()
-            return Ident(t.text, t.line, t.column)
+            return Ident(t.text, t.line, t.column), 0
         if self.cur.kind == "int":
-            return Const(self.advance().value)
+            return Const(self.advance().value), 0
         if self.at_sym("("):
-            self.advance()
-            expr = self.parse_expr()
+            self._open(opened)
+            expr, depth = self.parse_expr(opened + 1)
             self.expect_sym(")")
-            return expr
+            return expr, depth
         self._fail(f"expected expression, found {self.cur.text or 'end of input'!r}")
 
 
@@ -543,7 +570,7 @@ def lint(dut: DutModel) -> list[LintIssue]:
             issues.append(LintIssue("undeclared_identifier", cg.line, cg.column,
                                     f"covered signal {cg.signal!r} is not declared"))
             continue
-        width = dut.signal_width(cg.signal)
+        width = dut.widths[cg.signal]
         for b in cg.bins:
             if b.lo > b.hi or b.hi >= (1 << width):
                 issues.append(LintIssue("bin_out_of_range", cg.line, cg.column,

@@ -166,6 +166,19 @@ class TabularPolicy:
 
     # -- persistence ------------------------------------------------------
 
+    def check_settings(self, wmax: int, k: int, t_max: int) -> None:
+        """Raise ValueError naming each setting that differs from the run's.
+
+        A policy under another ``wmax`` has other BOS/EOS ids, so its samples
+        would all fail decoding instead of failing loudly here.
+        """
+        wrong = [f"{name} {mine} (run config {theirs})"
+                 for name, mine, theirs in (("wmax", self.vocab.wmax, wmax),
+                                            ("k", self.k, k), ("t_max", self.t_max, t_max))
+                 if mine != theirs]
+        if wrong:
+            raise ValueError(f"checkpoint policy has {', '.join(wrong)}")
+
     def save(self, path) -> None:
         entries = sorted(
             ([dut_id, list(ctx), [float(v) for v in vec]]

@@ -11,11 +11,10 @@ the end of item evaluation, before registers latch.  All arithmetic is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
-from .hdl import Assign, BinOp, Conditional, Const, DutModel, Expr, Ident, Stmt, UnOp
+from .hdl import Assign, Const, DutModel, Expr, Ident, UnOp
 
 _MASK64 = (1 << 64) - 1
 
@@ -86,28 +85,6 @@ def average_score(report: CoverageReport) -> float:
     return report.average
 
 
-@dataclass
-class _Indexed:
-    """Stable ids for statements, conditionals, and bins (pre-order)."""
-
-    statements: dict = field(default_factory=dict)   # id(Assign node) -> index
-    conditionals: dict = field(default_factory=dict)
-    n_statements: int = 0
-    n_conditionals: int = 0
-
-
-def _index_body(body, idx: _Indexed) -> None:
-    for stmt in body:
-        if isinstance(stmt, Assign):
-            idx.statements[id(stmt)] = idx.n_statements
-            idx.n_statements += 1
-        else:
-            idx.conditionals[id(stmt)] = idx.n_conditionals
-            idx.n_conditionals += 1
-            _index_body(stmt.then_body, idx)
-            _index_body(stmt.else_body, idx)
-
-
 def _eval(expr: Expr, env: dict) -> int:
     if isinstance(expr, Const):
         return expr.value & _MASK64
@@ -144,24 +121,18 @@ def _eval(expr: Expr, env: dict) -> int:
     return (left - right) & _MASK64  # '-'
 
 
-def simulate(dut: DutModel, stim: Stimulus, trace: Optional[list] = None) -> CoverageReport:
+def simulate(dut: DutModel, stim: Stimulus) -> CoverageReport:
     """Run the stimulus and return cumulative coverage.
 
-    If ``trace`` is given, one line per cycle listing all signal values is
-    appended to it (debug aid; not consumed elsewhere).
+    Coverage slots are the parser's statement and conditional indices.
     """
-    idx = _Indexed()
-    _index_body(dut.body, idx)
-
-    widths = {p.name: p.width for p in dut.ports}
-    widths.update({r.name: r.width for r in dut.regs})
-    widths.update({w.name: w.width for w in dut.wires})
+    widths = dut.widths
     input_ports = dut.input_ports
     wire_names = [w.name for w in dut.wires] + [p.name for p in dut.output_ports]
 
     reg_values = {r.name: r.init & ((1 << r.width) - 1) for r in dut.regs}
-    stmt_hit = [False] * idx.n_statements
-    branch_hit = [False] * (2 * idx.n_conditionals)
+    stmt_hit = [False] * dut.total_statements
+    branch_hit = [False] * dut.total_branch_outcomes
     bin_hit = [[False] * len(cg.bins) for cg in dut.covergroups]
 
     for cycle_no, cycle in enumerate(stim.cycles):
@@ -186,10 +157,10 @@ def simulate(dut: DutModel, stim: Stimulus, trace: Optional[list] = None) -> Cov
                         env[stmt.target] = value
                     else:
                         pending[stmt.target] = value
-                    stmt_hit[idx.statements[id(stmt)]] = True
+                    stmt_hit[stmt.index] = True
                 else:
                     taken = _eval(stmt.cond, env) != 0
-                    base = 2 * idx.conditionals[id(stmt)]
+                    base = 2 * stmt.index
                     branch_hit[base if taken else base + 1] = True
                     run(stmt.then_body if taken else stmt.else_body)
 
@@ -201,16 +172,13 @@ def simulate(dut: DutModel, stim: Stimulus, trace: Optional[list] = None) -> Cov
                 if b.lo <= value <= b.hi:
                     bin_hit[cg_i][b_i] = True
 
-        if trace is not None:
-            trace.append(" ".join(f"{k}={env[k]}" for k in sorted(env)))
-
         for name, value in pending.items():
             reg_values[name] = value
 
     total_bins = dut.total_bins
     return CoverageReport(
-        statement=MetricCount(sum(stmt_hit), idx.n_statements),
-        branch=MetricCount(sum(branch_hit), 2 * idx.n_conditionals),
+        statement=MetricCount(sum(stmt_hit), dut.total_statements),
+        branch=MetricCount(sum(branch_hit), dut.total_branch_outcomes),
         functional=MetricCount(sum(sum(h) for h in bin_hit), total_bins),
         cycles_run=len(stim.cycles),
     )

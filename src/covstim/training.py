@@ -145,20 +145,21 @@ def cddpo_loss(theta, ref, pair: PreferencePair, beta: float,
     return _preference_breakdown(theta, ref, pair, beta_star)
 
 
-def pair_gradient(theta, ref, pair: PreferencePair, beta_star: float) -> SparseGrad:
+def pair_gradient(theta, pair: PreferencePair, bd: LossBreakdown) -> SparseGrad:
     """Gradient of the preference loss w.r.t. theta's logits.
 
-    Equals -beta* sigma(beta*(r_l - r_w)) (grad log pi(chosen) - grad log
+    ``bd`` is the pair's breakdown under theta, from dpo_loss or cddpo_loss;
+    its rewards and beta* are reused, not recomputed.  Equals
+    -beta* sigma(beta*(r_l - r_w)) (grad log pi(chosen) - grad log
     pi(rejected)); a descent step subtracts it.
     """
+    beta_star = bd.beta_star
     if beta_star < 0:
         raise ValueError("beta_star must be >= 0")
     grad = SparseGrad()
     if beta_star == 0.0:
         return grad
-    r_w = implicit_reward(theta, ref, pair.dut_id, pair.chosen)
-    r_l = implicit_reward(theta, ref, pair.dut_id, pair.rejected)
-    scale = -beta_star * _sigmoid(beta_star * (r_l - r_w))
+    scale = -beta_star * _sigmoid(beta_star * (bd.r_l - bd.r_w))
     grad.add_scaled(theta.grad_log_prob(pair.dut_id, pair.chosen), scale)
     grad.add_scaled(theta.grad_log_prob(pair.dut_id, pair.rejected), -scale)
     return grad
@@ -230,8 +231,7 @@ def train(dataset, config: TrainConfig, init: TabularPolicy) -> TrainResult:
                         bd = cddpo_loss(theta, ref, pair, config.beta,
                                         config.f_variant, bounds)
                     losses.append(bd.loss)
-                    grad.add_scaled(pair_gradient(theta, ref, pair, bd.beta_star),
-                                    1.0 / len(batch))
+                    grad.add_scaled(pair_gradient(theta, pair, bd), 1.0 / len(batch))
             theta.apply_update(grad, -config.learning_rate)
         mean_loss = sum(losses) / len(losses)
         if not math.isfinite(mean_loss):

@@ -8,6 +8,7 @@ takes about a minute; everything else runs in seconds.
 import itertools
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,7 +98,7 @@ def test_criterion_2_gradient_correctness():
         ref = ReferencePolicy(random_policy(rng))
         pair = random_pair(rng)
         bd = cddpo_loss(theta, ref, pair, 0.2)
-        grad = pair_gradient(theta, ref, pair, bd.beta_star)
+        grad = pair_gradient(theta, pair, bd)
         sgrad = sft_gradient(theta, [pair])
         for which, g, loss_fn in (
             ("pair", grad, lambda p: cddpo_loss(p, ref, pair, 0.2).loss),
@@ -129,7 +130,8 @@ def test_criterion_3_disagreement_scaling():
         if r_l < r_w:
             pair = PreferencePair("dut", "", pair.rejected, pair.chosen,
                                   pair.s_p, pair.s_np)
-        norms = [pair_gradient(theta, ref, pair, b).norm()
+        bd = dpo_loss(theta, ref, pair, 0.2)
+        norms = [pair_gradient(theta, pair, replace(bd, beta_star=b)).norm()
                  for b in (0.0, 0.05, 0.1, 0.15, 0.2)]
         assert norms[0] == 0.0
         assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))

@@ -7,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covstim.cli import ExperimentConfig, main
-from covstim.corpus import BUNDLED_NAMES, bundled_source, load_bundled_corpus
+from covstim.codec import Vocab
+from covstim.corpus import BUNDLED_NAMES, bundled_source, load_bundled_corpus, load_corpus_dir
 from covstim.hdl import lint
+from covstim.policy import TabularPolicy
 from covstim.sim import Stimulus, simulate
 
 
@@ -113,6 +115,12 @@ class TestBundledCorpus:
                 best = max(best, simulate(dut, Stimulus(tuple({"a": b} for b in bits))).average)
         assert best == 0.5
 
+    def test_duplicate_module_names_rejected(self, tmp_path, toy1_source):
+        (tmp_path / "a.hdl").write_text(toy1_source)
+        (tmp_path / "b.hdl").write_text(toy1_source.replace("a == 1", "a == 0"))
+        with pytest.raises(ValueError, match=r"a\.hdl and .*b\.hdl both declare module 'toy1'"):
+            load_corpus_dir(tmp_path)
+
     def test_bundled_names(self):
         assert set(BUNDLED_NAMES) == {"toy1", "mux2", "chain2", "adder2", "deadend"}
         assert "module toy1" in bundled_source("toy1")
@@ -135,6 +143,16 @@ class TestPipelineCommands:
         assert main(["eval", "--config", config,
                      "--checkpoint", str(report_dir / "cddpo.ckpt.json")]) == 0
         assert (report_dir / "eval.json").exists()
+
+    def test_eval_rejects_checkpoint_of_other_settings(self, tmp_path, capsys):
+        config, report_dir = small_config(tmp_path)
+        report_dir.mkdir()
+        path = report_dir / "wmax3.ckpt.json"
+        TabularPolicy(Vocab(3), 2, 8).save(path)
+        assert main(["eval", "--config", config, "--checkpoint", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "wmax 3 (run config 4)" in err and "Traceback" not in err
+        assert not (report_dir / "eval.json").exists()
 
     def test_demo_artifact_inventory(self, tmp_path, capsys):
         config, report_dir = small_config(tmp_path)
@@ -176,6 +194,11 @@ class TestPipelineCommands:
         ({"train": {"epochs": "3"}}, "train.epochs"),
         ({"curation": {"pairs_per_dut": 1.5}}, "curation.pairs_per_dut"),
         ({"wmax": True}, "wmax"),
+        ({"k": 0}, "k must be >= 1"),
+        ({"wmax": -1}, "wmax must be in 1..16"),
+        ({"wmax": 0}, "wmax must be in 1..16"),
+        ({"wmax": 17}, "wmax must be in 1..16"),
+        ({"t_max": 0}, "t_max must be >= 1"),
     ])
     def test_config_rejected_at_every_level(self, tmp_path, monkeypatch, capsys, doc, field):
         monkeypatch.chdir(tmp_path)

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -105,6 +106,12 @@ class TestTeachers:
         policy.save(path)
         teacher = make_teacher(CurationConfig(teacher=str(path), seed=0))
         assert teacher.table == {("toy1", (BOS, BOS)): pytest.approx(policy.table[("toy1", (BOS, BOS))])}
+        # A checkpoint saved under other settings is refused, naming each one.
+        for settings, message in (({"wmax": 3}, "wmax 4 (run config 3)"),
+                                  ({"k": 1}, "k 2 (run config 1)"),
+                                  ({"t_max": 4}, "t_max 8 (run config 4)")):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                make_teacher(CurationConfig(teacher=str(path), seed=0, **settings))
 
 
 class TestCurate:

@@ -1,6 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from covstim.hdl import DutModel, ParseError, lint, parse, pretty_print
+from covstim.hdl import _SYMBOLS, KEYWORDS, MAX_DEPTH, DutModel, ParseError, lint, parse, pretty_print
+from covstim.sim import Stimulus, simulate
+
+ASSIGN_Y = "module m (input a[1], output y[1]); assign y = {}; endmodule"
 
 
 class TestParse:
@@ -61,14 +66,69 @@ class TestParse:
         )
         assert dut.total_branch_outcomes == 4
         assert dut.total_statements == 2
+        # Pre-order: a conditional is numbered before its arms; statements
+        # and conditionals are numbered separately.
+        outer = dut.body[0]
+        inner = outer.then_body[0]
+        assert (outer.index, inner.index) == (0, 1)
+        assert (inner.then_body[0].index, outer.else_body[0].index) == (0, 1)
 
     def test_determinism(self, toy1_source):
         assert parse(toy1_source) == parse(toy1_source)
 
     def test_never_panics_on_garbage(self):
-        for text in ("", "module", "endmodule", "module m (); endmodule", "}{"):
+        for text in ("", "module", "endmodule", "module m (); endmodule", "}{",
+                     ASSIGN_Y.format("(" * 110 + "a" + ")" * 110),
+                     ASSIGN_Y.format("~" * 1000 + "a"),
+                     ASSIGN_Y.format(" + ".join(["a"] * 1000)),
+                     ASSIGN_Y.format("1" * 5000),
+                     "module m (input a[1], output y[1]); "
+                     + "if (a) { " * 1000 + "assign y = 1;" + " }" * 1000 + " endmodule"):
             with pytest.raises(ParseError):
                 parse(text)
+
+    @pytest.mark.parametrize("expr", [
+        "(" * (2 * MAX_DEPTH) + "a" + ")" * (2 * MAX_DEPTH),
+        "~" * MAX_DEPTH + "a",
+        " + ".join(["a"] * (MAX_DEPTH + 1)),
+        "(" * MAX_DEPTH + "~" * (MAX_DEPTH - 1) + "a + a" + ")" * MAX_DEPTH,
+    ])
+    def test_depth_bound(self, expr):
+        # At the bound the model parses, round-trips through pretty_print
+        # and simulates; one more '~' passes a bound.
+        dut = parse(ASSIGN_Y.format(expr))
+        assert lint(dut) == []
+        assert parse(pretty_print(dut)) == dut
+        simulate(dut, Stimulus(({"a": 1},)))
+        with pytest.raises(ParseError) as exc:
+            parse(ASSIGN_Y.format("~" + expr))
+        assert exc.value.kind == "syntax"
+
+    def test_conditional_nesting_bound(self):
+        def nested(n):
+            return ("module m (input a[1], output y[1]); assign y = 0; "
+                    + "if (a) { " * n + "assign y = 1;" + " }" * n + " endmodule")
+
+        dut = parse(nested(MAX_DEPTH))
+        assert dut.total_branch_outcomes == 2 * MAX_DEPTH
+        assert simulate(dut, Stimulus(({"a": 1},))).branch.covered == MAX_DEPTH
+        with pytest.raises(ParseError) as exc:
+            parse(nested(MAX_DEPTH + 1))
+        assert exc.value.kind == "syntax"
+
+
+_HDL_TOKENS = st.sampled_from(sorted(KEYWORDS) + _SYMBOLS + ["a", "y", "0", "1", "0x", "15", "//"])
+
+
+@given(st.one_of(st.text(max_size=200),
+                 st.lists(_HDL_TOKENS, max_size=120).map(" ".join),
+                 st.lists(_HDL_TOKENS, max_size=120).map("".join)))
+@settings(max_examples=500, deadline=None)
+def test_parse_raises_only_parse_error(text):
+    try:
+        parse(text)
+    except ParseError:
+        pass
 
 
 class TestRoundTrip:

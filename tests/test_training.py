@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -143,7 +144,7 @@ class TestCddpoLoss:
         pair = make_pair(s_p=0.5 + 1e-13, s_np=0.5)
         bd = cddpo_loss(theta, ref, pair, 0.2)
         assert bd.loss == pytest.approx(math.log(2), abs=1e-9)
-        grad = pair_gradient(theta, ref, pair, bd.beta_star)
+        grad = pair_gradient(theta, pair, bd)
         assert grad.norm() < 1e-10
 
     def test_unknown_variant_rejected(self):
@@ -164,7 +165,8 @@ class TestPairGradient:
     def test_zero_beta_star(self):
         policy = random_policy(np.random.default_rng(6))
         ref = ReferencePolicy(policy)
-        grad = pair_gradient(policy, ref, make_pair(), beta_star=0.0)
+        bd = dpo_loss(policy, ref, make_pair(), 0.2)
+        grad = pair_gradient(policy, make_pair(), replace(bd, beta_star=0.0))
         assert grad.norm() == 0.0
 
     def test_finite_differences(self):
@@ -175,7 +177,7 @@ class TestPairGradient:
             ref = ReferencePolicy(random_policy(rng))
             pair = random_pair(rng)
             bd = cddpo_loss(theta, ref, pair, 0.2)
-            grad = pair_gradient(theta, ref, pair, bd.beta_star)
+            grad = pair_gradient(theta, pair, bd)
             for (dut_id, ctx), vec in grad.data.items():
                 for token in range(VOCAB.size):
                     if vec[token] == 0.0 and token == BOS:
@@ -201,7 +203,8 @@ class TestPairGradient:
             if r_l < r_w:
                 pair = PreferencePair("dut", "", pair.rejected, pair.chosen,
                                       pair.s_p, pair.s_np)
-            norms = [pair_gradient(theta, ref, pair, b).norm()
+            bd = dpo_loss(theta, ref, pair, 0.2)
+            norms = [pair_gradient(theta, pair, replace(bd, beta_star=b)).norm()
                      for b in (0.0, 0.05, 0.1, 0.15, 0.2)]
             assert norms[0] == 0.0
             assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
@@ -216,7 +219,7 @@ class TestPairGradient:
         r_w = implicit_reward(theta, ref, "dut", pair.chosen)
         r_l = implicit_reward(theta, ref, "dut", pair.rejected)
         assert r_l > r_w
-        grad = pair_gradient(theta, ref, pair, 0.2)
+        grad = pair_gradient(theta, pair, dpo_loss(theta, ref, pair, 0.2))
         theta.apply_update(grad, -0.1)
         r_w2 = implicit_reward(theta, ref, "dut", pair.chosen)
         r_l2 = implicit_reward(theta, ref, "dut", pair.rejected)
