@@ -144,7 +144,12 @@ def cmd_simulate(args) -> int:
         for issue in issues:
             print(issue, file=sys.stderr)
         return 1
-    vocab = Vocab(args.wmax)
+    try:
+        vocab = Vocab(args.wmax)
+    except ValueError as err:
+        raise ValueError(f"--wmax: {err}") from None
+    if args.t_max < 1:
+        raise ValueError(f"--t-max must be >= 1, got {args.t_max}")
     if args.stim is not None:
         values = [int(v) for v in args.stim.split(",") if v.strip() != ""]
         tokens = [vocab.bos] + values + [vocab.eos]

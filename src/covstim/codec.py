@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .hdl import DutModel
+from .hdl import MAX_WIDTH, DutModel
 from .sim import Stimulus
 
 DEFAULT_WMAX = 4
@@ -23,6 +23,10 @@ class Vocab:
     """Global token ids: values 0..2^wmax-1, then BOS, then EOS."""
 
     wmax: int = DEFAULT_WMAX
+
+    def __post_init__(self):
+        if not 1 <= self.wmax <= MAX_WIDTH:
+            raise ValueError(f"wmax must be in 1..{MAX_WIDTH}, got {self.wmax}")
 
     @property
     def n_values(self) -> int:

@@ -16,7 +16,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .codec import CodecError, Vocab, validate_and_decode
-from .hdl import MAX_WIDTH, DutModel, lint, pretty_print
+from .hdl import DutModel, lint, pretty_print
 from .policy import TabularPolicy, masked_softmax
 from .sim import CoverageReport, average_score, simulate
 from .training import PreferencePair
@@ -41,12 +41,7 @@ class CurationConfig:
             raise ValueError("tau1 and tau2 must be distinct")
         if self.pairs_per_dut < 1:
             raise ValueError("pairs_per_dut must be >= 1")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if not 1 <= self.wmax <= MAX_WIDTH:
-            raise ValueError(f"wmax must be in 1..{MAX_WIDTH}, got {self.wmax}")
-        if self.t_max < 1:
-            raise ValueError(f"t_max must be >= 1, got {self.t_max}")
+        TabularPolicy(Vocab(self.wmax), self.k, self.t_max)  # checks the three ranges
 
 
 class NoveltyTeacher:

@@ -11,23 +11,36 @@ from __future__ import annotations
 
 import json
 import math
+import sys
+from functools import lru_cache
 
 import numpy as np
 
 from .codec import Vocab, check_well_formed
 
 
-def _mask_and_shift(z: np.ndarray, bos: int):
-    """Mask BOS out of logits z (in place); return (z - m, m) for the shift m."""
-    z[bos] = -np.inf
-    m = z[np.isfinite(z)].max(initial=0.0)
-    return z - m, m
-
-
 def masked_softmax(z: np.ndarray, bos: int) -> np.ndarray:
     """Softmax of logits z (overwritten) over every token but BOS."""
-    e = np.exp(_mask_and_shift(z, bos)[0])
+    z[bos] = -np.inf
+    e = np.exp(z - z[np.isfinite(z)].max(initial=0.0))
     return e / e.sum()
+
+
+@lru_cache(maxsize=1 << 13)
+def _step_plan(seq: tuple, k: int, t_max: int, bos: int):
+    """Scored steps of a well-formed sequence: (contexts, targets, forced).
+
+    Step j emits seq[j] from the k tokens before it, left-BOS-padded.  The
+    forced-EOS step at interior position t_max is left out; ``forced``
+    counts it (0 or 1).  Holds no logits, so it is valid for every policy
+    with these settings.
+    """
+    hist = (bos,) * (k - 1) + seq
+    n = min(len(seq) - 1, t_max)
+    contexts = tuple(hist[j - 1:j - 1 + k] for j in range(1, n + 1))
+    targets = np.array(seq[1:n + 1], dtype=np.intp)
+    targets.flags.writeable = False
+    return contexts, targets, len(seq) - 1 - n
 
 
 class SparseGrad:
@@ -45,10 +58,11 @@ class SparseGrad:
 
     def add_scaled(self, other: "SparseGrad", factor: float) -> None:
         for key, vec in other.data.items():
-            if key in self.data:
-                self.data[key] = self.data[key] + factor * vec
-            else:
+            mine = self.data.get(key)
+            if mine is None:
                 self.data[key] = factor * vec
+            else:
+                mine += factor * vec
 
     def scaled(self, factor: float) -> "SparseGrad":
         out = SparseGrad()
@@ -68,6 +82,10 @@ class TabularPolicy:
     """Autoregressive policy pi(token | dut_id, previous k tokens)."""
 
     def __init__(self, vocab: Vocab, k: int = 2, t_max: int = 8):
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        if t_max < 1:
+            raise ValueError(f"t_max must be >= 1, got {t_max}")
         self.vocab = vocab
         self.k = k
         self.t_max = t_max
@@ -129,39 +147,52 @@ class TabularPolicy:
                 return tokens
             position += 1
 
+    def _step_logits(self, dut_id, seq):
+        """Check seq; return its step plan and the plan's masked, exponentiated logits.
+
+        Row i of ``z`` holds step i's logits with BOS set to -inf, ``m`` the
+        row's shift max(0, finite max) and ``e`` = exp(z - m): the float
+        operations of ``masked_softmax``, one row per scored step.
+        """
+        check_well_formed(seq, self.vocab, self.t_max)
+        contexts, targets, forced = _step_plan(tuple(seq), self.k, self.t_max, self.vocab.bos)
+        get = self.table.get
+        z = np.zeros((len(contexts), self.vocab.size))
+        for i, ctx in enumerate(contexts):
+            row = get((dut_id, ctx))
+            if row is not None:
+                z[i] = row
+        z[:, self.vocab.bos] = -np.inf
+        m = z.max(axis=1, initial=0.0, where=np.isfinite(z))
+        e = np.exp(z - m[:, None])
+        return contexts, targets, forced, z, m, e
+
     def log_prob(self, dut_id, seq) -> tuple[float, list[float]]:
         """Total and per-step log-probability at temperature 1.
 
         The forced-EOS step at interior position t_max contributes exactly 0.
         """
-        check_well_formed(seq, self.vocab, self.t_max)
-        per_step = []
-        for j in range(1, len(seq)):
-            position = j - 1
-            if position >= self.t_max:
-                per_step.append(0.0)
-                continue
-            ctx = self._contexts(seq[:j])
-            z = self.logits(dut_id, ctx)
-            shifted, m = _mask_and_shift(z.copy(), self.vocab.bos)
-            lse = m + math.log(np.exp(shifted).sum())
-            per_step.append(float(z[seq[j]] - lse))
+        _, targets, forced, z, m, e = self._step_logits(dut_id, seq)
+        # math.log as the step-by-step form used: np.log differs from it in the
+        # last bit on a few arguments in 10^4, which would change artifacts.
+        lse = m + np.array([math.log(s) for s in e.sum(axis=1).tolist()])
+        per_step = (z[np.arange(len(targets)), targets] - lse).tolist() + [0.0] * forced
         return sum(per_step), per_step
 
     def grad_log_prob(self, dut_id, seq) -> SparseGrad:
         """d log pi(seq) / d logits; forced positions contribute nothing."""
-        check_well_formed(seq, self.vocab, self.t_max)
-        grad = SparseGrad()
-        for j in range(1, len(seq)):
-            position = j - 1
-            if position >= self.t_max:
-                continue
-            ctx = self._contexts(seq[:j])
-            probs = self.step_distribution(dut_id, ctx, 1.0, position)
-            vec = -probs
-            vec[seq[j]] += 1.0
-            vec[self.vocab.bos] = 0.0
-            grad.accumulate(dut_id, ctx, vec)
+        contexts, targets, _, _, _, e = self._step_logits(dut_id, seq)
+        vecs = -(e / e.sum(axis=1, keepdims=True))
+        vecs[np.arange(len(targets)), targets] += 1.0
+        vecs[:, self.vocab.bos] = 0.0
+        grad = SparseGrad()  # its vectors are rows of vecs, which nothing else holds
+        for ctx, vec in zip(contexts, vecs):
+            key = (dut_id, ctx)
+            mine = grad.data.get(key)
+            if mine is None:
+                grad.data[key] = vec
+            else:
+                mine += vec
         return grad
 
     # -- persistence ------------------------------------------------------
@@ -198,21 +229,72 @@ class TabularPolicy:
 
     @classmethod
     def load(cls, path) -> "TabularPolicy":
+        """Read a checkpoint; raise ValueError naming the first malformed field."""
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError("checkpoint top level must be a JSON object")
         if doc.get("version") != "tabular_policy/1":
             raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
-        policy = cls(Vocab(doc["wmax"]), doc["k"], doc["t_max"])
-        for dut_id, ctx, vec in doc["table"]:
-            policy.table[(dut_id, tuple(ctx))] = np.asarray(vec, dtype=float)
+        for name in ("wmax", "k", "t_max"):
+            value = doc.get(name)
+            if not _is_int(value):
+                raise ValueError(f"checkpoint field {name} must be an integer, got {value!r}")
+        try:
+            policy = cls(Vocab(doc["wmax"]), doc["k"], doc["t_max"])
+        except ValueError as err:
+            raise ValueError(f"checkpoint {err}") from None
+        table = doc.get("table")
+        if not isinstance(table, list):
+            raise ValueError("checkpoint field table must be a list")
+        size = policy.vocab.size
+        for i, entry in enumerate(table):
+            where = f"checkpoint table[{i}]"
+            if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], str)
+                    and isinstance(entry[1], list) and isinstance(entry[2], list)):
+                raise ValueError(f"{where} must be [dut_id, context list, logits list]")
+            dut_id, ctx, vec = entry
+            if len(ctx) != policy.k or not all(_is_int(t) and 0 <= t < size for t in ctx):
+                raise ValueError(f"{where} context {ctx} must be k={policy.k} tokens "
+                                 f"in 0..{size - 1}")
+            if len(vec) != size:
+                raise ValueError(f"{where} row has {len(vec)} logits, expected {size}")
+            if not all(map(_is_finite_number, vec)):
+                raise ValueError(f"{where} row holds a logit that is not a finite number")
+            key = (dut_id, tuple(ctx))
+            if key in policy.table:
+                raise ValueError(f"{where} repeats context {ctx} of {dut_id!r}")
+            policy.table[key] = np.asarray(vec, dtype=float)
         return policy
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return _is_int(value) and abs(value) <= sys.float_info.max
+
+
 class ReferencePolicy:
-    """Frozen copy of a policy; read-only scoring interface."""
+    """Frozen copy of a policy; read-only scoring interface.
+
+    The snapshot never changes, so each sequence is scored once and the
+    result memoised; well-formedness is still checked on every call.
+    """
 
     def __init__(self, policy: TabularPolicy):
         self._policy = policy.copy()
+        self._scores: dict = {}  # (dut_id, seq tuple) -> (total, per_step tuple)
 
-    def log_prob(self, dut_id, seq):
-        return self._policy.log_prob(dut_id, seq)
+    def log_prob(self, dut_id, seq) -> tuple[float, list[float]]:
+        policy = self._policy
+        check_well_formed(seq, policy.vocab, policy.t_max)
+        key = (dut_id, tuple(seq))
+        score = self._scores.get(key)
+        if score is None:
+            total, per_step = policy.log_prob(dut_id, seq)
+            score = self._scores[key] = (total, tuple(per_step))
+        return score[0], list(score[1])

@@ -84,6 +84,20 @@ class TestSimulateCommand:
         assert message in err and "Traceback" not in err
 
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--wmax", "-1"], "--wmax: wmax must be in 1..16, got -1"),
+        (["--wmax", "0"], "--wmax: wmax must be in 1..16, got 0"),
+        (["--wmax", "17"], "--wmax: wmax must be in 1..16, got 17"),
+        (["--wmax", str(10**9)], "--wmax: wmax must be in 1..16"),
+        (["--t-max", "0"], "--t-max must be >= 1, got 0"),
+        (["--t-max", "-3"], "--t-max must be >= 1, got -3"),
+    ])
+    def test_out_of_range_flag_named(self, toy1_file, capsys, flags, message):
+        assert main(["simulate", toy1_file, "--stim", "1", *flags]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+
 class TestBundledCorpus:
     def test_at_least_five_clean_designs(self):
         corpus = load_bundled_corpus()
@@ -153,6 +167,32 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert "wmax 3 (run config 4)" in err and "Traceback" not in err
         assert not (report_dir / "eval.json").exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"version": "tabular_policy/1", "wmax": 4}, "checkpoint field k must be an integer"),
+        ([1], "checkpoint top level must be a JSON object"),
+        ({"version": "tabular_policy/1", "wmax": 4, "k": 2, "t_max": 8,
+          "table": [["toy1", [16, 16], [0.0, 1.0]]]}, "row has 2 logits, expected 18"),
+        ({"version": "tabular_policy/1", "wmax": 4, "k": 2, "t_max": 8,
+          "table": [["toy1", [16], [0.0] * 18]]}, "context [16] must be k=2 tokens"),
+    ])
+    def test_eval_rejects_malformed_checkpoint(self, tmp_path, capsys, doc, message):
+        config, report_dir = small_config(tmp_path)
+        path = tmp_path / "bad.ckpt.json"
+        path.write_text(json.dumps(doc))
+        assert main(["eval", "--config", config, "--checkpoint", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert not report_dir.exists()
+
+    def test_curate_rejects_malformed_checkpoint_teacher(self, tmp_path, capsys):
+        path = tmp_path / "bad.ckpt.json"
+        path.write_text("[1]")
+        config, report_dir = small_config(
+            tmp_path, curation={"pairs_per_dut": 2, "teacher": str(path), "seed": 0})
+        assert main(["curate", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert "checkpoint top level must be a JSON object" in err and "Traceback" not in err
 
     def test_demo_artifact_inventory(self, tmp_path, capsys):
         config, report_dir = small_config(tmp_path)

@@ -1,13 +1,39 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from covstim.codec import Vocab
+from covstim.codec import CodecError, Vocab
 from covstim.policy import ReferencePolicy, SparseGrad, TabularPolicy
 
 VOCAB = Vocab(4)  # V = 18, 17 emittable tokens
+
+_CKPT = {"version": "tabular_policy/1", "wmax": 1, "k": 1, "t_max": 2}
+# Malformed checkpoints, each with the message naming what is wrong.
+BAD_CHECKPOINTS = [
+    ([1], "top level must be a JSON object"),
+    ({"version": "tabular_policy/1", "wmax": 4}, "field k must be an integer"),
+    ({**_CKPT, "t_max": "8"}, "field t_max must be an integer"),
+    ({**_CKPT, "wmax": True}, "field wmax must be an integer"),
+    ({**_CKPT, "wmax": 0}, "checkpoint wmax must be in 1..16"),
+    ({**_CKPT, "k": 0}, "checkpoint k must be >= 1"),
+    ({**_CKPT, "table": {}}, "field table must be a list"),
+    ({**_CKPT, "table": [["d", [0]]]}, r"table\[0\] must be \[dut_id"),
+    ({**_CKPT, "table": [[1, [0], [0, 0, 0, 0]]]}, r"table\[0\] must be \[dut_id"),
+    ({**_CKPT, "table": [["d", 0, [0, 0, 0, 0]]]}, r"table\[0\] must be \[dut_id"),
+    ({**_CKPT, "table": [["d", [0, 0], [0, 0, 0, 0]]]}, r"context \[0, 0\] must be k=1 tokens"),
+    ({**_CKPT, "table": [["d", [4], [0, 0, 0, 0]]]}, r"context \[4\] must be k=1 tokens in 0..3"),
+    ({**_CKPT, "table": [["d", [0], [0.0, 1.0]]]}, "row has 2 logits, expected 4"),
+    ({**_CKPT, "table": [["d", [0], [0, 0, 0, 0, 0]]]}, "row has 5 logits, expected 4"),
+    ({**_CKPT, "table": [["d", [0], [0, "1", 0, 0]]]}, "logit that is not a finite number"),
+    ({**_CKPT, "table": [["d", [0], [0, 10**400, 0, 0]]]}, "logit that is not a finite number"),
+    ({**_CKPT, "table": [["d", [0], [0, 0, 0, 0]], ["d", [0], [5, 0, 0, 0]]]},
+     r"table\[1\] repeats context \[0\] of 'd'"),
+]
 
 
 def uniform_policy(k=2, t_max=8):
@@ -21,6 +47,63 @@ def random_policy(rng, vocab=VOCAB, k=2, t_max=8, n_contexts=12):
         ctx = tuple(int(rng.choice(tokens)) for _ in range(k))
         policy.set_logits("dut", ctx, rng.normal(0, 1, vocab.size))
     return policy
+
+
+def step_by_step_log_prob(policy, dut_id, seq):
+    """The scorer as a loop over steps, one softmax per step."""
+    per_step = []
+    for j in range(1, len(seq)):
+        if j - 1 >= policy.t_max:
+            per_step.append(0.0)
+            continue
+        z = policy.logits(dut_id, policy._contexts(seq[:j]))
+        masked = z.copy()
+        masked[policy.vocab.bos] = -np.inf
+        m = masked[np.isfinite(masked)].max(initial=0.0)
+        lse = m + math.log(np.exp(masked - m).sum())
+        per_step.append(float(z[seq[j]] - lse))
+    return sum(per_step), per_step
+
+
+def step_by_step_grad(policy, dut_id, seq):
+    """The gradient as a loop over steps, built on step_distribution."""
+    grad = SparseGrad()
+    for j in range(1, len(seq)):
+        position = j - 1
+        if position >= policy.t_max:
+            continue
+        ctx = policy._contexts(seq[:j])
+        vec = -policy.step_distribution(dut_id, ctx, 1.0, position)
+        vec[seq[j]] += 1.0
+        vec[policy.vocab.bos] = 0.0
+        grad.accumulate(dut_id, ctx, vec)
+    return grad
+
+
+def assert_same_grad(grad, expected):
+    assert list(grad.data) == list(expected.data)
+    for key, vec in expected.data.items():
+        assert np.array_equal(grad.data[key], vec), key
+
+
+@st.composite
+def scoring_cases(draw):
+    """A policy with +-50 logits on some of a sequence's contexts, and the sequence.
+
+    Interiors run up to t_max values, so the forced-EOS step is reached, and
+    use a 4-value alphabet, so contexts repeat.
+    """
+    vocab = Vocab(2)
+    k = draw(st.integers(1, 3))
+    t_max = draw(st.integers(1, 4))
+    interior = draw(st.lists(st.integers(0, vocab.n_values - 1), max_size=t_max))
+    seq = [vocab.bos, *interior, vocab.eos]
+    policy = TabularPolicy(vocab, k, t_max)
+    row = st.lists(st.floats(-50, 50), min_size=vocab.size, max_size=vocab.size)
+    for j in range(1, len(seq)):
+        if draw(st.booleans()):
+            policy.set_logits("d", policy._contexts(seq[:j]), draw(row))
+    return policy, seq
 
 
 def all_well_formed(vocab, t_max):
@@ -115,6 +198,104 @@ class TestLogProb:
                     [VOCAB.bos] + [0] * 9 + [VOCAB.eos]):
             with pytest.raises(ValueError):
                 policy.log_prob("d", seq)
+
+
+class TestOnePassScoring:
+    @given(scoring_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_step_by_step_exactly(self, case):
+        policy, seq = case
+        assert policy.log_prob("d", seq) == step_by_step_log_prob(policy, "d", seq)
+        assert_same_grad(policy.grad_log_prob("d", seq), step_by_step_grad(policy, "d", seq))
+
+    def test_equals_step_by_step_on_many_sequences(self):
+        # np.log differs from math.log in the last bit on a few in 10^4
+        # arguments; thousands of fresh rows make such a slip show.  Logits
+        # <= 0 give a zero shift, so a slip in the log is not rounded away.
+        rng = np.random.default_rng(13)
+        for _ in range(4000):
+            interior = rng.integers(0, VOCAB.n_values, rng.integers(0, 9)).tolist()
+            seq = [VOCAB.bos, *interior, VOCAB.eos]
+            policy = uniform_policy()
+            for j in range(1, len(seq)):
+                policy.set_logits("dut", policy._contexts(seq[:j]),
+                                  -np.abs(rng.normal(0, 3, VOCAB.size)))
+            assert policy.log_prob("dut", seq) == step_by_step_log_prob(policy, "dut", seq)
+
+    def test_forced_eos_and_repeated_contexts(self):
+        rng = np.random.default_rng(6)
+        policy = random_policy(rng, k=1, t_max=4)
+        for ctx in ((VOCAB.bos,), (3,)):
+            policy.set_logits("dut", ctx, rng.normal(0, 5, VOCAB.size))
+        seq = [VOCAB.bos, 3, 3, 3, 3, VOCAB.eos]
+        total, per_step = policy.log_prob("dut", seq)
+        assert per_step[-1] == 0.0 and len(per_step) == 5
+        assert (total, per_step) == step_by_step_log_prob(policy, "dut", seq)
+        grad = policy.grad_log_prob("dut", seq)
+        assert list(grad.data) == [("dut", (VOCAB.bos,)), ("dut", (3,))]
+        assert_same_grad(grad, step_by_step_grad(policy, "dut", seq))
+
+
+class TestScoringCaches:
+    def test_reference_rejects_malformed_every_call(self):
+        ref = ReferencePolicy(uniform_policy())
+        good = [VOCAB.bos, 1, VOCAB.eos]
+        ref.log_prob("d", good)
+        for bad in ([VOCAB.bos, VOCAB.bos, VOCAB.eos], [VOCAB.bos, 1],
+                    [VOCAB.bos] + [0] * 9 + [VOCAB.eos]):
+            for _ in range(3):
+                with pytest.raises(CodecError):
+                    ref.log_prob("d", bad)
+        assert ref.log_prob("d", good) == uniform_policy().log_prob("d", good)
+
+    def test_returned_per_step_is_a_fresh_list(self):
+        policy = random_policy(np.random.default_rng(9))
+        ref = ReferencePolicy(policy)
+        seq = [VOCAB.bos, 1, 2, 1, VOCAB.eos]
+        for scorer in (policy, ref):
+            expected = scorer.log_prob("dut", seq)
+            scorer.log_prob("dut", seq)[1][0] = 99.0
+            scorer.log_prob("dut", seq)[1].append(1.0)
+            assert scorer.log_prob("dut", seq) == expected
+
+    def test_returned_grad_vectors_are_fresh(self):
+        policy = random_policy(np.random.default_rng(10))
+        seq = [VOCAB.bos, 1, 2, 1, 2, VOCAB.eos]
+        expected = step_by_step_grad(policy, "dut", seq)
+        grad = policy.grad_log_prob("dut", seq)
+        for vec in grad.data.values():
+            vec[:] = 7.0
+        grad.add_scaled(grad.scaled(1.0), 3.0)
+        assert_same_grad(policy.grad_log_prob("dut", seq), expected)
+
+        policy.apply_update(grad, 0.5)
+        table = {key: vec.copy() for key, vec in policy.table.items()}
+        for vec in grad.data.values():
+            vec[:] = -1.0
+        assert policy.table.keys() == table.keys()
+        for key, vec in table.items():
+            assert np.array_equal(policy.table[key], vec)
+
+    def test_updated_policy_scores_with_new_logits(self):
+        policy = random_policy(np.random.default_rng(11))
+        seq = [VOCAB.bos, 4, 4, VOCAB.eos]
+        before = policy.log_prob("dut", seq)
+        policy.grad_log_prob("dut", seq)
+        policy.adjust("dut", (VOCAB.bos, VOCAB.bos), 4, +1.0)
+        policy.adjust("dut", (4, 4), VOCAB.eos, -2.0)
+        after = policy.log_prob("dut", seq)
+        assert after != before
+        assert after == step_by_step_log_prob(policy, "dut", seq)
+        assert_same_grad(policy.grad_log_prob("dut", seq), step_by_step_grad(policy, "dut", seq))
+
+    def test_add_scaled_does_not_alias_its_input(self):
+        source = SparseGrad()
+        source.accumulate("d", (0, 1), np.ones(4))
+        target = SparseGrad()
+        target.add_scaled(source, 1.0)
+        target.add_scaled(source, 2.0)
+        assert target.entry("d", (0, 1), 0) == 3.0
+        assert source.entry("d", (0, 1), 0) == 1.0
 
 
 class TestGradLogProb:
@@ -227,6 +408,39 @@ class TestCheckpoint:
         path.write_text('{"version": "other/9"}')
         with pytest.raises(ValueError):
             TabularPolicy.load(path)
+
+    @pytest.mark.parametrize("doc, message", BAD_CHECKPOINTS)
+    def test_malformed_checkpoint_names_field(self, tmp_path, doc, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=message):
+            TabularPolicy.load(path)
+
+    def test_non_finite_logit_rejected(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"version": "tabular_policy/1", "wmax": 1, "k": 1, "t_max": 2,'
+                        ' "table": [["d", [0], [0.0, NaN, 1.0, 2.0]]]}')
+        with pytest.raises(ValueError, match=r"table\[0\] row holds a logit that is not"):
+            TabularPolicy.load(path)
+
+
+class TestRanges:
+    @pytest.mark.parametrize("k, t_max, message", [
+        (0, 8, "k must be >= 1, got 0"),
+        (-1, 8, "k must be >= 1, got -1"),
+        (2, 0, "t_max must be >= 1, got 0"),
+    ])
+    def test_policy_rejects_bad_k_and_t_max(self, k, t_max, message):
+        with pytest.raises(ValueError, match=message):
+            TabularPolicy(Vocab(4), k, t_max)
+
+    @pytest.mark.parametrize("wmax", [-1, 0, 17, 10**9])
+    def test_vocab_rejects_wmax_out_of_range(self, wmax):
+        with pytest.raises(ValueError, match=f"wmax must be in 1..16, got {wmax}"):
+            Vocab(wmax)
+
+    def test_smallest_vocab(self):
+        assert Vocab(1).size == 4 and Vocab(16).n_values == 1 << 16
 
 
 class TestSparseGrad:

@@ -6,7 +6,7 @@ and not only when the traced benchmark runs.
 
 from pathlib import Path
 
-from covstim import policy, sim
+from covstim import cli, policy, sim
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -25,3 +25,20 @@ def test_every_trace_point_resolves(monkeypatch):
         tracer.uninstall()
     assert policy.TabularPolicy.__dict__["log_prob"] is log_prob
     assert sim.simulate is simulate
+
+
+def test_demo_records_every_required_span(monkeypatch, tmp_path):
+    """A change that routes training around a traced function fails here."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    from spans import Tracer
+    from test_cli import small_config
+
+    config, _ = small_config(tmp_path)
+    tracer = Tracer()
+    try:
+        layers.install(tracer)
+        assert cli.main(["demo", "--config", config]) == 0
+    finally:
+        tracer.uninstall()
+    layers.per_layer_metrics("demo", tracer)
