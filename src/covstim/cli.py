@@ -17,7 +17,7 @@ from .corpus import load_bundled_corpus, load_corpus_dir
 from .curation import CurationConfig, curate, load_dataset
 from .evaluation import ablate, eval_policy, write_ablation
 from .hdl import ParseError, lint, parse
-from .policy import TabularPolicy
+from .policy import TabularPolicy, check_positive
 from .sim import SimulationError, Stimulus, simulate
 from .training import TrainConfig, TrainingError, train
 
@@ -65,9 +65,10 @@ class ExperimentConfig:
     wmax: int = 4
     t_max: int = 8
     k: int = 2
-    curation: dict = field(default_factory=lambda: dict(DEFAULT_CURATION))
-    train: dict = field(default_factory=lambda: dict(DEFAULT_TRAIN))
-    eval: dict = field(default_factory=lambda: dict(DEFAULT_EVAL))
+    # A section holds overrides only: an omitted field takes its DEFAULT_* value.
+    curation: dict = field(default_factory=dict)
+    train: dict = field(default_factory=dict)
+    eval: dict = field(default_factory=dict)
 
     def __post_init__(self):
         # The top level sets CurationConfig's t_max, wmax and k.
@@ -79,6 +80,10 @@ class ExperimentConfig:
         # Built here so that value errors surface before any stage runs.
         self.curation_config()
         self.train_config()
+        n, tau, _ = self.eval_settings()
+        if n < 1:
+            raise ValueError(f"eval.n must be >= 1, got {n}")
+        check_positive("eval.tau", tau)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -93,10 +98,11 @@ class ExperimentConfig:
         return load_corpus_dir(self.corpus_dir)
 
     def curation_config(self) -> CurationConfig:
-        return CurationConfig(t_max=self.t_max, wmax=self.wmax, k=self.k, **self.curation)
+        return CurationConfig(t_max=self.t_max, wmax=self.wmax, k=self.k,
+                              **{**DEFAULT_CURATION, **self.curation})
 
     def train_config(self, mode: str | None = None) -> TrainConfig:
-        config = TrainConfig(**self.train)
+        config = TrainConfig(**{**DEFAULT_TRAIN, **self.train})
         return config if mode is None else replace(config, mode=mode)
 
     def eval_settings(self) -> tuple[int, float, int]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .codec import CodecError, Vocab, validate_and_decode
 from .hdl import DutModel, lint, pretty_print
-from .policy import TabularPolicy, masked_softmax
+from .policy import TabularPolicy, _is_finite_number, _is_int, check_positive, sample_tokens
 from .sim import CoverageReport, average_score, simulate
 from .training import PreferencePair
 
@@ -37,6 +37,8 @@ class CurationConfig:
     k: int = 2
 
     def __post_init__(self):
+        check_positive("tau1", self.tau1)
+        check_positive("tau2", self.tau2)
         if self.tau1 == self.tau2:
             raise ValueError("tau1 and tau2 must be distinct")
         if self.pairs_per_dut < 1:
@@ -60,25 +62,17 @@ class NoveltyTeacher:
         self.t_max = t_max
 
     def sample(self, dut_id, tau: float, rng: np.random.Generator) -> list[int]:
-        tokens = [self.vocab.bos]
-        emitted: set[int] = set()
-        position = 0
-        while True:
-            if position >= self.t_max:
-                tokens.append(self.vocab.eos)
-                return tokens
-            z = np.zeros(self.vocab.size)
-            for t in emitted:
-                z[t] = self.REPEAT_PENALTY
-            if len(emitted) < self.MIN_VALUES:
-                z[self.vocab.eos] = self.EOS_PENALTY
-            probs = masked_softmax(z / tau, self.vocab.bos)
-            token = int(rng.choice(self.vocab.size, p=probs))
-            tokens.append(token)
-            if token == self.vocab.eos:
-                return tokens
-            emitted.add(token)
-            position += 1
+        return sample_tokens(self.vocab, self.t_max, tau, rng, self._bias)
+
+    def _bias(self, tokens: list[int]) -> np.ndarray:
+        """The logits after a BOS-started prefix: the penalties it has earned."""
+        z = np.zeros(self.vocab.size)
+        emitted = set(tokens[1:])
+        for t in emitted:
+            z[t] = self.REPEAT_PENALTY
+        if len(emitted) < self.MIN_VALUES:
+            z[self.vocab.eos] = self.EOS_PENALTY
+        return z
 
 
 def make_teacher(config: CurationConfig):
@@ -223,22 +217,53 @@ def curate(corpus, config: CurationConfig, out_path) -> CurationStats:
     return stats
 
 
+def _is_token_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
+# Each field a training pair is built from, its test, and what the test asks for.
+_RECORD_FIELDS = (
+    ("dut", lambda v: isinstance(v, str), "a string"),
+    ("prompt", lambda v: isinstance(v, str), "a string"),
+    ("chosen", _is_token_list, "a list of integers"),
+    ("rejected", _is_token_list, "a list of integers"),
+    ("chosen_score", _is_finite_number, "a finite number"),
+    ("rejected_score", _is_finite_number, "a finite number"),
+)
+
+
+def _pair_from_record(doc) -> PreferencePair:
+    if not isinstance(doc, dict):
+        raise ValueError("record must be a JSON object")
+    if doc.get("version") != DATASET_VERSION:
+        raise ValueError(f"unsupported dataset version {doc.get('version')!r}")
+    for name, ok, expected in _RECORD_FIELDS:
+        if name not in doc:
+            raise ValueError(f"missing field {name}")
+        if not ok(doc[name]):
+            raise ValueError(f"field {name} must be {expected}")
+    return PreferencePair(
+        dut_id=doc["dut"],
+        prompt=doc["prompt"],
+        chosen=tuple(doc["chosen"]),
+        rejected=tuple(doc["rejected"]),
+        s_p=doc["chosen_score"],
+        s_np=doc["rejected_score"],
+    )
+
+
 def load_dataset(path) -> list[PreferencePair]:
-    """Read a curated JSONL file into trainer-ready preference pairs."""
+    """Read a curated JSONL file into trainer-ready preference pairs.
+
+    Raises ValueError naming the line and the first malformed field.
+    """
     pairs = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            doc = json.loads(line)
-            if doc.get("version") != DATASET_VERSION:
-                raise ValueError(f"unsupported dataset version {doc.get('version')!r}")
-            pairs.append(PreferencePair(
-                dut_id=doc["dut"],
-                prompt=doc["prompt"],
-                chosen=tuple(doc["chosen"]),
-                rejected=tuple(doc["rejected"]),
-                s_p=doc["chosen_score"],
-                s_np=doc["rejected_score"],
-            ))
+            try:
+                pairs.append(_pair_from_record(json.loads(line)))
+            except (ValueError, RecursionError) as err:  # deep nesting overflows json
+                raise ValueError(f"dataset line {line_no}: {err}") from None
     return pairs

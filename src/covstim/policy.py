@@ -2,9 +2,9 @@
 
 Parameters live in a sparse table keyed by (dut_id, k-token context); an
 absent context means zero logits, i.e. a uniform distribution over the
-emittable tokens.  BOS is never emitted, and the conditional at interior
-position ``t_max`` is a point mass on EOS so every sampled sequence
-terminates and scores consistently.
+emittable tokens.  BOS is never emitted, and EOS follows the ``t_max``-th
+value token without a draw, so every sampled sequence terminates and that
+forced step scores 0.
 """
 
 from __future__ import annotations
@@ -26,16 +26,40 @@ def masked_softmax(z: np.ndarray, bos: int) -> np.ndarray:
     return e / e.sum()
 
 
+def sample_tokens(vocab: Vocab, t_max: int, tau: float, rng: np.random.Generator,
+                  next_logits) -> list[int]:
+    """Draw one well-formed token sequence; deterministic given rng state.
+
+    From BOS on, each token is one ``rng.choice`` from the softmax of
+    ``next_logits(tokens) / tau`` over every token but BOS.  The sequence
+    ends at a drawn EOS, or after the ``t_max``-th value token, where EOS
+    is appended without a draw.
+    """
+    if not tau > 0:  # also refuses NaN
+        raise ValueError(f"temperature must be > 0, got {tau}")
+    tokens = [vocab.bos]
+    while len(tokens) <= t_max:
+        probs = masked_softmax(next_logits(tokens) / tau, vocab.bos)
+        token = int(rng.choice(vocab.size, p=probs))
+        tokens.append(token)
+        if token == vocab.eos:
+            return tokens
+    tokens.append(vocab.eos)
+    return tokens
+
+
 @lru_cache(maxsize=1 << 13)
-def _step_plan(seq: tuple, k: int, t_max: int, bos: int):
-    """Scored steps of a well-formed sequence: (contexts, targets, forced).
+def _step_plan(seq: tuple, vocab: Vocab, k: int, t_max: int):
+    """Check seq; return its scored steps: (contexts, targets, forced).
 
     Step j emits seq[j] from the k tokens before it, left-BOS-padded.  The
     forced-EOS step at interior position t_max is left out; ``forced``
     counts it (0 or 1).  Holds no logits, so it is valid for every policy
-    with these settings.
+    with these settings.  A malformed seq raises CodecError on every call,
+    since lru_cache keeps no raised exception.
     """
-    hist = (bos,) * (k - 1) + seq
+    check_well_formed(seq, vocab, t_max)
+    hist = (vocab.bos,) * (k - 1) + seq
     n = min(len(seq) - 1, t_max)
     contexts = tuple(hist[j - 1:j - 1 + k] for j in range(1, n + 1))
     targets = np.array(seq[1:n + 1], dtype=np.intp)
@@ -49,13 +73,6 @@ class SparseGrad:
     def __init__(self):
         self.data: dict = {}  # (dut_id, ctx) -> np.ndarray of length V
 
-    def accumulate(self, dut_id, ctx, vec: np.ndarray) -> None:
-        key = (dut_id, tuple(ctx))
-        if key in self.data:
-            self.data[key] = self.data[key] + vec
-        else:
-            self.data[key] = vec.copy()
-
     def add_scaled(self, other: "SparseGrad", factor: float) -> None:
         for key, vec in other.data.items():
             mine = self.data.get(key)
@@ -63,12 +80,6 @@ class SparseGrad:
                 self.data[key] = factor * vec
             else:
                 mine += factor * vec
-
-    def scaled(self, factor: float) -> "SparseGrad":
-        out = SparseGrad()
-        for key, vec in self.data.items():
-            out.data[key] = factor * vec
-        return out
 
     def entry(self, dut_id, ctx, token: int) -> float:
         vec = self.data.get((dut_id, tuple(ctx)))
@@ -119,43 +130,24 @@ class TabularPolicy:
 
     # -- distributions ----------------------------------------------------
 
-    def step_distribution(self, dut_id, ctx, tau: float = 1.0, position: int = 0) -> np.ndarray:
-        """Softmax over emittable tokens; EOS point mass at position t_max."""
-        if tau <= 0:
-            raise ValueError("temperature must be > 0")
-        probs = np.zeros(self.vocab.size)
-        if position >= self.t_max:
-            probs[self.vocab.eos] = 1.0
-            return probs
-        return masked_softmax(self.logits(dut_id, ctx) / tau, self.vocab.bos)
-
     def _contexts(self, tokens: list[int]):
         """Sliding k-contexts over a BOS-started prefix, left-BOS-padded."""
         hist = [self.vocab.bos] * (self.k - 1) + list(tokens)
         return tuple(hist[-self.k:])
 
     def sample(self, dut_id, tau: float, rng: np.random.Generator) -> list[int]:
-        """Draw one well-formed token sequence; deterministic given rng state."""
-        tokens = [self.vocab.bos]
-        position = 0
-        while True:
-            ctx = self._contexts(tokens)
-            probs = self.step_distribution(dut_id, ctx, tau, position)
-            token = int(rng.choice(self.vocab.size, p=probs))
-            tokens.append(token)
-            if token == self.vocab.eos:
-                return tokens
-            position += 1
+        """Draw one sequence with ``sample_tokens`` from this policy's table rows."""
+        return sample_tokens(self.vocab, self.t_max, tau, rng,
+                             lambda tokens: self.logits(dut_id, self._contexts(tokens)))
 
     def _step_logits(self, dut_id, seq):
-        """Check seq; return its step plan and the plan's masked, exponentiated logits.
+        """Return seq's checked step plan and the plan's masked, exponentiated logits.
 
         Row i of ``z`` holds step i's logits with BOS set to -inf, ``m`` the
         row's shift max(0, finite max) and ``e`` = exp(z - m): the float
         operations of ``masked_softmax``, one row per scored step.
         """
-        check_well_formed(seq, self.vocab, self.t_max)
-        contexts, targets, forced = _step_plan(tuple(seq), self.k, self.t_max, self.vocab.bos)
+        contexts, targets, forced = _step_plan(tuple(seq), self.vocab, self.k, self.t_max)
         get = self.table.get
         z = np.zeros((len(contexts), self.vocab.size))
         for i, ctx in enumerate(contexts):
@@ -278,11 +270,18 @@ def _is_finite_number(value) -> bool:
     return _is_int(value) and abs(value) <= sys.float_info.max
 
 
+def check_positive(name: str, value) -> None:
+    """Raise ValueError naming the setting unless value is a finite number > 0."""
+    if not (_is_finite_number(value) and value > 0):
+        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+
+
 class ReferencePolicy:
     """Frozen copy of a policy; read-only scoring interface.
 
     The snapshot never changes, so each sequence is scored once and the
-    result memoised; well-formedness is still checked on every call.
+    result memoised.  The memo holds only sequences the snapshot's scorer
+    has checked, so a malformed one still raises on every call.
     """
 
     def __init__(self, policy: TabularPolicy):
@@ -290,11 +289,9 @@ class ReferencePolicy:
         self._scores: dict = {}  # (dut_id, seq tuple) -> (total, per_step tuple)
 
     def log_prob(self, dut_id, seq) -> tuple[float, list[float]]:
-        policy = self._policy
-        check_well_formed(seq, policy.vocab, policy.t_max)
         key = (dut_id, tuple(seq))
         score = self._scores.get(key)
         if score is None:
-            total, per_step = policy.log_prob(dut_id, seq)
+            total, per_step = self._policy.log_prob(dut_id, seq)
             score = self._scores[key] = (total, tuple(per_step))
         return score[0], list(score[1])

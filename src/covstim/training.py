@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .policy import ReferencePolicy, SparseGrad, TabularPolicy
+from .policy import ReferencePolicy, SparseGrad, TabularPolicy, check_positive
 
 MODES = ("SFT", "DPO", "CDDPO")
 F_VARIANTS = ("identity_clamp", "dataset_minmax")
@@ -54,8 +54,8 @@ class TrainConfig:
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.f_variant not in F_VARIANTS:
             raise ValueError(f"unknown f_variant {self.f_variant!r}")
-        if self.beta <= 0 or self.learning_rate <= 0:
-            raise ValueError("beta and learning_rate must be > 0")
+        check_positive("beta", self.beta)
+        check_positive("learning_rate", self.learning_rate)
         if self.ref_source not in ("initial_policy", "post_sft_policy"):
             raise ValueError(f"unknown ref_source {self.ref_source!r}")
         if self.epochs < 1:

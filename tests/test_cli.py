@@ -1,4 +1,7 @@
+import contextlib
+import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -239,6 +242,14 @@ class TestPipelineCommands:
         ({"wmax": 0}, "wmax must be in 1..16"),
         ({"wmax": 17}, "wmax must be in 1..16"),
         ({"t_max": 0}, "t_max must be >= 1"),
+        ({"curation": {"tau1": -0.5}}, "tau1 must be a finite number > 0"),
+        ({"curation": {"tau1": 0}}, "tau1 must be a finite number > 0"),
+        ({"curation": {"tau2": float("nan")}}, "tau2 must be a finite number > 0"),
+        ({"train": {"learning_rate": float("nan")}}, "learning_rate must be a finite number > 0"),
+        ({"train": {"beta": float("inf")}}, "beta must be a finite number > 0"),
+        ({"eval": {"n": 0}}, "eval.n must be >= 1"),
+        ({"eval": {"tau": -1}}, "eval.tau must be a finite number > 0"),
+        ({"eval": {"tau": float("nan")}}, "eval.tau must be a finite number > 0"),
     ])
     def test_config_rejected_at_every_level(self, tmp_path, monkeypatch, capsys, doc, field):
         monkeypatch.chdir(tmp_path)
@@ -251,6 +262,38 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
         assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("doc, expected", [
+        ({"curation": {"seed": 7}},
+         lambda c: (c.curation_config().pairs_per_dut, c.curation_config().seed) == (400, 7)),
+        ({"train": {"epochs": 3}},
+         lambda c: (c.train_config().learning_rate, c.train_config().seed,
+                    c.train_config().epochs) == (4.0, 42, 3)),
+        ({"eval": {"n": 3}}, lambda c: c.eval_settings() == (3, 1.0, 42)),
+    ])
+    def test_omitted_fields_take_shipped_defaults(self, tmp_path, doc, expected):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert expected(ExperimentConfig.from_file(path))
+
+    @pytest.mark.parametrize("line, message", [
+        ("[1]", "dataset line 1: record must be a JSON object"),
+        ('{"version": "pairanet_mini/1"}', "dataset line 1: missing field dut"),
+        ('{"version": "pairanet_mini/1", "dut": "toy1", "prompt": "", "chosen": 5,'
+         ' "rejected": [16, 17], "chosen_score": 0.5, "rejected_score": 0.0}',
+         "dataset line 1: field chosen must be a list of integers"),
+        ('{"version": "pairanet_mini/1", "dut": "toy1", "prompt": "", "chosen": [16, 1, 17],'
+         ' "rejected": [16, 17], "chosen_score": "0.5", "rejected_score": 0.0}',
+         "dataset line 1: field chosen_score must be a finite number"),
+    ])
+    def test_train_rejects_malformed_dataset(self, tmp_path, capsys, line, message):
+        config, report_dir = small_config(tmp_path)
+        report_dir.mkdir()
+        (report_dir / "pairs.jsonl").write_text(line + "\n")
+        assert main(["train", "--config", config, "--mode", "SFT"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert not (report_dir / "sft.ckpt.json").exists()
 
     def test_default_config_values(self):
         config = ExperimentConfig()
@@ -287,3 +330,24 @@ def test_any_json_config_raises_only_value_error(doc):
             config.eval_settings()
         except ValueError:
             pass
+
+
+@given(_CONFIG)
+@settings(max_examples=300, deadline=None)
+def test_train_exits_one_or_two_on_any_config(doc):
+    # No dataset exists, so a config that passes its checks ends in exit 2.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc))
+        work = Path(tmp) / "work"
+        work.mkdir()
+        out, err = io.StringIO(), io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(work)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["train", "--config", str(path)])
+        finally:
+            os.chdir(cwd)
+        assert code in (1, 2)
+        assert "Traceback" not in out.getvalue() + err.getvalue()

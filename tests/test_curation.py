@@ -1,8 +1,13 @@
 import json
+import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covstim.codec import Vocab
 from covstim.curation import (
@@ -16,7 +21,7 @@ from covstim.curation import (
     make_teacher,
 )
 from covstim.hdl import parse
-from covstim.policy import TabularPolicy
+from covstim.policy import TabularPolicy, masked_softmax
 
 VOCAB = Vocab(4)
 BOS, EOS = VOCAB.bos, VOCAB.eos
@@ -31,6 +36,68 @@ class ScriptedTeacher:
 
     def sample(self, dut_id, tau, rng):
         return list(self.sequences.pop(0))
+
+
+def reference_novelty_sample(teacher, tau, rng):
+    """NoveltyTeacher's own sampling loop, before it became a bias on sample_tokens."""
+    vocab = teacher.vocab
+    tokens = [vocab.bos]
+    emitted: set[int] = set()
+    position = 0
+    while True:
+        if position >= teacher.t_max:
+            tokens.append(vocab.eos)
+            return tokens
+        z = np.zeros(vocab.size)
+        for t in emitted:
+            z[t] = teacher.REPEAT_PENALTY
+        if len(emitted) < teacher.MIN_VALUES:
+            z[vocab.eos] = teacher.EOS_PENALTY
+        probs = masked_softmax(z / tau, vocab.bos)
+        token = int(rng.choice(vocab.size, p=probs))
+        tokens.append(token)
+        if token == vocab.eos:
+            return tokens
+        emitted.add(token)
+        position += 1
+
+
+VALID_RECORD = {"version": "pairanet_mini/1", "dut": "toy1", "prompt": "module toy1",
+                "chosen": [BOS, 1, 0, EOS], "rejected": [BOS, 0, EOS],
+                "chosen_score": 1.0, "rejected_score": 0.5}
+# Malformed dataset lines, each with the message naming what is wrong.
+BAD_RECORDS = [
+    ("[1]", "line 1: record must be a JSON object"),
+    ("nonsense", "line 1: Expecting value"),
+    ('{"version": "pairanet_mini/1"}', "line 1: missing field dut"),
+    (json.dumps({**VALID_RECORD, "prompt": None}), "line 1: field prompt must be a string"),
+    (json.dumps({**VALID_RECORD, "dut": 3}), "line 1: field dut must be a string"),
+    (json.dumps({**VALID_RECORD, "chosen": 5}), "field chosen must be a list of integers"),
+    (json.dumps({**VALID_RECORD, "rejected": [BOS, 1.5, EOS]}),
+     "field rejected must be a list of integers"),
+    (json.dumps({**VALID_RECORD, "rejected": [BOS, True, EOS]}),
+     "field rejected must be a list of integers"),
+    (json.dumps({**VALID_RECORD, "chosen_score": "0.5"}), "field chosen_score must be a finite"),
+    (json.dumps({**VALID_RECORD, "rejected_score": float("nan")}),
+     "field rejected_score must be a finite"),
+    (json.dumps({k: v for k, v in VALID_RECORD.items() if k != "rejected_score"}),
+     "missing field rejected_score"),
+    (json.dumps({**VALID_RECORD, "chosen_score": 0.5}), "line 1: pair requires s_p > s_np"),
+    ("[" * 100_000 + "]" * 100_000, "line 1: maximum recursion depth exceeded"),
+]
+
+_JSON = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+# Records with some fields kept from a valid one and the rest replaced.
+_RECORDS = st.dictionaries(st.sampled_from(sorted(VALID_RECORD)), _JSON, max_size=4).map(
+    lambda fields: {**VALID_RECORD, **fields})
+_LINES = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=20),
+    _JSON.map(json.dumps), _RECORDS.map(json.dumps),
+)
 
 
 class TestMakePair:
@@ -99,6 +166,16 @@ class TestTeachers:
         lens_n = [len(novelty.sample("d", 1.0, rng_n)) for _ in range(300)]
         assert sum(lens_n) > sum(lens_u)
 
+    @pytest.mark.parametrize("tau", [0.7, 1.2])
+    def test_novelty_teacher_matches_its_reference_loop(self, tau):
+        # Same sequences and the same rng use, so curated datasets are unchanged.
+        for t_max in range(1, 9):
+            teacher = NoveltyTeacher(VOCAB, t_max)
+            for seed in range(60):
+                rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+                assert teacher.sample("d", tau, rng) == reference_novelty_sample(teacher, tau, twin)
+                assert rng.bit_generator.state == twin.bit_generator.state
+
     def test_checkpoint_teacher(self, tmp_path):
         policy = TabularPolicy(VOCAB, 2, T_MAX)
         policy.adjust("toy1", (BOS, BOS), 1, 5.0)
@@ -164,6 +241,10 @@ class TestCurate:
             CurationConfig(tau1=1.0, tau2=1.0)
         with pytest.raises(ValueError):
             CurationConfig(pairs_per_dut=0)
+        for name in ("tau1", "tau2"):
+            for tau in (0, -0.5, math.nan, math.inf, 10**400):
+                with pytest.raises(ValueError, match=f"{name} must be a finite number > 0"):
+                    CurationConfig(**{name: tau})
 
     def test_load_dataset_round_trip(self, toy1, tmp_path):
         path = tmp_path / "pairs.jsonl"
@@ -174,3 +255,26 @@ class TestCurate:
         for pair in pairs:
             assert pair.dut_id == "toy1"
             assert pair.s_p > pair.s_np
+
+    @pytest.mark.parametrize("line, message", BAD_RECORDS, ids=[m for _, m in BAD_RECORDS])
+    def test_load_dataset_names_line_and_field(self, tmp_path, line, message):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_dataset(path)
+        # The line number counts blank lines too.
+        path.write_text(json.dumps(VALID_RECORD) + "\n\n" + line + "\n")
+        with pytest.raises(ValueError, match="dataset line 3: "):
+            load_dataset(path)
+
+
+@given(_LINES)
+@settings(max_examples=300, deadline=None)
+def test_load_dataset_raises_only_value_error(line):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "pairs.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        try:
+            load_dataset(path)
+        except ValueError:
+            pass

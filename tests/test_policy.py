@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covstim.codec import CodecError, Vocab
-from covstim.policy import ReferencePolicy, SparseGrad, TabularPolicy
+from covstim.curation import NoveltyTeacher
+from covstim.policy import ReferencePolicy, SparseGrad, TabularPolicy, masked_softmax
 
 VOCAB = Vocab(4)  # V = 18, 17 emittable tokens
 
@@ -66,24 +67,44 @@ def step_by_step_log_prob(policy, dut_id, seq):
 
 
 def step_by_step_grad(policy, dut_id, seq):
-    """The gradient as a loop over steps, built on step_distribution."""
-    grad = SparseGrad()
+    """The gradient as a loop over steps, one softmax per step: {(dut_id, ctx): vec}."""
+    grad = {}
     for j in range(1, len(seq)):
-        position = j - 1
-        if position >= policy.t_max:
+        if j - 1 >= policy.t_max:
             continue
         ctx = policy._contexts(seq[:j])
-        vec = -policy.step_distribution(dut_id, ctx, 1.0, position)
+        masked = policy.logits(dut_id, ctx).copy()
+        masked[policy.vocab.bos] = -np.inf
+        e = np.exp(masked - masked[np.isfinite(masked)].max(initial=0.0))
+        vec = -(e / e.sum())
         vec[seq[j]] += 1.0
         vec[policy.vocab.bos] = 0.0
-        grad.accumulate(dut_id, ctx, vec)
+        key = (dut_id, ctx)
+        grad[key] = grad[key] + vec if key in grad else vec
     return grad
 
 
 def assert_same_grad(grad, expected):
-    assert list(grad.data) == list(expected.data)
-    for key, vec in expected.data.items():
+    assert list(grad.data) == list(expected)
+    for key, vec in expected.items():
         assert np.array_equal(grad.data[key], vec), key
+
+
+class ScriptedRng:
+    """Stands in for a Generator: records each choice's p, answers from a script."""
+
+    def __init__(self, answers):
+        self.answers = list(answers)
+        self.probs = []
+
+    def choice(self, n, p):
+        self.probs.append(p.copy())
+        return self.answers.pop(0)
+
+
+def draws_spent(seq, t_max):
+    """One draw per sampled token; none for the EOS after t_max values."""
+    return len(seq) - 2 if len(seq) - 2 == t_max else len(seq) - 1
 
 
 @st.composite
@@ -114,29 +135,39 @@ def all_well_formed(vocab, t_max):
 
 class TestStepDistribution:
     def test_uniform(self):
-        probs = uniform_policy().step_distribution("d", (VOCAB.bos, VOCAB.bos), 1.0, 0)
+        probs = masked_softmax(np.zeros(VOCAB.size), VOCAB.bos)
         assert probs[VOCAB.bos] == 0.0
         np.testing.assert_allclose(np.delete(probs, VOCAB.bos), 1 / 17, atol=1e-15)
         assert abs(probs.sum() - 1.0) < 1e-12
+        rng = ScriptedRng([VOCAB.eos])
+        assert uniform_policy().sample("d", 1.0, rng) == [VOCAB.bos, VOCAB.eos]
+        assert np.array_equal(rng.probs, [probs])
 
     def test_forced_eos_at_t_max(self):
-        policy = uniform_policy(t_max=3)
-        probs = policy.step_distribution("d", (1, 2), 1.0, position=3)
-        assert probs[VOCAB.eos] == 1.0
-        assert probs.sum() == 1.0
+        # Three draws; the EOS after the third value is appended, not drawn.
+        rng = ScriptedRng([1, 2, 3])
+        assert uniform_policy(t_max=3).sample("d", 1.0, rng) == [VOCAB.bos, 1, 2, 3, VOCAB.eos]
+        assert len(rng.probs) == 3 and rng.answers == []
 
     def test_temperature_sharpening(self):
         policy = uniform_policy()
         policy.adjust("d", (VOCAB.bos, VOCAB.bos), 0, +1.0)
-        probs = policy.step_distribution("d", (VOCAB.bos, VOCAB.bos), 0.5, 0)
+        rng = ScriptedRng([VOCAB.eos])
+        policy.sample("d", 0.5, rng)
+        (probs,) = rng.probs
         # Proportional to (e^2, 1, ..., 1) over the 17 emittable tokens.
         expected0 = math.exp(2) / (math.exp(2) + 16)
         assert probs[0] == pytest.approx(expected0, rel=1e-12)
         assert probs[1] == pytest.approx(1 / (math.exp(2) + 16), rel=1e-12)
+        assert probs[VOCAB.bos] == 0.0
 
     def test_rejects_bad_temperature(self):
-        with pytest.raises(ValueError):
-            uniform_policy().step_distribution("d", (0, 0), 0.0, 0)
+        for sampler in (uniform_policy(), NoveltyTeacher(VOCAB, 8)):
+            for tau in (0.0, -1.0, float("nan")):
+                rng = np.random.default_rng(0)
+                with pytest.raises(ValueError, match="temperature must be > 0"):
+                    sampler.sample("d", tau, rng)
+                assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 class TestSample:
@@ -164,6 +195,24 @@ class TestSample:
             policy.adjust("d", ctx, 5, +3.0)
         seq = policy.sample("d", 1e-3, np.random.default_rng(1))
         assert seq == [VOCAB.bos, 5, 5, 5, 5, VOCAB.eos]
+
+    @pytest.mark.parametrize("t_max", [1, 2, 3, 8])
+    def test_one_draw_per_sampled_token(self, t_max):
+        eos_averse = uniform_policy(t_max=t_max)
+        for ctx in itertools.product([VOCAB.bos, *range(VOCAB.n_values)], repeat=2):
+            eos_averse.adjust("d", ctx, VOCAB.eos, -3.0)
+        samplers = (uniform_policy(t_max=t_max), eos_averse,
+                    random_policy(np.random.default_rng(t_max), t_max=t_max),
+                    NoveltyTeacher(VOCAB, t_max))
+        forced = 0
+        for sampler in samplers:
+            for seed in range(40):
+                rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+                seq = sampler.sample("d", 1.0, rng)
+                twin.random(draws_spent(seq, t_max))
+                assert rng.bit_generator.state == twin.bit_generator.state, (sampler, seed)
+                forced += len(seq) - 2 == t_max
+        assert forced > 0
 
 
 class TestLogProb:
@@ -265,7 +314,7 @@ class TestScoringCaches:
         grad = policy.grad_log_prob("dut", seq)
         for vec in grad.data.values():
             vec[:] = 7.0
-        grad.add_scaled(grad.scaled(1.0), 3.0)
+        grad.add_scaled(grad, 3.0)
         assert_same_grad(policy.grad_log_prob("dut", seq), expected)
 
         policy.apply_update(grad, 0.5)
@@ -290,7 +339,7 @@ class TestScoringCaches:
 
     def test_add_scaled_does_not_alias_its_input(self):
         source = SparseGrad()
-        source.accumulate("d", (0, 1), np.ones(4))
+        source.data[("d", (0, 1))] = np.ones(4)
         target = SparseGrad()
         target.add_scaled(source, 1.0)
         target.add_scaled(source, 2.0)
@@ -446,18 +495,19 @@ class TestRanges:
 class TestSparseGrad:
     def test_add_and_scale(self):
         g1 = SparseGrad()
-        g1.accumulate("d", (0, 1), np.arange(4.0))
+        g1.data[("d", (0, 1))] = np.arange(4.0)
         g2 = SparseGrad()
-        g2.accumulate("d", (0, 1), np.ones(4))
-        g2.accumulate("d", (2, 2), np.ones(4))
+        g2.data[("d", (0, 1))] = np.ones(4)
+        g2.data[("d", (2, 2))] = np.ones(4)
         g1.add_scaled(g2, 2.0)
         assert g1.entry("d", (0, 1), 3) == 5.0
         assert g1.entry("d", (2, 2), 0) == 2.0
         assert g1.entry("d", (9, 9), 0) == 0.0
-        scaled = g1.scaled(-1.0)
+        scaled = SparseGrad()
+        scaled.add_scaled(g1, -1.0)
         assert scaled.entry("d", (0, 1), 3) == -5.0
 
     def test_norm(self):
         g = SparseGrad()
-        g.accumulate("d", (0, 0), np.array([3.0, 4.0]))
+        g.data[("d", (0, 0))] = np.array([3.0, 4.0])
         assert g.norm() == 5.0

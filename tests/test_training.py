@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import covstim
+from covstim import policy as policy_module
 from covstim.codec import Vocab
 from covstim.policy import ReferencePolicy, TabularPolicy
 from covstim.training import (
@@ -329,6 +330,27 @@ class TestTrain:
     def test_step_counts_validated(self, field):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: 0})
+
+    @pytest.mark.parametrize("field", ["beta", "learning_rate"])
+    def test_rates_finite_and_positive(self, field):
+        for value in (0, -1.0, math.nan, math.inf, 10**400):
+            with pytest.raises(ValueError, match=f"{field} must be a finite number > 0"):
+                TrainConfig(**{field: value})
+
+    def test_each_distinct_sequence_checked_once(self, monkeypatch):
+        checked = []
+
+        def counting_check(tokens, vocab, t_max):
+            checked.append(tuple(tokens))
+            return check_well_formed(tokens, vocab, t_max)
+
+        check_well_formed = policy_module.check_well_formed
+        monkeypatch.setattr(policy_module, "check_well_formed", counting_check)
+        policy_module._step_plan.cache_clear()
+        pairs = [random_pair(np.random.default_rng(800 + i % 6)) for i in range(12)]
+        train(pairs, TrainConfig(mode="DPO", epochs=3, batch_size=4, seed=1), TabularPolicy(VOCAB))
+        distinct = {seq for p in pairs for seq in (p.chosen, p.rejected)}
+        assert sorted(checked) == sorted(distinct)
 
     def test_post_sft_reference(self):
         pairs = [make_pair(chosen=(BOS, 1, EOS), rejected=(BOS, 3, EOS))]
