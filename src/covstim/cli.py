@@ -17,7 +17,7 @@ from .corpus import load_bundled_corpus, load_corpus_dir
 from .curation import CurationConfig, curate, load_dataset
 from .evaluation import ablate, eval_policy, write_ablation
 from .hdl import ParseError, lint, parse
-from .policy import TabularPolicy, check_positive
+from .policy import TabularPolicy, check_positive, parse_json
 from .sim import SimulationError, Stimulus, simulate
 from .training import TrainConfig, TrainingError, train
 
@@ -88,7 +88,7 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = parse_json(fh.read(), path)
         _check_fields("", doc, vars(cls()))
         return cls(**doc)
 

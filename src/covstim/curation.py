@@ -17,7 +17,8 @@ import numpy as np
 
 from .codec import CodecError, Vocab, validate_and_decode
 from .hdl import DutModel, lint, pretty_print
-from .policy import TabularPolicy, _is_finite_number, _is_int, check_positive, sample_tokens
+from .policy import (TabularPolicy, _is_finite_number, _is_int, check_positive, parse_json,
+                     sample_tokens)
 from .sim import CoverageReport, average_score, simulate
 from .training import PreferencePair
 
@@ -263,7 +264,7 @@ def load_dataset(path) -> list[PreferencePair]:
             if not line.strip():
                 continue
             try:
-                pairs.append(_pair_from_record(json.loads(line)))
-            except (ValueError, RecursionError) as err:  # deep nesting overflows json
+                pairs.append(_pair_from_record(parse_json(line, path)))
+            except ValueError as err:
                 raise ValueError(f"dataset line {line_no}: {err}") from None
     return pairs

@@ -10,6 +10,7 @@ conditionals nested deeper than ``MAX_DEPTH`` are syntax errors.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Union
@@ -17,11 +18,14 @@ from typing import Union
 MAX_WIDTH = 16
 # Most operators (unary or binary) on one path of an expression tree, and
 # most conditionals nested in one another, that parse accepts.  Every walker
-# over a model (lint, pretty_print, simulate) recurses once per level, so
-# the bound keeps them far from Python's recursion limit.  Parentheses and
-# unary operators open at once are bounded by 2 * MAX_DEPTH, which bounds
-# the parser's own recursion and still admits pretty_print's output, which
-# writes two of them per operator.
+# over a model (lint, pretty_print, and sim's compiler) recurses once per
+# level, so the bound keeps them far from Python's recursion limit; the
+# compiled cycle function nests at most two parentheses per operator and
+# one indent per conditional, well inside CPython's limits of 200 and 100.
+# The simulation itself does not recurse.  Parentheses and unary operators
+# open at once are bounded by 2 * MAX_DEPTH, which bounds the parser's own
+# recursion and still admits pretty_print's output, which writes two of
+# them per operator.
 MAX_DEPTH = 24
 
 KEYWORDS = {
@@ -35,6 +39,15 @@ _SYMBOLS = [
     "|", "^", "&", "<", ">", "+", "-", "~", "!",
     "(", ")", "{", "}", "[", "]", ";", ",", ":", "=",
 ]
+# One alternative per token class, tried in order at each position.  \w is
+# str.isalnum plus '_', and \d the decimal digits that int() reads.
+_TOKEN_RE = re.compile(r"""
+    (?P<blank>[ \t\r\n]+)
+  | (?P<comment>//[^\n]*)
+  | (?P<word>[^\W\d]\w*)
+  | (?P<hex>0[xX][0-9a-fA-F]*)
+  | (?P<int>\d+)
+  | (?P<sym>""" + "|".join(map(re.escape, _SYMBOLS)) + ")", re.VERBOSE)
 
 
 class ParseError(Exception):
@@ -48,7 +61,7 @@ class ParseError(Exception):
         super().__init__(f"{kind} error at {line}:{column}: {message}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Token:
     kind: str  # 'ident' | 'int' | 'kw' | 'sym' | 'eof'
     text: str
@@ -59,89 +72,71 @@ class Token:
 
 def _lex(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "kw" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, 0, line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isdigit():
-            j = i
-            if text.startswith(("0x", "0X"), i):
-                j = i + 2
-                while j < n and text[j] in "0123456789abcdefABCDEF":
-                    j += 1
-                if j == i + 2:
-                    raise ParseError(line, col, "lex", "incomplete hex literal")
-                value = int(text[i:j], 16)
-            else:
-                while j < n and text[j].isdigit():
-                    j += 1
-                # Reject '12ab' outright rather than splitting tokens.
-                if j < n and (text[j].isalpha() or text[j] == "_"):
-                    raise ParseError(line, col, "lex", f"malformed number {text[i:j + 1]!r}")
-                try:
-                    value = int(text[i:j])
-                except ValueError:  # more digits than int() converts
-                    raise ParseError(line, col, "lex", "number literal too long") from None
-            tokens.append(Token("int", text[i:j], value, line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token("sym", sym, 0, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
+    append = tokens.append
+    match = _TOKEN_RE.match
+    pos, n = 0, len(text)
+    line, line_start = 1, 0
+    kind, comment_col = None, 0  # a comment ending the text leaves EOF at its start
+    while pos < n:
+        col = pos - line_start + 1
+        m = match(text, pos)
+        kind = m.lastgroup if m else None
+        # \w also holds numerals such as '²' that are not letters.
+        if kind is None or kind == "word" and not (text[pos].isalpha() or text[pos] == "_"):
+            raise ParseError(line, col, "lex", f"unexpected character {text[pos]!r}")
+        end = m.end()
+        if kind == "blank":
+            newlines = text.count("\n", pos, end)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", pos, end) + 1
+        elif kind == "comment":
+            comment_col = col
+        elif kind == "word":
+            word = m.group()
+            append(Token("kw" if word in KEYWORDS else "ident", word, 0, line, col))
+        elif kind == "sym":
+            append(Token("sym", m.group(), 0, line, col))
+        elif kind == "hex":
+            if end == pos + 2:
+                raise ParseError(line, col, "lex", "incomplete hex literal")
+            append(Token("int", m.group(), int(m.group(), 16), line, col))
         else:
-            raise ParseError(line, col, "lex", f"unexpected character {c!r}")
-    tokens.append(Token("eof", "", 0, line, col))
+            # Reject '12ab' outright rather than splitting tokens.
+            if end < n and (text[end].isalpha() or text[end] == "_"):
+                raise ParseError(line, col, "lex", f"malformed number {text[pos:end + 1]!r}")
+            try:
+                value = int(m.group())
+            except ValueError:  # more digits than int() converts
+                raise ParseError(line, col, "lex", "number literal too long") from None
+            append(Token("int", m.group(), value, line, col))
+        pos = end
+    col = comment_col if kind == "comment" else pos - line_start + 1
+    append(Token("eof", "", 0, line, col))
     return tokens
 
 
 # --- AST ------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Ident:
     name: str
     line: int = field(default=0, compare=False)
     column: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Const:
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UnOp:
     op: str  # '~' | '!'
     operand: "Expr"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinOp:
     op: str
     left: "Expr"
@@ -151,7 +146,7 @@ class BinOp:
 Expr = Union[Ident, Const, UnOp, BinOp]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Assign:
     """'assign' (combinational wire drive) or 'next' (register update)."""
 
@@ -163,7 +158,7 @@ class Assign:
     index: int = field(default=0, compare=False)  # pre-order among Assigns
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Conditional:
     cond: Expr
     then_body: tuple["Stmt", ...]
@@ -176,7 +171,7 @@ class Conditional:
 Stmt = Union[Assign, Conditional]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Port:
     name: str
     direction: str  # 'input' | 'output'
@@ -185,7 +180,7 @@ class Port:
     column: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Reg:
     name: str
     width: int
@@ -194,7 +189,7 @@ class Reg:
     column: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Wire:
     name: str
     width: int
@@ -202,14 +197,14 @@ class Wire:
     column: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoverBin:
     name: str
     lo: int
     hi: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Covergroup:
     signal: str
     bins: tuple[CoverBin, ...]
@@ -249,6 +244,12 @@ class DutModel:
     @property
     def total_bins(self) -> int:
         return sum(len(cg.bins) for cg in self.covergroups)
+
+    @cached_property
+    def compiled(self):
+        """The design as one Python function over a whole stimulus (``sim.cycle_source``)."""
+        from .sim import compile_model  # sim imports this module
+        return compile_model(self)
 
 
 # --- Parser ---------------------------------------------------------------

@@ -111,15 +111,6 @@ class TabularPolicy:
         vec = self.table.get((dut_id, tuple(ctx)))
         return np.zeros(self.vocab.size) if vec is None else vec
 
-    def set_logits(self, dut_id, ctx, vec) -> None:
-        self.table[(dut_id, tuple(ctx))] = np.asarray(vec, dtype=float).copy()
-
-    def adjust(self, dut_id, ctx, token: int, delta: float) -> None:
-        key = (dut_id, tuple(ctx))
-        if key not in self.table:
-            self.table[key] = np.zeros(self.vocab.size)
-        self.table[key][token] += delta
-
     def apply_update(self, grad: SparseGrad, factor: float) -> None:
         """Add factor * grad to the logits (descent uses factor = -lr)."""
         for (dut_id, ctx), vec in grad.data.items():
@@ -223,7 +214,7 @@ class TabularPolicy:
     def load(cls, path) -> "TabularPolicy":
         """Read a checkpoint; raise ValueError naming the first malformed field."""
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = parse_json(fh.read(), path)
         if not isinstance(doc, dict):
             raise ValueError("checkpoint top level must be a JSON object")
         if doc.get("version") != "tabular_policy/1":
@@ -258,6 +249,18 @@ class TabularPolicy:
                 raise ValueError(f"{where} repeats context {ctx} of {dut_id!r}")
             policy.table[key] = np.asarray(vec, dtype=float)
         return policy
+
+
+def parse_json(text: str, source) -> object:
+    """``json.loads`` of text read from source; every malformed text raises ValueError.
+
+    The decoder raises RecursionError on deep nesting; that becomes a
+    ValueError naming source.
+    """
+    try:
+        return json.loads(text)
+    except RecursionError as err:
+        raise ValueError(f"{err} in {source}") from None
 
 
 def _is_int(value) -> bool:

@@ -32,6 +32,7 @@ from covstim.training import (
 )
 
 from oracle_sim import oracle_simulate
+from policy_helpers import adjust, set_logits
 
 VOCAB = Vocab(4)
 BOS, EOS = VOCAB.bos, VOCAB.eos
@@ -42,7 +43,7 @@ def random_policy(rng, vocab=VOCAB, k=2, t_max=T_MAX, n_contexts=10):
     policy = TabularPolicy(vocab, k=k, t_max=t_max)
     for _ in range(n_contexts):
         ctx = tuple(int(t) for t in rng.integers(0, vocab.size, k))
-        policy.set_logits("dut", ctx, rng.normal(0, 1, vocab.size))
+        set_logits(policy, "dut", ctx, rng.normal(0, 1, vocab.size))
     return policy
 
 
@@ -107,9 +108,9 @@ def test_criterion_2_gradient_correctness():
             for (dut_id, ctx), vec in g.data.items():
                 for token in range(VOCAB.size):
                     plus = theta.copy()
-                    plus.adjust(dut_id, ctx, token, +eps)
+                    adjust(plus, dut_id, ctx, token, +eps)
                     minus = theta.copy()
-                    minus.adjust(dut_id, ctx, token, -eps)
+                    adjust(minus, dut_id, ctx, token, -eps)
                     numeric = (loss_fn(plus) - loss_fn(minus)) / (2 * eps)
                     # Floor the scale at 1.0 so exact-zero entries are
                     # judged against central-difference truncation error.

@@ -197,6 +197,18 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert "checkpoint top level must be a JSON object" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag", ["--config", "--checkpoint"])
+    def test_deep_json_exits_one(self, tmp_path, capsys, monkeypatch, flag):
+        # A 100,000-deep array overflows json's decoder with RecursionError.
+        monkeypatch.chdir(tmp_path)
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        argv = ["curate", "--config", str(deep)] if flag == "--config" else [
+            "eval", "--checkpoint", str(deep)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(deep) in err and "Traceback" not in err
+
     def test_demo_artifact_inventory(self, tmp_path, capsys):
         config, report_dir = small_config(tmp_path)
         assert main(["demo", "--config", config]) == 0

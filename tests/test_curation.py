@@ -23,6 +23,8 @@ from covstim.curation import (
 from covstim.hdl import parse
 from covstim.policy import TabularPolicy, masked_softmax
 
+from policy_helpers import adjust
+
 VOCAB = Vocab(4)
 BOS, EOS = VOCAB.bos, VOCAB.eos
 T_MAX = 8
@@ -178,7 +180,7 @@ class TestTeachers:
 
     def test_checkpoint_teacher(self, tmp_path):
         policy = TabularPolicy(VOCAB, 2, T_MAX)
-        policy.adjust("toy1", (BOS, BOS), 1, 5.0)
+        adjust(policy, "toy1", (BOS, BOS), 1, 5.0)
         path = tmp_path / "teacher.json"
         policy.save(path)
         teacher = make_teacher(CurationConfig(teacher=str(path), seed=0))

@@ -6,6 +6,8 @@ from covstim.evaluation import ABLATION_POLICIES, METRICS, ablate, eval_policy, 
 from covstim.policy import TabularPolicy
 from covstim.training import TrainConfig
 
+from policy_helpers import adjust
+
 VOCAB = Vocab(4)
 BOS, EOS = VOCAB.bos, VOCAB.eos
 T_MAX = 8
@@ -51,7 +53,7 @@ class TestEvalPolicy:
         # Strong bias toward token 15, which exceeds toy1's input width.
         policy = TabularPolicy(VOCAB, 2, T_MAX)
         for ctx in [(BOS, BOS), (BOS, 15), (15, 15)]:
-            policy.adjust("toy1", ctx, 15, 50.0)
+            adjust(policy, "toy1", ctx, 15, 50.0)
         report = eval_policy(policy, toy1, 20, 1.0, 0, VOCAB, T_MAX)
         assert all(not g.valid for g in report.generations)
         for m in METRICS:

@@ -1,9 +1,15 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covstim.hdl import _SYMBOLS, KEYWORDS, MAX_DEPTH, DutModel, ParseError, lint, parse, pretty_print
+from covstim.corpus import BUNDLED_NAMES, bundled_source
+from covstim.hdl import (_SYMBOLS, KEYWORDS, MAX_DEPTH, DutModel, ParseError, Token, _lex, lint,
+                         parse, pretty_print)
 from covstim.sim import Stimulus, simulate
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 ASSIGN_Y = "module m (input a[1], output y[1]); assign y = {}; endmodule"
 
@@ -129,6 +135,106 @@ def test_parse_raises_only_parse_error(text):
         parse(text)
     except ParseError:
         pass
+
+
+def char_loop_lex(text):
+    """Reference lexer: one character test at a time, each symbol tried in turn."""
+    tokens = []
+    i, line, col = 0, 1, 1
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == "\n":
+            i, line, col = i + 1, line + 1, 1
+        elif c in " \t\r":
+            i, col = i + 1, col + 1
+        elif text.startswith("//", i):
+            while i < n and text[i] != "\n":
+                i += 1
+        elif c.isalpha() or c == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            kind = "kw" if text[i:j] in KEYWORDS else "ident"
+            tokens.append(Token(kind, text[i:j], 0, line, col))
+            col, i = col + j - i, j
+        elif c.isdigit():
+            j = i
+            if text.startswith(("0x", "0X"), i):
+                j = i + 2
+                while j < n and text[j] in "0123456789abcdefABCDEF":
+                    j += 1
+                if j == i + 2:
+                    raise ParseError(line, col, "lex", "incomplete hex literal")
+                value = int(text[i:j], 16)
+            else:
+                while j < n and text[j].isdigit():
+                    j += 1
+                if j < n and (text[j].isalpha() or text[j] == "_"):
+                    raise ParseError(line, col, "lex", f"malformed number {text[i:j + 1]!r}")
+                try:
+                    value = int(text[i:j])
+                except ValueError:
+                    raise ParseError(line, col, "lex", "number literal too long") from None
+            tokens.append(Token("int", text[i:j], value, line, col))
+            col, i = col + j - i, j
+        else:
+            sym = next((s for s in _SYMBOLS if text.startswith(s, i)), None)
+            if sym is None:
+                raise ParseError(line, col, "lex", f"unexpected character {c!r}")
+            tokens.append(Token("sym", sym, 0, line, col))
+            col, i = col + len(sym), i + len(sym)
+    tokens.append(Token("eof", "", 0, line, col))
+    return tokens
+
+
+def lex_outcome(lex, text):
+    try:
+        return lex(text)
+    except ParseError as err:
+        return (err.kind, err.line, err.column, err.message)
+
+
+# Letters and decimal digits beyond ASCII lex as in ASCII.  Numerals that are
+# not decimal digits ('²', '½') are left out: the reference reads a leading
+# '²' as a number, the lexer as an unexpected character.
+_LEX_CHARS = st.one_of(st.characters(min_codepoint=9, max_codepoint=126),
+                       st.sampled_from("é٣Ωß"))
+
+
+class TestLex:
+    def test_tokens_match_reference_on_designs(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import designgen
+
+        texts = [bundled_source(name) for name in BUNDLED_NAMES]
+        for seed in range(2):
+            texts += [d.text for d in designgen.generate(seed, designgen.DESIGNS, 0)[0]]
+        for text in texts:
+            assert _lex(text) == char_loop_lex(text)
+
+    @pytest.mark.parametrize("expr, column, message", [
+        ("12ab", 14, "malformed number '12a'"),
+        ("0x", 14, "incomplete hex literal"),
+        ("1" * 5000, 14, "number literal too long"),
+        ("a @ 1", 16, "unexpected character '@'"),
+    ])
+    def test_errors_pinned(self, expr, column, message):
+        text = f"module m (input a[1], output y[1]);\n  assign y = {expr}; endmodule"
+        assert lex_outcome(_lex, text) == ("lex", 2, column, message)
+        assert lex_outcome(char_loop_lex, text) == ("lex", 2, column, message)
+
+    def test_comment_at_end_leaves_eof_at_its_start(self):
+        assert _lex("a\n  b // c")[-1] == Token("eof", "", 0, 2, 5)
+
+    def test_non_decimal_numeral_is_unexpected(self):
+        assert lex_outcome(_lex, "a ²") == ("lex", 1, 3, "unexpected character '²'")
+
+    @given(st.one_of(st.text(_LEX_CHARS, max_size=60),
+                     st.lists(_HDL_TOKENS, max_size=40).map("".join)))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference(self, text):
+        assert lex_outcome(_lex, text) == lex_outcome(char_loop_lex, text)
 
 
 class TestRoundTrip:

@@ -11,6 +11,8 @@ from covstim.codec import CodecError, Vocab
 from covstim.curation import NoveltyTeacher
 from covstim.policy import ReferencePolicy, SparseGrad, TabularPolicy, masked_softmax
 
+from policy_helpers import adjust, set_logits
+
 VOCAB = Vocab(4)  # V = 18, 17 emittable tokens
 
 _CKPT = {"version": "tabular_policy/1", "wmax": 1, "k": 1, "t_max": 2}
@@ -46,7 +48,7 @@ def random_policy(rng, vocab=VOCAB, k=2, t_max=8, n_contexts=12):
     tokens = list(range(vocab.size))
     for _ in range(n_contexts):
         ctx = tuple(int(rng.choice(tokens)) for _ in range(k))
-        policy.set_logits("dut", ctx, rng.normal(0, 1, vocab.size))
+        set_logits(policy, "dut", ctx, rng.normal(0, 1, vocab.size))
     return policy
 
 
@@ -123,7 +125,7 @@ def scoring_cases(draw):
     row = st.lists(st.floats(-50, 50), min_size=vocab.size, max_size=vocab.size)
     for j in range(1, len(seq)):
         if draw(st.booleans()):
-            policy.set_logits("d", policy._contexts(seq[:j]), draw(row))
+            set_logits(policy, "d", policy._contexts(seq[:j]), draw(row))
     return policy, seq
 
 
@@ -151,7 +153,7 @@ class TestStepDistribution:
 
     def test_temperature_sharpening(self):
         policy = uniform_policy()
-        policy.adjust("d", (VOCAB.bos, VOCAB.bos), 0, +1.0)
+        adjust(policy, "d", (VOCAB.bos, VOCAB.bos), 0, +1.0)
         rng = ScriptedRng([VOCAB.eos])
         policy.sample("d", 0.5, rng)
         (probs,) = rng.probs
@@ -192,7 +194,7 @@ class TestSample:
         # temperature samples 5 until the forced EOS.
         policy = uniform_policy(t_max=4)
         for ctx in ((VOCAB.bos, VOCAB.bos), (VOCAB.bos, 5), (5, 5)):
-            policy.adjust("d", ctx, 5, +3.0)
+            adjust(policy, "d", ctx, 5, +3.0)
         seq = policy.sample("d", 1e-3, np.random.default_rng(1))
         assert seq == [VOCAB.bos, 5, 5, 5, 5, VOCAB.eos]
 
@@ -200,7 +202,7 @@ class TestSample:
     def test_one_draw_per_sampled_token(self, t_max):
         eos_averse = uniform_policy(t_max=t_max)
         for ctx in itertools.product([VOCAB.bos, *range(VOCAB.n_values)], repeat=2):
-            eos_averse.adjust("d", ctx, VOCAB.eos, -3.0)
+            adjust(eos_averse, "d", ctx, VOCAB.eos, -3.0)
         samplers = (uniform_policy(t_max=t_max), eos_averse,
                     random_policy(np.random.default_rng(t_max), t_max=t_max),
                     NoveltyTeacher(VOCAB, t_max))
@@ -238,7 +240,7 @@ class TestLogProb:
             if j - 1 >= policy.t_max:
                 continue
             ctx = boosted._contexts(seq[:j])
-            boosted.adjust("dut", ctx, seq[j], +0.5)
+            adjust(boosted, "dut", ctx, seq[j], +0.5)
         assert boosted.log_prob("dut", seq)[0] > before
 
     def test_malformed_rejected(self):
@@ -267,7 +269,7 @@ class TestOnePassScoring:
             seq = [VOCAB.bos, *interior, VOCAB.eos]
             policy = uniform_policy()
             for j in range(1, len(seq)):
-                policy.set_logits("dut", policy._contexts(seq[:j]),
+                set_logits(policy, "dut", policy._contexts(seq[:j]),
                                   -np.abs(rng.normal(0, 3, VOCAB.size)))
             assert policy.log_prob("dut", seq) == step_by_step_log_prob(policy, "dut", seq)
 
@@ -275,7 +277,7 @@ class TestOnePassScoring:
         rng = np.random.default_rng(6)
         policy = random_policy(rng, k=1, t_max=4)
         for ctx in ((VOCAB.bos,), (3,)):
-            policy.set_logits("dut", ctx, rng.normal(0, 5, VOCAB.size))
+            set_logits(policy, "dut", ctx, rng.normal(0, 5, VOCAB.size))
         seq = [VOCAB.bos, 3, 3, 3, 3, VOCAB.eos]
         total, per_step = policy.log_prob("dut", seq)
         assert per_step[-1] == 0.0 and len(per_step) == 5
@@ -330,8 +332,8 @@ class TestScoringCaches:
         seq = [VOCAB.bos, 4, 4, VOCAB.eos]
         before = policy.log_prob("dut", seq)
         policy.grad_log_prob("dut", seq)
-        policy.adjust("dut", (VOCAB.bos, VOCAB.bos), 4, +1.0)
-        policy.adjust("dut", (4, 4), VOCAB.eos, -2.0)
+        adjust(policy, "dut", (VOCAB.bos, VOCAB.bos), 4, +1.0)
+        adjust(policy, "dut", (4, 4), VOCAB.eos, -2.0)
         after = policy.log_prob("dut", seq)
         assert after != before
         assert after == step_by_step_log_prob(policy, "dut", seq)
@@ -378,9 +380,9 @@ class TestGradLogProb:
             for (dut_id, ctx), vec in grad.data.items():
                 for token in range(VOCAB.size):
                     plus = policy.copy()
-                    plus.adjust(dut_id, ctx, token, +eps)
+                    adjust(plus, dut_id, ctx, token, +eps)
                     minus = policy.copy()
-                    minus.adjust(dut_id, ctx, token, -eps)
+                    adjust(minus, dut_id, ctx, token, -eps)
                     numeric = (plus.log_prob(dut_id, seq)[0]
                                - minus.log_prob(dut_id, seq)[0]) / (2 * eps)
                     analytic = vec[token]
@@ -430,7 +432,7 @@ class TestReferencePolicy:
         ref = ReferencePolicy(policy)
         seq = [VOCAB.bos, 1, VOCAB.eos]
         before = ref.log_prob("d", seq)[0]
-        policy.adjust("d", (VOCAB.bos, VOCAB.bos), 1, +10.0)
+        adjust(policy, "d", (VOCAB.bos, VOCAB.bos), 1, +10.0)
         assert ref.log_prob("d", seq)[0] == before
         assert policy.log_prob("d", seq)[0] != before
 
@@ -471,6 +473,13 @@ class TestCheckpoint:
                         ' "table": [["d", [0], [0.0, NaN, 1.0, 2.0]]]}')
         with pytest.raises(ValueError, match=r"table\[0\] row holds a logit that is not"):
             TabularPolicy.load(path)
+
+    def test_deep_nesting_names_file(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ValueError, match="maximum recursion depth exceeded") as exc:
+            TabularPolicy.load(path)
+        assert str(path) in str(exc.value)
 
 
 class TestRanges:

@@ -1,12 +1,20 @@
+import io
 import itertools
+import random
+import re
+import tokenize
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from covstim.hdl import parse
-from covstim.sim import CoverageReport, MetricCount, SimulationError, Stimulus, average_score, simulate
+from covstim import sim
+from covstim.hdl import MAX_DEPTH, lint, parse
+from covstim.sim import (CoverageReport, MetricCount, SimulationError, Stimulus, average_score,
+                         cycle_source, simulate)
 
 from oracle_sim import oracle_simulate
 
@@ -225,3 +233,168 @@ class TestProperties:
         report = simulate(toy1, stim(1))
         expected = (Fraction(2, 3) + Fraction(1, 2) + Fraction(1, 2)) / 3
         assert report.average == float(expected)
+
+
+def counts(report):
+    return ((report.statement.covered, report.statement.total),
+            (report.branch.covered, report.branch.total),
+            (report.functional.covered, report.functional.total))
+
+
+_BIN_OPS = ("|", "^", "&", "==", "!=", "<", ">", "<<", ">>", "+", "-")
+# Every name a generated design declares, with the kind of declaration.
+_DECLS = (("input", "a"), ("input", "c"), ("reg", "r"), ("reg", "q"),
+          ("wire", "u"), ("output", "y"))
+_TARGETS = ("assign u", "assign y", "assign r", "next r", "next q")
+
+
+def _random_expr(rng, depth=0) -> str:
+    if depth == 4 or rng.random() < 0.3:
+        if rng.random() < 0.7:
+            return rng.choice(_DECLS)[1]
+        return str(rng.randrange(8) if rng.random() < 0.5 else rng.randrange(1 << 70))
+    if rng.random() < 0.15:
+        return f"{rng.choice('~!')}({_random_expr(rng, depth + 1)})"
+    left, right = _random_expr(rng, depth + 1), _random_expr(rng, depth + 1)
+    return f"({left} {rng.choice(_BIN_OPS)} {right})"
+
+
+def _random_body(rng, budget: int, nest: int) -> str:
+    stmts = []
+    for _ in range(budget):
+        if nest < 3 and rng.random() < 0.3:
+            arms = [_random_body(rng, rng.randrange(3), nest + 1) for _ in range(2)]
+            stmts.append(f"if ({_random_expr(rng)}) {{ {arms[0]} }} else {{ {arms[1]} }}")
+        else:
+            stmts.append(f"{rng.choice(_TARGETS)} = {_random_expr(rng)};")
+    return " ".join(stmts)
+
+
+def random_design(seed: int):
+    """A lint-clean design over every operator, and a stimulus for it."""
+    rng = random.Random(seed)
+    width = {n: rng.randint(1, 16) for _, n in _DECLS}
+    ports = ", ".join(f"{kind} {n}[{width[n]}]" for kind, n in _DECLS
+                      if kind in ("input", "output"))
+    lines = [f"module g ({ports});"]
+    for kind, n in _DECLS:
+        if kind == "reg":
+            lines.append(f"reg {n}[{width[n]}] = {rng.randrange(1 << width[n])};")
+        elif kind == "wire":
+            lines.append(f"wire {n}[{width[n]}];")
+    lines.append(_random_body(rng, rng.randrange(7), 0))
+    # Drive every wire last, so that earlier reads of it see 0 or an earlier drive.
+    lines += [f"assign u = {_random_expr(rng)};", f"assign y = {_random_expr(rng)};"]
+    # One covergroup per signal: the oracle names a bin by signal and bin name.
+    for _, n in rng.sample(_DECLS, rng.randrange(4)):
+        lo = rng.randrange(1 << width[n])
+        lines.append(f"cover {n} {{ b0: {lo}..{rng.randrange(lo, 1 << width[n])}, b1: 0..0 }}")
+    lines.append("endmodule")
+    cycles = [{n: rng.randrange(1 << width[n]) for kind, n in _DECLS if kind == "input"}
+              for _ in range(rng.randrange(7))]
+    return "\n".join(lines), cycles
+
+
+class TestCompiled:
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_compiled_matches_oracle(self, seed):
+        text, cycles = random_design(seed)
+        dut = parse(text)
+        assert lint(dut) == []
+        report = simulate(dut, Stimulus(tuple(cycles)))
+        assert counts(report) == oracle_simulate(dut, cycles)
+        assert report.cycles_run == len(cycles)
+
+    def test_parser_limits_match_oracle(self):
+        # MAX_DEPTH operators on one expression path, every operator among
+        # them, inside MAX_DEPTH nested conditionals.
+        ops = _BIN_OPS + ("~", "!")
+        expr = "a"
+        for k in range(MAX_DEPTH):
+            op = ops[k % len(ops)]
+            expr = f"{op}({expr})" if op in "~!" else f"({expr} {op} {('b', 'r', '3')[k % 3]})"
+        chain = "(" * MAX_DEPTH + "a" + "".join(f" - {k})" for k in range(MAX_DEPTH))
+        body = f"assign y = {expr}; assign u = {chain};"
+        for k in range(MAX_DEPTH):
+            body = (f"if (((r + a) >> {k % 5}) & 1) {{ next r = r + {k + 1}; {body} }}"
+                    f" else {{ assign u = u ^ {k}; }}")
+        text = ("module deep (input a[4], input b[3], output y[16]); reg r[8] = 0;"
+                f" wire u[16]; assign u = 0; assign y = 0; {body}"
+                " cover y { lo: 0..255, hi: 256..65535 } cover r { odd: 1..1, big: 128..255 }"
+                " endmodule")
+        dut = parse(text)
+        assert lint(dut) == []
+        assert dut.total_branch_outcomes == 2 * MAX_DEPTH
+        rng = np.random.default_rng(17)
+        for length in (1, 10, 200):
+            cycles = [{"a": int(rng.integers(0, 16)), "b": int(rng.integers(0, 8))}
+                      for _ in range(length)]
+            assert counts(simulate(dut, Stimulus(tuple(cycles)))) == oracle_simulate(dut, cycles)
+
+    def test_source_holds_no_design_identifier(self):
+        dut = parse(
+            "module secret_mod (input alpha[4], input beta_in[2], output omega_out[4]);"
+            " reg gamma_reg[4] = 9; wire delta_wire[4];"
+            " assign delta_wire = alpha + gamma_reg;"
+            " if (beta_in == 2) { next gamma_reg = delta_wire << beta_in; }"
+            " else { next gamma_reg = !(alpha >> 1); }"
+            " assign omega_out = ~delta_wire;"
+            " cover omega_out { lowbin: 0..7, highbin: 8..15 } endmodule")
+        source = cycle_source(dut)
+        for name in ("secret_mod", "alpha", "beta_in", "omega_out", "gamma_reg",
+                     "delta_wire", "lowbin", "highbin"):
+            assert name not in source
+        allowed = {"def", "run", "inputs", "s", "b", "c", "for", "in", "if", "else", "True",
+                   "min"}
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            assert tok.type != tokenize.STRING
+            if tok.type == tokenize.NAME:
+                assert tok.string in allowed or re.fullmatch(r"[inrw]\d+", tok.string), tok
+            if tok.type == tokenize.NUMBER:
+                assert tok.string.isdigit(), tok
+
+    def test_compiles_once_per_model(self, monkeypatch, toy1_source):
+        dut = parse(toy1_source)
+        calls = []
+        real = sim.compile_model
+        monkeypatch.setattr(sim, "compile_model", lambda d: calls.append(d) or real(d))
+        for _ in range(3):
+            simulate(dut, stim(1, 0))
+        assert len(calls) == 1 and dut.compiled is dut.compiled
+
+    def test_first_bad_cycle_and_port_reported(self):
+        dut = parse("module m (input p[1], input q[2], output y[2]); assign y = p + q; endmodule")
+        cycles = [{"p": 0, "q": 0}, {"p": 1, "q": 3}, {"p": 2, "q": 9}, {"p": 0, "q": 1},
+                  {"p": 1, "q": 1}, {"q": 7}]
+        with pytest.raises(SimulationError) as exc:
+            simulate(dut, Stimulus(tuple(cycles)))
+        assert (exc.value.cycle, exc.value.port) == (2, "p")
+        assert "value 2 out of range for 1-bit port" in str(exc.value)
+        cycles[2] = {"p": 1, "q": 9}
+        with pytest.raises(SimulationError) as exc:
+            simulate(dut, Stimulus(tuple(cycles)))
+        assert (exc.value.cycle, exc.value.port) == (2, "q")
+        cycles[2] = {"p": 1, "q": 1}
+        with pytest.raises(SimulationError) as exc:
+            simulate(dut, Stimulus(tuple(cycles)))
+        assert (exc.value.cycle, exc.value.port) == (5, "p")
+        assert "missing input value" in str(exc.value)
+
+    @pytest.mark.parametrize("source, name", [
+        ("module m (input a[1], output y[1]); assign y = zz; endmodule", "'zz'"),
+        ("module m (input a[1], output y[1]); next y = a; endmodule", "'y'"),
+        ("module m (input a[1], output a[1]); assign a = 1; endmodule", "'a'"),
+    ])
+    def test_unmappable_name_raises_value_error(self, source, name):
+        dut = parse(source)
+        assert lint(dut) != []
+        with pytest.raises(ValueError, match=name):
+            simulate(dut, Stimulus(({"a": 0},)))
+
+    def test_reports_are_small_shared_values(self, toy1):
+        report = simulate(toy1, stim(1))
+        for obj in (report, report.statement):
+            assert not hasattr(obj, "__dict__")
+        assert simulate(toy1, stim(1)) is report
+        assert simulate(toy1, stim(1, 0)) != report

@@ -28,6 +28,8 @@ from covstim.training import (
     train,
 )
 
+from policy_helpers import adjust, set_logits
+
 VOCAB = Vocab(4)
 BOS, EOS = VOCAB.bos, VOCAB.eos
 
@@ -50,7 +52,7 @@ def random_policy(rng, n_contexts=10, k=2, t_max=8):
     policy = TabularPolicy(VOCAB, k=k, t_max=t_max)
     for _ in range(n_contexts):
         ctx = tuple(int(t) for t in rng.integers(0, VOCAB.size, k))
-        policy.set_logits("dut", ctx, rng.normal(0, 1, VOCAB.size))
+        set_logits(policy, "dut", ctx, rng.normal(0, 1, VOCAB.size))
     return policy
 
 
@@ -76,8 +78,8 @@ class TestImplicitReward:
         policy = TabularPolicy(VOCAB)
         ref = ReferencePolicy(policy)
         seq = [BOS, 1, EOS]
-        policy.adjust("dut", (BOS, BOS), 1, +0.5)
-        policy.adjust("dut", (BOS, 1), EOS, +0.5)
+        adjust(policy, "dut", (BOS, BOS), 1, +0.5)
+        adjust(policy, "dut", (BOS, 1), EOS, +0.5)
         assert implicit_reward(policy, ref, "dut", seq) > 0
 
     def test_equals_log_prob_difference(self):
@@ -184,9 +186,9 @@ class TestPairGradient:
                     if vec[token] == 0.0 and token == BOS:
                         continue
                     plus = theta.copy()
-                    plus.adjust(dut_id, ctx, token, +eps)
+                    adjust(plus, dut_id, ctx, token, +eps)
                     minus = theta.copy()
-                    minus.adjust(dut_id, ctx, token, -eps)
+                    adjust(minus, dut_id, ctx, token, -eps)
                     numeric = (cddpo_loss(plus, ref, pair, 0.2).loss
                                - cddpo_loss(minus, ref, pair, 0.2).loss) / (2 * eps)
                     scale = max(abs(numeric), abs(vec[token]), 1e-8)
@@ -216,7 +218,7 @@ class TestPairGradient:
         ref = ReferencePolicy(theta)
         # Make the model disagree: boost the rejected sequence.
         pair = make_pair(chosen=(BOS, 1, EOS), rejected=(BOS, 3, EOS))
-        theta.adjust("dut", (BOS, BOS), 3, +1.0)
+        adjust(theta, "dut", (BOS, BOS), 3, +1.0)
         r_w = implicit_reward(theta, ref, "dut", pair.chosen)
         r_l = implicit_reward(theta, ref, "dut", pair.rejected)
         assert r_l > r_w
@@ -235,8 +237,8 @@ class TestSftLoss:
 
     def test_approaches_zero_with_confident_policy(self):
         policy = TabularPolicy(VOCAB)
-        policy.adjust("dut", (BOS, BOS), 1, +30.0)
-        policy.adjust("dut", (BOS, 1), EOS, +30.0)
+        adjust(policy, "dut", (BOS, BOS), 1, +30.0)
+        adjust(policy, "dut", (BOS, 1), EOS, +30.0)
         loss = sft_loss(policy, [make_pair(chosen=(BOS, 1, EOS))])
         assert 0 <= loss < 1e-10
 
@@ -255,9 +257,9 @@ class TestSftLoss:
         for (dut_id, ctx), vec in grad.data.items():
             for token in range(VOCAB.size):
                 plus = theta.copy()
-                plus.adjust(dut_id, ctx, token, +eps)
+                adjust(plus, dut_id, ctx, token, +eps)
                 minus = theta.copy()
-                minus.adjust(dut_id, ctx, token, -eps)
+                adjust(minus, dut_id, ctx, token, -eps)
                 numeric = (sft_loss(plus, batch) - sft_loss(minus, batch)) / (2 * eps)
                 scale = max(abs(numeric), abs(vec[token]), 1e-8)
                 assert abs(numeric - vec[token]) / scale < 1e-6
