@@ -11,7 +11,7 @@ from .codec import CodecError, Vocab, encode, validate_and_decode
 from .curation import CurationConfig, DropReason, PairRecord, curate, load_dataset, make_pair
 from .evaluation import AblationTable, EvalReport, ablate, eval_policy
 from .hdl import DutModel, LintIssue, ParseError, lint, parse, pretty_print
-from .policy import ReferencePolicy, SparseGrad, TabularPolicy
+from .policy import ReferencePolicy, Steps, TabularPolicy
 from .sim import CoverageReport, SimulationError, Stimulus, average_score, simulate
 from .training import (
     LossBreakdown,
@@ -22,7 +22,7 @@ from .training import (
     dpo_loss,
     implicit_reward,
     pair_gradient,
-    sft_gradient,
+    preference_loss,
     sft_loss,
     train,
 )
@@ -31,11 +31,11 @@ __all__ = [
     "AblationTable", "CodecError", "CoverageReport", "CurationConfig",
     "DropReason", "DutModel", "EvalReport", "LintIssue", "LossBreakdown",
     "PairRecord", "ParseError", "PreferencePair", "ReferencePolicy",
-    "SimulationError", "SparseGrad", "Stimulus", "TabularPolicy",
+    "SimulationError", "Steps", "Stimulus", "TabularPolicy",
     "TrainConfig", "TrainingError", "Vocab", "ablate", "average_score",
     "cddpo_loss", "curate", "dpo_loss", "encode", "eval_policy",
     "implicit_reward", "lint", "load_dataset", "make_pair", "pair_gradient",
-    "parse", "pretty_print", "sft_gradient", "sft_loss", "simulate", "train",
+    "parse", "preference_loss", "pretty_print", "sft_loss", "simulate", "train",
     "validate_and_decode",
 ]
 

@@ -563,10 +563,23 @@ def lint(dut: DutModel) -> list[LintIssue]:
     for stmt in dut.body:
         check_stmt(stmt)
 
+    # A bin is meant to be known by (signal, bin name); the simulator counts
+    # every declared bin, so a repeated pair would count one bin twice.
+    covered: set[str] = set()
     for cg in dut.covergroups:
         if not cg.bins:
             issues.append(LintIssue("empty_covergroup", cg.line, cg.column,
                                     f"covergroup on {cg.signal!r} declares no bins"))
+        if cg.signal in covered:
+            issues.append(LintIssue("duplicate_covergroup", cg.line, cg.column,
+                                    f"signal {cg.signal!r} already has a covergroup"))
+        covered.add(cg.signal)
+        bin_names: set[str] = set()
+        for b in cg.bins:
+            if b.name in bin_names:
+                issues.append(LintIssue("duplicate_bin", cg.line, cg.column,
+                                        f"bin {b.name!r} repeated in covergroup on {cg.signal!r}"))
+            bin_names.add(b.name)
         if cg.signal not in declared:
             issues.append(LintIssue("undeclared_identifier", cg.line, cg.column,
                                     f"covered signal {cg.signal!r} is not declared"))

@@ -1,10 +1,10 @@
 """Tabular autoregressive softmax policy over the stimulus vocabulary.
 
-Parameters live in a sparse table keyed by (dut_id, k-token context); an
-absent context means zero logits, i.e. a uniform distribution over the
-emittable tokens.  BOS is never emitted, and EOS follows the ``t_max``-th
-value token without a draw, so every sampled sequence terminates and that
-forced step scores 0.
+Parameters live in one dense array of logits, a row per (dut_id, k-token
+context) the policy has been given; a context without a row has zero
+logits, i.e. a uniform distribution over the emittable tokens.  BOS is
+never emitted, and EOS follows the ``t_max``-th value token without a draw,
+so every sampled sequence terminates and that forced step scores 0.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -50,13 +51,13 @@ def sample_tokens(vocab: Vocab, t_max: int, tau: float, rng: np.random.Generator
 
 @lru_cache(maxsize=1 << 13)
 def _step_plan(seq: tuple, vocab: Vocab, k: int, t_max: int):
-    """Check seq; return its scored steps: (contexts, targets, forced).
+    """Check seq; return its scored steps: (contexts, targets).
 
     Step j emits seq[j] from the k tokens before it, left-BOS-padded.  The
-    forced-EOS step at interior position t_max is left out; ``forced``
-    counts it (0 or 1).  Holds no logits, so it is valid for every policy
-    with these settings.  A malformed seq raises CodecError on every call,
-    since lru_cache keeps no raised exception.
+    forced-EOS step at interior position t_max is left out.  Holds no
+    logits, so it is valid for every policy with these settings.  A
+    malformed seq raises CodecError on every call, since lru_cache keeps no
+    raised exception.
     """
     check_well_formed(seq, vocab, t_max)
     hist = (vocab.bos,) * (k - 1) + seq
@@ -64,29 +65,23 @@ def _step_plan(seq: tuple, vocab: Vocab, k: int, t_max: int):
     contexts = tuple(hist[j - 1:j - 1 + k] for j in range(1, n + 1))
     targets = np.array(seq[1:n + 1], dtype=np.intp)
     targets.flags.writeable = False
-    return contexts, targets, len(seq) - 1 - n
+    return contexts, targets
 
 
-class SparseGrad:
-    """Sparse gradient over policy logits, keyed by (dut_id, context)."""
+@dataclass(frozen=True)
+class Steps:
+    """The scored steps of ``n`` token sequences, as index arrays.
 
-    def __init__(self):
-        self.data: dict = {}  # (dut_id, ctx) -> np.ndarray of length V
+    Step i emits ``targets[i]`` from the context in row ``rows[i]`` of the
+    policy that compiled it (-1: the context has no row, so zero logits),
+    and belongs to sequence ``owner[i]``.  Each sequence's steps are
+    contiguous and in order; forced-EOS steps are left out.
+    """
 
-    def add_scaled(self, other: "SparseGrad", factor: float) -> None:
-        for key, vec in other.data.items():
-            mine = self.data.get(key)
-            if mine is None:
-                self.data[key] = factor * vec
-            else:
-                mine += factor * vec
-
-    def entry(self, dut_id, ctx, token: int) -> float:
-        vec = self.data.get((dut_id, tuple(ctx)))
-        return 0.0 if vec is None else float(vec[token])
-
-    def norm(self) -> float:
-        return math.sqrt(sum(float(np.dot(v, v)) for v in self.data.values()))
+    rows: np.ndarray
+    targets: np.ndarray
+    owner: np.ndarray
+    n: int
 
 
 class TabularPolicy:
@@ -100,24 +95,52 @@ class TabularPolicy:
         self.vocab = vocab
         self.k = k
         self.t_max = t_max
-        self.table: dict = {}  # (dut_id, ctx tuple) -> np.ndarray of logits, length V
+        self.rows: dict = {}  # (dut_id, ctx tuple) -> row of theta, numbered in insertion order
+        # One row of logits per context, then an all-zero last row that index
+        # -1 reads for every context without a row.
+        self.theta = np.zeros((1, vocab.size))
+
+    @property
+    def table(self) -> dict:
+        """A copy of every row, as {(dut_id, ctx tuple): logits}."""
+        return {key: self.theta[i].copy() for key, i in self.rows.items()}
 
     def copy(self) -> "TabularPolicy":
         other = TabularPolicy(self.vocab, self.k, self.t_max)
-        other.table = {key: vec.copy() for key, vec in self.table.items()}
+        other.rows = dict(self.rows)
+        other.theta = self.theta.copy()
         return other
 
     def logits(self, dut_id, ctx) -> np.ndarray:
-        vec = self.table.get((dut_id, tuple(ctx)))
-        return np.zeros(self.vocab.size) if vec is None else vec
+        i = self.rows.get((dut_id, tuple(ctx)))
+        return np.zeros(self.vocab.size) if i is None else self.theta[i]
 
-    def apply_update(self, grad: SparseGrad, factor: float) -> None:
-        """Add factor * grad to the logits (descent uses factor = -lr)."""
-        for (dut_id, ctx), vec in grad.data.items():
-            key = (dut_id, ctx)
-            if key not in self.table:
-                self.table[key] = np.zeros(self.vocab.size)
-            self.table[key] += factor * vec
+    def add_rows(self, items) -> None:
+        """Give each context the (dut_id, seq) items score a row; new rows are zero."""
+        before = len(self.rows)
+        for dut_id, seq in items:
+            for ctx in _step_plan(tuple(seq), self.vocab, self.k, self.t_max)[0]:
+                self.rows.setdefault((dut_id, ctx), len(self.rows))
+        if len(self.rows) > before:
+            self.theta = np.vstack([self.theta[:-1],
+                                    np.zeros((len(self.rows) - before + 1, self.vocab.size))])
+
+    def apply_update(self, rows: np.ndarray, vecs: np.ndarray, factor: float) -> None:
+        """Add factor * vecs[i] to row rows[i] for every i (descent uses factor = -lr).
+
+        The vectors of a repeated row are summed first, in order, and each
+        touched row is then updated once.  A step without a row (-1) updates
+        nothing.
+        """
+        keep = rows >= 0
+        rows, vecs = rows[keep], vecs[keep]
+        counts = np.bincount(rows, minlength=len(self.theta))
+        touched = np.flatnonzero(counts)
+        slot = (np.cumsum(counts > 0) - 1)[rows]  # each step's place among the touched rows
+        size = self.vocab.size
+        total = np.bincount((slot[:, None] * size + np.arange(size)).ravel(),
+                            weights=vecs.ravel(), minlength=len(touched) * size)
+        self.theta[touched] += factor * total.reshape(len(touched), size)
 
     # -- distributions ----------------------------------------------------
 
@@ -131,52 +154,58 @@ class TabularPolicy:
         return sample_tokens(self.vocab, self.t_max, tau, rng,
                              lambda tokens: self.logits(dut_id, self._contexts(tokens)))
 
-    def _step_logits(self, dut_id, seq):
-        """Return seq's checked step plan and the plan's masked, exponentiated logits.
+    def steps(self, items) -> Steps:
+        """Compile (dut_id, seq) items to their scored steps; each seq is checked."""
+        get = self.rows.get
+        rows, targets = [], []
+        for dut_id, seq in items:
+            contexts, tgt = _step_plan(tuple(seq), self.vocab, self.k, self.t_max)
+            rows.extend(get((dut_id, ctx), -1) for ctx in contexts)
+            targets.append(tgt)
+        lens = [len(t) for t in targets]
+        return Steps(np.array(rows, dtype=np.intp),
+                     np.concatenate(targets) if targets else np.zeros(0, dtype=np.intp),
+                     np.repeat(np.arange(len(lens)), lens), len(lens))
 
-        Row i of ``z`` holds step i's logits with BOS set to -inf, ``m`` the
-        row's shift max(0, finite max) and ``e`` = exp(z - m): the float
-        operations of ``masked_softmax``, one row per scored step.
+    def _score(self, rows: np.ndarray, targets: np.ndarray):
+        """Per-step log-probs of targets, with each step's exp-logits and their sums.
+
+        Row i of ``e`` is exp(z - m) for step i's logits z with BOS set to
+        -inf and m = max(0, finite max): the float operations of
+        ``masked_softmax``, one row per step.
         """
-        contexts, targets, forced = _step_plan(tuple(seq), self.vocab, self.k, self.t_max)
-        get = self.table.get
-        z = np.zeros((len(contexts), self.vocab.size))
-        for i, ctx in enumerate(contexts):
-            row = get((dut_id, ctx))
-            if row is not None:
-                z[i] = row
+        z = self.theta[rows]
         z[:, self.vocab.bos] = -np.inf
         m = z.max(axis=1, initial=0.0, where=np.isfinite(z))
         e = np.exp(z - m[:, None])
-        return contexts, targets, forced, z, m, e
+        sums = e.sum(axis=1)
+        # math.log as the step-by-step form used: np.log differs from it in the
+        # last bit on a few arguments in 10^4, which would change artifacts.
+        lse = m + np.fromiter(map(math.log, sums.tolist()), float, len(sums))
+        return z[np.arange(len(targets)), targets] - lse, e, sums
 
     def log_prob(self, dut_id, seq) -> tuple[float, list[float]]:
         """Total and per-step log-probability at temperature 1.
 
         The forced-EOS step at interior position t_max contributes exactly 0.
         """
-        _, targets, forced, z, m, e = self._step_logits(dut_id, seq)
-        # math.log as the step-by-step form used: np.log differs from it in the
-        # last bit on a few arguments in 10^4, which would change artifacts.
-        lse = m + np.array([math.log(s) for s in e.sum(axis=1).tolist()])
-        per_step = (z[np.arange(len(targets)), targets] - lse).tolist() + [0.0] * forced
+        steps = self.steps([(dut_id, seq)])
+        per_step = self._score(steps.rows, steps.targets)[0].tolist()
+        per_step += [0.0] * (len(seq) - 1 - len(per_step))
         return sum(per_step), per_step
 
-    def grad_log_prob(self, dut_id, seq) -> SparseGrad:
-        """d log pi(seq) / d logits; forced positions contribute nothing."""
-        contexts, targets, _, _, _, e = self._step_logits(dut_id, seq)
-        vecs = -(e / e.sum(axis=1, keepdims=True))
-        vecs[np.arange(len(targets)), targets] += 1.0
-        vecs[:, self.vocab.bos] = 0.0
-        grad = SparseGrad()  # its vectors are rows of vecs, which nothing else holds
-        for ctx, vec in zip(contexts, vecs):
-            key = (dut_id, ctx)
-            mine = grad.data.get(key)
-            if mine is None:
-                grad.data[key] = vec
-            else:
-                mine += vec
-        return grad
+    def grad_log_prob(self, steps: Steps) -> tuple[np.ndarray, np.ndarray]:
+        """Each sequence's log-probability, and d log pi / d logits of each step.
+
+        One softmax over all steps.  Row i of the gradient belongs to the
+        context of step i; a sequence's total sums its steps in order, as
+        ``log_prob`` does, and forced steps contribute nothing.
+        """
+        per_step, e, sums = self._score(steps.rows, steps.targets)
+        grads = -(e / sums[:, None])
+        grads[np.arange(len(steps.targets)), steps.targets] += 1.0
+        grads[:, self.vocab.bos] = 0.0
+        return np.bincount(steps.owner, weights=per_step, minlength=steps.n), grads
 
     # -- persistence ------------------------------------------------------
 
@@ -195,8 +224,7 @@ class TabularPolicy:
 
     def save(self, path) -> None:
         entries = sorted(
-            ([dut_id, list(ctx), [float(v) for v in vec]]
-             for (dut_id, ctx), vec in self.table.items()),
+            ([dut_id, list(ctx), self.theta[i].tolist()] for (dut_id, ctx), i in self.rows.items()),
             key=lambda e: (e[0], e[1]),
         )
         doc = {
@@ -231,6 +259,7 @@ class TabularPolicy:
         if not isinstance(table, list):
             raise ValueError("checkpoint field table must be a list")
         size = policy.vocab.size
+        vecs = []
         for i, entry in enumerate(table):
             where = f"checkpoint table[{i}]"
             if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[0], str)
@@ -245,9 +274,11 @@ class TabularPolicy:
             if not all(map(_is_finite_number, vec)):
                 raise ValueError(f"{where} row holds a logit that is not a finite number")
             key = (dut_id, tuple(ctx))
-            if key in policy.table:
+            if key in policy.rows:
                 raise ValueError(f"{where} repeats context {ctx} of {dut_id!r}")
-            policy.table[key] = np.asarray(vec, dtype=float)
+            policy.rows[key] = len(vecs)
+            vecs.append(vec)
+        policy.theta = np.array(vecs + [[0.0] * size], dtype=float)
         return policy
 
 
@@ -280,21 +311,10 @@ def check_positive(name: str, value) -> None:
 
 
 class ReferencePolicy:
-    """Frozen copy of a policy; read-only scoring interface.
-
-    The snapshot never changes, so each sequence is scored once and the
-    result memoised.  The memo holds only sequences the snapshot's scorer
-    has checked, so a malformed one still raises on every call.
-    """
+    """Frozen copy of a policy; read-only scoring interface."""
 
     def __init__(self, policy: TabularPolicy):
         self._policy = policy.copy()
-        self._scores: dict = {}  # (dut_id, seq tuple) -> (total, per_step tuple)
 
     def log_prob(self, dut_id, seq) -> tuple[float, list[float]]:
-        key = (dut_id, tuple(seq))
-        score = self._scores.get(key)
-        if score is None:
-            total, per_step = self._policy.log_prob(dut_id, seq)
-            score = self._scores[key] = (total, tuple(per_step))
-        return score[0], list(score[1])
+        return self._policy.log_prob(dut_id, seq)

@@ -5,6 +5,12 @@ implicit reward log(pi_theta / pi_ref) of a sequence.  Plain DPO uses
 beta* = beta; the coverage-weighted variant scales it by an increasing
 normalization f of the coverage-score gap s_p - s_np, so pairs with a
 clearer coverage difference drive larger updates.
+
+``train`` compiles its dataset once to index arrays over the distinct
+sequences and the policy's rows; each mini-batch is then one gather, one
+masked log-softmax and one scatter update, with the loss terms computed as
+arrays over the batch.  The one-pair functions below are batch-of-one
+calls of the same loss code.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .policy import ReferencePolicy, SparseGrad, TabularPolicy, check_positive
+from .policy import ReferencePolicy, Steps, TabularPolicy, check_positive
 
 MODES = ("SFT", "DPO", "CDDPO")
 F_VARIANTS = ("identity_clamp", "dataset_minmax")
@@ -68,6 +74,8 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class LossBreakdown:
+    """The preference loss terms of pairs: floats for one pair, arrays for a batch."""
+
     r_w: float
     r_l: float
     beta_star: float
@@ -77,44 +85,55 @@ class LossBreakdown:
 
 @dataclass
 class TrainHistory:
+    """Per-epoch training curves.
+
+    Loss, preference accuracy (the share of pairs with r_w > r_l) and mean
+    margin beta* (r_w - r_l) are taken before each batch's update; the two
+    preference diagnostics stay empty for SFT.
+    """
+
     config: dict
     epoch_loss: list = field(default_factory=list)
     epoch_update_norm: list = field(default_factory=list)
+    epoch_pref_accuracy: list = field(default_factory=list)
+    epoch_mean_margin: list = field(default_factory=list)
 
     to_dict = asdict
 
 
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+def _sigmoid(x):
+    """1 / (1 + e^-x) elementwise, overflow-safe: e^x / (1 + e^x) for x < 0."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def _softplus(x: float) -> float:
-    """log(1 + e^x), overflow-safe; -log sigmoid(m) = softplus(-m)."""
-    if x > 0:
-        return x + math.log1p(math.exp(-x))
-    return math.log1p(math.exp(x))
+def implicit_reward(log_probs, ref_log_probs):
+    """r(y|x) = log pi_theta(y|x) - log pi_ref(y|x), elementwise over a batch."""
+    return log_probs - ref_log_probs
 
 
-def implicit_reward(theta: TabularPolicy, ref: ReferencePolicy, dut_id, seq) -> float:
-    """r(y|x) = log pi_theta(y|x) - log pi_ref(y|x)."""
-    return theta.log_prob(dut_id, seq)[0] - ref.log_prob(dut_id, seq)[0]
+def preference_loss(r_w, r_l, beta_star) -> LossBreakdown:
+    """-log sigmoid(beta* (r_w - r_l)) of each pair, elementwise over a batch.
 
-
-def _preference_breakdown(theta, ref, pair: PreferencePair, beta_star: float) -> LossBreakdown:
-    r_w = implicit_reward(theta, ref, pair.dut_id, pair.chosen)
-    r_l = implicit_reward(theta, ref, pair.dut_id, pair.rejected)
+    The loss is log(1 + e^-margin), taken as logaddexp(0, -margin) so that
+    it cannot overflow.
+    """
     margin = beta_star * (r_w - r_l)
-    return LossBreakdown(r_w=r_w, r_l=r_l, beta_star=beta_star,
-                         margin=margin, loss=_softplus(-margin))
+    return LossBreakdown(r_w=r_w, r_l=r_l, beta_star=beta_star, margin=margin,
+                         loss=np.logaddexp(0.0, -margin))
+
+
+def _pair_breakdown(theta, ref, pair: PreferencePair, beta_star: float) -> LossBreakdown:
+    r_w, r_l = (implicit_reward(theta.log_prob(pair.dut_id, seq)[0],
+                                ref.log_prob(pair.dut_id, seq)[0])
+                for seq in (pair.chosen, pair.rejected))
+    return preference_loss(r_w, r_l, beta_star)
 
 
 def dpo_loss(theta, ref, pair: PreferencePair, beta: float) -> LossBreakdown:
     if beta <= 0:
         raise ValueError("beta must be > 0")
-    return _preference_breakdown(theta, ref, pair, beta)
+    return _pair_breakdown(theta, ref, pair, beta)
 
 
 def gap_range(dataset) -> tuple[float, float]:
@@ -142,43 +161,32 @@ def cddpo_loss(theta, ref, pair: PreferencePair, beta: float,
     if beta <= 0:
         raise ValueError("beta must be > 0")
     beta_star = beta * normalize_gap(pair.s_p - pair.s_np, f_variant, bounds)
-    return _preference_breakdown(theta, ref, pair, beta_star)
+    return _pair_breakdown(theta, ref, pair, beta_star)
 
 
-def pair_gradient(theta, pair: PreferencePair, bd: LossBreakdown) -> SparseGrad:
-    """Gradient of the preference loss w.r.t. theta's logits.
+def pair_gradient(bd: LossBreakdown):
+    """d loss / d log pi(chosen) of each pair; d loss / d log pi(rejected) is its negative.
 
-    ``bd`` is the pair's breakdown under theta, from dpo_loss or cddpo_loss;
-    its rewards and beta* are reused, not recomputed.  Equals
-    -beta* sigma(beta*(r_l - r_w)) (grad log pi(chosen) - grad log
-    pi(rejected)); a descent step subtracts it.
+    ``bd`` holds the pairs' breakdown under theta, from ``preference_loss``;
+    its rewards and beta* are reused, not recomputed.  Equals -beta*
+    sigma(beta* (r_l - r_w)), so the pair's gradient w.r.t. the logits is
+    this weight times (grad log pi(chosen) - grad log pi(rejected)); a
+    descent step subtracts it.
     """
-    beta_star = bd.beta_star
-    if beta_star < 0:
+    if np.any(np.less(bd.beta_star, 0)):
         raise ValueError("beta_star must be >= 0")
-    grad = SparseGrad()
-    if beta_star == 0.0:
-        return grad
-    scale = -beta_star * _sigmoid(beta_star * (bd.r_l - bd.r_w))
-    grad.add_scaled(theta.grad_log_prob(pair.dut_id, pair.chosen), scale)
-    grad.add_scaled(theta.grad_log_prob(pair.dut_id, pair.rejected), -scale)
-    return grad
+    return -bd.beta_star * _sigmoid(bd.beta_star * (bd.r_l - bd.r_w))
+
+
+def _mean_nll(log_probs: list) -> float:
+    return -sum(log_probs) / len(log_probs)
 
 
 def sft_loss(theta: TabularPolicy, batch) -> float:
     """Mean negative log-likelihood of the chosen sequences."""
     if not batch:
         raise ValueError("empty batch")
-    return -sum(theta.log_prob(p.dut_id, p.chosen)[0] for p in batch) / len(batch)
-
-
-def sft_gradient(theta: TabularPolicy, batch) -> SparseGrad:
-    if not batch:
-        raise ValueError("empty batch")
-    grad = SparseGrad()
-    for p in batch:
-        grad.add_scaled(theta.grad_log_prob(p.dut_id, p.chosen), -1.0 / len(batch))
-    return grad
+    return _mean_nll([theta.log_prob(p.dut_id, p.chosen)[0] for p in batch])
 
 
 @dataclass
@@ -187,14 +195,45 @@ class TrainResult:
     history: TrainHistory
 
 
-def _update_norm(before: TabularPolicy, after: TabularPolicy) -> float:
-    # Summed in key order: set order follows the string hash seed, and a
-    # different order changes the float sum in its last digits.
-    total = 0.0
-    for dut_id, ctx in sorted(set(before.table) | set(after.table)):
-        diff = after.logits(dut_id, ctx) - before.logits(dut_id, ctx)
-        total += float(np.dot(diff, diff))
-    return math.sqrt(total)
+class _Compiled:
+    """A dataset as index arrays over its distinct (dut_id, seq) sequences.
+
+    Each distinct sequence is checked and mapped to theta's rows once, and
+    scored once under the frozen reference.  A row is added only for the
+    contexts an update will touch: the chosen sequences in SFT, and both
+    sequences of every pair with beta* != 0 otherwise.
+    """
+
+    def __init__(self, dataset, theta: TabularPolicy, ref, beta_star):
+        ids: dict = {}
+
+        def seq_ids(seqs):
+            return np.array([ids.setdefault(key, len(ids)) for key in seqs], dtype=np.intp)
+
+        self.chosen = seq_ids((p.dut_id, p.chosen) for p in dataset)
+        if beta_star is None:
+            self.rejected = None
+            live = set(self.chosen.tolist())
+        else:
+            self.rejected = seq_ids((p.dut_id, p.rejected) for p in dataset)
+            moving = beta_star != 0
+            live = set(self.chosen[moving].tolist()) | set(self.rejected[moving].tolist())
+        items = list(ids)
+        theta.add_rows(items[i] for i in sorted(live))
+        steps = theta.steps(items)
+        self.rows, self.targets = steps.rows, steps.targets
+        self.lens = np.bincount(steps.owner, minlength=steps.n)
+        self.starts = np.cumsum(self.lens) - self.lens
+        self.ref_log_probs = None if ref is None else np.array(
+            [ref.log_prob(dut_id, seq)[0] for dut_id, seq in items])
+
+    def select(self, seqs: np.ndarray) -> Steps:
+        """The steps of the listed sequences, in order; a repeat is scored again."""
+        lens = self.lens[seqs]
+        ends = np.cumsum(lens)
+        idx = np.arange(ends[-1]) + np.repeat(self.starts[seqs] - ends + lens, lens)
+        return Steps(self.rows[idx], self.targets[idx],
+                     np.repeat(np.arange(len(seqs)), lens), len(seqs))
 
 
 def train(dataset, config: TrainConfig, init: TabularPolicy) -> TrainResult:
@@ -206,37 +245,53 @@ def train(dataset, config: TrainConfig, init: TabularPolicy) -> TrainResult:
     theta = init.copy()
     if config.mode in ("DPO", "CDDPO") and config.ref_source == "post_sft_policy":
         theta = train(dataset, replace(config, mode="SFT"), init).policy
-    ref = ReferencePolicy(theta)
+    if config.mode == "SFT":
+        ref = beta_star = None
+    else:
+        ref = ReferencePolicy(theta)
+        if config.mode == "DPO":
+            beta_star = np.full(len(dataset), config.beta)
+        else:
+            bounds = gap_range(dataset) if config.f_variant == "dataset_minmax" else None
+            beta_star = np.array([config.beta * normalize_gap(p.s_p - p.s_np, config.f_variant,
+                                                              bounds) for p in dataset])
+    data = _Compiled(dataset, theta, ref, beta_star)
 
-    bounds = gap_range(dataset) if config.f_variant == "dataset_minmax" else None
     rng = np.random.default_rng(config.seed)
     history = TrainHistory(config=config.to_dict())
-
     for _ in range(config.epochs):
         order = rng.permutation(len(dataset))
-        epoch_start = theta.copy()
-        losses = []
+        epoch_start = theta.theta.copy()
+        losses, margins, wins = [], [], 0
         for start in range(0, len(dataset), config.batch_size):
-            batch = [dataset[i] for i in order[start:start + config.batch_size]]
-            if config.mode == "SFT":
-                loss = sft_loss(theta, batch)
-                grad = sft_gradient(theta, batch)
-                losses.extend([loss] * len(batch))
+            batch = order[start:start + config.batch_size]
+            n = len(batch)
+            if ref is None:
+                steps = data.select(data.chosen[batch])
+                log_probs, grads = theta.grad_log_prob(steps)
+                losses.extend([_mean_nll(log_probs.tolist())] * n)
+                seq_weights = np.full(n, -1.0 / n)
             else:
-                grad = SparseGrad()
-                for pair in batch:
-                    if config.mode == "DPO":
-                        bd = dpo_loss(theta, ref, pair, config.beta)
-                    else:
-                        bd = cddpo_loss(theta, ref, pair, config.beta,
-                                        config.f_variant, bounds)
-                    losses.append(bd.loss)
-                    grad.add_scaled(pair_gradient(theta, pair, bd), 1.0 / len(batch))
-            theta.apply_update(grad, -config.learning_rate)
+                seqs = np.concatenate([data.chosen[batch], data.rejected[batch]])
+                steps = data.select(seqs)
+                log_probs, grads = theta.grad_log_prob(steps)
+                rewards = implicit_reward(log_probs, data.ref_log_probs[seqs])
+                bd = preference_loss(rewards[:n], rewards[n:], beta_star[batch])
+                losses.extend(bd.loss.tolist())
+                margins.extend(bd.margin.tolist())
+                wins += int(np.count_nonzero(bd.r_w > bd.r_l))
+                weights = (1.0 / n) * pair_gradient(bd)
+                seq_weights = np.concatenate([weights, -weights])
+            theta.apply_update(steps.rows, grads * seq_weights[steps.owner, None],
+                               -config.learning_rate)
         mean_loss = sum(losses) / len(losses)
         if not math.isfinite(mean_loss):
             raise TrainingError(f"non-finite loss {mean_loss} at epoch {len(history.epoch_loss)}")
         history.epoch_loss.append(mean_loss)
-        history.epoch_update_norm.append(_update_norm(epoch_start, theta))
+        step = theta.theta - epoch_start
+        history.epoch_update_norm.append(math.sqrt(float(np.square(step).sum())))
+        if ref is not None:
+            history.epoch_pref_accuracy.append(wins / len(dataset))
+            history.epoch_mean_margin.append(sum(margins) / len(dataset))
 
     return TrainResult(policy=theta, history=history)

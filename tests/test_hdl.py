@@ -305,6 +305,28 @@ class TestLint:
             " cover y { big: 0..2 } endmodule")
         assert "bin_out_of_range" in kinds
 
+    def test_duplicate_covergroup(self):
+        # Lint-clean before: simulate counted 4/4 bins here, while a reader
+        # naming bins by (signal, bin name), as tests/oracle_sim.py does, counts 2.
+        kinds = self._issues(
+            "module m (input a[1], output y[1]); assign y = a;"
+            " cover a { b0: 0..0, b1: 0..0 } cover a { b0: 0..0, b1: 0..0 } endmodule")
+        assert kinds == ["duplicate_covergroup"]
+
+    def test_duplicate_bin(self):
+        kinds = self._issues(
+            "module m (input a[1], output y[1]); assign y = a;"
+            " cover y { b: 0..0, b: 1..1 } endmodule")
+        assert kinds == ["duplicate_bin"]
+
+    def test_generated_designs_lint_clean(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import designgen
+
+        for seed in range(4):
+            for design in designgen.generate(seed, designgen.DESIGNS, 0)[0]:
+                assert lint(parse(design.text)) == [], design.name
+
     def test_no_inputs_no_outputs(self):
         assert "no_inputs" in self._issues("module m (output y[1]); assign y = 1; endmodule")
         assert "no_outputs" in self._issues("module m (input a[1]); endmodule")

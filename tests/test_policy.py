@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from covstim.codec import CodecError, Vocab
 from covstim.curation import NoveltyTeacher
-from covstim.policy import ReferencePolicy, SparseGrad, TabularPolicy, masked_softmax
+from covstim.policy import ReferencePolicy, TabularPolicy, masked_softmax
 
 from policy_helpers import adjust, set_logits
 
@@ -86,10 +86,33 @@ def step_by_step_grad(policy, dut_id, seq):
     return grad
 
 
+def batched(policy, dut_id, seqs):
+    """grad_log_prob over seqs as one batch: totals, and each sequence's {(dut_id, ctx): vec}.
+
+    A sequence's step gradients are summed per context in step order, as
+    ``step_by_step_grad`` sums them.
+    """
+    totals, grads = policy.grad_log_prob(policy.steps([(dut_id, seq) for seq in seqs]))
+    per_seq, i = [], 0
+    for seq in seqs:
+        grad = {}
+        for j in range(1, min(len(seq) - 1, policy.t_max) + 1):
+            key = (dut_id, policy._contexts(seq[:j]))
+            grad[key] = grad[key] + grads[i] if key in grad else grads[i]
+            i += 1
+        per_seq.append(grad)
+    assert i == len(grads)
+    return totals.tolist(), per_seq
+
+
+def seq_grad(policy, dut_id, seq):
+    return batched(policy, dut_id, [seq])[1][0]
+
+
 def assert_same_grad(grad, expected):
-    assert list(grad.data) == list(expected)
+    assert list(grad) == list(expected)
     for key, vec in expected.items():
-        assert np.array_equal(grad.data[key], vec), key
+        assert np.array_equal(grad[key], vec), key
 
 
 class ScriptedRng:
@@ -127,6 +150,25 @@ def scoring_cases(draw):
         if draw(st.booleans()):
             set_logits(policy, "d", policy._contexts(seq[:j]), draw(row))
     return policy, seq
+
+
+@st.composite
+def batch_cases(draw):
+    """A policy and a batch of sequences that share contexts, some past t_max values."""
+    vocab = Vocab(2)
+    k = draw(st.integers(1, 3))
+    t_max = draw(st.integers(1, 4))
+    interior = st.lists(st.integers(0, vocab.n_values - 1), max_size=t_max)
+    seqs = [[vocab.bos, *body, vocab.eos]
+            for body in draw(st.lists(interior, min_size=1, max_size=5))]
+    seqs += [seqs[0]] * draw(st.integers(0, 1))  # a repeated sequence is scored again
+    policy = TabularPolicy(vocab, k, t_max)
+    row = st.lists(st.floats(-50, 50), min_size=vocab.size, max_size=vocab.size)
+    for seq in seqs:
+        for j in range(1, len(seq)):
+            if draw(st.booleans()):
+                set_logits(policy, "d", policy._contexts(seq[:j]), draw(row))
+    return policy, seqs
 
 
 def all_well_formed(vocab, t_max):
@@ -257,7 +299,16 @@ class TestOnePassScoring:
     def test_equals_step_by_step_exactly(self, case):
         policy, seq = case
         assert policy.log_prob("d", seq) == step_by_step_log_prob(policy, "d", seq)
-        assert_same_grad(policy.grad_log_prob("d", seq), step_by_step_grad(policy, "d", seq))
+        assert_same_grad(seq_grad(policy, "d", seq), step_by_step_grad(policy, "d", seq))
+
+    @given(batch_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_batch_equals_step_by_step_exactly(self, case):
+        policy, seqs = case
+        totals, grads = batched(policy, "d", seqs)
+        for seq, total, grad in zip(seqs, totals, grads):
+            assert total == step_by_step_log_prob(policy, "d", seq)[0]
+            assert_same_grad(grad, step_by_step_grad(policy, "d", seq))
 
     def test_equals_step_by_step_on_many_sequences(self):
         # np.log differs from math.log in the last bit on a few in 10^4
@@ -282,8 +333,8 @@ class TestOnePassScoring:
         total, per_step = policy.log_prob("dut", seq)
         assert per_step[-1] == 0.0 and len(per_step) == 5
         assert (total, per_step) == step_by_step_log_prob(policy, "dut", seq)
-        grad = policy.grad_log_prob("dut", seq)
-        assert list(grad.data) == [("dut", (VOCAB.bos,)), ("dut", (3,))]
+        grad = seq_grad(policy, "dut", seq)
+        assert list(grad) == [("dut", (VOCAB.bos,)), ("dut", (3,))]
         assert_same_grad(grad, step_by_step_grad(policy, "dut", seq))
 
 
@@ -312,51 +363,75 @@ class TestScoringCaches:
     def test_returned_grad_vectors_are_fresh(self):
         policy = random_policy(np.random.default_rng(10))
         seq = [VOCAB.bos, 1, 2, 1, 2, VOCAB.eos]
+        policy.add_rows([("dut", seq)])
         expected = step_by_step_grad(policy, "dut", seq)
-        grad = policy.grad_log_prob("dut", seq)
-        for vec in grad.data.values():
-            vec[:] = 7.0
-        grad.add_scaled(grad, 3.0)
-        assert_same_grad(policy.grad_log_prob("dut", seq), expected)
+        theta = policy.theta.copy()
+        steps = policy.steps([("dut", seq)])
+        totals, grads = policy.grad_log_prob(steps)
+        totals[:] = 7.0
+        grads[:] = 7.0
+        assert np.array_equal(policy.theta, theta)
+        assert_same_grad(seq_grad(policy, "dut", seq), expected)
 
-        policy.apply_update(grad, 0.5)
-        table = {key: vec.copy() for key, vec in policy.table.items()}
-        for vec in grad.data.values():
-            vec[:] = -1.0
-        assert policy.table.keys() == table.keys()
-        for key, vec in table.items():
-            assert np.array_equal(policy.table[key], vec)
+        policy.apply_update(steps.rows, grads, 0.5)
+        theta = policy.theta.copy()
+        grads[:] = -1.0
+        assert np.array_equal(policy.theta, theta)
 
     def test_updated_policy_scores_with_new_logits(self):
         policy = random_policy(np.random.default_rng(11))
         seq = [VOCAB.bos, 4, 4, VOCAB.eos]
         before = policy.log_prob("dut", seq)
-        policy.grad_log_prob("dut", seq)
+        seq_grad(policy, "dut", seq)
         adjust(policy, "dut", (VOCAB.bos, VOCAB.bos), 4, +1.0)
         adjust(policy, "dut", (4, 4), VOCAB.eos, -2.0)
         after = policy.log_prob("dut", seq)
         assert after != before
         assert after == step_by_step_log_prob(policy, "dut", seq)
-        assert_same_grad(policy.grad_log_prob("dut", seq), step_by_step_grad(policy, "dut", seq))
+        assert_same_grad(seq_grad(policy, "dut", seq), step_by_step_grad(policy, "dut", seq))
 
-    def test_add_scaled_does_not_alias_its_input(self):
-        source = SparseGrad()
-        source.data[("d", (0, 1))] = np.ones(4)
-        target = SparseGrad()
-        target.add_scaled(source, 1.0)
-        target.add_scaled(source, 2.0)
-        assert target.entry("d", (0, 1), 0) == 3.0
-        assert source.entry("d", (0, 1), 0) == 1.0
+
+class TestDenseTable:
+    def test_add_rows_in_first_use_order_with_zero_logits(self):
+        policy = uniform_policy()
+        set_logits(policy, "d", (VOCAB.bos, 1), np.ones(VOCAB.size))
+        policy.add_rows([("d", [VOCAB.bos, 1, 2, VOCAB.eos]), ("e", [VOCAB.bos, VOCAB.eos])])
+        assert list(policy.rows) == [("d", (VOCAB.bos, 1)), ("d", (VOCAB.bos, VOCAB.bos)),
+                                     ("d", (1, 2)), ("e", (VOCAB.bos, VOCAB.bos))]
+        assert list(policy.rows.values()) == [0, 1, 2, 3]
+        assert np.array_equal(policy.theta[0], np.ones(VOCAB.size))
+        assert not policy.theta[1:].any()
+        # Zero rows leave every score as it was.
+        assert policy.log_prob("e", [VOCAB.bos, VOCAB.eos]) == uniform_policy().log_prob(
+            "e", [VOCAB.bos, VOCAB.eos])
+
+    def test_table_is_a_copy(self):
+        policy = random_policy(np.random.default_rng(14))
+        table = policy.table
+        assert list(table) == list(policy.rows)
+        for vec in table.values():
+            vec[:] = 9.0
+        assert not (policy.theta == 9.0).any()
+
+    def test_apply_update_sums_repeated_rows_and_skips_missing(self):
+        policy = uniform_policy()
+        policy.add_rows([("d", [VOCAB.bos, 1, VOCAB.eos])])
+        vecs = np.arange(4 * VOCAB.size, dtype=float).reshape(4, VOCAB.size)
+        policy.apply_update(np.array([1, -1, 0, 1]), vecs, -0.5)
+        assert np.array_equal(policy.theta[0], -0.5 * vecs[2])
+        assert np.array_equal(policy.theta[1], -0.5 * (vecs[0] + vecs[3]))
+        assert len(policy.theta) == 3 and not policy.theta[-1].any()
+        assert policy.log_prob("x", [VOCAB.bos, VOCAB.eos]) == uniform_policy().log_prob(
+            "x", [VOCAB.bos, VOCAB.eos])
 
 
 class TestGradLogProb:
     def test_uniform_single_step(self):
         policy = uniform_policy()
-        grad = policy.grad_log_prob("d", [VOCAB.bos, 3, VOCAB.eos])
-        ctx0 = (VOCAB.bos, VOCAB.bos)
-        assert grad.entry("d", ctx0, 3) == pytest.approx(1 - 1 / 17, abs=1e-15)
-        assert grad.entry("d", ctx0, 0) == pytest.approx(-1 / 17, abs=1e-15)
-        assert grad.entry("d", ctx0, VOCAB.bos) == 0.0
+        vec = seq_grad(policy, "d", [VOCAB.bos, 3, VOCAB.eos])[("d", (VOCAB.bos, VOCAB.bos))]
+        assert vec[3] == pytest.approx(1 - 1 / 17, abs=1e-15)
+        assert vec[0] == pytest.approx(-1 / 17, abs=1e-15)
+        assert vec[VOCAB.bos] == 0.0
 
     def test_entries_sum_to_zero_per_context(self):
         rng = np.random.default_rng(4)
@@ -364,8 +439,7 @@ class TestGradLogProb:
         seq = policy.sample("dut", 1.0, np.random.default_rng(5))
         if len(seq) == 2:
             seq = [VOCAB.bos, 0, VOCAB.eos]
-        grad = policy.grad_log_prob("dut", seq)
-        for vec in grad.data.values():
+        for vec in seq_grad(policy, "dut", seq).values():
             assert abs(vec.sum()) < 1e-12
 
     def test_finite_differences(self):
@@ -376,8 +450,8 @@ class TestGradLogProb:
             seq = policy.sample("dut", 1.0, np.random.default_rng(200 + trial))
             if len(seq) == 2:
                 continue
-            grad = policy.grad_log_prob("dut", seq)
-            for (dut_id, ctx), vec in grad.data.items():
+            grad = seq_grad(policy, "dut", seq)
+            for (dut_id, ctx), vec in grad.items():
                 for token in range(VOCAB.size):
                     plus = policy.copy()
                     adjust(plus, dut_id, ctx, token, +eps)
@@ -499,24 +573,3 @@ class TestRanges:
 
     def test_smallest_vocab(self):
         assert Vocab(1).size == 4 and Vocab(16).n_values == 1 << 16
-
-
-class TestSparseGrad:
-    def test_add_and_scale(self):
-        g1 = SparseGrad()
-        g1.data[("d", (0, 1))] = np.arange(4.0)
-        g2 = SparseGrad()
-        g2.data[("d", (0, 1))] = np.ones(4)
-        g2.data[("d", (2, 2))] = np.ones(4)
-        g1.add_scaled(g2, 2.0)
-        assert g1.entry("d", (0, 1), 3) == 5.0
-        assert g1.entry("d", (2, 2), 0) == 2.0
-        assert g1.entry("d", (9, 9), 0) == 0.0
-        scaled = SparseGrad()
-        scaled.add_scaled(g1, -1.0)
-        assert scaled.entry("d", (0, 1), 3) == -5.0
-
-    def test_norm(self):
-        g = SparseGrad()
-        g.data[("d", (0, 0))] = np.array([3.0, 4.0])
-        assert g.norm() == 5.0

@@ -23,12 +23,13 @@ from covstim.training import (
     implicit_reward,
     normalize_gap,
     pair_gradient,
-    sft_gradient,
+    preference_loss,
     sft_loss,
     train,
 )
 
-from policy_helpers import adjust, set_logits
+from policy_helpers import adjust, norm, pair_grad, set_logits, sft_grad
+from reference_trainer import reference_train
 
 VOCAB = Vocab(4)
 BOS, EOS = VOCAB.bos, VOCAB.eos
@@ -56,6 +57,10 @@ def random_policy(rng, n_contexts=10, k=2, t_max=8):
     return policy
 
 
+def reward(theta, ref, seq, dut_id="dut"):
+    return implicit_reward(theta.log_prob(dut_id, seq)[0], ref.log_prob(dut_id, seq)[0])
+
+
 def random_pair(rng, t_max=8):
     def seq():
         n = int(rng.integers(1, t_max + 1))
@@ -72,7 +77,7 @@ class TestImplicitReward:
         ref = ReferencePolicy(policy)
         for seed in range(5):
             seq = policy.sample("dut", 1.0, np.random.default_rng(seed))
-            assert implicit_reward(policy, ref, "dut", seq) == 0.0
+            assert reward(policy, ref, seq) == 0.0
 
     def test_boost_gives_positive_reward(self):
         policy = TabularPolicy(VOCAB)
@@ -80,7 +85,7 @@ class TestImplicitReward:
         seq = [BOS, 1, EOS]
         adjust(policy, "dut", (BOS, BOS), 1, +0.5)
         adjust(policy, "dut", (BOS, 1), EOS, +0.5)
-        assert implicit_reward(policy, ref, "dut", seq) > 0
+        assert reward(policy, ref, seq) > 0
 
     def test_equals_log_prob_difference(self):
         rng = np.random.default_rng(1)
@@ -88,7 +93,11 @@ class TestImplicitReward:
         ref = ReferencePolicy(random_policy(rng))
         seq = theta.sample("dut", 1.0, np.random.default_rng(2))
         expected = theta.log_prob("dut", seq)[0] - ref.log_prob("dut", seq)[0]
-        assert implicit_reward(theta, ref, "dut", seq) == pytest.approx(expected, abs=1e-15)
+        assert reward(theta, ref, seq) == pytest.approx(expected, abs=1e-15)
+
+    def test_elementwise_over_a_batch(self):
+        rewards = implicit_reward(np.array([-1.0, -2.5]), np.array([-3.0, -2.0]))
+        assert rewards.tolist() == [2.0, -0.5]
 
 
 class TestDpoLoss:
@@ -147,8 +156,7 @@ class TestCddpoLoss:
         pair = make_pair(s_p=0.5 + 1e-13, s_np=0.5)
         bd = cddpo_loss(theta, ref, pair, 0.2)
         assert bd.loss == pytest.approx(math.log(2), abs=1e-9)
-        grad = pair_gradient(theta, pair, bd)
-        assert grad.norm() < 1e-10
+        assert norm(pair_grad(theta, pair, bd)) < 1e-10
 
     def test_unknown_variant_rejected(self):
         policy = TabularPolicy(VOCAB)
@@ -169,8 +177,23 @@ class TestPairGradient:
         policy = random_policy(np.random.default_rng(6))
         ref = ReferencePolicy(policy)
         bd = dpo_loss(policy, ref, make_pair(), 0.2)
-        grad = pair_gradient(policy, make_pair(), replace(bd, beta_star=0.0))
-        assert grad.norm() == 0.0
+        grad = pair_grad(policy, make_pair(), replace(bd, beta_star=0.0))
+        assert norm(grad) == 0.0
+
+    def test_negative_beta_star_rejected(self):
+        bd = preference_loss(np.array([0.5]), np.array([0.0]), np.array([-0.1]))
+        with pytest.raises(ValueError, match="beta_star must be >= 0"):
+            pair_gradient(bd)
+
+    def test_batch_equals_pair_by_pair(self):
+        rng = np.random.default_rng(14)
+        r_w, r_l, beta_star = rng.normal(0, 3, 8), rng.normal(0, 3, 8), rng.uniform(0, 1, 8)
+        batch = preference_loss(r_w, r_l, beta_star)
+        weights = pair_gradient(batch)
+        for i in range(8):
+            one = preference_loss(float(r_w[i]), float(r_l[i]), float(beta_star[i]))
+            assert (one.margin, one.loss) == (batch.margin[i], batch.loss[i])
+            assert pair_gradient(one) == weights[i]
 
     def test_finite_differences(self):
         eps = 1e-4
@@ -180,8 +203,8 @@ class TestPairGradient:
             ref = ReferencePolicy(random_policy(rng))
             pair = random_pair(rng)
             bd = cddpo_loss(theta, ref, pair, 0.2)
-            grad = pair_gradient(theta, pair, bd)
-            for (dut_id, ctx), vec in grad.data.items():
+            grad = pair_grad(theta, pair, bd)
+            for (dut_id, ctx), vec in grad.items():
                 for token in range(VOCAB.size):
                     if vec[token] == 0.0 and token == BOS:
                         continue
@@ -201,13 +224,13 @@ class TestPairGradient:
             theta = random_policy(rng)
             ref = ReferencePolicy(TabularPolicy(VOCAB))
             pair = random_pair(rng)
-            r_w = implicit_reward(theta, ref, "dut", pair.chosen)
-            r_l = implicit_reward(theta, ref, "dut", pair.rejected)
+            r_w = reward(theta, ref, pair.chosen)
+            r_l = reward(theta, ref, pair.rejected)
             if r_l < r_w:
                 pair = PreferencePair("dut", "", pair.rejected, pair.chosen,
                                       pair.s_p, pair.s_np)
             bd = dpo_loss(theta, ref, pair, 0.2)
-            norms = [pair_gradient(theta, pair, replace(bd, beta_star=b)).norm()
+            norms = [norm(pair_grad(theta, pair, replace(bd, beta_star=b)))
                      for b in (0.0, 0.05, 0.1, 0.15, 0.2)]
             assert norms[0] == 0.0
             assert all(a <= b + 1e-12 for a, b in zip(norms, norms[1:]))
@@ -219,13 +242,13 @@ class TestPairGradient:
         # Make the model disagree: boost the rejected sequence.
         pair = make_pair(chosen=(BOS, 1, EOS), rejected=(BOS, 3, EOS))
         adjust(theta, "dut", (BOS, BOS), 3, +1.0)
-        r_w = implicit_reward(theta, ref, "dut", pair.chosen)
-        r_l = implicit_reward(theta, ref, "dut", pair.rejected)
+        r_w = reward(theta, ref, pair.chosen)
+        r_l = reward(theta, ref, pair.rejected)
         assert r_l > r_w
-        grad = pair_gradient(theta, pair, dpo_loss(theta, ref, pair, 0.2))
-        theta.apply_update(grad, -0.1)
-        r_w2 = implicit_reward(theta, ref, "dut", pair.chosen)
-        r_l2 = implicit_reward(theta, ref, "dut", pair.rejected)
+        for (dut_id, ctx), vec in pair_grad(theta, pair, dpo_loss(theta, ref, pair, 0.2)).items():
+            set_logits(theta, dut_id, ctx, theta.logits(dut_id, ctx) - 0.1 * vec)
+        r_w2 = reward(theta, ref, pair.chosen)
+        r_l2 = reward(theta, ref, pair.rejected)
         assert r_w2 - r_l2 > r_w - r_l
 
 
@@ -245,16 +268,14 @@ class TestSftLoss:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             sft_loss(TabularPolicy(VOCAB), [])
-        with pytest.raises(ValueError):
-            sft_gradient(TabularPolicy(VOCAB), [])
 
     def test_finite_differences(self):
         eps = 1e-4
         rng = np.random.default_rng(10)
         theta = random_policy(rng)
         batch = [random_pair(np.random.default_rng(500 + i)) for i in range(3)]
-        grad = sft_gradient(theta, batch)
-        for (dut_id, ctx), vec in grad.data.items():
+        grad = sft_grad(theta, batch)
+        for (dut_id, ctx), vec in grad.items():
             for token in range(VOCAB.size):
                 plus = theta.copy()
                 adjust(plus, dut_id, ctx, token, +eps)
@@ -324,6 +345,12 @@ class TestTrain:
         assert result.history.config["mode"] == "DPO"
         json.dumps(result.history.to_dict())  # serializable
 
+    def test_non_finite_loss_rejected(self):
+        pairs = [random_pair(np.random.default_rng(980 + i)) for i in range(4)]
+        config = TrainConfig(mode="SFT", learning_rate=1e308, epochs=2, batch_size=2)
+        with pytest.raises(TrainingError, match="non-finite loss inf at epoch 0"):
+            train(pairs, config, TabularPolicy(VOCAB))
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(TrainingError):
             train([], TrainConfig(), TabularPolicy(VOCAB))
@@ -374,3 +401,106 @@ class TestTrain:
             assert dpo_loss(theta, ref, pair, 0.2).loss > 0
             assert cddpo_loss(theta, ref, pair, 0.2).loss > 0
         assert sft_loss(theta, [make_pair()]) >= 0
+
+
+def pin_dataset():
+    """Pairs over three designs that share sequences and contexts.
+
+    Vocab(2) with t_max 3: interiors of up to 3 values, so contexts repeat
+    within and across sequences and the forced-EOS step is reached.  Pairs
+    3 and 11 share the smallest gap, so dataset_minmax gives them beta* = 0;
+    pair 11 is the only one on design "lone".
+    """
+    vocab = Vocab(2)
+    rng = np.random.default_rng(21)
+    pool = [(vocab.bos, *rng.integers(0, vocab.n_values, rng.integers(0, 4)).tolist(), vocab.eos)
+            for _ in range(14)]
+    pairs = []
+    for i in range(23):
+        chosen, rejected = (pool[j] for j in rng.choice(len(pool), 2, replace=False))
+        s_np = int(rng.integers(0, 32)) / 64  # dyadic, so the gap 1/16 is exact
+        gap = 1 / 16 if i in (3, 11) else float(rng.uniform(0.07, 0.5))
+        dut_id = "lone" if i == 11 else f"d{i % 3}"  # only a beta* = 0 pair uses "lone"
+        pairs.append(PreferencePair(dut_id, "", chosen, rejected, s_np + gap, s_np))
+    init = TabularPolicy(vocab, 2, 3)
+    for ctx in ((vocab.bos, vocab.bos), (vocab.bos, 1), (2, 2)):
+        set_logits(init, "d0", ctx, rng.normal(0, 1, vocab.size))
+    return pairs, init
+
+
+PIN_CONFIGS = [("SFT", "identity_clamp", "initial_policy")] + [
+    (mode, f_variant, ref_source) for mode in ("DPO", "CDDPO")
+    for f_variant in ("identity_clamp", "dataset_minmax")
+    for ref_source in ("initial_policy", "post_sft_policy")]
+
+
+class TestReferencePin:
+    """The batched trainer against the per-pair loop it replaced (tests/reference_trainer.py)."""
+
+    @pytest.mark.parametrize("mode, f_variant, ref_source", PIN_CONFIGS)
+    def test_matches_per_pair_loop(self, mode, f_variant, ref_source):
+        pairs, init = pin_dataset()
+        config = TrainConfig(mode=mode, beta=0.5, f_variant=f_variant, learning_rate=1.5,
+                             epochs=8, batch_size=5, seed=3, ref_source=ref_source)
+        result = train(pairs, config, init)
+        table, history = reference_train(pairs, config, init)
+        got = result.policy.table
+        assert set(got) == set(table)
+        assert max(float(np.abs(got[key] - vec).max()) for key, vec in table.items()) <= 1e-12
+        for name in ("epoch_loss", "epoch_update_norm", "epoch_mean_margin"):
+            ours = getattr(result.history, name)
+            assert len(ours) == len(history[name])
+            assert all(abs(a - b) <= 1e-12 for a, b in zip(ours, history[name])), name
+        assert result.history.epoch_pref_accuracy == history["epoch_pref_accuracy"]
+
+    def test_minmax_leaves_zero_beta_pairs_without_rows(self):
+        # Under dataset_minmax the two smallest-gap pairs get beta* = 0 and no
+        # update, so contexts only they use get no row, as in the per-pair loop.
+        pairs, init = pin_dataset()
+        config = TrainConfig(mode="CDDPO", f_variant="dataset_minmax", epochs=2, batch_size=5)
+        keys = set(train(pairs, config, init).policy.rows)
+        expected, every = init.copy(), init.copy()
+        expected.add_rows((p.dut_id, seq) for i, p in enumerate(pairs) if i not in (3, 11)
+                          for seq in (p.chosen, p.rejected))
+        every.add_rows((p.dut_id, seq) for p in pairs for seq in (p.chosen, p.rejected))
+        assert keys == set(expected.rows) != set(every.rows)
+
+
+class TestTrainDiagnostics:
+    def test_sft_checkpoint_has_no_row_for_rejected_only_context(self, tmp_path):
+        # Only the rejected sequence passes through context (BOS, 3); SFT never
+        # updates it, so neither the policy nor its checkpoint holds that row.
+        pairs = [make_pair(chosen=(BOS, 1, EOS), rejected=(BOS, 3, EOS))] * 3
+        result = train(pairs, TrainConfig(mode="SFT", epochs=3, batch_size=2), TabularPolicy(VOCAB))
+        assert set(result.policy.rows) == {("dut", (BOS, BOS)), ("dut", (BOS, 1))}
+        path = tmp_path / "sft.json"
+        result.policy.save(path)
+        saved = {(d, tuple(ctx)) for d, ctx, _ in json.loads(path.read_text())["table"]}
+        assert saved == set(result.policy.rows)
+        dpo = train(pairs, TrainConfig(mode="DPO", epochs=1), TabularPolicy(VOCAB))
+        assert ("dut", (BOS, 3)) in dpo.policy.rows
+
+    def test_preference_diagnostics(self):
+        pairs = [random_pair(np.random.default_rng(900 + i)) for i in range(9)]
+        config = TrainConfig(mode="DPO", epochs=40, learning_rate=1.0, batch_size=4, seed=5)
+        history = train(pairs, config, TabularPolicy(VOCAB)).history
+        assert len(history.epoch_pref_accuracy) == len(history.epoch_mean_margin) == 40
+        assert all(0.0 <= a <= 1.0 for a in history.epoch_pref_accuracy)
+        assert all(a * len(pairs) == round(a * len(pairs)) for a in history.epoch_pref_accuracy)
+        # Training raises the margin and wins the pairs.
+        assert history.epoch_mean_margin[-1] > history.epoch_mean_margin[0]
+        assert history.epoch_pref_accuracy[-1] == 1.0
+
+    def test_first_batch_at_reference_has_zero_margin(self):
+        # One batch per epoch: the first epoch is scored at theta = pi_ref.
+        pairs = [random_pair(np.random.default_rng(950 + i)) for i in range(6)]
+        config = TrainConfig(mode="CDDPO", epochs=2, batch_size=6)
+        history = train(pairs, config, TabularPolicy(VOCAB)).history
+        assert history.epoch_mean_margin[0] == 0.0 and history.epoch_pref_accuracy[0] == 0.0
+        assert history.epoch_loss[0] == pytest.approx(math.log(2), abs=1e-15)
+
+    def test_sft_has_no_preference_diagnostics(self):
+        history = train([make_pair()], TrainConfig(mode="SFT", epochs=3),
+                        TabularPolicy(VOCAB)).history
+        assert history.epoch_pref_accuracy == [] and history.epoch_mean_margin == []
+        assert len(history.epoch_loss) == 3
