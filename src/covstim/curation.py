@@ -10,7 +10,7 @@ candidates are invalid, or where scores tie, are dropped.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -24,6 +24,10 @@ from .training import PreferencePair
 
 DATASET_VERSION = "pairanet_mini/1"
 TEACHERS = ("uniform", "novelty")
+# Pairs of one design sampled in lockstep by one pair of sampler calls.  The
+# output does not depend on it; it bounds the generators and sequences held
+# at once.
+PAIR_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -62,17 +66,17 @@ class NoveltyTeacher:
         self.vocab = vocab
         self.t_max = t_max
 
-    def sample(self, dut_id, tau: float, rng: np.random.Generator) -> list[int]:
-        return sample_tokens(self.vocab, self.t_max, tau, rng, self._bias)
+    def sample(self, dut_id, tau: float, rngs) -> list[list[int]]:
+        """Draw one sequence per generator with ``sample_tokens``."""
+        return sample_tokens(self.vocab, self.t_max, tau, rngs, self._penalties)
 
-    def _bias(self, tokens: list[int]) -> np.ndarray:
-        """The logits after a BOS-started prefix: the penalties it has earned."""
-        z = np.zeros(self.vocab.size)
-        emitted = set(tokens[1:])
-        for t in emitted:
-            z[t] = self.REPEAT_PENALTY
-        if len(emitted) < self.MIN_VALUES:
-            z[self.vocab.eos] = self.EOS_PENALTY
+    def _penalties(self, prefixes: np.ndarray) -> np.ndarray:
+        """The logits after each row's BOS-started prefix: the penalties it has earned."""
+        n = len(prefixes)
+        emitted = np.zeros((n, self.vocab.size), dtype=bool)
+        emitted[np.arange(n)[:, None], prefixes[:, 1:]] = True
+        z = np.where(emitted, self.REPEAT_PENALTY, 0.0)
+        z[np.count_nonzero(emitted, axis=1) < self.MIN_VALUES, self.vocab.eos] = self.EOS_PENALTY
         return z
 
 
@@ -101,7 +105,8 @@ class PairRecord:
     rejected_cov: Optional[dict]  # absent (None) when the rejected candidate was invalid
 
     def to_json_dict(self) -> dict:
-        doc = {"version": DATASET_VERSION, **asdict(self)}
+        # Shallow, in field order: asdict's deep copy of every record is waste.
+        doc = {"version": DATASET_VERSION, **{f.name: getattr(self, f.name) for f in fields(self)}}
         if self.rejected_cov is None:
             del doc["rejected_cov"]
         return doc
@@ -130,12 +135,10 @@ def _score_candidate(dut: DutModel, tokens, vocab: Vocab, t_max: int):
     return average_score(report), report
 
 
-def make_pair(dut: DutModel, teacher, tau1: float, tau2: float,
-              rng: np.random.Generator, vocab: Vocab, t_max: int,
-              pair_id: str = "", seed: int = 0,
+def make_pair(dut: DutModel, seq_a, seq_b, tau1: float, tau2: float,
+              vocab: Vocab, t_max: int, pair_id: str = "", seed: int = 0,
               teacher_name: str = "") -> Union[PairRecord, DropReason]:
-    seq_a = teacher.sample(dut.name, tau1, rng)
-    seq_b = teacher.sample(dut.name, tau2, rng)
+    """Score candidates seq_a (sampled at tau1) and seq_b (at tau2); label or drop the pair."""
     score_a, report_a = _score_candidate(dut, seq_a, vocab, t_max)
     score_b, report_b = _score_candidate(dut, seq_b, vocab, t_max)
 
@@ -179,11 +182,26 @@ class CurationStats:
     to_dict = asdict
 
 
+def _sampled_pairs(teacher, dut: DutModel, dut_i: int, config: CurationConfig):
+    """Yield (pair index, tau1 sequence, tau2 sequence) for each pair of one design.
+
+    Pairs are sampled PAIR_BLOCK at a time: each pair's generator draws its
+    tau1 sequence, then its tau2 sequence.
+    """
+    for start in range(0, config.pairs_per_dut, PAIR_BLOCK):
+        block = range(start, min(start + PAIR_BLOCK, config.pairs_per_dut))
+        rngs = [np.random.default_rng([config.seed, dut_i, pair_i]) for pair_i in block]
+        seqs_a = teacher.sample(dut.name, config.tau1, rngs)
+        seqs_b = teacher.sample(dut.name, config.tau2, rngs)
+        yield from zip(block, seqs_a, seqs_b)
+
+
 def curate(corpus, config: CurationConfig, out_path) -> CurationStats:
     """Write one JSONL line per kept pair; byte-deterministic for a config.
 
     Each (dut index, pair index) task derives its own rng stream from the
-    seed, so the output is independent of execution order.
+    seed, so the output is independent of execution order and of the block
+    size.
     """
     offenders = [(dut.name, issues) for dut in corpus if (issues := lint(dut))]
     if offenders:
@@ -198,9 +216,8 @@ def curate(corpus, config: CurationConfig, out_path) -> CurationStats:
 
     with open(out_path, "w", encoding="utf-8") as fh:
         for dut_i, dut in enumerate(corpus):
-            for pair_i in range(config.pairs_per_dut):
-                rng = np.random.default_rng([config.seed, dut_i, pair_i])
-                result = make_pair(dut, teacher, config.tau1, config.tau2, rng,
+            for pair_i, seq_a, seq_b in _sampled_pairs(teacher, dut, dut_i, config):
+                result = make_pair(dut, seq_a, seq_b, config.tau1, config.tau2,
                                    vocab, config.t_max,
                                    pair_id=f"{dut.name}:{pair_i}",
                                    seed=config.seed, teacher_name=teacher_name)

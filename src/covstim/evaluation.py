@@ -41,9 +41,8 @@ def eval_policy(policy, dut, n: int, tau: float, seed: int,
     if n < 1:
         raise ValueError("n must be >= 1")
     report = EvalReport(dut=dut.name, n=n, tau=tau, seed=seed)
-    for gen_i in range(n):
-        rng = np.random.default_rng([seed, gen_i])
-        tokens = policy.sample(dut.name, tau, rng)
+    rngs = [np.random.default_rng([seed, gen_i]) for gen_i in range(n)]
+    for tokens in policy.sample(dut.name, tau, rngs):
         try:
             stim = validate_and_decode(dut, tokens, vocab, t_max)
         except CodecError:

@@ -547,6 +547,11 @@ def lint(dut: DutModel) -> list[LintIssue]:
             elif stmt.kind == "assign" and stmt.target in input_names:
                 issues.append(LintIssue("assign_to_input", stmt.line, stmt.column,
                                         f"input port {stmt.target!r} cannot be assigned"))
+            elif stmt.kind == "assign" and stmt.target in reg_names:
+                # It would change the reg's value for the rest of the cycle
+                # only; the latched value comes back in the next one.
+                issues.append(LintIssue("assign_to_reg", stmt.line, stmt.column,
+                                        f"reg {stmt.target!r} takes 'next', not 'assign'"))
             elif stmt.kind == "next" and stmt.target not in reg_names:
                 issues.append(LintIssue("next_to_non_reg", stmt.line, stmt.column,
                                         f"'next' target {stmt.target!r} is not a reg"))

@@ -20,33 +20,72 @@ import numpy as np
 from .codec import Vocab, check_well_formed
 
 
+def _masked_exp(z: np.ndarray, bos: int):
+    """exp(z - m) of each row of logits z (overwritten), with BOS masked out.
+
+    BOS is set to -inf and m is max(0, the row's finite max), so the exp
+    of each finite logit is at most 1.  Returns m, the exp-logits and their row sums, each keeping
+    the reduced last axis; z may be one row (1-D) or a stack of rows.
+    """
+    z[..., bos] = -np.inf
+    m = z.max(axis=-1, keepdims=True, initial=0.0, where=np.isfinite(z))
+    e = np.exp(z - m)
+    return m, e, e.sum(axis=-1, keepdims=True)
+
+
 def masked_softmax(z: np.ndarray, bos: int) -> np.ndarray:
-    """Softmax of logits z (overwritten) over every token but BOS."""
-    z[bos] = -np.inf
-    e = np.exp(z - z[np.isfinite(z)].max(initial=0.0))
-    return e / e.sum()
+    """Softmax of each row of logits z (overwritten) over every token but BOS."""
+    _, e, sums = _masked_exp(z, bos)
+    return e / sums
 
 
-def sample_tokens(vocab: Vocab, t_max: int, tau: float, rng: np.random.Generator,
-                  next_logits) -> list[int]:
-    """Draw one well-formed token sequence; deterministic given rng state.
+def draw_tokens(probs: np.ndarray, rngs) -> np.ndarray:
+    """One token per row of probs, row i drawn with one ``rngs[i].random()``.
 
-    From BOS on, each token is one ``rng.choice`` from the softmax of
-    ``next_logits(tokens) / tau`` over every token but BOS.  The sequence
-    ends at a drawn EOS, or after the ``t_max``-th value token, where EOS
-    is appended without a draw.
+    This is numpy's own algorithm in ``Generator.choice(V, p=p)``: the
+    cumulative sum of p divided by its last entry, and the token is the
+    count of its entries <= the uniform draw.  So each token, and each
+    generator's state afterwards, is what ``rngs[i].choice(V, p=probs[i])``
+    gives.  A row holding NaN raises ValueError before any draw, as
+    ``choice`` does.
+    """
+    cdf = probs.cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    if np.isnan(cdf[:, -1]).any():
+        raise ValueError("probabilities contain NaN")
+    uniforms = np.array([rng.random() for rng in rngs])
+    return np.count_nonzero(cdf <= uniforms[:, None], axis=1)
+
+
+def sample_tokens(vocab: Vocab, t_max: int, tau: float, rngs,
+                  next_logits) -> list[list[int]]:
+    """Draw one well-formed token sequence per generator, all in lockstep.
+
+    Sequence i draws only from ``rngs[i]`` and is deterministic given its
+    state; a generator listed twice serves its rows in row order at each
+    step.  From BOS on, each step takes ``next_logits(prefixes)``, the
+    logits of every running sequence as one (rows x V) array from their
+    token prefixes (rows x steps so far), and draws each row's next token
+    with ``draw_tokens`` from the softmax of its logits / tau over every
+    token but BOS.  A sequence ends at a drawn EOS, or after the
+    ``t_max``-th value token, where EOS is appended without a draw.
     """
     if not tau > 0:  # also refuses NaN
         raise ValueError(f"temperature must be > 0, got {tau}")
-    tokens = [vocab.bos]
-    while len(tokens) <= t_max:
-        probs = masked_softmax(next_logits(tokens) / tau, vocab.bos)
-        token = int(rng.choice(vocab.size, p=probs))
-        tokens.append(token)
-        if token == vocab.eos:
-            return tokens
-    tokens.append(vocab.eos)
-    return tokens
+    tokens = np.full((len(rngs), t_max + 2), vocab.eos, dtype=np.intp)
+    tokens[:, 0] = vocab.bos
+    lengths = np.full(len(rngs), t_max + 2)
+    running = np.arange(len(rngs))
+    for j in range(1, t_max + 1):
+        if not len(running):
+            break
+        probs = masked_softmax(next_logits(tokens[running, :j]) / tau, vocab.bos)
+        drawn = draw_tokens(probs, [rngs[i] for i in running.tolist()])
+        tokens[running, j] = drawn
+        ended = drawn == vocab.eos
+        lengths[running[ended]] = j + 1
+        running = running[~ended]
+    return [row[:n] for row, n in zip(tokens.tolist(), lengths.tolist())]
 
 
 @lru_cache(maxsize=1 << 13)
@@ -111,10 +150,6 @@ class TabularPolicy:
         other.theta = self.theta.copy()
         return other
 
-    def logits(self, dut_id, ctx) -> np.ndarray:
-        i = self.rows.get((dut_id, tuple(ctx)))
-        return np.zeros(self.vocab.size) if i is None else self.theta[i]
-
     def add_rows(self, items) -> None:
         """Give each context the (dut_id, seq) items score a row; new rows are zero."""
         before = len(self.rows)
@@ -149,10 +184,14 @@ class TabularPolicy:
         hist = [self.vocab.bos] * (self.k - 1) + list(tokens)
         return tuple(hist[-self.k:])
 
-    def sample(self, dut_id, tau: float, rng: np.random.Generator) -> list[int]:
-        """Draw one sequence with ``sample_tokens`` from this policy's table rows."""
-        return sample_tokens(self.vocab, self.t_max, tau, rng,
-                             lambda tokens: self.logits(dut_id, self._contexts(tokens)))
+    def sample(self, dut_id, tau: float, rngs) -> list[list[int]]:
+        """Draw one sequence per generator with ``sample_tokens`` from this policy's rows."""
+        get = self.rows.get
+
+        def next_logits(prefixes: np.ndarray) -> np.ndarray:
+            return self.theta[[get((dut_id, self._contexts(p)), -1) for p in prefixes.tolist()]]
+
+        return sample_tokens(self.vocab, self.t_max, tau, rngs, next_logits)
 
     def steps(self, items) -> Steps:
         """Compile (dut_id, seq) items to their scored steps; each seq is checked."""
@@ -170,15 +209,12 @@ class TabularPolicy:
     def _score(self, rows: np.ndarray, targets: np.ndarray):
         """Per-step log-probs of targets, with each step's exp-logits and their sums.
 
-        Row i of ``e`` is exp(z - m) for step i's logits z with BOS set to
-        -inf and m = max(0, finite max): the float operations of
-        ``masked_softmax``, one row per step.
+        Row i of ``e`` is exp(z - m) for step i's logits z, from the
+        ``masked_softmax`` float operations, one row per step.
         """
         z = self.theta[rows]
-        z[:, self.vocab.bos] = -np.inf
-        m = z.max(axis=1, initial=0.0, where=np.isfinite(z))
-        e = np.exp(z - m[:, None])
-        sums = e.sum(axis=1)
+        m, e, sums = _masked_exp(z, self.vocab.bos)
+        m, sums = m[:, 0], sums[:, 0]
         # math.log as the step-by-step form used: np.log differs from it in the
         # last bit on a few arguments in 10^4, which would change artifacts.
         lse = m + np.fromiter(map(math.log, sums.tolist()), float, len(sums))

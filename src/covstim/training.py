@@ -284,12 +284,17 @@ def train(dataset, config: TrainConfig, init: TabularPolicy) -> TrainResult:
                 seq_weights = np.concatenate([weights, -weights])
             theta.apply_update(steps.rows, grads * seq_weights[steps.owner, None],
                                -config.learning_rate)
+        epoch = len(history.epoch_loss)
         mean_loss = sum(losses) / len(losses)
         if not math.isfinite(mean_loss):
-            raise TrainingError(f"non-finite loss {mean_loss} at epoch {len(history.epoch_loss)}")
+            raise TrainingError(f"non-finite loss {mean_loss} at epoch {epoch}")
+        with np.errstate(over="ignore"):  # an overflow is raised below as divergence
+            update_norm = math.sqrt(float(np.square(theta.theta - epoch_start).sum()))
+        if not (math.isfinite(update_norm) and np.isfinite(theta.theta).all()):
+            raise TrainingError(f"training diverged at epoch {epoch}: update norm {update_norm}, "
+                                f"largest |logit| {float(np.abs(theta.theta).max())}")
         history.epoch_loss.append(mean_loss)
-        step = theta.theta - epoch_start
-        history.epoch_update_norm.append(math.sqrt(float(np.square(step).sum())))
+        history.epoch_update_norm.append(update_norm)
         if ref is not None:
             history.epoch_pref_accuracy.append(wins / len(dataset))
             history.epoch_mean_margin.append(sum(margins) / len(dataset))

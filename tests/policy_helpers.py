@@ -5,6 +5,12 @@ import numpy as np
 from covstim.training import pair_gradient
 
 
+def logits(policy, dut_id, ctx) -> np.ndarray:
+    """The logit row of (dut_id, ctx); zeros for a context without a row."""
+    i = policy.rows.get((dut_id, tuple(ctx)))
+    return np.zeros(policy.vocab.size) if i is None else policy.theta[i]
+
+
 def set_logits(policy, dut_id, ctx, vec) -> None:
     """Replace the logit row of (dut_id, ctx) with a copy of vec."""
     row = _row(policy, dut_id, ctx)  # before reading policy.theta, which it may replace

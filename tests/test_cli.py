@@ -218,6 +218,14 @@ class TestPipelineCommands:
                      "sft.history.json", "dpo.history.json", "cddpo.history.json"):
             assert (report_dir / name).exists(), name
 
+    def test_diverged_training_exits_one(self, tmp_path, capsys):
+        config, report_dir = small_config(
+            tmp_path, train={"epochs": 2, "seed": 42, "learning_rate": 1e300})
+        assert main(["demo", "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged at epoch 0") and "Traceback" not in err
+        assert not list(report_dir.glob("*.history.json"))
+
     def test_demo_deterministic(self, tmp_path):
         (tmp_path / "r1").mkdir()
         (tmp_path / "r2").mkdir()

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from covstim.codec import Vocab
 from covstim.curation import (
+    PAIR_BLOCK,
     CurationConfig,
     DropReason,
     NoveltyTeacher,
@@ -21,47 +23,15 @@ from covstim.curation import (
     make_teacher,
 )
 from covstim.hdl import parse
-from covstim.policy import TabularPolicy, masked_softmax
+from covstim.policy import TabularPolicy
 
-from policy_helpers import adjust
+import reference_curation
+from reference_curation import reference_novelty_sample
+from policy_helpers import adjust, set_logits
 
 VOCAB = Vocab(4)
 BOS, EOS = VOCAB.bos, VOCAB.eos
 T_MAX = 8
-
-
-class ScriptedTeacher:
-    """Returns predetermined sequences, one per sample() call."""
-
-    def __init__(self, sequences):
-        self.sequences = list(sequences)
-
-    def sample(self, dut_id, tau, rng):
-        return list(self.sequences.pop(0))
-
-
-def reference_novelty_sample(teacher, tau, rng):
-    """NoveltyTeacher's own sampling loop, before it became a bias on sample_tokens."""
-    vocab = teacher.vocab
-    tokens = [vocab.bos]
-    emitted: set[int] = set()
-    position = 0
-    while True:
-        if position >= teacher.t_max:
-            tokens.append(vocab.eos)
-            return tokens
-        z = np.zeros(vocab.size)
-        for t in emitted:
-            z[t] = teacher.REPEAT_PENALTY
-        if len(emitted) < teacher.MIN_VALUES:
-            z[vocab.eos] = teacher.EOS_PENALTY
-        probs = masked_softmax(z / tau, vocab.bos)
-        token = int(rng.choice(vocab.size, p=probs))
-        tokens.append(token)
-        if token == vocab.eos:
-            return tokens
-        emitted.add(token)
-        position += 1
 
 
 VALID_RECORD = {"version": "pairanet_mini/1", "dut": "toy1", "prompt": "module toy1",
@@ -104,9 +74,7 @@ _LINES = st.one_of(
 
 class TestMakePair:
     def _pair(self, toy1, seq_a, seq_b):
-        teacher = ScriptedTeacher([seq_a, seq_b])
-        rng = np.random.default_rng(0)
-        return make_pair(toy1, teacher, 0.7, 1.2, rng, VOCAB, T_MAX,
+        return make_pair(toy1, seq_a, seq_b, 0.7, 1.2, VOCAB, T_MAX,
                          pair_id="toy1:0", seed=0, teacher_name="scripted")
 
     def test_both_valid_higher_score_chosen(self, toy1):
@@ -153,8 +121,7 @@ class TestTeachers:
 
     def test_novelty_teacher_well_formed(self):
         teacher = NoveltyTeacher(VOCAB, T_MAX)
-        for seed in range(20):
-            seq = teacher.sample("toy1", 1.0, np.random.default_rng(seed))
+        for seq in teacher.sample("toy1", 1.0, [np.random.default_rng(seed) for seed in range(20)]):
             assert seq[0] == BOS and seq[-1] == EOS
             assert all(0 <= t < VOCAB.n_values for t in seq[1:-1])
             assert len(seq) - 2 <= T_MAX
@@ -164,18 +131,20 @@ class TestTeachers:
         uniform = TabularPolicy(VOCAB, 2, T_MAX)
         novelty = NoveltyTeacher(VOCAB, T_MAX)
         rng_u, rng_n = np.random.default_rng(1), np.random.default_rng(1)
-        lens_u = [len(uniform.sample("d", 1.0, rng_u)) for _ in range(300)]
-        lens_n = [len(novelty.sample("d", 1.0, rng_n)) for _ in range(300)]
+        lens_u = [len(uniform.sample("d", 1.0, [rng_u])[0]) for _ in range(300)]
+        lens_n = [len(novelty.sample("d", 1.0, [rng_n])[0]) for _ in range(300)]
         assert sum(lens_n) > sum(lens_u)
 
     @pytest.mark.parametrize("tau", [0.7, 1.2])
     def test_novelty_teacher_matches_its_reference_loop(self, tau):
         # Same sequences and the same rng use, so curated datasets are unchanged.
+        # The 60 seeds are sampled as one lockstep batch.
         for t_max in range(1, 9):
             teacher = NoveltyTeacher(VOCAB, t_max)
-            for seed in range(60):
-                rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-                assert teacher.sample("d", tau, rng) == reference_novelty_sample(teacher, tau, twin)
+            rngs = [np.random.default_rng(seed) for seed in range(60)]
+            for seed, rng, seq in zip(range(60), rngs, teacher.sample("d", tau, rngs)):
+                twin = np.random.default_rng(seed)
+                assert seq == reference_novelty_sample(teacher, tau, twin)
                 assert rng.bit_generator.state == twin.bit_generator.state
 
     def test_checkpoint_teacher(self, tmp_path):
@@ -191,6 +160,41 @@ class TestTeachers:
                                   ({"t_max": 4}, "t_max 8 (run config 4)")):
             with pytest.raises(ValueError, match=re.escape(message)):
                 make_teacher(CurationConfig(teacher=str(path), seed=0, **settings))
+
+
+def checkpoint_teacher(corpus, path):
+    """A saved policy with random logits on about half of each design's contexts."""
+    rng = np.random.default_rng(5)
+    policy = TabularPolicy(VOCAB, 2, T_MAX)
+    for dut in corpus:
+        for ctx in itertools.product([BOS, *range(VOCAB.n_values)], repeat=2):
+            if rng.random() < 0.5:
+                set_logits(policy, dut.name, ctx, rng.normal(0, 2, VOCAB.size))
+    policy.save(path)
+    return str(path)
+
+
+class TestCurateMatchesReference:
+    """Lockstep blocks write the bytes of the per-pair ``rng.choice`` loop."""
+
+    @pytest.mark.parametrize("teacher", ["novelty", "uniform", "checkpoint"])
+    @pytest.mark.parametrize("seed", [4, 19])
+    def test_byte_identical_to_per_pair_loop(self, corpus, tmp_path, teacher, seed):
+        corpus = [corpus[0], corpus[3]]  # toy1 (1-bit input) and adder2 (most pairs kept)
+        assert [d.name for d in corpus] == ["toy1", "adder2"]
+        if teacher == "checkpoint":
+            teacher = checkpoint_teacher(corpus, tmp_path / "teacher.json")
+        # 1 pair is a partial block; 300 cross a block boundary.
+        assert 1 < PAIR_BLOCK < 300
+        for pairs_per_dut in (1, 300):
+            config = CurationConfig(pairs_per_dut=pairs_per_dut, teacher=teacher, seed=seed)
+            got, expected = tmp_path / "got.jsonl", tmp_path / "expected.jsonl"
+            stats = curate(corpus, config, got)
+            counts = reference_curation.curate(corpus, config, expected)
+            assert got.read_bytes() == expected.read_bytes()
+            assert (stats.kept, stats.dropped_both_invalid, stats.dropped_tie) == (
+                counts["kept"], counts["both_invalid"], counts["tie"])
+            assert stats.kept > 0 or pairs_per_dut == 1
 
 
 class TestCurate:

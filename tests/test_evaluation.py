@@ -7,6 +7,7 @@ from covstim.policy import TabularPolicy
 from covstim.training import TrainConfig
 
 from policy_helpers import adjust
+from reference_curation import reference_sample
 
 VOCAB = Vocab(4)
 BOS, EOS = VOCAB.bos, VOCAB.eos
@@ -20,10 +21,10 @@ class ScriptedPolicy:
         self.sequences = [list(s) for s in sequences]
         self.i = 0
 
-    def sample(self, dut_id, tau, rng):
-        seq = self.sequences[self.i % len(self.sequences)]
-        self.i += 1
-        return list(seq)
+    def sample(self, dut_id, tau, rngs):
+        seqs = [list(self.sequences[(self.i + j) % len(self.sequences)]) for j in range(len(rngs))]
+        self.i += len(rngs)
+        return seqs
 
 
 class TestEvalPolicy:
@@ -72,6 +73,16 @@ class TestEvalPolicy:
         report = eval_policy(policy, toy1, 20, 1.0, 3, VOCAB, T_MAX)
         for m in METRICS:
             assert 0.0 <= report.mean[m] <= report.best[m] <= 1.0
+
+    def test_generations_match_per_generation_choice_loop(self, toy1):
+        # One batched sampler call draws what generation i drew alone from
+        # its own generator [seed, i] with rng.choice.
+        policy = TabularPolicy(VOCAB, 2, T_MAX)
+        for ctx, token in (((BOS, BOS), 1), ((BOS, 1), 0), ((1, 0), EOS)):
+            adjust(policy, "toy1", ctx, token, 2.0)
+        report = eval_policy(policy, toy1, 30, 0.8, 9, VOCAB, T_MAX)
+        assert [g.tokens for g in report.generations] == [
+            reference_sample(policy, "toy1", 0.8, np.random.default_rng([9, i])) for i in range(30)]
 
     def test_rejects_bad_n(self, toy1):
         with pytest.raises(ValueError):

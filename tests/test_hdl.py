@@ -271,6 +271,12 @@ class TestLint:
             "module m (input a[1], output y[1]); assign a = 1; assign y = a; endmodule")
         assert kinds == ["assign_to_input"]
 
+    def test_assign_to_reg(self):
+        kinds = self._issues(
+            "module m (input a[1], output y[1]); reg r[1] = 0;"
+            " assign r = a; next r = a; assign y = r; endmodule")
+        assert kinds == ["assign_to_reg"]
+
     def test_next_to_non_reg(self):
         kinds = self._issues(
             "module m (input a[1], output y[1]); wire w[1];"

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from covstim import policy as policy_module
 from covstim.codec import CodecError, Vocab
 from covstim.curation import NoveltyTeacher
-from covstim.policy import ReferencePolicy, TabularPolicy, masked_softmax
+from covstim.policy import ReferencePolicy, TabularPolicy, draw_tokens, masked_softmax
 
-from policy_helpers import adjust, set_logits
+from policy_helpers import adjust, logits, set_logits
+from reference_curation import reference_sample
 
 VOCAB = Vocab(4)  # V = 18, 17 emittable tokens
 
@@ -59,7 +61,7 @@ def step_by_step_log_prob(policy, dut_id, seq):
         if j - 1 >= policy.t_max:
             per_step.append(0.0)
             continue
-        z = policy.logits(dut_id, policy._contexts(seq[:j]))
+        z = logits(policy, dut_id, policy._contexts(seq[:j]))
         masked = z.copy()
         masked[policy.vocab.bos] = -np.inf
         m = masked[np.isfinite(masked)].max(initial=0.0)
@@ -75,7 +77,7 @@ def step_by_step_grad(policy, dut_id, seq):
         if j - 1 >= policy.t_max:
             continue
         ctx = policy._contexts(seq[:j])
-        masked = policy.logits(dut_id, ctx).copy()
+        masked = logits(policy, dut_id, ctx).copy()
         masked[policy.vocab.bos] = -np.inf
         e = np.exp(masked - masked[np.isfinite(masked)].max(initial=0.0))
         vec = -(e / e.sum())
@@ -116,15 +118,41 @@ def assert_same_grad(grad, expected):
 
 
 class ScriptedRng:
-    """Stands in for a Generator: records each choice's p, answers from a script."""
+    """Stands in for a Generator: answers each random() from a script of uniforms."""
 
-    def __init__(self, answers):
-        self.answers = list(answers)
-        self.probs = []
+    def __init__(self, uniforms):
+        self.uniforms = list(uniforms)
 
-    def choice(self, n, p):
-        self.probs.append(p.copy())
-        return self.answers.pop(0)
+    def random(self):
+        return self.uniforms.pop(0)
+
+
+def uniform_for(token, probs):
+    """A uniform that draws token under probs: the middle of its CDF interval."""
+    cdf = probs.cumsum() / probs.sum()
+    return ((cdf[token - 1] if token else 0.0) + cdf[token]) / 2
+
+
+@pytest.fixture
+def softmax_rows(monkeypatch):
+    """Every probability row the samplers compute, in order, as masked_softmax returns it."""
+    rows = []
+
+    def recording(z, bos):
+        probs = masked_softmax(z, bos)
+        rows.extend(probs.copy())
+        return probs
+
+    monkeypatch.setattr(policy_module, "masked_softmax", recording)
+    return rows
+
+
+def one_row_softmax(z, bos):
+    """masked_softmax's float operations on one row, as they were before rows were batched."""
+    z = z.copy()
+    z[bos] = -np.inf
+    e = np.exp(z - z[np.isfinite(z)].max(initial=0.0))
+    return e / e.sum()
 
 
 def draws_spent(seq, t_max):
@@ -178,27 +206,29 @@ def all_well_formed(vocab, t_max):
 
 
 class TestStepDistribution:
-    def test_uniform(self):
+    def test_uniform(self, softmax_rows):
         probs = masked_softmax(np.zeros(VOCAB.size), VOCAB.bos)
         assert probs[VOCAB.bos] == 0.0
         np.testing.assert_allclose(np.delete(probs, VOCAB.bos), 1 / 17, atol=1e-15)
         assert abs(probs.sum() - 1.0) < 1e-12
-        rng = ScriptedRng([VOCAB.eos])
-        assert uniform_policy().sample("d", 1.0, rng) == [VOCAB.bos, VOCAB.eos]
-        assert np.array_equal(rng.probs, [probs])
+        rng = ScriptedRng([uniform_for(VOCAB.eos, probs)])
+        assert uniform_policy().sample("d", 1.0, [rng]) == [[VOCAB.bos, VOCAB.eos]]
+        assert np.array_equal(softmax_rows, [probs])
+        assert rng.uniforms == []
 
-    def test_forced_eos_at_t_max(self):
+    def test_forced_eos_at_t_max(self, softmax_rows):
         # Three draws; the EOS after the third value is appended, not drawn.
-        rng = ScriptedRng([1, 2, 3])
-        assert uniform_policy(t_max=3).sample("d", 1.0, rng) == [VOCAB.bos, 1, 2, 3, VOCAB.eos]
-        assert len(rng.probs) == 3 and rng.answers == []
+        probs = masked_softmax(np.zeros(VOCAB.size), VOCAB.bos)
+        rng = ScriptedRng([uniform_for(t, probs) for t in (1, 2, 3)])
+        assert uniform_policy(t_max=3).sample("d", 1.0, [rng]) == [[VOCAB.bos, 1, 2, 3, VOCAB.eos]]
+        assert len(softmax_rows) == 3 and rng.uniforms == []
 
-    def test_temperature_sharpening(self):
+    def test_temperature_sharpening(self, softmax_rows):
         policy = uniform_policy()
         adjust(policy, "d", (VOCAB.bos, VOCAB.bos), 0, +1.0)
-        rng = ScriptedRng([VOCAB.eos])
-        policy.sample("d", 0.5, rng)
-        (probs,) = rng.probs
+        rng = ScriptedRng([0.999])  # EOS, the last token, has p = 1 / (e^2 + 16) > 0.001
+        assert policy.sample("d", 0.5, [rng]) == [[VOCAB.bos, VOCAB.eos]]
+        (probs,) = softmax_rows
         # Proportional to (e^2, 1, ..., 1) over the 17 emittable tokens.
         expected0 = math.exp(2) / (math.exp(2) + 16)
         assert probs[0] == pytest.approx(expected0, rel=1e-12)
@@ -210,7 +240,7 @@ class TestStepDistribution:
             for tau in (0.0, -1.0, float("nan")):
                 rng = np.random.default_rng(0)
                 with pytest.raises(ValueError, match="temperature must be > 0"):
-                    sampler.sample("d", tau, rng)
+                    sampler.sample("d", tau, [rng])
                 assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
@@ -218,8 +248,7 @@ class TestSample:
     def test_always_well_formed(self):
         rng = np.random.default_rng(0)
         policy = random_policy(rng)
-        for seed in range(30):
-            seq = policy.sample("dut", 1.3, np.random.default_rng(seed))
+        for seq in policy.sample("dut", 1.3, [np.random.default_rng(seed) for seed in range(30)]):
             assert seq[0] == VOCAB.bos and seq[-1] == VOCAB.eos
             interior = seq[1:-1]
             assert all(0 <= t < VOCAB.n_values for t in interior)
@@ -227,8 +256,8 @@ class TestSample:
 
     def test_determinism(self):
         policy = uniform_policy()
-        s1 = policy.sample("d", 1.0, np.random.default_rng(7))
-        s2 = policy.sample("d", 1.0, np.random.default_rng(7))
+        s1 = policy.sample("d", 1.0, [np.random.default_rng(7)])
+        s2 = policy.sample("d", 1.0, [np.random.default_rng(7)])
         assert s1 == s2
 
     def test_argmax_limit(self):
@@ -237,8 +266,8 @@ class TestSample:
         policy = uniform_policy(t_max=4)
         for ctx in ((VOCAB.bos, VOCAB.bos), (VOCAB.bos, 5), (5, 5)):
             adjust(policy, "d", ctx, 5, +3.0)
-        seq = policy.sample("d", 1e-3, np.random.default_rng(1))
-        assert seq == [VOCAB.bos, 5, 5, 5, 5, VOCAB.eos]
+        seqs = policy.sample("d", 1e-3, [np.random.default_rng(1)])
+        assert seqs == [[VOCAB.bos, 5, 5, 5, 5, VOCAB.eos]]
 
     @pytest.mark.parametrize("t_max", [1, 2, 3, 8])
     def test_one_draw_per_sampled_token(self, t_max):
@@ -250,13 +279,77 @@ class TestSample:
                     NoveltyTeacher(VOCAB, t_max))
         forced = 0
         for sampler in samplers:
-            for seed in range(40):
-                rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
-                seq = sampler.sample("d", 1.0, rng)
+            rngs = [np.random.default_rng(seed) for seed in range(40)]
+            for seed, rng, seq in zip(range(40), rngs, sampler.sample("d", 1.0, rngs)):
+                twin = np.random.default_rng(seed)
                 twin.random(draws_spent(seq, t_max))
                 assert rng.bit_generator.state == twin.bit_generator.state, (sampler, seed)
                 forced += len(seq) - 2 == t_max
         assert forced > 0
+
+
+class TestLockstepDraw:
+    def test_draw_is_rng_choice(self):
+        # numpy's Generator.choice(V, p=p): the same token and the same
+        # generator state after it, over 4,000 seeds.  A numpy upgrade that
+        # changes either one fails here.
+        maker = np.random.default_rng(2024)
+        for wmax in (1, 2, 3, 4):
+            size, n = Vocab(wmax).size, 1000
+            probs = maker.random((n, size)) * (maker.random((n, size)) < 0.6)
+            probs[:size] = np.eye(size)  # all mass on one token, first to last
+            probs[probs.sum(axis=1) == 0, maker.integers(0, size)] = 1.0
+            probs /= probs.sum(axis=1, keepdims=True)
+            seeds = range(1000 * wmax, 1000 * wmax + n)
+            rngs = [np.random.default_rng(seed) for seed in seeds]
+            tokens = draw_tokens(probs, rngs)
+            for seed, rng, p, token in zip(seeds, rngs, probs, tokens.tolist()):
+                twin = np.random.default_rng(seed)
+                assert token == twin.choice(size, p=p), (wmax, seed)
+                assert rng.bit_generator.state == twin.bit_generator.state, (wmax, seed)
+
+    def test_rows_equal_one_row_softmax(self):
+        rng = np.random.default_rng(21)
+        for wmax in (1, 2, 3, 4):
+            vocab = Vocab(wmax)
+            z = rng.normal(0, 5, (500, vocab.size)) * rng.choice([1e-3, 1.0, 40.0], (500, 1))
+            masked = rng.random(z.shape) < 0.2
+            masked[:, 0] = False  # a finite logit on a token that is not BOS
+            z[masked] = -np.inf
+            rows = masked_softmax(z.copy(), vocab.bos)
+            for row, logits in zip(rows, z):
+                assert (row == masked_softmax(logits.copy(), vocab.bos)).all()
+                assert (row == one_row_softmax(logits, vocab.bos)).all()
+
+    @pytest.mark.parametrize("t_max", [1, 3, 8])
+    @pytest.mark.parametrize("tau", [0.7, 1.2])
+    def test_policy_batch_matches_per_sequence_choice_loop(self, t_max, tau):
+        # One batch over 50 generators: each row's sequence and generator
+        # state are those of a loop that draws it alone with rng.choice.
+        policy = random_policy(np.random.default_rng(t_max), t_max=t_max, n_contexts=60)
+        for j in range(4):
+            set_logits(policy, "dut", (VOCAB.bos, VOCAB.bos), np.linspace(-j, j, VOCAB.size))
+            rngs = [np.random.default_rng([j, seed]) for seed in range(50)]
+            for seed, rng, seq in zip(range(50), rngs, policy.sample("dut", tau, rngs)):
+                twin = np.random.default_rng([j, seed])
+                assert seq == reference_sample(policy, "dut", tau, twin)
+                assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("logits", [
+        np.where(np.arange(VOCAB.size) == 3, 1e300, 0.0),  # +inf / inf after the division
+        np.full(VOCAB.size, -1e300),  # every logit -inf: 0 / 0
+    ], ids=["one_logit_1e300", "all_logits_-1e300"])
+    def test_nan_probabilities_raise(self, logits):
+        policy = uniform_policy()
+        set_logits(policy, "d", (VOCAB.bos, VOCAB.bos), logits)
+        rng = np.random.default_rng(0)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="contain NaN"):
+            policy.sample("d", 1e-10, [np.random.default_rng(1), rng])
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    def test_empty_batch(self):
+        assert uniform_policy().sample("d", 1.0, []) == []
+        assert NoveltyTeacher(VOCAB, 8).sample("d", 1.0, []) == []
 
 
 class TestLogProb:
@@ -275,7 +368,7 @@ class TestLogProb:
     def test_boost_increases_log_prob(self):
         rng = np.random.default_rng(2)
         policy = random_policy(rng)
-        seq = policy.sample("dut", 1.0, np.random.default_rng(3))
+        (seq,) = policy.sample("dut", 1.0, [np.random.default_rng(3)])
         before = policy.log_prob("dut", seq)[0]
         boosted = policy.copy()
         for j in range(1, len(seq)):
@@ -436,7 +529,7 @@ class TestGradLogProb:
     def test_entries_sum_to_zero_per_context(self):
         rng = np.random.default_rng(4)
         policy = random_policy(rng)
-        seq = policy.sample("dut", 1.0, np.random.default_rng(5))
+        (seq,) = policy.sample("dut", 1.0, [np.random.default_rng(5)])
         if len(seq) == 2:
             seq = [VOCAB.bos, 0, VOCAB.eos]
         for vec in seq_grad(policy, "dut", seq).values():
@@ -447,7 +540,7 @@ class TestGradLogProb:
         for trial in range(5):
             rng = np.random.default_rng(100 + trial)
             policy = random_policy(rng)
-            seq = policy.sample("dut", 1.0, np.random.default_rng(200 + trial))
+            (seq,) = policy.sample("dut", 1.0, [np.random.default_rng(200 + trial)])
             if len(seq) == 2:
                 continue
             grad = seq_grad(policy, "dut", seq)
@@ -481,8 +574,7 @@ class TestSequenceDistribution:
         n = 100_000
         sample_rng = np.random.default_rng(99)
         counts = {(0,): 0, (1,): 0}
-        for _ in range(n):
-            seq = policy.sample("dut", 1.0, sample_rng)
+        for seq in policy.sample("dut", 1.0, [sample_rng] * n):
             interior = tuple(seq[1:-1])
             if interior in counts:
                 counts[interior] += 1
@@ -497,8 +589,7 @@ class TestReferencePolicy:
         rng = np.random.default_rng(8)
         policy = random_policy(rng)
         ref = ReferencePolicy(policy)
-        for seed in range(10):
-            seq = policy.sample("dut", 1.0, np.random.default_rng(seed))
+        for seq in policy.sample("dut", 1.0, [np.random.default_rng(seed) for seed in range(10)]):
             assert ref.log_prob("dut", seq) == policy.log_prob("dut", seq)
 
     def test_snapshot_is_independent_of_later_updates(self):

@@ -271,7 +271,10 @@ def _random_body(rng, budget: int, nest: int) -> str:
 
 
 def random_design(seed: int):
-    """A lint-clean design over every operator, and a stimulus for it."""
+    """A design over every operator, lint-clean but for ``assign`` to a reg, and a stimulus.
+
+    ``simulate`` does not lint, and its ``assign`` to a reg must still match the oracle.
+    """
     rng = random.Random(seed)
     width = {n: rng.randint(1, 16) for _, n in _DECLS}
     ports = ", ".join(f"{kind} {n}[{width[n]}]" for kind, n in _DECLS
@@ -301,7 +304,7 @@ class TestCompiled:
     def test_compiled_matches_oracle(self, seed):
         text, cycles = random_design(seed)
         dut = parse(text)
-        assert lint(dut) == []
+        assert {issue.kind for issue in lint(dut)} <= {"assign_to_reg"}
         report = simulate(dut, Stimulus(tuple(cycles)))
         assert counts(report) == oracle_simulate(dut, cycles)
         assert report.cycles_run == len(cycles)

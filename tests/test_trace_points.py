@@ -6,7 +6,7 @@ and not only when the traced benchmark runs.
 
 from pathlib import Path
 
-from covstim import cli, policy, sim
+from covstim import cli, corpus, curation, policy, sim
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -42,3 +42,21 @@ def test_demo_records_every_required_span(monkeypatch, tmp_path):
     finally:
         tracer.uninstall()
     layers.per_layer_metrics("demo", tracer)
+
+
+def test_curate_records_every_required_span(monkeypatch, tmp_path):
+    """A change that routes curation around a traced function fails here."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    from spans import Tracer
+
+    tracer = Tracer()
+    try:
+        layers.install(tracer)
+        designs = corpus.load_bundled_corpus()
+        config = curation.CurationConfig(pairs_per_dut=20, teacher="novelty", seed=3)
+        stats = curation.curate(designs, config, tmp_path / "pairs.jsonl")
+    finally:
+        tracer.uninstall()
+    metrics = layers.per_layer_metrics("curate", tracer)
+    assert metrics["curation.make_pair.calls"][0] == stats.attempted == 20 * len(designs)

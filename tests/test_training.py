@@ -28,7 +28,7 @@ from covstim.training import (
     train,
 )
 
-from policy_helpers import adjust, norm, pair_grad, set_logits, sft_grad
+from policy_helpers import adjust, logits, norm, pair_grad, set_logits, sft_grad
 from reference_trainer import reference_train
 
 VOCAB = Vocab(4)
@@ -75,8 +75,7 @@ class TestImplicitReward:
     def test_zero_at_reference(self):
         policy = random_policy(np.random.default_rng(0))
         ref = ReferencePolicy(policy)
-        for seed in range(5):
-            seq = policy.sample("dut", 1.0, np.random.default_rng(seed))
+        for seq in policy.sample("dut", 1.0, [np.random.default_rng(seed) for seed in range(5)]):
             assert reward(policy, ref, seq) == 0.0
 
     def test_boost_gives_positive_reward(self):
@@ -91,7 +90,7 @@ class TestImplicitReward:
         rng = np.random.default_rng(1)
         theta = random_policy(rng)
         ref = ReferencePolicy(random_policy(rng))
-        seq = theta.sample("dut", 1.0, np.random.default_rng(2))
+        (seq,) = theta.sample("dut", 1.0, [np.random.default_rng(2)])
         expected = theta.log_prob("dut", seq)[0] - ref.log_prob("dut", seq)[0]
         assert reward(theta, ref, seq) == pytest.approx(expected, abs=1e-15)
 
@@ -246,7 +245,7 @@ class TestPairGradient:
         r_l = reward(theta, ref, pair.rejected)
         assert r_l > r_w
         for (dut_id, ctx), vec in pair_grad(theta, pair, dpo_loss(theta, ref, pair, 0.2)).items():
-            set_logits(theta, dut_id, ctx, theta.logits(dut_id, ctx) - 0.1 * vec)
+            set_logits(theta, dut_id, ctx, logits(theta, dut_id, ctx) - 0.1 * vec)
         r_w2 = reward(theta, ref, pair.chosen)
         r_l2 = reward(theta, ref, pair.rejected)
         assert r_w2 - r_l2 > r_w - r_l
@@ -349,6 +348,14 @@ class TestTrain:
         pairs = [random_pair(np.random.default_rng(980 + i)) for i in range(4)]
         config = TrainConfig(mode="SFT", learning_rate=1e308, epochs=2, batch_size=2)
         with pytest.raises(TrainingError, match="non-finite loss inf at epoch 0"):
+            train(pairs, config, TabularPolicy(VOCAB))
+
+    @pytest.mark.parametrize("mode", ["SFT", "DPO", "CDDPO"])
+    def test_diverged_run_rejected(self, mode):
+        # One batch an epoch: epoch 0's loss is finite, its update is not.
+        pairs = [random_pair(np.random.default_rng(980 + i)) for i in range(4)]
+        config = TrainConfig(mode=mode, learning_rate=1e300, epochs=2, batch_size=4, beta=1.0)
+        with pytest.raises(TrainingError, match="training diverged at epoch 0: update norm inf"):
             train(pairs, config, TabularPolicy(VOCAB))
 
     def test_empty_dataset_rejected(self):
