@@ -9,7 +9,7 @@ best@N coverage and runs the four-way ablation.
 
 from .codec import CodecError, Vocab, encode, validate_and_decode
 from .curation import CurationConfig, DropReason, PairRecord, curate, load_dataset, make_pair
-from .evaluation import AblationTable, EvalReport, ablate, eval_policy
+from .evaluation import AblationTable, EvalConfig, EvalReport, ablate, eval_policy
 from .hdl import DutModel, LintIssue, ParseError, lint, parse, pretty_print
 from .policy import ReferencePolicy, Steps, TabularPolicy
 from .sim import CoverageReport, SimulationError, Stimulus, average_score, simulate
@@ -29,7 +29,7 @@ from .training import (
 
 __all__ = [
     "AblationTable", "CodecError", "CoverageReport", "CurationConfig",
-    "DropReason", "DutModel", "EvalReport", "LintIssue", "LossBreakdown",
+    "DropReason", "DutModel", "EvalConfig", "EvalReport", "LintIssue", "LossBreakdown",
     "PairRecord", "ParseError", "PreferencePair", "ReferencePolicy",
     "SimulationError", "Steps", "Stimulus", "TabularPolicy",
     "TrainConfig", "TrainingError", "Vocab", "ablate", "average_score",

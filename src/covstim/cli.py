@@ -9,27 +9,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from .codec import Vocab, validate_and_decode
 from .corpus import load_bundled_corpus, load_corpus_dir
 from .curation import CurationConfig, curate, load_dataset
-from .evaluation import ablate, eval_policy, write_ablation
+from .evaluation import EvalConfig, ablate, eval_policy, write_ablation
 from .hdl import ParseError, lint, parse
-from .policy import TabularPolicy, check_positive, parse_json
+from .policy import TabularPolicy, parse_json
 from .sim import SimulationError, Stimulus, simulate
 from .training import TrainConfig, TrainingError, train
-
-
-# Shipped demo defaults.  The tabular policy starts uniform, so the
-# preference modes need a larger step budget than TrainConfig's generic
-# defaults to move the logits meaningfully within the demo's time budget.
-DEFAULT_CURATION = {"tau1": 0.7, "tau2": 1.2, "pairs_per_dut": 400,
-                    "teacher": "novelty", "seed": 42}
-DEFAULT_TRAIN = {"mode": "CDDPO", "beta": 0.2, "f_variant": "identity_clamp",
-                 "learning_rate": 4.0, "epochs": 120, "batch_size": 16, "seed": 42}
-DEFAULT_EVAL = {"n": 20, "tau": 1.0, "seed": 42}
 
 
 def _check_fields(prefix: str, values, defaults: dict) -> None:
@@ -57,57 +47,47 @@ def _check_fields(prefix: str, values, defaults: dict) -> None:
                              f"{type(value).__name__}")
 
 
-@dataclass
+# Set at a config file's top level, held by CurationConfig.
+_TOP_LEVEL_CURATION = ("wmax", "t_max", "k")
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """The run configuration: paths, then one typed section per stage.
+
+    Each default lives on its section's dataclass, for the library and the CLI.
+    """
+
     corpus_dir: str | None = None  # None -> bundled corpus
     report_dir: str = "report"
     dataset_file: str = "pairs.jsonl"
-    wmax: int = 4
-    t_max: int = 8
-    k: int = 2
-    # A section holds overrides only: an omitted field takes its DEFAULT_* value.
-    curation: dict = field(default_factory=dict)
-    train: dict = field(default_factory=dict)
-    eval: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        # The top level sets CurationConfig's t_max, wmax and k.
-        curation = {k: v for k, v in vars(CurationConfig()).items()
-                    if k not in ("t_max", "wmax", "k")}
-        _check_fields("curation.", self.curation, curation)
-        _check_fields("train.", self.train, vars(TrainConfig()))
-        _check_fields("eval.", self.eval, DEFAULT_EVAL)
-        # Built here so that value errors surface before any stage runs.
-        self.curation_config()
-        self.train_config()
-        n, tau, _ = self.eval_settings()
-        if n < 1:
-            raise ValueError(f"eval.n must be >= 1, got {n}")
-        check_positive("eval.tau", tau)
+    curation: CurationConfig = field(default_factory=CurationConfig)
+    train: TrainConfig = field(default_factory=TrainConfig)
+    eval: EvalConfig = field(default_factory=EvalConfig)
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
+        """Check every field of a config file, then build each section once.
+
+        The top-level wmax, t_max and k go into ``curation``.
+        """
         with open(path, encoding="utf-8") as fh:
             doc = parse_json(fh.read(), path)
-        _check_fields("", doc, vars(cls()))
-        return cls(**doc)
+        defaults = asdict(cls())
+        top_level = {key: defaults["curation"].pop(key) for key in _TOP_LEVEL_CURATION}
+        _check_fields("", doc, {**defaults, **top_level})
+        for name in ("curation", "train", "eval"):
+            _check_fields(f"{name}.", doc.get(name, {}), defaults[name])
+        curation = {key: doc.pop(key) for key in _TOP_LEVEL_CURATION if key in doc}
+        curation.update(doc.pop("curation", {}))
+        train, evaluation = doc.pop("train", {}), doc.pop("eval", {})
+        return cls(**doc, curation=CurationConfig(**curation), train=TrainConfig(**train),
+                   eval=EvalConfig(**evaluation))
 
     def load_corpus(self):
         if self.corpus_dir is None:
             return load_bundled_corpus()
         return load_corpus_dir(self.corpus_dir)
-
-    def curation_config(self) -> CurationConfig:
-        return CurationConfig(t_max=self.t_max, wmax=self.wmax, k=self.k,
-                              **{**DEFAULT_CURATION, **self.curation})
-
-    def train_config(self, mode: str | None = None) -> TrainConfig:
-        config = TrainConfig(**{**DEFAULT_TRAIN, **self.train})
-        return config if mode is None else replace(config, mode=mode)
-
-    def eval_settings(self) -> tuple[int, float, int]:
-        settings = {**DEFAULT_EVAL, **self.eval}
-        return settings["n"], settings["tau"], settings["seed"]
 
     def dataset_path(self) -> Path:
         return Path(self.report_dir) / self.dataset_file
@@ -175,7 +155,7 @@ def cmd_simulate(args) -> int:
 
 
 def _curate_with_stats(config: ExperimentConfig, corpus):
-    stats = curate(corpus, config.curation_config(), config.dataset_path())
+    stats = curate(corpus, config.curation, config.dataset_path())
     _write_json(Path(config.report_dir) / "curation_stats.json", stats.to_dict())
     return stats
 
@@ -192,10 +172,8 @@ def cmd_curate(args) -> int:
 
 
 def _train_one(config: ExperimentConfig, mode: str | None, dataset):
-    vocab = Vocab(config.wmax)
-    init = TabularPolicy(vocab, config.k, config.t_max)
-    train_config = config.train_config(mode)
-    result = train(dataset, train_config, init)
+    train_config = config.train if mode is None else replace(config.train, mode=mode)
+    result = train(dataset, train_config, config.curation.uniform_policy())
     _save_trained(Path(config.report_dir), train_config.mode.lower(),
                   result.policy, result.history)
     return train_config.mode, result
@@ -213,27 +191,21 @@ def cmd_eval(args) -> int:
     config = _load_config(args)
     corpus = config.load_corpus()
     policy = TabularPolicy.load(args.checkpoint)
-    policy.check_settings(config.wmax, config.k, config.t_max)
-    vocab = Vocab(config.wmax)
-    n, tau, seed = config.eval_settings()
-    reports = [eval_policy(policy, dut, n, tau, seed, vocab, config.t_max)
-               for dut in corpus]
+    policy.check_settings(config.curation)
+    reports = [eval_policy(policy, dut, config.eval) for dut in corpus]
     report_dir = Path(config.report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
     _write_json(report_dir / "eval.json", [r.to_dict() for r in reports])
     for r in reports:
-        print(f"{r.dut}: mean@{n} avg {r.mean['average']:.4f}, "
-              f"best@{n} avg {r.best['average']:.4f}")
+        print(f"{r.dut}: mean@{r.n} avg {r.mean['average']:.4f}, "
+              f"best@{r.n} avg {r.best['average']:.4f}")
     return 0
 
 
 def _run_ablation(config: ExperimentConfig, dataset):
     corpus = config.load_corpus()
-    vocab = Vocab(config.wmax)
-    n, tau, seed = config.eval_settings()
-    base = config.train_config()
-    table, policies = ablate(corpus, dataset, base, n, seed, vocab,
-                             config.k, config.t_max, tau_eval=tau)
+    table, policies = ablate(corpus, dataset, config.train, config.eval,
+                             config.curation.uniform_policy())
     report_dir = Path(config.report_dir)
     report_dir.mkdir(parents=True, exist_ok=True)
     write_ablation(table, report_dir / "ablation.csv")
@@ -285,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--stim", help="comma-separated value tokens, e.g. '1,0'")
     group.add_argument("--cycles", help="semicolon-separated cycles, e.g. 'a=1;a=0'")
-    p.add_argument("--wmax", type=int, default=4)
-    p.add_argument("--t-max", type=int, default=8, dest="t_max")
+    p.add_argument("--wmax", type=int, default=CurationConfig.wmax)
+    p.add_argument("--t-max", type=int, default=CurationConfig.t_max, dest="t_max")
     p.set_defaults(func=cmd_simulate)
 
     for name, func, extra in (

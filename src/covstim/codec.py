@@ -14,15 +14,12 @@ from dataclasses import dataclass
 from .hdl import MAX_WIDTH, DutModel
 from .sim import Stimulus
 
-DEFAULT_WMAX = 4
-DEFAULT_T_MAX = 8
-
 
 @dataclass(frozen=True)
 class Vocab:
     """Global token ids: values 0..2^wmax-1, then BOS, then EOS."""
 
-    wmax: int = DEFAULT_WMAX
+    wmax: int = 4
 
     def __post_init__(self):
         if not 1 <= self.wmax <= MAX_WIDTH:

@@ -23,7 +23,6 @@ from .sim import CoverageReport, average_score, simulate
 from .training import PreferencePair
 
 DATASET_VERSION = "pairanet_mini/1"
-TEACHERS = ("uniform", "novelty")
 # Pairs of one design sampled in lockstep by one pair of sampler calls.  The
 # output does not depend on it; it bounds the generators and sequences held
 # at once.
@@ -34,9 +33,9 @@ PAIR_BLOCK = 256
 class CurationConfig:
     tau1: float = 0.7
     tau2: float = 1.2
-    pairs_per_dut: int = 200
+    pairs_per_dut: int = 400
     teacher: str = "novelty"  # 'uniform' | 'novelty' | checkpoint path
-    seed: int = 0
+    seed: int = 42
     t_max: int = 8
     wmax: int = 4
     k: int = 2
@@ -48,7 +47,11 @@ class CurationConfig:
             raise ValueError("tau1 and tau2 must be distinct")
         if self.pairs_per_dut < 1:
             raise ValueError("pairs_per_dut must be >= 1")
-        TabularPolicy(Vocab(self.wmax), self.k, self.t_max)  # checks the three ranges
+        self.uniform_policy()  # checks wmax, k and t_max
+
+    def uniform_policy(self) -> TabularPolicy:
+        """The all-zero policy under this run's wmax, k and t_max."""
+        return TabularPolicy(Vocab(self.wmax), self.k, self.t_max)
 
 
 class NoveltyTeacher:
@@ -81,13 +84,12 @@ class NoveltyTeacher:
 
 
 def make_teacher(config: CurationConfig):
-    vocab = Vocab(config.wmax)
     if config.teacher == "uniform":
-        return TabularPolicy(vocab, config.k, config.t_max)
+        return config.uniform_policy()
     if config.teacher == "novelty":
-        return NoveltyTeacher(vocab, config.t_max)
+        return NoveltyTeacher(Vocab(config.wmax), config.t_max)
     policy = TabularPolicy.load(config.teacher)
-    policy.check_settings(config.wmax, config.k, config.t_max)
+    policy.check_settings(config)
     return policy
 
 
@@ -135,18 +137,22 @@ def _score_candidate(dut: DutModel, tokens, vocab: Vocab, t_max: int):
     return average_score(report), report
 
 
-def make_pair(dut: DutModel, seq_a, seq_b, tau1: float, tau2: float,
-              vocab: Vocab, t_max: int, pair_id: str = "", seed: int = 0,
-              teacher_name: str = "") -> Union[PairRecord, DropReason]:
-    """Score candidates seq_a (sampled at tau1) and seq_b (at tau2); label or drop the pair."""
-    score_a, report_a = _score_candidate(dut, seq_a, vocab, t_max)
-    score_b, report_b = _score_candidate(dut, seq_b, vocab, t_max)
+def make_pair(dut: DutModel, seq_a, seq_b, config: CurationConfig, pair_id: str,
+              prompt: str) -> Union[PairRecord, DropReason]:
+    """Score candidates seq_a (sampled at tau1) and seq_b (at tau2); label or drop the pair.
+
+    prompt is the design's source text, ``pretty_print(dut)``.
+    """
+    vocab = Vocab(config.wmax)
+    score_a, report_a = _score_candidate(dut, seq_a, vocab, config.t_max)
+    score_b, report_b = _score_candidate(dut, seq_b, vocab, config.t_max)
 
     if report_a is None and report_b is None:
         return DropReason("both_invalid")
     if score_a == score_b:
         return DropReason("tie")
 
+    tau1, tau2 = config.tau1, config.tau2
     if score_a > score_b:
         chosen, chosen_score, chosen_report, temp_chosen = seq_a, score_a, report_a, tau1
         rejected, rejected_score, rejected_report, temp_rejected = seq_b, score_b, report_b, tau2
@@ -159,7 +165,7 @@ def make_pair(dut: DutModel, seq_a, seq_b, tau1: float, tau2: float,
     return PairRecord(
         id=pair_id,
         dut=dut.name,
-        prompt=pretty_print(dut),
+        prompt=prompt,
         chosen=tuple(chosen),
         rejected=tuple(rejected),
         chosen_score=chosen_score,
@@ -167,7 +173,7 @@ def make_pair(dut: DutModel, seq_a, seq_b, tau1: float, tau2: float,
         chosen_cov=_cov_counts(chosen_report),
         rejected_cov=None if rejected_report is None else _cov_counts(rejected_report),
         meta={"temp_chosen": temp_chosen, "temp_rejected": temp_rejected,
-              "seed": seed, "teacher": teacher_name},
+              "seed": config.seed, "teacher": config.teacher},
     )
 
 
@@ -209,18 +215,14 @@ def curate(corpus, config: CurationConfig, out_path) -> CurationStats:
                            for name, issues in offenders)
         raise ValueError(f"corpus has lint issues: {detail}")
 
-    vocab = Vocab(config.wmax)
     teacher = make_teacher(config)
-    teacher_name = config.teacher
     stats = CurationStats()
 
     with open(out_path, "w", encoding="utf-8") as fh:
         for dut_i, dut in enumerate(corpus):
+            prompt = pretty_print(dut)
             for pair_i, seq_a, seq_b in _sampled_pairs(teacher, dut, dut_i, config):
-                result = make_pair(dut, seq_a, seq_b, config.tau1, config.tau2,
-                                   vocab, config.t_max,
-                                   pair_id=f"{dut.name}:{pair_i}",
-                                   seed=config.seed, teacher_name=teacher_name)
+                result = make_pair(dut, seq_a, seq_b, config, f"{dut.name}:{pair_i}", prompt)
                 stats.attempted += 1
                 if isinstance(result, DropReason):
                     if result.kind == "both_invalid":

@@ -6,13 +6,27 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .codec import CodecError, Vocab, validate_and_decode
-from .policy import TabularPolicy
+from .codec import CodecError, validate_and_decode
+from .policy import check_positive
 from .sim import average_score, simulate
 from .training import TrainConfig, train
 
 METRICS = ("statement", "branch", "functional", "average")
 ABLATION_POLICIES = ("vanilla", "sft", "dpo", "cddpo")
+
+
+@dataclass(frozen=True)
+class EvalConfig:
+    """N generations per design, sampled at temperature tau from seed."""
+
+    n: int = 20
+    tau: float = 1.0
+    seed: int = 42
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"eval.n must be >= 1, got {self.n}")
+        check_positive("eval.tau", self.tau)
 
 
 @dataclass
@@ -35,16 +49,18 @@ class EvalReport:
     to_dict = asdict
 
 
-def eval_policy(policy, dut, n: int, tau: float, seed: int,
-                vocab: Vocab, t_max: int) -> EvalReport:
-    """Score N independent generations; invalid ones count as zero coverage."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    report = EvalReport(dut=dut.name, n=n, tau=tau, seed=seed)
-    rngs = [np.random.default_rng([seed, gen_i]) for gen_i in range(n)]
-    for tokens in policy.sample(dut.name, tau, rngs):
+def eval_policy(policy, dut, config: EvalConfig) -> EvalReport:
+    """Score N independent generations; invalid ones count as zero coverage.
+
+    Generation i draws from its own generator ``[seed, i]`` and is decoded
+    under the policy's own ``vocab`` and ``t_max``.
+    """
+    n = config.n
+    report = EvalReport(dut=dut.name, n=n, tau=config.tau, seed=config.seed)
+    rngs = [np.random.default_rng([config.seed, gen_i]) for gen_i in range(n)]
+    for tokens in policy.sample(dut.name, config.tau, rngs):
         try:
-            stim = validate_and_decode(dut, tokens, vocab, t_max)
+            stim = validate_and_decode(dut, tokens, policy.vocab, policy.t_max)
         except CodecError:
             fractions = {m: 0.0 for m in METRICS}
             report.generations.append(Generation(tokens, False, fractions))
@@ -86,23 +102,22 @@ class AblationTable:
         raise KeyError((policy, dut, metric))
 
 
-def ablate(corpus, dataset, base_config: TrainConfig, n: int, seed: int,
-           vocab: Vocab, k: int, t_max: int,
-           tau_eval: float = 1.0) -> tuple[AblationTable, dict]:
-    """Train SFT / DPO / CD-DPO from one initial policy and evaluate all four.
+def ablate(corpus, dataset, train_config: TrainConfig, eval_config: EvalConfig,
+           init) -> tuple[AblationTable, dict]:
+    """Train SFT / DPO / CD-DPO from the initial policy init and evaluate all four.
 
-    Returns the table and the trained policies keyed by ablation row name.
+    init is the vanilla row.  Returns the table and the policies keyed by
+    ablation row name.
     """
-    init = TabularPolicy(vocab, k, t_max)
     policies = {"vanilla": init}
-    table = AblationTable(n=n, tau=tau_eval, seed=seed)
+    table = AblationTable(n=eval_config.n, tau=eval_config.tau, seed=eval_config.seed)
     for name, mode in (("sft", "SFT"), ("dpo", "DPO"), ("cddpo", "CDDPO")):
-        result = train(dataset, replace(base_config, mode=mode), init)
+        result = train(dataset, replace(train_config, mode=mode), init)
         policies[name] = result.policy
         table.histories[name] = result.history
     for name in ABLATION_POLICIES:
         for dut in corpus:
-            report = eval_policy(policies[name], dut, n, tau_eval, seed, vocab, t_max)
+            report = eval_policy(policies[name], dut, eval_config)
             for m in METRICS:
                 table.rows.append({"policy": name, "dut": dut.name, "metric": m,
                                    "mean": report.mean[m], "best": report.best[m]})

@@ -69,6 +69,8 @@ def sample_tokens(vocab: Vocab, t_max: int, tau: float, rngs,
     with ``draw_tokens`` from the softmax of its logits / tau over every
     token but BOS.  A sequence ends at a drawn EOS, or after the
     ``t_max``-th value token, where EOS is appended without a draw.
+    A row whose softmax is NaN because a logit / tau overflowed raises one
+    ValueError naming tau.
     """
     if not tau > 0:  # also refuses NaN
         raise ValueError(f"temperature must be > 0, got {tau}")
@@ -79,8 +81,14 @@ def sample_tokens(vocab: Vocab, t_max: int, tau: float, rngs,
     for j in range(1, t_max + 1):
         if not len(running):
             break
-        probs = masked_softmax(next_logits(tokens[running, :j]) / tau, vocab.bos)
-        drawn = draw_tokens(probs, [rngs[i] for i in running.tolist()])
+        # An overflowed row turns to NaN here, which draw_tokens refuses.
+        with np.errstate(over="ignore", invalid="ignore"):
+            probs = masked_softmax(next_logits(tokens[running, :j]) / tau, vocab.bos)
+        try:
+            drawn = draw_tokens(probs, [rngs[i] for i in running.tolist()])
+        except ValueError as err:
+            raise ValueError(f"{err} at temperature {tau}: a logit divided by it "
+                             f"is not a finite number") from None
         tokens[running, j] = drawn
         ended = drawn == vocab.eos
         lengths[running[ended]] = j + 1
@@ -245,16 +253,16 @@ class TabularPolicy:
 
     # -- persistence ------------------------------------------------------
 
-    def check_settings(self, wmax: int, k: int, t_max: int) -> None:
+    def check_settings(self, run) -> None:
         """Raise ValueError naming each setting that differs from the run's.
 
-        A policy under another ``wmax`` has other BOS/EOS ids, so its samples
-        would all fail decoding instead of failing loudly here.
+        run is the run's ``CurationConfig``, which holds ``wmax``, ``k`` and
+        ``t_max``.  A policy under another ``wmax`` has other BOS/EOS ids, so
+        its samples would all fail decoding instead of failing loudly here.
         """
-        wrong = [f"{name} {mine} (run config {theirs})"
-                 for name, mine, theirs in (("wmax", self.vocab.wmax, wmax),
-                                            ("k", self.k, k), ("t_max", self.t_max, t_max))
-                 if mine != theirs]
+        mine = {"wmax": self.vocab.wmax, "k": self.k, "t_max": self.t_max}
+        wrong = [f"{name} {value} (run config {getattr(run, name)})"
+                 for name, value in mine.items() if value != getattr(run, name)]
         if wrong:
             raise ValueError(f"checkpoint policy has {', '.join(wrong)}")
 

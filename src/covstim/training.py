@@ -49,10 +49,12 @@ class TrainConfig:
     mode: str = "CDDPO"
     beta: float = 0.2
     f_variant: str = "identity_clamp"
-    learning_rate: float = 0.5
-    epochs: int = 30
+    # Training starts from the uniform policy, so the preference modes need
+    # this large a step budget to move its logits.
+    learning_rate: float = 4.0
+    epochs: int = 120
     batch_size: int = 16
-    seed: int = 0
+    seed: int = 42
     ref_source: str = "initial_policy"  # or 'post_sft_policy'
 
     def __post_init__(self):

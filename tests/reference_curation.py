@@ -13,7 +13,7 @@ from dataclasses import asdict
 import numpy as np
 
 from covstim import curation
-from covstim.codec import Vocab
+from covstim.hdl import pretty_print
 from covstim.policy import masked_softmax
 
 from policy_helpers import logits
@@ -66,25 +66,22 @@ def reference_sample(teacher, dut_id, tau, rng) -> list[int]:
                                    lambda tokens: logits(teacher, dut_id, teacher._contexts(tokens)))
 
 
-def make_pair(dut, teacher, tau1, tau2, rng, vocab, t_max, **labels):
+def make_pair(dut, teacher, config, rng, pair_id):
     """One attempted pair: both sequences from rng, the tau1 one first."""
-    seq_a = reference_sample(teacher, dut.name, tau1, rng)
-    seq_b = reference_sample(teacher, dut.name, tau2, rng)
-    return curation.make_pair(dut, seq_a, seq_b, tau1, tau2, vocab, t_max, **labels)
+    seq_a = reference_sample(teacher, dut.name, config.tau1, rng)
+    seq_b = reference_sample(teacher, dut.name, config.tau2, rng)
+    return curation.make_pair(dut, seq_a, seq_b, config, pair_id, pretty_print(dut))
 
 
 def curate(corpus, config, out_path) -> dict:
     """Write the kept pairs one by one; return the count of each outcome."""
-    vocab = Vocab(config.wmax)
     teacher = curation.make_teacher(config)
     counts = {"kept": 0, "both_invalid": 0, "tie": 0}
     with open(out_path, "w", encoding="utf-8") as fh:
         for dut_i, dut in enumerate(corpus):
             for pair_i in range(config.pairs_per_dut):
                 rng = np.random.default_rng([config.seed, dut_i, pair_i])
-                result = make_pair(dut, teacher, config.tau1, config.tau2, rng, vocab,
-                                   config.t_max, pair_id=f"{dut.name}:{pair_i}",
-                                   seed=config.seed, teacher_name=config.teacher)
+                result = make_pair(dut, teacher, config, rng, f"{dut.name}:{pair_i}")
                 if isinstance(result, curation.DropReason):
                     counts[result.kind] += 1
                     continue

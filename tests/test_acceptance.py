@@ -15,7 +15,7 @@ import pytest
 
 from covstim.codec import Vocab
 from covstim.curation import CurationConfig, curate, load_dataset
-from covstim.evaluation import ablate, write_ablation
+from covstim.evaluation import EvalConfig, ablate, write_ablation
 from covstim.hdl import lint
 from covstim.policy import ReferencePolicy, TabularPolicy
 from covstim.sim import Stimulus, simulate
@@ -220,8 +220,8 @@ def demo_run(corpus, tmp_path_factory):
     dataset = load_dataset(dataset_path)
     base = TrainConfig(mode="CDDPO", beta=0.2, learning_rate=4.0, epochs=120,
                        batch_size=16, seed=42)
-    table, policies = ablate(corpus, dataset, base, n=20, seed=42,
-                             vocab=VOCAB, k=2, t_max=T_MAX)
+    table, policies = ablate(corpus, dataset, base, EvalConfig(n=20, tau=1.0, seed=42),
+                             TabularPolicy(VOCAB, 2, T_MAX))
     return tmp, dataset_path, curation, dataset, base, table, policies
 
 
@@ -290,10 +290,10 @@ def test_criterion_8_determinism(corpus, demo_run, tmp_path):
     assert c1.read_bytes() == c2.read_bytes()
     # CSV report: repeating a (reduced-epoch) ablation reproduces the bytes.
     small = TrainConfig(**{**base.to_dict(), "epochs": 5})
-    table2, _ = ablate(corpus, dataset, small, n=4, seed=42,
-                       vocab=VOCAB, k=2, t_max=T_MAX)
-    table3, _ = ablate(corpus, dataset, small, n=4, seed=42,
-                       vocab=VOCAB, k=2, t_max=T_MAX)
+    table2, _ = ablate(corpus, dataset, small, EvalConfig(n=4, seed=42),
+                       TabularPolicy(VOCAB, 2, T_MAX))
+    table3, _ = ablate(corpus, dataset, small, EvalConfig(n=4, seed=42),
+                       TabularPolicy(VOCAB, 2, T_MAX))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_ablation(table2, p1)
     write_ablation(table3, p2)

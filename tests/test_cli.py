@@ -1,8 +1,11 @@
 import contextlib
+import importlib
 import io
 import json
 import os
 import tempfile
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,9 +15,14 @@ from hypothesis import strategies as st
 from covstim.cli import ExperimentConfig, main
 from covstim.codec import Vocab
 from covstim.corpus import BUNDLED_NAMES, bundled_source, load_bundled_corpus, load_corpus_dir
+from covstim.curation import CurationConfig
+from covstim.evaluation import EvalConfig
 from covstim.hdl import lint
 from covstim.policy import TabularPolicy
 from covstim.sim import Stimulus, simulate
+from covstim.training import TrainConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture
@@ -209,6 +217,21 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(deep) in err and "Traceback" not in err
 
+    def test_eval_overflowing_temperature_exits_one(self, tmp_path, capsys):
+        # 1e300 / 1e-10 overflows: one error naming the temperature, no numpy warning.
+        config, report_dir = small_config(tmp_path, eval={"n": 4, "tau": 1e-10, "seed": 42})
+        path = tmp_path / "huge.ckpt.json"
+        path.write_text(json.dumps({"version": "tabular_policy/1", "wmax": 4, "k": 2, "t_max": 8,
+                                    "table": [["toy1", [16, 16], [0.0, 1e300] + [0.0] * 16]]}))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["eval", "--config", config, "--checkpoint", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert [str(w.message) for w in caught] == []
+        assert len(err.splitlines()) == 1 and err.startswith("error: ") and "1e-10" in err
+        assert "RuntimeWarning" not in out + err and "Traceback" not in out + err
+        assert not (report_dir / "eval.json").exists()
+
     def test_demo_artifact_inventory(self, tmp_path, capsys):
         config, report_dir = small_config(tmp_path)
         assert main(["demo", "--config", config]) == 0
@@ -285,11 +308,10 @@ class TestPipelineCommands:
 
     @pytest.mark.parametrize("doc, expected", [
         ({"curation": {"seed": 7}},
-         lambda c: (c.curation_config().pairs_per_dut, c.curation_config().seed) == (400, 7)),
+         lambda c: (c.curation.pairs_per_dut, c.curation.seed) == (400, 7)),
         ({"train": {"epochs": 3}},
-         lambda c: (c.train_config().learning_rate, c.train_config().seed,
-                    c.train_config().epochs) == (4.0, 42, 3)),
-        ({"eval": {"n": 3}}, lambda c: c.eval_settings() == (3, 1.0, 42)),
+         lambda c: (c.train.learning_rate, c.train.seed, c.train.epochs) == (4.0, 42, 3)),
+        ({"eval": {"n": 3}}, lambda c: (c.eval.n, c.eval.tau, c.eval.seed) == (3, 1.0, 42)),
     ])
     def test_omitted_fields_take_shipped_defaults(self, tmp_path, doc, expected):
         path = tmp_path / "config.json"
@@ -315,11 +337,30 @@ class TestPipelineCommands:
         assert err.startswith("error: ") and message in err and "Traceback" not in err
         assert not (report_dir / "sft.ckpt.json").exists()
 
+    @pytest.mark.parametrize("source", ["readme", "benchmark", "empty"])
+    def test_one_set_of_defaults(self, tmp_path, monkeypatch, source):
+        # The README's example and the benchmark's demo config spell out the
+        # shipped defaults; each must load as ExperimentConfig() does.
+        if source == "readme":
+            readme = (ROOT / "README.md").read_text(encoding="utf-8")
+            example = readme.split("### Config file", 1)[1].split("```json\n", 1)[1]
+            doc = json.loads(example.split("```", 1)[0])
+        elif source == "benchmark":
+            monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+            workloads = importlib.import_module("workloads")
+            doc = workloads.Demo(42, tmp_path).config(tmp_path / "report")
+        else:
+            doc = {}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        config = ExperimentConfig.from_file(path)
+        assert replace(config, report_dir=ExperimentConfig().report_dir) == ExperimentConfig()
+
     def test_default_config_values(self):
         config = ExperimentConfig()
-        assert config.eval_settings() == (20, 1.0, 42)
-        assert config.train_config().beta == 0.2
-        assert config.curation_config().pairs_per_dut >= 200
+        assert (config.eval.n, config.eval.tau, config.eval.seed) == (20, 1.0, 42)
+        assert config.train.beta == 0.2
+        assert config.curation.pairs_per_dut >= 200
 
 
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 10**6),
@@ -345,11 +386,11 @@ def test_any_json_config_raises_only_value_error(doc):
         path.write_text(json.dumps(doc))
         try:
             config = ExperimentConfig.from_file(path)
-            config.curation_config()
-            config.train_config()
-            config.eval_settings()
         except ValueError:
-            pass
+            return
+        # A config that loads holds its sections built and checked.
+        assert (type(config.curation), type(config.train), type(config.eval)) == (
+            CurationConfig, TrainConfig, EvalConfig)
 
 
 @given(_CONFIG)

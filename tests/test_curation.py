@@ -22,7 +22,7 @@ from covstim.curation import (
     make_pair,
     make_teacher,
 )
-from covstim.hdl import parse
+from covstim.hdl import parse, pretty_print
 from covstim.policy import TabularPolicy
 
 import reference_curation
@@ -74,8 +74,8 @@ _LINES = st.one_of(
 
 class TestMakePair:
     def _pair(self, toy1, seq_a, seq_b):
-        return make_pair(toy1, seq_a, seq_b, 0.7, 1.2, VOCAB, T_MAX,
-                         pair_id="toy1:0", seed=0, teacher_name="scripted")
+        config = CurationConfig(tau1=0.7, tau2=1.2, teacher="scripted", seed=0)
+        return make_pair(toy1, seq_a, seq_b, config, "toy1:0", pretty_print(toy1))
 
     def test_both_valid_higher_score_chosen(self, toy1):
         # [1,0] fully covers toy1 (score 1.0); [0] scores lower.

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from covstim.codec import Vocab
-from covstim.evaluation import ABLATION_POLICIES, METRICS, ablate, eval_policy, write_ablation
+from covstim.evaluation import (ABLATION_POLICIES, METRICS, EvalConfig, ablate, eval_policy,
+                                write_ablation)
 from covstim.policy import TabularPolicy
 from covstim.training import TrainConfig
 
@@ -16,6 +17,9 @@ T_MAX = 8
 
 class ScriptedPolicy:
     """Emits a fixed rotation of sequences regardless of rng."""
+
+    vocab = VOCAB
+    t_max = T_MAX
 
     def __init__(self, sequences):
         self.sequences = [list(s) for s in sequences]
@@ -31,7 +35,7 @@ class TestEvalPolicy:
     def test_mean_and_best_arithmetic(self, toy1):
         # Three generations with average scores 1.0, 5/9, 0 (invalid).
         policy = ScriptedPolicy([[BOS, 1, 0, EOS], [BOS, 1, EOS], [BOS, 3, EOS]])
-        report = eval_policy(policy, toy1, 3, 1.0, 0, VOCAB, T_MAX)
+        report = eval_policy(policy, toy1, EvalConfig(3, 1.0, 0))
         scores = [g.fractions["average"] for g in report.generations]
         assert scores == pytest.approx([1.0, 5 / 9, 0.0])
         assert report.mean["average"] == pytest.approx((1.0 + 5 / 9) / 3)
@@ -40,14 +44,14 @@ class TestEvalPolicy:
 
     def test_n1_mean_equals_best(self, toy1):
         policy = TabularPolicy(VOCAB, 2, T_MAX)
-        report = eval_policy(policy, toy1, 1, 1.0, 5, VOCAB, T_MAX)
+        report = eval_policy(policy, toy1, EvalConfig(1, 1.0, 5))
         for m in METRICS:
             assert report.mean[m] == report.best[m]
 
     def test_determinism(self, toy1):
         policy = TabularPolicy(VOCAB, 2, T_MAX)
-        r1 = eval_policy(policy, toy1, 10, 1.0, 42, VOCAB, T_MAX)
-        r2 = eval_policy(policy, toy1, 10, 1.0, 42, VOCAB, T_MAX)
+        r1 = eval_policy(policy, toy1, EvalConfig(10, 1.0, 42))
+        r2 = eval_policy(policy, toy1, EvalConfig(10, 1.0, 42))
         assert r1.to_dict() == r2.to_dict()
 
     def test_all_invalid_policy_scores_zero(self, toy1):
@@ -55,14 +59,14 @@ class TestEvalPolicy:
         policy = TabularPolicy(VOCAB, 2, T_MAX)
         for ctx in [(BOS, BOS), (BOS, 15), (15, 15)]:
             adjust(policy, "toy1", ctx, 15, 50.0)
-        report = eval_policy(policy, toy1, 20, 1.0, 0, VOCAB, T_MAX)
+        report = eval_policy(policy, toy1, EvalConfig(20, 1.0, 0))
         assert all(not g.valid for g in report.generations)
         for m in METRICS:
             assert report.mean[m] == 0.0 and report.best[m] == 0.0
 
     def test_best_non_decreasing_in_n(self, toy1):
         policy = TabularPolicy(VOCAB, 2, T_MAX)
-        reports = [eval_policy(policy, toy1, n, 1.0, 42, VOCAB, T_MAX)
+        reports = [eval_policy(policy, toy1, EvalConfig(n, 1.0, 42))
                    for n in (1, 5, 10, 20)]
         for m in METRICS:
             bests = [r.best[m] for r in reports]
@@ -70,7 +74,7 @@ class TestEvalPolicy:
 
     def test_best_at_least_mean(self, toy1):
         policy = TabularPolicy(VOCAB, 2, T_MAX)
-        report = eval_policy(policy, toy1, 20, 1.0, 3, VOCAB, T_MAX)
+        report = eval_policy(policy, toy1, EvalConfig(20, 1.0, 3))
         for m in METRICS:
             assert 0.0 <= report.mean[m] <= report.best[m] <= 1.0
 
@@ -80,13 +84,13 @@ class TestEvalPolicy:
         policy = TabularPolicy(VOCAB, 2, T_MAX)
         for ctx, token in (((BOS, BOS), 1), ((BOS, 1), 0), ((1, 0), EOS)):
             adjust(policy, "toy1", ctx, token, 2.0)
-        report = eval_policy(policy, toy1, 30, 0.8, 9, VOCAB, T_MAX)
+        report = eval_policy(policy, toy1, EvalConfig(30, 0.8, 9))
         assert [g.tokens for g in report.generations] == [
             reference_sample(policy, "toy1", 0.8, np.random.default_rng([9, i])) for i in range(30)]
 
     def test_rejects_bad_n(self, toy1):
         with pytest.raises(ValueError):
-            eval_policy(TabularPolicy(VOCAB), toy1, 0, 1.0, 0, VOCAB, T_MAX)
+            eval_policy(TabularPolicy(VOCAB), toy1, EvalConfig(0, 1.0, 0))
 
 
 @pytest.fixture(scope="module")
@@ -96,8 +100,8 @@ def small_ablation(corpus, tmp_path_factory):
     curate(corpus, CurationConfig(pairs_per_dut=60, teacher="novelty", seed=42), path)
     dataset = load_dataset(path)
     base = TrainConfig(mode="CDDPO", epochs=5, batch_size=16, seed=42)
-    table, policies = ablate(corpus, dataset, base, n=5, seed=42,
-                             vocab=VOCAB, k=2, t_max=T_MAX)
+    table, policies = ablate(corpus, dataset, base, EvalConfig(n=5, seed=42),
+                             TabularPolicy(VOCAB, 2, T_MAX))
     return corpus, dataset, base, table, policies
 
 
@@ -110,7 +114,7 @@ class TestAblate:
         corpus, _, _, table, policies = small_ablation
         fresh = TabularPolicy(VOCAB, 2, T_MAX)
         for dut in corpus:
-            report = eval_policy(fresh, dut, table.n, table.tau, table.seed, VOCAB, T_MAX)
+            report = eval_policy(fresh, dut, EvalConfig(table.n, table.tau, table.seed))
             for m in METRICS:
                 assert table.value("vanilla", dut.name, m, "mean") == report.mean[m]
                 assert table.value("vanilla", dut.name, m, "best") == report.best[m]
@@ -123,8 +127,8 @@ class TestAblate:
 
     def test_csv_reproducible(self, small_ablation, tmp_path):
         corpus, dataset, base, table, _ = small_ablation
-        table2, _ = ablate(corpus, dataset, base, n=5, seed=42,
-                           vocab=VOCAB, k=2, t_max=T_MAX)
+        table2, _ = ablate(corpus, dataset, base, EvalConfig(n=5, seed=42),
+                           TabularPolicy(VOCAB, 2, T_MAX))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         write_ablation(table, p1)
         write_ablation(table2, p2)

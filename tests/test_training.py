@@ -346,7 +346,7 @@ class TestTrain:
 
     def test_non_finite_loss_rejected(self):
         pairs = [random_pair(np.random.default_rng(980 + i)) for i in range(4)]
-        config = TrainConfig(mode="SFT", learning_rate=1e308, epochs=2, batch_size=2)
+        config = TrainConfig(mode="SFT", learning_rate=1e308, epochs=2, batch_size=2, seed=0)
         with pytest.raises(TrainingError, match="non-finite loss inf at epoch 0"):
             train(pairs, config, TabularPolicy(VOCAB))
 
