@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -123,6 +124,10 @@ def cmd_lint(args) -> int:
     return 0 if not issues else 1
 
 
+# One ``name=integer`` part of a ``--cycles`` cycle.
+_CYCLE_PART = re.compile(r"\s*([^\W\d]\w*)\s*=\s*(-?[0-9]+)\s*")
+
+
 def cmd_simulate(args) -> int:
     dut = _read_design(args.file)
     issues = lint(dut)
@@ -142,11 +147,17 @@ def cmd_simulate(args) -> int:
         stim = validate_and_decode(dut, tokens, vocab, args.t_max)
     else:
         cycles = []
-        for chunk in args.cycles.split(";"):
+        for cycle_no, chunk in enumerate(args.cycles.split(";")):
             cycle = {}
             for part in chunk.split(","):
-                name, _, value = part.partition("=")
-                cycle[name.strip()] = int(value)
+                match = _CYCLE_PART.fullmatch(part)
+                if match is None:
+                    raise ValueError(f"--cycles: cycle {cycle_no}: expected name=integer, "
+                                     f"got {part.strip()!r}")
+                name, value = match.groups()
+                if name in cycle:
+                    raise ValueError(f"--cycles: cycle {cycle_no}: port {name!r} given twice")
+                cycle[name] = int(value)
             cycles.append(cycle)
         stim = Stimulus(tuple(cycles))
     report = simulate(dut, stim)

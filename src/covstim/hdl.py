@@ -20,7 +20,7 @@ MAX_WIDTH = 16
 # most conditionals nested in one another, that parse accepts.  Every walker
 # over a model (lint, pretty_print, and sim's compiler) recurses once per
 # level, so the bound keeps them far from Python's recursion limit; the
-# compiled cycle function nests at most two parentheses per operator and
+# compiled cycle function nests at most three parentheses per operator and
 # one indent per conditional, well inside CPython's limits of 200 and 100.
 # The simulation itself does not recurse.  Parentheses and unary operators
 # open at once are bounded by 2 * MAX_DEPTH, which bounds the parser's own

@@ -10,34 +10,22 @@ the end of item evaluation, before registers latch.  All arithmetic is
 
 Each design is compiled once, by :func:`cycle_source`, into the source of
 one Python function that runs a whole stimulus; ``DutModel.compiled``
-caches it.  Nothing recurses or dispatches on node types at simulation
-time.
+caches it.  The function computes each subexpression only to the bits that
+its consumer reads, and it counts coverage once, after the last cycle: a
+statement by the arm that holds it, a bin by the values its signal took.
+Nothing recurses or dispatches on node types at simulation time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .hdl import Assign, Const, DutModel, Expr, Ident, UnOp
+from .hdl import MAX_WIDTH, Assign, BinOp, Const, DutModel, Expr, Ident, UnOp
 
 _MASK64 = (1 << 64) - 1
-# Python source of each binary operator; shifts get their right operand
-# already clamped to 63.
-_BINARY = {
-    "|": "({a} | {b})",
-    "^": "({a} ^ {b})",
-    "&": "({a} & {b})",
-    "==": "(1 if {a} == {b} else 0)",
-    "!=": "(1 if {a} != {b} else 0)",
-    "<": "(1 if {a} < {b} else 0)",
-    ">": "(1 if {a} > {b} else 0)",
-    "+": f"(({{a}} + {{b}}) & {_MASK64})",
-    "-": f"(({{a}} - {{b}}) & {_MASK64})",
-    "<<": f"(({{a}} << {{b}}) & {_MASK64})",
-    ">>": "({a} >> {b})",
-}
+_COMPARE = ("==", "!=", "<", ">")
 _FILENAME = "<covstim cycle function>"
 
 
@@ -79,15 +67,15 @@ class CoverageReport:
     branch: MetricCount
     functional: MetricCount
     cycles_run: int
+    # Unweighted mean over metrics with a nonzero total; 0 if none.  Set
+    # once, on construction.
+    average: float = field(init=False, compare=False)
 
-    @property
-    def average(self) -> float:
-        """Unweighted mean over metrics with a nonzero total; 0 if none."""
+    def __post_init__(self):
         active = [m.as_fraction() for m in (self.statement, self.branch, self.functional)
                   if m.total > 0]
-        if not active:
-            return 0.0
-        return float(sum(active, Fraction(0)) / len(active))
+        average = float(sum(active, Fraction(0)) / len(active)) if active else 0.0
+        object.__setattr__(self, "average", average)
 
     def to_dict(self) -> dict:
         return {
@@ -107,14 +95,29 @@ def average_score(report: CoverageReport) -> float:
     return report.average
 
 
+def _ones(bound: int) -> int:
+    """The least ``2**k - 1`` at or above ``bound``: a bound on ``a | b`` and ``a ^ b``."""
+    return (1 << bound.bit_length()) - 1
+
+
+def _sum(terms: list[str]) -> str:
+    return " + ".join(terms) or "0"
+
+
 class _Compiler:
-    """Emits the source of ``run(inputs, s, b, c)`` for one design.
+    """Emits the source of ``run(inputs)`` for one design.
 
     Inputs, registers, and wires and outputs live in locals ``i<j>``,
     ``r<j>`` and ``w<j>``, numbered in declaration order.  ``next`` writes
     ``n<j>``, register j's value for the next cycle, whose ``r<j>`` starts
-    from it.  ``s``, ``b`` and ``c`` are the statement, branch-outcome and
-    cover-bin hit lists.
+    from it.  ``b<k>`` becomes 1 once branch outcome k runs, and
+    ``c<g>[v]`` once covergroup g's signal ends a cycle at value v.
+    ``arms`` counts, per branch outcome, the statements its arm holds
+    directly: they run whenever the outcome does.
+
+    Every local holds a value already masked to its width, so
+    :meth:`expr` emits a subexpression for its consumer's ``d`` low bits
+    only, and masks only where the bound on its value can reach ``2**d``.
     """
 
     def __init__(self, dut: DutModel):
@@ -127,6 +130,7 @@ class _Compiler:
                     raise ValueError(f"identifier {d.name!r} declared twice")
                 self.local[d.name] = f"{prefix}{j}"
         self.lines: list[str] = []
+        self.arms: dict[int, int] = {}
 
     def name(self, name: str) -> str:
         local = self.local.get(name)
@@ -134,21 +138,67 @@ class _Compiler:
             raise ValueError(f"identifier {name!r} is not declared")
         return local
 
-    def expr(self, e: Expr) -> str:
+    def expr(self, e: Expr, d: int) -> tuple[str, int]:
+        """Source of ``e`` for a consumer that reads its low ``d`` bits, and a bound.
+
+        The source's value is >= 0, at most the bound, and equal to ``e``'s
+        value mod ``2**d``; for ``d >= 64`` it is ``e``'s value.
+        """
         if isinstance(e, Const):
-            return str(e.value & _MASK64)
+            value = e.value & ((1 << min(d, 64)) - 1)
+            return str(value), value
         if isinstance(e, Ident):
-            return self.name(e.name)
-        if isinstance(e, UnOp):
-            v = self.expr(e.operand)
-            return f"({v} ^ {_MASK64})" if e.op == "~" else f"(0 if {v} else 1)"
-        a = self.expr(e.left)
-        if e.op in ("<<", ">>"):
-            b = (str(min(e.right.value & _MASK64, 63)) if isinstance(e.right, Const)
-                 else f"min({self.expr(e.right)}, 63)")
+            return self.name(e.name), (1 << self.widths[e.name]) - 1
+        if isinstance(e, UnOp) and e.op == "!":
+            return f"(0 if {self.expr(e.operand, 64)[0]} else 1)", 1
+        if e.op in _COMPARE:
+            return f"(1 if {self.condition(e)} else 0)", 1
+        if e.op in ("|", "^", "&"):
+            a, a_max = self.expr(e.left, d)
+            b, b_max = self.expr(e.right, d)
+            bound = min(a_max, b_max) if e.op == "&" else _ones(max(a_max, b_max))
+            return f"({a} {e.op} {b})", bound
+        if e.op == ">>":
+            if isinstance(e.right, Const):
+                k = min(e.right.value & _MASK64, 63)
+                a, a_max = self.expr(e.left, d + k)
+                return f"({a} >> {k})", a_max >> k
+            a, a_max = self.expr(e.left, 64)
+            return f"({a} >> {self.shift_amount(e.right)[0]})", a_max
+        # '~', '+', '-' and '<<' wrap at 64 bits, and bit i of their result
+        # reads only bits <= i of their operands.
+        d = min(d, 64)
+        mask = (1 << d) - 1
+        if e.op == "~":
+            a, a_max = self.expr(e.operand, d)
+            return f"({a} ^ {mask})", _ones(max(a_max, mask))
+        if e.op == "<<":
+            if isinstance(e.right, Const):
+                k = k_max = min(e.right.value & _MASK64, 63)
+                a, a_max = self.expr(e.left, max(d - k, 0))
+            else:
+                a, a_max = self.expr(e.left, d)
+                k, k_max = self.shift_amount(e.right)
+            source, bound = f"({a} << {k})", a_max << k_max
         else:
-            b = self.expr(e.right)
-        return _BINARY[e.op].format(a=a, b=b)
+            a, a_max = self.expr(e.left, d)
+            b, b_max = self.expr(e.right, d)
+            source = f"({a} {e.op} {b})"
+            bound = a_max + b_max if e.op == "+" else mask + 1  # '-' always wraps
+        if bound > mask:
+            return f"({source} & {mask})", mask
+        return source, bound
+
+    def shift_amount(self, e: Expr) -> tuple[str, int]:
+        """Source of a shift amount clamped to 63, and its bound."""
+        k, k_max = self.expr(e, 64)
+        return (k, k_max) if k_max <= 63 else (f"min({k}, 63)", 63)
+
+    def condition(self, e: Expr) -> str:
+        """Source of ``e`` as a truth value; a comparison is emitted bare."""
+        if isinstance(e, BinOp) and e.op in _COMPARE:
+            return f"{self.expr(e.left, 64)[0]} {e.op} {self.expr(e.right, 64)[0]}"
+        return self.expr(e, 64)[0]
 
     def body(self, stmts, indent: str) -> None:
         emit = self.lines.append
@@ -159,32 +209,47 @@ class _Compiler:
                     if target[0] != "r":
                         raise ValueError(f"'next' target {st.target!r} is not a reg")
                     target = "n" + target[1:]
-                mask = (1 << self.widths[st.target]) - 1
-                emit(f"{indent}{target} = {self.expr(st.expr)} & {mask}")
-                emit(f"{indent}s[{st.index}] = True")
-            else:
-                emit(f"{indent}if {self.expr(st.cond)}:")
-                emit(f"{indent} b[{2 * st.index}] = True")
-                self.body(st.then_body, indent + " ")
-                emit(f"{indent}else:")
-                emit(f"{indent} b[{2 * st.index + 1}] = True")
-                self.body(st.else_body, indent + " ")
+                width = self.widths[st.target]
+                source, bound = self.expr(st.expr, width)
+                mask = (1 << width) - 1
+                emit(f"{indent}{target} = {source}" + (f" & {mask}" if bound > mask else ""))
+                continue
+            emit(f"{indent}if {self.condition(st.cond)}:")
+            for k, arm in ((2 * st.index, st.then_body), (2 * st.index + 1, st.else_body)):
+                if k % 2:
+                    emit(f"{indent}else:")
+                emit(f"{indent} b{k} = 1")
+                self.arms[k] = sum(isinstance(s, Assign) for s in arm)
+                self.body(arm, indent + " ")
 
 
 def cycle_source(dut: DutModel) -> str:
-    """Source of ``run(inputs, s, b, c)``, which simulates a whole stimulus.
+    """Source of ``run(inputs)``, which simulates a whole stimulus.
 
     ``inputs`` holds one tuple of input values per cycle, in port order;
-    ``run`` sets ``s[k]``, ``b[k]`` and ``c[k]`` for every statement, branch
-    outcome and cover bin hit.  The source holds only integer constants and
-    the locals above, never a name from the design.  Raises ValueError on a
-    name it cannot map, which lint reports first.
+    ``run`` returns how many statements, branch outcomes and cover bins the
+    stimulus covered.  The source holds only integer constants and the
+    locals above, never a name from the design.  Raises ValueError on a
+    name it cannot map, or on a covered signal wider than ``MAX_WIDTH``,
+    which lint reports first.
     """
     comp = _Compiler(dut)
+    covered = []
+    for cg in dut.covergroups:
+        signal = comp.name(cg.signal)
+        width = dut.widths[cg.signal]
+        if width > MAX_WIDTH:
+            raise ValueError(f"covered signal {cg.signal!r} is {width} bits wide, "
+                             f"more than {MAX_WIDTH}")
+        covered.append((signal, width))
     emit = comp.lines.append
-    emit("def run(inputs, s, b, c):")
+    emit("def run(inputs):")
     for j, r in enumerate(dut.regs):
         emit(f" n{j} = {r.init & ((1 << r.width) - 1)}")
+    if dut.total_branch_outcomes:
+        emit(f" {' = '.join(f'b{k}' for k in range(dut.total_branch_outcomes))} = 0")
+    for g, (_, width) in enumerate(covered):
+        emit(f" c{g} = bytearray({1 << width})")
     emit(f" for ({''.join(f'i{j}, ' for j in range(len(dut.input_ports)))}) in inputs:")
     for j in range(len(dut.regs)):
         emit(f"  r{j} = n{j}")
@@ -192,25 +257,32 @@ def cycle_source(dut: DutModel) -> str:
     if n_wires:
         emit(f"  {' = '.join(f'w{j}' for j in range(n_wires))} = 0")
     comp.body(dut.body, "  ")
-    k = 0
-    for cg in dut.covergroups:
-        signal = comp.name(cg.signal)
-        for b in cg.bins:
-            emit(f"  if {b.lo} <= {signal} <= {b.hi}:")
-            emit(f"   c[{k}] = True")
-            k += 1
+    for g, (signal, _) in enumerate(covered):
+        emit(f"  c{g}[{signal}] = 1")
+    top = sum(isinstance(st, Assign) for st in dut.body)
+    statements = ([f"({top} if inputs else 0)"] if top else []) + [
+        f"{n} * b{k}" if n > 1 else f"b{k}" for k, n in sorted(comp.arms.items()) if n]
+    branches = [f"b{k}" for k in range(dut.total_branch_outcomes)]
+    # A bin's term is a bool, so the sum starts from an int.
+    bins = ["0"] + [f"(c{g}.find(1, {b.lo}, {b.hi + 1}) >= 0)"
+                    for g, cg in enumerate(dut.covergroups) for b in cg.bins]
+    emit(f" return {_sum(statements)}, {_sum(branches)}, {_sum(bins)}")
     return "\n".join(comp.lines) + "\n"
 
 
 def compile_model(dut: DutModel):
     """Compile :func:`cycle_source`'s function; ``DutModel.compiled`` caches it."""
-    namespace = {"__builtins__": {}, "min": min}
+    namespace = {"__builtins__": {}, "min": min, "bytearray": bytearray}
     exec(compile(cycle_source(dut), _FILENAME, "exec"), namespace)
     return namespace["run"]
 
 
 def _input_rows(dut: DutModel, stim: Stimulus) -> list[tuple]:
-    """Every cycle's input values in port order; raise on the first bad one."""
+    """Every cycle's input values in port order; raise on the first bad one.
+
+    A cycle must give every input port an int (not a bool) in its range,
+    and name no other port.
+    """
     ports = dut.input_ports
     rows = []
     for cycle_no, cycle in enumerate(stim.cycles):
@@ -219,10 +291,14 @@ def _input_rows(dut: DutModel, stim: Stimulus) -> list[tuple]:
             if port.name not in cycle:
                 raise SimulationError(cycle_no, port.name, "missing input value")
             v = cycle[port.name]
-            if not isinstance(v, int) or not 0 <= v < (1 << port.width):
+            if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < (1 << port.width):
                 raise SimulationError(cycle_no, port.name,
                                       f"value {v!r} out of range for {port.width}-bit port")
             row.append(v)
+        if len(cycle) > len(ports):
+            names = {port.name for port in ports}
+            extra = next(name for name in cycle if name not in names)
+            raise SimulationError(cycle_no, extra, "no such input port")
         rows.append(tuple(row))
     return rows
 
@@ -230,16 +306,12 @@ def _input_rows(dut: DutModel, stim: Stimulus) -> list[tuple]:
 def simulate(dut: DutModel, stim: Stimulus) -> CoverageReport:
     """Run the stimulus on a lint-clean model and return cumulative coverage.
 
-    Coverage slots are the parser's statement and conditional indices.
     Every cycle's inputs are checked before any cycle runs.
     """
     rows = _input_rows(dut, stim)
-    stmt_hit = [False] * dut.total_statements
-    branch_hit = [False] * dut.total_branch_outcomes
-    bin_hit = [False] * dut.total_bins
-    dut.compiled(rows, stmt_hit, branch_hit, bin_hit)
-    return _report(sum(stmt_hit), dut.total_statements, sum(branch_hit),
-                   dut.total_branch_outcomes, sum(bin_hit), dut.total_bins, len(stim.cycles))
+    statements, branches, bins = dut.compiled(rows)
+    return _report(statements, dut.total_statements, branches, dut.total_branch_outcomes,
+                   bins, dut.total_bins, len(rows))
 
 
 @lru_cache(maxsize=1 << 10)

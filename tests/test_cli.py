@@ -94,6 +94,17 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("cycles, message", [
+        ("a=1,typo=0", "error: cycle 0, port 'typo': no such input port"),
+        ("a=1;a=0,a=1", "error: --cycles: cycle 1: port 'a' given twice"),
+        ("a=1;", "error: --cycles: cycle 1: expected name=integer, got ''"),
+        ("a=0;a=1;a=x", "error: --cycles: cycle 2: expected name=integer, got 'a=x'"),
+        ("a=1,b", "error: --cycles: cycle 0: expected name=integer, got 'b'"),
+    ])
+    def test_malformed_cycle_named(self, toy1_file, capsys, cycles, message):
+        assert main(["simulate", toy1_file, "--cycles", cycles]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == message + "\n"
 
     @pytest.mark.parametrize("flags, message", [
         (["--wmax", "-1"], "--wmax: wmax must be in 1..16, got -1"),

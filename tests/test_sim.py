@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covstim import sim
-from covstim.hdl import MAX_DEPTH, lint, parse
+from covstim.hdl import MAX_DEPTH, BinOp, Const, Ident, UnOp, lint, parse
 from covstim.sim import (CoverageReport, MetricCount, SimulationError, Stimulus, average_score,
                          cycle_source, simulate)
 
-from oracle_sim import oracle_simulate
+from oracle_sim import oracle_eval, oracle_simulate
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -131,6 +131,14 @@ class TestSemantics:
     def test_malformed_stimulus_out_of_range(self, toy1):
         with pytest.raises(SimulationError):
             simulate(toy1, Stimulus(({"a": 2},)))
+
+    def test_malformed_stimulus_unknown_port_or_bool(self, toy1):
+        with pytest.raises(SimulationError, match="no such input port") as exc:
+            simulate(toy1, Stimulus(({"a": 1}, {"a": 0, "typo": 0})))
+        assert (exc.value.cycle, exc.value.port) == (1, "typo")
+        with pytest.raises(SimulationError, match="value True") as exc:
+            simulate(toy1, Stimulus(({"a": 0}, {"a": True})))
+        assert (exc.value.cycle, exc.value.port) == (1, "a")
 
 
 class TestProperties:
@@ -298,6 +306,67 @@ def random_design(seed: int):
     return "\n".join(lines), cycles
 
 
+def _narrow_expr(rng, names, depth=0):
+    """A random expression over every operator; constants reach 2**70, and a
+    shift's amount is often a small constant, the case that narrows its operand."""
+    if depth == 4 or rng.random() < 0.2:
+        pick = rng.random()
+        if pick < 0.5:
+            return Ident(rng.choice(names))
+        return Const(rng.randrange(20) if pick < 0.75 else rng.randrange(1 << 70))
+    if rng.random() < 0.15:
+        return UnOp(rng.choice("~!"), _narrow_expr(rng, names, depth + 1))
+    op = rng.choice(_BIN_OPS)
+    left = _narrow_expr(rng, names, depth + 1)
+    if op in ("<<", ">>") and rng.random() < 0.5:
+        return BinOp(op, left, Const(rng.randrange(20)))
+    return BinOp(op, left, _narrow_expr(rng, names, depth + 1))
+
+
+class TestNarrowBits:
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_expression_exact_in_the_bits_read(self, seed):
+        # Operands 1-16 bits wide, read at every width d a consumer can ask for.
+        rng = random.Random(seed)
+        width = {f"v{j}": rng.randint(1, 16) for j in range(4)}
+        ports = ", ".join(f"input {n}[{w}]" for n, w in width.items())
+        comp = sim._Compiler(parse(f"module m ({ports}, output z[1]); endmodule"))
+        expr = _narrow_expr(rng, tuple(width))
+        emitted = {d: comp.expr(expr, d) for d in (*range(1, 17), 64)}
+        for _ in range(4):
+            values = {n: rng.randrange(1 << w) for n, w in width.items()}
+            local = {comp.name(n): v for n, v in values.items()}
+            want = oracle_eval(expr, values)
+            for d, (source, bound) in emitted.items():
+                got = eval(source, {"__builtins__": {}, "min": min}, local)
+                assert 0 <= got <= bound, (source, d)
+                assert got % 2**d == want % 2**d, (source, d)
+
+    def test_narrow_design_has_no_64_bit_mask(self):
+        dut = parse(
+            "module m (input a[8], input b[4], output y[8]); reg r[16] = 3; wire w[1];"
+            " assign w = ~(a < b); next r = (r << b) + ~(a - b) ^ (r >> 3);"
+            " if ((a + r) > (b << 2)) { assign y = (a | b) - (r & 255); }"
+            " else { assign y = !(r >> b); }"
+            " cover r { lo: 0..9 } endmodule")
+        assert lint(dut) == []
+        assert str(2**64 - 1) not in cycle_source(dut)
+
+    def test_wide_covered_signal_refused(self):
+        dut = parse("module m (input a[40], output y[1]); assign y = a;"
+                    " cover a { lo: 0..9 } endmodule")
+        assert [issue.kind for issue in lint(dut)] == ["width_out_of_range"]
+        with pytest.raises(ValueError, match="covered signal 'a' is 40 bits wide"):
+            cycle_source(dut)
+        with pytest.raises(ValueError, match="'a'"):
+            simulate(dut, Stimulus(({"a": 1},)))
+
+    def test_counts_are_ints(self, toy1):
+        for cycles in ((), ({"a": 1},), ({"a": 1}, {"a": 0})):
+            assert all(type(n) is int for n in toy1.compiled([tuple(c.values()) for c in cycles]))
+
+
 class TestCompiled:
     @given(st.integers(0, 2**32))
     @settings(max_examples=300, deadline=None)
@@ -349,11 +418,11 @@ class TestCompiled:
                      "delta_wire", "lowbin", "highbin"):
             assert name not in source
         allowed = {"def", "run", "inputs", "s", "b", "c", "for", "in", "if", "else", "True",
-                   "min"}
+                   "min", "return", "bytearray", "find"}
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):
             assert tok.type != tokenize.STRING
             if tok.type == tokenize.NAME:
-                assert tok.string in allowed or re.fullmatch(r"[inrw]\d+", tok.string), tok
+                assert tok.string in allowed or re.fullmatch(r"[inrwbc]\d+", tok.string), tok
             if tok.type == tokenize.NUMBER:
                 assert tok.string.isdigit(), tok
 
