@@ -7,7 +7,7 @@ autoregressive stimulus policy; an evaluation harness reports mean@N /
 best@N coverage and runs the four-way ablation.
 """
 
-from .codec import CodecError, Vocab, encode, validate_and_decode
+from .codec import CodecError, Vocab, encode, simulate_tokens, validate_and_decode
 from .curation import CurationConfig, DropReason, PairRecord, curate, load_dataset, make_pair
 from .evaluation import AblationTable, EvalConfig, EvalReport, ablate, eval_policy
 from .hdl import DutModel, LintIssue, ParseError, lint, parse, pretty_print
@@ -35,8 +35,8 @@ __all__ = [
     "TrainConfig", "TrainingError", "Vocab", "ablate", "average_score",
     "cddpo_loss", "curate", "dpo_loss", "encode", "eval_policy",
     "implicit_reward", "lint", "load_dataset", "make_pair", "pair_gradient",
-    "parse", "preference_loss", "pretty_print", "sft_loss", "simulate", "train",
-    "validate_and_decode",
+    "parse", "preference_loss", "pretty_print", "sft_loss", "simulate", "simulate_tokens",
+    "train", "validate_and_decode",
 ]
 
 __version__ = "0.1.0"

@@ -124,8 +124,12 @@ def cmd_lint(args) -> int:
     return 0 if not issues else 1
 
 
+# An integer in ``--stim`` and ``--cycles``: ASCII digits after an optional '-'.
+_INT = r"-?[0-9]+"
+# One value token of ``--stim``.
+_STIM_PART = re.compile(rf"\s*({_INT})\s*")
 # One ``name=integer`` part of a ``--cycles`` cycle.
-_CYCLE_PART = re.compile(r"\s*([^\W\d]\w*)\s*=\s*(-?[0-9]+)\s*")
+_CYCLE_PART = re.compile(rf"\s*([^\W\d]\w*)\s*=\s*({_INT})\s*")
 
 
 def cmd_simulate(args) -> int:
@@ -142,8 +146,14 @@ def cmd_simulate(args) -> int:
     if args.t_max < 1:
         raise ValueError(f"--t-max must be >= 1, got {args.t_max}")
     if args.stim is not None:
-        values = [int(v) for v in args.stim.split(",") if v.strip() != ""]
-        tokens = [vocab.bos] + values + [vocab.eos]
+        tokens = [vocab.bos]
+        for cycle_no, part in enumerate(args.stim.split(",")):
+            match = _STIM_PART.fullmatch(part)
+            if match is None:
+                raise ValueError(f"--stim: cycle {cycle_no}: expected an integer, "
+                                 f"got {part.strip()!r}")
+            tokens.append(int(match.group(1)))
+        tokens.append(vocab.eos)
         stim = validate_and_decode(dut, tokens, vocab, args.t_max)
     else:
         cycles = []

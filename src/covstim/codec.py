@@ -5,6 +5,10 @@ the bits are sliced across input ports in declaration order, first-declared
 port taking the least-significant bits.  The vocabulary is global (sized by
 ``wmax``), so a policy can emit values too wide for a given DUT; that
 rejection path is the artifact's stand-in for a compile failure.
+
+:func:`simulate_tokens` is the one scoring rule of curation and evaluation:
+a sequence that does not decode scores 0, and any other scores the
+coverage its stimulus reaches in simulation.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .hdl import MAX_WIDTH, DutModel
-from .sim import Stimulus
+from .sim import CoverageReport, Stimulus, simulate
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,15 @@ def validate_and_decode(dut: DutModel, tokens, vocab: Vocab, t_max: int) -> Stim
             v >>= port.width
         cycles.append(cycle)
     return Stimulus(tuple(cycles))
+
+
+def simulate_tokens(dut: DutModel, tokens, vocab: Vocab, t_max: int) -> CoverageReport | None:
+    """The coverage of the stimulus the tokens decode to; None (score 0) if they do not."""
+    try:
+        stim = validate_and_decode(dut, tokens, vocab, t_max)
+    except CodecError:
+        return None
+    return simulate(dut, stim)
 
 
 def encode(dut: DutModel, stim: Stimulus, vocab: Vocab, t_max: int) -> list[int]:

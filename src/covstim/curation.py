@@ -1,10 +1,10 @@
 """Preference-pair curation: sample, validate, simulate, score, label.
 
 For each attempted pair two candidate stimuli are drawn from a teacher at
-two distinct temperatures.  A candidate that fails decode validation (the
-compile-failure analog) scores 0 and carries no coverage detail; the
-higher-scoring candidate becomes the chosen sample.  Pairs where both
-candidates are invalid, or where scores tie, are dropped.
+two distinct temperatures and scored by ``codec.simulate_tokens``.  An
+invalid candidate carries no coverage detail; the higher-scoring candidate
+becomes the chosen sample.  Pairs where both candidates are invalid, or
+where scores tie, are dropped.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .codec import CodecError, Vocab, validate_and_decode
+from .codec import Vocab, simulate_tokens
 from .hdl import DutModel, lint, pretty_print
 from .policy import (TabularPolicy, _is_finite_number, _is_int, check_positive, parse_json,
                      sample_tokens)
-from .sim import CoverageReport, average_score, simulate
+from .sim import CoverageReport
 from .training import PreferencePair
 
 DATASET_VERSION = "pairanet_mini/1"
@@ -119,22 +119,13 @@ class DropReason:
     kind: str  # 'both_invalid' | 'tie'
 
 
+def _score(report: Optional[CoverageReport]) -> float:
+    """A candidate's score: its average coverage, or 0 when it did not decode."""
+    return 0.0 if report is None else report.average
+
+
 def _cov_counts(report: CoverageReport) -> dict:
-    return {
-        "statement": [report.statement.covered, report.statement.total],
-        "branch": [report.branch.covered, report.branch.total],
-        "functional": [report.functional.covered, report.functional.total],
-    }
-
-
-def _score_candidate(dut: DutModel, tokens, vocab: Vocab, t_max: int):
-    """One simulation per valid candidate; invalid candidates score 0."""
-    try:
-        stim = validate_and_decode(dut, tokens, vocab, t_max)
-    except CodecError:
-        return 0.0, None
-    report = simulate(dut, stim)
-    return average_score(report), report
+    return {name: [m.covered, m.total] for name, m in report.metrics().items()}
 
 
 def make_pair(dut: DutModel, seq_a, seq_b, config: CurationConfig, pair_id: str,
@@ -144,21 +135,16 @@ def make_pair(dut: DutModel, seq_a, seq_b, config: CurationConfig, pair_id: str,
     prompt is the design's source text, ``pretty_print(dut)``.
     """
     vocab = Vocab(config.wmax)
-    score_a, report_a = _score_candidate(dut, seq_a, vocab, config.t_max)
-    score_b, report_b = _score_candidate(dut, seq_b, vocab, config.t_max)
-
+    report_a = simulate_tokens(dut, seq_a, vocab, config.t_max)
+    report_b = simulate_tokens(dut, seq_b, vocab, config.t_max)
     if report_a is None and report_b is None:
         return DropReason("both_invalid")
+    score_a, score_b = _score(report_a), _score(report_b)
     if score_a == score_b:
         return DropReason("tie")
-
-    tau1, tau2 = config.tau1, config.tau2
-    if score_a > score_b:
-        chosen, chosen_score, chosen_report, temp_chosen = seq_a, score_a, report_a, tau1
-        rejected, rejected_score, rejected_report, temp_rejected = seq_b, score_b, report_b, tau2
-    else:
-        chosen, chosen_score, chosen_report, temp_chosen = seq_b, score_b, report_b, tau2
-        rejected, rejected_score, rejected_report, temp_rejected = seq_a, score_a, report_a, tau1
+    a, b = (seq_a, report_a, config.tau1), (seq_b, report_b, config.tau2)
+    (chosen, chosen_report, temp_chosen), (rejected, rejected_report, temp_rejected) = (
+        (a, b) if score_a > score_b else (b, a))
     # Invalid candidates score 0, so the strictly higher scorer is valid.
     assert chosen_report is not None
 
@@ -168,8 +154,8 @@ def make_pair(dut: DutModel, seq_a, seq_b, config: CurationConfig, pair_id: str,
         prompt=prompt,
         chosen=tuple(chosen),
         rejected=tuple(rejected),
-        chosen_score=chosen_score,
-        rejected_score=rejected_score,
+        chosen_score=chosen_report.average,
+        rejected_score=_score(rejected_report),
         chosen_cov=_cov_counts(chosen_report),
         rejected_cov=None if rejected_report is None else _cov_counts(rejected_report),
         meta={"temp_chosen": temp_chosen, "temp_rejected": temp_rejected,

@@ -6,12 +6,12 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .codec import CodecError, validate_and_decode
+from .codec import simulate_tokens
 from .policy import check_positive
-from .sim import average_score, simulate
+from .sim import METRICS as COVERAGE_METRICS
 from .training import TrainConfig, train
 
-METRICS = ("statement", "branch", "functional", "average")
+METRICS = (*COVERAGE_METRICS, "average")
 ABLATION_POLICIES = ("vanilla", "sft", "dpo", "cddpo")
 
 
@@ -50,29 +50,23 @@ class EvalReport:
 
 
 def eval_policy(policy, dut, config: EvalConfig) -> EvalReport:
-    """Score N independent generations; invalid ones count as zero coverage.
+    """Score N independent generations with ``codec.simulate_tokens``.
 
     Generation i draws from its own generator ``[seed, i]`` and is decoded
-    under the policy's own ``vocab`` and ``t_max``.
+    under the policy's own ``vocab`` and ``t_max``; an invalid one scores 0
+    on every metric.
     """
     n = config.n
     report = EvalReport(dut=dut.name, n=n, tau=config.tau, seed=config.seed)
     rngs = [np.random.default_rng([config.seed, gen_i]) for gen_i in range(n)]
     for tokens in policy.sample(dut.name, config.tau, rngs):
-        try:
-            stim = validate_and_decode(dut, tokens, policy.vocab, policy.t_max)
-        except CodecError:
-            fractions = {m: 0.0 for m in METRICS}
-            report.generations.append(Generation(tokens, False, fractions))
-            continue
-        cov = simulate(dut, stim)
-        fractions = {
-            "statement": cov.statement.fraction,
-            "branch": cov.branch.fraction,
-            "functional": cov.functional.fraction,
-            "average": average_score(cov),
-        }
-        report.generations.append(Generation(tokens, True, fractions))
+        cov = simulate_tokens(dut, tokens, policy.vocab, policy.t_max)
+        if cov is None:
+            fractions = dict.fromkeys(METRICS, 0.0)
+        else:
+            fractions = {name: m.fraction for name, m in cov.metrics().items()}
+            fractions["average"] = cov.average
+        report.generations.append(Generation(tokens, cov is not None, fractions))
     for m in METRICS:
         values = [g.fractions[m] for g in report.generations]
         report.mean[m] = sum(values) / n

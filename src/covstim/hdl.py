@@ -155,7 +155,6 @@ class Assign:
     expr: Expr
     line: int = field(default=0, compare=False)
     column: int = field(default=0, compare=False)
-    index: int = field(default=0, compare=False)  # pre-order among Assigns
 
 
 @dataclass(frozen=True, slots=True)
@@ -214,7 +213,7 @@ class Covergroup:
 
 @dataclass(frozen=True)
 class DutModel:
-    """A parsed design; the parser numbers its statements and sets the totals."""
+    """A parsed design; the parser numbers its conditionals and sets the totals."""
 
     name: str
     ports: tuple[Port, ...]
@@ -274,31 +273,24 @@ class _Parser:
         self.pos += 1
         return t
 
-    def expect_sym(self, sym: str) -> Token:
-        if self.cur.kind == "sym" and self.cur.text == sym:
+    def _expected(self, what: str):
+        self._fail(f"expected {what}, found {self.cur.text or 'end of input'!r}")
+
+    def at(self, text: str) -> bool:
+        """Whether the current token is keyword or symbol ``text``; no other kind spells one."""
+        return self.cur.text == text
+
+    def expect(self, text: str) -> Token:
+        if self.at(text):
             return self.advance()
-        self._fail(f"expected {sym!r}, found {self.cur.text or 'end of input'!r}")
+        self._expected(repr(text))
 
-    def expect_kw(self, kw: str) -> Token:
-        if self.cur.kind == "kw" and self.cur.text == kw:
+    _KIND_NAMES = {"ident": "identifier", "int": "integer"}
+
+    def expect_kind(self, kind: str) -> Token:
+        if self.cur.kind == kind:
             return self.advance()
-        self._fail(f"expected {kw!r}, found {self.cur.text or 'end of input'!r}")
-
-    def expect_ident(self) -> Token:
-        if self.cur.kind == "ident":
-            return self.advance()
-        self._fail(f"expected identifier, found {self.cur.text or 'end of input'!r}")
-
-    def expect_int(self) -> Token:
-        if self.cur.kind == "int":
-            return self.advance()
-        self._fail(f"expected integer, found {self.cur.text or 'end of input'!r}")
-
-    def at_sym(self, sym: str) -> bool:
-        return self.cur.kind == "sym" and self.cur.text == sym
-
-    def at_kw(self, kw: str) -> bool:
-        return self.cur.kind == "kw" and self.cur.text == kw
+        self._expected(self._KIND_NAMES[kind])
 
     @staticmethod
     def _nest(tok: Token, depth: int, limit: int, what: str) -> None:
@@ -307,28 +299,28 @@ class _Parser:
                              f"more than {limit} {what} nested")
 
     def parse_dut(self) -> DutModel:
-        self.expect_kw("module")
-        name = self.expect_ident().text
-        self.expect_sym("(")
+        self.expect("module")
+        name = self.expect_kind("ident").text
+        self.expect("(")
         ports = [self.parse_port()]
-        while self.at_sym(","):
+        while self.at(","):
             self.advance()
             ports.append(self.parse_port())
-        self.expect_sym(")")
-        self.expect_sym(";")
+        self.expect(")")
+        self.expect(";")
 
         regs: list[Reg] = []
         wires: list[Wire] = []
         body: list[Stmt] = []
         covergroups: list[Covergroup] = []
-        while not self.at_kw("endmodule"):
+        while not self.at("endmodule"):
             if self.cur.kind == "eof":
                 self._fail("expected 'endmodule'")
-            if self.at_kw("reg"):
+            if self.at("reg"):
                 regs.append(self.parse_reg())
-            elif self.at_kw("wire"):
+            elif self.at("wire"):
                 wires.append(self.parse_wire())
-            elif self.at_kw("cover"):
+            elif self.at("cover"):
                 covergroups.append(self.parse_cover())
             else:
                 body.append(self.parse_stmt())
@@ -347,86 +339,83 @@ class _Parser:
         )
 
     def parse_port(self) -> Port:
-        if self.at_kw("input") or self.at_kw("output"):
-            dir_tok = self.advance()
-        else:
+        if not (self.at("input") or self.at("output")):
             self._fail("expected 'input' or 'output'")
-        name_tok = self.expect_ident()
-        self.expect_sym("[")
-        width = self.expect_int().value
-        self.expect_sym("]")
-        return Port(name_tok.text, dir_tok.text, width, dir_tok.line, dir_tok.column)
+        dir_tok = self.advance()
+        name, width = self.parse_head()
+        return Port(name, dir_tok.text, width, dir_tok.line, dir_tok.column)
+
+    def parse_head(self) -> tuple[str, int]:
+        """The ``name [ width ]`` that follows a port's direction, 'reg' or 'wire'."""
+        name = self.expect_kind("ident").text
+        self.expect("[")
+        width = self.expect_kind("int").value
+        self.expect("]")
+        return name, width
 
     def parse_reg(self) -> Reg:
         kw = self.advance()
-        name = self.expect_ident().text
-        self.expect_sym("[")
-        width = self.expect_int().value
-        self.expect_sym("]")
-        self.expect_sym("=")
-        init = self.expect_int().value
-        self.expect_sym(";")
+        name, width = self.parse_head()
+        self.expect("=")
+        init = self.expect_kind("int").value
+        self.expect(";")
         return Reg(name, width, init, kw.line, kw.column)
 
     def parse_wire(self) -> Wire:
         kw = self.advance()
-        name = self.expect_ident().text
-        self.expect_sym("[")
-        width = self.expect_int().value
-        self.expect_sym("]")
-        self.expect_sym(";")
+        name, width = self.parse_head()
+        self.expect(";")
         return Wire(name, width, kw.line, kw.column)
 
     def parse_cover(self) -> Covergroup:
         kw = self.advance()
-        signal = self.expect_ident().text
-        self.expect_sym("{")
+        signal = self.expect_kind("ident").text
+        self.expect("{")
         bins = [self.parse_bin()]
-        while self.at_sym(","):
+        while self.at(","):
             self.advance()
             bins.append(self.parse_bin())
-        self.expect_sym("}")
+        self.expect("}")
         return Covergroup(signal, tuple(bins), kw.line, kw.column)
 
     def parse_bin(self) -> CoverBin:
-        name = self.expect_ident().text
-        self.expect_sym(":")
-        lo = self.expect_int().value
-        self.expect_sym("..")
-        hi = self.expect_int().value
+        name = self.expect_kind("ident").text
+        self.expect(":")
+        lo = self.expect_kind("int").value
+        self.expect("..")
+        hi = self.expect_kind("int").value
         return CoverBin(name, lo, hi)
 
     def parse_stmt(self, nest: int = 0) -> Stmt:
         """Parse one statement inside ``nest`` enclosing conditionals."""
-        if self.at_kw("assign") or self.at_kw("next"):
+        if self.at("assign") or self.at("next"):
             kw = self.advance()
-            index = self.n_statements
             self.n_statements += 1
-            target = self.expect_ident().text
-            self.expect_sym("=")
+            target = self.expect_kind("ident").text
+            self.expect("=")
             expr, _ = self.parse_expr()
-            self.expect_sym(";")
-            return Assign(kw.text, target, expr, kw.line, kw.column, index)
-        if self.at_kw("if"):
+            self.expect(";")
+            return Assign(kw.text, target, expr, kw.line, kw.column)
+        if self.at("if"):
             kw = self.advance()
             self._nest(kw, nest + 1, MAX_DEPTH, "conditionals")
             index = self.n_conditionals
             self.n_conditionals += 1
-            self.expect_sym("(")
+            self.expect("(")
             cond, _ = self.parse_expr()
-            self.expect_sym(")")
+            self.expect(")")
             then_body = self.parse_block(nest + 1)
             else_body: tuple[Stmt, ...] = ()
-            if self.at_kw("else"):
+            if self.at("else"):
                 self.advance()
                 else_body = self.parse_block(nest + 1)
             return Conditional(cond, then_body, else_body, kw.line, kw.column, index)
         self._fail(f"expected statement, found {self.cur.text or 'end of input'!r}")
 
     def parse_block(self, nest: int) -> tuple[Stmt, ...]:
-        self.expect_sym("{")
+        self.expect("{")
         stmts: list[Stmt] = []
-        while not self.at_sym("}"):
+        while not self.at("}"):
             if self.cur.kind == "eof":
                 self._fail("expected '}'")
             stmts.append(self.parse_stmt(nest))
@@ -473,12 +462,12 @@ class _Parser:
             return Ident(t.text, t.line, t.column), 0
         if self.cur.kind == "int":
             return Const(self.advance().value), 0
-        if self.at_sym("("):
+        if self.at("("):
             self._open(opened)
             expr, depth = self.parse_expr(opened + 1)
-            self.expect_sym(")")
+            self.expect(")")
             return expr, depth
-        self._fail(f"expected expression, found {self.cur.text or 'end of input'!r}")
+        self._expected("expression")
 
 
 def parse(text: str) -> DutModel:

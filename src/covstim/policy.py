@@ -176,10 +176,9 @@ class TabularPolicy:
         nothing.
         """
         keep = rows >= 0
-        rows, vecs = rows[keep], vecs[keep]
-        counts = np.bincount(rows, minlength=len(self.theta))
-        touched = np.flatnonzero(counts)
-        slot = (np.cumsum(counts > 0) - 1)[rows]  # each step's place among the touched rows
+        # touched is sorted; slot is each step's place in it.
+        touched, slot = np.unique(rows[keep], return_inverse=True)
+        vecs = vecs[keep]
         size = self.vocab.size
         total = np.bincount((slot[:, None] * size + np.arange(size)).ravel(),
                             weights=vecs.ravel(), minlength=len(touched) * size)

@@ -27,6 +27,8 @@ from .hdl import MAX_WIDTH, Assign, BinOp, Const, DutModel, Expr, Ident, UnOp
 _MASK64 = (1 << 64) - 1
 _COMPARE = ("==", "!=", "<", ">")
 _FILENAME = "<covstim cycle function>"
+# The coverage metrics, named as CoverageReport's fields.
+METRICS = ("statement", "branch", "functional")
 
 
 class SimulationError(Exception):
@@ -57,9 +59,6 @@ class MetricCount:
     def fraction(self) -> float:
         return self.covered / self.total if self.total > 0 else 0.0
 
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.covered, self.total) if self.total > 0 else Fraction(0)
-
 
 @dataclass(frozen=True, slots=True)
 class CoverageReport:
@@ -72,26 +71,26 @@ class CoverageReport:
     average: float = field(init=False, compare=False)
 
     def __post_init__(self):
-        active = [m.as_fraction() for m in (self.statement, self.branch, self.functional)
-                  if m.total > 0]
+        active = [Fraction(m.covered, m.total) for m in self.metrics().values() if m.total > 0]
         average = float(sum(active, Fraction(0)) / len(active)) if active else 0.0
         object.__setattr__(self, "average", average)
 
+    def metrics(self) -> dict[str, MetricCount]:
+        """Each metric's count, by name, in ``METRICS`` order."""
+        return {name: getattr(self, name) for name in METRICS}
+
     def to_dict(self) -> dict:
+        metrics = self.metrics()
         return {
-            "statement": {"covered": self.statement.covered, "total": self.statement.total},
-            "branch": {"covered": self.branch.covered, "total": self.branch.total},
-            "functional": {"covered": self.functional.covered, "total": self.functional.total},
-            "statement_fraction": self.statement.fraction,
-            "branch_fraction": self.branch.fraction,
-            "functional_fraction": self.functional.fraction,
+            **{name: {"covered": m.covered, "total": m.total} for name, m in metrics.items()},
+            **{f"{name}_fraction": m.fraction for name, m in metrics.items()},
             "average": self.average,
             "cycles_run": self.cycles_run,
         }
 
 
 def average_score(report: CoverageReport) -> float:
-    """Averaged coverage score used for preference labeling."""
+    """``report.average``; kept for callers outside the package."""
     return report.average
 
 

@@ -106,6 +106,26 @@ class TestSimulateCommand:
         out, err = capsys.readouterr()
         assert out == "" and err == message + "\n"
 
+    @pytest.mark.parametrize("stim, message", [
+        ("1,x", "error: --stim: cycle 1: expected an integer, got 'x'"),
+        ("1,,0", "error: --stim: cycle 1: expected an integer, got ''"),
+        ("1,0,", "error: --stim: cycle 2: expected an integer, got ''"),
+        ("", "error: --stim: cycle 0: expected an integer, got ''"),
+        ("1_0", "error: --stim: cycle 0: expected an integer, got '1_0'"),
+        ("\u0661", "error: --stim: cycle 0: expected an integer, got '\u0661'"),
+        ("+1", "error: --stim: cycle 0: expected an integer, got '+1'"),
+    ])
+    def test_malformed_stim_named(self, toy1_file, capsys, stim, message):
+        assert main(["simulate", toy1_file, f"--stim={stim}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == message + "\n"
+
+    def test_stim_values_may_carry_blanks(self, toy1_file, capsys):
+        assert main(["simulate", toy1_file, "--stim", " 1 ,0 "]) == 0
+        spaced = capsys.readouterr().out
+        assert main(["simulate", toy1_file, "--stim", "1,0"]) == 0
+        assert capsys.readouterr().out == spaced
+
     @pytest.mark.parametrize("flags, message", [
         (["--wmax", "-1"], "--wmax: wmax must be in 1..16, got -1"),
         (["--wmax", "0"], "--wmax: wmax must be in 1..16, got 0"),
@@ -372,6 +392,27 @@ class TestPipelineCommands:
         assert (config.eval.n, config.eval.tau, config.eval.seed) == (20, 1.0, 42)
         assert config.train.beta == 0.2
         assert config.curation.pairs_per_dut >= 200
+
+
+@pytest.fixture(scope="module")
+def toy1_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("design") / "toy1.hdl"
+    path.write_text(bundled_source("toy1"))
+    return str(path)
+
+
+_STIMULUS_TEXT = st.one_of(st.text(max_size=12),
+                           st.text(alphabet="0123456789-+,;=_ \tax\u0661", max_size=12))
+
+
+@given(st.sampled_from(["--stim", "--cycles"]), _STIMULUS_TEXT)
+@settings(max_examples=150, deadline=None)
+def test_simulate_exits_cleanly_on_any_stimulus_text(toy1_path, flag, text):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["simulate", toy1_path, f"{flag}={text}"])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
 
 
 _SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 10**6),

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covstim.codec import (CodecError, Vocab, check_well_formed, encode, total_input_width,
-                           validate_and_decode)
+from covstim.codec import (CodecError, Vocab, check_well_formed, encode, simulate_tokens,
+                           total_input_width, validate_and_decode)
+from covstim.corpus import load_bundled_corpus
 from covstim.hdl import parse
 from covstim.policy import TabularPolicy
+from covstim.sim import simulate
 
 VOCAB = Vocab(4)
 T_MAX = 8
@@ -166,3 +168,17 @@ class TestWellFormed:
         except CodecError as err:
             if rejection is not None:
                 assert (err.kind, err.position) == rejection
+
+
+class TestSimulateTokens:
+    @given(st.sampled_from([THREE_BIT_DUT, *load_bundled_corpus()]), TOKEN_LISTS)
+    @settings(max_examples=300, deadline=None)
+    def test_none_exactly_when_decode_fails(self, dut, tokens):
+        report = simulate_tokens(dut, tokens, VOCAB, T_MAX)
+        try:
+            stim = validate_and_decode(dut, tokens, VOCAB, T_MAX)
+        except CodecError:
+            assert report is None
+        else:
+            expected = simulate(dut, stim)
+            assert report == expected and report.average == expected.average

@@ -72,12 +72,10 @@ class TestParse:
         )
         assert dut.total_branch_outcomes == 4
         assert dut.total_statements == 2
-        # Pre-order: a conditional is numbered before its arms; statements
-        # and conditionals are numbered separately.
+        # Pre-order: a conditional is numbered before those in its arms.
         outer = dut.body[0]
         inner = outer.then_body[0]
         assert (outer.index, inner.index) == (0, 1)
-        assert (inner.then_body[0].index, outer.else_body[0].index) == (0, 1)
 
     def test_determinism(self, toy1_source):
         assert parse(toy1_source) == parse(toy1_source)
