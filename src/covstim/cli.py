@@ -132,6 +132,15 @@ _STIM_PART = re.compile(rf"\s*({_INT})\s*")
 _CYCLE_PART = re.compile(rf"\s*([^\W\d]\w*)\s*=\s*({_INT})\s*")
 
 
+def _to_int(text: str, where: str) -> int:
+    """int(text) of a matched ``_INT``; too many digits raises ValueError naming where."""
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise ValueError(f"{where}: integer of {len(text.lstrip('-'))} digits "
+                         f"is too long to convert") from None
+
+
 def cmd_simulate(args) -> int:
     dut = _read_design(args.file)
     issues = lint(dut)
@@ -152,7 +161,7 @@ def cmd_simulate(args) -> int:
             if match is None:
                 raise ValueError(f"--stim: cycle {cycle_no}: expected an integer, "
                                  f"got {part.strip()!r}")
-            tokens.append(int(match.group(1)))
+            tokens.append(_to_int(match.group(1), f"--stim: cycle {cycle_no}"))
         tokens.append(vocab.eos)
         stim = validate_and_decode(dut, tokens, vocab, args.t_max)
     else:
@@ -167,7 +176,7 @@ def cmd_simulate(args) -> int:
                 name, value = match.groups()
                 if name in cycle:
                     raise ValueError(f"--cycles: cycle {cycle_no}: port {name!r} given twice")
-                cycle[name] = int(value)
+                cycle[name] = _to_int(value, f"--cycles: cycle {cycle_no}: port {name!r}")
             cycles.append(cycle)
         stim = Stimulus(tuple(cycles))
     report = simulate(dut, stim)

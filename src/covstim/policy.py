@@ -122,13 +122,29 @@ class Steps:
     Step i emits ``targets[i]`` from the context in row ``rows[i]`` of the
     policy that compiled it (-1: the context has no row, so zero logits),
     and belongs to sequence ``owner[i]``.  Each sequence's steps are
-    contiguous and in order; forced-EOS steps are left out.
+    contiguous and in order; forced-EOS steps are left out.  ``touched``
+    holds the distinct rows of the steps, sorted, so -1 comes first when a
+    step has no row, and ``slot[i]`` is step i's index into it:
+    ``touched[slot] == rows``.
+
+    ``Steps`` is public API: ``TabularPolicy.steps`` returns it, and
+    ``grad_log_prob`` and ``apply_update`` take it.  Its fields changed:
+    ``touched`` and ``slot`` were added, and ``apply_update`` takes a
+    ``Steps`` where it took an array of rows.
     """
 
     rows: np.ndarray
     targets: np.ndarray
     owner: np.ndarray
     n: int
+    touched: np.ndarray
+    slot: np.ndarray
+
+    @classmethod
+    def of(cls, rows: np.ndarray, targets: np.ndarray, owner: np.ndarray, n: int) -> "Steps":
+        """The steps with these fields, and ``touched`` and ``slot`` found from rows."""
+        touched, slot = np.unique(rows, return_inverse=True)
+        return cls(rows, targets, owner, n, touched, slot)
 
 
 class TabularPolicy:
@@ -168,21 +184,20 @@ class TabularPolicy:
             self.theta = np.vstack([self.theta[:-1],
                                     np.zeros((len(self.rows) - before + 1, self.vocab.size))])
 
-    def apply_update(self, rows: np.ndarray, vecs: np.ndarray, factor: float) -> None:
-        """Add factor * vecs[i] to row rows[i] for every i (descent uses factor = -lr).
+    def apply_update(self, steps: Steps, vecs: np.ndarray, factor: float) -> None:
+        """Add factor * vecs[i] to the row of step i for every i (descent uses factor = -lr).
 
-        The vectors of a repeated row are summed first, in order, and each
-        touched row is then updated once.  A step without a row (-1) updates
-        nothing.
+        The vectors of a repeated row are summed first, in step order, into
+        its slot of ``steps.touched``, and each touched row is then updated
+        once.  A step without a row (-1) updates nothing.
         """
-        keep = rows >= 0
-        # touched is sorted; slot is each step's place in it.
-        touched, slot = np.unique(rows[keep], return_inverse=True)
-        vecs = vecs[keep]
-        size = self.vocab.size
-        total = np.bincount((slot[:, None] * size + np.arange(size)).ravel(),
-                            weights=vecs.ravel(), minlength=len(touched) * size)
-        self.theta[touched] += factor * total.reshape(len(touched), size)
+        touched, size = steps.touched, self.vocab.size
+        total = np.bincount((steps.slot[:, None] * size + np.arange(size)).ravel(),
+                            weights=vecs.ravel(),
+                            minlength=len(touched) * size).reshape(len(touched), size)
+        if len(touched) and touched[0] < 0:
+            touched, total = touched[1:], total[1:]
+        self.theta[touched] += factor * total
 
     # -- distributions ----------------------------------------------------
 
@@ -209,23 +224,25 @@ class TabularPolicy:
             rows.extend(get((dut_id, ctx), -1) for ctx in contexts)
             targets.append(tgt)
         lens = [len(t) for t in targets]
-        return Steps(np.array(rows, dtype=np.intp),
-                     np.concatenate(targets) if targets else np.zeros(0, dtype=np.intp),
-                     np.repeat(np.arange(len(lens)), lens), len(lens))
+        return Steps.of(np.array(rows, dtype=np.intp),
+                        np.concatenate(targets) if targets else np.zeros(0, dtype=np.intp),
+                        np.repeat(np.arange(len(lens)), lens), len(lens))
 
-    def _score(self, rows: np.ndarray, targets: np.ndarray):
-        """Per-step log-probs of targets, with each step's exp-logits and their sums.
+    def _score(self, steps: Steps):
+        """Per-step log-probs of the targets, and each touched row's exp-logits and their sums.
 
-        Row i of ``e`` is exp(z - m) for step i's logits z, from the
-        ``masked_softmax`` float operations, one row per step.
+        Row j of ``e`` is exp(z - m) for the logits z of row
+        ``steps.touched[j]``, from the ``masked_softmax`` float operations:
+        each distinct row is exponentiated and logged once, however many
+        steps read it.
         """
-        z = self.theta[rows]
+        z = self.theta.take(steps.touched, axis=0)
         m, e, sums = _masked_exp(z, self.vocab.bos)
         m, sums = m[:, 0], sums[:, 0]
         # math.log as the step-by-step form used: np.log differs from it in the
         # last bit on a few arguments in 10^4, which would change artifacts.
         lse = m + np.fromiter(map(math.log, sums.tolist()), float, len(sums))
-        return z[np.arange(len(targets)), targets] - lse, e, sums
+        return z[steps.slot, steps.targets] - lse[steps.slot], e, sums
 
     def log_prob(self, dut_id, seq) -> tuple[float, list[float]]:
         """Total and per-step log-probability at temperature 1.
@@ -233,20 +250,22 @@ class TabularPolicy:
         The forced-EOS step at interior position t_max contributes exactly 0.
         """
         steps = self.steps([(dut_id, seq)])
-        per_step = self._score(steps.rows, steps.targets)[0].tolist()
+        per_step = self._score(steps)[0].tolist()
         per_step += [0.0] * (len(seq) - 1 - len(per_step))
         return sum(per_step), per_step
 
     def grad_log_prob(self, steps: Steps) -> tuple[np.ndarray, np.ndarray]:
         """Each sequence's log-probability, and d log pi / d logits of each step.
 
-        One softmax over all steps.  Row i of the gradient belongs to the
-        context of step i; a sequence's total sums its steps in order, as
-        ``log_prob`` does, and forced steps contribute nothing.
+        One softmax over the distinct rows of the steps.  Row i of the
+        gradient belongs to the context of step i; a sequence's total sums
+        its steps in order, as ``log_prob`` does, and forced steps
+        contribute nothing.
         """
-        per_step, e, sums = self._score(steps.rows, steps.targets)
-        grads = -(e / sums[:, None])
-        grads[np.arange(len(steps.targets)), steps.targets] += 1.0
+        per_step, e, sums = self._score(steps)
+        probs = e / sums[:, None]
+        grads = np.negative(probs, out=probs).take(steps.slot, axis=0)
+        grads.ravel()[np.arange(len(steps.targets)) * self.vocab.size + steps.targets] += 1.0
         grads[:, self.vocab.bos] = 0.0
         return np.bincount(steps.owner, weights=per_step, minlength=steps.n), grads
 

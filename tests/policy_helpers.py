@@ -44,7 +44,7 @@ def logit_gradient(policy, items, weights) -> dict:
     steps = grad.steps(items)
     _, step_grads = grad.grad_log_prob(steps)
     grad.theta[:] = 0.0
-    grad.apply_update(steps.rows, step_grads * np.asarray(weights, dtype=float)[steps.owner, None],
+    grad.apply_update(steps, step_grads * np.asarray(weights, dtype=float)[steps.owner, None],
                       1.0)
     touched = set(steps.rows.tolist())
     return {key: grad.theta[i] for key, i in grad.rows.items() if i in touched}

@@ -120,6 +120,19 @@ class TestSimulateCommand:
         out, err = capsys.readouterr()
         assert out == "" and err == message + "\n"
 
+    def test_oversized_stim_integer_named(self, toy1_file, capsys):
+        # 5,000 digits is past int()'s default 4,300-digit string limit.
+        assert main(["simulate", toy1_file, "--stim", "0,0," + "1" * 5000]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("error: --stim: cycle 2: integer of 5000 digits "
+                                     "is too long to convert\n")
+
+    def test_oversized_cycles_integer_named(self, toy1_file, capsys):
+        assert main(["simulate", toy1_file, "--cycles", "a=1;a=-" + "1" * 5000]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == ("error: --cycles: cycle 1: port 'a': integer of 5000 "
+                                     "digits is too long to convert\n")
+
     def test_stim_values_may_carry_blanks(self, toy1_file, capsys):
         assert main(["simulate", toy1_file, "--stim", " 1 ,0 "]) == 0
         spaced = capsys.readouterr().out

@@ -10,7 +10,14 @@ from hypothesis import strategies as st
 from covstim import policy as policy_module
 from covstim.codec import CodecError, Vocab
 from covstim.curation import NoveltyTeacher
-from covstim.policy import ReferencePolicy, TabularPolicy, draw_tokens, masked_softmax
+from covstim.policy import (
+    ReferencePolicy,
+    Steps,
+    TabularPolicy,
+    _masked_exp,
+    draw_tokens,
+    masked_softmax,
+)
 
 from policy_helpers import adjust, logits, set_logits
 from reference_curation import reference_sample
@@ -197,6 +204,45 @@ def batch_cases(draw):
             if draw(st.booleans()):
                 set_logits(policy, "d", policy._contexts(seq[:j]), draw(row))
     return policy, seqs
+
+
+@st.composite
+def shared_row_cases(draw):
+    """A policy and compiled steps that read some rows many times and some contexts with none.
+
+    The first sequence is scored twice, so its rows repeat; the sequences
+    of design "e" have no rows at all; rows of design "x" are in the table
+    but never read.
+    """
+    vocab = Vocab(2)
+    k = draw(st.integers(1, 3))
+    t_max = draw(st.integers(1, 4))
+    interior = st.lists(st.integers(0, vocab.n_values - 1), max_size=t_max)
+    items = [(draw(st.sampled_from("de")), [vocab.bos, *body, vocab.eos])
+             for body in draw(st.lists(interior, min_size=1, max_size=6))]
+    items += [items[0], ("e", [vocab.bos, *draw(interior), vocab.eos])]
+    items = draw(st.permutations(items))
+    policy = TabularPolicy(vocab, k, t_max)
+    row = st.lists(st.floats(-50, 50), min_size=vocab.size, max_size=vocab.size)
+    for dut_id, seq in items:
+        for j in range(1, len(seq)):
+            if draw(st.booleans()):
+                set_logits(policy, "d" if dut_id == "d" else "x",
+                           policy._contexts(seq[:j]), draw(row))
+    return policy, policy.steps(items)
+
+
+def per_step_grad_log_prob(policy, steps):
+    """grad_log_prob as one masked softmax per step: _masked_exp over theta[rows], then math.log."""
+    z = policy.theta[steps.rows]
+    m, e, sums = _masked_exp(z, policy.vocab.bos)
+    lse = m[:, 0] + np.array([math.log(s) for s in sums[:, 0].tolist()])
+    at = np.arange(len(steps.targets))
+    per_step = z[at, steps.targets] - lse
+    grads = -(e / sums)
+    grads[at, steps.targets] += 1.0
+    grads[:, policy.vocab.bos] = 0.0
+    return np.bincount(steps.owner, weights=per_step, minlength=steps.n), grads
 
 
 def all_well_formed(vocab, t_max):
@@ -403,6 +449,17 @@ class TestOnePassScoring:
             assert total == step_by_step_log_prob(policy, "d", seq)[0]
             assert_same_grad(grad, step_by_step_grad(policy, "d", seq))
 
+    @given(shared_row_cases())
+    @settings(max_examples=200, deadline=None)
+    def test_distinct_row_softmax_equals_per_step_formula_exactly(self, case):
+        policy, steps = case
+        assert steps.touched[0] == -1 and len(steps.touched) < len(steps.rows)
+        assert np.array_equal(steps.touched[steps.slot], steps.rows)
+        totals, grads = policy.grad_log_prob(steps)
+        expected_totals, expected_grads = per_step_grad_log_prob(policy, steps)
+        assert totals.tolist() == expected_totals.tolist()
+        assert np.array_equal(grads, expected_grads)
+
     def test_equals_step_by_step_on_many_sequences(self):
         # np.log differs from math.log in the last bit on a few in 10^4
         # arguments; thousands of fresh rows make such a slip show.  Logits
@@ -466,7 +523,7 @@ class TestScoringCaches:
         assert np.array_equal(policy.theta, theta)
         assert_same_grad(seq_grad(policy, "dut", seq), expected)
 
-        policy.apply_update(steps.rows, grads, 0.5)
+        policy.apply_update(steps, grads, 0.5)
         theta = policy.theta.copy()
         grads[:] = -1.0
         assert np.array_equal(policy.theta, theta)
@@ -510,7 +567,8 @@ class TestDenseTable:
         policy = uniform_policy()
         policy.add_rows([("d", [VOCAB.bos, 1, VOCAB.eos])])
         vecs = np.arange(4 * VOCAB.size, dtype=float).reshape(4, VOCAB.size)
-        policy.apply_update(np.array([1, -1, 0, 1]), vecs, -0.5)
+        rows = np.array([1, -1, 0, 1])
+        policy.apply_update(Steps.of(rows, np.zeros(4, dtype=np.intp), np.arange(4), 4), vecs, -0.5)
         assert np.array_equal(policy.theta[0], -0.5 * vecs[2])
         assert np.array_equal(policy.theta[1], -0.5 * (vecs[0] + vecs[3]))
         assert len(policy.theta) == 3 and not policy.theta[-1].any()

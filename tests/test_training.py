@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import covstim
 from covstim import policy as policy_module
@@ -26,6 +28,7 @@ from covstim.training import (
     preference_loss,
     sft_loss,
     train,
+    _Compiled,
 )
 
 from policy_helpers import adjust, logits, norm, pair_grad, set_logits, sft_grad
@@ -471,6 +474,48 @@ class TestReferencePin:
                           for seq in (p.chosen, p.rejected))
         every.add_rows((p.dut_id, seq) for p in pairs for seq in (p.chosen, p.rejected))
         assert keys == set(expected.rows) != set(every.rows)
+
+
+class TestEpochCompile:
+    """Each batch of a compiled epoch against ``theta.steps`` of the batch's items."""
+
+    @pytest.mark.parametrize("layout", ["SFT", "preference"])
+    @pytest.mark.parametrize("batching", ["one", "non_divisor", "larger"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_batches_equal_steps_of_their_items(self, layout, batching, data):
+        pool, init = pin_dataset()
+        size = data.draw(st.integers(3 if batching == "non_divisor" else 1, 30), label="N")
+        # Indices repeat, so a batch can score one sequence twice.
+        pairs = [pool[i] for i in data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                                     min_size=size, max_size=size))]
+        if batching == "one":
+            batch_size = 1
+        elif batching == "larger":
+            batch_size = data.draw(st.integers(size + 1, size + 5), label="batch_size")
+        else:
+            batch_size = data.draw(st.integers(2, size - 1).filter(lambda b: size % b),
+                                   label="batch_size")
+        theta = init.copy()
+        if layout == "SFT":
+            compiled = _Compiled(pairs, theta, None, None)
+        else:
+            # beta* = 0 leaves a pair's contexts without rows, so steps read row -1.
+            beta_star = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5]),
+                                                    min_size=size, max_size=size)))
+            compiled = _Compiled(pairs, theta, ReferencePolicy(init), beta_star)
+        order = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(size)
+        batches = compiled.epoch(order, batch_size)
+        assert len(batches) == -(-size // batch_size)
+        for b, steps in enumerate(batches):
+            items = [pairs[i] for i in order[b * batch_size:(b + 1) * batch_size]]
+            seqs = [(p.dut_id, p.chosen) for p in items]
+            if layout != "SFT":
+                seqs += [(p.dut_id, p.rejected) for p in items]
+            expected = theta.steps(seqs)
+            assert steps.n == expected.n
+            for name in ("rows", "targets", "owner", "touched", "slot"):
+                assert np.array_equal(getattr(steps, name), getattr(expected, name)), name
 
 
 class TestTrainDiagnostics:
