@@ -1,7 +1,7 @@
 """Command-line entry point wiring the pipeline into reproducible runs.
 
 Exit codes: 0 success, 1 domain error (lint issues, invalid stimulus,
-training failure), 2 usage or IO error.
+training failure) or out of memory, 2 usage or IO error.
 """
 
 from __future__ import annotations
@@ -319,6 +319,9 @@ def main(argv=None) -> int:
         return 1
     except (SimulationError, TrainingError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:
+        print(f"error: out of memory: {str(err) or 'allocation failed'}", file=sys.stderr)
         return 1
     except OSError as err:
         print(f"io error: {err}", file=sys.stderr)

@@ -23,12 +23,13 @@ from .codec import Vocab, check_well_formed
 def _masked_exp(z: np.ndarray, bos: int):
     """exp(z - m) of each row of logits z (overwritten), with BOS masked out.
 
-    BOS is set to -inf and m is max(0, the row's finite max), so the exp
-    of each finite logit is at most 1.  Returns m, the exp-logits and their row sums, each keeping
-    the reduced last axis; z may be one row (1-D) or a stack of rows.
+    BOS is set to -inf and m is max(0, the row's max), so each exp is at
+    most 1: a -inf logit never wins the max, and a row holding +inf or NaN
+    turns all-NaN.  Returns m, the exp-logits and their row sums, each
+    keeping the reduced last axis; z may be one row (1-D) or a stack of rows.
     """
     z[..., bos] = -np.inf
-    m = z.max(axis=-1, keepdims=True, initial=0.0, where=np.isfinite(z))
+    m = z.max(axis=-1, keepdims=True, initial=0.0)
     e = np.exp(z - m)
     return m, e, e.sum(axis=-1, keepdims=True)
 
@@ -127,10 +128,8 @@ class Steps:
     step has no row, and ``slot[i]`` is step i's index into it:
     ``touched[slot] == rows``.
 
-    ``Steps`` is public API: ``TabularPolicy.steps`` returns it, and
-    ``grad_log_prob`` and ``apply_update`` take it.  Its fields changed:
-    ``touched`` and ``slot`` were added, and ``apply_update`` takes a
-    ``Steps`` where it took an array of rows.
+    ``Steps`` is public API: ``TabularPolicy.steps`` and ``batches`` build
+    it, and ``grad_log_prob`` and ``apply_update`` take it.
     """
 
     rows: np.ndarray
@@ -139,12 +138,6 @@ class Steps:
     n: int
     touched: np.ndarray
     slot: np.ndarray
-
-    @classmethod
-    def of(cls, rows: np.ndarray, targets: np.ndarray, owner: np.ndarray, n: int) -> "Steps":
-        """The steps with these fields, and ``touched`` and ``slot`` found from rows."""
-        touched, slot = np.unique(rows, return_inverse=True)
-        return cls(rows, targets, owner, n, touched, slot)
 
 
 class TabularPolicy:
@@ -215,42 +208,70 @@ class TabularPolicy:
 
         return sample_tokens(self.vocab, self.t_max, tau, rngs, next_logits)
 
-    def steps(self, items) -> Steps:
-        """Compile (dut_id, seq) items to their scored steps; each seq is checked."""
+    def plan(self, items):
+        """Check (dut_id, seq) items; return their steps' flat rows and targets, and step counts."""
         get = self.rows.get
         rows, targets = [], []
         for dut_id, seq in items:
             contexts, tgt = _step_plan(tuple(seq), self.vocab, self.k, self.t_max)
             rows.extend(get((dut_id, ctx), -1) for ctx in contexts)
             targets.append(tgt)
-        lens = [len(t) for t in targets]
-        return Steps.of(np.array(rows, dtype=np.intp),
-                        np.concatenate(targets) if targets else np.zeros(0, dtype=np.intp),
-                        np.repeat(np.arange(len(lens)), lens), len(lens))
+        return (np.array(rows, dtype=np.intp),
+                np.concatenate(targets) if targets else np.zeros(0, dtype=np.intp),
+                np.array([len(t) for t in targets], dtype=np.intp))
 
-    def _score(self, steps: Steps):
-        """Per-step log-probs of the targets, and each touched row's exp-logits and their sums.
+    def batches(self, rows, targets, lens, counts) -> list[Steps]:
+        """The ``Steps`` of each run of ``counts[b]`` sequences, in order.
 
-        Row j of ``e`` is exp(z - m) for the logits z of row
-        ``steps.touched[j]``, from the ``masked_softmax`` float operations:
-        each distinct row is exponentiated and logged once, however many
-        steps read it.
+        rows, targets and lens are ``plan``'s arrays for all the sequences.
+        One ``np.unique`` over (batch, row) keys finds every batch's touched
+        rows and every step's slot at once.
         """
-        z = self.theta.take(steps.touched, axis=0)
+        width = len(self.theta)  # rows + 1: row + 1 of a step is in [0, width)
+        seq_batch = np.repeat(np.arange(len(counts)), counts)
+        batch = np.repeat(seq_batch, lens)
+        first = np.cumsum(counts) - counts  # each batch's first sequence
+        owner = np.repeat(np.arange(len(lens)) - first[seq_batch], lens)
+        # Keys sort by batch, then row; -1 (no row) sorts first in its batch.
+        keys, inverse = np.unique(batch * width + rows + 1, return_inverse=True)
+        bounds = np.arange(len(counts) + 1)
+        key_at = np.searchsorted(keys, bounds * width)
+        touched = keys % width - 1
+        slot = inverse - key_at[batch]
+        step_at = np.searchsorted(batch, bounds).tolist()
+        key_at = key_at.tolist()
+        return [Steps(rows[s:e], targets[s:e], owner[s:e], counts[b],
+                      touched[key_at[b]:key_at[b + 1]], slot[s:e])
+                for b, (s, e) in enumerate(zip(step_at, step_at[1:]))]
+
+    def steps(self, items) -> Steps:
+        """Compile (dut_id, seq) items to their scored steps, as one batch; each seq is checked."""
+        rows, targets, lens = self.plan(items)
+        return self.batches(rows, targets, lens, [len(lens)])[0]
+
+    def _score(self, rows, slot, targets):
+        """Per-step log-probs of the targets, and each given row's exp-logits and their sums.
+
+        Row j of ``e`` is exp(z - m) for the logits z of ``rows[j]``, from
+        the ``masked_softmax`` float operations, and step i emits
+        ``targets[i]`` from ``rows[slot[i]]``: each row is exponentiated and
+        logged once, however many steps read it.
+        """
+        z = self.theta.take(rows, axis=0)
         m, e, sums = _masked_exp(z, self.vocab.bos)
         m, sums = m[:, 0], sums[:, 0]
         # math.log as the step-by-step form used: np.log differs from it in the
         # last bit on a few arguments in 10^4, which would change artifacts.
         lse = m + np.fromiter(map(math.log, sums.tolist()), float, len(sums))
-        return z[steps.slot, steps.targets] - lse[steps.slot], e, sums
+        return z[slot, targets] - lse[slot], e, sums
 
     def log_prob(self, dut_id, seq) -> tuple[float, list[float]]:
         """Total and per-step log-probability at temperature 1.
 
         The forced-EOS step at interior position t_max contributes exactly 0.
         """
-        steps = self.steps([(dut_id, seq)])
-        per_step = self._score(steps)[0].tolist()
+        rows, targets, _ = self.plan([(dut_id, seq)])
+        per_step = self._score(rows, np.arange(len(rows)), targets)[0].tolist()
         per_step += [0.0] * (len(seq) - 1 - len(per_step))
         return sum(per_step), per_step
 
@@ -262,7 +283,7 @@ class TabularPolicy:
         its steps in order, as ``log_prob`` does, and forced steps
         contribute nothing.
         """
-        per_step, e, sums = self._score(steps)
+        per_step, e, sums = self._score(steps.touched, steps.slot, steps.targets)
         probs = e / sums[:, None]
         grads = np.negative(probs, out=probs).take(steps.slot, axis=0)
         grads.ravel()[np.arange(len(steps.targets)) * self.vocab.size + steps.targets] += 1.0

@@ -8,8 +8,8 @@ clearer coverage difference drive larger updates.
 
 ``train`` compiles its dataset once to index arrays over the distinct
 sequences and the policy's rows, and each epoch once, after its shuffle, to
-the ``Steps`` of every mini-batch, with each batch's distinct rows found in
-one pass over the epoch.  A mini-batch is then one gather of its distinct
+the ``Steps`` of every mini-batch, which the policy builds in one pass over
+the epoch.  A mini-batch is then one gather of its distinct
 rows, one masked log-softmax over them and one scatter update into them,
 with the loss terms computed as arrays over the batch.  The one-pair
 functions below are batch-of-one calls of the same loss code.
@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .policy import ReferencePolicy, Steps, TabularPolicy, check_positive
+from .policy import ReferencePolicy, TabularPolicy, check_positive
 
 MODES = ("SFT", "DPO", "CDDPO")
 F_VARIANTS = ("identity_clamp", "dataset_minmax")
@@ -200,10 +200,10 @@ class TrainResult:
 
 
 class _Compiled:
-    """A dataset as index arrays over its distinct (dut_id, seq) sequences.
+    """A dataset as ids of its distinct (dut_id, seq) sequences, and their steps.
 
-    Each distinct sequence is checked and mapped to theta's rows once, and
-    scored once under the frozen reference.  A row is added only for the
+    Each distinct sequence is checked and mapped to theta's rows once, by
+    ``theta.plan``, and scored once under the frozen reference.  A row is added only for the
     contexts an update will touch: the chosen sequences in SFT, and both
     sequences of every pair with beta* != 0 otherwise.  Training adds no
     rows after this, so the steps compiled here stay valid.
@@ -225,54 +225,31 @@ class _Compiled:
             live = set(self.chosen[moving].tolist()) | set(self.rejected[moving].tolist())
         items = list(ids)
         theta.add_rows(items[i] for i in sorted(live))
-        steps = theta.steps(items)
-        self.rows, self.targets = steps.rows, steps.targets
-        self.lens = np.bincount(steps.owner, minlength=steps.n)
+        self.theta = theta
+        self.rows, self.targets, self.lens = theta.plan(items)
         self.starts = np.cumsum(self.lens) - self.lens
-        self.width = len(theta.theta)  # rows + 1: row + 1 of a step is in [0, width)
         self.ref_log_probs = None if ref is None else np.array(
             [ref.log_prob(dut_id, seq)[0] for dut_id, seq in items])
 
-    def epoch(self, order: np.ndarray, batch_size: int) -> list[Steps]:
-        """The ``Steps`` of each mini-batch of the shuffled items ``order``.
+    def epoch(self, order: np.ndarray, batch_size: int) -> list:
+        """(batch, seqs, steps) of each mini-batch of the shuffled items ``order``.
 
-        Batch b holds the items ``order[b * batch_size:][:batch_size]``: their
-        chosen sequences, then, for preference data, their rejected ones; a
-        repeated sequence is scored again.  Its ``Steps`` equals
-        ``theta.steps`` of those sequences.  The whole epoch is one gather of
-        steps and one ``np.unique`` over (batch, row) keys, which finds each
-        batch's touched rows and every step's slot at once.
+        batch holds the items ``order[b * batch_size:][:batch_size]``, and
+        seqs the ids of their chosen sequences, then, for preference data,
+        their rejected ones; a repeated sequence is scored again.  steps
+        equals ``theta.steps`` of those sequences.  The whole epoch is one
+        gather of steps and one ``theta.batches`` call.
         """
-        if self.rejected is None:
-            seqs = self.chosen[order]
-        else:
-            pos = np.arange(len(order))
-            first = pos - pos % batch_size  # where the item's batch starts in order
-            n = np.minimum(batch_size, len(order) - first)  # the items in that batch
-            # The batch's sequences start at 2 * first: n chosen, then n rejected.
-            seqs = np.empty(2 * len(order), dtype=np.intp)
-            seqs[first + pos] = self.chosen[order]
-            seqs[first + pos + n] = self.rejected[order]
-        span = len(seqs) // len(order) * batch_size  # sequences in each batch but the last
-        seq_batch = np.arange(len(seqs)) // span
-        lens = self.lens[seqs]
+        batches = [order[s:s + batch_size] for s in range(0, len(order), batch_size)]
+        seqs = [self.chosen[b] if self.rejected is None
+                else np.concatenate([self.chosen[b], self.rejected[b]]) for b in batches]
+        flat = np.concatenate(seqs)
+        lens = self.lens[flat]
         ends = np.cumsum(lens)
-        idx = np.arange(ends[-1]) + np.repeat(self.starts[seqs] - ends + lens, lens)
-        rows, targets = self.rows[idx], self.targets[idx]
-        batch = np.repeat(seq_batch, lens)
-        owner = np.repeat(np.arange(len(seqs)) - seq_batch * span, lens)
-        # Keys sort by batch, then row; -1 (no row) sorts first in its batch.
-        keys, inverse = np.unique(batch * self.width + rows + 1, return_inverse=True)
-        bounds = np.arange(int(seq_batch[-1]) + 2)
-        key_at = np.searchsorted(keys, bounds * self.width)
-        touched = keys % self.width - 1
-        slot = inverse - key_at[batch]
-        step_at = np.searchsorted(batch, bounds).tolist()
-        seq_at = np.minimum(bounds * span, len(seqs)).tolist()
-        key_at = key_at.tolist()
-        return [Steps(rows[s:e], targets[s:e], owner[s:e], seq_at[b + 1] - seq_at[b],
-                      touched[key_at[b]:key_at[b + 1]], slot[s:e])
-                for b, (s, e) in enumerate(zip(step_at, step_at[1:]))]
+        idx = np.arange(ends[-1]) + np.repeat(self.starts[flat] - ends + lens, lens)
+        steps = self.theta.batches(self.rows[idx], self.targets[idx], lens,
+                                   [len(s) for s in seqs])
+        return list(zip(batches, seqs, steps))
 
 
 def train(dataset, config: TrainConfig, init: TabularPolicy) -> TrainResult:
@@ -302,16 +279,13 @@ def train(dataset, config: TrainConfig, init: TabularPolicy) -> TrainResult:
         order = rng.permutation(len(dataset))
         epoch_start = theta.theta.copy()
         losses, margins, wins = [], [], 0
-        for start, steps in zip(range(0, len(dataset), config.batch_size),
-                                data.epoch(order, config.batch_size)):
-            batch = order[start:start + config.batch_size]
+        for batch, seqs, steps in data.epoch(order, config.batch_size):
             n = len(batch)
             log_probs, grads = theta.grad_log_prob(steps)
             if ref is None:
                 losses.extend([_mean_nll(log_probs.tolist())] * n)
                 seq_weights = np.full(n, -1.0 / n)
             else:
-                seqs = np.concatenate([data.chosen[batch], data.rejected[batch]])
                 rewards = implicit_reward(log_probs, data.ref_log_probs[seqs])
                 bd = preference_loss(rewards[:n], rewards[n:], beta_star[batch])
                 losses.extend(bd.loss.tolist())

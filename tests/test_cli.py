@@ -276,6 +276,22 @@ class TestPipelineCommands:
         assert "RuntimeWarning" not in out + err and "Traceback" not in out + err
         assert not (report_dir / "eval.json").exists()
 
+    # Sizes of 10**15 fail to allocate before any memory is touched.
+    @pytest.mark.parametrize("command, doc", [
+        ("curate", {"t_max": 10**15, "curation": {"pairs_per_dut": 1}}),
+        ("curate", {"k": 10**15, "curation": {"pairs_per_dut": 1, "teacher": "uniform"}}),
+        ("train", {"k": 10**15, "curation": {"pairs_per_dut": 1, "teacher": "uniform"}}),
+    ])
+    def test_out_of_memory_exits_one(self, tmp_path, capsys, command, doc):
+        if command == "train":
+            assert main(["curate", "--config", small_config(tmp_path)[0]]) == 0
+        config, _ = small_config(tmp_path, **doc)
+        capsys.readouterr()
+        assert main([command, "--config", config]) == 1
+        out, err = capsys.readouterr()
+        assert len(err.splitlines()) == 1 and err.startswith("error: out of memory")
+        assert "Traceback" not in out + err
+
     def test_demo_artifact_inventory(self, tmp_path, capsys):
         config, report_dir = small_config(tmp_path)
         assert main(["demo", "--config", config]) == 0

@@ -568,7 +568,9 @@ class TestDenseTable:
         policy.add_rows([("d", [VOCAB.bos, 1, VOCAB.eos])])
         vecs = np.arange(4 * VOCAB.size, dtype=float).reshape(4, VOCAB.size)
         rows = np.array([1, -1, 0, 1])
-        policy.apply_update(Steps.of(rows, np.zeros(4, dtype=np.intp), np.arange(4), 4), vecs, -0.5)
+        steps = Steps(rows, np.zeros(4, dtype=np.intp), np.arange(4), 4,
+                      touched=np.array([-1, 0, 1]), slot=np.array([2, 0, 1, 2]))
+        policy.apply_update(steps, vecs, -0.5)
         assert np.array_equal(policy.theta[0], -0.5 * vecs[2])
         assert np.array_equal(policy.theta[1], -0.5 * (vecs[0] + vecs[3]))
         assert len(policy.theta) == 3 and not policy.theta[-1].any()
@@ -583,6 +585,13 @@ class TestGradLogProb:
         assert vec[3] == pytest.approx(1 - 1 / 17, abs=1e-15)
         assert vec[0] == pytest.approx(-1 / 17, abs=1e-15)
         assert vec[VOCAB.bos] == 0.0
+
+    def test_no_items_make_an_empty_batch(self):
+        policy = random_policy(np.random.default_rng(15))
+        steps = policy.steps([])
+        assert steps.n == 0 and len(steps.rows) == len(steps.touched) == 0
+        totals, grads = policy.grad_log_prob(steps)
+        assert totals.shape == (0,) and grads.shape == (0, VOCAB.size)
 
     def test_entries_sum_to_zero_per_context(self):
         rng = np.random.default_rng(4)

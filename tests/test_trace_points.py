@@ -6,7 +6,7 @@ and not only when the traced benchmark runs.
 
 from pathlib import Path
 
-from covstim import cli, corpus, curation, policy, sim
+from covstim import cli, corpus, curation, hdl, policy, sim
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -60,3 +60,21 @@ def test_curate_records_every_required_span(monkeypatch, tmp_path):
         tracer.uninstall()
     metrics = layers.per_layer_metrics("curate", tracer)
     assert metrics["curation.make_pair.calls"][0] == stats.attempted == 20 * len(designs)
+
+
+def test_simulate_large_records_every_required_span(monkeypatch):
+    """A change that routes parsing, linting or simulation around a traced function fails here."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    from spans import Tracer
+
+    tracer = Tracer()
+    try:
+        layers.install(tracer)
+        dut = hdl.parse(corpus.bundled_source("toy1"))
+        assert hdl.lint(dut) == []
+        report = sim.simulate(dut, sim.Stimulus(({"a": 1}, {"a": 0}, {"a": 1})))
+    finally:
+        tracer.uninstall()
+    metrics = layers.per_layer_metrics("simulate_large", tracer)
+    assert metrics["sim.simulate.cycles"][0] == report.cycles_run == 3

@@ -507,8 +507,10 @@ class TestEpochCompile:
         order = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(size)
         batches = compiled.epoch(order, batch_size)
         assert len(batches) == -(-size // batch_size)
-        for b, steps in enumerate(batches):
-            items = [pairs[i] for i in order[b * batch_size:(b + 1) * batch_size]]
+        for b, (batch, seq_ids, steps) in enumerate(batches):
+            assert np.array_equal(batch, order[b * batch_size:(b + 1) * batch_size])
+            assert len(seq_ids) == steps.n
+            items = [pairs[i] for i in batch]
             seqs = [(p.dut_id, p.chosen) for p in items]
             if layout != "SFT":
                 seqs += [(p.dut_id, p.rejected) for p in items]
@@ -516,6 +518,8 @@ class TestEpochCompile:
             assert steps.n == expected.n
             for name in ("rows", "targets", "owner", "touched", "slot"):
                 assert np.array_equal(getattr(steps, name), getattr(expected, name)), name
+            assert np.array_equal(steps.touched, np.unique(steps.rows))
+            assert np.array_equal(steps.touched[steps.slot], steps.rows)
 
 
 class TestTrainDiagnostics:
