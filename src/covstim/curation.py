@@ -17,8 +17,8 @@ import numpy as np
 
 from .codec import Vocab, simulate_tokens
 from .hdl import DutModel, lint, pretty_print
-from .policy import (TabularPolicy, _is_finite_number, _is_int, check_positive, parse_json,
-                     sample_tokens)
+from .policy import (TabularPolicy, _is_finite_number, _is_int, check_positive, generators,
+                     parse_json, sample_tokens)
 from .sim import CoverageReport
 from .training import PreferencePair
 
@@ -47,6 +47,8 @@ class CurationConfig:
             raise ValueError("tau1 and tau2 must be distinct")
         if self.pairs_per_dut < 1:
             raise ValueError("pairs_per_dut must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"curation.seed must be >= 0, got {self.seed}")
         self.uniform_policy()  # checks wmax, k and t_max
 
     def uniform_policy(self) -> TabularPolicy:
@@ -177,12 +179,13 @@ class CurationStats:
 def _sampled_pairs(teacher, dut: DutModel, dut_i: int, config: CurationConfig):
     """Yield (pair index, tau1 sequence, tau2 sequence) for each pair of one design.
 
-    Pairs are sampled PAIR_BLOCK at a time: each pair's generator draws its
-    tau1 sequence, then its tau2 sequence.
+    Pairs are sampled PAIR_BLOCK at a time: each pair's generator,
+    ``default_rng([seed, dut_i, pair_i])`` built by ``policy.generators``,
+    draws its tau1 sequence, then its tau2 sequence.
     """
     for start in range(0, config.pairs_per_dut, PAIR_BLOCK):
         block = range(start, min(start + PAIR_BLOCK, config.pairs_per_dut))
-        rngs = [np.random.default_rng([config.seed, dut_i, pair_i]) for pair_i in block]
+        rngs = generators([config.seed, dut_i], block)
         seqs_a = teacher.sample(dut.name, config.tau1, rngs)
         seqs_b = teacher.sample(dut.name, config.tau2, rngs)
         yield from zip(block, seqs_a, seqs_b)

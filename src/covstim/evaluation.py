@@ -4,10 +4,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 
-import numpy as np
-
 from .codec import simulate_tokens
-from .policy import check_positive
+from .policy import check_positive, generators
 from .sim import METRICS as COVERAGE_METRICS
 from .training import TrainConfig, train
 
@@ -27,6 +25,8 @@ class EvalConfig:
         if self.n < 1:
             raise ValueError(f"eval.n must be >= 1, got {self.n}")
         check_positive("eval.tau", self.tau)
+        if self.seed < 0:
+            raise ValueError(f"eval.seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -52,14 +52,13 @@ class EvalReport:
 def eval_policy(policy, dut, config: EvalConfig) -> EvalReport:
     """Score N independent generations with ``codec.simulate_tokens``.
 
-    Generation i draws from its own generator ``[seed, i]`` and is decoded
-    under the policy's own ``vocab`` and ``t_max``; an invalid one scores 0
-    on every metric.
+    Generation i draws from its own generator, ``default_rng([seed, i])``
+    built by ``policy.generators``, and is decoded under the policy's own
+    ``vocab`` and ``t_max``; an invalid one scores 0 on every metric.
     """
     n = config.n
     report = EvalReport(dut=dut.name, n=n, tau=config.tau, seed=config.seed)
-    rngs = [np.random.default_rng([config.seed, gen_i]) for gen_i in range(n)]
-    for tokens in policy.sample(dut.name, config.tau, rngs):
+    for tokens in policy.sample(dut.name, config.tau, generators([config.seed], range(n))):
         cov = simulate_tokens(dut, tokens, policy.vocab, policy.t_max)
         if cov is None:
             fractions = dict.fromkeys(METRICS, 0.0)

@@ -58,6 +58,107 @@ def draw_tokens(probs: np.ndarray, rngs) -> np.ndarray:
     return np.count_nonzero(cdf <= uniforms[:, None], axis=1)
 
 
+_MASK32 = 0xFFFFFFFF
+# numpy.random.SeedSequence's hash constants (pool of 4 uint32 words).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(value: int) -> list[int]:
+    """value's 32-bit words, least significant first, as SeedSequence splits an int."""
+    if value < 0:
+        raise ValueError(f"expected non-negative integer, got {value}")
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
+    """``SeedSequence(entropy[:, i]).generate_state(4, np.uint64)`` as row i, for each column i.
+
+    entropy holds uint32 words, a row per word.  This is SeedSequence's
+    pool mixing and state generation, each uint32 step applied to a whole
+    row of seeds at once; the hash constants do not depend on the words.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ result >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros_like(entropy[0]))
+            for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(4, len(entropy)):
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+    hash_const = _INIT_B
+    state = np.empty((entropy.shape[1], 8), dtype="<u4")
+    for j in range(8):
+        value = pool[j % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        state[:, j] = value ^ value >> 16
+    return state.view("<u8").astype(np.uint64)
+
+
+@lru_cache(maxsize=None)
+def _generator_types():
+    """numpy's Generator and PCG64, and a seed source that hands PCG64 a fixed state.
+
+    Imported on first use: ``import numpy`` does not load numpy.random.
+    """
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    class FixedSeed(ISeedSequence):
+        """Returns its state, the 4 uint64 words PCG64 asks for."""
+
+        def __init__(self, state):
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.state
+
+    return Generator, PCG64, FixedSeed
+
+
+def generators(prefix, indices) -> list:
+    """``[np.random.default_rng([*prefix, i]) for i in indices]``, seeded in one pass.
+
+    Each generator's state is the same, bit for bit, as default_rng's: the
+    SeedSequence hash runs over the whole block at once (``_pcg64_seeds``),
+    and each ``Generator(PCG64(...))`` is built from its precomputed state.
+    Prefix entries may be any non-negative int; an index must be in
+    [0, 2**32).  A negative entry raises ValueError, as SeedSequence does.
+    ``bit_generator.seed_seq`` is not a SeedSequence, so ``spawn`` is not
+    supported.
+    """
+    words = [w for entry in prefix for w in _uint32_words(entry)]
+    index = list(indices)
+    if min(index, default=0) < 0 or max(index, default=0) > _MASK32:
+        raise ValueError(f"generator indices must be in [0, 2**32), got {indices}")
+    if not index:
+        return []
+    entropy = np.empty((len(words) + 1, len(index)), dtype=np.uint32)
+    entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[-1] = index
+    Generator, PCG64, FixedSeed = _generator_types()
+    return [Generator(PCG64(FixedSeed(state))) for state in _pcg64_seeds(entropy)]
+
+
 def sample_tokens(vocab: Vocab, t_max: int, tau: float, rngs,
                   next_logits) -> list[list[int]]:
     """Draw one well-formed token sequence per generator, all in lockstep.
@@ -306,20 +407,22 @@ class TabularPolicy:
             raise ValueError(f"checkpoint policy has {', '.join(wrong)}")
 
     def save(self, path) -> None:
-        entries = sorted(
-            ([dut_id, list(ctx), self.theta[i].tolist()] for (dut_id, ctx), i in self.rows.items()),
-            key=lambda e: (e[0], e[1]),
-        )
-        doc = {
-            "version": "tabular_policy/1",
-            "wmax": self.vocab.wmax,
-            "k": self.k,
-            "t_max": self.t_max,
-            "table": entries,
-        }
+        """Write ``json.dump`` of the checkpoint document and a newline, byte for byte.
+
+        The table holds a [dut_id, context, logits] entry per row, sorted by
+        (dut_id, context).  Each entry is written by its own ``json.dumps``,
+        which runs the C encoder where ``json.dump`` runs the pure-Python
+        one, so only one entry's text is held at a time.
+        """
+        header = json.dumps({"version": "tabular_policy/1", "wmax": self.vocab.wmax,
+                             "k": self.k, "t_max": self.t_max})
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
+            fh.write(header[:-1] + ', "table": [')
+            sep = ""
+            for (dut_id, ctx), i in sorted(self.rows.items()):
+                fh.write(sep + json.dumps([dut_id, list(ctx), self.theta[i].tolist()]))
+                sep = ", "
+            fh.write("]}\n")
 
     @classmethod
     def load(cls, path) -> "TabularPolicy":

@@ -72,6 +72,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"train.seed must be >= 0, got {self.seed}")
 
     to_dict = asdict
 

@@ -292,6 +292,16 @@ class TestPipelineCommands:
         assert len(err.splitlines()) == 1 and err.startswith("error: out of memory")
         assert "Traceback" not in out + err
 
+    @pytest.mark.parametrize("section", ["curation", "train", "eval"])
+    @pytest.mark.parametrize("command", ["curate", "train", "eval", "ablate", "demo"])
+    def test_negative_seed_named_before_any_stage_runs(self, tmp_path, capsys, command, section):
+        config, report_dir = small_config(tmp_path, **{section: {"seed": -1}})
+        extra = ["--checkpoint", str(tmp_path / "missing.ckpt.json")] if command == "eval" else []
+        assert main([command, "--config", config, *extra]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"error: {section}.seed must be >= 0, got -1\n")
+        assert not report_dir.exists()
+
     def test_demo_artifact_inventory(self, tmp_path, capsys):
         config, report_dir = small_config(tmp_path)
         assert main(["demo", "--config", config]) == 0

@@ -1,6 +1,12 @@
+import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +22,7 @@ from covstim.policy import (
     TabularPolicy,
     _masked_exp,
     draw_tokens,
+    generators,
     masked_softmax,
 )
 
@@ -398,6 +405,45 @@ class TestLockstepDraw:
         assert NoveltyTeacher(VOCAB, 8).sample("d", 1.0, []) == []
 
 
+class TestGenerators:
+    @given(st.lists(st.integers(0, 2**70 - 1), min_size=1, max_size=2),
+           st.one_of(st.just(0), st.integers(0, 2**32 - 40)), st.integers(0, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_equal_default_rng_of_prefix_and_index(self, prefix, start, n):
+        block = range(start, start + n)
+        rngs = generators(prefix, block)
+        assert len(rngs) == n
+        for rng, i in zip(rngs, block):
+            twin = np.random.default_rng([*prefix, i])
+            assert rng.bit_generator.state == twin.bit_generator.state
+            assert rng.random() == twin.random()
+            assert rng.integers(2**63) == twin.integers(2**63)
+
+    @pytest.mark.parametrize("prefix, indices", [
+        ([-1], range(3)), ([5, -2], range(3)), ([-(2**40)], range(0)), ([5], range(-1, 2)),
+    ])
+    def test_negative_entry_raises_as_seed_sequence_does(self, prefix, indices):
+        with pytest.raises(ValueError):
+            np.random.default_rng([*prefix, next(iter(indices), 0)])
+        with pytest.raises(ValueError):
+            generators(prefix, indices)
+
+    def test_index_of_more_than_32_bits_raises(self):
+        with pytest.raises(ValueError, match="2\\*\\*32"):
+            generators([1], range(2**32 - 1, 2**32 + 1))
+
+    def test_bundled_corpus_leaves_numpy_random_unloaded(self):
+        # numpy.random costs the benchmark's setup_s; covstim imports it on first sampling.
+        code = ("import sys, covstim; from covstim.corpus import load_bundled_corpus; "
+                "load_bundled_corpus(); print('numpy.random' in sys.modules)")
+        src = str(Path(policy_module.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, check=True).stdout
+        assert out == "False\n"
+
+
 class TestLogProb:
     def test_uniform_closed_form(self):
         total, per_step = uniform_policy().log_prob("d", [VOCAB.bos, 1, VOCAB.eos])
@@ -685,6 +731,32 @@ class TestCheckpoint:
         path2 = tmp_path / "policy2.json"
         loaded.save(path2)
         assert path.read_bytes() == path2.read_bytes()
+
+    @given(st.lists(st.tuples(st.sampled_from(["toy1", "mux2", "d\u00e9"]),
+                              st.tuples(st.integers(0, 17), st.integers(0, 17)),
+                              st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                       min_size=18, max_size=18)),
+                    max_size=12, unique_by=lambda row: row[:2]))
+    @settings(max_examples=100, deadline=None)
+    def test_save_writes_json_dump_of_the_document(self, rows):
+        policy = uniform_policy()
+        for dut_id, ctx, vec in rows:
+            set_logits(policy, dut_id, ctx, vec)
+        doc = {"version": "tabular_policy/1", "wmax": 4, "k": 2, "t_max": 8,
+               "table": sorted([dut_id, list(ctx), policy.theta[i].tolist()]
+                               for (dut_id, ctx), i in policy.rows.items())}
+        expected = io.StringIO()
+        json.dump(doc, expected)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "policy.json"
+            policy.save(path)
+            assert path.read_text(encoding="utf-8") == expected.getvalue() + "\n"
+
+    def test_empty_table_saves_as_json_dump(self, tmp_path):
+        path = tmp_path / "policy.json"
+        uniform_policy().save(path)
+        assert path.read_text() == ('{"version": "tabular_policy/1", "wmax": 4, "k": 2, '
+                                    '"t_max": 8, "table": []}\n')
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.json"
