@@ -10,7 +10,7 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .codec import Vocab, validate_and_decode
@@ -18,46 +18,29 @@ from .corpus import load_bundled_corpus, load_corpus_dir
 from .curation import CurationConfig, curate, load_dataset
 from .evaluation import EvalConfig, ablate, eval_policy, write_ablation
 from .hdl import ParseError, lint, parse
-from .policy import TabularPolicy, parse_json
+from .policy import TabularPolicy, check_int, check_str, parse_json, shown
 from .sim import SimulationError, Stimulus, simulate
 from .training import TrainConfig, TrainingError, train
 
 
-def _check_fields(prefix: str, values, defaults: dict) -> None:
-    """Reject a non-object, a key not in defaults, or a value of another JSON type.
-
-    A value must have its default's type, except that a float field takes
-    an int and a field whose default is None takes a string.  No field is
-    boolean, so booleans are rejected (bool is an int subclass).
-    """
-    if not isinstance(values, dict):
-        raise ValueError(f"config {prefix.rstrip('.') or 'top level'} must be a JSON object")
-    unknown = sorted(prefix + key for key in set(values) - set(defaults))
+def _check_keys(prefix: str, doc, keys) -> None:
+    """Reject a config level that is not a JSON object or that sets a key not in keys."""
+    where = prefix.rstrip(".") or "config top level"
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    unknown = sorted(set(doc) - set(keys))
     if unknown:
-        raise ValueError(f"unknown config field(s): {', '.join(unknown)}")
-    for key, value in values.items():
-        default = defaults[key]
-        if default is None:
-            expected = (str, type(None))
-        elif isinstance(default, float):
-            expected = (int, float)
-        else:
-            expected = type(default)
-        if isinstance(value, bool) or not isinstance(value, expected):
-            raise ValueError(f"config field {prefix}{key} has the wrong type "
-                             f"{type(value).__name__}")
+        raise ValueError(f"config key must be a field name, got {shown(prefix + unknown[0])}")
 
 
 # Set at a config file's top level, held by CurationConfig.
 _TOP_LEVEL_CURATION = ("wmax", "t_max", "k")
+_SECTIONS = {"curation": CurationConfig, "train": TrainConfig, "eval": EvalConfig}
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """The run configuration: paths, then one typed section per stage.
-
-    Each default lives on its section's dataclass, for the library and the CLI.
-    """
+    """The run configuration: paths, then one section per stage with its defaults and checks."""
 
     corpus_dir: str | None = None  # None -> bundled corpus
     report_dir: str = "report"
@@ -66,24 +49,30 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     eval: EvalConfig = field(default_factory=EvalConfig)
 
+    def __post_init__(self):
+        if self.corpus_dir is not None:
+            check_str("corpus_dir", self.corpus_dir)
+        check_str("report_dir", self.report_dir)
+        check_str("dataset_file", self.dataset_file)
+        for name, section in _SECTIONS.items():
+            value = getattr(self, name)
+            if not isinstance(value, section):
+                raise ValueError(f"{name} must be of type {section.__name__}, "
+                                 f"got {type(value).__name__}")
+
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        """Check every field of a config file, then build each section once.
-
-        The top-level wmax, t_max and k go into ``curation``.
-        """
+        """Build a config from a JSON file; the top-level wmax, t_max and k go into ``curation``."""
         with open(path, encoding="utf-8") as fh:
             doc = parse_json(fh.read(), path)
-        defaults = asdict(cls())
-        top_level = {key: defaults["curation"].pop(key) for key in _TOP_LEVEL_CURATION}
-        _check_fields("", doc, {**defaults, **top_level})
-        for name in ("curation", "train", "eval"):
-            _check_fields(f"{name}.", doc.get(name, {}), defaults[name])
+        _check_keys("", doc, [f.name for f in fields(cls)] + list(_TOP_LEVEL_CURATION))
+        for name, section in _SECTIONS.items():
+            _check_keys(f"{name}.", doc.get(name, {}),
+                        [f.name for f in fields(section) if f.name not in _TOP_LEVEL_CURATION])
         curation = {key: doc.pop(key) for key in _TOP_LEVEL_CURATION if key in doc}
-        curation.update(doc.pop("curation", {}))
-        train, evaluation = doc.pop("train", {}), doc.pop("eval", {})
-        return cls(**doc, curation=CurationConfig(**curation), train=TrainConfig(**train),
-                   eval=EvalConfig(**evaluation))
+        doc["curation"] = {**curation, **doc.get("curation", {})}
+        sections = {name: section(**doc.pop(name, {})) for name, section in _SECTIONS.items()}
+        return cls(**doc, **sections)
 
     def load_corpus(self):
         if self.corpus_dir is None:
@@ -106,19 +95,11 @@ def _save_trained(report_dir: Path, name: str, policy: TabularPolicy, history) -
 
 
 def _load_config(args) -> ExperimentConfig:
-    if args.config is None:
-        return ExperimentConfig()
-    return ExperimentConfig.from_file(args.config)
-
-
-def _read_design(path: str):
-    text = Path(path).read_text(encoding="utf-8")
-    return parse(text)
+    return ExperimentConfig() if args.config is None else ExperimentConfig.from_file(args.config)
 
 
 def cmd_lint(args) -> int:
-    dut = _read_design(args.file)
-    issues = lint(dut)
+    issues = lint(parse(Path(args.file).read_text(encoding="utf-8")))
     for issue in issues:
         print(issue)
     return 0 if not issues else 1
@@ -142,7 +123,7 @@ def _to_int(text: str, where: str) -> int:
 
 
 def cmd_simulate(args) -> int:
-    dut = _read_design(args.file)
+    dut = parse(Path(args.file).read_text(encoding="utf-8"))
     issues = lint(dut)
     if issues:
         for issue in issues:
@@ -152,11 +133,12 @@ def cmd_simulate(args) -> int:
         vocab = Vocab(args.wmax)
     except ValueError as err:
         raise ValueError(f"--wmax: {err}") from None
-    if args.t_max < 1:
-        raise ValueError(f"--t-max must be >= 1, got {args.t_max}")
-    if args.stim is not None:
+    check_int("--t-max", args.t_max, 1)
+    # argparse drops an option value of "--", leaving []; this puts it back.
+    stim_text, cycles_text = ("--" if t == [] else t for t in (args.stim, args.cycles))
+    if stim_text is not None:
         tokens = [vocab.bos]
-        for cycle_no, part in enumerate(args.stim.split(",")):
+        for cycle_no, part in enumerate(stim_text.split(",")):
             match = _STIM_PART.fullmatch(part)
             if match is None:
                 raise ValueError(f"--stim: cycle {cycle_no}: expected an integer, "
@@ -166,7 +148,7 @@ def cmd_simulate(args) -> int:
         stim = validate_and_decode(dut, tokens, vocab, args.t_max)
     else:
         cycles = []
-        for cycle_no, chunk in enumerate(args.cycles.split(";")):
+        for cycle_no, chunk in enumerate(cycles_text.split(";")):
             cycle = {}
             for part in chunk.split(","):
                 match = _CYCLE_PART.fullmatch(part)
@@ -201,19 +183,14 @@ def cmd_curate(args) -> int:
     return 0
 
 
-def _train_one(config: ExperimentConfig, mode: str | None, dataset):
-    train_config = config.train if mode is None else replace(config.train, mode=mode)
-    result = train(dataset, train_config, config.curation.uniform_policy())
-    _save_trained(Path(config.report_dir), train_config.mode.lower(),
-                  result.policy, result.history)
-    return train_config.mode, result
-
-
 def cmd_train(args) -> int:
     config = _load_config(args)
     dataset = load_dataset(config.dataset_path())
-    mode, result = _train_one(config, args.mode, dataset)
-    print(f"{mode}: final epoch loss {result.history.epoch_loss[-1]:.6f}")
+    train_config = config.train if args.mode is None else replace(config.train, mode=args.mode)
+    result = train(dataset, train_config, config.curation.uniform_policy())
+    _save_trained(Path(config.report_dir), train_config.mode.lower(),
+                  result.policy, result.history)
+    print(f"{train_config.mode}: final epoch loss {result.history.epoch_loss[-1]:.6f}")
     return 0
 
 
@@ -232,8 +209,7 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _run_ablation(config: ExperimentConfig, dataset):
-    corpus = config.load_corpus()
+def _run_ablation(config: ExperimentConfig, corpus, dataset):
     table, policies = ablate(corpus, dataset, config.train, config.eval,
                              config.curation.uniform_policy())
     report_dir = Path(config.report_dir)
@@ -249,7 +225,7 @@ def _run_ablation(config: ExperimentConfig, dataset):
 def cmd_ablate(args) -> int:
     config = _load_config(args)
     dataset = load_dataset(config.dataset_path())
-    table = _run_ablation(config, dataset)
+    table = _run_ablation(config, config.load_corpus(), dataset)
     print(f"wrote {Path(config.report_dir) / 'ablation.csv'} ({len(table.rows)} rows)")
     return 0
 
@@ -261,7 +237,7 @@ def cmd_demo(args) -> int:
     stats = _curate_with_stats(config, corpus)
     print(f"curated {stats.kept} pairs from {stats.attempted} attempts")
     dataset = load_dataset(config.dataset_path())
-    table = _run_ablation(config, dataset)
+    table = _run_ablation(config, corpus, dataset)
     for dut in corpus:
         vanilla = table.value("vanilla", dut.name, "average", "mean")
         cddpo = table.value("cddpo", dut.name, "average", "mean")

@@ -26,8 +26,9 @@ class Vocab:
     wmax: int = 4
 
     def __post_init__(self):
-        if not 1 <= self.wmax <= MAX_WIDTH:
-            raise ValueError(f"wmax must be in 1..{MAX_WIDTH}, got {self.wmax}")
+        if not (type(self.wmax) is int and 1 <= self.wmax <= MAX_WIDTH):
+            from .policy import check_int  # policy imports this module
+            check_int("wmax", self.wmax, 1, MAX_WIDTH)
 
     @property
     def n_values(self) -> int:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .hdl import DutModel, lint, parse
+from .hdl import DutModel, ParseError, lint, parse
 
 # All fixtures lint clean.  Every fixture except 'deadend' can reach average
 # coverage 1.0 with some stimulus of length <= 8; 'deadend' has no
@@ -22,7 +22,7 @@ def load_bundled_corpus() -> list[DutModel]:
 
 
 def load_corpus_dir(path) -> list[DutModel]:
-    """Parse every *.hdl file in a directory, sorted by filename.
+    """Parse every *.hdl file in a directory, sorted by filename; each error names its file.
 
     Module names must be unique: policy rows and pair ids are keyed by them.
     """
@@ -32,7 +32,13 @@ def load_corpus_dir(path) -> list[DutModel]:
     corpus = []
     seen: dict[str, Path] = {}
     for f in files:
-        dut = parse(f.read_text(encoding="utf-8"))
+        try:
+            dut = parse(f.read_text(encoding="utf-8"))
+        except ParseError as err:
+            err.args = (f"{f}: {err}",)  # still a ParseError, with its line and column
+            raise
+        except UnicodeDecodeError as err:
+            raise ValueError(f"{f}: {err}") from None
         issues = lint(dut)
         if issues:
             raise ValueError(f"{f}: lint issues: {', '.join(i.kind for i in issues)}")

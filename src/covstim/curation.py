@@ -17,8 +17,8 @@ import numpy as np
 
 from .codec import Vocab, simulate_tokens
 from .hdl import DutModel, lint, pretty_print
-from .policy import (TabularPolicy, _is_finite_number, _is_int, check_positive, generators,
-                     parse_json, sample_tokens)
+from .policy import (TabularPolicy, _is_finite_number, _is_int, check_int, check_positive,
+                     check_str, generators, parse_json, sample_tokens)
 from .sim import CoverageReport
 from .training import PreferencePair
 
@@ -41,14 +41,13 @@ class CurationConfig:
     k: int = 2
 
     def __post_init__(self):
-        check_positive("tau1", self.tau1)
-        check_positive("tau2", self.tau2)
+        object.__setattr__(self, "tau1", check_positive("curation.tau1", self.tau1))
+        object.__setattr__(self, "tau2", check_positive("curation.tau2", self.tau2))
         if self.tau1 == self.tau2:
-            raise ValueError("tau1 and tau2 must be distinct")
-        if self.pairs_per_dut < 1:
-            raise ValueError("pairs_per_dut must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"curation.seed must be >= 0, got {self.seed}")
+            raise ValueError(f"curation.tau1 and curation.tau2 must be distinct, got {self.tau1!r}")
+        check_int("curation.pairs_per_dut", self.pairs_per_dut, 1)
+        check_str("curation.teacher", self.teacher)
+        check_int("curation.seed", self.seed, 0)
         self.uniform_policy()  # checks wmax, k and t_max
 
     def uniform_policy(self) -> TabularPolicy:

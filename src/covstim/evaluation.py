@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 
 from .codec import simulate_tokens
-from .policy import check_positive, generators
+from .policy import check_int, check_positive, generators
 from .sim import METRICS as COVERAGE_METRICS
 from .training import TrainConfig, train
 
@@ -22,11 +22,9 @@ class EvalConfig:
     seed: int = 42
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"eval.n must be >= 1, got {self.n}")
-        check_positive("eval.tau", self.tau)
-        if self.seed < 0:
-            raise ValueError(f"eval.seed must be >= 0, got {self.seed}")
+        check_int("eval.n", self.n, 1)
+        object.__setattr__(self, "tau", check_positive("eval.tau", self.tau))
+        check_int("eval.seed", self.seed, 0)
 
 
 @dataclass

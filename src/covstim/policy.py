@@ -245,10 +245,8 @@ class TabularPolicy:
     """Autoregressive policy pi(token | dut_id, previous k tokens)."""
 
     def __init__(self, vocab: Vocab, k: int = 2, t_max: int = 8):
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        if t_max < 1:
-            raise ValueError(f"t_max must be >= 1, got {t_max}")
+        check_int("k", k, 1)
+        check_int("t_max", t_max, 1)
         self.vocab = vocab
         self.k = k
         self.t_max = t_max
@@ -490,10 +488,39 @@ def _is_finite_number(value) -> bool:
     return _is_int(value) and abs(value) <= sys.float_info.max
 
 
-def check_positive(name: str, value) -> None:
-    """Raise ValueError naming the setting unless value is a finite number > 0."""
+def shown(value, kind=str) -> str:
+    """value for a message "<setting> must be <what>, got <value>", in bounded length:
+    a string quoted up to 40 characters, an int of 21 digits or more by its size, and
+    a bool or a value not of kind by its type's name."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        return type(value).__name__
+    if isinstance(value, str):
+        return repr(value[:40]) + "..." * (len(value) > 40)
+    if isinstance(value, int) and abs(value) >= 10**20:
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+    return repr(value)
+
+
+def check_int(name: str, value, least: int, most=math.inf) -> None:
+    """Raise ValueError naming the setting unless value is an int in least..most."""
+    if not (_is_int(value) and least <= value <= most):
+        what = f">= {least}" if most == math.inf else f"in {least}..{most}"
+        kind = "" if _is_int(value) else "an integer "
+        raise ValueError(f"{name} must be {kind}{what}, got {shown(value, int)}")
+
+
+def check_positive(name: str, value) -> float:
+    """value as a float; raise ValueError naming the setting unless it is a finite number > 0."""
     if not (_is_finite_number(value) and value > 0):
-        raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+        raise ValueError(f"{name} must be a finite number > 0, got {shown(value, (int, float))}")
+    return float(value)
+
+
+def check_str(name: str, value, choices=()) -> None:
+    """Raise ValueError naming the setting unless value is a string in choices (if any)."""
+    if not (isinstance(value, str) and (not choices or value in choices)):
+        what = f"one of {', '.join(map(repr, choices))}" if choices else "a string"
+        raise ValueError(f"{name} must be {what}, got {shown(value)}")
 
 
 class ReferencePolicy:

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .policy import ReferencePolicy, TabularPolicy, check_positive
+from .policy import ReferencePolicy, TabularPolicy, check_int, check_positive, check_str
 
 MODES = ("SFT", "DPO", "CDDPO")
 F_VARIANTS = ("identity_clamp", "dataset_minmax")
@@ -60,20 +60,15 @@ class TrainConfig:
     ref_source: str = "initial_policy"  # or 'post_sft_policy'
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.f_variant not in F_VARIANTS:
-            raise ValueError(f"unknown f_variant {self.f_variant!r}")
-        check_positive("beta", self.beta)
-        check_positive("learning_rate", self.learning_rate)
-        if self.ref_source not in ("initial_policy", "post_sft_policy"):
-            raise ValueError(f"unknown ref_source {self.ref_source!r}")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"train.seed must be >= 0, got {self.seed}")
+        check_str("train.mode", self.mode, MODES)
+        object.__setattr__(self, "beta", check_positive("train.beta", self.beta))
+        check_str("train.f_variant", self.f_variant, F_VARIANTS)
+        object.__setattr__(self, "learning_rate",
+                           check_positive("train.learning_rate", self.learning_rate))
+        check_int("train.epochs", self.epochs, 1)
+        check_int("train.batch_size", self.batch_size, 1)
+        check_int("train.seed", self.seed, 0)
+        check_str("train.ref_source", self.ref_source, ("initial_policy", "post_sft_policy"))
 
     to_dict = asdict
 
@@ -137,8 +132,7 @@ def _pair_breakdown(theta, ref, pair: PreferencePair, beta_star: float) -> LossB
 
 
 def dpo_loss(theta, ref, pair: PreferencePair, beta: float) -> LossBreakdown:
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
+    check_positive("beta", beta)
     return _pair_breakdown(theta, ref, pair, beta)
 
 
@@ -164,8 +158,7 @@ def normalize_gap(gap: float, f_variant: str, bounds=None) -> float:
 
 def cddpo_loss(theta, ref, pair: PreferencePair, beta: float,
                f_variant: str = "identity_clamp", bounds=None) -> LossBreakdown:
-    if beta <= 0:
-        raise ValueError("beta must be > 0")
+    check_positive("beta", beta)
     beta_star = beta * normalize_gap(pair.s_p - pair.s_np, f_variant, bounds)
     return _pair_breakdown(theta, ref, pair, beta_star)
 

@@ -5,7 +5,7 @@ import json
 import os
 import tempfile
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -120,6 +120,16 @@ class TestSimulateCommand:
         out, err = capsys.readouterr()
         assert out == "" and err == message + "\n"
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--stim", "error: --stim: cycle 0: expected an integer, got '--'"),
+        ("--cycles", "error: --cycles: cycle 0: expected name=integer, got '--'"),
+    ])
+    def test_double_dash_value_named(self, toy1_file, capsys, flag, message):
+        # argparse hands a "--" option value over as [].
+        assert main(["simulate", toy1_file, f"{flag}=--"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == message + "\n"
+
     def test_oversized_stim_integer_named(self, toy1_file, capsys):
         # 5,000 digits is past int()'s default 4,300-digit string limit.
         assert main(["simulate", toy1_file, "--stim", "0,0," + "1" * 5000]) == 1
@@ -189,6 +199,23 @@ class TestBundledCorpus:
         (tmp_path / "b.hdl").write_text(toy1_source.replace("a == 1", "a == 0"))
         with pytest.raises(ValueError, match=r"a\.hdl and .*b\.hdl both declare module 'toy1'"):
             load_corpus_dir(tmp_path)
+
+    @pytest.mark.parametrize("content, prefix, message", [
+        (b"module b (input a[1], output y[1]);\nassign y = a +;\nendmodule\n", "parse error: ",
+         "syntax error at 2:15: expected expression, found ';'"),
+        (b"\xffmodule", "error: ", "'utf-8' codec can't decode byte 0xff in position 0"),
+    ])
+    def test_corpus_dir_error_names_file(self, tmp_path, capsys, toy1_source, content, prefix,
+                                         message):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.hdl").write_text(toy1_source)
+        (corpus / "b.hdl").write_bytes(content)
+        config, report_dir = small_config(tmp_path, corpus_dir=str(corpus))
+        assert main(["curate", "--config", config]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"{prefix}{corpus / 'b.hdl'}: {message}")
+        assert len(err.splitlines()) == 1 and not (report_dir / "pairs.jsonl").exists()
 
     def test_bundled_names(self):
         assert set(BUNDLED_NAMES) == {"toy1", "mux2", "chain2", "adder2", "deadend"}
@@ -432,6 +459,61 @@ class TestPipelineCommands:
         assert config.train.beta == 0.2
         assert config.curation.pairs_per_dut >= 200
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: CurationConfig(teacher=7), "curation.teacher must be a string, got int"),
+        (lambda: TrainConfig(epochs=2.5), "train.epochs must be an integer >= 1, got float"),
+        (lambda: EvalConfig(n=True), "eval.n must be an integer >= 1, got bool"),
+        (lambda: CurationConfig(wmax=True), "wmax must be an integer in 1..16, got bool"),
+        (lambda: Vocab("4"), "wmax must be an integer in 1..16, got str"),
+        (lambda: TrainConfig(mode="sft"), "train.mode must be one of 'SFT', 'DPO', 'CDDPO', got 'sft'"),
+        (lambda: CurationConfig(tau1=1.2), "curation.tau1 and curation.tau2 must be distinct, got 1.2"),
+        (lambda: CurationConfig(seed=-10**5000),
+         "curation.seed must be >= 0, got a negative integer of 16610 bits"),
+        (lambda: ExperimentConfig(corpus_dir=0), "corpus_dir must be a string, got int"),
+        (lambda: ExperimentConfig(eval={"n": 3}), "eval must be of type EvalConfig, got dict"),
+    ])
+    def test_constructors_check_type_and_range(self, build, message):
+        with pytest.raises(ValueError) as exc:
+            build()
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"curation": {"teacher": 7}}, "curation.teacher must be a string, got int"),
+        ({"train": {"epochs": 2.5}}, "train.epochs must be an integer >= 1, got float"),
+        ({"eval": {"n": True}}, "eval.n must be an integer >= 1, got bool"),
+        ({"wmax": True}, "wmax must be an integer in 1..16, got bool"),
+        ({"report_dir": ["x"]}, "report_dir must be a string, got list"),
+        ({"train": "x"}, "train must be a JSON object, got str"),
+        ({"curation": {"k": 2}}, "config key must be a field name, got 'curation.k'"),
+    ])
+    def test_config_file_gives_constructor_message(self, tmp_path, doc, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig.from_file(path)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("cls", [CurationConfig, TrainConfig, EvalConfig])
+    def test_megabyte_string_in_numeric_field_gives_short_message(self, cls):
+        for f in fields(cls):
+            if isinstance(f.default, (int, float)):
+                with pytest.raises(ValueError, match=f.name) as exc:
+                    cls(**{f.name: "9" * 10**6})
+                assert len(str(exc.value)) < 200
+
+    def test_unknown_key_message_is_short(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"train": {"x" * 10**6: 1}}))
+        with pytest.raises(ValueError, match="got 'train.xxx") as exc:
+            ExperimentConfig.from_file(path)
+        assert len(str(exc.value)) < 200
+
+    def test_number_field_takes_an_int_as_a_float(self):
+        config = ExperimentConfig(curation=CurationConfig(tau1=1), train=TrainConfig(beta=2),
+                                  eval=EvalConfig(tau=3))
+        values = (config.curation.tau1, config.train.beta, config.eval.tau)
+        assert values == (1.0, 2.0, 3.0) and {type(v) for v in values} == {float}
+
 
 @pytest.fixture(scope="module")
 def toy1_path(tmp_path_factory):
@@ -503,3 +585,33 @@ def test_train_exits_one_or_two_on_any_config(doc):
             os.chdir(cwd)
         assert code in (1, 2)
         assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+# Any JSON value, each kind out to its edges: ints past 64 bits and past what
+# repr prints, and floats including NaN and the infinities.
+_ANY_VALUE = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from([2**64, -10**5000, 10**400]),
+    st.floats(), st.text(max_size=50), st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+# Each config dataclass and how a config file spells its fields.
+_PREFIX = {CurationConfig: "curation.", TrainConfig: "train.", EvalConfig: "eval.",
+           ExperimentConfig: ""}
+
+
+@given(st.sampled_from(list(_PREFIX)).flatmap(
+    lambda cls: st.tuples(st.just(cls), st.sampled_from(fields(cls)))), _ANY_VALUE)
+@settings(max_examples=500, deadline=None)
+def test_each_config_field_checks_its_type_and_range(case, value):
+    cls, f = case
+    name = f.name if f.name in ("wmax", "t_max", "k") else _PREFIX[cls] + f.name
+    try:
+        config = cls(**{f.name: value})
+    except ValueError as err:
+        # "<field> [and <field>] must be <what>, got <value>", bounded in length.
+        named, _, rest = str(err).partition(" must be ")
+        assert name in named.split(" and ") and ", got " in rest
+        assert len(str(err)) < 200
+        return
+    default = getattr(cls(), f.name)
+    allowed = (str, type(None)) if default is None else (type(default),)
+    assert type(getattr(config, f.name)) in allowed
