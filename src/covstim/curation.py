@@ -17,16 +17,12 @@ import numpy as np
 
 from .codec import Vocab, simulate_tokens
 from .hdl import DutModel, lint, pretty_print
-from .policy import (TabularPolicy, _is_finite_number, _is_int, check_int, check_positive,
-                     check_str, generators, parse_json, sample_tokens)
+from .policy import (STREAM_BLOCK, TabularPolicy, _is_finite_number, _is_int, check_int,
+                     check_positive, check_str, parse_json, sample_streams, sample_tokens)
 from .sim import CoverageReport
 from .training import PreferencePair
 
 DATASET_VERSION = "pairanet_mini/1"
-# Pairs of one design sampled in lockstep by one pair of sampler calls.  The
-# output does not depend on it; it bounds the generators and sequences held
-# at once.
-PAIR_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -70,9 +66,9 @@ class NoveltyTeacher:
         self.vocab = vocab
         self.t_max = t_max
 
-    def sample(self, dut_id, tau: float, rngs) -> list[list[int]]:
-        """Draw one sequence per generator with ``sample_tokens``."""
-        return sample_tokens(self.vocab, self.t_max, tau, rngs, self._penalties)
+    def sample(self, dut_id, tau: float, streams) -> list[list[int]]:
+        """Draw one sequence per row of streams with ``sample_tokens``."""
+        return sample_tokens(self.vocab, self.t_max, tau, streams, self._penalties)
 
     def _penalties(self, prefixes: np.ndarray) -> np.ndarray:
         """The logits after each row's BOS-started prefix: the penalties it has earned."""
@@ -178,15 +174,15 @@ class CurationStats:
 def _sampled_pairs(teacher, dut: DutModel, dut_i: int, config: CurationConfig):
     """Yield (pair index, tau1 sequence, tau2 sequence) for each pair of one design.
 
-    Pairs are sampled PAIR_BLOCK at a time: each pair's generator,
-    ``default_rng([seed, dut_i, pair_i])`` built by ``policy.generators``,
-    draws its tau1 sequence, then its tau2 sequence.
+    Pairs are sampled STREAM_BLOCK at a time: each pair's stream, the
+    ``random()`` draws of ``default_rng([seed, dut_i, pair_i])``, draws its
+    tau1 sequence, then its tau2 sequence from where the first stopped.
     """
-    for start in range(0, config.pairs_per_dut, PAIR_BLOCK):
-        block = range(start, min(start + PAIR_BLOCK, config.pairs_per_dut))
-        rngs = generators([config.seed, dut_i], block)
-        seqs_a = teacher.sample(dut.name, config.tau1, rngs)
-        seqs_b = teacher.sample(dut.name, config.tau2, rngs)
+    for start in range(0, config.pairs_per_dut, STREAM_BLOCK):
+        block = range(start, min(start + STREAM_BLOCK, config.pairs_per_dut))
+        streams = sample_streams([config.seed, dut_i], block, teacher.t_max, calls=2)
+        seqs_a = teacher.sample(dut.name, config.tau1, streams)
+        seqs_b = teacher.sample(dut.name, config.tau2, streams)
         yield from zip(block, seqs_a, seqs_b)
 
 

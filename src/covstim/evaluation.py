@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field, replace
 
 from .codec import simulate_tokens
-from .policy import check_int, check_positive, generators
+from .policy import STREAM_BLOCK, check_int, check_positive, sample_streams
 from .sim import METRICS as COVERAGE_METRICS
 from .training import TrainConfig, train
 
@@ -50,20 +50,23 @@ class EvalReport:
 def eval_policy(policy, dut, config: EvalConfig) -> EvalReport:
     """Score N independent generations with ``codec.simulate_tokens``.
 
-    Generation i draws from its own generator, ``default_rng([seed, i])``
-    built by ``policy.generators``, and is decoded under the policy's own
-    ``vocab`` and ``t_max``; an invalid one scores 0 on every metric.
+    Generation i draws from ``default_rng([seed, i])``, STREAM_BLOCK to a
+    ``Streams``, and is decoded under the policy's own ``vocab`` and
+    ``t_max``; an invalid one scores 0 on every metric.
     """
     n = config.n
     report = EvalReport(dut=dut.name, n=n, tau=config.tau, seed=config.seed)
-    for tokens in policy.sample(dut.name, config.tau, generators([config.seed], range(n))):
-        cov = simulate_tokens(dut, tokens, policy.vocab, policy.t_max)
-        if cov is None:
-            fractions = dict.fromkeys(METRICS, 0.0)
-        else:
-            fractions = {name: m.fraction for name, m in cov.metrics().items()}
-            fractions["average"] = cov.average
-        report.generations.append(Generation(tokens, cov is not None, fractions))
+    for start in range(0, n, STREAM_BLOCK):
+        block = range(start, min(start + STREAM_BLOCK, n))
+        streams = sample_streams([config.seed], block, policy.t_max)
+        for tokens in policy.sample(dut.name, config.tau, streams):
+            cov = simulate_tokens(dut, tokens, policy.vocab, policy.t_max)
+            if cov is None:
+                fractions = dict.fromkeys(METRICS, 0.0)
+            else:
+                fractions = {name: m.fraction for name, m in cov.metrics().items()}
+                fractions["average"] = cov.average
+            report.generations.append(Generation(tokens, cov is not None, fractions))
     for m in METRICS:
         values = [g.fractions[m] for g in report.generations]
         report.mean[m] = sum(values) / n

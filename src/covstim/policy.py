@@ -40,21 +40,18 @@ def masked_softmax(z: np.ndarray, bos: int) -> np.ndarray:
     return e / sums
 
 
-def draw_tokens(probs: np.ndarray, rngs) -> np.ndarray:
-    """One token per row of probs, row i drawn with one ``rngs[i].random()``.
+def draw_tokens(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """One token per row of probs, row i drawn with the uniform ``uniforms[i]``.
 
     This is numpy's own algorithm in ``Generator.choice(V, p=p)``: the
     cumulative sum of p divided by its last entry, and the token is the
-    count of its entries <= the uniform draw.  So each token, and each
-    generator's state afterwards, is what ``rngs[i].choice(V, p=probs[i])``
-    gives.  A row holding NaN raises ValueError before any draw, as
-    ``choice`` does.
+    count of its entries <= the uniform.  So each token is what
+    ``rng.choice(V, p=probs[i])`` gives from a generator whose next
+    ``random()`` is ``uniforms[i]``.  probs must hold no NaN, which
+    ``choice`` refuses; ``sample_tokens`` checks that before it draws.
     """
     cdf = probs.cumsum(axis=1)
     cdf /= cdf[:, -1:]
-    if np.isnan(cdf[:, -1]).any():
-        raise ValueError("probabilities contain NaN")
-    uniforms = np.array([rng.random() for rng in rngs])
     return np.count_nonzero(cdf <= uniforms[:, None], axis=1)
 
 
@@ -114,83 +111,131 @@ def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
     return state.view("<u8").astype(np.uint64)
 
 
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit multiplier M
+# Rows sampled in lockstep from one ``Streams``: the pairs of one design in
+# curation, the generations of one design in evaluation.  No output depends
+# on it; it bounds the sequences held at once.
+STREAM_BLOCK = 256
+# Draws a ``Streams`` row makes at a time.  No output depends on it; it
+# bounds the uniforms held at once to rows x STREAM_WINDOW.
+STREAM_WINDOW = 16
+
+
 @lru_cache(maxsize=None)
-def _generator_types():
-    """numpy's Generator and PCG64, and a seed source that hands PCG64 a fixed state.
+def _steps(n: int) -> np.ndarray:
+    """Rows a high, a low, c high, c low of uint64, for a_j = M**(j+1) and c_j = M**j + ...
+    + M + 1 mod 2**128, j < n: j + 1 PCG64 steps, each s * M + inc, take s to a_j s + c_j inc."""
+    a, c = [_PCG_MULT], [1]
+    for _ in range(n - 1):
+        a, c = a + [a[-1] * _PCG_MULT % 2**128], c + [(c[-1] * _PCG_MULT + 1) % 2**128]
+    return np.array([[v >> w & 2**64 - 1 for v in vs] for vs in (a, c) for w in (64, 0)],
+                    dtype=np.uint64)
 
-    Imported on first use: ``import numpy`` does not load numpy.random.
+
+def _mulhi(x, y):
+    """The high 64 bits of each 128-bit product x * y of uint64 arrays, from 32-bit limbs."""
+    x0, x1, y0, y1 = x & _MASK32, x >> 32, y & _MASK32, y >> 32
+    mid = x1 * y0 + (x0 * y0 >> 32)
+    return x1 * y1 + (mid >> 32) + (x0 * y1 + (mid & _MASK32) >> 32)
+
+
+class Streams:
+    """Row i's k-th ``next`` draw is the k-th ``default_rng([*prefix, indices[i]]).random()``.
+
+    Bit for bit, for k < draws.  Construction runs the SeedSequence hash
+    and PCG64's seeding for the whole block.  A row draws STREAM_WINDOW at a
+    time, in one pass of uint64 array operations over the rows that need
+    them: a jump of each row's PCG64 state to each output by precomputed
+    powers of the multiplier, then the XSL-RR output.  Prefix entries may
+    be any non-negative int, and an index must be in [0, 2**32); a negative
+    entry raises ValueError, as SeedSequence does.
     """
-    from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
 
-    class FixedSeed(ISeedSequence):
-        """Returns its state, the 4 uint64 words PCG64 asks for."""
+    def __init__(self, prefix, indices, draws: int):
+        words = [w for entry in prefix for w in _uint32_words(entry)]
+        index = list(indices)
+        if min(index, default=0) < 0 or max(index, default=0) > _MASK32:
+            raise ValueError(f"stream indices must be in [0, 2**32), got {indices}")
+        entropy = np.empty((len(words) + 1, len(index)), dtype=np.uint32)
+        entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
+        entropy[-1] = index
+        seed = _pcg64_seeds(entropy).T  # initstate, then initseq, high word first
+        self._inc = np.array([seed[2] << 1 | seed[3] >> 63, seed[3] << 1 | 1])
+        # PCG64 seeds its state one step past initstate + inc.
+        lo = seed[1] + self._inc[1]
+        self._state = np.array([seed[0] + self._inc[0] + (lo < seed[1]), lo])
+        self._draws, width = draws, max(1, min(draws, STREAM_WINDOW))
+        self._uniforms = np.empty((len(index), width))
+        self._cursor = np.zeros(len(index), dtype=np.intp)
+        self._refill(slice(None), _steps(width + 1)[:, 1:])
 
-        def __init__(self, state):
-            self.state = state
+    def __len__(self) -> int:
+        return len(self._cursor)
 
-        def generate_state(self, n_words, dtype=np.uint32):
-            return self.state
+    def _refill(self, rows, steps: np.ndarray) -> None:
+        """Draw the listed rows' next window, steps[:, j] ahead of their states for
+        column j, and step their states to the last."""
+        (s_hi, s_lo), (i_hi, i_lo) = self._state[:, rows, None], self._inc[:, rows, None]
+        a_hi, a_lo, c_hi, c_lo = steps
+        lo, step = a_lo * s_lo, c_lo * i_lo
+        lo += step  # wraps past 2**64 exactly when lo < step: a carry into hi
+        hi = (_mulhi(a_lo, s_lo) + _mulhi(c_lo, i_lo) + a_hi * s_lo + a_lo * s_hi
+              + c_hi * i_lo + c_lo * i_hi + (lo < step))
+        self._state[:, rows] = hi[:, -1], lo[:, -1]
+        rot, out = hi >> 58, hi ^ lo
+        out = out >> rot | out << (64 - rot & 63)
+        self._uniforms[rows] = (out >> 11) * (1.0 / 9007199254740992.0)
 
-    return Generator, PCG64, FixedSeed
-
-
-def generators(prefix, indices) -> list:
-    """``[np.random.default_rng([*prefix, i]) for i in indices]``, seeded in one pass.
-
-    Each generator's state is the same, bit for bit, as default_rng's: the
-    SeedSequence hash runs over the whole block at once (``_pcg64_seeds``),
-    and each ``Generator(PCG64(...))`` is built from its precomputed state.
-    Prefix entries may be any non-negative int; an index must be in
-    [0, 2**32).  A negative entry raises ValueError, as SeedSequence does.
-    ``bit_generator.seed_seq`` is not a SeedSequence, so ``spawn`` is not
-    supported.
-    """
-    words = [w for entry in prefix for w in _uint32_words(entry)]
-    index = list(indices)
-    if min(index, default=0) < 0 or max(index, default=0) > _MASK32:
-        raise ValueError(f"generator indices must be in [0, 2**32), got {indices}")
-    if not index:
-        return []
-    entropy = np.empty((len(words) + 1, len(index)), dtype=np.uint32)
-    entropy[:-1] = np.array(words, dtype=np.uint32)[:, None]
-    entropy[-1] = index
-    Generator, PCG64, FixedSeed = _generator_types()
-    return [Generator(PCG64(FixedSeed(state))) for state in _pcg64_seeds(entropy)]
+    def next(self, rows) -> np.ndarray:
+        """The next uniform of each listed row, rows distinct; a row out of draws raises
+        ValueError, and then no row advances."""
+        rows = np.asarray(rows, dtype=np.intp)
+        at = self._cursor[rows]
+        if (at >= self._draws).any():
+            raise ValueError(f"a stream has made all its {self._draws} draws")
+        col = at % self._uniforms.shape[1]
+        if (due := rows[(col == 0) & (at > 0)]).size:
+            self._refill(due, _steps(self._uniforms.shape[1]))
+        self._cursor[rows] = at + 1
+        return self._uniforms[rows, col]
 
 
-def sample_tokens(vocab: Vocab, t_max: int, tau: float, rngs,
+def sample_streams(prefix, indices, t_max: int, calls: int = 1) -> Streams:
+    """The ``Streams`` for ``calls`` calls of ``sample_tokens`` at t_max: t_max draws a call."""
+    return Streams(prefix, indices, t_max * calls)
+
+
+def sample_tokens(vocab: Vocab, t_max: int, tau: float, streams,
                   next_logits) -> list[list[int]]:
-    """Draw one well-formed token sequence per generator, all in lockstep.
+    """Draw one well-formed token sequence per row of streams, all in lockstep.
 
-    Sequence i draws only from ``rngs[i]`` and is deterministic given its
-    state; a generator listed twice serves its rows in row order at each
-    step.  From BOS on, each step takes ``next_logits(prefixes)``, the
-    logits of every running sequence as one (rows x V) array from their
-    token prefixes (rows x steps so far), and draws each row's next token
-    with ``draw_tokens`` from the softmax of its logits / tau over every
-    token but BOS.  A sequence ends at a drawn EOS, or after the
-    ``t_max``-th value token, where EOS is appended without a draw.
-    A row whose softmax is NaN because a logit / tau overflowed raises one
-    ValueError naming tau.
+    Sequence i draws one uniform per drawn token from row i of streams, a
+    ``Streams`` (see ``sample_streams``): at most ``t_max`` per call.  From
+    BOS on, each step takes ``next_logits(prefixes)``, the logits of every
+    running sequence as one (rows x V) array from their token prefixes
+    (rows x steps so far), and draws each row's next token with
+    ``draw_tokens`` from the softmax of its logits / tau over every token
+    but BOS.  A sequence ends at a drawn EOS, or after the ``t_max``-th
+    value token, where EOS is appended without a draw.  A row whose softmax
+    is NaN because a logit / tau overflowed raises one ValueError naming
+    tau, before that step draws from any row.
     """
     if not tau > 0:  # also refuses NaN
         raise ValueError(f"temperature must be > 0, got {tau}")
-    tokens = np.full((len(rngs), t_max + 2), vocab.eos, dtype=np.intp)
+    tokens = np.full((len(streams), t_max + 2), vocab.eos, dtype=np.intp)
     tokens[:, 0] = vocab.bos
-    lengths = np.full(len(rngs), t_max + 2)
-    running = np.arange(len(rngs))
+    lengths = np.full(len(streams), t_max + 2)
+    running = np.arange(len(streams))
     for j in range(1, t_max + 1):
         if not len(running):
             break
-        # An overflowed row turns to NaN here, which draw_tokens refuses.
+        # An overflowed row turns to NaN here; it is refused before any row draws.
         with np.errstate(over="ignore", invalid="ignore"):
             probs = masked_softmax(next_logits(tokens[running, :j]) / tau, vocab.bos)
-        try:
-            drawn = draw_tokens(probs, [rngs[i] for i in running.tolist()])
-        except ValueError as err:
-            raise ValueError(f"{err} at temperature {tau}: a logit divided by it "
-                             f"is not a finite number") from None
+        if np.isnan(probs).any():
+            raise ValueError(f"probabilities contain NaN at temperature {tau}: a logit "
+                             f"divided by it is not a finite number")
+        drawn = draw_tokens(probs, streams.next(running))
         tokens[running, j] = drawn
         ended = drawn == vocab.eos
         lengths[running[ended]] = j + 1
@@ -298,14 +343,14 @@ class TabularPolicy:
         hist = [self.vocab.bos] * (self.k - 1) + list(tokens)
         return tuple(hist[-self.k:])
 
-    def sample(self, dut_id, tau: float, rngs) -> list[list[int]]:
-        """Draw one sequence per generator with ``sample_tokens`` from this policy's rows."""
+    def sample(self, dut_id, tau: float, streams) -> list[list[int]]:
+        """Draw one sequence per row of streams with ``sample_tokens`` from this policy's rows."""
         get = self.rows.get
 
         def next_logits(prefixes: np.ndarray) -> np.ndarray:
             return self.theta[[get((dut_id, self._contexts(p)), -1) for p in prefixes.tolist()]]
 
-        return sample_tokens(self.vocab, self.t_max, tau, rngs, next_logits)
+        return sample_tokens(self.vocab, self.t_max, tau, streams, next_logits)
 
     def plan(self, items):
         """Check (dut_id, seq) items; return their steps' flat rows and targets, and step counts."""
@@ -434,7 +479,8 @@ class TabularPolicy:
         for name in ("wmax", "k", "t_max"):
             value = doc.get(name)
             if not _is_int(value):
-                raise ValueError(f"checkpoint field {name} must be an integer, got {value!r}")
+                raise ValueError(f"checkpoint field {name} must be an integer, "
+                                 f"got {shown(value, int)}")
         try:
             policy = cls(Vocab(doc["wmax"]), doc["k"], doc["t_max"])
         except ValueError as err:

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from covstim.codec import Vocab
 from covstim.curation import (
-    PAIR_BLOCK,
     CurationConfig,
     DropReason,
     NoveltyTeacher,
@@ -23,7 +22,7 @@ from covstim.curation import (
     make_teacher,
 )
 from covstim.hdl import parse, pretty_print
-from covstim.policy import TabularPolicy
+from covstim.policy import STREAM_BLOCK, STREAM_WINDOW, Streams, TabularPolicy
 
 import reference_curation
 from reference_curation import reference_novelty_sample
@@ -121,7 +120,7 @@ class TestTeachers:
 
     def test_novelty_teacher_well_formed(self):
         teacher = NoveltyTeacher(VOCAB, T_MAX)
-        for seq in teacher.sample("toy1", 1.0, [np.random.default_rng(seed) for seed in range(20)]):
+        for seq in teacher.sample("toy1", 1.0, Streams([], range(20), T_MAX)):
             assert seq[0] == BOS and seq[-1] == EOS
             assert all(0 <= t < VOCAB.n_values for t in seq[1:-1])
             assert len(seq) - 2 <= T_MAX
@@ -130,22 +129,23 @@ class TestTeachers:
         # The EOS penalty until 2 value tokens should lengthen sequences.
         uniform = TabularPolicy(VOCAB, 2, T_MAX)
         novelty = NoveltyTeacher(VOCAB, T_MAX)
-        rng_u, rng_n = np.random.default_rng(1), np.random.default_rng(1)
-        lens_u = [len(uniform.sample("d", 1.0, [rng_u])[0]) for _ in range(300)]
-        lens_n = [len(novelty.sample("d", 1.0, [rng_n])[0]) for _ in range(300)]
+        lens_u = [len(seq) for seq in uniform.sample("d", 1.0, Streams([1], range(300), T_MAX))]
+        lens_n = [len(seq) for seq in novelty.sample("d", 1.0, Streams([1], range(300), T_MAX))]
         assert sum(lens_n) > sum(lens_u)
 
     @pytest.mark.parametrize("tau", [0.7, 1.2])
     def test_novelty_teacher_matches_its_reference_loop(self, tau):
-        # Same sequences and the same rng use, so curated datasets are unchanged.
-        # The 60 seeds are sampled as one lockstep batch.
+        # Same sequences and the same draws used, so curated datasets are
+        # unchanged.  The 60 seeds are sampled as one lockstep batch.
         for t_max in range(1, 9):
             teacher = NoveltyTeacher(VOCAB, t_max)
-            rngs = [np.random.default_rng(seed) for seed in range(60)]
-            for seed, rng, seq in zip(range(60), rngs, teacher.sample("d", tau, rngs)):
+            streams = Streams([], range(60), t_max + 1)
+            seqs = teacher.sample("d", tau, streams)
+            after = streams.next(np.arange(60)).tolist()
+            for seed, seq, uniform in zip(range(60), seqs, after):
                 twin = np.random.default_rng(seed)
                 assert seq == reference_novelty_sample(teacher, tau, twin)
-                assert rng.bit_generator.state == twin.bit_generator.state
+                assert uniform == twin.random()
 
     def test_checkpoint_teacher(self, tmp_path):
         policy = TabularPolicy(VOCAB, 2, T_MAX)
@@ -185,7 +185,7 @@ class TestCurateMatchesReference:
         if teacher == "checkpoint":
             teacher = checkpoint_teacher(corpus, tmp_path / "teacher.json")
         # 1 pair is a partial block; 300 cross a block boundary.
-        assert 1 < PAIR_BLOCK < 300
+        assert 1 < STREAM_BLOCK < 300
         for pairs_per_dut in (1, 300):
             config = CurationConfig(pairs_per_dut=pairs_per_dut, teacher=teacher, seed=seed)
             got, expected = tmp_path / "got.jsonl", tmp_path / "expected.jsonl"
@@ -195,6 +195,17 @@ class TestCurateMatchesReference:
             assert (stats.kept, stats.dropped_both_invalid, stats.dropped_tie) == (
                 counts["kept"], counts["both_invalid"], counts["tie"])
             assert stats.kept > 0 or pairs_per_dut == 1
+
+    @pytest.mark.parametrize("teacher", ["novelty", "uniform"])
+    def test_byte_identical_past_a_stream_window(self, corpus, tmp_path, teacher):
+        # At t_max 20 a pair's two sequences may draw 40 uniforms, more
+        # than the STREAM_WINDOW a Streams row makes at a time.
+        assert 20 < 2 * STREAM_WINDOW < 40
+        config = CurationConfig(pairs_per_dut=60, teacher=teacher, seed=8, t_max=20)
+        got, expected = tmp_path / "got.jsonl", tmp_path / "expected.jsonl"
+        curate(corpus[:4], config, got)
+        reference_curation.curate(corpus[:4], config, expected)
+        assert got.read_bytes() == expected.read_bytes()
 
 
 class TestCurate:

@@ -16,7 +16,7 @@ T_MAX = 8
 
 
 class ScriptedPolicy:
-    """Emits a fixed rotation of sequences regardless of rng."""
+    """Emits a fixed rotation of sequences regardless of the streams' draws."""
 
     vocab = VOCAB
     t_max = T_MAX
@@ -25,9 +25,10 @@ class ScriptedPolicy:
         self.sequences = [list(s) for s in sequences]
         self.i = 0
 
-    def sample(self, dut_id, tau, rngs):
-        seqs = [list(self.sequences[(self.i + j) % len(self.sequences)]) for j in range(len(rngs))]
-        self.i += len(rngs)
+    def sample(self, dut_id, tau, streams):
+        seqs = [list(self.sequences[(self.i + j) % len(self.sequences)])
+                for j in range(len(streams))]
+        self.i += len(streams)
         return seqs
 
 

@@ -17,12 +17,13 @@ from covstim import policy as policy_module
 from covstim.codec import CodecError, Vocab
 from covstim.curation import NoveltyTeacher
 from covstim.policy import (
+    STREAM_WINDOW,
     ReferencePolicy,
     Steps,
+    Streams,
     TabularPolicy,
     _masked_exp,
     draw_tokens,
-    generators,
     masked_softmax,
 )
 
@@ -131,14 +132,18 @@ def assert_same_grad(grad, expected):
         assert np.array_equal(grad[key], vec), key
 
 
-class ScriptedRng:
-    """Stands in for a Generator: answers each random() from a script of uniforms."""
+class ScriptedStream:
+    """Stands in for a one-row ``Streams``: answers each draw from a script of uniforms."""
 
     def __init__(self, uniforms):
         self.uniforms = list(uniforms)
 
-    def random(self):
-        return self.uniforms.pop(0)
+    def __len__(self):
+        return 1
+
+    def next(self, rows):
+        assert rows.tolist() == [0]
+        return np.array([self.uniforms.pop(0)])
 
 
 def uniform_for(token, probs):
@@ -264,23 +269,23 @@ class TestStepDistribution:
         assert probs[VOCAB.bos] == 0.0
         np.testing.assert_allclose(np.delete(probs, VOCAB.bos), 1 / 17, atol=1e-15)
         assert abs(probs.sum() - 1.0) < 1e-12
-        rng = ScriptedRng([uniform_for(VOCAB.eos, probs)])
-        assert uniform_policy().sample("d", 1.0, [rng]) == [[VOCAB.bos, VOCAB.eos]]
+        stream = ScriptedStream([uniform_for(VOCAB.eos, probs)])
+        assert uniform_policy().sample("d", 1.0, stream) == [[VOCAB.bos, VOCAB.eos]]
         assert np.array_equal(softmax_rows, [probs])
-        assert rng.uniforms == []
+        assert stream.uniforms == []
 
     def test_forced_eos_at_t_max(self, softmax_rows):
         # Three draws; the EOS after the third value is appended, not drawn.
         probs = masked_softmax(np.zeros(VOCAB.size), VOCAB.bos)
-        rng = ScriptedRng([uniform_for(t, probs) for t in (1, 2, 3)])
-        assert uniform_policy(t_max=3).sample("d", 1.0, [rng]) == [[VOCAB.bos, 1, 2, 3, VOCAB.eos]]
-        assert len(softmax_rows) == 3 and rng.uniforms == []
+        stream = ScriptedStream([uniform_for(t, probs) for t in (1, 2, 3)])
+        assert uniform_policy(t_max=3).sample("d", 1.0, stream) == [[VOCAB.bos, 1, 2, 3, VOCAB.eos]]
+        assert len(softmax_rows) == 3 and stream.uniforms == []
 
     def test_temperature_sharpening(self, softmax_rows):
         policy = uniform_policy()
         adjust(policy, "d", (VOCAB.bos, VOCAB.bos), 0, +1.0)
-        rng = ScriptedRng([0.999])  # EOS, the last token, has p = 1 / (e^2 + 16) > 0.001
-        assert policy.sample("d", 0.5, [rng]) == [[VOCAB.bos, VOCAB.eos]]
+        stream = ScriptedStream([0.999])  # EOS, the last token, has p = 1 / (e^2 + 16) > 0.001
+        assert policy.sample("d", 0.5, stream) == [[VOCAB.bos, VOCAB.eos]]
         (probs,) = softmax_rows
         # Proportional to (e^2, 1, ..., 1) over the 17 emittable tokens.
         expected0 = math.exp(2) / (math.exp(2) + 16)
@@ -291,17 +296,17 @@ class TestStepDistribution:
     def test_rejects_bad_temperature(self):
         for sampler in (uniform_policy(), NoveltyTeacher(VOCAB, 8)):
             for tau in (0.0, -1.0, float("nan")):
-                rng = np.random.default_rng(0)
+                streams = Streams([], [0], 8)
                 with pytest.raises(ValueError, match="temperature must be > 0"):
-                    sampler.sample("d", tau, [rng])
-                assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+                    sampler.sample("d", tau, streams)
+                assert streams.next([0]) == np.random.default_rng(0).random()
 
 
 class TestSample:
     def test_always_well_formed(self):
         rng = np.random.default_rng(0)
         policy = random_policy(rng)
-        for seq in policy.sample("dut", 1.3, [np.random.default_rng(seed) for seed in range(30)]):
+        for seq in policy.sample("dut", 1.3, Streams([], range(30), policy.t_max)):
             assert seq[0] == VOCAB.bos and seq[-1] == VOCAB.eos
             interior = seq[1:-1]
             assert all(0 <= t < VOCAB.n_values for t in interior)
@@ -309,8 +314,8 @@ class TestSample:
 
     def test_determinism(self):
         policy = uniform_policy()
-        s1 = policy.sample("d", 1.0, [np.random.default_rng(7)])
-        s2 = policy.sample("d", 1.0, [np.random.default_rng(7)])
+        s1 = policy.sample("d", 1.0, Streams([], [7], policy.t_max))
+        s2 = policy.sample("d", 1.0, Streams([], [7], policy.t_max))
         assert s1 == s2
 
     def test_argmax_limit(self):
@@ -319,7 +324,7 @@ class TestSample:
         policy = uniform_policy(t_max=4)
         for ctx in ((VOCAB.bos, VOCAB.bos), (VOCAB.bos, 5), (5, 5)):
             adjust(policy, "d", ctx, 5, +3.0)
-        seqs = policy.sample("d", 1e-3, [np.random.default_rng(1)])
+        seqs = policy.sample("d", 1e-3, Streams([], [1], policy.t_max))
         assert seqs == [[VOCAB.bos, 5, 5, 5, 5, VOCAB.eos]]
 
     @pytest.mark.parametrize("t_max", [1, 2, 3, 8])
@@ -332,20 +337,22 @@ class TestSample:
                     NoveltyTeacher(VOCAB, t_max))
         forced = 0
         for sampler in samplers:
-            rngs = [np.random.default_rng(seed) for seed in range(40)]
-            for seed, rng, seq in zip(range(40), rngs, sampler.sample("d", 1.0, rngs)):
+            streams = Streams([], range(40), t_max + 1)
+            seqs = sampler.sample("d", 1.0, streams)
+            after = streams.next(np.arange(40)).tolist()
+            for seed, seq, uniform in zip(range(40), seqs, after):
                 twin = np.random.default_rng(seed)
                 twin.random(draws_spent(seq, t_max))
-                assert rng.bit_generator.state == twin.bit_generator.state, (sampler, seed)
+                assert uniform == twin.random(), (sampler, seed)
                 forced += len(seq) - 2 == t_max
         assert forced > 0
 
 
 class TestLockstepDraw:
     def test_draw_is_rng_choice(self):
-        # numpy's Generator.choice(V, p=p): the same token and the same
-        # generator state after it, over 4,000 seeds.  A numpy upgrade that
-        # changes either one fails here.
+        # numpy's Generator.choice(V, p=p): the same token from the same
+        # uniform, over 4,000 seeds, and choice spends one random() on it.
+        # A numpy upgrade that changes either one fails here.
         maker = np.random.default_rng(2024)
         for wmax in (1, 2, 3, 4):
             size, n = Vocab(wmax).size, 1000
@@ -354,12 +361,12 @@ class TestLockstepDraw:
             probs[probs.sum(axis=1) == 0, maker.integers(0, size)] = 1.0
             probs /= probs.sum(axis=1, keepdims=True)
             seeds = range(1000 * wmax, 1000 * wmax + n)
-            rngs = [np.random.default_rng(seed) for seed in seeds]
-            tokens = draw_tokens(probs, rngs)
-            for seed, rng, p, token in zip(seeds, rngs, probs, tokens.tolist()):
-                twin = np.random.default_rng(seed)
+            tokens = draw_tokens(probs, Streams([], seeds, 1).next(np.arange(n)))
+            for seed, p, token in zip(seeds, probs, tokens.tolist()):
+                twin, once = np.random.default_rng(seed), np.random.default_rng(seed)
                 assert token == twin.choice(size, p=p), (wmax, seed)
-                assert rng.bit_generator.state == twin.bit_generator.state, (wmax, seed)
+                once.random()
+                assert twin.bit_generator.state == once.bit_generator.state, (wmax, seed)
 
     def test_rows_equal_one_row_softmax(self):
         rng = np.random.default_rng(21)
@@ -377,16 +384,18 @@ class TestLockstepDraw:
     @pytest.mark.parametrize("t_max", [1, 3, 8])
     @pytest.mark.parametrize("tau", [0.7, 1.2])
     def test_policy_batch_matches_per_sequence_choice_loop(self, t_max, tau):
-        # One batch over 50 generators: each row's sequence and generator
-        # state are those of a loop that draws it alone with rng.choice.
+        # One batch over 50 streams: each row's sequence and the draws it
+        # used are those of a loop that draws it alone with rng.choice.
         policy = random_policy(np.random.default_rng(t_max), t_max=t_max, n_contexts=60)
         for j in range(4):
             set_logits(policy, "dut", (VOCAB.bos, VOCAB.bos), np.linspace(-j, j, VOCAB.size))
-            rngs = [np.random.default_rng([j, seed]) for seed in range(50)]
-            for seed, rng, seq in zip(range(50), rngs, policy.sample("dut", tau, rngs)):
+            streams = Streams([j], range(50), t_max + 1)
+            seqs = policy.sample("dut", tau, streams)
+            after = streams.next(np.arange(50)).tolist()
+            for seed, seq, uniform in zip(range(50), seqs, after):
                 twin = np.random.default_rng([j, seed])
                 assert seq == reference_sample(policy, "dut", tau, twin)
-                assert rng.bit_generator.state == twin.bit_generator.state
+                assert uniform == twin.random()
 
     @pytest.mark.parametrize("logits", [
         np.where(np.arange(VOCAB.size) == 3, 1e300, 0.0),  # +inf / inf after the division
@@ -395,29 +404,79 @@ class TestLockstepDraw:
     def test_nan_probabilities_raise(self, logits):
         policy = uniform_policy()
         set_logits(policy, "d", (VOCAB.bos, VOCAB.bos), logits)
-        rng = np.random.default_rng(0)
+        streams = Streams([], [1, 0], 8)
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="contain NaN"):
-            policy.sample("d", 1e-10, [np.random.default_rng(1), rng])
-        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+            policy.sample("d", 1e-10, streams)
+        assert streams.next([1]) == np.random.default_rng(0).random()
 
     def test_empty_batch(self):
-        assert uniform_policy().sample("d", 1.0, []) == []
-        assert NoveltyTeacher(VOCAB, 8).sample("d", 1.0, []) == []
+        assert uniform_policy().sample("d", 1.0, Streams([], [], 8)) == []
+        assert NoveltyTeacher(VOCAB, 8).sample("d", 1.0, Streams([], [], 8)) == []
+
+
+def loads_numpy_random(code: str) -> bool:
+    """Whether a fresh interpreter has numpy.random loaded after running code, covstim imported."""
+    src = str(Path(policy_module.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", f"import sys, covstim; {code}; "
+                          "print('numpy.random' in sys.modules)"],
+                         capture_output=True, text=True, env=env, check=True).stdout
+    return out == "True\n"
 
 
 class TestGenerators:
+    """Row i of ``Streams(prefix, indices, draws)`` draws what ``default_rng([*prefix, indices[i]])``
+    does with ``random()``."""
+
     @given(st.lists(st.integers(0, 2**70 - 1), min_size=1, max_size=2),
-           st.one_of(st.just(0), st.integers(0, 2**32 - 40)), st.integers(0, 40))
+           st.one_of(st.just(0), st.integers(0, 2**32 - 40)), st.integers(0, 40),
+           st.integers(1, 2 * STREAM_WINDOW + 3))
     @settings(max_examples=200, deadline=None)
-    def test_equal_default_rng_of_prefix_and_index(self, prefix, start, n):
+    def test_equal_default_rng_of_prefix_and_index(self, prefix, start, n, draws):
         block = range(start, start + n)
-        rngs = generators(prefix, block)
-        assert len(rngs) == n
-        for rng, i in zip(rngs, block):
+        streams = Streams(prefix, block, draws)
+        assert len(streams) == n
+        got = [streams.next(np.arange(n)).tolist() for _ in range(draws)]
+        for row, i in enumerate(block):
             twin = np.random.default_rng([*prefix, i])
-            assert rng.bit_generator.state == twin.bit_generator.state
-            assert rng.random() == twin.random()
-            assert rng.integers(2**63) == twin.integers(2**63)
+            assert [step[row] for step in got] == [twin.random() for _ in range(draws)]
+
+    @given(st.lists(st.integers(0, 2**70), max_size=3),
+           st.lists(st.integers(0, 2**32 - 1), max_size=6),
+           st.integers(0, STREAM_WINDOW + 2), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_interleaved_next_equals_sequential_random(self, prefix, indices, draws, data):
+        streams = Streams(prefix, indices, draws)
+        twins = [np.random.default_rng([*prefix, i]) for i in indices]
+        left = [draws] * len(indices)
+        while any(left):
+            live = [row for row, k in enumerate(left) if k]
+            rows = data.draw(st.lists(st.sampled_from(live), min_size=1, unique=True))
+            got = streams.next(np.array(rows, dtype=np.intp))
+            assert got.tolist() == [twins[row].random() for row in rows]
+            for row in rows:
+                left[row] -= 1
+        assert streams.next(np.arange(0)).tolist() == []
+        for row in range(len(indices)):
+            with pytest.raises(ValueError, match=f"made all its {draws} draws"):
+                streams.next([row])
+
+    def test_budget_does_not_size_the_block(self):
+        # Draws are made STREAM_WINDOW at a time, so a budget far past what
+        # memory holds costs nothing until it is drawn.
+        streams = Streams([6], range(3), 2**62)
+        got = [streams.next([0, 2]).tolist() for _ in range(3 * STREAM_WINDOW)]
+        for col, i in enumerate((0, 2)):
+            twin = np.random.default_rng([6, i])
+            assert [step[col] for step in got] == [twin.random() for _ in got]
+
+    def test_exhausted_row_advances_no_row(self):
+        streams = Streams([3], [0, 1], 1)
+        assert streams.next([0]) == np.random.default_rng([3, 0]).random()
+        with pytest.raises(ValueError):
+            streams.next([1, 0])
+        assert streams.next([1]) == np.random.default_rng([3, 1]).random()
 
     @pytest.mark.parametrize("prefix, indices", [
         ([-1], range(3)), ([5, -2], range(3)), ([-(2**40)], range(0)), ([5], range(-1, 2)),
@@ -426,22 +485,22 @@ class TestGenerators:
         with pytest.raises(ValueError):
             np.random.default_rng([*prefix, next(iter(indices), 0)])
         with pytest.raises(ValueError):
-            generators(prefix, indices)
+            Streams(prefix, indices, 1)
 
     def test_index_of_more_than_32_bits_raises(self):
         with pytest.raises(ValueError, match="2\\*\\*32"):
-            generators([1], range(2**32 - 1, 2**32 + 1))
+            Streams([1], range(2**32 - 1, 2**32 + 1), 1)
 
     def test_bundled_corpus_leaves_numpy_random_unloaded(self):
-        # numpy.random costs the benchmark's setup_s; covstim imports it on first sampling.
-        code = ("import sys, covstim; from covstim.corpus import load_bundled_corpus; "
-                "load_bundled_corpus(); print('numpy.random' in sys.modules)")
-        src = str(Path(policy_module.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env=env, check=True).stdout
-        assert out == "False\n"
+        # numpy.random costs the benchmark's setup_s and peak RSS; only training loads it.
+        assert not loads_numpy_random(
+            "from covstim.corpus import load_bundled_corpus; load_bundled_corpus()")
+
+    def test_curation_leaves_numpy_random_unloaded(self):
+        assert not loads_numpy_random(
+            "import os; from covstim.corpus import load_bundled_corpus; "
+            "from covstim.curation import CurationConfig, curate; "
+            "curate(load_bundled_corpus(), CurationConfig(pairs_per_dut=3), os.devnull)")
 
 
 class TestLogProb:
@@ -460,7 +519,7 @@ class TestLogProb:
     def test_boost_increases_log_prob(self):
         rng = np.random.default_rng(2)
         policy = random_policy(rng)
-        (seq,) = policy.sample("dut", 1.0, [np.random.default_rng(3)])
+        (seq,) = policy.sample("dut", 1.0, Streams([], [3], policy.t_max))
         before = policy.log_prob("dut", seq)[0]
         boosted = policy.copy()
         for j in range(1, len(seq)):
@@ -642,7 +701,7 @@ class TestGradLogProb:
     def test_entries_sum_to_zero_per_context(self):
         rng = np.random.default_rng(4)
         policy = random_policy(rng)
-        (seq,) = policy.sample("dut", 1.0, [np.random.default_rng(5)])
+        (seq,) = policy.sample("dut", 1.0, Streams([], [5], policy.t_max))
         if len(seq) == 2:
             seq = [VOCAB.bos, 0, VOCAB.eos]
         for vec in seq_grad(policy, "dut", seq).values():
@@ -653,7 +712,7 @@ class TestGradLogProb:
         for trial in range(5):
             rng = np.random.default_rng(100 + trial)
             policy = random_policy(rng)
-            (seq,) = policy.sample("dut", 1.0, [np.random.default_rng(200 + trial)])
+            (seq,) = policy.sample("dut", 1.0, Streams([], [200 + trial], policy.t_max))
             if len(seq) == 2:
                 continue
             grad = seq_grad(policy, "dut", seq)
@@ -685,9 +744,8 @@ class TestSequenceDistribution:
         rng = np.random.default_rng(42)
         policy = random_policy(rng, vocab=vocab, k=2, t_max=2, n_contexts=6)
         n = 100_000
-        sample_rng = np.random.default_rng(99)
         counts = {(0,): 0, (1,): 0}
-        for seq in policy.sample("dut", 1.0, [sample_rng] * n):
+        for seq in policy.sample("dut", 1.0, Streams([99], range(n), policy.t_max)):
             interior = tuple(seq[1:-1])
             if interior in counts:
                 counts[interior] += 1
@@ -702,7 +760,7 @@ class TestReferencePolicy:
         rng = np.random.default_rng(8)
         policy = random_policy(rng)
         ref = ReferencePolicy(policy)
-        for seq in policy.sample("dut", 1.0, [np.random.default_rng(seed) for seed in range(10)]):
+        for seq in policy.sample("dut", 1.0, Streams([], range(10), policy.t_max)):
             assert ref.log_prob("dut", seq) == policy.log_prob("dut", seq)
 
     def test_snapshot_is_independent_of_later_updates(self):
@@ -777,6 +835,14 @@ class TestCheckpoint:
                         ' "table": [["d", [0], [0.0, NaN, 1.0, 2.0]]]}')
         with pytest.raises(ValueError, match=r"table\[0\] row holds a logit that is not"):
             TabularPolicy.load(path)
+
+    @pytest.mark.parametrize("name", ["wmax", "k", "t_max"])
+    def test_non_integer_setting_message_is_bounded(self, tmp_path, name):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps({**_CKPT, name: "x" * 1_000_000}))
+        with pytest.raises(ValueError) as info:
+            TabularPolicy.load(path)
+        assert str(info.value) == f"checkpoint field {name} must be an integer, got str"
 
     def test_deep_nesting_names_file(self, tmp_path):
         path = tmp_path / "deep.json"

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import covstim
 from covstim import policy as policy_module
 from covstim.codec import Vocab
-from covstim.policy import ReferencePolicy, TabularPolicy
+from covstim.policy import ReferencePolicy, Streams, TabularPolicy
 from covstim.training import (
     PreferencePair,
     TrainConfig,
@@ -78,7 +78,7 @@ class TestImplicitReward:
     def test_zero_at_reference(self):
         policy = random_policy(np.random.default_rng(0))
         ref = ReferencePolicy(policy)
-        for seq in policy.sample("dut", 1.0, [np.random.default_rng(seed) for seed in range(5)]):
+        for seq in policy.sample("dut", 1.0, Streams([], range(5), policy.t_max)):
             assert reward(policy, ref, seq) == 0.0
 
     def test_boost_gives_positive_reward(self):
@@ -93,7 +93,7 @@ class TestImplicitReward:
         rng = np.random.default_rng(1)
         theta = random_policy(rng)
         ref = ReferencePolicy(random_policy(rng))
-        (seq,) = theta.sample("dut", 1.0, [np.random.default_rng(2)])
+        (seq,) = theta.sample("dut", 1.0, Streams([], [2], theta.t_max))
         expected = theta.log_prob("dut", seq)[0] - ref.log_prob("dut", seq)[0]
         assert reward(theta, ref, seq) == pytest.approx(expected, abs=1e-15)
 
