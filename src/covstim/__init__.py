@@ -9,8 +9,9 @@ best@N coverage and runs the four-way ablation.
 
 from .codec import CodecError, Vocab, encode, simulate_tokens, validate_and_decode
 from .curation import CurationConfig, DropReason, PairRecord, curate, load_dataset, make_pair
-from .evaluation import AblationTable, EvalConfig, EvalReport, ablate, eval_policy
+from .evaluation import AblationTable, EvalConfig, EvalReport, eval_policy
 from .hdl import DutModel, LintIssue, ParseError, lint, parse, pretty_print
+from .pipeline import ablate
 from .policy import ReferencePolicy, Steps, TabularPolicy
 from .sim import CoverageReport, SimulationError, Stimulus, average_score, simulate
 from .training import (

@@ -1,4 +1,4 @@
-"""Command-line entry point wiring the pipeline into reproducible runs.
+"""Command-line entry point: parses arguments, runs a ``pipeline`` stage and prints.
 
 Exit codes: 0 success, 1 domain error (lint issues, invalid stimulus,
 training failure) or out of memory, 2 usage or IO error.
@@ -10,88 +10,16 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import replace
 from pathlib import Path
 
+from .checks import check_int
 from .codec import Vocab, validate_and_decode
-from .corpus import load_bundled_corpus, load_corpus_dir
-from .curation import CurationConfig, curate, load_dataset
-from .evaluation import EvalConfig, ablate, eval_policy, write_ablation
+from .curation import CurationConfig
 from .hdl import ParseError, lint, parse
-from .policy import TabularPolicy, check_int, check_str, parse_json, shown
+from .pipeline import ExperimentConfig, run_ablate, run_curate, run_eval, run_train
 from .sim import SimulationError, Stimulus, simulate
-from .training import TrainConfig, TrainingError, train
-
-
-def _check_keys(prefix: str, doc, keys) -> None:
-    """Reject a config level that is not a JSON object or that sets a key not in keys."""
-    where = prefix.rstrip(".") or "config top level"
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be a JSON object, got {type(doc).__name__}")
-    unknown = sorted(set(doc) - set(keys))
-    if unknown:
-        raise ValueError(f"config key must be a field name, got {shown(prefix + unknown[0])}")
-
-
-# Set at a config file's top level, held by CurationConfig.
-_TOP_LEVEL_CURATION = ("wmax", "t_max", "k")
-_SECTIONS = {"curation": CurationConfig, "train": TrainConfig, "eval": EvalConfig}
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """The run configuration: paths, then one section per stage with its defaults and checks."""
-
-    corpus_dir: str | None = None  # None -> bundled corpus
-    report_dir: str = "report"
-    dataset_file: str = "pairs.jsonl"
-    curation: CurationConfig = field(default_factory=CurationConfig)
-    train: TrainConfig = field(default_factory=TrainConfig)
-    eval: EvalConfig = field(default_factory=EvalConfig)
-
-    def __post_init__(self):
-        if self.corpus_dir is not None:
-            check_str("corpus_dir", self.corpus_dir)
-        check_str("report_dir", self.report_dir)
-        check_str("dataset_file", self.dataset_file)
-        for name, section in _SECTIONS.items():
-            value = getattr(self, name)
-            if not isinstance(value, section):
-                raise ValueError(f"{name} must be of type {section.__name__}, "
-                                 f"got {type(value).__name__}")
-
-    @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
-        """Build a config from a JSON file; the top-level wmax, t_max and k go into ``curation``."""
-        with open(path, encoding="utf-8") as fh:
-            doc = parse_json(fh.read(), path)
-        _check_keys("", doc, [f.name for f in fields(cls)] + list(_TOP_LEVEL_CURATION))
-        for name, section in _SECTIONS.items():
-            _check_keys(f"{name}.", doc.get(name, {}),
-                        [f.name for f in fields(section) if f.name not in _TOP_LEVEL_CURATION])
-        curation = {key: doc.pop(key) for key in _TOP_LEVEL_CURATION if key in doc}
-        doc["curation"] = {**curation, **doc.get("curation", {})}
-        sections = {name: section(**doc.pop(name, {})) for name, section in _SECTIONS.items()}
-        return cls(**doc, **sections)
-
-    def load_corpus(self):
-        if self.corpus_dir is None:
-            return load_bundled_corpus()
-        return load_corpus_dir(self.corpus_dir)
-
-    def dataset_path(self) -> Path:
-        return Path(self.report_dir) / self.dataset_file
-
-
-def _write_json(path, doc) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
-def _save_trained(report_dir: Path, name: str, policy: TabularPolicy, history) -> None:
-    policy.save(report_dir / f"{name}.ckpt.json")
-    _write_json(report_dir / f"{name}.history.json", history.to_dict())
+from .training import MODES, TrainingError
 
 
 def _load_config(args) -> ExperimentConfig:
@@ -166,17 +94,9 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _curate_with_stats(config: ExperimentConfig, corpus):
-    stats = curate(corpus, config.curation, config.dataset_path())
-    _write_json(Path(config.report_dir) / "curation_stats.json", stats.to_dict())
-    return stats
-
-
 def cmd_curate(args) -> int:
     config = _load_config(args)
-    corpus = config.load_corpus()
-    Path(config.report_dir).mkdir(parents=True, exist_ok=True)
-    stats = _curate_with_stats(config, corpus)
+    stats = run_curate(config)
     print(f"kept {stats.kept} of {stats.attempted} pairs "
           f"({stats.dropped_both_invalid} both_invalid, {stats.dropped_tie} tie) "
           f"-> {config.dataset_path()}")
@@ -185,47 +105,23 @@ def cmd_curate(args) -> int:
 
 def cmd_train(args) -> int:
     config = _load_config(args)
-    dataset = load_dataset(config.dataset_path())
-    train_config = config.train if args.mode is None else replace(config.train, mode=args.mode)
-    result = train(dataset, train_config, config.curation.uniform_policy())
-    _save_trained(Path(config.report_dir), train_config.mode.lower(),
-                  result.policy, result.history)
-    print(f"{train_config.mode}: final epoch loss {result.history.epoch_loss[-1]:.6f}")
+    if args.mode is not None:
+        config = replace(config, train=replace(config.train, mode=args.mode))
+    result = run_train(config)
+    print(f"{config.train.mode}: final epoch loss {result.history.epoch_loss[-1]:.6f}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    config = _load_config(args)
-    corpus = config.load_corpus()
-    policy = TabularPolicy.load(args.checkpoint)
-    policy.check_settings(config.curation)
-    reports = [eval_policy(policy, dut, config.eval) for dut in corpus]
-    report_dir = Path(config.report_dir)
-    report_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(report_dir / "eval.json", [r.to_dict() for r in reports])
-    for r in reports:
+    for r in run_eval(_load_config(args), args.checkpoint):
         print(f"{r.dut}: mean@{r.n} avg {r.mean['average']:.4f}, "
               f"best@{r.n} avg {r.best['average']:.4f}")
     return 0
 
 
-def _run_ablation(config: ExperimentConfig, corpus, dataset):
-    table, policies = ablate(corpus, dataset, config.train, config.eval,
-                             config.curation.uniform_policy())
-    report_dir = Path(config.report_dir)
-    report_dir.mkdir(parents=True, exist_ok=True)
-    write_ablation(table, report_dir / "ablation.csv")
-    _write_json(report_dir / "ablation.json",
-                {"n": table.n, "tau": table.tau, "seed": table.seed, "rows": table.rows})
-    for name in ("sft", "dpo", "cddpo"):
-        _save_trained(report_dir, name, policies[name], table.histories[name])
-    return table
-
-
 def cmd_ablate(args) -> int:
     config = _load_config(args)
-    dataset = load_dataset(config.dataset_path())
-    table = _run_ablation(config, config.load_corpus(), dataset)
+    table, _ = run_ablate(config)
     print(f"wrote {Path(config.report_dir) / 'ablation.csv'} ({len(table.rows)} rows)")
     return 0
 
@@ -233,11 +129,9 @@ def cmd_ablate(args) -> int:
 def cmd_demo(args) -> int:
     config = _load_config(args)
     corpus = config.load_corpus()
-    Path(config.report_dir).mkdir(parents=True, exist_ok=True)
-    stats = _curate_with_stats(config, corpus)
+    stats = run_curate(config, corpus)
     print(f"curated {stats.kept} pairs from {stats.attempted} attempts")
-    dataset = load_dataset(config.dataset_path())
-    table = _run_ablation(config, corpus, dataset)
+    table, _ = run_ablate(config, corpus)
     for dut in corpus:
         vanilla = table.value("vanilla", dut.name, "average", "mean")
         cddpo = table.value("cddpo", dut.name, "average", "mean")
@@ -248,10 +142,8 @@ def cmd_demo(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="covstim",
-        description="Coverage-driven preference optimization lab for mini-HDL stimuli.",
-    )
+    parser = argparse.ArgumentParser(prog="covstim", description="Coverage-driven preference "
+                                     "optimization lab for mini-HDL stimuli.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("lint", help="parse and lint a design file")
@@ -267,18 +159,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-max", type=int, default=CurationConfig.t_max, dest="t_max")
     p.set_defaults(func=cmd_simulate)
 
-    for name, func, extra in (
-        ("curate", cmd_curate, None),
-        ("train", cmd_train, "mode"),
-        ("eval", cmd_eval, "checkpoint"),
-        ("ablate", cmd_ablate, None),
-        ("demo", cmd_demo, None),
-    ):
+    for name, func in (("curate", cmd_curate), ("train", cmd_train), ("eval", cmd_eval),
+                       ("ablate", cmd_ablate), ("demo", cmd_demo)):
         p = sub.add_parser(name, help=f"run the {name} stage")
         p.add_argument("--config", help="experiment config JSON (defaults used if omitted)")
-        if extra == "mode":
-            p.add_argument("--mode", choices=("SFT", "DPO", "CDDPO"))
-        elif extra == "checkpoint":
+        if name == "train":
+            p.add_argument("--mode", choices=MODES)
+        elif name == "eval":
             p.add_argument("--checkpoint", required=True)
         p.set_defaults(func=func)
 
@@ -286,8 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as err:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .checks import check_int
 from .hdl import MAX_WIDTH, DutModel
 from .sim import CoverageReport, Stimulus, simulate
 
@@ -26,9 +27,7 @@ class Vocab:
     wmax: int = 4
 
     def __post_init__(self):
-        if not (type(self.wmax) is int and 1 <= self.wmax <= MAX_WIDTH):
-            from .policy import check_int  # policy imports this module
-            check_int("wmax", self.wmax, 1, MAX_WIDTH)
+        check_int("wmax", self.wmax, 1, MAX_WIDTH)
 
     @property
     def n_values(self) -> int:

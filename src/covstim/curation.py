@@ -15,10 +15,10 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .checks import check_int, check_positive, check_str, is_finite_number, is_int, parse_json
 from .codec import Vocab, simulate_tokens
 from .hdl import DutModel, lint, pretty_print
-from .policy import (STREAM_BLOCK, TabularPolicy, _is_finite_number, _is_int, check_int,
-                     check_positive, check_str, parse_json, sample_streams, sample_tokens)
+from .policy import STREAM_BLOCK, TabularPolicy, sample_streams, sample_tokens
 from .sim import CoverageReport
 from .training import PreferencePair
 
@@ -146,18 +146,12 @@ def make_pair(dut: DutModel, seq_a, seq_b, config: CurationConfig, pair_id: str,
     assert chosen_report is not None
 
     return PairRecord(
-        id=pair_id,
-        dut=dut.name,
-        prompt=prompt,
-        chosen=tuple(chosen),
-        rejected=tuple(rejected),
-        chosen_score=chosen_report.average,
-        rejected_score=_score(rejected_report),
+        id=pair_id, dut=dut.name, prompt=prompt, chosen=tuple(chosen), rejected=tuple(rejected),
+        chosen_score=chosen_report.average, rejected_score=_score(rejected_report),
         chosen_cov=_cov_counts(chosen_report),
         rejected_cov=None if rejected_report is None else _cov_counts(rejected_report),
         meta={"temp_chosen": temp_chosen, "temp_rejected": temp_rejected,
-              "seed": config.seed, "teacher": config.teacher},
-    )
+              "seed": config.seed, "teacher": config.teacher})
 
 
 @dataclass
@@ -222,7 +216,7 @@ def curate(corpus, config: CurationConfig, out_path) -> CurationStats:
 
 
 def _is_token_list(value) -> bool:
-    return isinstance(value, list) and all(map(_is_int, value))
+    return isinstance(value, list) and all(map(is_int, value))
 
 
 # Each field a training pair is built from, its test, and what the test asks for.
@@ -231,8 +225,8 @@ _RECORD_FIELDS = (
     ("prompt", lambda v: isinstance(v, str), "a string"),
     ("chosen", _is_token_list, "a list of integers"),
     ("rejected", _is_token_list, "a list of integers"),
-    ("chosen_score", _is_finite_number, "a finite number"),
-    ("rejected_score", _is_finite_number, "a finite number"),
+    ("chosen_score", is_finite_number, "a finite number"),
+    ("rejected_score", is_finite_number, "a finite number"),
 )
 
 

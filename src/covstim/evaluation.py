@@ -1,13 +1,13 @@
-"""Policy evaluation (mean@N / best@N) and the four-way ablation harness."""
+"""Policy evaluation (mean@N / best@N) and the four-way ablation table."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
+from .checks import check_int, check_positive
 from .codec import simulate_tokens
-from .policy import STREAM_BLOCK, check_int, check_positive, sample_streams
+from .policy import STREAM_BLOCK, sample_streams
 from .sim import METRICS as COVERAGE_METRICS
-from .training import TrainConfig, train
 
 METRICS = (*COVERAGE_METRICS, "average")
 ABLATION_POLICIES = ("vanilla", "sft", "dpo", "cddpo")
@@ -94,30 +94,3 @@ class AblationTable:
             if row["policy"] == policy and row["dut"] == dut and row["metric"] == metric:
                 return row[aggregate]
         raise KeyError((policy, dut, metric))
-
-
-def ablate(corpus, dataset, train_config: TrainConfig, eval_config: EvalConfig,
-           init) -> tuple[AblationTable, dict]:
-    """Train SFT / DPO / CD-DPO from the initial policy init and evaluate all four.
-
-    init is the vanilla row.  Returns the table and the policies keyed by
-    ablation row name.
-    """
-    policies = {"vanilla": init}
-    table = AblationTable(n=eval_config.n, tau=eval_config.tau, seed=eval_config.seed)
-    for name, mode in (("sft", "SFT"), ("dpo", "DPO"), ("cddpo", "CDDPO")):
-        result = train(dataset, replace(train_config, mode=mode), init)
-        policies[name] = result.policy
-        table.histories[name] = result.history
-    for name in ABLATION_POLICIES:
-        for dut in corpus:
-            report = eval_policy(policies[name], dut, eval_config)
-            for m in METRICS:
-                table.rows.append({"policy": name, "dut": dut.name, "metric": m,
-                                   "mean": report.mean[m], "best": report.best[m]})
-    return table, policies
-
-
-def write_ablation(table: AblationTable, csv_path) -> None:
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(table.to_csv())

@@ -244,12 +244,6 @@ class DutModel:
     def total_bins(self) -> int:
         return sum(len(cg.bins) for cg in self.covergroups)
 
-    @cached_property
-    def compiled(self):
-        """The design as one Python function over a whole stimulus (``sim.cycle_source``)."""
-        from .sim import compile_model  # sim imports this module
-        return compile_model(self)
-
 
 # --- Parser ---------------------------------------------------------------
 
@@ -327,16 +321,10 @@ class _Parser:
         self.advance()  # endmodule
         if self.cur.kind != "eof":
             self._fail("trailing input after 'endmodule'")
-        return DutModel(
-            name=name,
-            ports=tuple(ports),
-            regs=tuple(regs),
-            wires=tuple(wires),
-            body=tuple(body),
-            covergroups=tuple(covergroups),
-            total_statements=self.n_statements,
-            total_branch_outcomes=2 * self.n_conditionals,
-        )
+        return DutModel(name=name, ports=tuple(ports), regs=tuple(regs), wires=tuple(wires),
+                        body=tuple(body), covergroups=tuple(covergroups),
+                        total_statements=self.n_statements,
+                        total_branch_outcomes=2 * self.n_conditionals)
 
     def parse_port(self) -> Port:
         if not (self.at("input") or self.at("output")):

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .checks import check_int, is_finite_number, is_int, parse_json, shown
 from .codec import Vocab, check_well_formed
 
 
@@ -272,10 +272,8 @@ class Steps:
     contiguous and in order; forced-EOS steps are left out.  ``touched``
     holds the distinct rows of the steps, sorted, so -1 comes first when a
     step has no row, and ``slot[i]`` is step i's index into it:
-    ``touched[slot] == rows``.
-
-    ``Steps`` is public API: ``TabularPolicy.steps`` and ``batches`` build
-    it, and ``grad_log_prob`` and ``apply_update`` take it.
+    ``touched[slot] == rows``.  ``TabularPolicy.steps`` and ``batches``
+    build it, and ``grad_log_prob`` and ``apply_update`` take it.
     """
 
     rows: np.ndarray
@@ -437,12 +435,8 @@ class TabularPolicy:
     # -- persistence ------------------------------------------------------
 
     def check_settings(self, run) -> None:
-        """Raise ValueError naming each setting that differs from the run's.
-
-        run is the run's ``CurationConfig``, which holds ``wmax``, ``k`` and
-        ``t_max``.  A policy under another ``wmax`` has other BOS/EOS ids, so
-        its samples would all fail decoding instead of failing loudly here.
-        """
+        """Raise ValueError naming each of wmax, k and t_max that differs from run (a
+        ``CurationConfig``); under another wmax the BOS/EOS ids differ, so every sample fails."""
         mine = {"wmax": self.vocab.wmax, "k": self.k, "t_max": self.t_max}
         wrong = [f"{name} {value} (run config {getattr(run, name)})"
                  for name, value in mine.items() if value != getattr(run, name)]
@@ -478,7 +472,7 @@ class TabularPolicy:
             raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
         for name in ("wmax", "k", "t_max"):
             value = doc.get(name)
-            if not _is_int(value):
+            if not is_int(value):
                 raise ValueError(f"checkpoint field {name} must be an integer, "
                                  f"got {shown(value, int)}")
         try:
@@ -496,12 +490,12 @@ class TabularPolicy:
                     and isinstance(entry[1], list) and isinstance(entry[2], list)):
                 raise ValueError(f"{where} must be [dut_id, context list, logits list]")
             dut_id, ctx, vec = entry
-            if len(ctx) != policy.k or not all(_is_int(t) and 0 <= t < size for t in ctx):
+            if len(ctx) != policy.k or not all(is_int(t) and 0 <= t < size for t in ctx):
                 raise ValueError(f"{where} context {ctx} must be k={policy.k} tokens "
                                  f"in 0..{size - 1}")
             if len(vec) != size:
                 raise ValueError(f"{where} row has {len(vec)} logits, expected {size}")
-            if not all(map(_is_finite_number, vec)):
+            if not all(map(is_finite_number, vec)):
                 raise ValueError(f"{where} row holds a logit that is not a finite number")
             key = (dut_id, tuple(ctx))
             if key in policy.rows:
@@ -510,63 +504,6 @@ class TabularPolicy:
             vecs.append(vec)
         policy.theta = np.array(vecs + [[0.0] * size], dtype=float)
         return policy
-
-
-def parse_json(text: str, source) -> object:
-    """``json.loads`` of text read from source; every malformed text raises ValueError.
-
-    The decoder raises RecursionError on deep nesting; that becomes a
-    ValueError naming source.
-    """
-    try:
-        return json.loads(text)
-    except RecursionError as err:
-        raise ValueError(f"{err} in {source}") from None
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite_number(value) -> bool:
-    if isinstance(value, float):
-        return math.isfinite(value)
-    return _is_int(value) and abs(value) <= sys.float_info.max
-
-
-def shown(value, kind=str) -> str:
-    """value for a message "<setting> must be <what>, got <value>", in bounded length:
-    a string quoted up to 40 characters, an int of 21 digits or more by its size, and
-    a bool or a value not of kind by its type's name."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        return type(value).__name__
-    if isinstance(value, str):
-        return repr(value[:40]) + "..." * (len(value) > 40)
-    if isinstance(value, int) and abs(value) >= 10**20:
-        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
-    return repr(value)
-
-
-def check_int(name: str, value, least: int, most=math.inf) -> None:
-    """Raise ValueError naming the setting unless value is an int in least..most."""
-    if not (_is_int(value) and least <= value <= most):
-        what = f">= {least}" if most == math.inf else f"in {least}..{most}"
-        kind = "" if _is_int(value) else "an integer "
-        raise ValueError(f"{name} must be {kind}{what}, got {shown(value, int)}")
-
-
-def check_positive(name: str, value) -> float:
-    """value as a float; raise ValueError naming the setting unless it is a finite number > 0."""
-    if not (_is_finite_number(value) and value > 0):
-        raise ValueError(f"{name} must be a finite number > 0, got {shown(value, (int, float))}")
-    return float(value)
-
-
-def check_str(name: str, value, choices=()) -> None:
-    """Raise ValueError naming the setting unless value is a string in choices (if any)."""
-    if not (isinstance(value, str) and (not choices or value in choices)):
-        what = f"one of {', '.join(map(repr, choices))}" if choices else "a string"
-        raise ValueError(f"{name} must be {what}, got {shown(value)}")
 
 
 class ReferencePolicy:

@@ -9,11 +9,12 @@ the end of item evaluation, before registers latch.  All arithmetic is
 64-bit unsigned with masking to the target width on assignment.
 
 Each design is compiled once, by :func:`cycle_source`, into the source of
-one Python function that runs a whole stimulus; ``DutModel.compiled``
-caches it.  The function computes each subexpression only to the bits that
-its consumer reads, and it counts coverage once, after the last cycle: a
-statement by the arm that holds it, a bin by the values its signal took.
-Nothing recurses or dispatches on node types at simulation time.
+one Python function that runs a whole stimulus; :func:`compiled` keeps it
+on the model.  The function computes each subexpression only to the bits
+that its consumer reads, and it counts coverage once, after the last
+cycle: a statement by the arm that holds it, a bin by the values its
+signal took.  Nothing recurses or dispatches on node types at simulation
+time.
 """
 
 from __future__ import annotations
@@ -270,10 +271,15 @@ def cycle_source(dut: DutModel) -> str:
 
 
 def compile_model(dut: DutModel):
-    """Compile :func:`cycle_source`'s function; ``DutModel.compiled`` caches it."""
+    """Compile :func:`cycle_source`'s function; :func:`compiled` caches it."""
     namespace = {"__builtins__": {}, "min": min, "bytearray": bytearray}
     exec(compile(cycle_source(dut), _FILENAME, "exec"), namespace)
     return namespace["run"]
+
+
+def compiled(dut: DutModel):
+    """``compile_model(dut)``, made on the first call and kept on the model."""
+    return dut.__dict__.get("_run") or dut.__dict__.setdefault("_run", compile_model(dut))
 
 
 def _input_rows(dut: DutModel, stim: Stimulus) -> list[tuple]:
@@ -308,7 +314,7 @@ def simulate(dut: DutModel, stim: Stimulus) -> CoverageReport:
     Every cycle's inputs are checked before any cycle runs.
     """
     rows = _input_rows(dut, stim)
-    statements, branches, bins = dut.compiled(rows)
+    statements, branches, bins = compiled(dut)(rows)
     return _report(statements, dut.total_statements, branches, dut.total_branch_outcomes,
                    bins, dut.total_bins, len(rows))
 

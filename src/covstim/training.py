@@ -6,23 +6,20 @@ beta* = beta; the coverage-weighted variant scales it by an increasing
 normalization f of the coverage-score gap s_p - s_np, so pairs with a
 clearer coverage difference drive larger updates.
 
-``train`` compiles its dataset once to index arrays over the distinct
-sequences and the policy's rows, and each epoch once, after its shuffle, to
-the ``Steps`` of every mini-batch, which the policy builds in one pass over
-the epoch.  A mini-batch is then one gather of its distinct
-rows, one masked log-softmax over them and one scatter update into them,
-with the loss terms computed as arrays over the batch.  The one-pair
+``train`` compiles its dataset once (``_Compiled``), and each epoch once,
+after its shuffle, to the ``Steps`` of every mini-batch; the one-pair
 functions below are batch-of-one calls of the same loss code.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .policy import ReferencePolicy, TabularPolicy, check_int, check_positive, check_str
+from .checks import check_int, check_positive, check_str
+from .policy import ReferencePolicy, TabularPolicy
 
 MODES = ("SFT", "DPO", "CDDPO")
 F_VARIANTS = ("identity_clamp", "dataset_minmax")
@@ -86,12 +83,8 @@ class LossBreakdown:
 
 @dataclass
 class TrainHistory:
-    """Per-epoch training curves.
-
-    Loss, preference accuracy (the share of pairs with r_w > r_l) and mean
-    margin beta* (r_w - r_l) are taken before each batch's update; the two
-    preference diagnostics stay empty for SFT.
-    """
+    """Per-epoch training curves, each term taken before its batch's update: the loss and,
+    for DPO and CD-DPO only, the share of pairs with r_w > r_l and mean beta* (r_w - r_l)."""
 
     config: dict
     epoch_loss: list = field(default_factory=list)
@@ -248,14 +241,15 @@ class _Compiled:
 
 
 def train(dataset, config: TrainConfig, init: TabularPolicy) -> TrainResult:
-    """Deterministic mini-batch gradient descent in the configured mode."""
+    """Deterministic mini-batch gradient descent in the configured mode, from init.
+
+    The preference modes take a frozen init as pi_ref; ``pipeline.train_modes`` picks init.
+    """
     if not dataset:
         raise TrainingError("empty dataset")
     dataset = list(dataset)
 
     theta = init.copy()
-    if config.mode in ("DPO", "CDDPO") and config.ref_source == "post_sft_policy":
-        theta = train(dataset, replace(config, mode="SFT"), init).policy
     if config.mode == "SFT":
         ref = beta_star = None
     else:

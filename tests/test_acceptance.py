@@ -15,8 +15,9 @@ import pytest
 
 from covstim.codec import Vocab
 from covstim.curation import CurationConfig, curate, load_dataset
-from covstim.evaluation import EvalConfig, ablate, write_ablation
+from covstim.evaluation import EvalConfig
 from covstim.hdl import lint
+from covstim.pipeline import ablate, write_artifact
 from covstim.policy import ReferencePolicy, TabularPolicy
 from covstim.sim import Stimulus, simulate
 from covstim.training import (
@@ -295,8 +296,8 @@ def test_criterion_8_determinism(corpus, demo_run, tmp_path):
     table3, _ = ablate(corpus, dataset, small, EvalConfig(n=4, seed=42),
                        TabularPolicy(VOCAB, 2, T_MAX))
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_ablation(table2, p1)
-    write_ablation(table3, p2)
+    write_artifact(p1, table2.to_csv())
+    write_artifact(p2, table3.to_csv())
     assert p1.read_bytes() == p2.read_bytes()
     print("PASS criterion 8: dataset, checkpoint, and CSV reports "
           "byte-identical across reruns")

@@ -12,12 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covstim.cli import ExperimentConfig, main
+from covstim.cli import main
 from covstim.codec import Vocab
 from covstim.corpus import BUNDLED_NAMES, bundled_source, load_bundled_corpus, load_corpus_dir
 from covstim.curation import CurationConfig
 from covstim.evaluation import EvalConfig
 from covstim.hdl import lint
+from covstim.pipeline import ExperimentConfig
 from covstim.policy import TabularPolicy
 from covstim.sim import Stimulus, simulate
 from covstim.training import TrainConfig
@@ -239,6 +240,32 @@ class TestPipelineCommands:
         assert main(["eval", "--config", config,
                      "--checkpoint", str(report_dir / "cddpo.ckpt.json")]) == 0
         assert (report_dir / "eval.json").exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_stage_creates_missing_report_dir(self, tmp_path, monkeypatch, capsys, command):
+        config, report_dir = small_config(tmp_path)
+        assert main(["curate", "--config", config]) == 0
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        config, _ = small_config(tmp_path, report_dir="missing/dir",
+                                 dataset_file=str(report_dir / "pairs.jsonl"))
+        assert main([command, "--config", config]) == 0
+        assert (work / "missing" / "dir" / "cddpo.ckpt.json").is_file()
+
+    def test_post_sft_train_matches_ablate(self, tmp_path, capsys):
+        train = {"mode": "CDDPO", "epochs": 4, "batch_size": 16, "seed": 42,
+                 "learning_rate": 2.0, "ref_source": "post_sft_policy"}
+        config, report_dir = small_config(tmp_path, train=train)
+        assert main(["curate", "--config", config]) == 0
+        assert main(["ablate", "--config", config]) == 0
+        written = {name: (report_dir / name).read_bytes()
+                   for name in ("cddpo.ckpt.json", "cddpo.history.json")}
+        for name in written:
+            (report_dir / name).unlink()
+        assert main(["train", "--config", config, "--mode", "CDDPO"]) == 0
+        for name, data in written.items():
+            assert (report_dir / name).read_bytes() == data, name
 
     def test_eval_rejects_checkpoint_of_other_settings(self, tmp_path, capsys):
         config, report_dir = small_config(tmp_path)

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from covstim.codec import Vocab
-from covstim.evaluation import (ABLATION_POLICIES, METRICS, EvalConfig, ablate, eval_policy,
-                                write_ablation)
+from covstim.evaluation import ABLATION_POLICIES, METRICS, EvalConfig, eval_policy
+from covstim.pipeline import ablate, write_artifact
 from covstim.policy import TabularPolicy
 from covstim.training import TrainConfig
 
@@ -131,8 +131,8 @@ class TestAblate:
         table2, _ = ablate(corpus, dataset, base, EvalConfig(n=5, seed=42),
                            TabularPolicy(VOCAB, 2, T_MAX))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_ablation(table, p1)
-        write_ablation(table2, p2)
+        write_artifact(p1, table.to_csv())
+        write_artifact(p2, table2.to_csv())
         assert p1.read_bytes() == p2.read_bytes()
         header = p1.read_text().splitlines()[0]
         assert header == "policy,dut,metric,aggregate,value"

@@ -391,13 +391,6 @@ class TestTrain:
         distinct = {seq for p in pairs for seq in (p.chosen, p.rejected)}
         assert sorted(checked) == sorted(distinct)
 
-    def test_post_sft_reference(self):
-        pairs = [make_pair(chosen=(BOS, 1, EOS), rejected=(BOS, 3, EOS))]
-        config = TrainConfig(mode="CDDPO", epochs=5, batch_size=1, seed=2,
-                             ref_source="post_sft_policy")
-        result = train(pairs, config, TabularPolicy(VOCAB))
-        assert len(result.history.epoch_loss) == 5
-
     def test_tie_pair_rejected_upstream(self):
         with pytest.raises(ValueError):
             PreferencePair("d", "", (BOS, 1, EOS), (BOS, 0, EOS), 0.5, 0.5)
@@ -445,14 +438,21 @@ PIN_CONFIGS = [("SFT", "identity_clamp", "initial_policy")] + [
 
 
 class TestReferencePin:
-    """The batched trainer against the per-pair loop it replaced (tests/reference_trainer.py)."""
+    """The batched trainer against the per-pair loop it replaced (tests/reference_trainer.py).
+
+    Under post_sft_policy the loop trains SFT inside; here SFT is trained
+    first and the preference mode starts from its policy.
+    """
 
     @pytest.mark.parametrize("mode, f_variant, ref_source", PIN_CONFIGS)
     def test_matches_per_pair_loop(self, mode, f_variant, ref_source):
         pairs, init = pin_dataset()
         config = TrainConfig(mode=mode, beta=0.5, f_variant=f_variant, learning_rate=1.5,
                              epochs=8, batch_size=5, seed=3, ref_source=ref_source)
-        result = train(pairs, config, init)
+        start = init
+        if ref_source == "post_sft_policy":
+            start = train(pairs, replace(config, mode="SFT"), init).policy
+        result = train(pairs, config, start)
         table, history = reference_train(pairs, config, init)
         got = result.policy.table
         assert set(got) == set(table)
