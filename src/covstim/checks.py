@@ -26,12 +26,16 @@ def is_finite_number(value) -> bool:
 
 def shown(value, kind=str) -> str:
     """value for a message "<setting> must be <what>, got <value>", in bounded length:
-    a string quoted up to 40 characters, an int of 21 digits or more by its size, and
-    a bool or a value not of kind by its type's name."""
+    a string quoted, cut so its quoted form (escapes included) is at most 42 characters,
+    an int of 21 digits or more by its size, and a bool or a value not of kind by its
+    type's name."""
     if isinstance(value, bool) or not isinstance(value, kind):
         return type(value).__name__
     if isinstance(value, str):
-        return repr(value[:40]) + "..." * (len(value) > 40)
+        cut = value[:40]
+        while len(repr(cut)) > 42:
+            cut = cut[:-1]
+        return repr(cut) + "..." * (cut != value)
     if isinstance(value, int) and abs(value) >= 10**20:
         return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
     return repr(value)

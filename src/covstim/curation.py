@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields
+from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -125,13 +126,19 @@ def _cov_counts(report: CoverageReport) -> dict:
     return {name: [m.covered, m.total] for name, m in report.metrics().items()}
 
 
+@lru_cache(maxsize=None)
+def _vocab(wmax: int) -> Vocab:
+    """Vocab(wmax), built once per width: ``make_pair`` needs it for every pair."""
+    return Vocab(wmax)
+
+
 def make_pair(dut: DutModel, seq_a, seq_b, config: CurationConfig, pair_id: str,
               prompt: str) -> Union[PairRecord, DropReason]:
     """Score candidates seq_a (sampled at tau1) and seq_b (at tau2); label or drop the pair.
 
     prompt is the design's source text, ``pretty_print(dut)``.
     """
-    vocab = Vocab(config.wmax)
+    vocab = _vocab(config.wmax)
     report_a = simulate_tokens(dut, seq_a, vocab, config.t_max)
     report_b = simulate_tokens(dut, seq_b, vocab, config.t_max)
     if report_a is None and report_b is None:

@@ -10,7 +10,6 @@ so every sampled sequence terminates and that forced step scores 0.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -319,17 +318,23 @@ class TabularPolicy:
             self.theta = np.vstack([self.theta[:-1],
                                     np.zeros((len(self.rows) - before + 1, self.vocab.size))])
 
-    def apply_update(self, steps: Steps, vecs: np.ndarray, factor: float) -> None:
-        """Add factor * vecs[i] to the row of step i for every i (descent uses factor = -lr).
+    def apply_update(self, steps: Steps, probs: np.ndarray, step_weights: np.ndarray,
+                     factor: float) -> None:
+        """Add factor * sum_i step_weights[i] * d log pi(step i) / d logits to the rows.
 
-        The vectors of a repeated row are summed first, in step order, into
-        its slot of ``steps.touched``, and each touched row is then updated
-        once.  A step without a row (-1) updates nothing.
+        Descent uses factor = -lr.  probs is ``grad_log_prob``'s softmax of
+        each row of ``steps.touched``.  Step i's gradient is onehot(target)
+        - probs of its row, so each touched row gets H - W * probs, where H
+        sums the weights at each (row, target) and W the weights of the
+        row's steps: no per-step vector is built.  The BOS column stays
+        unchanged, as probs is 0 there and no step emits BOS.  A step
+        without a row (-1) updates nothing.
         """
         touched, size = steps.touched, self.vocab.size
-        total = np.bincount((steps.slot[:, None] * size + np.arange(size)).ravel(),
-                            weights=vecs.ravel(),
-                            minlength=len(touched) * size).reshape(len(touched), size)
+        hits = np.bincount(steps.slot * size + steps.targets, weights=step_weights,
+                           minlength=len(touched) * size)
+        weights = np.bincount(steps.slot, weights=step_weights, minlength=len(touched))
+        total = hits.reshape(len(touched), size) - weights[:, None] * probs
         if len(touched) and touched[0] < 0:
             touched, total = touched[1:], total[1:]
         self.theta[touched] += factor * total
@@ -401,10 +406,7 @@ class TabularPolicy:
         """
         z = self.theta.take(rows, axis=0)
         m, e, sums = _masked_exp(z, self.vocab.bos)
-        m, sums = m[:, 0], sums[:, 0]
-        # math.log as the step-by-step form used: np.log differs from it in the
-        # last bit on a few arguments in 10^4, which would change artifacts.
-        lse = m + np.fromiter(map(math.log, sums.tolist()), float, len(sums))
+        lse = m[:, 0] + np.log(sums[:, 0])
         return z[slot, targets] - lse[slot], e, sums
 
     def log_prob(self, dut_id, seq) -> tuple[float, list[float]]:
@@ -418,19 +420,18 @@ class TabularPolicy:
         return sum(per_step), per_step
 
     def grad_log_prob(self, steps: Steps) -> tuple[np.ndarray, np.ndarray]:
-        """Each sequence's log-probability, and d log pi / d logits of each step.
+        """Each sequence's log-probability, and the softmax of each touched row.
 
-        One softmax over the distinct rows of the steps.  Row i of the
-        gradient belongs to the context of step i; a sequence's total sums
-        its steps in order, as ``log_prob`` does, and forced steps
+        One softmax over the distinct rows of the steps: row j of probs is
+        pi(. | context of ``steps.touched[j]``), 0 at BOS.  The gradient of
+        step i's log-prob is onehot(target) - that row, which
+        ``apply_update`` builds per row, not per step.  A sequence's total
+        sums its steps in order, as ``log_prob`` does, and forced steps
         contribute nothing.
         """
         per_step, e, sums = self._score(steps.touched, steps.slot, steps.targets)
-        probs = e / sums[:, None]
-        grads = np.negative(probs, out=probs).take(steps.slot, axis=0)
-        grads.ravel()[np.arange(len(steps.targets)) * self.vocab.size + steps.targets] += 1.0
-        grads[:, self.vocab.bos] = 0.0
-        return np.bincount(steps.owner, weights=per_step, minlength=steps.n), grads
+        e /= sums
+        return np.bincount(steps.owner, weights=per_step, minlength=steps.n), e
 
     # -- persistence ------------------------------------------------------
 

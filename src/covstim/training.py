@@ -8,7 +8,10 @@ clearer coverage difference drive larger updates.
 
 ``train`` compiles its dataset once (``_Compiled``), and each epoch once,
 after its shuffle, to the ``Steps`` of every mini-batch; the one-pair
-functions below are batch-of-one calls of the same loss code.
+functions below are batch-of-one calls of the same loss code.  A
+mini-batch's loss gives each sequence a weight, d loss / d log pi(seq), and
+its update is built per touched row from those weights and the rows'
+softmax (``TabularPolicy.apply_update``), with no per-step gradient.
 """
 
 from __future__ import annotations
@@ -244,6 +247,8 @@ def train(dataset, config: TrainConfig, init: TabularPolicy) -> TrainResult:
     """Deterministic mini-batch gradient descent in the configured mode, from init.
 
     The preference modes take a frozen init as pi_ref; ``pipeline.train_modes`` picks init.
+    Each mini-batch takes its log-probs and row softmax from ``grad_log_prob``,
+    weighs each sequence by d loss / d log pi, and steps by ``apply_update``.
     """
     if not dataset:
         raise TrainingError("empty dataset")
@@ -270,7 +275,7 @@ def train(dataset, config: TrainConfig, init: TabularPolicy) -> TrainResult:
         losses, margins, wins = [], [], 0
         for batch, seqs, steps in data.epoch(order, config.batch_size):
             n = len(batch)
-            log_probs, grads = theta.grad_log_prob(steps)
+            log_probs, probs = theta.grad_log_prob(steps)
             if ref is None:
                 losses.extend([_mean_nll(log_probs.tolist())] * n)
                 seq_weights = np.full(n, -1.0 / n)
@@ -282,8 +287,7 @@ def train(dataset, config: TrainConfig, init: TabularPolicy) -> TrainResult:
                 wins += int(np.count_nonzero(bd.r_w > bd.r_l))
                 weights = (1.0 / n) * pair_gradient(bd)
                 seq_weights = np.concatenate([weights, -weights])
-            theta.apply_update(steps, grads * seq_weights[steps.owner, None],
-                               -config.learning_rate)
+            theta.apply_update(steps, probs, seq_weights[steps.owner], -config.learning_rate)
         epoch = len(history.epoch_loss)
         mean_loss = sum(losses) / len(losses)
         if not math.isfinite(mean_loss):

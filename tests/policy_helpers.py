@@ -42,10 +42,9 @@ def logit_gradient(policy, items, weights) -> dict:
     grad = policy.copy()
     grad.add_rows(items)
     steps = grad.steps(items)
-    _, step_grads = grad.grad_log_prob(steps)
+    _, probs = grad.grad_log_prob(steps)
     grad.theta[:] = 0.0
-    grad.apply_update(steps, step_grads * np.asarray(weights, dtype=float)[steps.owner, None],
-                      1.0)
+    grad.apply_update(steps, probs, np.asarray(weights, dtype=float)[steps.owner], 1.0)
     touched = set(steps.rows.tolist())
     return {key: grad.theta[i] for key, i in grad.rows.items() if i in touched}
 

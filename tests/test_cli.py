@@ -9,7 +9,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covstim.cli import main
@@ -627,6 +627,9 @@ _PREFIX = {CurationConfig: "curation.", TrainConfig: "train.", EvalConfig: "eval
 
 @given(st.sampled_from(list(_PREFIX)).flatmap(
     lambda cls: st.tuples(st.just(cls), st.sampled_from(fields(cls)))), _ANY_VALUE)
+# A string whose characters each print as a 10-character escape.
+@example((TrainConfig, next(f for f in fields(TrainConfig) if f.name == "ref_source")),
+         "0\x1f\U0001da8c" * 16)
 @settings(max_examples=500, deadline=None)
 def test_each_config_field_checks_its_type_and_range(case, value):
     cls, f = case

@@ -80,7 +80,7 @@ def step_by_step_log_prob(policy, dut_id, seq):
         masked = z.copy()
         masked[policy.vocab.bos] = -np.inf
         m = masked[np.isfinite(masked)].max(initial=0.0)
-        lse = m + math.log(np.exp(masked - m).sum())
+        lse = m + np.log(np.exp(masked - m).sum())
         per_step.append(float(z[seq[j]] - lse))
     return sum(per_step), per_step
 
@@ -106,19 +106,23 @@ def step_by_step_grad(policy, dut_id, seq):
 def batched(policy, dut_id, seqs):
     """grad_log_prob over seqs as one batch: totals, and each sequence's {(dut_id, ctx): vec}.
 
-    A sequence's step gradients are summed per context in step order, as
-    ``step_by_step_grad`` sums them.
+    Sequence i's gradient is ``apply_update`` of the batch's one softmax
+    with weight 1 on its steps and 0 on the others, into the zeroed logits
+    of a copy of policy that has a row for every context; its keys are in
+    step order, as ``step_by_step_grad`` has them.
     """
-    totals, grads = policy.grad_log_prob(policy.steps([(dut_id, seq) for seq in seqs]))
-    per_seq, i = [], 0
-    for seq in seqs:
-        grad = {}
-        for j in range(1, min(len(seq) - 1, policy.t_max) + 1):
-            key = (dut_id, policy._contexts(seq[:j]))
-            grad[key] = grad[key] + grads[i] if key in grad else grads[i]
-            i += 1
-        per_seq.append(grad)
-    assert i == len(grads)
+    items = [(dut_id, seq) for seq in seqs]
+    grad = policy.copy()
+    grad.add_rows(items)
+    steps = grad.steps(items)
+    totals, probs = grad.grad_log_prob(steps)
+    per_seq = []
+    for i, seq in enumerate(seqs):
+        grad.theta[:] = 0.0
+        grad.apply_update(steps, probs, (steps.owner == i).astype(float), 1.0)
+        keys = [(dut_id, grad._contexts(seq[:j]))
+                for j in range(1, min(len(seq) - 1, grad.t_max) + 1)]
+        per_seq.append({key: grad.theta[grad.rows[key]].copy() for key in keys})
     return totals.tolist(), per_seq
 
 
@@ -126,10 +130,16 @@ def seq_grad(policy, dut_id, seq):
     return batched(policy, dut_id, [seq])[1][0]
 
 
-def assert_same_grad(grad, expected):
+def assert_same_grad(grad, expected, seq):
+    """grad equals step_by_step_grad's expected to 1e-12 per step of seq.
+
+    The per-row update sums a context's targets and its softmax apart, so it
+    rounds differently from the per-step sum of onehot(target) - softmax.
+    """
     assert list(grad) == list(expected)
+    bound = 1e-12 * (len(seq) - 1)
     for key, vec in expected.items():
-        assert np.array_equal(grad[key], vec), key
+        assert (np.abs(grad[key] - vec) <= bound).all(), key
 
 
 class ScriptedStream:
@@ -244,17 +254,29 @@ def shared_row_cases(draw):
     return policy, policy.steps(items)
 
 
+@st.composite
+def update_cases(draw):
+    """``shared_row_cases``, or a one-step batch of its policy, and a weight per step, some 0."""
+    policy, steps = draw(shared_row_cases())
+    if draw(st.booleans()):
+        vocab = policy.vocab
+        steps = policy.steps([(draw(st.sampled_from("de")), [vocab.bos, vocab.eos])])
+    weight = st.one_of(st.just(0.0), st.floats(-10, 10))
+    n = len(steps.rows)
+    return policy, steps, np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+
+
 def per_step_grad_log_prob(policy, steps):
-    """grad_log_prob as one masked softmax per step: _masked_exp over theta[rows], then math.log."""
+    """grad_log_prob as one masked softmax per step: _masked_exp over theta[rows], then np.log.
+
+    Returns the totals and each step's softmax, where grad_log_prob returns
+    each distinct row's.
+    """
     z = policy.theta[steps.rows]
     m, e, sums = _masked_exp(z, policy.vocab.bos)
-    lse = m[:, 0] + np.array([math.log(s) for s in sums[:, 0].tolist()])
-    at = np.arange(len(steps.targets))
-    per_step = z[at, steps.targets] - lse
-    grads = -(e / sums)
-    grads[at, steps.targets] += 1.0
-    grads[:, policy.vocab.bos] = 0.0
-    return np.bincount(steps.owner, weights=per_step, minlength=steps.n), grads
+    lse = m[:, 0] + np.log(sums[:, 0])
+    per_step = z[np.arange(len(steps.targets)), steps.targets] - lse
+    return np.bincount(steps.owner, weights=per_step, minlength=steps.n), e / sums
 
 
 def all_well_formed(vocab, t_max):
@@ -543,7 +565,7 @@ class TestOnePassScoring:
     def test_equals_step_by_step_exactly(self, case):
         policy, seq = case
         assert policy.log_prob("d", seq) == step_by_step_log_prob(policy, "d", seq)
-        assert_same_grad(seq_grad(policy, "d", seq), step_by_step_grad(policy, "d", seq))
+        assert_same_grad(seq_grad(policy, "d", seq), step_by_step_grad(policy, "d", seq), seq)
 
     @given(batch_cases())
     @settings(max_examples=200, deadline=None)
@@ -552,7 +574,7 @@ class TestOnePassScoring:
         totals, grads = batched(policy, "d", seqs)
         for seq, total, grad in zip(seqs, totals, grads):
             assert total == step_by_step_log_prob(policy, "d", seq)[0]
-            assert_same_grad(grad, step_by_step_grad(policy, "d", seq))
+            assert_same_grad(grad, step_by_step_grad(policy, "d", seq), seq)
 
     @given(shared_row_cases())
     @settings(max_examples=200, deadline=None)
@@ -560,15 +582,15 @@ class TestOnePassScoring:
         policy, steps = case
         assert steps.touched[0] == -1 and len(steps.touched) < len(steps.rows)
         assert np.array_equal(steps.touched[steps.slot], steps.rows)
-        totals, grads = policy.grad_log_prob(steps)
-        expected_totals, expected_grads = per_step_grad_log_prob(policy, steps)
+        totals, probs = policy.grad_log_prob(steps)
+        expected_totals, step_probs = per_step_grad_log_prob(policy, steps)
         assert totals.tolist() == expected_totals.tolist()
-        assert np.array_equal(grads, expected_grads)
+        assert np.array_equal(probs[steps.slot], step_probs)
 
     def test_equals_step_by_step_on_many_sequences(self):
-        # np.log differs from math.log in the last bit on a few in 10^4
-        # arguments; thousands of fresh rows make such a slip show.  Logits
-        # <= 0 give a zero shift, so a slip in the log is not rounded away.
+        # Thousands of fresh rows, each logged alone by the step-by-step form
+        # and in one array by log_prob, so a last-bit slip between the two
+        # would show.  Logits <= 0 give a zero shift, so it is not rounded away.
         rng = np.random.default_rng(13)
         for _ in range(4000):
             interior = rng.integers(0, VOCAB.n_values, rng.integers(0, 9)).tolist()
@@ -590,7 +612,7 @@ class TestOnePassScoring:
         assert (total, per_step) == step_by_step_log_prob(policy, "dut", seq)
         grad = seq_grad(policy, "dut", seq)
         assert list(grad) == [("dut", (VOCAB.bos,)), ("dut", (3,))]
-        assert_same_grad(grad, step_by_step_grad(policy, "dut", seq))
+        assert_same_grad(grad, step_by_step_grad(policy, "dut", seq), seq)
 
 
 class TestScoringCaches:
@@ -622,15 +644,15 @@ class TestScoringCaches:
         expected = step_by_step_grad(policy, "dut", seq)
         theta = policy.theta.copy()
         steps = policy.steps([("dut", seq)])
-        totals, grads = policy.grad_log_prob(steps)
+        totals, probs = policy.grad_log_prob(steps)
         totals[:] = 7.0
-        grads[:] = 7.0
+        probs[:] = 7.0
         assert np.array_equal(policy.theta, theta)
-        assert_same_grad(seq_grad(policy, "dut", seq), expected)
+        assert_same_grad(seq_grad(policy, "dut", seq), expected, seq)
 
-        policy.apply_update(steps, grads, 0.5)
+        policy.apply_update(steps, probs, np.ones(len(steps.rows)), 0.5)
         theta = policy.theta.copy()
-        grads[:] = -1.0
+        probs[:] = -1.0
         assert np.array_equal(policy.theta, theta)
 
     def test_updated_policy_scores_with_new_logits(self):
@@ -643,7 +665,8 @@ class TestScoringCaches:
         after = policy.log_prob("dut", seq)
         assert after != before
         assert after == step_by_step_log_prob(policy, "dut", seq)
-        assert_same_grad(seq_grad(policy, "dut", seq), step_by_step_grad(policy, "dut", seq))
+        assert_same_grad(seq_grad(policy, "dut", seq), step_by_step_grad(policy, "dut", seq),
+                         seq)
 
 
 class TestDenseTable:
@@ -671,16 +694,49 @@ class TestDenseTable:
     def test_apply_update_sums_repeated_rows_and_skips_missing(self):
         policy = uniform_policy()
         policy.add_rows([("d", [VOCAB.bos, 1, VOCAB.eos])])
-        vecs = np.arange(4 * VOCAB.size, dtype=float).reshape(4, VOCAB.size)
-        rows = np.array([1, -1, 0, 1])
-        steps = Steps(rows, np.zeros(4, dtype=np.intp), np.arange(4), 4,
-                      touched=np.array([-1, 0, 1]), slot=np.array([2, 0, 1, 2]))
-        policy.apply_update(steps, vecs, -0.5)
-        assert np.array_equal(policy.theta[0], -0.5 * vecs[2])
-        assert np.array_equal(policy.theta[1], -0.5 * (vecs[0] + vecs[3]))
+        probs = np.arange(3 * VOCAB.size, dtype=float).reshape(3, VOCAB.size)
+        rows, targets = np.array([1, -1, 0, 1]), np.array([2, 5, 3, 4])
+        slot = np.array([2, 0, 1, 2])
+        steps = Steps(rows, targets, np.arange(4), 4, touched=np.array([-1, 0, 1]), slot=slot)
+        policy.apply_update(steps, probs, np.array([1.5, 2.0, -0.25, 0.5]), -0.5)
+        onehot = np.eye(VOCAB.size)
+        assert np.array_equal(policy.theta[0], -0.5 * (-0.25 * onehot[3] + 0.25 * probs[1]))
+        assert np.array_equal(policy.theta[1],
+                              -0.5 * (1.5 * onehot[2] + 0.5 * onehot[4] - 2.0 * probs[2]))
         assert len(policy.theta) == 3 and not policy.theta[-1].any()
         assert policy.log_prob("x", [VOCAB.bos, VOCAB.eos]) == uniform_policy().log_prob(
             "x", [VOCAB.bos, VOCAB.eos])
+
+
+class TestPerRowUpdate:
+    @given(update_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_sum_of_per_step_gradients(self, case):
+        policy, steps, weights = case
+        _, probs = policy.grad_log_prob(steps)
+        bos, size = policy.vocab.bos, policy.vocab.size
+        assert (probs[:, bos] == 0.0).all()
+        assert (np.abs(probs.sum(axis=1) - 1.0) <= 1e-12).all()
+        # The per-step form: a (steps x V) matrix of w_i * (onehot(target_i) - probs of
+        # its row), BOS zeroed, summed into each row by one bincount.
+        grads = -probs[steps.slot]
+        grads[np.arange(len(steps.targets)), steps.targets] += 1.0
+        grads[:, bos] = 0.0
+        grads *= weights[:, None]
+        expected = np.bincount((steps.slot[:, None] * size + np.arange(size)).ravel(),
+                               weights=grads.ravel(), minlength=probs.size).reshape(probs.shape)
+
+        updated = policy.copy()
+        updated.theta[:] = 0.0
+        updated.apply_update(steps, probs, weights, 1.0)
+        has_row = steps.touched >= 0
+        got = updated.theta[steps.touched[has_row]]
+        scale = np.bincount(steps.slot, np.abs(weights), len(steps.touched))[has_row, None]
+        assert (np.abs(got - expected[has_row]) <= 1e-12 * scale).all()
+        assert (got[:, bos] == 0.0).all()
+        untouched = np.ones(len(updated.theta), dtype=bool)
+        untouched[steps.touched[has_row]] = False
+        assert not updated.theta[untouched].any()
 
 
 class TestGradLogProb:
@@ -695,8 +751,8 @@ class TestGradLogProb:
         policy = random_policy(np.random.default_rng(15))
         steps = policy.steps([])
         assert steps.n == 0 and len(steps.rows) == len(steps.touched) == 0
-        totals, grads = policy.grad_log_prob(steps)
-        assert totals.shape == (0,) and grads.shape == (0, VOCAB.size)
+        totals, probs = policy.grad_log_prob(steps)
+        assert totals.shape == (0,) and probs.shape == (0, VOCAB.size)
 
     def test_entries_sum_to_zero_per_context(self):
         rng = np.random.default_rng(4)
