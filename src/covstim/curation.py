@@ -19,7 +19,7 @@ import numpy as np
 from .checks import check_int, check_positive, check_str, is_finite_number, is_int, parse_json
 from .codec import Vocab, simulate_tokens
 from .hdl import DutModel, lint, pretty_print
-from .policy import STREAM_BLOCK, TabularPolicy, sample_streams, sample_tokens
+from .policy import TabularPolicy, sample_indexed, sample_tokens
 from .sim import CoverageReport
 from .training import PreferencePair
 
@@ -172,27 +172,12 @@ class CurationStats:
     to_dict = asdict
 
 
-def _sampled_pairs(teacher, dut: DutModel, dut_i: int, config: CurationConfig):
-    """Yield (pair index, tau1 sequence, tau2 sequence) for each pair of one design.
-
-    Pairs are sampled STREAM_BLOCK at a time: each pair's stream, the
-    ``random()`` draws of ``default_rng([seed, dut_i, pair_i])``, draws its
-    tau1 sequence, then its tau2 sequence from where the first stopped.
-    """
-    for start in range(0, config.pairs_per_dut, STREAM_BLOCK):
-        block = range(start, min(start + STREAM_BLOCK, config.pairs_per_dut))
-        streams = sample_streams([config.seed, dut_i], block, teacher.t_max, calls=2)
-        seqs_a = teacher.sample(dut.name, config.tau1, streams)
-        seqs_b = teacher.sample(dut.name, config.tau2, streams)
-        yield from zip(block, seqs_a, seqs_b)
-
-
 def curate(corpus, config: CurationConfig, out_path) -> CurationStats:
     """Write one JSONL line per kept pair; byte-deterministic for a config.
 
-    Each (dut index, pair index) task derives its own rng stream from the
-    seed, so the output is independent of execution order and of the block
-    size.
+    ``sample_indexed`` draws pair p of design d, its tau1 sequence and then
+    its tau2 one, from the stream ``default_rng([seed, d, p])``, so the
+    output depends on neither the order of the pairs nor the block size.
     """
     offenders = [(dut.name, issues) for dut in corpus if (issues := lint(dut))]
     if offenders:
@@ -206,7 +191,9 @@ def curate(corpus, config: CurationConfig, out_path) -> CurationStats:
     with open(out_path, "w", encoding="utf-8") as fh:
         for dut_i, dut in enumerate(corpus):
             prompt = pretty_print(dut)
-            for pair_i, seq_a, seq_b in _sampled_pairs(teacher, dut, dut_i, config):
+            pairs = sample_indexed(teacher, dut.name, [config.seed, dut_i],
+                                   config.pairs_per_dut, (config.tau1, config.tau2))
+            for pair_i, (seq_a, seq_b) in enumerate(pairs):
                 result = make_pair(dut, seq_a, seq_b, config, f"{dut.name}:{pair_i}", prompt)
                 stats.attempted += 1
                 if isinstance(result, DropReason):

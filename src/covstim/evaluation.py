@@ -6,7 +6,7 @@ from dataclasses import asdict, dataclass, field
 
 from .checks import check_int, check_positive
 from .codec import simulate_tokens
-from .policy import STREAM_BLOCK, sample_streams
+from .policy import sample_indexed
 from .sim import METRICS as COVERAGE_METRICS
 
 METRICS = (*COVERAGE_METRICS, "average")
@@ -50,23 +50,20 @@ class EvalReport:
 def eval_policy(policy, dut, config: EvalConfig) -> EvalReport:
     """Score N independent generations with ``codec.simulate_tokens``.
 
-    Generation i draws from ``default_rng([seed, i])``, STREAM_BLOCK to a
-    ``Streams``, and is decoded under the policy's own ``vocab`` and
-    ``t_max``; an invalid one scores 0 on every metric.
+    ``sample_indexed`` draws generation i from ``default_rng([seed, i])``,
+    and it is decoded under the policy's own ``vocab`` and ``t_max``; an
+    invalid one scores 0 on every metric.
     """
     n = config.n
     report = EvalReport(dut=dut.name, n=n, tau=config.tau, seed=config.seed)
-    for start in range(0, n, STREAM_BLOCK):
-        block = range(start, min(start + STREAM_BLOCK, n))
-        streams = sample_streams([config.seed], block, policy.t_max)
-        for tokens in policy.sample(dut.name, config.tau, streams):
-            cov = simulate_tokens(dut, tokens, policy.vocab, policy.t_max)
-            if cov is None:
-                fractions = dict.fromkeys(METRICS, 0.0)
-            else:
-                fractions = {name: m.fraction for name, m in cov.metrics().items()}
-                fractions["average"] = cov.average
-            report.generations.append(Generation(tokens, cov is not None, fractions))
+    for (tokens,) in sample_indexed(policy, dut.name, [config.seed], n, (config.tau,)):
+        cov = simulate_tokens(dut, tokens, policy.vocab, policy.t_max)
+        if cov is None:
+            fractions = dict.fromkeys(METRICS, 0.0)
+        else:
+            fractions = {name: m.fraction for name, m in cov.metrics().items()}
+            fractions["average"] = cov.average
+        report.generations.append(Generation(tokens, cov is not None, fractions))
     for m in METRICS:
         values = [g.fractions[m] for g in report.generations]
         report.mean[m] = sum(values) / n

@@ -111,9 +111,9 @@ def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
 
 
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit multiplier M
-# Rows sampled in lockstep from one ``Streams``: the pairs of one design in
-# curation, the generations of one design in evaluation.  No output depends
-# on it; it bounds the sequences held at once.
+# Indices ``sample_indexed`` samples in lockstep from one ``Streams``: the
+# pairs of one design in curation, its generations in evaluation.  No output
+# depends on it; it bounds the sequences held at once.
 STREAM_BLOCK = 256
 # Draws a ``Streams`` row makes at a time.  No output depends on it; it
 # bounds the uniforms held at once to rows x STREAM_WINDOW.
@@ -199,9 +199,19 @@ class Streams:
         return self._uniforms[rows, col]
 
 
-def sample_streams(prefix, indices, t_max: int, calls: int = 1) -> Streams:
-    """The ``Streams`` for ``calls`` calls of ``sample_tokens`` at t_max: t_max draws a call."""
-    return Streams(prefix, indices, t_max * calls)
+def sample_indexed(sampler, dut_id, prefix, n: int, taus):
+    """Yield, for each index i < n, a tuple of one sequence per tau in taus.
+
+    Index i's sequences are ``sampler.sample(dut_id, tau, streams)`` drawn
+    in taus order from one stream, the ``random()`` draws of
+    ``default_rng([*prefix, i])``: each starts where the one before stopped.
+    Indices go STREAM_BLOCK at a time into one ``Streams`` with a budget of
+    ``sampler.t_max`` draws per tau, so no output depends on the block size.
+    """
+    for start in range(0, n, STREAM_BLOCK):
+        streams = Streams(prefix, range(start, min(start + STREAM_BLOCK, n)),
+                          sampler.t_max * len(taus))
+        yield from zip(*[sampler.sample(dut_id, tau, streams) for tau in taus])
 
 
 def sample_tokens(vocab: Vocab, t_max: int, tau: float, streams,
@@ -209,7 +219,7 @@ def sample_tokens(vocab: Vocab, t_max: int, tau: float, streams,
     """Draw one well-formed token sequence per row of streams, all in lockstep.
 
     Sequence i draws one uniform per drawn token from row i of streams, a
-    ``Streams`` (see ``sample_streams``): at most ``t_max`` per call.  From
+    ``Streams`` (see ``sample_indexed``): at most ``t_max`` per call.  From
     BOS on, each step takes ``next_logits(prefixes)``, the logits of every
     running sequence as one (rows x V) array from their token prefixes
     (rows x steps so far), and draws each row's next token with
@@ -265,17 +275,15 @@ def _step_plan(seq: tuple, vocab: Vocab, k: int, t_max: int):
 class Steps:
     """The scored steps of ``n`` token sequences, as index arrays.
 
-    Step i emits ``targets[i]`` from the context in row ``rows[i]`` of the
-    policy that compiled it (-1: the context has no row, so zero logits),
-    and belongs to sequence ``owner[i]``.  Each sequence's steps are
-    contiguous and in order; forced-EOS steps are left out.  ``touched``
-    holds the distinct rows of the steps, sorted, so -1 comes first when a
-    step has no row, and ``slot[i]`` is step i's index into it:
-    ``touched[slot] == rows``.  ``TabularPolicy.steps`` and ``batches``
-    build it, and ``grad_log_prob`` and ``apply_update`` take it.
+    Step i emits ``targets[i]`` from the context in row
+    ``touched[slot[i]]`` of the policy that compiled it (-1: the context has
+    no row, so zero logits), and belongs to sequence ``owner[i]``.  Each
+    sequence's steps are contiguous and in order; forced-EOS steps are left
+    out.  ``touched`` holds the distinct rows of the steps, sorted, so -1
+    comes first when a step has no row.  ``TabularPolicy.steps`` and
+    ``batches`` build it, and ``grad_log_prob`` and ``apply_update`` take it.
     """
 
-    rows: np.ndarray
     targets: np.ndarray
     owner: np.ndarray
     n: int
@@ -341,17 +349,16 @@ class TabularPolicy:
 
     # -- distributions ----------------------------------------------------
 
-    def _contexts(self, tokens: list[int]):
-        """Sliding k-contexts over a BOS-started prefix, left-BOS-padded."""
-        hist = [self.vocab.bos] * (self.k - 1) + list(tokens)
-        return tuple(hist[-self.k:])
-
     def sample(self, dut_id, tau: float, streams) -> list[list[int]]:
         """Draw one sequence per row of streams with ``sample_tokens`` from this policy's rows."""
-        get = self.rows.get
+        get, k = self.rows.get, self.k
 
         def next_logits(prefixes: np.ndarray) -> np.ndarray:
-            return self.theta[[get((dut_id, self._contexts(p)), -1) for p in prefixes.tolist()]]
+            # Each row's last k columns; a column before the first reads column 0,
+            # BOS, so a prefix shorter than k is left-padded with BOS.
+            width = prefixes.shape[1]
+            contexts = prefixes[:, np.arange(width - k, width).clip(0)].tolist()
+            return self.theta[[get((dut_id, tuple(ctx)), -1) for ctx in contexts]]
 
         return sample_tokens(self.vocab, self.t_max, tau, streams, next_logits)
 
@@ -387,7 +394,7 @@ class TabularPolicy:
         slot = inverse - key_at[batch]
         step_at = np.searchsorted(batch, bounds).tolist()
         key_at = key_at.tolist()
-        return [Steps(rows[s:e], targets[s:e], owner[s:e], counts[b],
+        return [Steps(targets[s:e], owner[s:e], counts[b],
                       touched[key_at[b]:key_at[b + 1]], slot[s:e])
                 for b, (s, e) in enumerate(zip(step_at, step_at[1:]))]
 

@@ -5,6 +5,12 @@ import numpy as np
 from covstim.training import pair_gradient
 
 
+def context(policy, tokens) -> tuple:
+    """The last k tokens of the BOS-started prefix tokens, left-padded with BOS."""
+    padded = [policy.vocab.bos] * policy.k + list(tokens)
+    return tuple(padded[-policy.k:])
+
+
 def logits(policy, dut_id, ctx) -> np.ndarray:
     """The logit row of (dut_id, ctx); zeros for a context without a row."""
     i = policy.rows.get((dut_id, tuple(ctx)))
@@ -45,7 +51,7 @@ def logit_gradient(policy, items, weights) -> dict:
     _, probs = grad.grad_log_prob(steps)
     grad.theta[:] = 0.0
     grad.apply_update(steps, probs, np.asarray(weights, dtype=float)[steps.owner], 1.0)
-    touched = set(steps.rows.tolist())
+    touched = set(steps.touched.tolist())
     return {key: grad.theta[i] for key, i in grad.rows.items() if i in touched}
 
 

@@ -16,7 +16,7 @@ from covstim import curation
 from covstim.hdl import pretty_print
 from covstim.policy import masked_softmax
 
-from policy_helpers import logits
+from policy_helpers import context, logits
 
 
 def reference_sample_tokens(vocab, t_max, tau, rng, next_logits) -> list[int]:
@@ -63,7 +63,7 @@ def reference_sample(teacher, dut_id, tau, rng) -> list[int]:
     if isinstance(teacher, curation.NoveltyTeacher):
         return reference_novelty_sample(teacher, tau, rng)
     return reference_sample_tokens(teacher.vocab, teacher.t_max, tau, rng,
-                                   lambda tokens: logits(teacher, dut_id, teacher._contexts(tokens)))
+                                   lambda tokens: logits(teacher, dut_id, context(teacher, tokens)))
 
 
 def make_pair(dut, teacher, config, rng, pair_id):

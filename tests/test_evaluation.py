@@ -4,7 +4,7 @@ import pytest
 from covstim.codec import Vocab
 from covstim.evaluation import ABLATION_POLICIES, METRICS, EvalConfig, eval_policy
 from covstim.pipeline import ablate, write_artifact
-from covstim.policy import TabularPolicy
+from covstim.policy import STREAM_BLOCK, TabularPolicy
 from covstim.training import TrainConfig
 
 from policy_helpers import adjust
@@ -79,15 +79,17 @@ class TestEvalPolicy:
         for m in METRICS:
             assert 0.0 <= report.mean[m] <= report.best[m] <= 1.0
 
-    def test_generations_match_per_generation_choice_loop(self, toy1):
-        # One batched sampler call draws what generation i drew alone from
-        # its own generator [seed, i] with rng.choice.
+    @pytest.mark.parametrize("n", [30, STREAM_BLOCK + 5])
+    def test_generations_match_per_generation_choice_loop(self, toy1, n):
+        # Batched sampler calls, over more than one block at the larger n,
+        # draw what generation i drew alone from its own generator [seed, i]
+        # with rng.choice.
         policy = TabularPolicy(VOCAB, 2, T_MAX)
         for ctx, token in (((BOS, BOS), 1), ((BOS, 1), 0), ((1, 0), EOS)):
             adjust(policy, "toy1", ctx, token, 2.0)
-        report = eval_policy(policy, toy1, EvalConfig(30, 0.8, 9))
+        report = eval_policy(policy, toy1, EvalConfig(n, 0.8, 9))
         assert [g.tokens for g in report.generations] == [
-            reference_sample(policy, "toy1", 0.8, np.random.default_rng([9, i])) for i in range(30)]
+            reference_sample(policy, "toy1", 0.8, np.random.default_rng([9, i])) for i in range(n)]
 
     def test_rejects_bad_n(self, toy1):
         with pytest.raises(ValueError):

@@ -15,6 +15,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "covstim"
 VOCAB = Vocab(4)
 BOS, EOS = VOCAB.bos, VOCAB.eos
 MODES = ("SFT", "DPO", "CDDPO")
+# The stream layout's names: only policy, which builds every Streams, may use them.
+STREAM_NAMES = {"Streams", "STREAM_BLOCK", "STREAM_WINDOW"}
 
 
 def toy1_pairs():
@@ -77,7 +79,7 @@ def _imports_covstim(node) -> bool:
 
 def test_import_graph():
     """checks imports nothing from covstim; no function imports a covstim module; no module
-    imports another's private name."""
+    imports another's private name; policy is the only module that names the streams."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     assert [ast.unparse(n) for n in ast.walk(trees["checks"]) if _imports_covstim(n)] == []
@@ -89,3 +91,7 @@ def test_import_graph():
                if isinstance(node, ast.ImportFrom) and _imports_covstim(node)
                for alias in node.names if alias.name.startswith("_")]
     assert private == []
+    naming_streams = sorted({name for name, tree in trees.items() for node in ast.walk(tree)
+                             if {getattr(node, "id", None), getattr(node, "attr", None),
+                                 getattr(node, "name", None)} & STREAM_NAMES})
+    assert naming_streams == ["policy"]

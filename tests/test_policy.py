@@ -17,6 +17,7 @@ from covstim import policy as policy_module
 from covstim.codec import CodecError, Vocab
 from covstim.curation import NoveltyTeacher
 from covstim.policy import (
+    STREAM_BLOCK,
     STREAM_WINDOW,
     ReferencePolicy,
     Steps,
@@ -25,9 +26,10 @@ from covstim.policy import (
     _masked_exp,
     draw_tokens,
     masked_softmax,
+    sample_indexed,
 )
 
-from policy_helpers import adjust, logits, set_logits
+from policy_helpers import adjust, context, logits, set_logits
 from reference_curation import reference_sample
 
 VOCAB = Vocab(4)  # V = 18, 17 emittable tokens
@@ -76,7 +78,7 @@ def step_by_step_log_prob(policy, dut_id, seq):
         if j - 1 >= policy.t_max:
             per_step.append(0.0)
             continue
-        z = logits(policy, dut_id, policy._contexts(seq[:j]))
+        z = logits(policy, dut_id, context(policy, seq[:j]))
         masked = z.copy()
         masked[policy.vocab.bos] = -np.inf
         m = masked[np.isfinite(masked)].max(initial=0.0)
@@ -91,7 +93,7 @@ def step_by_step_grad(policy, dut_id, seq):
     for j in range(1, len(seq)):
         if j - 1 >= policy.t_max:
             continue
-        ctx = policy._contexts(seq[:j])
+        ctx = context(policy, seq[:j])
         masked = logits(policy, dut_id, ctx).copy()
         masked[policy.vocab.bos] = -np.inf
         e = np.exp(masked - masked[np.isfinite(masked)].max(initial=0.0))
@@ -120,7 +122,7 @@ def batched(policy, dut_id, seqs):
     for i, seq in enumerate(seqs):
         grad.theta[:] = 0.0
         grad.apply_update(steps, probs, (steps.owner == i).astype(float), 1.0)
-        keys = [(dut_id, grad._contexts(seq[:j]))
+        keys = [(dut_id, context(grad, seq[:j]))
                 for j in range(1, min(len(seq) - 1, grad.t_max) + 1)]
         per_seq.append({key: grad.theta[grad.rows[key]].copy() for key in keys})
     return totals.tolist(), per_seq
@@ -205,7 +207,7 @@ def scoring_cases(draw):
     row = st.lists(st.floats(-50, 50), min_size=vocab.size, max_size=vocab.size)
     for j in range(1, len(seq)):
         if draw(st.booleans()):
-            set_logits(policy, "d", policy._contexts(seq[:j]), draw(row))
+            set_logits(policy, "d", context(policy, seq[:j]), draw(row))
     return policy, seq
 
 
@@ -224,13 +226,14 @@ def batch_cases(draw):
     for seq in seqs:
         for j in range(1, len(seq)):
             if draw(st.booleans()):
-                set_logits(policy, "d", policy._contexts(seq[:j]), draw(row))
+                set_logits(policy, "d", context(policy, seq[:j]), draw(row))
     return policy, seqs
 
 
 @st.composite
 def shared_row_cases(draw):
-    """A policy and compiled steps that read some rows many times and some contexts with none.
+    """A policy and (dut_id, seq) items whose steps read some rows many times and some contexts
+    with none.
 
     The first sequence is scored twice, so its rows repeat; the sequences
     of design "e" have no rows at all; rows of design "x" are in the table
@@ -250,33 +253,50 @@ def shared_row_cases(draw):
         for j in range(1, len(seq)):
             if draw(st.booleans()):
                 set_logits(policy, "d" if dut_id == "d" else "x",
-                           policy._contexts(seq[:j]), draw(row))
-    return policy, policy.steps(items)
+                           context(policy, seq[:j]), draw(row))
+    return policy, items
 
 
 @st.composite
 def update_cases(draw):
-    """``shared_row_cases``, or a one-step batch of its policy, and a weight per step, some 0."""
-    policy, steps = draw(shared_row_cases())
+    """The steps of ``shared_row_cases``, or a one-step batch of its policy, and a weight per
+    step, some 0."""
+    policy, items = draw(shared_row_cases())
     if draw(st.booleans()):
-        vocab = policy.vocab
-        steps = policy.steps([(draw(st.sampled_from("de")), [vocab.bos, vocab.eos])])
+        items = [(draw(st.sampled_from("de")), [policy.vocab.bos, policy.vocab.eos])]
+    steps = policy.steps(items)
     weight = st.one_of(st.just(0.0), st.floats(-10, 10))
-    n = len(steps.rows)
+    n = len(steps.targets)
     return policy, steps, np.array(draw(st.lists(weight, min_size=n, max_size=n)))
 
 
-def per_step_grad_log_prob(policy, steps):
+def per_step_grad_log_prob(policy, rows, steps):
     """grad_log_prob as one masked softmax per step: _masked_exp over theta[rows], then np.log.
 
-    Returns the totals and each step's softmax, where grad_log_prob returns
-    each distinct row's.
+    rows are ``plan``'s row of each step.  Returns the totals and each
+    step's softmax, where grad_log_prob returns each distinct row's.
     """
-    z = policy.theta[steps.rows]
+    z = policy.theta[rows]
     m, e, sums = _masked_exp(z, policy.vocab.bos)
     lse = m[:, 0] + np.log(sums[:, 0])
     per_step = z[np.arange(len(steps.targets)), steps.targets] - lse
     return np.bincount(steps.owner, weights=per_step, minlength=steps.n), e / sums
+
+
+@st.composite
+def indexed_samplers(draw):
+    """A TabularPolicy at k in {1, 2, 3} with random logits on about half of its reachable
+    contexts, BOS-padded ones included, or the NoveltyTeacher; t_max up to 20."""
+    vocab, t_max = Vocab(2), draw(st.integers(1, 20))
+    if draw(st.booleans()):
+        return NoveltyTeacher(vocab, t_max)
+    k = draw(st.sampled_from([1, 2, 3]))
+    policy = TabularPolicy(vocab, k, t_max)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for ctx in itertools.product([vocab.bos, *range(vocab.n_values)], repeat=k):
+        if rng.random() < 0.5:
+            set_logits(policy, "d", ctx, rng.normal(0, 2, vocab.size))
+    return policy
 
 
 def all_well_formed(vocab, t_max):
@@ -436,6 +456,22 @@ class TestLockstepDraw:
         assert NoveltyTeacher(VOCAB, 8).sample("d", 1.0, Streams([], [], 8)) == []
 
 
+class TestSampleIndexed:
+    @given(indexed_samplers(),
+           st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**40)), max_size=2),
+           st.one_of(st.integers(0, 3), st.integers(STREAM_BLOCK - 1, STREAM_BLOCK + 2)),
+           st.lists(st.sampled_from([0.5, 0.9, 1.4]), min_size=1, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_tuple_i_draws_the_taus_in_order_from_stream_i(self, sampler, prefix, n, taus):
+        # A tuple may take len(taus) * t_max draws, past a STREAM_WINDOW, and
+        # n may cross a block boundary.
+        got = list(sample_indexed(sampler, "d", prefix, n, taus))
+        assert len(got) == n
+        for i, seqs in enumerate(got):
+            rng = np.random.default_rng([*prefix, i])
+            assert seqs == tuple(reference_sample(sampler, "d", tau, rng) for tau in taus), i
+
+
 def loads_numpy_random(code: str) -> bool:
     """Whether a fresh interpreter has numpy.random loaded after running code, covstim imported."""
     src = str(Path(policy_module.__file__).resolve().parents[1])
@@ -547,7 +583,7 @@ class TestLogProb:
         for j in range(1, len(seq)):
             if j - 1 >= policy.t_max:
                 continue
-            ctx = boosted._contexts(seq[:j])
+            ctx = context(boosted, seq[:j])
             adjust(boosted, "dut", ctx, seq[j], +0.5)
         assert boosted.log_prob("dut", seq)[0] > before
 
@@ -579,11 +615,13 @@ class TestOnePassScoring:
     @given(shared_row_cases())
     @settings(max_examples=200, deadline=None)
     def test_distinct_row_softmax_equals_per_step_formula_exactly(self, case):
-        policy, steps = case
-        assert steps.touched[0] == -1 and len(steps.touched) < len(steps.rows)
-        assert np.array_equal(steps.touched[steps.slot], steps.rows)
+        policy, items = case
+        steps, rows = policy.steps(items), policy.plan(items)[0]
+        assert steps.touched[0] == -1 and len(steps.touched) < len(rows)
+        assert np.array_equal(steps.touched, np.unique(rows))
+        assert np.array_equal(steps.touched[steps.slot], rows)
         totals, probs = policy.grad_log_prob(steps)
-        expected_totals, step_probs = per_step_grad_log_prob(policy, steps)
+        expected_totals, step_probs = per_step_grad_log_prob(policy, rows, steps)
         assert totals.tolist() == expected_totals.tolist()
         assert np.array_equal(probs[steps.slot], step_probs)
 
@@ -597,7 +635,7 @@ class TestOnePassScoring:
             seq = [VOCAB.bos, *interior, VOCAB.eos]
             policy = uniform_policy()
             for j in range(1, len(seq)):
-                set_logits(policy, "dut", policy._contexts(seq[:j]),
+                set_logits(policy, "dut", context(policy, seq[:j]),
                                   -np.abs(rng.normal(0, 3, VOCAB.size)))
             assert policy.log_prob("dut", seq) == step_by_step_log_prob(policy, "dut", seq)
 
@@ -650,7 +688,7 @@ class TestScoringCaches:
         assert np.array_equal(policy.theta, theta)
         assert_same_grad(seq_grad(policy, "dut", seq), expected, seq)
 
-        policy.apply_update(steps, probs, np.ones(len(steps.rows)), 0.5)
+        policy.apply_update(steps, probs, np.ones(len(steps.targets)), 0.5)
         theta = policy.theta.copy()
         probs[:] = -1.0
         assert np.array_equal(policy.theta, theta)
@@ -695,9 +733,8 @@ class TestDenseTable:
         policy = uniform_policy()
         policy.add_rows([("d", [VOCAB.bos, 1, VOCAB.eos])])
         probs = np.arange(3 * VOCAB.size, dtype=float).reshape(3, VOCAB.size)
-        rows, targets = np.array([1, -1, 0, 1]), np.array([2, 5, 3, 4])
-        slot = np.array([2, 0, 1, 2])
-        steps = Steps(rows, targets, np.arange(4), 4, touched=np.array([-1, 0, 1]), slot=slot)
+        targets, slot = np.array([2, 5, 3, 4]), np.array([2, 0, 1, 2])  # rows 1, -1, 0, 1
+        steps = Steps(targets, np.arange(4), 4, touched=np.array([-1, 0, 1]), slot=slot)
         policy.apply_update(steps, probs, np.array([1.5, 2.0, -0.25, 0.5]), -0.5)
         onehot = np.eye(VOCAB.size)
         assert np.array_equal(policy.theta[0], -0.5 * (-0.25 * onehot[3] + 0.25 * probs[1]))
@@ -750,7 +787,7 @@ class TestGradLogProb:
     def test_no_items_make_an_empty_batch(self):
         policy = random_policy(np.random.default_rng(15))
         steps = policy.steps([])
-        assert steps.n == 0 and len(steps.rows) == len(steps.touched) == 0
+        assert steps.n == 0 and len(steps.targets) == len(steps.touched) == 0
         totals, probs = policy.grad_log_prob(steps)
         assert totals.shape == (0,) and probs.shape == (0, VOCAB.size)
 

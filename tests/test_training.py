@@ -514,12 +514,12 @@ class TestEpochCompile:
             seqs = [(p.dut_id, p.chosen) for p in items]
             if layout != "SFT":
                 seqs += [(p.dut_id, p.rejected) for p in items]
-            expected = theta.steps(seqs)
+            expected, rows = theta.steps(seqs), theta.plan(seqs)[0]
             assert steps.n == expected.n
-            for name in ("rows", "targets", "owner", "touched", "slot"):
+            for name in ("targets", "owner", "touched", "slot"):
                 assert np.array_equal(getattr(steps, name), getattr(expected, name)), name
-            assert np.array_equal(steps.touched, np.unique(steps.rows))
-            assert np.array_equal(steps.touched[steps.slot], steps.rows)
+            assert np.array_equal(steps.touched, np.unique(rows))
+            assert np.array_equal(steps.touched[steps.slot], rows)
 
 
 class TestTrainDiagnostics:
