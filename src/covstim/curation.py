@@ -17,7 +17,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .checks import check_int, check_positive, check_str, is_finite_number, is_int, parse_json
-from .codec import Vocab, simulate_tokens
+from .codec import CodecError, Vocab, check_well_formed, simulate_tokens
 from .hdl import DutModel, lint, pretty_print
 from .policy import TabularPolicy, sample_indexed, sample_tokens
 from .sim import CoverageReport
@@ -244,11 +244,26 @@ def _pair_from_record(doc) -> PreferencePair:
     )
 
 
-def load_dataset(path) -> list[PreferencePair]:
+def _check_fits(pair: PreferencePair, vocab: Vocab, t_max: int) -> None:
+    """Raise ValueError naming the first of the pair's sequences that is not well
+    formed under the run's vocab and t_max, and the run's wmax and t_max."""
+    for name in ("chosen", "rejected"):
+        try:
+            check_well_formed(getattr(pair, name), vocab, t_max)
+        except CodecError as err:
+            raise ValueError(f"field {name} does not fit the run's wmax {vocab.wmax} and "
+                             f"t_max {t_max}: {err}") from None
+
+
+def load_dataset(path, run: CurationConfig | None = None) -> list[PreferencePair]:
     """Read a curated JSONL file into trainer-ready preference pairs.
 
-    Raises ValueError naming the line and the first malformed field.
+    Raises ValueError naming the line and the first malformed field.  Given
+    the run's ``CurationConfig``, each pair's sequences must also be well
+    formed under its wmax and t_max, so a dataset curated under other
+    settings is refused before training.
     """
+    vocab = None if run is None else Vocab(run.wmax)
     pairs = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
@@ -256,6 +271,8 @@ def load_dataset(path) -> list[PreferencePair]:
                 continue
             try:
                 pairs.append(_pair_from_record(parse_json(line, path)))
+                if run is not None:
+                    _check_fits(pairs[-1], vocab, run.t_max)
             except ValueError as err:
                 raise ValueError(f"dataset line {line_no}: {err}") from None
     return pairs

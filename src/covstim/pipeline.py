@@ -129,7 +129,7 @@ def run_curate(config: ExperimentConfig, corpus=None):
 
 def run_train(config: ExperimentConfig):
     """Train ``config.train.mode`` on the dataset; write its checkpoint and history."""
-    dataset = load_dataset(config.dataset_path())
+    dataset = load_dataset(config.dataset_path(), config.curation)
     mode = config.train.mode
     result = train_modes(dataset, config.train, config.curation.uniform_policy(), (mode,))[mode]
     result.policy.save(config.report_path(f"{mode.lower()}.ckpt.json"))
@@ -149,7 +149,7 @@ def run_eval(config: ExperimentConfig, checkpoint) -> list:
 
 def run_ablate(config: ExperimentConfig, corpus=None) -> tuple[AblationTable, dict]:
     """``ablate`` on the dataset and the corpus (the config's if None); write its artifacts."""
-    dataset = load_dataset(config.dataset_path())
+    dataset = load_dataset(config.dataset_path(), config.curation)
     corpus = config.load_corpus() if corpus is None else corpus
     table, policies = ablate(corpus, dataset, config.train, config.eval,
                              config.curation.uniform_policy())

@@ -10,8 +10,8 @@ so every sampled sequence terminates and that forced step scores 0.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,9 +28,10 @@ def _masked_exp(z: np.ndarray, bos: int):
     keeping the reduced last axis; z may be one row (1-D) or a stack of rows.
     """
     z[..., bos] = -np.inf
-    m = z.max(axis=-1, keepdims=True, initial=0.0)
+    # The ufunc reductions that ``max`` and ``sum`` wrap, without their Python layer.
+    m = np.maximum.reduce(z, axis=-1, keepdims=True, initial=0.0)
     e = np.exp(z - m)
-    return m, e, e.sum(axis=-1, keepdims=True)
+    return m, e, np.add.reduce(e, axis=-1, keepdims=True)
 
 
 def masked_softmax(z: np.ndarray, bos: int) -> np.ndarray:
@@ -271,8 +272,7 @@ def _step_plan(seq: tuple, vocab: Vocab, k: int, t_max: int):
     return contexts, targets
 
 
-@dataclass(frozen=True)
-class Steps:
+class Steps(NamedTuple):
     """The scored steps of ``n`` token sequences, as index arrays.
 
     Step i emits ``targets[i]`` from the context in row
@@ -280,8 +280,11 @@ class Steps:
     no row, so zero logits), and belongs to sequence ``owner[i]``.  Each
     sequence's steps are contiguous and in order; forced-EOS steps are left
     out.  ``touched`` holds the distinct rows of the steps, sorted, so -1
-    comes first when a step has no row.  ``TabularPolicy.steps`` and
-    ``batches`` build it, and ``grad_log_prob`` and ``apply_update`` take it.
+    comes first when a step has no row.  ``cell[i]`` is ``slot[i] * V +
+    targets[i]``: the flat index of step i's (row, target) entry in a
+    (len(touched) x V) block of the touched rows.  ``TabularPolicy.steps``
+    and ``batches`` build it, and ``grad_log_prob`` and ``apply_update``
+    take it.
     """
 
     targets: np.ndarray
@@ -289,6 +292,7 @@ class Steps:
     n: int
     touched: np.ndarray
     slot: np.ndarray
+    cell: np.ndarray
 
 
 class TabularPolicy:
@@ -334,18 +338,21 @@ class TabularPolicy:
         each row of ``steps.touched``.  Step i's gradient is onehot(target)
         - probs of its row, so each touched row gets H - W * probs, where H
         sums the weights at each (row, target) and W the weights of the
-        row's steps: no per-step vector is built.  The BOS column stays
+        row's steps: no per-step vector is built.  The update is scaled and
+        added to the touched rows in place.  The BOS column stays
         unchanged, as probs is 0 there and no step emits BOS.  A step
         without a row (-1) updates nothing.
         """
-        touched, size = steps.touched, self.vocab.size
-        hits = np.bincount(steps.slot * size + steps.targets, weights=step_weights,
-                           minlength=len(touched) * size)
+        touched = steps.touched
         weights = np.bincount(steps.slot, weights=step_weights, minlength=len(touched))
-        total = hits.reshape(len(touched), size) - weights[:, None] * probs
+        hits = np.bincount(steps.cell, weights=step_weights, minlength=probs.size)
+        update = weights[:, None] * probs
+        np.subtract(hits.reshape(probs.shape), update, out=update)
+        update *= factor
         if len(touched) and touched[0] < 0:
-            touched, total = touched[1:], total[1:]
-        self.theta[touched] += factor * total
+            touched, update = touched[1:], update[1:]
+        update += self.theta.take(touched, axis=0)
+        self.theta[touched] = update
 
     # -- distributions ----------------------------------------------------
 
@@ -379,9 +386,10 @@ class TabularPolicy:
 
         rows, targets and lens are ``plan``'s arrays for all the sequences.
         One ``np.unique`` over (batch, row) keys finds every batch's touched
-        rows and every step's slot at once.
+        rows and every step's slot at once, and one pass every step's cell.
         """
         width = len(self.theta)  # rows + 1: row + 1 of a step is in [0, width)
+        counts = np.asarray(counts)
         seq_batch = np.repeat(np.arange(len(counts)), counts)
         batch = np.repeat(seq_batch, lens)
         first = np.cumsum(counts) - counts  # each batch's first sequence
@@ -390,12 +398,14 @@ class TabularPolicy:
         keys, inverse = np.unique(batch * width + rows + 1, return_inverse=True)
         bounds = np.arange(len(counts) + 1)
         key_at = np.searchsorted(keys, bounds * width)
-        touched = keys % width - 1
+        touched = np.empty(len(keys), dtype=np.intp)
+        touched[inverse] = rows  # a key's row, written by each of its steps
         slot = inverse - key_at[batch]
+        cell = slot * self.vocab.size + targets
         step_at = np.searchsorted(batch, bounds).tolist()
-        key_at = key_at.tolist()
+        key_at, counts = key_at.tolist(), counts.tolist()
         return [Steps(targets[s:e], owner[s:e], counts[b],
-                      touched[key_at[b]:key_at[b + 1]], slot[s:e])
+                      touched[key_at[b]:key_at[b + 1]], slot[s:e], cell[s:e])
                 for b, (s, e) in enumerate(zip(step_at, step_at[1:]))]
 
     def steps(self, items) -> Steps:
@@ -403,18 +413,18 @@ class TabularPolicy:
         rows, targets, lens = self.plan(items)
         return self.batches(rows, targets, lens, [len(lens)])[0]
 
-    def _score(self, rows, slot, targets):
-        """Per-step log-probs of the targets, and each given row's exp-logits and their sums.
+    def _score(self, rows, slot, cell):
+        """Per-step log-probs, and each given row's exp-logits and their sums.
 
         Row j of ``e`` is exp(z - m) for the logits z of ``rows[j]``, from
-        the ``masked_softmax`` float operations, and step i emits
-        ``targets[i]`` from ``rows[slot[i]]``: each row is exponentiated and
-        logged once, however many steps read it.
+        the ``masked_softmax`` float operations, and step i reads entry
+        ``cell[i]`` of the flat (len(rows) x V) block z, in row ``slot[i]``:
+        each row is exponentiated and logged once, however many steps read it.
         """
         z = self.theta.take(rows, axis=0)
         m, e, sums = _masked_exp(z, self.vocab.bos)
         lse = m[:, 0] + np.log(sums[:, 0])
-        return z[slot, targets] - lse[slot], e, sums
+        return z.ravel()[cell] - lse[slot], e, sums
 
     def log_prob(self, dut_id, seq) -> tuple[float, list[float]]:
         """Total and per-step log-probability at temperature 1.
@@ -422,7 +432,8 @@ class TabularPolicy:
         The forced-EOS step at interior position t_max contributes exactly 0.
         """
         rows, targets, _ = self.plan([(dut_id, seq)])
-        per_step = self._score(rows, np.arange(len(rows)), targets)[0].tolist()
+        slot = np.arange(len(rows))
+        per_step = self._score(rows, slot, slot * self.vocab.size + targets)[0].tolist()
         per_step += [0.0] * (len(seq) - 1 - len(per_step))
         return sum(per_step), per_step
 
@@ -436,7 +447,7 @@ class TabularPolicy:
         sums its steps in order, as ``log_prob`` does, and forced steps
         contribute nothing.
         """
-        per_step, e, sums = self._score(steps.touched, steps.slot, steps.targets)
+        per_step, e, sums = self._score(steps.touched, steps.slot, steps.cell)
         e /= sums
         return np.bincount(steps.owner, weights=per_step, minlength=steps.n), e
 

@@ -7,17 +7,22 @@ normalization f of the coverage-score gap s_p - s_np, so pairs with a
 clearer coverage difference drive larger updates.
 
 ``train`` compiles its dataset once (``_Compiled``), and each epoch once,
-after its shuffle, to the ``Steps`` of every mini-batch; the one-pair
-functions below are batch-of-one calls of the same loss code.  A
-mini-batch's loss gives each sequence a weight, d loss / d log pi(seq), and
-its update is built per touched row from those weights and the rows'
-softmax (``TabularPolicy.apply_update``), with no per-step gradient.
+after its shuffle: one gather puts the epoch's sequence ids in mini-batch
+order by a layout index built once per (dataset size, batch size)
+(``_epoch_layout``), one gather each takes their reference log-probs and
+the items' beta*, and one ``TabularPolicy.batches`` call builds the
+``Steps`` of every mini-batch.  A mini-batch then reads views of those
+arrays.  Its loss gives each sequence a weight, d loss / d log pi(seq),
+and its update is built per touched row from those weights and the rows'
+softmax (``TabularPolicy.apply_update``), with no per-step gradient.  The
+one-pair functions below are batch-of-one calls of the same loss code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -98,12 +103,6 @@ class TrainHistory:
     to_dict = asdict
 
 
-def _sigmoid(x):
-    """1 / (1 + e^-x) elementwise, overflow-safe: e^x / (1 + e^x) for x < 0."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
-
-
 def implicit_reward(log_probs, ref_log_probs):
     """r(y|x) = log pi_theta(y|x) - log pi_ref(y|x), elementwise over a batch."""
     return log_probs - ref_log_probs
@@ -162,15 +161,21 @@ def cddpo_loss(theta, ref, pair: PreferencePair, beta: float,
 def pair_gradient(bd: LossBreakdown):
     """d loss / d log pi(chosen) of each pair; d loss / d log pi(rejected) is its negative.
 
-    ``bd`` holds the pairs' breakdown under theta, from ``preference_loss``;
-    its rewards and beta* are reused, not recomputed.  Equals -beta*
-    sigma(beta* (r_l - r_w)), so the pair's gradient w.r.t. the logits is
-    this weight times (grad log pi(chosen) - grad log pi(rejected)); a
-    descent step subtracts it.
+    The weight is -beta* sigma(-margin) = -beta* / (1 + e^margin), margin =
+    beta* (r_w - r_l), recomputed from ``bd``'s rewards and beta*: a
+    breakdown given another beta* (``dataclasses.replace``) weighs by that
+    one.  With x = -margin it is taken as -beta* e^min(x, 0) / (1 + e^-|x|):
+    no exp overflows, and the weight stays within a relative 1e-15 of the
+    closed form.  The pair's gradient w.r.t. the logits is this weight times
+    (grad log pi(chosen) - grad log pi(rejected)); a descent step subtracts
+    it.  A negative or NaN beta* raises ValueError.
     """
-    if np.any(np.less(bd.beta_star, 0)):
+    beta_star = bd.beta_star
+    # One comparison of the smallest beta*: a NaN propagates to it and fails it too.
+    if not np.minimum.reduce(beta_star, axis=None, initial=np.inf) >= 0:
         raise ValueError("beta_star must be >= 0")
-    return -bd.beta_star * _sigmoid(bd.beta_star * (bd.r_l - bd.r_w))
+    x = beta_star * (bd.r_l - bd.r_w)
+    return np.exp(np.minimum(x, 0.0)) / (-1.0 - np.exp(-np.abs(x))) * beta_star
 
 
 def _mean_nll(log_probs: list) -> float:
@@ -190,57 +195,78 @@ class TrainResult:
     history: TrainHistory
 
 
+@lru_cache(maxsize=16)
+def _epoch_layout(n_pairs: int, batch_size: int, halves: int):
+    """Where an epoch's sequences come from, and how many each mini-batch holds.
+
+    Mini-batch b holds the shuffled items ``b * batch_size`` up to
+    ``(b + 1) * batch_size``, and its sequences are their chosen ids, then,
+    for halves = 2, their rejected ids.  Returns ``index``, such that the
+    epoch's sequences in that order are ``seqs[:, order].ravel()[index]``
+    for ids ``seqs`` (halves x n_pairs), and each batch's sequence count.
+    It depends only on its arguments, so a run builds it once.
+    """
+    item = np.arange(n_pairs)
+    start = item - item % batch_size  # the first item of each item's batch
+    size = np.minimum(start + batch_size, n_pairs) - start
+    flat_at = halves * start + np.arange(halves)[:, None] * size + item - start
+    index = np.empty(halves * n_pairs, dtype=np.intp)
+    index[flat_at.ravel()] = np.arange(halves * n_pairs)
+    counts = halves * size[::batch_size]
+    for array in (index, counts):  # the cache hands these arrays to every caller
+        array.flags.writeable = False
+    return index, counts
+
+
 class _Compiled:
     """A dataset as ids of its distinct (dut_id, seq) sequences, and their steps.
 
-    Each distinct sequence is checked and mapped to theta's rows once, by
-    ``theta.plan``, and scored once under the frozen reference.  A row is added only for the
-    contexts an update will touch: the chosen sequences in SFT, and both
-    sequences of every pair with beta* != 0 otherwise.  Training adds no
-    rows after this, so the steps compiled here stay valid.
+    ``seqs`` holds the chosen ids of the pairs and, for preference data, a
+    second row of their rejected ids.  Each distinct sequence is checked
+    and mapped to theta's rows once, by ``theta.plan``, and scored once
+    under the frozen reference.  A row is added only for the contexts an
+    update will touch: the chosen sequences in SFT, and both sequences of
+    every pair with beta* != 0 otherwise.  Training adds no rows after
+    this, so the steps compiled here stay valid.
     """
 
     def __init__(self, dataset, theta: TabularPolicy, ref, beta_star):
         ids: dict = {}
-
-        def seq_ids(seqs):
-            return np.array([ids.setdefault(key, len(ids)) for key in seqs], dtype=np.intp)
-
-        self.chosen = seq_ids((p.dut_id, p.chosen) for p in dataset)
-        if beta_star is None:
-            self.rejected = None
-            live = set(self.chosen.tolist())
-        else:
-            self.rejected = seq_ids((p.dut_id, p.rejected) for p in dataset)
-            moving = beta_star != 0
-            live = set(self.chosen[moving].tolist()) | set(self.rejected[moving].tolist())
+        halves = ("chosen",) if beta_star is None else ("chosen", "rejected")
+        self.seqs = np.array([[ids.setdefault((p.dut_id, getattr(p, half)), len(ids))
+                               for p in dataset] for half in halves], dtype=np.intp)
+        live = self.seqs if beta_star is None else self.seqs[:, beta_star != 0]
         items = list(ids)
-        theta.add_rows(items[i] for i in sorted(live))
+        theta.add_rows(items[i] for i in sorted(set(live.ravel().tolist())))
         self.theta = theta
+        self.beta_star = beta_star
         self.rows, self.targets, self.lens = theta.plan(items)
         self.starts = np.cumsum(self.lens) - self.lens
         self.ref_log_probs = None if ref is None else np.array(
             [ref.log_prob(dut_id, seq)[0] for dut_id, seq in items])
 
     def epoch(self, order: np.ndarray, batch_size: int) -> list:
-        """(batch, seqs, steps) of each mini-batch of the shuffled items ``order``.
+        """(steps, ref_log_probs, beta_star) of each mini-batch of the shuffled items ``order``.
 
-        batch holds the items ``order[b * batch_size:][:batch_size]``, and
-        seqs the ids of their chosen sequences, then, for preference data,
-        their rejected ones; a repeated sequence is scored again.  steps
-        equals ``theta.steps`` of those sequences.  The whole epoch is one
-        gather of steps and one ``theta.batches`` call.
+        A batch's sequences are ``_epoch_layout``'s: its items' chosen
+        sequences, then, for preference data, their rejected ones; a
+        repeated sequence is scored again.  steps equals ``theta.steps`` of
+        those sequences, and ref_log_probs and beta_star are views of one
+        gather per epoch: the sequences' reference log-probs and the items'
+        beta*, both None for SFT.  The steps of the whole epoch are one
+        gather and one ``theta.batches`` call.
         """
-        batches = [order[s:s + batch_size] for s in range(0, len(order), batch_size)]
-        seqs = [self.chosen[b] if self.rejected is None
-                else np.concatenate([self.chosen[b], self.rejected[b]]) for b in batches]
-        flat = np.concatenate(seqs)
+        index, counts = _epoch_layout(len(order), batch_size, len(self.seqs))
+        flat = self.seqs[:, order].ravel()[index]
         lens = self.lens[flat]
         ends = np.cumsum(lens)
         idx = np.arange(ends[-1]) + np.repeat(self.starts[flat] - ends + lens, lens)
-        steps = self.theta.batches(self.rows[idx], self.targets[idx], lens,
-                                   [len(s) for s in seqs])
-        return list(zip(batches, seqs, steps))
+        steps = self.theta.batches(self.rows[idx], self.targets[idx], lens, counts)
+        if self.ref_log_probs is None:
+            return [(s, None, None) for s in steps]
+        ref, beta_star = self.ref_log_probs[flat], self.beta_star[order]
+        return [(s, ref[2 * a:2 * a + s.n], beta_star[a:a + s.n // 2])
+                for s, a in zip(steps, range(0, len(order), batch_size))]
 
 
 def train(dataset, config: TrainConfig, init: TabularPolicy) -> TrainResult:
@@ -272,22 +298,25 @@ def train(dataset, config: TrainConfig, init: TabularPolicy) -> TrainResult:
     for _ in range(config.epochs):
         order = rng.permutation(len(dataset))
         epoch_start = theta.theta.copy()
-        losses, margins, wins = [], [], 0
-        for batch, seqs, steps in data.epoch(order, config.batch_size):
-            n = len(batch)
+        losses, terms = [], []  # terms: each preference batch's LossBreakdown
+        for steps, ref_log_probs, batch_beta in data.epoch(order, config.batch_size):
             log_probs, probs = theta.grad_log_prob(steps)
             if ref is None:
+                n = steps.n
                 losses.extend([_mean_nll(log_probs.tolist())] * n)
-                seq_weights = np.full(n, -1.0 / n)
+                step_weights = np.full(len(steps.owner), -1.0 / n)
             else:
-                rewards = implicit_reward(log_probs, data.ref_log_probs[seqs])
-                bd = preference_loss(rewards[:n], rewards[n:], beta_star[batch])
-                losses.extend(bd.loss.tolist())
-                margins.extend(bd.margin.tolist())
-                wins += int(np.count_nonzero(bd.r_w > bd.r_l))
+                n = len(batch_beta)
+                rewards = implicit_reward(log_probs, ref_log_probs)
+                bd = preference_loss(rewards[:n], rewards[n:], batch_beta)
+                terms.append(bd)
                 weights = (1.0 / n) * pair_gradient(bd)
-                seq_weights = np.concatenate([weights, -weights])
-            theta.apply_update(steps, probs, seq_weights[steps.owner], -config.learning_rate)
+                step_weights = np.concatenate([weights, -weights])[steps.owner]
+            theta.apply_update(steps, probs, step_weights, -config.learning_rate)
+        if ref is not None:
+            loss, margin, r_w, r_l = (np.concatenate([getattr(bd, name) for bd in terms])
+                                      for name in ("loss", "margin", "r_w", "r_l"))
+            losses = loss.tolist()
         epoch = len(history.epoch_loss)
         mean_loss = sum(losses) / len(losses)
         if not math.isfinite(mean_loss):
@@ -300,7 +329,7 @@ def train(dataset, config: TrainConfig, init: TabularPolicy) -> TrainResult:
         history.epoch_loss.append(mean_loss)
         history.epoch_update_norm.append(update_norm)
         if ref is not None:
-            history.epoch_pref_accuracy.append(wins / len(dataset))
-            history.epoch_mean_margin.append(sum(margins) / len(dataset))
+            history.epoch_pref_accuracy.append(np.count_nonzero(r_w > r_l) / len(dataset))
+            history.epoch_mean_margin.append(sum(margin.tolist()) / len(dataset))
 
     return TrainResult(policy=theta, history=history)

@@ -3,6 +3,7 @@ import importlib
 import io
 import json
 import os
+import re
 import tempfile
 import warnings
 from dataclasses import fields, replace
@@ -460,6 +461,26 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and "Traceback" not in err
         assert not (report_dir / "sft.ckpt.json").exists()
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("setting, message", [
+        ({"wmax": 3}, r"dataset line 1: field chosen does not fit the run's wmax 3 and t_max 8: "
+                      r"not_well_formed at position 0: sequence must start with BOS"),
+        ({"t_max": 4}, r"dataset line \d+: field (chosen|rejected) does not fit the run's "
+                       r"wmax 4 and t_max 4: too_long at position 5: \d cycles exceed limit 4"),
+    ], ids=["wmax", "t_max"])
+    def test_dataset_of_other_settings_rejected(self, tmp_path, capsys, command, setting,
+                                                message):
+        # Curated at wmax 4 and t_max 8, then trained under another wmax or t_max.
+        config, report_dir = small_config(tmp_path)
+        assert main(["curate", "--config", config]) == 0
+        config, _ = small_config(tmp_path, **setting)
+        capsys.readouterr()
+        assert main([command, "--config", config]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert re.search(message, err), err
+        assert not list(report_dir.glob("*.ckpt.json"))
 
     @pytest.mark.parametrize("source", ["readme", "benchmark", "empty"])
     def test_one_set_of_defaults(self, tmp_path, monkeypatch, source):

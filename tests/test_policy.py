@@ -734,7 +734,8 @@ class TestDenseTable:
         policy.add_rows([("d", [VOCAB.bos, 1, VOCAB.eos])])
         probs = np.arange(3 * VOCAB.size, dtype=float).reshape(3, VOCAB.size)
         targets, slot = np.array([2, 5, 3, 4]), np.array([2, 0, 1, 2])  # rows 1, -1, 0, 1
-        steps = Steps(targets, np.arange(4), 4, touched=np.array([-1, 0, 1]), slot=slot)
+        steps = Steps(targets, np.arange(4), 4, touched=np.array([-1, 0, 1]), slot=slot,
+                      cell=slot * VOCAB.size + targets)
         policy.apply_update(steps, probs, np.array([1.5, 2.0, -0.25, 0.5]), -0.5)
         onehot = np.eye(VOCAB.size)
         assert np.array_equal(policy.theta[0], -0.5 * (-0.25 * onehot[3] + 0.25 * probs[1]))

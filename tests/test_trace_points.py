@@ -4,6 +4,7 @@ A refactor that renames or moves one of them must fail here, in Tier-1,
 and not only when the traced benchmark runs.
 """
 
+import json
 from pathlib import Path
 
 from covstim import cli, corpus, curation, hdl, policy, sim
@@ -34,7 +35,7 @@ def test_demo_records_every_required_span(monkeypatch, tmp_path):
     from spans import Tracer
     from test_cli import small_config
 
-    config, _ = small_config(tmp_path)
+    config, report_dir = small_config(tmp_path)
     tracer = Tracer()
     try:
         layers.install(tracer)
@@ -42,6 +43,15 @@ def test_demo_records_every_required_span(monkeypatch, tmp_path):
     finally:
         tracer.uninstall()
     layers.per_layer_metrics("demo", tracer)
+    # Each of the three modes runs every mini-batch through one grad_log_prob and one
+    # apply_update, and each DPO and CD-DPO mini-batch through one pair_gradient.
+    train = json.loads(Path(config).read_text())["train"]
+    pairs = len((report_dir / "pairs.jsonl").read_text().splitlines())
+    batches = train["epochs"] * -(-pairs // train["batch_size"])
+    calls = {name: span["calls"] for name, span in tracer.summary().items()}
+    assert calls["policy.TabularPolicy.grad_log_prob"] == 3 * batches
+    assert calls["policy.TabularPolicy.apply_update"] == 3 * batches
+    assert calls["training.pair_gradient"] == 2 * batches
 
 
 def test_curate_records_every_required_span(monkeypatch, tmp_path):

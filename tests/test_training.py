@@ -3,9 +3,11 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -186,6 +188,44 @@ class TestPairGradient:
         bd = preference_loss(np.array([0.5]), np.array([0.0]), np.array([-0.1]))
         with pytest.raises(ValueError, match="beta_star must be >= 0"):
             pair_gradient(bd)
+
+    @pytest.mark.parametrize("beta_star", [math.nan, np.array([0.2, math.nan, 0.1])])
+    def test_nan_beta_star_rejected(self, beta_star):
+        n = np.size(beta_star)
+        bd = replace(preference_loss(np.full(n, 0.5), np.zeros(n), np.full(n, 0.2)),
+                     beta_star=beta_star)
+        with pytest.raises(ValueError, match="beta_star must be >= 0"):
+            pair_gradient(bd)
+
+    @pytest.mark.parametrize("beta_star", [0.0, 1e-3, 0.2, 1.0, 4.0])
+    def test_weight_equals_closed_form(self, beta_star):
+        """The weight is -beta* / (1 + e^margin) to a relative error of 1e-15.
+
+        The reference is that closed form in 60-digit arithmetic at the margin
+        the loss uses, beta* (r_w - r_l) rounded once.  The margins run densely
+        over [-40, 40], where a form that exponentiates a rounded log1p term
+        errs by up to ~4e-15, and out to +-1e3, where e^margin overflows.  A
+        weight below the smallest normal double cannot hold 15 digits, so there
+        the bound is 1e-15 of the smallest normal (about 4 subnormal steps).
+        """
+        wide = np.geomspace(40, 1e3, 200)
+        margins = np.concatenate([np.linspace(-40, 40, 2001), wide, -wide,
+                                  [709.78, 720.0, 745.0, 750.0, -745.0, 1e-300, -1e-300]])
+        r_w = margins / beta_star if beta_star else margins
+        bd = preference_loss(r_w, np.zeros_like(r_w), np.full_like(r_w, beta_star))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            weights = pair_gradient(bd)
+        tiny = mpmath.mpf(np.finfo(float).tiny)
+        with mpmath.workdps(60):
+            for margin, weight in zip(bd.margin.tolist(), weights.tolist()):
+                exact = -mpmath.mpf(beta_star) / (1 + mpmath.exp(mpmath.mpf(margin)))
+                error = abs(mpmath.mpf(weight) - exact)
+                assert error <= 1e-15 * max(abs(exact), tiny), (margin, weight)
+        # A batch weighs each pair exactly as a batch of one does.
+        for i in range(0, len(r_w), 97):
+            one = preference_loss(float(r_w[i]), 0.0, beta_star)
+            assert pair_gradient(one) == weights[i]
 
     def test_batch_equals_pair_by_pair(self):
         rng = np.random.default_rng(14)
@@ -477,7 +517,8 @@ class TestReferencePin:
 
 
 class TestEpochCompile:
-    """Each batch of a compiled epoch against ``theta.steps`` of the batch's items."""
+    """Each batch of a compiled epoch against ``theta.steps`` of the batch's items, and its
+    views of the epoch's one gather of reference log-probs and beta* against per-batch gathers."""
 
     @pytest.mark.parametrize("layout", ["SFT", "preference"])
     @pytest.mark.parametrize("batching", ["one", "non_divisor", "larger"])
@@ -491,9 +532,9 @@ class TestEpochCompile:
                                                      min_size=size, max_size=size))]
         if batching == "one":
             batch_size = 1
-        elif batching == "larger":
-            batch_size = data.draw(st.integers(size + 1, size + 5), label="batch_size")
-        else:
+        elif batching == "larger":  # one batch: batch_size >= the dataset size
+            batch_size = data.draw(st.integers(size, size + 5), label="batch_size")
+        else:  # a short last batch
             batch_size = data.draw(st.integers(2, size - 1).filter(lambda b: size % b),
                                    label="batch_size")
         theta = init.copy()
@@ -507,19 +548,28 @@ class TestEpochCompile:
         order = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(size)
         batches = compiled.epoch(order, batch_size)
         assert len(batches) == -(-size // batch_size)
-        for b, (batch, seq_ids, steps) in enumerate(batches):
-            assert np.array_equal(batch, order[b * batch_size:(b + 1) * batch_size])
-            assert len(seq_ids) == steps.n
+        for b, (steps, ref_log_probs, batch_beta) in enumerate(batches):
+            batch = order[b * batch_size:(b + 1) * batch_size]
             items = [pairs[i] for i in batch]
             seqs = [(p.dut_id, p.chosen) for p in items]
             if layout != "SFT":
                 seqs += [(p.dut_id, p.rejected) for p in items]
             expected, rows = theta.steps(seqs), theta.plan(seqs)[0]
-            assert steps.n == expected.n
-            for name in ("targets", "owner", "touched", "slot"):
+            assert steps.n == expected.n == len(seqs)
+            for name in ("targets", "owner", "touched", "slot", "cell"):
                 assert np.array_equal(getattr(steps, name), getattr(expected, name)), name
             assert np.array_equal(steps.touched, np.unique(rows))
             assert np.array_equal(steps.touched[steps.slot], rows)
+            assert np.array_equal(steps.cell, steps.slot * theta.vocab.size + steps.targets)
+            if layout == "SFT":
+                assert ref_log_probs is None and batch_beta is None
+                continue
+            # The views equal the per-batch gathers they replace.
+            seq_ids = compiled.seqs[:, batch].ravel()
+            assert np.array_equal(ref_log_probs, compiled.ref_log_probs[seq_ids])
+            assert np.array_equal(batch_beta, beta_star[batch])
+            assert ref_log_probs.base is batches[0][1].base is not None
+            assert batch_beta.base is batches[0][2].base is not None
 
 
 class TestTrainDiagnostics:
