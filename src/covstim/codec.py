@@ -8,7 +8,10 @@ rejection path is the artifact's stand-in for a compile failure.
 
 :func:`simulate_tokens` is the one scoring rule of curation and evaluation:
 a sequence that does not decode scores 0, and any other scores the
-coverage its stimulus reaches in simulation.
+coverage its stimulus reaches in simulation.  :func:`simulate_block` is its
+block form, the one both stages call on a block of sampled sequences: it
+gives the same report per sequence, rejects the hopeless ones without
+decoding them and simulates each distinct one once.
 """
 
 from __future__ import annotations
@@ -103,6 +106,27 @@ def simulate_tokens(dut: DutModel, tokens, vocab: Vocab, t_max: int) -> Coverage
     except CodecError:
         return None
     return simulate(dut, stim)
+
+
+def simulate_block(dut: DutModel, seqs, vocab: Vocab, t_max: int) -> list[CoverageReport | None]:
+    """``[simulate_tokens(dut, s, vocab, t_max) for s in seqs]``, each distinct sequence run once.
+
+    A sequence of at most 2 tokens, or with an interior token at or above
+    ``1 << total_input_width(dut)``, fails ``validate_and_decode`` whatever
+    else it holds, so it gets None without being decoded.
+    """
+    limit = 1 << total_input_width(dut)
+    reports: dict[tuple, CoverageReport | None] = {}
+    out = []
+    for seq in seqs:
+        if len(seq) <= 2 or max(seq[1:-1]) >= limit:
+            out.append(None)
+            continue
+        key = tuple(seq)
+        if key not in reports:
+            reports[key] = simulate_tokens(dut, seq, vocab, t_max)
+        out.append(reports[key])
+    return out
 
 
 def encode(dut: DutModel, stim: Stimulus, vocab: Vocab, t_max: int) -> list[int]:

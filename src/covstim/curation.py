@@ -1,23 +1,26 @@
 """Preference-pair curation: sample, validate, simulate, score, label.
 
 For each attempted pair two candidate stimuli are drawn from a teacher at
-two distinct temperatures and scored by ``codec.simulate_tokens``.  An
-invalid candidate carries no coverage detail; the higher-scoring candidate
-becomes the chosen sample.  Pairs where both candidates are invalid, or
-where scores tie, are dropped.
+two distinct temperatures.  Each block of candidates that
+``policy.sample_indexed`` yields at one temperature is scored by one
+``codec.simulate_block`` call, the block form of ``codec.simulate_tokens``.
+An invalid candidate carries no coverage detail; the higher-scoring
+candidate becomes the chosen sample.  Pairs where both candidates are
+invalid, or where scores tie, are dropped.
 """
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import asdict, dataclass, field, fields
-from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
 
-from .checks import check_int, check_positive, check_str, is_finite_number, is_int, parse_json
-from .codec import CodecError, Vocab, check_well_formed, simulate_tokens
+from .checks import (check_int, check_positive, check_str, is_finite_number, is_int, parse_json,
+                     shown)
+from .codec import CodecError, Vocab, check_well_formed, simulate_block
 from .hdl import DutModel, lint, pretty_print
 from .policy import TabularPolicy, sample_indexed, sample_tokens
 from .sim import CoverageReport
@@ -126,21 +129,15 @@ def _cov_counts(report: CoverageReport) -> dict:
     return {name: [m.covered, m.total] for name, m in report.metrics().items()}
 
 
-@lru_cache(maxsize=None)
-def _vocab(wmax: int) -> Vocab:
-    """Vocab(wmax), built once per width: ``make_pair`` needs it for every pair."""
-    return Vocab(wmax)
-
-
-def make_pair(dut: DutModel, seq_a, seq_b, config: CurationConfig, pair_id: str,
+def make_pair(dut: DutModel, a, b, config: CurationConfig, pair_id: str,
               prompt: str) -> Union[PairRecord, DropReason]:
-    """Score candidates seq_a (sampled at tau1) and seq_b (at tau2); label or drop the pair.
+    """Label or drop the pair of candidates a (sampled at tau1) and b (at tau2).
 
-    prompt is the design's source text, ``pretty_print(dut)``.
+    Each candidate is (sequence, report), its report the sequence's
+    ``codec.simulate_tokens``: None when it does not decode.  prompt is the
+    design's source text, ``pretty_print(dut)``.
     """
-    vocab = _vocab(config.wmax)
-    report_a = simulate_tokens(dut, seq_a, vocab, config.t_max)
-    report_b = simulate_tokens(dut, seq_b, vocab, config.t_max)
+    (seq_a, report_a), (seq_b, report_b) = a, b
     if report_a is None and report_b is None:
         return DropReason("both_invalid")
     score_a, score_b = _score(report_a), _score(report_b)
@@ -186,15 +183,19 @@ def curate(corpus, config: CurationConfig, out_path) -> CurationStats:
         raise ValueError(f"corpus has lint issues: {detail}")
 
     teacher = make_teacher(config)
+    vocab = Vocab(config.wmax)
     stats = CurationStats()
 
     with open(out_path, "w", encoding="utf-8") as fh:
         for dut_i, dut in enumerate(corpus):
             prompt = pretty_print(dut)
-            pairs = sample_indexed(teacher, dut.name, [config.seed, dut_i],
-                                   config.pairs_per_dut, (config.tau1, config.tau2))
-            for pair_i, (seq_a, seq_b) in enumerate(pairs):
-                result = make_pair(dut, seq_a, seq_b, config, f"{dut.name}:{pair_i}", prompt)
+            blocks = sample_indexed(teacher, dut.name, [config.seed, dut_i],
+                                    config.pairs_per_dut, (config.tau1, config.tau2))
+            # Each pair as its two (sequence, report) candidates, the tau1 one first.
+            pairs = (pair for block in blocks for pair in zip(
+                *[zip(seqs, simulate_block(dut, seqs, vocab, config.t_max)) for seqs in block]))
+            for pair_i, (a, b) in enumerate(pairs):
+                result = make_pair(dut, a, b, config, f"{dut.name}:{pair_i}", prompt)
                 stats.attempted += 1
                 if isinstance(result, DropReason):
                     if result.kind == "both_invalid":
@@ -213,14 +214,19 @@ def _is_token_list(value) -> bool:
     return isinstance(value, list) and all(map(is_int, value))
 
 
+def _is_score(value) -> bool:
+    """Whether value can be a candidate's score: a coverage average lies in [0, 1]."""
+    return is_finite_number(value) and 0 <= value <= 1
+
+
 # Each field a training pair is built from, its test, and what the test asks for.
 _RECORD_FIELDS = (
     ("dut", lambda v: isinstance(v, str), "a string"),
     ("prompt", lambda v: isinstance(v, str), "a string"),
     ("chosen", _is_token_list, "a list of integers"),
     ("rejected", _is_token_list, "a list of integers"),
-    ("chosen_score", is_finite_number, "a finite number"),
-    ("rejected_score", is_finite_number, "a finite number"),
+    ("chosen_score", _is_score, "a finite number in [0, 1]"),
+    ("rejected_score", _is_score, "a finite number in [0, 1]"),
 )
 
 
@@ -255,24 +261,52 @@ def _check_fits(pair: PreferencePair, vocab: Vocab, t_max: int) -> None:
                              f"t_max {t_max}: {err}") from None
 
 
-def load_dataset(path, run: CurationConfig | None = None) -> list[PreferencePair]:
+def _check_scores(lines, designs: dict, vocab: Vocab, t_max: int) -> None:
+    """Raise ValueError naming the first of lines, (line number, pair) in order, whose
+    chosen_score or rejected_score is not what curation writes for its sequence: the
+    ``simulate_block`` report's average, 0.0 for no report.  One call per design."""
+    seqs = defaultdict(list)  # design name -> its lines' sequences, chosen then rejected
+    for _, pair in lines:
+        seqs[pair.dut_id] += (pair.chosen, pair.rejected)
+    reports = {name: iter(simulate_block(designs[name], held, vocab, t_max))
+               for name, held in seqs.items()}
+    for line_no, pair in lines:
+        for field_name, recorded in (("chosen_score", pair.s_p), ("rejected_score", pair.s_np)):
+            score = _score(next(reports[pair.dut_id]))
+            if recorded != score:
+                raise ValueError(f"dataset line {line_no}: field {field_name} is {recorded!r}, "
+                                 f"but its sequence scores {score!r}")
+
+
+def load_dataset(path, run: CurationConfig | None = None, corpus=None) -> list[PreferencePair]:
     """Read a curated JSONL file into trainer-ready preference pairs.
 
-    Raises ValueError naming the line and the first malformed field.  Given
-    the run's ``CurationConfig``, each pair's sequences must also be well
-    formed under its wmax and t_max, so a dataset curated under other
-    settings is refused before training.
+    Raises ValueError naming the line and the first malformed field; a score
+    must lie in [0, 1].  Given the run's ``CurationConfig``, each pair's
+    sequences must also be well formed under its wmax and t_max, so a
+    dataset curated under other settings is refused before training.  Given
+    the run's corpus too, each line's dut must name one of its designs, and
+    each score must be the one its sequence scores there.
     """
+    if corpus is not None and run is None:
+        raise TypeError("load_dataset checks a corpus only under a run's CurationConfig")
     vocab = None if run is None else Vocab(run.wmax)
-    pairs = []
+    designs = None if corpus is None else {dut.name: dut for dut in corpus}
+    lines = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
                 continue
             try:
-                pairs.append(_pair_from_record(parse_json(line, path)))
+                pair = _pair_from_record(parse_json(line, path))
                 if run is not None:
-                    _check_fits(pairs[-1], vocab, run.t_max)
+                    _check_fits(pair, vocab, run.t_max)
+                if designs is not None and pair.dut_id not in designs:
+                    raise ValueError(f"field dut names no design of the run's corpus, "
+                                     f"got {shown(pair.dut_id)}")
             except ValueError as err:
                 raise ValueError(f"dataset line {line_no}: {err}") from None
-    return pairs
+            lines.append((line_no, pair))
+    if designs is not None:
+        _check_scores(lines, designs, vocab, run.t_max)
+    return [pair for _, pair in lines]

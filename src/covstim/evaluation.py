@@ -1,11 +1,15 @@
-"""Policy evaluation (mean@N / best@N) and the four-way ablation table."""
+"""Policy evaluation (mean@N / best@N) and the four-way ablation table.
+
+Each block of generations that ``policy.sample_indexed`` yields is scored by
+one ``codec.simulate_block`` call, the block form of ``codec.simulate_tokens``.
+"""
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
 from .checks import check_int, check_positive
-from .codec import simulate_tokens
+from .codec import simulate_block
 from .policy import sample_indexed
 from .sim import METRICS as COVERAGE_METRICS
 
@@ -48,7 +52,7 @@ class EvalReport:
 
 
 def eval_policy(policy, dut, config: EvalConfig) -> EvalReport:
-    """Score N independent generations with ``codec.simulate_tokens``.
+    """Score N independent generations with ``codec.simulate_block``.
 
     ``sample_indexed`` draws generation i from ``default_rng([seed, i])``,
     and it is decoded under the policy's own ``vocab`` and ``t_max``; an
@@ -56,14 +60,14 @@ def eval_policy(policy, dut, config: EvalConfig) -> EvalReport:
     """
     n = config.n
     report = EvalReport(dut=dut.name, n=n, tau=config.tau, seed=config.seed)
-    for (tokens,) in sample_indexed(policy, dut.name, [config.seed], n, (config.tau,)):
-        cov = simulate_tokens(dut, tokens, policy.vocab, policy.t_max)
-        if cov is None:
-            fractions = dict.fromkeys(METRICS, 0.0)
-        else:
-            fractions = {name: m.fraction for name, m in cov.metrics().items()}
-            fractions["average"] = cov.average
-        report.generations.append(Generation(tokens, cov is not None, fractions))
+    for (block,) in sample_indexed(policy, dut.name, [config.seed], n, (config.tau,)):
+        for tokens, cov in zip(block, simulate_block(dut, block, policy.vocab, policy.t_max)):
+            if cov is None:
+                fractions = dict.fromkeys(METRICS, 0.0)
+            else:
+                fractions = {name: m.fraction for name, m in cov.metrics().items()}
+                fractions["average"] = cov.average
+            report.generations.append(Generation(tokens, cov is not None, fractions))
     for m in METRICS:
         values = [g.fractions[m] for g in report.generations]
         report.mean[m] = sum(values) / n

@@ -128,8 +128,9 @@ def run_curate(config: ExperimentConfig, corpus=None):
 
 
 def run_train(config: ExperimentConfig):
-    """Train ``config.train.mode`` on the dataset; write its checkpoint and history."""
-    dataset = load_dataset(config.dataset_path(), config.curation)
+    """Train ``config.train.mode`` on the dataset, checked against the corpus; write its
+    checkpoint and history."""
+    dataset = load_dataset(config.dataset_path(), config.curation, config.load_corpus())
     mode = config.train.mode
     result = train_modes(dataset, config.train, config.curation.uniform_policy(), (mode,))[mode]
     result.policy.save(config.report_path(f"{mode.lower()}.ckpt.json"))
@@ -148,9 +149,10 @@ def run_eval(config: ExperimentConfig, checkpoint) -> list:
 
 
 def run_ablate(config: ExperimentConfig, corpus=None) -> tuple[AblationTable, dict]:
-    """``ablate`` on the dataset and the corpus (the config's if None); write its artifacts."""
-    dataset = load_dataset(config.dataset_path(), config.curation)
+    """``ablate`` on the corpus (the config's if None) and the dataset, checked against it;
+    write its artifacts."""
     corpus = config.load_corpus() if corpus is None else corpus
+    dataset = load_dataset(config.dataset_path(), config.curation, corpus)
     table, policies = ablate(corpus, dataset, config.train, config.eval,
                              config.curation.uniform_policy())
     write_artifact(config.report_path("ablation.csv"), table.to_csv())

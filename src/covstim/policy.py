@@ -112,9 +112,10 @@ def _pcg64_seeds(entropy: np.ndarray) -> np.ndarray:
 
 
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit multiplier M
-# Indices ``sample_indexed`` samples in lockstep from one ``Streams``: the
-# pairs of one design in curation, its generations in evaluation.  No output
-# depends on it; it bounds the sequences held at once.
+# Indices ``sample_indexed`` samples in lockstep from one ``Streams`` and
+# yields as one block: the pairs of one design in curation, its generations
+# in evaluation, each block scored by one ``codec.simulate_block`` call per
+# tau.  No output depends on it; it bounds the sequences held at once.
 STREAM_BLOCK = 256
 # Draws a ``Streams`` row makes at a time.  No output depends on it; it
 # bounds the uniforms held at once to rows x STREAM_WINDOW.
@@ -201,18 +202,20 @@ class Streams:
 
 
 def sample_indexed(sampler, dut_id, prefix, n: int, taus):
-    """Yield, for each index i < n, a tuple of one sequence per tau in taus.
+    """Yield indices 0..n-1 a block at a time: per tau in taus, its block's sequences.
 
+    A block is the next STREAM_BLOCK indices (fewer in the last one), and
+    its yield is a list with one list of sequences per tau, in index order.
     Index i's sequences are ``sampler.sample(dut_id, tau, streams)`` drawn
     in taus order from one stream, the ``random()`` draws of
     ``default_rng([*prefix, i])``: each starts where the one before stopped.
-    Indices go STREAM_BLOCK at a time into one ``Streams`` with a budget of
-    ``sampler.t_max`` draws per tau, so no output depends on the block size.
+    Each block's indices share one ``Streams`` with a budget of
+    ``sampler.t_max`` draws per tau, so no sequence depends on the block size.
     """
     for start in range(0, n, STREAM_BLOCK):
         streams = Streams(prefix, range(start, min(start + STREAM_BLOCK, n)),
                           sampler.t_max * len(taus))
-        yield from zip(*[sampler.sample(dut_id, tau, streams) for tau in taus])
+        yield [sampler.sample(dut_id, tau, streams) for tau in taus]
 
 
 def sample_tokens(vocab: Vocab, t_max: int, tau: float, streams,

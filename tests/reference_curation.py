@@ -13,6 +13,7 @@ from dataclasses import asdict
 import numpy as np
 
 from covstim import curation
+from covstim.codec import Vocab, simulate_tokens
 from covstim.hdl import pretty_print
 from covstim.policy import masked_softmax
 
@@ -67,10 +68,12 @@ def reference_sample(teacher, dut_id, tau, rng) -> list[int]:
 
 
 def make_pair(dut, teacher, config, rng, pair_id):
-    """One attempted pair: both sequences from rng, the tau1 one first."""
-    seq_a = reference_sample(teacher, dut.name, config.tau1, rng)
-    seq_b = reference_sample(teacher, dut.name, config.tau2, rng)
-    return curation.make_pair(dut, seq_a, seq_b, config, pair_id, pretty_print(dut))
+    """One attempted pair: both sequences from rng, the tau1 one first, each scored
+    on its own by ``simulate_tokens``."""
+    vocab = Vocab(config.wmax)
+    a, b = ((seq, simulate_tokens(dut, seq, vocab, config.t_max)) for seq in
+            [reference_sample(teacher, dut.name, tau, rng) for tau in (config.tau1, config.tau2)])
+    return curation.make_pair(dut, a, b, config, pair_id, pretty_print(dut))
 
 
 def curate(corpus, config, out_path) -> dict:

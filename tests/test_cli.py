@@ -482,6 +482,53 @@ class TestPipelineCommands:
         assert re.search(message, err), err
         assert not list(report_dir.glob("*.ckpt.json"))
 
+    @staticmethod
+    def _edit_third_line(tmp_path, capsys, command, edit):
+        """Curate under dataset_minmax, edit line 3 of the dataset by edit(record), then
+        run command; return its exit code and its output."""
+        train = {"mode": "CDDPO", "f_variant": "dataset_minmax", "epochs": 4, "seed": 42}
+        config, report_dir = small_config(tmp_path, train=train)
+        assert main(["curate", "--config", config]) == 0
+        path = report_dir / "pairs.jsonl"
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[2])
+        lines[2] = json.dumps({**record, **edit(record)})
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([command, "--config", config])
+        out, err = capsys.readouterr()
+        assert [str(w.message) for w in caught] == []
+        assert "Warning" not in out + err and "Traceback" not in out + err
+        assert not list(report_dir.glob("*.ckpt.json"))
+        return code, err
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("edit, message", [
+        ({"dut": "nosuch"}, "field dut names no design of the run's corpus, got 'nosuch'"),
+        ({"dut": "x" * 100_000}, "field dut names no design of the run's corpus, got 'xxx"),
+        # Finite, but a gap of 2e308 overflows, and dataset_minmax made beta* NaN of it.
+        ({"chosen_score": 1e308, "rejected_score": -1e308},
+         "field chosen_score must be a finite number in [0, 1]"),
+        ({"rejected_score": -1e308}, "field rejected_score must be a finite number in [0, 1]"),
+    ], ids=["nosuch", "long_name", "1e308", "-1e308"])
+    def test_dataset_line_outside_the_corpus_rejected(self, tmp_path, capsys, command, edit,
+                                                      message):
+        code, err = self._edit_third_line(tmp_path, capsys, command, lambda record: edit)
+        assert code == 1
+        assert err.startswith(f"error: dataset line 3: {message}") and err.endswith("\n")
+        assert len(err.splitlines()) == 1 and len(err) < 200, err
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("field, delta", [("chosen_score", -1e-12), ("rejected_score", 1e-12)])
+    def test_dataset_score_off_by_1e_12_rejected(self, tmp_path, capsys, command, field, delta):
+        code, err = self._edit_third_line(tmp_path, capsys, command,
+                                          lambda record: {field: record[field] + delta})
+        assert code == 1
+        assert re.fullmatch(rf"error: dataset line 3: field {field} is [0-9.e-]+, but its "
+                            rf"sequence scores [0-9.]+\n", err), err
+
     @pytest.mark.parametrize("source", ["readme", "benchmark", "empty"])
     def test_one_set_of_defaults(self, tmp_path, monkeypatch, source):
         # The README's example and the benchmark's demo config spell out the

@@ -3,17 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covstim.codec import (CodecError, Vocab, check_well_formed, encode, simulate_tokens,
-                           total_input_width, validate_and_decode)
+from covstim import codec
+from covstim.codec import (CodecError, Vocab, check_well_formed, encode, simulate_block,
+                           simulate_tokens, total_input_width, validate_and_decode)
 from covstim.corpus import load_bundled_corpus
+from covstim.curation import NoveltyTeacher
 from covstim.hdl import parse
-from covstim.policy import TabularPolicy
+from covstim.policy import TabularPolicy, sample_indexed
 from covstim.sim import simulate
 
 VOCAB = Vocab(4)
 T_MAX = 8
 # Three input bits: values 8..15 exercise the input-width rejection.
 THREE_BIT_DUT = parse("module m (input a[2], input b[1], output y[1]); assign y = b; endmodule")
+# Five input bits, wider than VOCAB's values: BOS and EOS fit its inputs.
+FIVE_BIT_DUT = parse("module w (input a[5], output y[1]); assign y = a; endmodule")
 
 
 class TestVocab:
@@ -182,3 +186,41 @@ class TestSimulateTokens:
         else:
             expected = simulate(dut, stim)
             assert report == expected and report.average == expected.average
+
+
+# Blocks drawn from a pool of token lists, so that rows repeat.
+TOKEN_BLOCKS = st.lists(TOKEN_LISTS, max_size=6).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=12) if pool else st.just([]))
+
+
+class TestSimulateBlock:
+    @given(st.sampled_from([THREE_BIT_DUT, FIVE_BIT_DUT, *load_bundled_corpus()]), TOKEN_BLOCKS)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_simulate_tokens_row_by_row(self, dut, block):
+        got = simulate_block(dut, block, VOCAB, T_MAX)
+        assert len(got) == len(block)
+        for tokens, report in zip(block, got):
+            expected = simulate_tokens(dut, tokens, VOCAB, T_MAX)
+            assert report == expected, tokens
+            assert report is None or report.average == expected.average
+
+    @pytest.mark.parametrize("tau", [0.7, 1.2])
+    def test_simulates_each_distinct_accepted_sequence_once(self, monkeypatch, corpus, tau):
+        calls = []
+
+        def counting(dut, tokens, vocab, t_max):
+            calls.append(tuple(tokens))
+            return simulate_tokens(dut, tokens, vocab, t_max)
+
+        monkeypatch.setattr(codec, "simulate_tokens", counting)
+        teacher = NoveltyTeacher(VOCAB, T_MAX)
+        repeated = 0
+        for dut in corpus:
+            (block,) = next(sample_indexed(teacher, dut.name, [5], 200, (tau,)))
+            block = block + block[::-1]  # every row at least twice
+            calls.clear()
+            reports = simulate_block(dut, block, VOCAB, T_MAX)
+            accepted = [tuple(seq) for seq, report in zip(block, reports) if report is not None]
+            assert sorted(calls) == sorted(set(accepted)), dut.name
+            repeated += len(accepted) - len(calls)
+        assert repeated >= 200

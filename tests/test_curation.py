@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covstim.codec import Vocab
+from covstim.codec import Vocab, simulate_tokens
 from covstim.curation import (
     CurationConfig,
     DropReason,
@@ -53,6 +53,10 @@ BAD_RECORDS = [
      "field rejected_score must be a finite"),
     (json.dumps({k: v for k, v in VALID_RECORD.items() if k != "rejected_score"}),
      "missing field rejected_score"),
+    (json.dumps({**VALID_RECORD, "chosen_score": 1.5}),
+     "field chosen_score must be a finite number in [0, 1]"),
+    (json.dumps({**VALID_RECORD, "rejected_score": -1e308}),
+     "field rejected_score must be a finite number in [0, 1]"),
     (json.dumps({**VALID_RECORD, "chosen_score": 0.5}), "line 1: pair requires s_p > s_np"),
     ("[" * 100_000 + "]" * 100_000, "line 1: maximum recursion depth exceeded"),
 ]
@@ -74,7 +78,8 @@ _LINES = st.one_of(
 class TestMakePair:
     def _pair(self, toy1, seq_a, seq_b):
         config = CurationConfig(tau1=0.7, tau2=1.2, teacher="scripted", seed=0)
-        return make_pair(toy1, seq_a, seq_b, config, "toy1:0", pretty_print(toy1))
+        a, b = ((seq, simulate_tokens(toy1, seq, VOCAB, T_MAX)) for seq in (seq_a, seq_b))
+        return make_pair(toy1, a, b, config, "toy1:0", pretty_print(toy1))
 
     def test_both_valid_higher_score_chosen(self, toy1):
         # [1,0] fully covers toy1 (score 1.0); [0] scores lower.
@@ -272,6 +277,13 @@ class TestCurate:
         for pair in pairs:
             assert pair.dut_id == "toy1"
             assert pair.s_p > pair.s_np
+        # Every recorded score is the one its sequence scores on the design.
+        assert load_dataset(path, config, [toy1]) == pairs
+        with pytest.raises(ValueError, match="line 1: field dut names no design of the run's "
+                                             "corpus, got 'toy1'"):
+            load_dataset(path, config, [parse("module other (input a[1]); endmodule")])
+        with pytest.raises(TypeError, match="only under a run's CurationConfig"):
+            load_dataset(path, corpus=[toy1])
 
     @pytest.mark.parametrize("line, message", BAD_RECORDS, ids=[m for _, m in BAD_RECORDS])
     def test_load_dataset_names_line_and_field(self, tmp_path, line, message):

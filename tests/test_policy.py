@@ -465,7 +465,12 @@ class TestSampleIndexed:
     def test_tuple_i_draws_the_taus_in_order_from_stream_i(self, sampler, prefix, n, taus):
         # A tuple may take len(taus) * t_max draws, past a STREAM_WINDOW, and
         # n may cross a block boundary.
-        got = list(sample_indexed(sampler, "d", prefix, n, taus))
+        blocks = list(sample_indexed(sampler, "d", prefix, n, taus))
+        assert all(len(block) == len(taus) for block in blocks)
+        sizes = [len(block[0]) for block in blocks]
+        assert all(len(seqs) == size for block, size in zip(blocks, sizes) for seqs in block)
+        assert sizes[:-1] == [STREAM_BLOCK] * (len(sizes) - 1)
+        got = [seqs for block in blocks for seqs in zip(*block)]
         assert len(got) == n
         for i, seqs in enumerate(got):
             rng = np.random.default_rng([*prefix, i])
