@@ -194,8 +194,10 @@ TOKEN_BLOCKS = st.lists(TOKEN_LISTS, max_size=6).flatmap(
 
 
 class TestSimulateBlock:
-    @given(st.sampled_from([THREE_BIT_DUT, FIVE_BIT_DUT, *load_bundled_corpus()]), TOKEN_BLOCKS)
-    @settings(max_examples=300, deadline=None)
+    @pytest.mark.parametrize("dut", [THREE_BIT_DUT, FIVE_BIT_DUT, *load_bundled_corpus()],
+                             ids=lambda dut: dut.name)
+    @given(block=TOKEN_BLOCKS)
+    @settings(max_examples=100, deadline=None)
     def test_equals_simulate_tokens_row_by_row(self, dut, block):
         got = simulate_block(dut, block, VOCAB, T_MAX)
         assert len(got) == len(block)
