@@ -24,12 +24,16 @@ def is_finite_number(value) -> bool:
     return is_int(value) and abs(value) <= sys.float_info.max
 
 
+# ``shown``'s kind for a JSON value: a list or an object is named by its type, any other shown.
+JSON_SCALARS = (str, int, float, bool, type(None))
+
+
 def shown(value, kind=str) -> str:
     """value for a message "<setting> must be <what>, got <value>", in bounded length:
     a string quoted, cut so its quoted form (escapes included) is at most 42 characters,
-    an int of 21 digits or more by its size, and a bool or a value not of kind by its
-    type's name."""
-    if isinstance(value, bool) or not isinstance(value, kind):
+    an int of 21 digits or more by its size, and a value not of kind, or a bool unless
+    kind is JSON_SCALARS, by its type's name."""
+    if isinstance(value, bool) and kind is not JSON_SCALARS or not isinstance(value, kind):
         return type(value).__name__
     if isinstance(value, str):
         cut = value[:40]

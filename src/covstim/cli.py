@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .checks import check_int
+from .checks import check_int, shown
 from .codec import Vocab, validate_and_decode
 from .curation import CurationConfig
 from .hdl import ParseError, lint, parse
@@ -70,7 +70,7 @@ def cmd_simulate(args) -> int:
             match = _STIM_PART.fullmatch(part)
             if match is None:
                 raise ValueError(f"--stim: cycle {cycle_no}: expected an integer, "
-                                 f"got {part.strip()!r}")
+                                 f"got {shown(part.strip())}")
             tokens.append(_to_int(match.group(1), f"--stim: cycle {cycle_no}"))
         tokens.append(vocab.eos)
         stim = validate_and_decode(dut, tokens, vocab, args.t_max)
@@ -82,11 +82,11 @@ def cmd_simulate(args) -> int:
                 match = _CYCLE_PART.fullmatch(part)
                 if match is None:
                     raise ValueError(f"--cycles: cycle {cycle_no}: expected name=integer, "
-                                     f"got {part.strip()!r}")
+                                     f"got {shown(part.strip())}")
                 name, value = match.groups()
                 if name in cycle:
-                    raise ValueError(f"--cycles: cycle {cycle_no}: port {name!r} given twice")
-                cycle[name] = _to_int(value, f"--cycles: cycle {cycle_no}: port {name!r}")
+                    raise ValueError(f"--cycles: cycle {cycle_no}: port {shown(name)} given twice")
+                cycle[name] = _to_int(value, f"--cycles: cycle {cycle_no}: port {shown(name)}")
             cycles.append(cycle)
         stim = Stimulus(tuple(cycles))
     report = simulate(dut, stim)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .checks import check_int
+from .checks import JSON_SCALARS, check_int, shown
 from .hdl import MAX_WIDTH, DutModel
 from .sim import CoverageReport, Stimulus, simulate
 
@@ -71,7 +71,8 @@ def check_well_formed(tokens, vocab: Vocab, t_max: int) -> None:
     n_values = vocab.n_values
     for i in range(1, len(tokens) - 1):
         if not 0 <= tokens[i] < n_values:
-            raise CodecError("not_well_formed", i, f"interior token {tokens[i]} is not a value token")
+            token = shown(tokens[i], JSON_SCALARS)
+            raise CodecError("not_well_formed", i, f"interior token {token} is not a value token")
     if len(tokens) - 2 > t_max:
         raise CodecError("too_long", t_max + 1, f"{len(tokens) - 2} cycles exceed limit {t_max}")
 

@@ -18,8 +18,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .checks import (check_int, check_positive, check_str, is_finite_number, is_int, parse_json,
-                     shown)
+from .checks import (JSON_SCALARS, check_int, check_positive, check_str, is_finite_number, is_int,
+                     parse_json, shown)
 from .codec import CodecError, Vocab, check_well_formed, simulate_block
 from .hdl import DutModel, lint, pretty_print
 from .policy import TabularPolicy, sample_indexed, sample_tokens
@@ -89,9 +89,7 @@ def make_teacher(config: CurationConfig):
         return config.uniform_policy()
     if config.teacher == "novelty":
         return NoveltyTeacher(Vocab(config.wmax), config.t_max)
-    policy = TabularPolicy.load(config.teacher)
-    policy.check_settings(config)
-    return policy
+    return TabularPolicy.load(config.teacher, config)
 
 
 @dataclass(frozen=True)
@@ -234,7 +232,7 @@ def _pair_from_record(doc) -> PreferencePair:
     if not isinstance(doc, dict):
         raise ValueError("record must be a JSON object")
     if doc.get("version") != DATASET_VERSION:
-        raise ValueError(f"unsupported dataset version {doc.get('version')!r}")
+        raise ValueError(f"unsupported dataset version {shown(doc.get('version'), JSON_SCALARS)}")
     for name, ok, expected in _RECORD_FIELDS:
         if name not in doc:
             raise ValueError(f"missing field {name}")
@@ -278,20 +276,18 @@ def _check_scores(lines, designs: dict, vocab: Vocab, t_max: int) -> None:
                                  f"but its sequence scores {score!r}")
 
 
-def load_dataset(path, run: CurationConfig | None = None, corpus=None) -> list[PreferencePair]:
-    """Read a curated JSONL file into trainer-ready preference pairs.
+def load_dataset(path, run: CurationConfig, corpus) -> list[PreferencePair]:
+    """Read a curated JSONL file into trainer-ready preference pairs, checked against
+    the run's ``CurationConfig`` and corpus.
 
     Raises ValueError naming the line and the first malformed field; a score
-    must lie in [0, 1].  Given the run's ``CurationConfig``, each pair's
-    sequences must also be well formed under its wmax and t_max, so a
-    dataset curated under other settings is refused before training.  Given
-    the run's corpus too, each line's dut must name one of its designs, and
-    each score must be the one its sequence scores there.
+    must lie in [0, 1].  Each pair's sequences must be well formed under the
+    run's wmax and t_max, so a dataset curated under other settings is
+    refused before training; each line's dut must name one of the corpus's
+    designs, and each score must be the one its sequence scores there.
     """
-    if corpus is not None and run is None:
-        raise TypeError("load_dataset checks a corpus only under a run's CurationConfig")
-    vocab = None if run is None else Vocab(run.wmax)
-    designs = None if corpus is None else {dut.name: dut for dut in corpus}
+    vocab = Vocab(run.wmax)
+    designs = {dut.name: dut for dut in corpus}
     lines = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
@@ -299,14 +295,12 @@ def load_dataset(path, run: CurationConfig | None = None, corpus=None) -> list[P
                 continue
             try:
                 pair = _pair_from_record(parse_json(line, path))
-                if run is not None:
-                    _check_fits(pair, vocab, run.t_max)
-                if designs is not None and pair.dut_id not in designs:
+                _check_fits(pair, vocab, run.t_max)
+                if pair.dut_id not in designs:
                     raise ValueError(f"field dut names no design of the run's corpus, "
                                      f"got {shown(pair.dut_id)}")
             except ValueError as err:
                 raise ValueError(f"dataset line {line_no}: {err}") from None
             lines.append((line_no, pair))
-    if designs is not None:
-        _check_scores(lines, designs, vocab, run.t_max)
+    _check_scores(lines, designs, vocab, run.t_max)
     return [pair for _, pair in lines]

@@ -141,8 +141,7 @@ def run_train(config: ExperimentConfig):
 def run_eval(config: ExperimentConfig, checkpoint) -> list:
     """Evaluate a checkpoint saved under the run's settings on the corpus; write eval.json."""
     corpus = config.load_corpus()
-    policy = TabularPolicy.load(checkpoint)
-    policy.check_settings(config.curation)
+    policy = TabularPolicy.load(checkpoint, config.curation)
     reports = [eval_policy(policy, dut, config.eval) for dut in corpus]
     write_artifact(config.report_path("eval.json"), [r.to_dict() for r in reports])
     return reports

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .checks import check_int, is_finite_number, is_int, parse_json, shown
+from .checks import JSON_SCALARS, check_int, is_finite_number, is_int, parse_json, shown
 from .codec import Vocab, check_well_formed
 
 
@@ -278,24 +278,29 @@ def _step_plan(seq: tuple, vocab: Vocab, k: int, t_max: int):
 class Steps(NamedTuple):
     """The scored steps of ``n`` token sequences, as index arrays.
 
-    Step i emits ``targets[i]`` from the context in row
+    Step i emits a target token from the context in row
     ``touched[slot[i]]`` of the policy that compiled it (-1: the context has
     no row, so zero logits), and belongs to sequence ``owner[i]``.  Each
     sequence's steps are contiguous and in order; forced-EOS steps are left
     out.  ``touched`` holds the distinct rows of the steps, sorted, so -1
     comes first when a step has no row.  ``cell[i]`` is ``slot[i] * V +
-    targets[i]``: the flat index of step i's (row, target) entry in a
-    (len(touched) x V) block of the touched rows.  ``TabularPolicy.steps``
-    and ``batches`` build it, and ``grad_log_prob`` and ``apply_update``
-    take it.
+    target``: the flat index of step i's (row, target) entry in a
+    (len(touched) x V) block of the touched rows, and the one place the
+    target is kept.  ``TabularPolicy.steps`` and ``batches`` build it, and
+    ``grad_log_prob`` and ``apply_update`` take it.
     """
 
-    targets: np.ndarray
     owner: np.ndarray
     n: int
     touched: np.ndarray
     slot: np.ndarray
     cell: np.ndarray
+
+
+def _shown_context(ctx: list) -> str:
+    """A checkpoint context for a message: as written if that is at most 40 characters
+    (a list of more entries is not written out to find that), else by its length."""
+    return str(ctx) if len(ctx) <= 40 and len(str(ctx)) <= 40 else f"of length {len(ctx)}"
 
 
 class TabularPolicy:
@@ -401,13 +406,12 @@ class TabularPolicy:
         keys, inverse = np.unique(batch * width + rows + 1, return_inverse=True)
         bounds = np.arange(len(counts) + 1)
         key_at = np.searchsorted(keys, bounds * width)
-        touched = np.empty(len(keys), dtype=np.intp)
-        touched[inverse] = rows  # a key's row, written by each of its steps
+        touched = keys % width - 1
         slot = inverse - key_at[batch]
         cell = slot * self.vocab.size + targets
         step_at = np.searchsorted(batch, bounds).tolist()
         key_at, counts = key_at.tolist(), counts.tolist()
-        return [Steps(targets[s:e], owner[s:e], counts[b],
+        return [Steps(owner[s:e], counts[b],
                       touched[key_at[b]:key_at[b + 1]], slot[s:e], cell[s:e])
                 for b, (s, e) in enumerate(zip(step_at, step_at[1:]))]
 
@@ -456,15 +460,6 @@ class TabularPolicy:
 
     # -- persistence ------------------------------------------------------
 
-    def check_settings(self, run) -> None:
-        """Raise ValueError naming each of wmax, k and t_max that differs from run (a
-        ``CurationConfig``); under another wmax the BOS/EOS ids differ, so every sample fails."""
-        mine = {"wmax": self.vocab.wmax, "k": self.k, "t_max": self.t_max}
-        wrong = [f"{name} {value} (run config {getattr(run, name)})"
-                 for name, value in mine.items() if value != getattr(run, name)]
-        if wrong:
-            raise ValueError(f"checkpoint policy has {', '.join(wrong)}")
-
     def save(self, path) -> None:
         """Write ``json.dump`` of the checkpoint document and a newline, byte for byte.
 
@@ -484,14 +479,17 @@ class TabularPolicy:
             fh.write("]}\n")
 
     @classmethod
-    def load(cls, path) -> "TabularPolicy":
-        """Read a checkpoint; raise ValueError naming the first malformed field."""
+    def load(cls, path, run) -> "TabularPolicy":
+        """Read a checkpoint; raise ValueError naming the first malformed field, then each of
+        wmax, k and t_max that differs from run (a ``CurationConfig``): under another wmax,
+        BOS and EOS take other ids, so every sample would fail."""
         with open(path, encoding="utf-8") as fh:
             doc = parse_json(fh.read(), path)
         if not isinstance(doc, dict):
             raise ValueError("checkpoint top level must be a JSON object")
         if doc.get("version") != "tabular_policy/1":
-            raise ValueError(f"unsupported checkpoint version {doc.get('version')!r}")
+            raise ValueError(f"unsupported checkpoint version "
+                             f"{shown(doc.get('version'), JSON_SCALARS)}")
         for name in ("wmax", "k", "t_max"):
             value = doc.get(name)
             if not is_int(value):
@@ -513,18 +511,23 @@ class TabularPolicy:
                 raise ValueError(f"{where} must be [dut_id, context list, logits list]")
             dut_id, ctx, vec = entry
             if len(ctx) != policy.k or not all(is_int(t) and 0 <= t < size for t in ctx):
-                raise ValueError(f"{where} context {ctx} must be k={policy.k} tokens "
-                                 f"in 0..{size - 1}")
+                raise ValueError(f"{where} context {_shown_context(ctx)} must be k={policy.k} "
+                                 f"tokens in 0..{size - 1}")
             if len(vec) != size:
                 raise ValueError(f"{where} row has {len(vec)} logits, expected {size}")
             if not all(map(is_finite_number, vec)):
                 raise ValueError(f"{where} row holds a logit that is not a finite number")
             key = (dut_id, tuple(ctx))
             if key in policy.rows:
-                raise ValueError(f"{where} repeats context {ctx} of {dut_id!r}")
+                raise ValueError(f"{where} repeats context {_shown_context(ctx)} of "
+                                 f"{shown(dut_id)}")
             policy.rows[key] = len(vecs)
             vecs.append(vec)
         policy.theta = np.array(vecs + [[0.0] * size], dtype=float)
+        wrong = [f"{name} {doc[name]} (run config {getattr(run, name)})"
+                 for name in ("wmax", "k", "t_max") if doc[name] != getattr(run, name)]
+        if wrong:
+            raise ValueError(f"checkpoint policy has {', '.join(wrong)}")
         return policy
 
 

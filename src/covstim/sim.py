@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+from .checks import JSON_SCALARS, shown
 from .hdl import MAX_WIDTH, Assign, BinOp, Const, DutModel, Expr, Ident, UnOp
 
 _MASK64 = (1 << 64) - 1
@@ -38,7 +39,7 @@ class SimulationError(Exception):
     def __init__(self, cycle: int, port: str, message: str):
         self.cycle = cycle
         self.port = port
-        super().__init__(f"cycle {cycle}, port {port!r}: {message}")
+        super().__init__(f"cycle {cycle}, port {shown(port, JSON_SCALARS)}: {message}")
 
 
 @dataclass(frozen=True)
@@ -297,8 +298,8 @@ def _input_rows(dut: DutModel, stim: Stimulus) -> list[tuple]:
                 raise SimulationError(cycle_no, port.name, "missing input value")
             v = cycle[port.name]
             if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < (1 << port.width):
-                raise SimulationError(cycle_no, port.name,
-                                      f"value {v!r} out of range for {port.width}-bit port")
+                raise SimulationError(cycle_no, port.name, f"value {shown(v, JSON_SCALARS)} "
+                                      f"out of range for {port.width}-bit port")
             row.append(v)
         if len(cycle) > len(ports):
             names = {port.name for port in ports}

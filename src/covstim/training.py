@@ -206,13 +206,10 @@ def _epoch_layout(n_pairs: int, batch_size: int, halves: int):
     for ids ``seqs`` (halves x n_pairs), and each batch's sequence count.
     It depends only on its arguments, so a run builds it once.
     """
-    item = np.arange(n_pairs)
-    start = item - item % batch_size  # the first item of each item's batch
-    size = np.minimum(start + batch_size, n_pairs) - start
-    flat_at = halves * start + np.arange(halves)[:, None] * size + item - start
-    index = np.empty(halves * n_pairs, dtype=np.intp)
-    index[flat_at.ravel()] = np.arange(halves * n_pairs)
-    counts = halves * size[::batch_size]
+    batch = np.arange(n_pairs) // batch_size
+    # Sequence (h, i) sorts by its batch, then by h; a stable sort keeps i in order.
+    index = np.argsort((halves * batch + np.arange(halves)[:, None]).ravel(), kind="stable")
+    counts = halves * np.bincount(batch)
     for array in (index, counts):  # the cache hands these arrays to every caller
         array.flags.writeable = False
     return index, counts

@@ -218,7 +218,7 @@ def demo_run(corpus, tmp_path_factory):
     dataset_path = tmp / "pairs.jsonl"
     curation = CurationConfig(pairs_per_dut=400, teacher="novelty", seed=42)
     curate(corpus, curation, dataset_path)
-    dataset = load_dataset(dataset_path)
+    dataset = load_dataset(dataset_path, curation, corpus)
     base = TrainConfig(mode="CDDPO", beta=0.2, learning_rate=4.0, epochs=120,
                        batch_size=16, seed=42)
     table, policies = ablate(corpus, dataset, base, EvalConfig(n=20, tau=1.0, seed=42),

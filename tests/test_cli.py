@@ -25,6 +25,8 @@ from covstim.sim import Stimulus, simulate
 from covstim.training import TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
+# A checkpoint's settings under the shipped defaults.
+_CKPT_DOC = {"version": "tabular_policy/1", "wmax": 4, "k": 2, "t_max": 8}
 
 
 @pytest.fixture
@@ -144,6 +146,26 @@ class TestSimulateCommand:
         out, err = capsys.readouterr()
         assert out == "" and err == ("error: --cycles: cycle 1: port 'a': integer of 5000 "
                                      "digits is too long to convert\n")
+
+    @pytest.mark.parametrize("flag, text, message", [
+        ("--stim", "1," + "9" * 4000, "error: not_well_formed at position 2: interior token "
+                                      "an integer of 13288 bits is not a value token"),
+        ("--stim", "1," + "x" * 5000,
+         f"error: --stim: cycle 1: expected an integer, got '{'x' * 40}'..."),
+        ("--cycles", "a=1;" + "x" * 5000 + "=1x",
+         f"error: --cycles: cycle 1: expected name=integer, got '{'x' * 40}'..."),
+        ("--cycles", "a=" + "9" * 4000,
+         "error: cycle 0, port 'a': value an integer of 13288 bits out of range for 1-bit port"),
+        ("--cycles", "a=1," + "x" * 5000 + "=1",
+         f"error: cycle 0, port '{'x' * 40}'...: no such input port"),
+        ("--cycles", "x" * 5000 + "=1," + "x" * 5000 + "=1",
+         f"error: --cycles: cycle 0: port '{'x' * 40}'... given twice"),
+    ], ids=["stim_4000_digits", "stim_5000_chars", "cycles_5000_chars", "cycles_4000_digits",
+            "cycles_long_port", "cycles_long_port_twice"])
+    def test_long_value_message_is_bounded(self, toy1_file, capsys, flag, text, message):
+        assert main(["simulate", toy1_file, flag, text]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == message + "\n" and len(err) < 200
 
     def test_stim_values_may_carry_blanks(self, toy1_file, capsys):
         assert main(["simulate", toy1_file, "--stim", " 1 ,0 "]) == 0
@@ -293,6 +315,24 @@ class TestPipelineCommands:
         assert main(["eval", "--config", config, "--checkpoint", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert not report_dir.exists()
+
+    @pytest.mark.parametrize("doc, message", [
+        ({**_CKPT_DOC, "table": [["toy1", [0] * 20_000, [0.0] * 18]]},
+         "checkpoint table[0] context of length 20000 must be k=2 tokens in 0..17"),
+        ({**_CKPT_DOC, "table": [["x" * 20_000, [0, 0], [0.0] * 18]] * 2},
+         f"checkpoint table[1] repeats context [0, 0] of '{'x' * 40}'..."),
+        ({**_CKPT_DOC, "version": "x" * 20_000},
+         f"unsupported checkpoint version '{'x' * 40}'..."),
+    ], ids=["long_context", "long_dut_id", "long_version"])
+    def test_eval_message_of_long_checkpoint_value_is_bounded(self, tmp_path, capsys, doc,
+                                                              message):
+        config, report_dir = small_config(tmp_path)
+        path = tmp_path / "bad.ckpt.json"
+        path.write_text(json.dumps(doc))
+        assert main(["eval", "--config", config, "--checkpoint", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {message}\n" and len(err) < 200
         assert not report_dir.exists()
 
     def test_curate_rejects_malformed_checkpoint_teacher(self, tmp_path, capsys):
@@ -461,6 +501,24 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and "Traceback" not in err
         assert not (report_dir / "sft.ckpt.json").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"chosen": [16, int("9" * 4001), 17]},
+         "field chosen does not fit the run's wmax 4 and t_max 8: not_well_formed at position 1: "
+         "interior token an integer of 13292 bits is not a value token"),
+        ({"version": "x" * 20_000}, f"unsupported dataset version '{'x' * 40}'..."),
+    ], ids=["4001_digit_token", "long_version"])
+    def test_train_message_of_long_dataset_value_is_bounded(self, tmp_path, capsys, edit,
+                                                            message):
+        config, report_dir = small_config(tmp_path)
+        report_dir.mkdir()
+        record = {"version": "pairanet_mini/1", "dut": "toy1", "prompt": "", "chosen": [16, 1, 17],
+                  "rejected": [16, 17], "chosen_score": 1.0, "rejected_score": 0.0}
+        (report_dir / "pairs.jsonl").write_text(json.dumps({**record, **edit}) + "\n")
+        assert main(["train", "--config", config]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: dataset line 1: {message}\n" and len(err) < 200
+        assert not list(report_dir.glob("*.ckpt.json"))
 
     @pytest.mark.parametrize("command", ["train", "ablate"])
     @pytest.mark.parametrize("setting, message", [

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covstim.codec import Vocab, simulate_tokens
+from covstim.corpus import load_bundled_corpus
 from covstim.curation import (
     CurationConfig,
     DropReason,
@@ -31,6 +32,8 @@ from policy_helpers import adjust, set_logits
 VOCAB = Vocab(4)
 BOS, EOS = VOCAB.bos, VOCAB.eos
 T_MAX = 8
+# The run and the corpus a dataset of VALID_RECORD's kind is checked against.
+RUN, CORPUS = CurationConfig(), load_bundled_corpus()
 
 
 VALID_RECORD = {"version": "pairanet_mini/1", "dut": "toy1", "prompt": "module toy1",
@@ -272,29 +275,26 @@ class TestCurate:
         path = tmp_path / "pairs.jsonl"
         config = CurationConfig(pairs_per_dut=200, teacher="novelty", seed=3)
         stats = curate([toy1], config, path)
-        pairs = load_dataset(path)
+        # Every recorded score is the one its sequence scores on the design.
+        pairs = load_dataset(path, config, [toy1])
         assert len(pairs) == stats.kept
         for pair in pairs:
             assert pair.dut_id == "toy1"
             assert pair.s_p > pair.s_np
-        # Every recorded score is the one its sequence scores on the design.
-        assert load_dataset(path, config, [toy1]) == pairs
         with pytest.raises(ValueError, match="line 1: field dut names no design of the run's "
                                              "corpus, got 'toy1'"):
             load_dataset(path, config, [parse("module other (input a[1]); endmodule")])
-        with pytest.raises(TypeError, match="only under a run's CurationConfig"):
-            load_dataset(path, corpus=[toy1])
 
     @pytest.mark.parametrize("line, message", BAD_RECORDS, ids=[m for _, m in BAD_RECORDS])
     def test_load_dataset_names_line_and_field(self, tmp_path, line, message):
         path = tmp_path / "pairs.jsonl"
         path.write_text(line + "\n")
         with pytest.raises(ValueError, match=re.escape(message)):
-            load_dataset(path)
+            load_dataset(path, RUN, CORPUS)
         # The line number counts blank lines too.
         path.write_text(json.dumps(VALID_RECORD) + "\n\n" + line + "\n")
         with pytest.raises(ValueError, match="dataset line 3: "):
-            load_dataset(path)
+            load_dataset(path, RUN, CORPUS)
 
 
 @given(_LINES)
@@ -304,6 +304,6 @@ def test_load_dataset_raises_only_value_error(line):
         path = Path(tmp) / "pairs.jsonl"
         path.write_text(line + "\n", encoding="utf-8")
         try:
-            load_dataset(path)
+            load_dataset(path, RUN, CORPUS)
         except ValueError:
             pass

@@ -100,8 +100,9 @@ class TestEvalPolicy:
 def small_ablation(corpus, tmp_path_factory):
     from covstim.curation import CurationConfig, curate, load_dataset
     path = tmp_path_factory.mktemp("abl") / "pairs.jsonl"
-    curate(corpus, CurationConfig(pairs_per_dut=60, teacher="novelty", seed=42), path)
-    dataset = load_dataset(path)
+    curation = CurationConfig(pairs_per_dut=60, teacher="novelty", seed=42)
+    curate(corpus, curation, path)
+    dataset = load_dataset(path, curation, corpus)
     base = TrainConfig(mode="CDDPO", epochs=5, batch_size=16, seed=42)
     table, policies = ablate(corpus, dataset, base, EvalConfig(n=5, seed=42),
                              TabularPolicy(VOCAB, 2, T_MAX))

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from covstim import policy as policy_module
 from covstim.codec import CodecError, Vocab
-from covstim.curation import NoveltyTeacher
+from covstim.curation import CurationConfig, NoveltyTeacher
 from covstim.policy import (
     STREAM_BLOCK,
     STREAM_WINDOW,
@@ -35,6 +35,8 @@ from reference_curation import reference_sample
 VOCAB = Vocab(4)  # V = 18, 17 emittable tokens
 
 _CKPT = {"version": "tabular_policy/1", "wmax": 1, "k": 1, "t_max": 2}
+# The run whose settings _CKPT has.
+_CKPT_RUN = CurationConfig(wmax=1, k=1, t_max=2)
 # Malformed checkpoints, each with the message naming what is wrong.
 BAD_CHECKPOINTS = [
     ([1], "top level must be a JSON object"),
@@ -259,27 +261,28 @@ def shared_row_cases(draw):
 
 @st.composite
 def update_cases(draw):
-    """The steps of ``shared_row_cases``, or a one-step batch of its policy, and a weight per
-    step, some 0."""
+    """The steps of ``shared_row_cases``, or a one-step batch of its policy, their targets
+    from ``plan``, and a weight per step, some 0."""
     policy, items = draw(shared_row_cases())
     if draw(st.booleans()):
         items = [(draw(st.sampled_from("de")), [policy.vocab.bos, policy.vocab.eos])]
-    steps = policy.steps(items)
+    steps, targets = policy.steps(items), policy.plan(items)[1]
     weight = st.one_of(st.just(0.0), st.floats(-10, 10))
-    n = len(steps.targets)
-    return policy, steps, np.array(draw(st.lists(weight, min_size=n, max_size=n)))
+    n = len(targets)
+    return policy, steps, targets, np.array(draw(st.lists(weight, min_size=n, max_size=n)))
 
 
-def per_step_grad_log_prob(policy, rows, steps):
+def per_step_grad_log_prob(policy, rows, targets, steps):
     """grad_log_prob as one masked softmax per step: _masked_exp over theta[rows], then np.log.
 
-    rows are ``plan``'s row of each step.  Returns the totals and each
-    step's softmax, where grad_log_prob returns each distinct row's.
+    rows and targets are ``plan``'s row and target of each step.  Returns the
+    totals and each step's softmax, where grad_log_prob returns each
+    distinct row's.
     """
     z = policy.theta[rows]
     m, e, sums = _masked_exp(z, policy.vocab.bos)
     lse = m[:, 0] + np.log(sums[:, 0])
-    per_step = z[np.arange(len(steps.targets)), steps.targets] - lse
+    per_step = z[np.arange(len(targets)), targets] - lse
     return np.bincount(steps.owner, weights=per_step, minlength=steps.n), e / sums
 
 
@@ -621,12 +624,12 @@ class TestOnePassScoring:
     @settings(max_examples=200, deadline=None)
     def test_distinct_row_softmax_equals_per_step_formula_exactly(self, case):
         policy, items = case
-        steps, rows = policy.steps(items), policy.plan(items)[0]
+        steps, (rows, targets, _) = policy.steps(items), policy.plan(items)
         assert steps.touched[0] == -1 and len(steps.touched) < len(rows)
         assert np.array_equal(steps.touched, np.unique(rows))
         assert np.array_equal(steps.touched[steps.slot], rows)
         totals, probs = policy.grad_log_prob(steps)
-        expected_totals, step_probs = per_step_grad_log_prob(policy, rows, steps)
+        expected_totals, step_probs = per_step_grad_log_prob(policy, rows, targets, steps)
         assert totals.tolist() == expected_totals.tolist()
         assert np.array_equal(probs[steps.slot], step_probs)
 
@@ -693,7 +696,7 @@ class TestScoringCaches:
         assert np.array_equal(policy.theta, theta)
         assert_same_grad(seq_grad(policy, "dut", seq), expected, seq)
 
-        policy.apply_update(steps, probs, np.ones(len(steps.targets)), 0.5)
+        policy.apply_update(steps, probs, np.ones(len(steps.owner)), 0.5)
         theta = policy.theta.copy()
         probs[:] = -1.0
         assert np.array_equal(policy.theta, theta)
@@ -739,7 +742,7 @@ class TestDenseTable:
         policy.add_rows([("d", [VOCAB.bos, 1, VOCAB.eos])])
         probs = np.arange(3 * VOCAB.size, dtype=float).reshape(3, VOCAB.size)
         targets, slot = np.array([2, 5, 3, 4]), np.array([2, 0, 1, 2])  # rows 1, -1, 0, 1
-        steps = Steps(targets, np.arange(4), 4, touched=np.array([-1, 0, 1]), slot=slot,
+        steps = Steps(np.arange(4), 4, touched=np.array([-1, 0, 1]), slot=slot,
                       cell=slot * VOCAB.size + targets)
         policy.apply_update(steps, probs, np.array([1.5, 2.0, -0.25, 0.5]), -0.5)
         onehot = np.eye(VOCAB.size)
@@ -755,7 +758,7 @@ class TestPerRowUpdate:
     @given(update_cases())
     @settings(max_examples=300, deadline=None)
     def test_equals_sum_of_per_step_gradients(self, case):
-        policy, steps, weights = case
+        policy, steps, targets, weights = case
         _, probs = policy.grad_log_prob(steps)
         bos, size = policy.vocab.bos, policy.vocab.size
         assert (probs[:, bos] == 0.0).all()
@@ -763,7 +766,7 @@ class TestPerRowUpdate:
         # The per-step form: a (steps x V) matrix of w_i * (onehot(target_i) - probs of
         # its row), BOS zeroed, summed into each row by one bincount.
         grads = -probs[steps.slot]
-        grads[np.arange(len(steps.targets)), steps.targets] += 1.0
+        grads[np.arange(len(targets)), targets] += 1.0
         grads[:, bos] = 0.0
         grads *= weights[:, None]
         expected = np.bincount((steps.slot[:, None] * size + np.arange(size)).ravel(),
@@ -793,7 +796,7 @@ class TestGradLogProb:
     def test_no_items_make_an_empty_batch(self):
         policy = random_policy(np.random.default_rng(15))
         steps = policy.steps([])
-        assert steps.n == 0 and len(steps.targets) == len(steps.touched) == 0
+        assert steps.n == 0 and len(steps.cell) == len(steps.touched) == 0
         totals, probs = policy.grad_log_prob(steps)
         assert totals.shape == (0,) and probs.shape == (0, VOCAB.size)
 
@@ -878,7 +881,7 @@ class TestCheckpoint:
         policy = random_policy(rng)
         path = tmp_path / "policy.json"
         policy.save(path)
-        loaded = TabularPolicy.load(path)
+        loaded = TabularPolicy.load(path, CurationConfig())
         assert loaded.vocab == policy.vocab
         assert loaded.k == policy.k and loaded.t_max == policy.t_max
         assert set(loaded.table) == set(policy.table)
@@ -919,36 +922,62 @@ class TestCheckpoint:
         path = tmp_path / "bad.json"
         path.write_text('{"version": "other/9"}')
         with pytest.raises(ValueError):
-            TabularPolicy.load(path)
+            TabularPolicy.load(path, CurationConfig())
 
     @pytest.mark.parametrize("doc, message", BAD_CHECKPOINTS)
     def test_malformed_checkpoint_names_field(self, tmp_path, doc, message):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=message):
-            TabularPolicy.load(path)
+            TabularPolicy.load(path, _CKPT_RUN)
 
     def test_non_finite_logit_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"version": "tabular_policy/1", "wmax": 1, "k": 1, "t_max": 2,'
                         ' "table": [["d", [0], [0.0, NaN, 1.0, 2.0]]]}')
         with pytest.raises(ValueError, match=r"table\[0\] row holds a logit that is not"):
-            TabularPolicy.load(path)
+            TabularPolicy.load(path, _CKPT_RUN)
 
     @pytest.mark.parametrize("name", ["wmax", "k", "t_max"])
     def test_non_integer_setting_message_is_bounded(self, tmp_path, name):
         path = tmp_path / "big.json"
         path.write_text(json.dumps({**_CKPT, name: "x" * 1_000_000}))
         with pytest.raises(ValueError) as info:
-            TabularPolicy.load(path)
+            TabularPolicy.load(path, _CKPT_RUN)
         assert str(info.value) == f"checkpoint field {name} must be an integer, got str"
 
     def test_deep_nesting_names_file(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000 + "]" * 100_000)
         with pytest.raises(ValueError, match="maximum recursion depth exceeded") as exc:
-            TabularPolicy.load(path)
+            TabularPolicy.load(path, CurationConfig())
         assert str(path) in str(exc.value)
+
+    def test_settings_other_than_the_run_refused(self, tmp_path):
+        path = tmp_path / "policy.json"
+        uniform_policy(k=3, t_max=6).save(path)
+        assert TabularPolicy.load(path, CurationConfig(k=3, t_max=6)).k == 3
+        with pytest.raises(ValueError) as info:
+            TabularPolicy.load(path, CurationConfig(wmax=3, k=3))
+        assert str(info.value) == ("checkpoint policy has wmax 4 (run config 3), "
+                                   "t_max 6 (run config 8)")
+        # A malformed field is named first, whatever the run's settings.
+        path.write_text(json.dumps({**_CKPT, "table": [["d", [0], [0.0, 1.0]]]}))
+        with pytest.raises(ValueError, match="row has 2 logits, expected 4"):
+            TabularPolicy.load(path, CurationConfig())
+
+    @pytest.mark.parametrize("entry, message", [
+        (["d", [0] * 20_000, [0.0] * 4], "table[0] context of length 20000 must be k=1 tokens"),
+        (["d", ["x" * 20_000], [0.0] * 4], "table[0] context of length 1 must be k=1 tokens"),
+        (["d", [0] * 14, [0.0] * 4], "table[0] context of length 14 must be k=1 tokens"),
+        (["d", [0] * 13, [0.0] * 4], f"table[0] context {[0] * 13} must be k=1 tokens"),
+    ], ids=["20000_tokens", "long_token", "14_tokens", "13_tokens"])
+    def test_long_context_named_by_its_length(self, tmp_path, entry, message):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**_CKPT, "table": [entry]}))
+        with pytest.raises(ValueError) as info:
+            TabularPolicy.load(path, _CKPT_RUN)
+        assert str(info.value) == f"checkpoint {message} in 0..3"
 
 
 class TestRanges:

@@ -364,9 +364,10 @@ class TestTrain:
             "from covstim.curation import CurationConfig, curate, load_dataset\n"
             "from covstim.policy import TabularPolicy\n"
             "from covstim.training import TrainConfig, train\n"
-            "curate(load_bundled_corpus(), CurationConfig(pairs_per_dut=40, seed=3), sys.argv[1])\n"
-            "result = train(load_dataset(sys.argv[1]), TrainConfig(epochs=2, seed=3),\n"
-            "               TabularPolicy(Vocab(4), 2, 8))\n"
+            "corpus, run = load_bundled_corpus(), CurationConfig(pairs_per_dut=40, seed=3)\n"
+            "curate(corpus, run, sys.argv[1])\n"
+            "result = train(load_dataset(sys.argv[1], run, corpus),\n"
+            "               TrainConfig(epochs=2, seed=3), TabularPolicy(Vocab(4), 2, 8))\n"
             "print(json.dumps(result.history.to_dict()))\n"
         )
         src = str(Path(covstim.__file__).resolve().parents[1])
@@ -554,13 +555,13 @@ class TestEpochCompile:
             seqs = [(p.dut_id, p.chosen) for p in items]
             if layout != "SFT":
                 seqs += [(p.dut_id, p.rejected) for p in items]
-            expected, rows = theta.steps(seqs), theta.plan(seqs)[0]
+            expected, (rows, targets, _) = theta.steps(seqs), theta.plan(seqs)
             assert steps.n == expected.n == len(seqs)
-            for name in ("targets", "owner", "touched", "slot", "cell"):
+            for name in ("owner", "touched", "slot", "cell"):
                 assert np.array_equal(getattr(steps, name), getattr(expected, name)), name
             assert np.array_equal(steps.touched, np.unique(rows))
             assert np.array_equal(steps.touched[steps.slot], rows)
-            assert np.array_equal(steps.cell, steps.slot * theta.vocab.size + steps.targets)
+            assert np.array_equal(steps.cell, steps.slot * theta.vocab.size + targets)
             if layout == "SFT":
                 assert ref_log_probs is None and batch_beta is None
                 continue
