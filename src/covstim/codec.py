@@ -141,11 +141,12 @@ def encode(dut: DutModel, stim: Stimulus, vocab: Vocab, t_max: int) -> list[int]
         for port in dut.input_ports:
             v = cycle[port.name]
             if not 0 <= v < (1 << port.width):
-                raise ValueError(f"cycle {i}: value {v} out of range for port {port.name!r}")
+                raise ValueError(f"cycle {i}: value {shown(v, JSON_SCALARS)} out of range "
+                                 f"for port {shown(port.name)}")
             value |= v << shift
             shift += port.width
         if value >= vocab.n_values:
-            raise ValueError(f"cycle {i}: packed value {value} exceeds vocabulary")
+            raise ValueError(f"cycle {i}: packed value {shown(value, int)} exceeds vocabulary")
         tokens.append(value)
     tokens.append(vocab.eos)
     return tokens

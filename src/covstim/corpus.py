@@ -5,6 +5,7 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
+from .checks import shown
 from .hdl import DutModel, ParseError, lint, parse
 
 # All fixtures lint clean.  Every fixture except 'deadend' can reach average
@@ -43,7 +44,7 @@ def load_corpus_dir(path) -> list[DutModel]:
         if issues:
             raise ValueError(f"{f}: lint issues: {', '.join(i.kind for i in issues)}")
         if dut.name in seen:
-            raise ValueError(f"{seen[dut.name]} and {f} both declare module {dut.name!r}")
+            raise ValueError(f"{seen[dut.name]} and {f} both declare module {shown(dut.name)}")
         seen[dut.name] = f
         corpus.append(dut)
     return corpus

@@ -12,7 +12,6 @@ invalid, or where scores tie, are dropped.
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Union
 
@@ -259,36 +258,30 @@ def _check_fits(pair: PreferencePair, vocab: Vocab, t_max: int) -> None:
                              f"t_max {t_max}: {err}") from None
 
 
-def _check_scores(lines, designs: dict, vocab: Vocab, t_max: int) -> None:
-    """Raise ValueError naming the first of lines, (line number, pair) in order, whose
-    chosen_score or rejected_score is not what curation writes for its sequence: the
-    ``simulate_block`` report's average, 0.0 for no report.  One call per design."""
-    seqs = defaultdict(list)  # design name -> its lines' sequences, chosen then rejected
-    for _, pair in lines:
-        seqs[pair.dut_id] += (pair.chosen, pair.rejected)
-    reports = {name: iter(simulate_block(designs[name], held, vocab, t_max))
-               for name, held in seqs.items()}
-    for line_no, pair in lines:
-        for field_name, recorded in (("chosen_score", pair.s_p), ("rejected_score", pair.s_np)):
-            score = _score(next(reports[pair.dut_id]))
-            if recorded != score:
-                raise ValueError(f"dataset line {line_no}: field {field_name} is {recorded!r}, "
-                                 f"but its sequence scores {score!r}")
+def _check_scores(pair: PreferencePair, design: DutModel, vocab: Vocab, t_max: int) -> None:
+    """Raise ValueError naming the first of the pair's chosen_score and rejected_score
+    that is not what curation writes for its sequence on design: the report's average,
+    0.0 for no report, of one ``simulate_block`` call on both sequences."""
+    reports = simulate_block(design, (pair.chosen, pair.rejected), vocab, t_max)
+    for name, recorded, report in zip(("chosen_score", "rejected_score"), (pair.s_p, pair.s_np),
+                                      reports):
+        if recorded != (score := _score(report)):
+            raise ValueError(f"field {name} is {recorded!r}, but its sequence scores {score!r}")
 
 
 def load_dataset(path, run: CurationConfig, corpus) -> list[PreferencePair]:
     """Read a curated JSONL file into trainer-ready preference pairs, checked against
     the run's ``CurationConfig`` and corpus.
 
-    Raises ValueError naming the line and the first malformed field; a score
-    must lie in [0, 1].  Each pair's sequences must be well formed under the
-    run's wmax and t_max, so a dataset curated under other settings is
-    refused before training; each line's dut must name one of the corpus's
-    designs, and each score must be the one its sequence scores there.
+    Each line is checked as it is read, and a ValueError names the first
+    faulty line and what is wrong: a field (a score must lie in [0, 1]), a
+    sequence not well formed under the run's wmax and t_max (a dataset
+    curated under other settings), a dut naming none of the corpus's
+    designs, or a score other than the one its sequence scores there.
     """
     vocab = Vocab(run.wmax)
     designs = {dut.name: dut for dut in corpus}
-    lines = []
+    pairs = []
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, 1):
             if not line.strip():
@@ -299,8 +292,8 @@ def load_dataset(path, run: CurationConfig, corpus) -> list[PreferencePair]:
                 if pair.dut_id not in designs:
                     raise ValueError(f"field dut names no design of the run's corpus, "
                                      f"got {shown(pair.dut_id)}")
+                _check_scores(pair, designs[pair.dut_id], vocab, run.t_max)
             except ValueError as err:
                 raise ValueError(f"dataset line {line_no}: {err}") from None
-            lines.append((line_no, pair))
-    _check_scores(lines, designs, vocab, run.t_max)
-    return [pair for _, pair in lines]
+            pairs.append(pair)
+    return pairs

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Union
 
+from .checks import shown
+
 MAX_WIDTH = 16
 # Most operators (unary or binary) on one path of an expression tree, and
 # most conditionals nested in one another, that parse accepts.  Every walker
@@ -104,7 +106,7 @@ def _lex(text: str) -> list[Token]:
         else:
             # Reject '12ab' outright rather than splitting tokens.
             if end < n and (text[end].isalpha() or text[end] == "_"):
-                raise ParseError(line, col, "lex", f"malformed number {text[pos:end + 1]!r}")
+                raise ParseError(line, col, "lex", f"malformed number {shown(text[pos:end + 1])}")
             try:
                 value = int(m.group())
             except ValueError:  # more digits than int() converts
@@ -268,7 +270,7 @@ class _Parser:
         return t
 
     def _expected(self, what: str):
-        self._fail(f"expected {what}, found {self.cur.text or 'end of input'!r}")
+        self._fail(f"expected {what}, found {shown(self.cur.text or 'end of input')}")
 
     def at(self, text: str) -> bool:
         """Whether the current token is keyword or symbol ``text``; no other kind spells one."""
@@ -398,7 +400,7 @@ class _Parser:
                 self.advance()
                 else_body = self.parse_block(nest + 1)
             return Conditional(cond, then_body, else_body, kw.line, kw.column, index)
-        self._fail(f"expected statement, found {self.cur.text or 'end of input'!r}")
+        self._fail(f"expected statement, found {shown(self.cur.text or 'end of input')}")
 
     def parse_block(self, nest: int) -> tuple[Stmt, ...]:
         self.expect("{")
@@ -477,24 +479,31 @@ class LintIssue:
 
 
 def lint(dut: DutModel) -> list[LintIssue]:
-    """Static checks on a parsed design; an empty result means simulatable."""
+    """Static checks on a parsed design; an empty result means simulatable.
+
+    Each name and number that a message echoes is bounded by ``checks.shown``.
+    """
     issues: list[LintIssue] = []
+
+    def issue(kind: str, at, message: str) -> None:
+        """Record an issue located where ``at``, a declaration or statement, starts."""
+        issues.append(LintIssue(kind, at.line, at.column, message))
 
     declared: dict[str, object] = {}
     decls = list(dut.ports) + list(dut.regs) + list(dut.wires)
     decls.sort(key=lambda d: (d.line, d.column))
     for d in decls:
         if d.name in declared:
-            issues.append(LintIssue("duplicate_identifier", d.line, d.column,
-                                    f"identifier {d.name!r} already declared"))
+            issue("duplicate_identifier", d, f"identifier {shown(d.name)} already declared")
         else:
             declared[d.name] = d
         if not 1 <= d.width <= MAX_WIDTH:
-            issues.append(LintIssue("width_out_of_range", d.line, d.column,
-                                    f"width {d.width} of {d.name!r} outside 1..{MAX_WIDTH}"))
-        if isinstance(d, Reg) and d.width >= 1 and not 0 <= d.init < (1 << d.width):
-            issues.append(LintIssue("width_out_of_range", d.line, d.column,
-                                    f"init {d.init} of {d.name!r} does not fit in {d.width} bits"))
+            issue("width_out_of_range", d,
+                  f"width {shown(d.width, int)} of {shown(d.name)} outside 1..{MAX_WIDTH}")
+        # A bit length, not ``1 << width``: a width may have any number of digits.
+        if isinstance(d, Reg) and d.width >= 1 and d.init.bit_length() > d.width:
+            issue("width_out_of_range", d, f"init {shown(d.init, int)} of {shown(d.name)} "
+                  f"does not fit in {shown(d.width, int)} bits")
 
     if not dut.input_ports:
         issues.append(LintIssue("no_inputs", 1, 1, "module declares no input ports"))
@@ -508,8 +517,8 @@ def lint(dut: DutModel) -> list[LintIssue]:
     def check_expr(expr: Expr) -> None:
         if isinstance(expr, Ident):
             if expr.name not in declared:
-                issues.append(LintIssue("undeclared_identifier", expr.line, expr.column,
-                                        f"identifier {expr.name!r} is not declared"))
+                issue("undeclared_identifier", expr,
+                      f"identifier {shown(expr.name)} is not declared")
         elif isinstance(expr, UnOp):
             check_expr(expr.operand)
         elif isinstance(expr, BinOp):
@@ -519,19 +528,17 @@ def lint(dut: DutModel) -> list[LintIssue]:
     def check_stmt(stmt: Stmt) -> None:
         if isinstance(stmt, Assign):
             if stmt.target not in declared:
-                issues.append(LintIssue("undeclared_identifier", stmt.line, stmt.column,
-                                        f"target {stmt.target!r} is not declared"))
+                issue("undeclared_identifier", stmt,
+                      f"target {shown(stmt.target)} is not declared")
             elif stmt.kind == "assign" and stmt.target in input_names:
-                issues.append(LintIssue("assign_to_input", stmt.line, stmt.column,
-                                        f"input port {stmt.target!r} cannot be assigned"))
+                issue("assign_to_input", stmt,
+                      f"input port {shown(stmt.target)} cannot be assigned")
             elif stmt.kind == "assign" and stmt.target in reg_names:
                 # It would change the reg's value for the rest of the cycle
                 # only; the latched value comes back in the next one.
-                issues.append(LintIssue("assign_to_reg", stmt.line, stmt.column,
-                                        f"reg {stmt.target!r} takes 'next', not 'assign'"))
+                issue("assign_to_reg", stmt, f"reg {shown(stmt.target)} takes 'next', not 'assign'")
             elif stmt.kind == "next" and stmt.target not in reg_names:
-                issues.append(LintIssue("next_to_non_reg", stmt.line, stmt.column,
-                                        f"'next' target {stmt.target!r} is not a reg"))
+                issue("next_to_non_reg", stmt, f"'next' target {shown(stmt.target)} is not a reg")
             if stmt.kind == "assign":
                 assigned_wires.add(stmt.target)
             check_expr(stmt.expr)
@@ -550,33 +557,29 @@ def lint(dut: DutModel) -> list[LintIssue]:
     covered: set[str] = set()
     for cg in dut.covergroups:
         if not cg.bins:
-            issues.append(LintIssue("empty_covergroup", cg.line, cg.column,
-                                    f"covergroup on {cg.signal!r} declares no bins"))
+            issue("empty_covergroup", cg, f"covergroup on {shown(cg.signal)} declares no bins")
         if cg.signal in covered:
-            issues.append(LintIssue("duplicate_covergroup", cg.line, cg.column,
-                                    f"signal {cg.signal!r} already has a covergroup"))
+            issue("duplicate_covergroup", cg, f"signal {shown(cg.signal)} already has a covergroup")
         covered.add(cg.signal)
         bin_names: set[str] = set()
         for b in cg.bins:
             if b.name in bin_names:
-                issues.append(LintIssue("duplicate_bin", cg.line, cg.column,
-                                        f"bin {b.name!r} repeated in covergroup on {cg.signal!r}"))
+                issue("duplicate_bin", cg,
+                      f"bin {shown(b.name)} repeated in covergroup on {shown(cg.signal)}")
             bin_names.add(b.name)
         if cg.signal not in declared:
-            issues.append(LintIssue("undeclared_identifier", cg.line, cg.column,
-                                    f"covered signal {cg.signal!r} is not declared"))
+            issue("undeclared_identifier", cg, f"covered signal {shown(cg.signal)} is not declared")
             continue
         width = dut.widths[cg.signal]
         for b in cg.bins:
-            if b.lo > b.hi or b.hi >= (1 << width):
-                issues.append(LintIssue("bin_out_of_range", cg.line, cg.column,
-                                        f"bin {b.name!r} range {b.lo}..{b.hi} invalid "
-                                        f"for {width}-bit signal {cg.signal!r}"))
+            if b.lo > b.hi or b.hi.bit_length() > width:
+                issue("bin_out_of_range", cg, f"bin {shown(b.name)} range {shown(b.lo, int)}.."
+                      f"{shown(b.hi, int)} invalid for {shown(width, int)}-bit signal "
+                      f"{shown(cg.signal)}")
 
     for w in list(dut.wires) + list(dut.output_ports):
         if w.name not in assigned_wires:
-            issues.append(LintIssue("wire_never_assigned", w.line, w.column,
-                                    f"wire {w.name!r} is never assigned"))
+            issue("wire_never_assigned", w, f"wire {shown(w.name)} is never assigned")
 
     issues.sort(key=lambda i: (i.line, i.column))
     return issues

@@ -128,7 +128,7 @@ class _Compiler:
                               ("w", (*dut.wires, *dut.output_ports))):
             for j, d in enumerate(decls):
                 if d.name in self.local:
-                    raise ValueError(f"identifier {d.name!r} declared twice")
+                    raise ValueError(f"identifier {shown(d.name)} declared twice")
                 self.local[d.name] = f"{prefix}{j}"
         self.lines: list[str] = []
         self.arms: dict[int, int] = {}
@@ -136,7 +136,7 @@ class _Compiler:
     def name(self, name: str) -> str:
         local = self.local.get(name)
         if local is None:
-            raise ValueError(f"identifier {name!r} is not declared")
+            raise ValueError(f"identifier {shown(name)} is not declared")
         return local
 
     def expr(self, e: Expr, d: int) -> tuple[str, int]:
@@ -208,7 +208,7 @@ class _Compiler:
                 target = self.name(st.target)
                 if st.kind == "next":
                     if target[0] != "r":
-                        raise ValueError(f"'next' target {st.target!r} is not a reg")
+                        raise ValueError(f"'next' target {shown(st.target)} is not a reg")
                     target = "n" + target[1:]
                 width = self.widths[st.target]
                 source, bound = self.expr(st.expr, width)
@@ -240,7 +240,7 @@ def cycle_source(dut: DutModel) -> str:
         signal = comp.name(cg.signal)
         width = dut.widths[cg.signal]
         if width > MAX_WIDTH:
-            raise ValueError(f"covered signal {cg.signal!r} is {width} bits wide, "
+            raise ValueError(f"covered signal {shown(cg.signal)} is {shown(width, int)} bits wide, "
                              f"more than {MAX_WIDTH}")
         covered.append((signal, width))
     emit = comp.lines.append

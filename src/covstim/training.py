@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .checks import check_int, check_positive, check_str
+from .checks import check_int, check_positive, check_str, shown
 from .policy import ReferencePolicy, TabularPolicy
 
 MODES = ("SFT", "DPO", "CDDPO")
@@ -148,7 +148,7 @@ def normalize_gap(gap: float, f_variant: str, bounds=None) -> float:
         if hi == lo:
             return 1.0
         return (gap - lo) / (hi - lo)
-    raise ValueError(f"unknown f_variant {f_variant!r}")
+    raise ValueError(f"unknown f_variant {shown(f_variant)}")
 
 
 def cddpo_loss(theta, ref, pair: PreferencePair, beta: float,

@@ -73,6 +73,33 @@ class TestLintCommand:
         assert main(["lint", str(tmp_path / "nope.hdl")]) == 2
         assert capsys.readouterr().err != ""
 
+    @pytest.mark.parametrize("command", [["lint"], ["simulate", "--stim", "1"]],
+                             ids=["lint", "simulate"])
+    @pytest.mark.parametrize("source, kind", [
+        (f"module m (input a[1], output y[1]); assign y = {'x' * 20_000}; endmodule",
+         "undeclared_identifier"),
+        (f"module m (input {'x' * 20_000}[1], input {'x' * 20_000}[1], output y[1]);"
+         " assign y = 0; endmodule", "duplicate_identifier"),
+        (f"module m (input a[1], output y[1]); assign y = a {'x' * 20_000} endmodule",
+         "expected ';'"),
+        (f"module m (input a[1], output y[1]); assign y = {'1' * 20_000}a; endmodule",
+         "malformed number"),
+        (f"module m (input a[0x{'f' * 5_000}], output y[1]); assign y = a; endmodule",
+         "width_out_of_range"),
+        (f"module m (input a[1], output y[1]); reg r[0x{'f' * 40}] = 0; assign y = a;"
+         " endmodule", "width_out_of_range"),
+        (f"module m (input a[1], output y[1]); wire w[0x{'f' * 40}]; assign w = a;"
+         " assign y = a; cover w { lo: 0..1 } endmodule", "width_out_of_range"),
+    ], ids=["long_undeclared", "long_duplicate_port", "long_unexpected", "long_number",
+            "5000_hex_digit_width", "40_hex_digit_reg", "40_hex_digit_covered_wire"])
+    def test_hostile_design_named_briefly(self, tmp_path, capsys, command, source, kind):
+        path = tmp_path / "hostile.hdl"
+        path.write_text(source)
+        assert main([command[0], str(path), *command[1:]]) == 1
+        out, err = capsys.readouterr()
+        assert kind in out + err and "Traceback" not in out + err
+        assert all(len(line) < 200 for line in (out + err).splitlines()), out + err
+
 
 class TestSimulateCommand:
     def test_token_stimulus(self, toy1_file, capsys):

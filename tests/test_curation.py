@@ -38,7 +38,7 @@ RUN, CORPUS = CurationConfig(), load_bundled_corpus()
 
 VALID_RECORD = {"version": "pairanet_mini/1", "dut": "toy1", "prompt": "module toy1",
                 "chosen": [BOS, 1, 0, EOS], "rejected": [BOS, 0, EOS],
-                "chosen_score": 1.0, "rejected_score": 0.5}
+                "chosen_score": 1.0, "rejected_score": 5 / 9}
 # Malformed dataset lines, each with the message naming what is wrong.
 BAD_RECORDS = [
     ("[1]", "line 1: record must be a JSON object"),
@@ -295,6 +295,17 @@ class TestCurate:
         path.write_text(json.dumps(VALID_RECORD) + "\n\n" + line + "\n")
         with pytest.raises(ValueError, match="dataset line 3: "):
             load_dataset(path, RUN, CORPUS)
+
+    def test_load_dataset_names_first_faulty_line(self, toy1, tmp_path):
+        # A wrong score on line 1 is named before a malformed line 3.
+        path = tmp_path / "pairs.jsonl"
+        config = CurationConfig(pairs_per_dut=200, teacher="novelty", seed=3)
+        curate([toy1], config, path)
+        record = json.loads(path.read_text().splitlines()[0])
+        record["rejected_score"] += 1e-12
+        path.write_text(json.dumps(record) + "\n\nnonsense\n")
+        with pytest.raises(ValueError, match=r"^dataset line 1: field rejected_score is "):
+            load_dataset(path, config, [toy1])
 
 
 @given(_LINES)

@@ -135,6 +135,31 @@ def test_parse_raises_only_parse_error(text):
         pass
 
 
+# Names: a few that repeat, so that declarations clash and uses resolve, and long ones.
+_NAMES = st.one_of(st.sampled_from("ayrw"), st.integers(1, 5_000).map("z".__mul__))
+# Widths, inits and bin bounds: small, or above 2**64, which no shift could take.
+_NUMBERS = st.one_of(st.integers(0, 2**16).map(str), st.integers(2**64 + 1, 16**5_000).map(hex))
+_LINT_TEMPLATE = (
+    "module {n[0]} (input {n[1]}[{k[0]}], output {n[2]}[{k[1]}]);\n"
+    "  reg {n[3]}[{k[2]}] = {k[3]};\n"
+    "  wire {n[4]}[{k[4]}];\n"
+    "  assign {n[4]} = {n[1]} + {n[5]};\n"
+    "  next {n[6]} = {n[4]};\n"
+    "  assign {n[2]} = {n[3]};\n"
+    "  cover {n[7]} {{ {n[8]}: {k[5]}..{k[6]}, {n[8]}: 0..1 }}\n"
+    "endmodule\n")
+
+
+@given(st.lists(_NAMES, min_size=9, max_size=9), st.lists(_NUMBERS, min_size=7, max_size=7))
+@settings(max_examples=100, deadline=None)
+def test_lint_messages_stay_short(names, numbers):
+    try:
+        issues = lint(parse(_LINT_TEMPLATE.format(n=names, k=numbers)))
+    except ParseError:
+        return
+    assert all(len(issue.message) < 200 for issue in issues), [i.kind for i in issues]
+
+
 def char_loop_lex(text):
     """Reference lexer: one character test at a time, each symbol tried in turn."""
     tokens = []
