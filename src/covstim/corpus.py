@@ -6,7 +6,7 @@ from importlib import resources
 from pathlib import Path
 
 from .checks import shown
-from .hdl import DutModel, ParseError, lint, parse
+from .hdl import DutModel, ParseError, lint, lint_kinds, parse
 
 # All fixtures lint clean.  Every fixture except 'deadend' can reach average
 # coverage 1.0 with some stimulus of length <= 8; 'deadend' has no
@@ -42,7 +42,7 @@ def load_corpus_dir(path) -> list[DutModel]:
             raise ValueError(f"{f}: {err}") from None
         issues = lint(dut)
         if issues:
-            raise ValueError(f"{f}: lint issues: {', '.join(i.kind for i in issues)}")
+            raise ValueError(f"{f}: lint issues: {lint_kinds(issues)}")
         if dut.name in seen:
             raise ValueError(f"{seen[dut.name]} and {f} both declare module {shown(dut.name)}")
         seen[dut.name] = f

@@ -20,7 +20,7 @@ import numpy as np
 from .checks import (JSON_SCALARS, check_int, check_positive, check_str, is_finite_number, is_int,
                      parse_json, shown)
 from .codec import CodecError, Vocab, check_well_formed, simulate_block
-from .hdl import DutModel, lint, pretty_print
+from .hdl import DutModel, lint, lint_kinds, pretty_print
 from .policy import TabularPolicy, sample_indexed, sample_tokens
 from .sim import CoverageReport
 from .training import PreferencePair
@@ -175,9 +175,9 @@ def curate(corpus, config: CurationConfig, out_path) -> CurationStats:
     """
     offenders = [(dut.name, issues) for dut in corpus if (issues := lint(dut))]
     if offenders:
-        detail = "; ".join(f"{name}: {', '.join(i.kind for i in issues)}"
-                           for name, issues in offenders)
-        raise ValueError(f"corpus has lint issues: {detail}")
+        name, issues = offenders[0]
+        more = f" (and {len(offenders) - 1} more designs)" if len(offenders) > 1 else ""
+        raise ValueError(f"corpus has lint issues: {shown(name)}: {lint_kinds(issues)}{more}")
 
     teacher = make_teacher(config)
     vocab = Vocab(config.wmax)

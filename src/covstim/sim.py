@@ -10,11 +10,13 @@ the end of item evaluation, before registers latch.  All arithmetic is
 
 Each design is compiled once, by :func:`cycle_source`, into the source of
 one Python function that runs a whole stimulus; :func:`compiled` keeps it
-on the model.  The function computes each subexpression only to the bits
-that its consumer reads, and it counts coverage once, after the last
-cycle: a statement by the arm that holds it, a bin by the values its
-signal took.  Nothing recurses or dispatches on node types at simulation
-time.
+on the model.  The function reads each cycle's inputs straight from the
+stimulus's dicts and checks them as it goes, giving up on the first bad
+cycle; only then does :func:`simulate` look for the cycle and port to
+name.  It computes each subexpression only to the bits that its consumer
+reads, and it counts coverage once, after the last cycle: a statement by
+the arm that holds it, a bin by the values its signal took.  Nothing
+recurses or dispatches on node types at simulation time.
 """
 
 from __future__ import annotations
@@ -27,6 +29,11 @@ from .checks import JSON_SCALARS, shown
 from .hdl import MAX_WIDTH, Assign, BinOp, Const, DutModel, Expr, Ident, UnOp
 
 _MASK64 = (1 << 64) - 1
+# The widest declaration the compiler takes.  Lint allows only MAX_WIDTH
+# bits, but simulate does not lint; the compiler shifts by each width and
+# writes masks and reg inits in decimal, so this keeps every shift cheap and
+# every constant to a few hundred digits.
+_WIDEST = 1024
 _COMPARE = ("==", "!=", "<", ">")
 _FILENAME = "<covstim cycle function>"
 # The coverage metrics, named as CoverageReport's fields.
@@ -106,10 +113,11 @@ def _sum(terms: list[str]) -> str:
 
 
 class _Compiler:
-    """Emits the source of ``run(inputs)`` for one design.
+    """Emits the source of ``run(cycles)`` for one design.
 
     Inputs, registers, and wires and outputs live in locals ``i<j>``,
-    ``r<j>`` and ``w<j>``, numbered in declaration order.  ``next`` writes
+    ``r<j>`` and ``w<j>``, numbered in declaration order; ``c`` is the
+    current cycle's dict, and the global ``k<j>`` input j's name.  ``next`` writes
     ``n<j>``, register j's value for the next cycle, whose ``r<j>`` starts
     from it.  ``b<k>`` becomes 1 once branch outcome k runs, and
     ``c<g>[v]`` once covergroup g's signal ends a cycle at value v.
@@ -129,6 +137,9 @@ class _Compiler:
             for j, d in enumerate(decls):
                 if d.name in self.local:
                     raise ValueError(f"identifier {shown(d.name)} declared twice")
+                if d.width > _WIDEST:
+                    raise ValueError(f"width {shown(d.width, int)} of {shown(d.name)} "
+                                     f"is more than {_WIDEST}")
                 self.local[d.name] = f"{prefix}{j}"
         self.lines: list[str] = []
         self.arms: dict[int, int] = {}
@@ -225,14 +236,20 @@ class _Compiler:
 
 
 def cycle_source(dut: DutModel) -> str:
-    """Source of ``run(inputs)``, which simulates a whole stimulus.
+    """Source of ``run(cycles)``, which simulates a whole stimulus.
 
-    ``inputs`` holds one tuple of input values per cycle, in port order;
-    ``run`` returns how many statements, branch outcomes and cover bins the
-    stimulus covered.  The source holds only integer constants and the
-    locals above, never a name from the design.  Raises ValueError on a
-    name it cannot map, or on a covered signal wider than ``MAX_WIDTH``,
-    which lint reports first.
+    ``cycles`` holds one dict of input values per cycle, as
+    ``Stimulus.cycles`` does; ``run`` reads input j of cycle ``c`` as
+    ``c[k<j>]``.  In one line per cycle it checks that ``c`` is a dict
+    with one key per input port and that each value is an int (of type
+    int exactly) in its port's range, and it returns None at the first
+    cycle that fails.  Otherwise it returns how many statements, branch
+    outcomes and cover bins the stimulus covered.  The source holds only
+    integer constants, builtins and the locals above, never a name from
+    the design; :func:`compile_model` binds ``k<j>`` to port j's name.
+    Raises ValueError on a name it cannot map, on a declaration wider
+    than ``_WIDEST`` (1024) bits, or on a covered signal wider than
+    ``MAX_WIDTH``, which lint reports first.
     """
     comp = _Compiler(dut)
     covered = []
@@ -244,14 +261,18 @@ def cycle_source(dut: DutModel) -> str:
                              f"more than {MAX_WIDTH}")
         covered.append((signal, width))
     emit = comp.lines.append
-    emit("def run(inputs):")
+    emit("def run(cycles):")
     for j, r in enumerate(dut.regs):
         emit(f" n{j} = {r.init & ((1 << r.width) - 1)}")
     if dut.total_branch_outcomes:
         emit(f" {' = '.join(f'b{k}' for k in range(dut.total_branch_outcomes))} = 0")
     for g, (_, width) in enumerate(covered):
         emit(f" c{g} = bytearray({1 << width})")
-    emit(f" for ({''.join(f'i{j}, ' for j in range(len(dut.input_ports)))}) in inputs:")
+    emit(" for c in cycles:")
+    checks = [f"type(c) is not dict or len(c) != {len(dut.input_ports)}"] + [
+        f"type(i{j} := c[k{j}]) is not int or not 0 <= i{j} < {1 << p.width}"
+        for j, p in enumerate(dut.input_ports)]
+    emit(f"  if {' or '.join(checks)}: return None")
     for j in range(len(dut.regs)):
         emit(f"  r{j} = n{j}")
     n_wires = len(dut.wires) + len(dut.output_ports)
@@ -261,7 +282,7 @@ def cycle_source(dut: DutModel) -> str:
     for g, (signal, _) in enumerate(covered):
         emit(f"  c{g}[{signal}] = 1")
     top = sum(isinstance(st, Assign) for st in dut.body)
-    statements = ([f"({top} if inputs else 0)"] if top else []) + [
+    statements = ([f"({top} if cycles else 0)"] if top else []) + [
         f"{n} * b{k}" if n > 1 else f"b{k}" for k, n in sorted(comp.arms.items()) if n]
     branches = [f"b{k}" for k in range(dut.total_branch_outcomes)]
     # A bin's term is a bool, so the sum starts from an int.
@@ -272,8 +293,15 @@ def cycle_source(dut: DutModel) -> str:
 
 
 def compile_model(dut: DutModel):
-    """Compile :func:`cycle_source`'s function; :func:`compiled` caches it."""
-    namespace = {"__builtins__": {}, "min": min, "bytearray": bytearray}
+    """Compile :func:`cycle_source`'s function; :func:`compiled` caches it.
+
+    Its namespace holds the builtins the source calls and ``k<j>``, the
+    name of input port j, so the source itself names nothing from the
+    design.
+    """
+    namespace = {"__builtins__": {}, "min": min, "bytearray": bytearray, "type": type,
+                 "int": int, "dict": dict, "len": len,
+                 **{f"k{j}": p.name for j, p in enumerate(dut.input_ports)}}
     exec(compile(cycle_source(dut), _FILENAME, "exec"), namespace)
     return namespace["run"]
 
@@ -283,8 +311,8 @@ def compiled(dut: DutModel):
     return dut.__dict__.get("_run") or dut.__dict__.setdefault("_run", compile_model(dut))
 
 
-def _input_rows(dut: DutModel, stim: Stimulus) -> list[tuple]:
-    """Every cycle's input values in port order; raise on the first bad one.
+def _input_rows(dut: DutModel, stim: Stimulus) -> list[dict]:
+    """Every cycle's inputs as a dict of plain ints; raise on the first bad one.
 
     A cycle must give every input port an int (not a bool) in its range,
     and name no other port.
@@ -292,7 +320,7 @@ def _input_rows(dut: DutModel, stim: Stimulus) -> list[tuple]:
     ports = dut.input_ports
     rows = []
     for cycle_no, cycle in enumerate(stim.cycles):
-        row = []
+        row = {}
         for port in ports:
             if port.name not in cycle:
                 raise SimulationError(cycle_no, port.name, "missing input value")
@@ -300,24 +328,35 @@ def _input_rows(dut: DutModel, stim: Stimulus) -> list[tuple]:
             if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < (1 << port.width):
                 raise SimulationError(cycle_no, port.name, f"value {shown(v, JSON_SCALARS)} "
                                       f"out of range for {port.width}-bit port")
-            row.append(v)
+            row[port.name] = int(v)
         if len(cycle) > len(ports):
             names = {port.name for port in ports}
             extra = next(name for name in cycle if name not in names)
             raise SimulationError(cycle_no, extra, "no such input port")
-        rows.append(tuple(row))
+        rows.append(row)
     return rows
 
 
 def simulate(dut: DutModel, stim: Stimulus) -> CoverageReport:
     """Run the stimulus on a lint-clean model and return cumulative coverage.
 
-    Every cycle's inputs are checked before any cycle runs.
+    The compiled function checks each cycle's inputs as it runs them, and
+    there is no report unless every cycle passes.  When it refuses a
+    stimulus, :func:`_input_rows` names the first bad cycle and port in a
+    SimulationError; a stimulus it accepts there (an int subclass other
+    than bool as a value, a mapping other than a dict as a cycle) runs
+    again with its values as plain ints in plain dicts.
     """
-    rows = _input_rows(dut, stim)
-    statements, branches, bins = compiled(dut)(rows)
+    run = compiled(dut)
+    try:
+        counts = run(stim.cycles)
+    except (LookupError, TypeError):
+        counts = None
+    if counts is None:
+        counts = run(_input_rows(dut, stim))
+    statements, branches, bins = counts
     return _report(statements, dut.total_statements, branches, dut.total_branch_outcomes,
-                   bins, dut.total_bins, len(rows))
+                   bins, dut.total_bins, len(stim.cycles))
 
 
 @lru_cache(maxsize=1 << 10)

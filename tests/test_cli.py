@@ -268,6 +268,19 @@ class TestBundledCorpus:
         assert out == "" and err.startswith(f"{prefix}{corpus / 'b.hdl'}: {message}")
         assert len(err.splitlines()) == 1 and not (report_dir / "pairs.jsonl").exists()
 
+    def test_corpus_dir_lint_issues_summarised(self, tmp_path, capsys, toy1_source):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.hdl").write_text(toy1_source)
+        body = "\n".join(f"assign y = q{i};" for i in range(2000))
+        (corpus / "b.hdl").write_text(f"module b (input a[1], output y[1]);\n{body}\nendmodule\n")
+        config, report_dir = small_config(tmp_path, corpus_dir=str(corpus))
+        assert main(["curate", "--config", config]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {corpus / 'b.hdl'}: lint issues: undeclared_identifier x2000\n"
+        assert not (report_dir / "pairs.jsonl").exists()
+
     def test_bundled_names(self):
         assert set(BUNDLED_NAMES) == {"toy1", "mux2", "chain2", "adder2", "deadend"}
         assert "module toy1" in bundled_source("toy1")

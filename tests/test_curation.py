@@ -261,6 +261,15 @@ class TestCurate:
         with pytest.raises(ValueError, match="bad"):
             curate([dirty], CurationConfig(seed=0), tmp_path / "pairs.jsonl")
 
+    def test_lint_issues_summarised_by_kind(self, tmp_path):
+        body = " ".join(f"assign y = q{i};" for i in range(2000))
+        many = parse(f"module many (input a[1], output y[1]); {body} endmodule")
+        other = parse("module other (input a[1], output y[1]); endmodule")
+        with pytest.raises(ValueError) as exc:
+            curate([many, other], CurationConfig(seed=0), tmp_path / "pairs.jsonl")
+        assert str(exc.value) == ("corpus has lint issues: 'many': undeclared_identifier x2000 "
+                                  "(and 1 more designs)")
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             CurationConfig(tau1=1.0, tau2=1.0)

@@ -3,6 +3,8 @@ import itertools
 import random
 import re
 import tokenize
+from collections import defaultdict
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covstim import sim
-from covstim.hdl import MAX_DEPTH, BinOp, Const, Ident, UnOp, lint, parse
+from covstim.checks import JSON_SCALARS, shown
+from covstim.corpus import load_bundled_corpus
+from covstim.hdl import MAX_DEPTH, MAX_WIDTH, BinOp, Const, Ident, UnOp, lint, parse
 from covstim.sim import (CoverageReport, MetricCount, SimulationError, Stimulus, average_score,
                          cycle_source, simulate)
 
@@ -278,13 +282,15 @@ def _random_body(rng, budget: int, nest: int) -> str:
     return " ".join(stmts)
 
 
-def random_design(seed: int):
+def random_design(seed: int, widths=(1, 16)):
     """A design over every operator, lint-clean but for ``assign`` to a reg, and a stimulus.
 
     ``simulate`` does not lint, and its ``assign`` to a reg must still match the oracle.
+    Widths are drawn from ``widths``; beyond 1..16 the design fails lint, and only
+    signals of at most ``MAX_WIDTH`` bits get a covergroup.
     """
     rng = random.Random(seed)
-    width = {n: rng.randint(1, 16) for _, n in _DECLS}
+    width = {n: rng.randint(*widths) for _, n in _DECLS}
     ports = ", ".join(f"{kind} {n}[{width[n]}]" for kind, n in _DECLS
                       if kind in ("input", "output"))
     lines = [f"module g ({ports});"]
@@ -298,6 +304,8 @@ def random_design(seed: int):
     lines += [f"assign u = {_random_expr(rng)};", f"assign y = {_random_expr(rng)};"]
     # One covergroup per signal: the oracle names a bin by signal and bin name.
     for _, n in rng.sample(_DECLS, rng.randrange(4)):
+        if width[n] > MAX_WIDTH:
+            continue
         lo = rng.randrange(1 << width[n])
         lines.append(f"cover {n} {{ b0: {lo}..{rng.randrange(lo, 1 << width[n])}, b1: 0..0 }}")
     lines.append("endmodule")
@@ -365,7 +373,7 @@ class TestNarrowBits:
     def test_counts_are_ints(self, toy1):
         for cycles in ((), ({"a": 1},), ({"a": 1}, {"a": 0})):
             run = sim.compiled(toy1)
-            assert all(type(n) is int for n in run([tuple(c.values()) for c in cycles]))
+            assert all(type(n) is int for n in run(cycles))
 
 
 class TestCompiled:
@@ -378,6 +386,28 @@ class TestCompiled:
         report = simulate(dut, Stimulus(tuple(cycles)))
         assert counts(report) == oracle_simulate(dut, cycles)
         assert report.cycles_run == len(cycles)
+
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_widths_up_to_100_bits_match_oracle(self, seed):
+        # simulate does not lint: widths of 0 and of 17-100 bits still simulate exactly.
+        text, cycles = random_design(seed, widths=(0, 100))
+        dut = parse(text)
+        report = simulate(dut, Stimulus(tuple(cycles)))
+        assert counts(report) == oracle_simulate(dut, cycles)
+
+    @pytest.mark.parametrize("text, name", [
+        ("module m (input a[{w}], output y[1]); assign y = a; endmodule", "a"),
+        ("module m (input a[1], output y[1]); reg r[{w}] = 1; assign y = r; endmodule", "r"),
+        ("module m (input a[1], output y[1]); wire u[{w}]; assign y = u; endmodule", "u"),
+    ])
+    def test_width_beyond_the_compiler_refused_briefly(self, text, name):
+        stimulus = Stimulus(({"a": 0},))
+        assert simulate(parse(text.format(w=1024)), stimulus).cycles_run == 1
+        for width, shown_width in ((1025, "1025"), ("0x" + "f" * 40, "an integer of 160 bits")):
+            with pytest.raises(ValueError) as exc:
+                simulate(parse(text.format(w=width)), stimulus)
+            assert str(exc.value) == f"width {shown_width} of '{name}' is more than 1024"
 
     def test_parser_limits_match_oracle(self):
         # MAX_DEPTH operators on one expression path, every operator among
@@ -419,11 +449,12 @@ class TestCompiled:
                      "delta_wire", "lowbin", "highbin"):
             assert name not in source
         allowed = {"def", "run", "inputs", "s", "b", "c", "for", "in", "if", "else", "True",
-                   "min", "return", "bytearray", "find"}
+                   "min", "return", "bytearray", "find", "cycles", "type", "int", "dict", "len",
+                   "is", "not", "or", "None"}
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):
             assert tok.type != tokenize.STRING
             if tok.type == tokenize.NAME:
-                assert tok.string in allowed or re.fullmatch(r"[inrwbc]\d+", tok.string), tok
+                assert tok.string in allowed or re.fullmatch(r"[inrwbck]\d+", tok.string), tok
             if tok.type == tokenize.NUMBER:
                 assert tok.string.isdigit(), tok
 
@@ -471,3 +502,105 @@ class TestCompiled:
             assert not hasattr(obj, "__dict__")
         assert simulate(toy1, stim(1)) is report
         assert simulate(toy1, stim(1, 0)) != report
+
+
+def parent_input_rows(dut, stim):
+    """The input check ``simulate`` made before the compiled function checked
+    its own inputs: a copy kept as the reference for every refusal."""
+    ports = dut.input_ports
+    rows = []
+    for cycle_no, cycle in enumerate(stim.cycles):
+        row = []
+        for port in ports:
+            if port.name not in cycle:
+                raise SimulationError(cycle_no, port.name, "missing input value")
+            v = cycle[port.name]
+            if isinstance(v, bool) or not isinstance(v, int) or not 0 <= v < (1 << port.width):
+                raise SimulationError(cycle_no, port.name, f"value {shown(v, JSON_SCALARS)} "
+                                      f"out of range for {port.width}-bit port")
+            row.append(v)
+        if len(cycle) > len(ports):
+            names = {port.name for port in ports}
+            extra = next(name for name in cycle if name not in names)
+            raise SimulationError(cycle_no, extra, "no such input port")
+        rows.append(tuple(row))
+    return rows
+
+
+def outcome(call):
+    """What ``call()`` raised, as (class, message, cycle, port); None if it returned."""
+    try:
+        call()
+    except Exception as err:  # noqa: BLE001 - every exception is compared
+        return type(err), str(err), getattr(err, "cycle", None), getattr(err, "port", None)
+    return None
+
+
+_REFUSAL_DESIGNS = (*load_bundled_corpus(), parse(
+    "module wide (input p[1], input q[5], input r[16], output y[16]);"
+    " assign y = p + q + r; cover r { lo: 0..9 } endmodule"))
+_FAULTS = ("missing", "extra", "bool", "float", "str", "none", "negative", "too_wide", "not_dict")
+
+
+def corrupt(cycle, port, fault, extra):
+    """``cycle`` with one fault at ``port``; a non-dict cycle for "not_dict"."""
+    if fault == "not_dict":
+        return (list(cycle.values()), tuple(cycle), "".join(cycle), None, 0)[extra % 5]
+    cycle = dict(cycle)
+    if fault == "missing":
+        cycle.pop(port.name, None)
+    elif fault == "extra":
+        cycle[f"no_port_{extra}"] = 0
+    else:
+        cycle[port.name] = {"bool": extra % 2 == 0, "float": float(extra), "str": str(extra),
+                            "none": None, "negative": -1 - extra,
+                            "too_wide": (1 << port.width) + extra}[fault]
+    return cycle
+
+
+@st.composite
+def corrupted_stimuli(draw):
+    dut = draw(st.sampled_from(_REFUSAL_DESIGNS))
+    ports = dut.input_ports
+    cycles = draw(st.lists(st.fixed_dictionaries(
+        {p.name: st.integers(0, (1 << p.width) - 1) for p in ports}), min_size=1, max_size=6))
+    for _ in range(draw(st.integers(1, 2))):
+        at = draw(st.integers(0, len(cycles) - 1))
+        fault = draw(st.sampled_from(_FAULTS))
+        if isinstance(cycles[at], dict):
+            cycles[at] = corrupt(cycles[at], draw(st.sampled_from(ports)), fault,
+                                 draw(st.integers(0, 99)))
+    return dut, Stimulus(tuple(cycles))
+
+
+class TestRefusal:
+    @given(corrupted_stimuli())
+    @settings(max_examples=400, deadline=None)
+    def test_refusal_matches_the_parent_check(self, case):
+        dut, stimulus = case
+        expected = outcome(lambda: parent_input_rows(dut, stimulus))
+        assert expected is not None
+        assert outcome(lambda: simulate(dut, stimulus)) == expected
+
+    @given(st.sampled_from(_REFUSAL_DESIGNS), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_int_enum_value_gives_the_plain_int_report(self, dut, data):
+        cycles = data.draw(st.lists(st.fixed_dictionaries(
+            {p.name: st.integers(0, (1 << p.width) - 1) for p in dut.input_ports}),
+            min_size=1, max_size=6))
+        at = data.draw(st.integers(0, len(cycles) - 1))
+        port = data.draw(st.sampled_from(dut.input_ports)).name
+        enum_cycles = [dict(c) for c in cycles]
+        enum_cycles[at][port] = IntEnum("Value", {"V": cycles[at][port]}).V
+        assert simulate(dut, Stimulus(tuple(enum_cycles))) == simulate(dut, Stimulus(tuple(cycles)))
+
+    def test_dict_subclass_with_defaults_refused_like_a_dict(self):
+        # A defaultdict or Counter answers a missing port with 0; it must still be refused,
+        # and the lookup must not add the port to the caller's dict.
+        dut = _REFUSAL_DESIGNS[-1]
+        cycle = defaultdict(int, {"p": 0, "q": 1, "typo": 0})
+        with pytest.raises(SimulationError, match="missing input value") as exc:
+            simulate(dut, Stimulus((cycle,)))
+        assert (exc.value.cycle, exc.value.port) == (0, "r") and "r" not in cycle
+        assert simulate(dut, Stimulus((defaultdict(int, {"p": 1, "q": 2, "r": 3}),))) == simulate(
+            dut, Stimulus(({"p": 1, "q": 2, "r": 3},)))
