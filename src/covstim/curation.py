@@ -176,7 +176,7 @@ def curate(corpus, config: CurationConfig, out_path) -> CurationStats:
     offenders = [(dut.name, issues) for dut in corpus if (issues := lint(dut))]
     if offenders:
         name, issues = offenders[0]
-        more = f" (and {len(offenders) - 1} more designs)" if len(offenders) > 1 else ""
+        more = f" (designs with lint issues: {len(offenders)})" if len(offenders) > 1 else ""
         raise ValueError(f"corpus has lint issues: {shown(name)}: {lint_kinds(issues)}{more}")
 
     teacher = make_teacher(config)

@@ -268,7 +268,7 @@ class TestCurate:
         with pytest.raises(ValueError) as exc:
             curate([many, other], CurationConfig(seed=0), tmp_path / "pairs.jsonl")
         assert str(exc.value) == ("corpus has lint issues: 'many': undeclared_identifier x2000 "
-                                  "(and 1 more designs)")
+                                  "(designs with lint issues: 2)")
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

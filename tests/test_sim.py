@@ -531,7 +531,7 @@ def outcome(call):
     """What ``call()`` raised, as (class, message, cycle, port); None if it returned."""
     try:
         call()
-    except Exception as err:  # noqa: BLE001 - every exception is compared
+    except Exception as err:  # every exception is compared, not only SimulationError
         return type(err), str(err), getattr(err, "cycle", None), getattr(err, "port", None)
     return None
 
@@ -558,12 +558,17 @@ def corrupt(cycle, port, fault, extra):
     return cycle
 
 
+def valid_cycles(dut):
+    return st.lists(st.fixed_dictionaries(
+        {p.name: st.integers(0, (1 << p.width) - 1) for p in dut.input_ports}),
+        min_size=1, max_size=6)
+
+
 @st.composite
 def corrupted_stimuli(draw):
     dut = draw(st.sampled_from(_REFUSAL_DESIGNS))
     ports = dut.input_ports
-    cycles = draw(st.lists(st.fixed_dictionaries(
-        {p.name: st.integers(0, (1 << p.width) - 1) for p in ports}), min_size=1, max_size=6))
+    cycles = draw(valid_cycles(dut))
     for _ in range(draw(st.integers(1, 2))):
         at = draw(st.integers(0, len(cycles) - 1))
         fault = draw(st.sampled_from(_FAULTS))
@@ -585,9 +590,7 @@ class TestRefusal:
     @given(st.sampled_from(_REFUSAL_DESIGNS), st.data())
     @settings(max_examples=100, deadline=None)
     def test_int_enum_value_gives_the_plain_int_report(self, dut, data):
-        cycles = data.draw(st.lists(st.fixed_dictionaries(
-            {p.name: st.integers(0, (1 << p.width) - 1) for p in dut.input_ports}),
-            min_size=1, max_size=6))
+        cycles = data.draw(valid_cycles(dut))
         at = data.draw(st.integers(0, len(cycles) - 1))
         port = data.draw(st.sampled_from(dut.input_ports)).name
         enum_cycles = [dict(c) for c in cycles]
