@@ -14,7 +14,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Union
+from typing import NamedTuple, Union
 
 from .checks import shown
 
@@ -26,9 +26,12 @@ MAX_WIDTH = 16
 # compiled cycle function nests at most three parentheses per operator and
 # one indent per conditional, well inside CPython's limits of 200 and 100.
 # The simulation itself does not recurse.  Parentheses and unary operators
-# open at once are bounded by 2 * MAX_DEPTH, which bounds the parser's own
-# recursion and still admits pretty_print's output, which writes two of
-# them per operator.
+# open at once are bounded by 2 * MAX_DEPTH, which still admits
+# pretty_print's output, which writes two of them per operator, and bounds
+# the parser's own recursion: two frames per open parenthesis, one per open
+# unary operator and one per binary operator whose right operand is open.
+# An accepted expression takes at most 2 * 48 + 24 = 120 frames; a rejected
+# one at most eight per parenthesis (one binary operator per level), ~400.
 MAX_DEPTH = 24
 
 KEYWORDS = {
@@ -42,15 +45,17 @@ _SYMBOLS = [
     "|", "^", "&", "<", ">", "+", "-", "~", "!",
     "(", ")", "{", "}", "[", "]", ";", ",", ":", "=",
 ]
-# One alternative per token class, tried in order at each position.  \w is
-# str.isalnum plus '_', and \d the decimal digits that int() reads.
-_TOKEN_RE = re.compile(r"""
-    (?P<blank>[ \t\r\n]+)
-  | (?P<comment>//[^\n]*)
+# Blanks, then one alternative per token class, tried in order, or any other
+# character as 'bad'.  It is matched against one line at a time, so '.' takes
+# any character; blanks that end a line match nothing.  \w is str.isalnum
+# plus '_', and \d the decimal digits that int() reads.
+_TOKEN_RE = re.compile(r"""[ \t\r]*(?:
+    (?P<sym>""" + "|".join(map(re.escape, _SYMBOLS)) + r""")
   | (?P<word>[^\W\d]\w*)
   | (?P<hex>0[xX][0-9a-fA-F]*)
   | (?P<int>\d+)
-  | (?P<sym>""" + "|".join(map(re.escape, _SYMBOLS)) + ")", re.VERBOSE)
+  | (?P<comment>//.*)
+  | (?P<bad>[^ \t\r]))""", re.VERBOSE)
 
 
 class ParseError(Exception):
@@ -64,8 +69,7 @@ class ParseError(Exception):
         super().__init__(f"{kind} error at {line}:{column}: {message}")
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'ident' | 'int' | 'kw' | 'sym' | 'eof'
     text: str
     value: int
@@ -74,48 +78,48 @@ class Token:
 
 
 def _lex(text: str) -> list[Token]:
+    """Tokens of ``text``, ending with 'eof'; raise ParseError at the first bad one.
+
+    No token spans a newline, so each line is matched on its own: one
+    pattern match per token, whose blanks it skips, and the column is the
+    offset in the line.  A comment that ends the text leaves 'eof' at its
+    start.
+    """
     tokens: list[Token] = []
     append = tokens.append
-    match = _TOKEN_RE.match
-    pos, n = 0, len(text)
-    line, line_start = 1, 0
-    kind, comment_col = None, 0  # a comment ending the text leaves EOF at its start
-    while pos < n:
-        col = pos - line_start + 1
-        m = match(text, pos)
-        kind = m.lastgroup if m else None
-        # \w also holds numerals such as '²' that are not letters.
-        if kind is None or kind == "word" and not (text[pos].isalpha() or text[pos] == "_"):
-            raise ParseError(line, col, "lex", f"unexpected character {text[pos]!r}")
-        end = m.end()
-        if kind == "blank":
-            newlines = text.count("\n", pos, end)
-            if newlines:
-                line += newlines
-                line_start = text.rindex("\n", pos, end) + 1
-        elif kind == "comment":
-            comment_col = col
-        elif kind == "word":
-            word = m.group()
-            append(Token("kw" if word in KEYWORDS else "ident", word, 0, line, col))
-        elif kind == "sym":
-            append(Token("sym", m.group(), 0, line, col))
-        elif kind == "hex":
-            if end == pos + 2:
-                raise ParseError(line, col, "lex", "incomplete hex literal")
-            append(Token("int", m.group(), int(m.group(), 16), line, col))
-        else:
-            # Reject '12ab' outright rather than splitting tokens.
-            if end < n and (text[end].isalpha() or text[end] == "_"):
-                raise ParseError(line, col, "lex", f"malformed number {shown(text[pos:end + 1])}")
-            try:
-                value = int(m.group())
-            except ValueError:  # more digits than int() converts
-                raise ParseError(line, col, "lex", "number literal too long") from None
-            append(Token("int", m.group(), value, line, col))
-        pos = end
-    col = comment_col if kind == "comment" else pos - line_start + 1
-    append(Token("eof", "", 0, line, col))
+    new = tuple.__new__  # Token(...) without its Python-level __new__
+    for lineno, line in enumerate(text.split("\n"), 1):
+        comment_col = 0
+        for m in _TOKEN_RE.finditer(line):
+            kind = m.lastgroup
+            start, end = m.span(kind)
+            word, col = line[start:end], start + 1
+            if kind == "sym":
+                append(new(Token, ("sym", word, 0, lineno, col)))
+            elif kind == "word":
+                # \w also holds numerals such as '²' that are not letters.
+                if not (word[0].isalpha() or word[0] == "_"):
+                    raise ParseError(lineno, col, "lex", f"unexpected character {word[0]!r}")
+                append(new(Token, ("kw" if word in KEYWORDS else "ident", word, 0, lineno, col)))
+            elif kind == "int":
+                # Reject '12ab' outright rather than splitting tokens.
+                if end < len(line) and (line[end].isalpha() or line[end] == "_"):
+                    raise ParseError(lineno, col, "lex",
+                                     f"malformed number {shown(line[start:end + 1])}")
+                try:
+                    value = int(word)
+                except ValueError:  # more digits than int() converts
+                    raise ParseError(lineno, col, "lex", "number literal too long") from None
+                append(new(Token, ("int", word, value, lineno, col)))
+            elif kind == "hex":
+                if end == start + 2:
+                    raise ParseError(lineno, col, "lex", "incomplete hex literal")
+                append(new(Token, ("int", word, int(word, 16), lineno, col)))
+            elif kind == "comment":
+                comment_col = col
+            else:
+                raise ParseError(lineno, col, "lex", f"unexpected character {word!r}")
+    append(Token("eof", "", 0, lineno, comment_col or len(line) + 1))
     return tokens
 
 
@@ -251,6 +255,15 @@ class DutModel:
 # --- Parser ---------------------------------------------------------------
 
 class _Parser:
+    """Recursive descent over one design's tokens, with one precedence-climbing
+    loop for binary operators.
+
+    Statements and declarations descend one method per construct.  An
+    expression takes one :meth:`parse_expr` frame per open parenthesis and
+    per binary operator whose right operand is still open, and one
+    :meth:`parse_unary` frame per open parenthesis and unary operator.
+    """
+
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
@@ -266,7 +279,7 @@ class _Parser:
         raise ParseError(t.line, t.column, "syntax", message)
 
     def advance(self) -> Token:
-        t = self.cur
+        t = self.tokens[self.pos]
         self.pos += 1
         return t
 
@@ -275,18 +288,22 @@ class _Parser:
 
     def at(self, text: str) -> bool:
         """Whether the current token is keyword or symbol ``text``; no other kind spells one."""
-        return self.cur.text == text
+        return self.tokens[self.pos].text == text
 
     def expect(self, text: str) -> Token:
-        if self.at(text):
-            return self.advance()
+        t = self.tokens[self.pos]
+        if t.text == text:
+            self.pos += 1
+            return t
         self._expected(repr(text))
 
     _KIND_NAMES = {"ident": "identifier", "int": "integer"}
 
     def expect_kind(self, kind: str) -> Token:
-        if self.cur.kind == kind:
-            return self.advance()
+        t = self.tokens[self.pos]
+        if t.kind == kind:
+            self.pos += 1
+            return t
         self._expected(self._KIND_NAMES[kind])
 
     @staticmethod
@@ -416,45 +433,53 @@ class _Parser:
     # Binary precedence, lowest to highest:
     # |  ^  &  (== != < >)  (<< >>)  (+ -)  unary  primary
     _LEVELS = [["|"], ["^"], ["&"], ["==", "!=", "<", ">"], ["<<", ">>"], ["+", "-"]]
+    # Each binary operator's level, its index in _LEVELS; only a symbol spells one.
+    _BINDING = {op: level for level, ops in enumerate(_LEVELS) for op in ops}
 
-    def parse_expr(self, opened: int = 0, level: int = 0) -> tuple[Expr, int]:
-        """Parse an expression; return it with its operator depth.
+    def parse_expr(self, opened: int = 0, floor: int = 0) -> tuple[Expr, int]:
+        """Parse an expression whose binary operators are at level ``floor``
+        of ``_LEVELS`` or above; return it with its operator depth.
 
-        ``opened`` counts the parentheses and unary operators open around it.
+        ``opened`` counts the parentheses and unary operators open around
+        it.  Operators of one level chain left to right in the loop; an
+        operator's right operand holds only those of higher levels.
         """
-        if level == len(self._LEVELS):
-            return self.parse_unary(opened)
-        left, depth = self.parse_expr(opened, level + 1)
-        ops = self._LEVELS[level]
-        while self.cur.kind == "sym" and self.cur.text in ops:
-            op = self.advance()
+        tokens, binding = self.tokens, self._BINDING
+        left, depth = self.parse_unary(opened)
+        op = tokens[self.pos]
+        level = binding.get(op.text, -1)
+        while level >= floor:
+            self.pos += 1
             right, right_depth = self.parse_expr(opened, level + 1)
             depth = 1 + max(depth, right_depth)
             self._nest(op, depth, MAX_DEPTH, "operators")
             left = BinOp(op.text, left, right)
+            op = tokens[self.pos]
+            level = binding.get(op.text, -1)
         return left, depth
 
-    def _open(self, opened: int) -> None:
-        self._nest(self.cur, opened + 1, 2 * MAX_DEPTH, "parentheses and unary operators")
-        self.advance()
+    def _open(self, tok: Token, opened: int) -> None:
+        self._nest(tok, opened + 1, 2 * MAX_DEPTH, "parentheses and unary operators")
+        self.pos += 1
 
     def parse_unary(self, opened: int) -> tuple[Expr, int]:
-        if self.cur.kind == "sym" and self.cur.text in ("~", "!"):
-            op = self.cur
-            self._open(opened)
-            operand, depth = self.parse_unary(opened + 1)
-            self._nest(op, depth + 1, MAX_DEPTH, "operators")
-            return UnOp(op.text, operand), depth + 1
-        return self.parse_primary(opened)
-
-    def parse_primary(self, opened: int) -> tuple[Expr, int]:
-        if self.cur.kind == "ident":
-            t = self.advance()
+        """Parse unary operators applied to a name, a number or a parenthesized
+        expression; return it with its operator depth."""
+        t = self.tokens[self.pos]
+        kind = t.kind
+        if kind == "ident":
+            self.pos += 1
             return Ident(t.text, t.line, t.column), 0
-        if self.cur.kind == "int":
-            return Const(self.advance().value), 0
-        if self.at("("):
-            self._open(opened)
+        if kind == "int":
+            self.pos += 1
+            return Const(t.value), 0
+        if t.text == "~" or t.text == "!":
+            self._open(t, opened)
+            operand, depth = self.parse_unary(opened + 1)
+            self._nest(t, depth + 1, MAX_DEPTH, "operators")
+            return UnOp(t.text, operand), depth + 1
+        if t.text == "(":
+            self._open(t, opened)
             expr, depth = self.parse_expr(opened + 1)
             self.expect(")")
             return expr, depth

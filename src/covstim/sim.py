@@ -285,9 +285,13 @@ def cycle_source(dut: DutModel) -> str:
     statements = ([f"({top} if cycles else 0)"] if top else []) + [
         f"{n} * b{k}" if n > 1 else f"b{k}" for k, n in sorted(comp.arms.items()) if n]
     branches = [f"b{k}" for k in range(dut.total_branch_outcomes)]
-    # A bin's term is a bool, so the sum starts from an int.
-    bins = ["0"] + [f"(c{g}.find(1, {b.lo}, {b.hi + 1}) >= 0)"
-                    for g, cg in enumerate(dut.covergroups) for b in cg.bins]
+    # A bin's term is a bool, so the sum starts from an int.  Its bounds are
+    # clamped to the signal's values, as find clamps them, so that a bound of
+    # any size is a short constant.
+    bins = ["0"]
+    for g, (cg, (_, width)) in enumerate(zip(dut.covergroups, covered)):
+        size = 1 << width
+        bins += [f"(c{g}.find(1, {min(b.lo, size)}, {min(b.hi + 1, size)}) >= 0)" for b in cg.bins]
     emit(f" return {_sum(statements)}, {_sum(branches)}, {_sum(bins)}")
     return "\n".join(comp.lines) + "\n"
 

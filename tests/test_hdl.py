@@ -1,3 +1,5 @@
+import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -8,6 +10,8 @@ from covstim.corpus import BUNDLED_NAMES, bundled_source
 from covstim.hdl import (_SYMBOLS, KEYWORDS, MAX_DEPTH, DutModel, ParseError, Token, _lex, lint,
                          parse, pretty_print)
 from covstim.sim import Stimulus, simulate
+
+import reference_hdl
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -107,6 +111,36 @@ class TestParse:
         with pytest.raises(ParseError) as exc:
             parse(ASSIGN_Y.format("~" + expr))
         assert exc.value.kind == "syntax"
+
+    @pytest.mark.parametrize("expr", [
+        "(" * (2 * MAX_DEPTH) + "a" + ")" * (2 * MAX_DEPTH),
+        "~" * MAX_DEPTH + "a",
+        " + ".join(["a"] * (MAX_DEPTH + 1)),
+        "(" * MAX_DEPTH + "~" * (MAX_DEPTH - 1) + "a + a" + ")" * MAX_DEPTH,
+    ])
+    def test_depth_bound_parses_in_a_small_stack(self, expr):
+        # The parser takes two frames per open parenthesis and one per open
+        # operator: at most 2 * 48 + 24 = 120 on an accepted expression.  The
+        # 20 more cover the thread's own frames, parse's, and the module's
+        # and statement's.  The parser it replaced took 451 on the first text.
+        limit = 2 * (2 * MAX_DEPTH) + MAX_DEPTH + 20
+        outcome = []
+
+        def run():
+            # A new thread's stack starts empty, so the limit counts only these frames.
+            saved = sys.getrecursionlimit()
+            sys.setrecursionlimit(limit)
+            try:
+                outcome.append(parse(ASSIGN_Y.format(expr)))
+            except RecursionError as err:
+                outcome.append(err)
+            finally:
+                sys.setrecursionlimit(saved)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        thread.join()
+        assert outcome == [parse(ASSIGN_Y.format(expr))]
 
     def test_conditional_nesting_bound(self):
         def nested(n):
@@ -377,3 +411,85 @@ class TestLint:
             "endmodule"))
         assert [i.kind for i in issues] == ["assign_to_input", "undeclared_identifier"]
         assert issues[0].line < issues[1].line
+
+
+# Expression-heavy designs for comparing parse with the reference parser: chains
+# of up to 30 binary operators, up to 50 parentheses open at once, unary runs,
+# parentheses left open or closed once too often, and one token dropped or
+# added now and then, so that parses fail at every kind of token.
+_OPERANDS = ["a", "y", "r", "0", "1", "0x3", "15"]
+_BINARY_OPS = ["|", "^", "&", "==", "!=", "<", ">", "<<", ">>", "+", "-"]
+
+
+@st.composite
+def _expr_tokens(draw, nest=0):
+    # Few draws: each operand, its unary operators and the operator before it
+    # come from three bytes of one draw.
+    shape = draw(st.integers(0, 8)) if nest == 0 else 8  # 0-2: deep, long or both
+    opened = draw(st.integers(40, 50) if shape in (0, 2) else st.integers(0, 2))
+    n_ops = draw(st.integers(20, 30) if shape in (1, 2) else st.integers(0, 3))
+    ops = draw(st.sampled_from([_BINARY_OPS, ["+", "-"], ["|"], ["<<", "&"]]))
+    size = 3 * n_ops + 3 + opened
+    picks = draw(st.binary(min_size=size, max_size=size))
+    tokens = []
+    for pick in picks[:opened]:
+        tokens += ["(", "~"] if pick < 16 else ["("]
+    for i in range(n_ops + 1):
+        op, unary, operand = picks[opened + 3 * i: opened + 3 * i + 3]
+        if i:
+            tokens.append(ops[op % len(ops)])
+        # Mostly none, sometimes one or two, now and then a run of 20-35.
+        if unary >= 240:
+            tokens += ["~", "!"] * (10 + unary % 8)
+        elif unary >= 160:
+            tokens += (["~"], ["!"], ["~", "!"], ["!", "~"])[unary % 4]
+        if nest < 2 and operand < 16:
+            tokens += ["(", *draw(_expr_tokens(nest + 1)), ")"]
+        else:
+            tokens.append(_OPERANDS[operand % len(_OPERANDS)])
+    return tokens + [")"] * max(0, opened + draw(st.sampled_from([-1, 1] + [0] * 18)))
+
+
+@st.composite
+def _expression_design(draw):
+    joiner = draw(st.sampled_from([" ", "", "\n", " \t"]))
+    exprs = [joiner.join(draw(_expr_tokens())) for _ in range(3)]
+    tokens = ["module m (input a[4], output y[4]); reg r[4] = 0;", "assign y =", exprs[0],
+              "; if (", exprs[1], ") { next r =", exprs[2], "; } endmodule"]
+    text = "\n".join(tokens)
+    if draw(st.integers(0, 3)) == 0:
+        # One token dropped, doubled or replaced.
+        tokens = text.split(" ")
+        at = draw(st.integers(0, len(tokens) - 1))
+        tokens[at:at + 1] = draw(st.sampled_from([[], [tokens[at], tokens[at]],
+                                                  [draw(_HDL_TOKENS)]]))
+        text = " ".join(tokens)
+    return text
+
+
+def parse_outcome(parse_fn, text):
+    """The model, its repr (which shows every position) and its text, or the error."""
+    try:
+        dut = parse_fn(text)
+    except ParseError as err:
+        return (err.kind, err.line, err.column, err.message)
+    return dut, repr(dut), pretty_print(dut)
+
+
+class TestMatchesReference:
+    def test_designs(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import designgen
+
+        texts = [bundled_source(name) for name in BUNDLED_NAMES]
+        for seed in range(4):
+            texts += [d.text for d in designgen.generate(seed, designgen.DESIGNS, 0)[0]]
+        for text in texts:
+            assert _lex(text) == reference_hdl._lex(text)
+            assert parse_outcome(parse, text) == parse_outcome(reference_hdl.reference_parse, text)
+
+    @given(_expression_design())
+    @settings(max_examples=400, deadline=None)
+    def test_expression_designs(self, text):
+        assert lex_outcome(_lex, text) == lex_outcome(reference_hdl._lex, text)
+        assert parse_outcome(parse, text) == parse_outcome(reference_hdl.reference_parse, text)

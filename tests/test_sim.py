@@ -370,6 +370,20 @@ class TestNarrowBits:
         with pytest.raises(ValueError, match="'a'"):
             simulate(dut, Stimulus(({"a": 1},)))
 
+    def test_oversized_bin_bounds_clamped(self):
+        # Bounds far past a 2-bit signal's values (one of 5,000 hex digits,
+        # beyond what str() of an int converts) cover what the same bins
+        # clamped by hand to 0..3, and 4..4 for a bin above every value, do.
+        design = ("module m (input a[2], output y[2]); assign y = a;"
+                  " cover y {{ all: 0..{}, none: {}..{}, top: 3..{} }} endmodule")
+        huge = "0x" + "f" * 5000
+        dut = parse(design.format(huge, huge, huge, "0x1" + "0" * 40))
+        clamped = parse(design.format(3, 4, 4, 3))
+        assert {issue.kind for issue in lint(dut)} == {"bin_out_of_range"}
+        assert cycle_source(dut) == cycle_source(clamped)
+        for values in ((), (0,), (3,), (1, 2), (0, 3, 1)):
+            assert simulate(dut, stim(*values)) == simulate(clamped, stim(*values))
+
     def test_counts_are_ints(self, toy1):
         for cycles in ((), ({"a": 1},), ({"a": 1}, {"a": 0})):
             run = sim.compiled(toy1)
