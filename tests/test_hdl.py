@@ -119,10 +119,11 @@ class TestParse:
         "(" * MAX_DEPTH + "~" * (MAX_DEPTH - 1) + "a + a" + ")" * MAX_DEPTH,
     ])
     def test_depth_bound_parses_in_a_small_stack(self, expr):
-        # The parser takes two frames per open parenthesis and one per open
-        # operator: at most 2 * 48 + 24 = 120 on an accepted expression.  The
-        # 20 more cover the thread's own frames, parse's, and the module's
-        # and statement's.  The parser it replaced took 451 on the first text.
+        # The parser takes two frames per open parenthesis, and one per open
+        # unary operator or binary operator whose right operand is open: at
+        # most 2 * 48 + 24 = 120 on an accepted expression.  The 20 more cover
+        # the thread's own frames, parse's, and the module's and statement's.
+        # The parser in reference_hdl needs 451 on the first text.
         limit = 2 * (2 * MAX_DEPTH) + MAX_DEPTH + 20
         outcome = []
 
@@ -139,7 +140,8 @@ class TestParse:
 
         thread = threading.Thread(target=run)
         thread.start()
-        thread.join()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
         assert outcome == [parse(ASSIGN_Y.format(expr))]
 
     def test_conditional_nesting_bound(self):
