@@ -77,9 +77,22 @@ def _imports_covstim(node) -> bool:
                                                 for a in node.names)
 
 
+def _covstim_modules(tree) -> set:
+    """The covstim modules, by file stem, that a module imports."""
+    stems = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and _imports_covstim(node):
+            module = node.module if node.level else node.module.partition(".")[2]
+            stems |= {module.split(".")[0]} if module else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            stems |= {a.name.split(".")[1] for a in node.names if a.name.startswith("covstim.")}
+    return stems
+
+
 def test_import_graph():
-    """checks imports nothing from covstim; no function imports a covstim module; no module
-    imports another's private name; policy is the only module that names the streams."""
+    """checks and the package's __init__ import nothing from covstim; no function imports a
+    covstim module; no module imports another's private name; policy is the only module
+    that names the streams; the front end imports none of the numpy-backed modules."""
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted(SRC.glob("*.py"))}
     assert [ast.unparse(n) for n in ast.walk(trees["checks"]) if _imports_covstim(n)] == []
@@ -95,3 +108,11 @@ def test_import_graph():
                              if {getattr(node, "id", None), getattr(node, "attr", None),
                                  getattr(node, "name", None)} & STREAM_NAMES})
     assert naming_streams == ["policy"]
+    assert [ast.unparse(n) for n in ast.walk(trees["__init__"]) if _imports_covstim(n)] == []
+    front_end, todo = set(), ["checks", "hdl", "sim", "codec", "corpus"]
+    while todo:
+        stem = todo.pop()
+        if stem not in front_end:
+            front_end.add(stem)
+            todo += _covstim_modules(trees[stem])
+    assert front_end & {"policy", "training", "curation", "evaluation", "pipeline"} == set()

@@ -480,13 +480,13 @@ class TestSampleIndexed:
             assert seqs == tuple(reference_sample(sampler, "d", tau, rng) for tau in taus), i
 
 
-def loads_numpy_random(code: str) -> bool:
-    """Whether a fresh interpreter has numpy.random loaded after running code, covstim imported."""
+def loads_module(module: str, code: str) -> bool:
+    """Whether a fresh interpreter has module loaded after running code, covstim imported."""
     src = str(Path(policy_module.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-c", f"import sys, covstim; {code}; "
-                          "print('numpy.random' in sys.modules)"],
+    out = subprocess.run([sys.executable, "-c", f"import sys, covstim\n{code}\n"
+                          f"print({module!r} in sys.modules)"],
                          capture_output=True, text=True, env=env, check=True).stdout
     return out == "True\n"
 
@@ -559,14 +559,29 @@ class TestGenerators:
 
     def test_bundled_corpus_leaves_numpy_random_unloaded(self):
         # numpy.random costs the benchmark's setup_s and peak RSS; only training loads it.
-        assert not loads_numpy_random(
-            "from covstim.corpus import load_bundled_corpus; load_bundled_corpus()")
+        assert not loads_module(
+            "numpy.random", "from covstim.corpus import load_bundled_corpus; load_bundled_corpus()")
 
     def test_curation_leaves_numpy_random_unloaded(self):
-        assert not loads_numpy_random(
+        assert not loads_module(
+            "numpy.random",
             "import os; from covstim.corpus import load_bundled_corpus; "
             "from covstim.curation import CurationConfig, curate; "
             "curate(load_bundled_corpus(), CurationConfig(pairs_per_dut=3), os.devnull)")
+
+    def test_front_end_leaves_numpy_unloaded(self):
+        # numpy and the training stack were ~0.1 s of every cold start, and
+        # parsing, linting and simulating a design need neither.
+        assert not loads_module("numpy", """
+from covstim import checks, codec, corpus, hdl, sim
+vocab = codec.Vocab(4)
+corpus.load_bundled_corpus()
+for name in corpus.BUNDLED_NAMES:
+    dut = hdl.parse(corpus.bundled_source(name))
+    assert hdl.lint(dut) == []
+    sim.simulate(dut, sim.Stimulus(({port.name: 1 for port in dut.input_ports},)))
+    assert codec.simulate_tokens(dut, [vocab.bos, 0, 1, vocab.eos], vocab, 8) is not None
+""")
 
 
 class TestLogProb:
