@@ -582,8 +582,6 @@ def lint(dut: DutModel) -> list[LintIssue]:
     # every declared bin, so a repeated pair would count one bin twice.
     covered: set[str] = set()
     for cg in dut.covergroups:
-        if not cg.bins:
-            issue("empty_covergroup", cg, f"covergroup on {shown(cg.signal)} declares no bins")
         if cg.signal in covered:
             issue("duplicate_covergroup", cg, f"signal {shown(cg.signal)} already has a covergroup")
         covered.add(cg.signal)

@@ -10,13 +10,14 @@ the end of item evaluation, before registers latch.  All arithmetic is
 
 Each design is compiled once, by :func:`cycle_source`, into the source of
 one Python function that runs a whole stimulus; :func:`compiled` keeps it
-on the model.  The function reads each cycle's inputs straight from the
-stimulus's dicts and checks them as it goes, giving up on the first bad
-cycle; only then does :func:`simulate` look for the cycle and port to
-name.  It computes each subexpression only to the bits that its consumer
-reads, and it counts coverage once, after the last cycle: a statement by
-the arm that holds it, a bin by the values its signal took.  Nothing
-recurses or dispatches on node types at simulation time.
+on the model.  Only a design that :func:`hdl.lint` passes compiles.  The
+function reads each cycle's inputs straight from the stimulus's dicts and
+checks them as it goes, giving up on the first bad cycle; only then does
+:func:`simulate` look for the cycle and port to name.  It computes each
+subexpression only to the bits that its consumer reads, and it counts
+coverage once, after the last cycle: a statement by the arm that holds
+it, a bin by the values its signal took.  Nothing recurses or dispatches
+on node types at simulation time.
 """
 
 from __future__ import annotations
@@ -26,14 +27,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .checks import JSON_SCALARS, shown
-from .hdl import MAX_WIDTH, Assign, BinOp, Const, DutModel, Expr, Ident, UnOp
+from .hdl import Assign, BinOp, Const, DutModel, Expr, Ident, UnOp, lint
 
 _MASK64 = (1 << 64) - 1
-# The widest declaration the compiler takes.  Lint allows only MAX_WIDTH
-# bits, but simulate does not lint; the compiler shifts by each width and
-# writes masks and reg inits in decimal, so this keeps every shift cheap and
-# every constant to a few hundred digits.
-_WIDEST = 1024
 _COMPARE = ("==", "!=", "<", ">")
 _FILENAME = "<covstim cycle function>"
 # The coverage metrics, named as CoverageReport's fields.
@@ -135,20 +131,9 @@ class _Compiler:
         for prefix, decls in (("i", dut.input_ports), ("r", dut.regs),
                               ("w", (*dut.wires, *dut.output_ports))):
             for j, d in enumerate(decls):
-                if d.name in self.local:
-                    raise ValueError(f"identifier {shown(d.name)} declared twice")
-                if d.width > _WIDEST:
-                    raise ValueError(f"width {shown(d.width, int)} of {shown(d.name)} "
-                                     f"is more than {_WIDEST}")
                 self.local[d.name] = f"{prefix}{j}"
         self.lines: list[str] = []
         self.arms: dict[int, int] = {}
-
-    def name(self, name: str) -> str:
-        local = self.local.get(name)
-        if local is None:
-            raise ValueError(f"identifier {shown(name)} is not declared")
-        return local
 
     def expr(self, e: Expr, d: int) -> tuple[str, int]:
         """Source of ``e`` for a consumer that reads its low ``d`` bits, and a bound.
@@ -160,7 +145,7 @@ class _Compiler:
             value = e.value & ((1 << min(d, 64)) - 1)
             return str(value), value
         if isinstance(e, Ident):
-            return self.name(e.name), (1 << self.widths[e.name]) - 1
+            return self.local[e.name], (1 << self.widths[e.name]) - 1
         if isinstance(e, UnOp) and e.op == "!":
             return f"(0 if {self.expr(e.operand, 64)[0]} else 1)", 1
         if e.op in _COMPARE:
@@ -216,10 +201,8 @@ class _Compiler:
         emit = self.lines.append
         for st in stmts:
             if isinstance(st, Assign):
-                target = self.name(st.target)
+                target = self.local[st.target]
                 if st.kind == "next":
-                    if target[0] != "r":
-                        raise ValueError(f"'next' target {shown(st.target)} is not a reg")
                     target = "n" + target[1:]
                 width = self.widths[st.target]
                 source, bound = self.expr(st.expr, width)
@@ -247,27 +230,22 @@ def cycle_source(dut: DutModel) -> str:
     outcomes and cover bins the stimulus covered.  The source holds only
     integer constants, builtins and the locals above, never a name from
     the design; :func:`compile_model` binds ``k<j>`` to port j's name.
-    Raises ValueError on a name it cannot map, on a declaration wider
-    than ``_WIDEST`` (1024) bits, or on a covered signal wider than
-    ``MAX_WIDTH``, which lint reports first.
+    A design that :func:`hdl.lint` flags raises ValueError naming its first
+    issue, as ``covstim lint`` prints it, and how many more there are.
     """
+    issues = lint(dut)
+    if issues:
+        more = f" (and {len(issues) - 1} more)" if len(issues) > 1 else ""
+        raise ValueError(f"design {shown(dut.name)} does not lint clean: {issues[0]}{more}")
     comp = _Compiler(dut)
-    covered = []
-    for cg in dut.covergroups:
-        signal = comp.name(cg.signal)
-        width = dut.widths[cg.signal]
-        if width > MAX_WIDTH:
-            raise ValueError(f"covered signal {shown(cg.signal)} is {shown(width, int)} bits wide, "
-                             f"more than {MAX_WIDTH}")
-        covered.append((signal, width))
     emit = comp.lines.append
     emit("def run(cycles):")
     for j, r in enumerate(dut.regs):
-        emit(f" n{j} = {r.init & ((1 << r.width) - 1)}")
+        emit(f" n{j} = {r.init}")
     if dut.total_branch_outcomes:
         emit(f" {' = '.join(f'b{k}' for k in range(dut.total_branch_outcomes))} = 0")
-    for g, (_, width) in enumerate(covered):
-        emit(f" c{g} = bytearray({1 << width})")
+    for g, cg in enumerate(dut.covergroups):
+        emit(f" c{g} = bytearray({1 << dut.widths[cg.signal]})")
     emit(" for c in cycles:")
     checks = [f"type(c) is not dict or len(c) != {len(dut.input_ports)}"] + [
         f"type(i{j} := c[k{j}]) is not int or not 0 <= i{j} < {1 << p.width}"
@@ -279,19 +257,15 @@ def cycle_source(dut: DutModel) -> str:
     if n_wires:
         emit(f"  {' = '.join(f'w{j}' for j in range(n_wires))} = 0")
     comp.body(dut.body, "  ")
-    for g, (signal, _) in enumerate(covered):
-        emit(f"  c{g}[{signal}] = 1")
+    for g, cg in enumerate(dut.covergroups):
+        emit(f"  c{g}[{comp.local[cg.signal]}] = 1")
     top = sum(isinstance(st, Assign) for st in dut.body)
     statements = ([f"({top} if cycles else 0)"] if top else []) + [
         f"{n} * b{k}" if n > 1 else f"b{k}" for k, n in sorted(comp.arms.items()) if n]
     branches = [f"b{k}" for k in range(dut.total_branch_outcomes)]
-    # A bin's term is a bool, so the sum starts from an int.  Its bounds are
-    # clamped to the signal's values, as find clamps them, so that a bound of
-    # any size is a short constant.
-    bins = ["0"]
-    for g, (cg, (_, width)) in enumerate(zip(dut.covergroups, covered)):
-        size = 1 << width
-        bins += [f"(c{g}.find(1, {min(b.lo, size)}, {min(b.hi + 1, size)}) >= 0)" for b in cg.bins]
+    # A bin's term is a bool, so the sum starts from an int.
+    bins = ["0"] + [f"(c{g}.find(1, {b.lo}, {b.hi + 1}) >= 0)"
+                    for g, cg in enumerate(dut.covergroups) for b in cg.bins]
     emit(f" return {_sum(statements)}, {_sum(branches)}, {_sum(bins)}")
     return "\n".join(comp.lines) + "\n"
 
@@ -349,7 +323,8 @@ def simulate(dut: DutModel, stim: Stimulus) -> CoverageReport:
     stimulus, :func:`_input_rows` names the first bad cycle and port in a
     SimulationError; a stimulus it accepts there (an int subclass other
     than bool as a value, a mapping other than a dict as a cycle) runs
-    again with its values as plain ints in plain dicts.
+    again with its values as plain ints in plain dicts.  A model with lint
+    issues raises :func:`cycle_source`'s ValueError.
     """
     run = compiled(dut)
     try:

@@ -245,6 +245,26 @@ class TestBundledCorpus:
                 best = max(best, simulate(dut, Stimulus(tuple({"a": b} for b in bits))).average)
         assert best == 0.5
 
+    def test_corpus_dir_loaded_by_filename(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        with pytest.raises(ValueError, match=r"^no \*\.hdl files in .*corpus$"):
+            load_corpus_dir(corpus)
+        # Filenames sort in neither module-name order nor the order they are written in.
+        names = ["mux2", "deadend", "toy1", "adder2", "chain2"]
+        assert sorted(names) == sorted(BUNDLED_NAMES)
+        for i, name in reversed(list(enumerate(names))):
+            (corpus / f"{i}_{name}.hdl").write_text(bundled_source(name))
+        bundled = {dut.name: dut for dut in load_bundled_corpus()}
+        assert load_corpus_dir(corpus) == [bundled[name] for name in names]
+        # Pairs are sparse on toy1, chain2 and deadend; at this seed the uniform
+        # teacher gives each design at least one.
+        config, report_dir = small_config(tmp_path, corpus_dir=str(corpus), curation={
+            "pairs_per_dut": 400, "teacher": "uniform", "seed": 42})
+        assert main(["curate", "--config", config]) == 0
+        lines = (report_dir / "pairs.jsonl").read_text(encoding="utf-8").splitlines()
+        assert {json.loads(line)["dut"] for line in lines} == set(names)
+
     def test_duplicate_module_names_rejected(self, tmp_path, toy1_source):
         (tmp_path / "a.hdl").write_text(toy1_source)
         (tmp_path / "b.hdl").write_text(toy1_source.replace("a == 1", "a == 0"))

@@ -110,6 +110,10 @@ class TestEncode:
         from covstim.sim import Stimulus
         with pytest.raises(ValueError):
             encode(toy1, Stimulus(({"a": 2},)), VOCAB, T_MAX)
+        # Each port's value fits, but 5 input bits pack past VOCAB's 16 values.
+        encode(FIVE_BIT_DUT, Stimulus(({"a": 15},)), VOCAB, T_MAX)
+        with pytest.raises(ValueError, match="cycle 1: packed value 16 exceeds vocabulary"):
+            encode(FIVE_BIT_DUT, Stimulus(({"a": 15}, {"a": 16})), VOCAB, T_MAX)
 
 
 class TestRoundTripProperty:

@@ -486,6 +486,12 @@ class TestMatchesReference:
         texts = [bundled_source(name) for name in BUNDLED_NAMES]
         for seed in range(4):
             texts += [d.text for d in designgen.generate(seed, designgen.DESIGNS, 0)[0]]
+        # Two errors found only where the input ends.
+        ends = {texts[0] + "endmodule\n": "trailing input after 'endmodule'",
+                "module m (input a[1], output y[1]); if (a) { assign y = a;": "expected '}'"}
+        for text, message in ends.items():
+            assert parse_outcome(parse, text)[3] == message
+        texts += ends
         for text in texts:
             assert _lex(text) == reference_hdl._lex(text)
             assert parse_outcome(parse, text) == parse_outcome(reference_hdl.reference_parse, text)

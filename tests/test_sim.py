@@ -247,6 +247,12 @@ class TestProperties:
         assert report.average == float(expected)
 
 
+def refusal(name, issues):
+    """The ValueError message for a design with lint issues: the first, and a count of the rest."""
+    more = f" (and {len(issues) - 1} more)" if len(issues) > 1 else ""
+    return f"design '{name}' does not lint clean: {issues[0]}{more}"
+
+
 def counts(report):
     return ((report.statement.covered, report.statement.total),
             (report.branch.covered, report.branch.total),
@@ -257,7 +263,7 @@ _BIN_OPS = ("|", "^", "&", "==", "!=", "<", ">", "<<", ">>", "+", "-")
 # Every name a generated design declares, with the kind of declaration.
 _DECLS = (("input", "a"), ("input", "c"), ("reg", "r"), ("reg", "q"),
           ("wire", "u"), ("output", "y"))
-_TARGETS = ("assign u", "assign y", "assign r", "next r", "next q")
+_TARGETS = ("assign u", "assign y", "next r", "next q")
 
 
 def _random_expr(rng, depth=0) -> str:
@@ -283,11 +289,10 @@ def _random_body(rng, budget: int, nest: int) -> str:
 
 
 def random_design(seed: int, widths=(1, 16)):
-    """A design over every operator, lint-clean but for ``assign`` to a reg, and a stimulus.
+    """A design over every operator, and a stimulus.
 
-    ``simulate`` does not lint, and its ``assign`` to a reg must still match the oracle.
-    Widths are drawn from ``widths``; beyond 1..16 the design fails lint, and only
-    signals of at most ``MAX_WIDTH`` bits get a covergroup.
+    Widths are drawn from ``widths``; the design is lint-clean unless one is
+    outside 1..16, and only signals of at most ``MAX_WIDTH`` bits get a covergroup.
     """
     rng = random.Random(seed)
     width = {n: rng.randint(*widths) for _, n in _DECLS}
@@ -344,7 +349,7 @@ class TestNarrowBits:
         emitted = {d: comp.expr(expr, d) for d in (*range(1, 17), 64)}
         for _ in range(4):
             values = {n: rng.randrange(1 << w) for n, w in width.items()}
-            local = {comp.name(n): v for n, v in values.items()}
+            local = {comp.local[n]: v for n, v in values.items()}
             want = oracle_eval(expr, values)
             for d, (source, bound) in emitted.items():
                 got = eval(source, {"__builtins__": {}, "min": min}, local)
@@ -364,30 +369,64 @@ class TestNarrowBits:
     def test_wide_covered_signal_refused(self):
         dut = parse("module m (input a[40], output y[1]); assign y = a;"
                     " cover a { lo: 0..9 } endmodule")
-        assert [issue.kind for issue in lint(dut)] == ["width_out_of_range"]
-        with pytest.raises(ValueError, match="covered signal 'a' is 40 bits wide"):
-            cycle_source(dut)
-        with pytest.raises(ValueError, match="'a'"):
-            simulate(dut, Stimulus(({"a": 1},)))
+        issues = lint(dut)
+        assert [issue.kind for issue in issues] == ["width_out_of_range"]
+        assert str(issues[0]) == "1:11: width_out_of_range: width 40 of 'a' outside 1..16"
+        for call in (lambda: cycle_source(dut), lambda: simulate(dut, Stimulus(({"a": 1},)))):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == f"design 'm' does not lint clean: {issues[0]}"
 
-    def test_oversized_bin_bounds_clamped(self):
-        # Bounds far past a 2-bit signal's values (one of 5,000 hex digits,
-        # beyond what str() of an int converts) cover what the same bins
-        # clamped by hand to 0..3, and 4..4 for a bin above every value, do.
+    def test_oversized_bin_bounds_refused(self):
+        # Bounds far past a 2-bit signal's values, one of 5,000 hex digits
+        # (beyond what str() of an int converts), are lint issues, and the
+        # refusal names the first by its size in bits.
         design = ("module m (input a[2], output y[2]); assign y = a;"
                   " cover y {{ all: 0..{}, none: {}..{}, top: 3..{} }} endmodule")
         huge = "0x" + "f" * 5000
         dut = parse(design.format(huge, huge, huge, "0x1" + "0" * 40))
-        clamped = parse(design.format(3, 4, 4, 3))
-        assert {issue.kind for issue in lint(dut)} == {"bin_out_of_range"}
-        assert cycle_source(dut) == cycle_source(clamped)
-        for values in ((), (0,), (3,), (1, 2), (0, 3, 1)):
-            assert simulate(dut, stim(*values)) == simulate(clamped, stim(*values))
+        issues = lint(dut)
+        assert [issue.kind for issue in issues] == ["bin_out_of_range"] * 3
+        for call in (lambda: cycle_source(dut), lambda: simulate(dut, stim(0, 3))):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == f"design 'm' does not lint clean: {issues[0]} (and 2 more)"
+            assert "0..an integer of 20000 bits" in str(exc.value) and len(str(exc.value)) < 160
 
     def test_counts_are_ints(self, toy1):
         for cycles in ((), ({"a": 1},), ({"a": 1}, {"a": 0})):
             run = sim.compiled(toy1)
             assert all(type(n) is int for n in run(cycles))
+
+
+# One design per lint kind, the kind its first issue: test_hdl.py's TestLint
+# designs, except that the next_to_non_reg one also assigns its wire, which
+# lint would otherwise report first as never assigned.
+_LINT_DIRTY = (
+    ("duplicate_identifier", "module m (input a[1], output y[1]); reg a[1] = 0;"
+                             " next a = 1; assign y = 1; endmodule"),
+    ("width_out_of_range", "module m (input a[17], output y[1]); assign y = a; endmodule"),
+    ("width_out_of_range", "module m (input a[1], output y[1]); reg r[1] = 2;"
+                           " next r = a; assign y = r; endmodule"),
+    ("no_inputs", "module m (output y[1]); assign y = 1; endmodule"),
+    ("no_outputs", "module m (input a[1]); endmodule"),
+    ("undeclared_identifier", "module m (input a[1], output y[1]); assign y = q; endmodule"),
+    ("assign_to_input", "module m (input a[1], output y[1]); assign a = 1; assign y = a; endmodule"),
+    ("assign_to_reg", "module m (input a[1], output y[1]); reg r[1] = 0;"
+                      " assign r = a; next r = a; assign y = r; endmodule"),
+    ("next_to_non_reg", "module m (input a[1], output y[1]); wire w[1];"
+                        " assign w = 0; next w = 1; assign y = a; endmodule"),
+    ("duplicate_covergroup", "module m (input a[1], output y[1]); assign y = a;"
+                             " cover a { b0: 0..0, b1: 0..0 } cover a { b0: 0..0, b1: 0..0 }"
+                             " endmodule"),
+    ("duplicate_bin", "module m (input a[1], output y[1]); assign y = a;"
+                      " cover y { b: 0..0, b: 1..1 } endmodule"),
+    ("bin_out_of_range", "module m (input a[1], output y[1]); assign y = a;"
+                         " cover y { big: 0..2 } endmodule"),
+    ("wire_never_assigned", "module m (input a[1], output y[1]); wire w[1];"
+                            " assign y = w; endmodule"),
+    ("wire_never_assigned", "module m (input a[1], output y[1]); endmodule"),
+)
 
 
 class TestCompiled:
@@ -396,7 +435,7 @@ class TestCompiled:
     def test_compiled_matches_oracle(self, seed):
         text, cycles = random_design(seed)
         dut = parse(text)
-        assert {issue.kind for issue in lint(dut)} <= {"assign_to_reg"}
+        assert lint(dut) == []
         report = simulate(dut, Stimulus(tuple(cycles)))
         assert counts(report) == oracle_simulate(dut, cycles)
         assert report.cycles_run == len(cycles)
@@ -404,24 +443,37 @@ class TestCompiled:
     @given(st.integers(0, 2**32))
     @settings(max_examples=200, deadline=None)
     def test_widths_up_to_100_bits_match_oracle(self, seed):
-        # simulate does not lint: widths of 0 and of 17-100 bits still simulate exactly.
+        # A lint-clean design simulates exactly; one with a width of 0 or of
+        # 17-100 bits is refused in a short message naming its first issue.
         text, cycles = random_design(seed, widths=(0, 100))
         dut = parse(text)
-        report = simulate(dut, Stimulus(tuple(cycles)))
-        assert counts(report) == oracle_simulate(dut, cycles)
+        issues = lint(dut)
+        if not issues:
+            assert counts(simulate(dut, Stimulus(tuple(cycles)))) == oracle_simulate(dut, cycles)
+            return
+        assert issues[0].kind == "width_out_of_range"
+        with pytest.raises(ValueError) as exc:
+            simulate(dut, Stimulus(tuple(cycles)))
+        assert str(exc.value) == refusal("g", issues) and len(str(exc.value)) < 120
 
     @pytest.mark.parametrize("text, name", [
         ("module m (input a[{w}], output y[1]); assign y = a; endmodule", "a"),
         ("module m (input a[1], output y[1]); reg r[{w}] = 1; assign y = r; endmodule", "r"),
-        ("module m (input a[1], output y[1]); wire u[{w}]; assign y = u; endmodule", "u"),
+        ("module m (input a[1], output y[1]); wire u[{w}]; assign u = a; assign y = u; endmodule",
+         "u"),
     ])
     def test_width_beyond_the_compiler_refused_briefly(self, text, name):
         stimulus = Stimulus(({"a": 0},))
-        assert simulate(parse(text.format(w=1024)), stimulus).cycles_run == 1
-        for width, shown_width in ((1025, "1025"), ("0x" + "f" * 40, "an integer of 160 bits")):
+        assert simulate(parse(text.format(w=16)), stimulus).cycles_run == 1
+        for width, shown_width in ((0, "0"), (17, "17"), (1024, "1024"), (1025, "1025"),
+                                   ("0x" + "f" * 40, "an integer of 160 bits")):
+            dut = parse(text.format(w=width))
+            [issue] = lint(dut)
+            assert str(issue).endswith(
+                f": width_out_of_range: width {shown_width} of '{name}' outside 1..16")
             with pytest.raises(ValueError) as exc:
-                simulate(parse(text.format(w=width)), stimulus)
-            assert str(exc.value) == f"width {shown_width} of '{name}' is more than 1024"
+                simulate(dut, stimulus)
+            assert str(exc.value) == f"design 'm' does not lint clean: {issue}"
 
     def test_parser_limits_match_oracle(self):
         # MAX_DEPTH operators on one expression path, every operator among
@@ -509,6 +561,21 @@ class TestCompiled:
         assert lint(dut) != []
         with pytest.raises(ValueError, match=name):
             simulate(dut, Stimulus(({"a": 0},)))
+
+    @pytest.mark.parametrize("kind, source", _LINT_DIRTY, ids=[kind for kind, _ in _LINT_DIRTY])
+    def test_every_lint_issue_refused(self, kind, source):
+        dut = parse(source)
+        issues = lint(dut)
+        assert issues[0].kind == kind
+        for call in (lambda: cycle_source(dut), lambda: simulate(dut, Stimulus(({"a": 0},)))):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == refusal("m", issues)
+
+    def test_every_lint_kind_has_a_refused_design(self):
+        hdl_source = (Path(__file__).resolve().parents[1] / "src/covstim/hdl.py").read_text()
+        kinds = set(re.findall(r'(?:issue|LintIssue)\("(\w+)"', hdl_source))
+        assert kinds == {kind for kind, _ in _LINT_DIRTY}
 
     def test_reports_are_small_shared_values(self, toy1):
         report = simulate(toy1, stim(1))

@@ -174,6 +174,8 @@ class TestCddpoLoss:
         assert normalize_gap(0.1, "dataset_minmax", bounds) == pytest.approx(0.0)
         assert normalize_gap(0.7, "dataset_minmax", bounds) == pytest.approx(1.0)
         assert normalize_gap(0.4, "dataset_minmax", bounds) == pytest.approx(0.5)
+        with pytest.raises(ValueError, match="dataset_minmax requires precomputed gap bounds"):
+            normalize_gap(0.4, "dataset_minmax")
 
 
 class TestPairGradient:
