@@ -114,9 +114,17 @@ def simulate_block(dut: DutModel, seqs, vocab: Vocab, t_max: int) -> list[Covera
 
     A sequence of at most 2 tokens, or with an interior token at or above
     ``1 << total_input_width(dut)``, fails ``validate_and_decode`` whatever
-    else it holds, so it gets None without being decoded.
+    else it holds, so it gets None without being decoded.  A sequence of
+    BOS, at most t_max values the design's inputs hold, and EOS decodes
+    through a table of each value's cycle, which decoding does one value at
+    a time: only a sequence holding a value the table lacks goes through
+    ``validate_and_decode``, which fills the table in.  Any other sequence
+    goes through ``simulate_tokens``.  Tokens are ints, as sampling and
+    ``load_dataset`` give them.
     """
     limit = 1 << total_input_width(dut)
+    bos, eos, fits = vocab.bos, vocab.eos, min(limit, vocab.n_values)
+    table: dict[int, dict] = {}  # value token -> its cycle
     reports: dict[tuple, CoverageReport | None] = {}
     out = []
     for seq in seqs:
@@ -125,7 +133,17 @@ def simulate_block(dut: DutModel, seqs, vocab: Vocab, t_max: int) -> list[Covera
             continue
         key = tuple(seq)
         if key not in reports:
-            reports[key] = simulate_tokens(dut, seq, vocab, t_max)
+            interior = key[1:-1]
+            if (key[0] == bos and key[-1] == eos and len(interior) <= t_max
+                    and all(0 <= t < fits for t in interior)):
+                if set(interior) <= table.keys():
+                    stim = Stimulus(tuple(table[t] for t in interior))
+                else:
+                    stim = validate_and_decode(dut, key, vocab, t_max)
+                    table.update(zip(interior, stim.cycles))
+                reports[key] = simulate(dut, stim)
+            else:
+                reports[key] = simulate_tokens(dut, seq, vocab, t_max)
         out.append(reports[key])
     return out
 

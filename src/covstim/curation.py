@@ -58,7 +58,8 @@ class NoveltyTeacher:
     """Zero-logit sampler nudged toward longer, more varied stimuli.
 
     Value tokens already emitted in the current sequence get a -2.0 logit
-    penalty, and EOS gets -1.0 until two value tokens have been emitted.
+    penalty, and EOS gets -1.0 until two distinct value tokens have been
+    emitted.
     """
 
     REPEAT_PENALTY = -2.0
@@ -70,17 +71,27 @@ class NoveltyTeacher:
         self.t_max = t_max
 
     def sample(self, dut_id, tau: float, streams) -> list[list[int]]:
-        """Draw one sequence per row of streams with ``sample_tokens``."""
-        return sample_tokens(self.vocab, self.t_max, tau, streams, self._penalties)
+        """Draw one sequence per row of streams with ``sample_tokens``.
 
-    def _penalties(self, prefixes: np.ndarray) -> np.ndarray:
-        """The logits after each row's BOS-started prefix: the penalties it has earned."""
-        n = len(prefixes)
-        emitted = np.zeros((n, self.vocab.size), dtype=bool)
-        emitted[np.arange(n)[:, None], prefixes[:, 1:]] = True
-        z = np.where(emitted, self.REPEAT_PENALTY, 0.0)
-        z[np.count_nonzero(emitted, axis=1) < self.MIN_VALUES, self.vocab.eos] = self.EOS_PENALTY
-        return z
+        Each row's logits are kept from step to step with its count of
+        distinct values: a step penalises the value each running row drew
+        last, and lifts the EOS penalty of a row that reaches MIN_VALUES.
+        """
+        eos = self.vocab.eos
+        z = np.zeros((len(streams), self.vocab.size))
+        z[:, eos] = self.EOS_PENALTY
+        distinct = np.zeros(len(streams), dtype=np.intp)
+
+        def next_logits(tokens: np.ndarray, running: np.ndarray, j: int) -> np.ndarray:
+            if j > 1:  # a running row's token at j - 1 is a value
+                drawn = tokens[running, j - 1]
+                fresh = running[z[running, drawn] != self.REPEAT_PENALTY]
+                distinct[fresh] += 1
+                z[running, drawn] = self.REPEAT_PENALTY
+                z[fresh[distinct[fresh] == self.MIN_VALUES], eos] = 0.0
+            return z.take(running, axis=0)
+
+        return sample_tokens(self.vocab, self.t_max, tau, streams, next_logits)
 
 
 def make_teacher(config: CurationConfig):

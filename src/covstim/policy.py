@@ -116,7 +116,7 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645  # PCG64's 128-bit multiplier M
 # yields as one block: the pairs of one design in curation, its generations
 # in evaluation, each block scored by one ``codec.simulate_block`` call per
 # tau.  No output depends on it; it bounds the sequences held at once.
-STREAM_BLOCK = 256
+STREAM_BLOCK = 512
 # Draws a ``Streams`` row makes at a time.  No output depends on it; it
 # bounds the uniforms held at once to rows x STREAM_WINDOW.
 STREAM_WINDOW = 16
@@ -224,14 +224,18 @@ def sample_tokens(vocab: Vocab, t_max: int, tau: float, streams,
 
     Sequence i draws one uniform per drawn token from row i of streams, a
     ``Streams`` (see ``sample_indexed``): at most ``t_max`` per call.  From
-    BOS on, each step takes ``next_logits(prefixes)``, the logits of every
-    running sequence as one (rows x V) array from their token prefixes
-    (rows x steps so far), and draws each row's next token with
-    ``draw_tokens`` from the softmax of its logits / tau over every token
-    but BOS.  A sequence ends at a drawn EOS, or after the ``t_max``-th
-    value token, where EOS is appended without a draw.  A row whose softmax
-    is NaN because a logit / tau overflowed raises one ValueError naming
-    tau, before that step draws from any row.
+    BOS on, step j takes ``next_logits(tokens, running, j)``: the logits of
+    the running rows, as one (len(running) x V) array.  tokens is the
+    shared (rows x t_max + 2) token array, not a copy, whose columns before
+    j hold each running row's prefix; running holds the indices of the rows
+    still running, in increasing order.  A row keeps its index from step
+    to step, so a sampler may keep per-row state; it must not write to
+    tokens.  Each running row's next token is drawn with ``draw_tokens``
+    from the softmax of its logits / tau over every token but BOS.  A
+    sequence ends at a drawn EOS, or after the ``t_max``-th value token,
+    where EOS is appended without a draw.  A row whose softmax is NaN
+    because a logit / tau overflowed raises one ValueError naming tau,
+    before that step draws from any row.
     """
     if not tau > 0:  # also refuses NaN
         raise ValueError(f"temperature must be > 0, got {tau}")
@@ -244,7 +248,7 @@ def sample_tokens(vocab: Vocab, t_max: int, tau: float, streams,
             break
         # An overflowed row turns to NaN here; it is refused before any row draws.
         with np.errstate(over="ignore", invalid="ignore"):
-            probs = masked_softmax(next_logits(tokens[running, :j]) / tau, vocab.bos)
+            probs = masked_softmax(next_logits(tokens, running, j) / tau, vocab.bos)
         if np.isnan(probs).any():
             raise ValueError(f"probabilities contain NaN at temperature {tau}: a logit "
                              f"divided by it is not a finite number")
@@ -368,11 +372,10 @@ class TabularPolicy:
         """Draw one sequence per row of streams with ``sample_tokens`` from this policy's rows."""
         get, k = self.rows.get, self.k
 
-        def next_logits(prefixes: np.ndarray) -> np.ndarray:
-            # Each row's last k columns; a column before the first reads column 0,
-            # BOS, so a prefix shorter than k is left-padded with BOS.
-            width = prefixes.shape[1]
-            contexts = prefixes[:, np.arange(width - k, width).clip(0)].tolist()
+        def next_logits(tokens: np.ndarray, running: np.ndarray, j: int) -> np.ndarray:
+            # Each running row's k columns before j; a column before the first reads
+            # column 0, BOS, so a prefix shorter than k is left-padded with BOS.
+            contexts = tokens[running[:, None], np.arange(j - k, j).clip(0)].tolist()
             return self.theta[[get((dut_id, tuple(ctx)), -1) for ctx in contexts]]
 
         return sample_tokens(self.vocab, self.t_max, tau, streams, next_logits)

@@ -59,6 +59,19 @@ def reference_novelty_sample(teacher, tau, rng):
         position += 1
 
 
+def reference_penalties(teacher, prefixes: np.ndarray) -> np.ndarray:
+    """NoveltyTeacher's logits after each row's BOS-started prefix, rebuilt from the
+    whole prefix: the penalties it has earned.  The teacher computed them so at
+    every step before it kept them from step to step."""
+    n = len(prefixes)
+    emitted = np.zeros((n, teacher.vocab.size), dtype=bool)
+    emitted[np.arange(n)[:, None], prefixes[:, 1:]] = True
+    z = np.where(emitted, teacher.REPEAT_PENALTY, 0.0)
+    z[np.count_nonzero(emitted, axis=1) < teacher.MIN_VALUES, teacher.vocab.eos] = (
+        teacher.EOS_PENALTY)
+    return z
+
+
 def reference_sample(teacher, dut_id, tau, rng) -> list[int]:
     """One sequence from a NoveltyTeacher or TabularPolicy, drawn from rng alone."""
     if isinstance(teacher, curation.NoveltyTeacher):

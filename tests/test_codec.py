@@ -210,15 +210,35 @@ class TestSimulateBlock:
             assert report == expected, tokens
             assert report is None or report.average == expected.average
 
+    # Each edge sequence comes second in its block, after one that fills the
+    # decode table with the values around it.
+    BOS, EOS = VOCAB.bos, VOCAB.eos
+    TABLE_EDGES = {
+        "interior_bos": (FIVE_BIT_DUT, [[BOS, 1, 15, EOS], [BOS, 1, BOS, EOS]]),
+        "interior_eos": (FIVE_BIT_DUT, [[BOS, 15, 2, EOS], [BOS, 15, EOS, 2, EOS]]),
+        "negative_token": (THREE_BIT_DUT, [[BOS, 7, 0, EOS], [BOS, 0, -1, EOS]]),
+        "empty_interior": (THREE_BIT_DUT, [[BOS, 3, EOS], [BOS, EOS]]),
+        "t_max_plus_one_values": (THREE_BIT_DUT, [[BOS, 1, 2, EOS], [BOS] + [1, 2] * 4 + [1, EOS]]),
+        "no_bos": (THREE_BIT_DUT, [[BOS, 1, 2, EOS], [EOS, 1, 2, EOS]]),
+        "no_eos": (THREE_BIT_DUT, [[BOS, 1, 2, EOS], [BOS, 1, 2, 1]]),
+    }
+
+    @pytest.mark.parametrize("case", list(TABLE_EDGES))
+    def test_decode_table_edges_equal_simulate_tokens(self, case):
+        dut, block = self.TABLE_EDGES[case]
+        got = simulate_block(dut, block, VOCAB, T_MAX)
+        assert got[0] is not None
+        assert got == [simulate_tokens(dut, tokens, VOCAB, T_MAX) for tokens in block]
+
     @pytest.mark.parametrize("tau", [0.7, 1.2])
     def test_simulates_each_distinct_accepted_sequence_once(self, monkeypatch, corpus, tau):
         calls = []
 
-        def counting(dut, tokens, vocab, t_max):
-            calls.append(tuple(tokens))
-            return simulate_tokens(dut, tokens, vocab, t_max)
+        def counting(dut, stim):
+            calls.append(tuple(encode(dut, stim, VOCAB, T_MAX)))
+            return simulate(dut, stim)
 
-        monkeypatch.setattr(codec, "simulate_tokens", counting)
+        monkeypatch.setattr(codec, "simulate", counting)
         teacher = NoveltyTeacher(VOCAB, T_MAX)
         repeated = 0
         for dut in corpus:

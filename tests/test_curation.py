@@ -4,12 +4,15 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from covstim import curation
+from covstim import policy as policy_module
 from covstim.codec import Vocab, simulate_tokens
 from covstim.corpus import load_bundled_corpus
 from covstim.curation import (
@@ -23,10 +26,10 @@ from covstim.curation import (
     make_teacher,
 )
 from covstim.hdl import parse, pretty_print
-from covstim.policy import STREAM_BLOCK, STREAM_WINDOW, Streams, TabularPolicy
+from covstim.policy import STREAM_WINDOW, Streams, TabularPolicy, sample_tokens
 
 import reference_curation
-from reference_curation import reference_novelty_sample
+from reference_curation import reference_novelty_sample, reference_penalties
 from policy_helpers import adjust, set_logits
 
 VOCAB = Vocab(4)
@@ -155,6 +158,34 @@ class TestTeachers:
                 assert seq == reference_novelty_sample(teacher, tau, twin)
                 assert uniform == twin.random()
 
+    @given(st.integers(1, 4), st.integers(1, 12), st.floats(0.3, 3.0),
+           st.integers(0, 2**32 - 64), st.integers(0, 40))
+    @example(4, 8, 1.2, 0, 40)  # rows end at several steps
+    @settings(max_examples=60, deadline=None)
+    def test_novelty_logits_equal_the_rebuilt_ones_at_every_step(self, wmax, t_max, tau,
+                                                                 start, rows):
+        # Each step's logits, kept from step to step, equal the ones rebuilt
+        # from the running rows' whole prefixes, bit for bit, also at steps
+        # after some rows have ended.
+        teacher = NoveltyTeacher(Vocab(wmax), t_max)
+        steps = []
+
+        def recording(vocab, t_max, tau, streams, next_logits):
+            def traced(tokens, running, j):
+                z = next_logits(tokens, running, j)
+                steps.append((tokens[running, :j], z.copy()))
+                return z
+            return sample_tokens(vocab, t_max, tau, streams, traced)
+
+        with patch.object(curation, "sample_tokens", recording):
+            seqs = teacher.sample("d", tau, Streams([7], range(start, start + rows), t_max))
+        # A sequence of length L drew min(L - 1, t_max) tokens, one per step.
+        drawn = [min(len(seq) - 1, t_max) for seq in seqs]
+        assert len(steps) == max(drawn, default=0)
+        for j, (prefixes, z) in enumerate(steps, 1):
+            assert len(prefixes) == sum(n >= j for n in drawn)
+            assert z.tobytes() == reference_penalties(teacher, prefixes).tobytes()
+
     def test_checkpoint_teacher(self, tmp_path):
         policy = TabularPolicy(VOCAB, 2, T_MAX)
         adjust(policy, "toy1", (BOS, BOS), 1, 5.0)
@@ -192,12 +223,12 @@ class TestCurateMatchesReference:
         assert [d.name for d in corpus] == ["toy1", "adder2"]
         if teacher == "checkpoint":
             teacher = checkpoint_teacher(corpus, tmp_path / "teacher.json")
-        # 1 pair is a partial block; 300 cross a block boundary.
-        assert 1 < STREAM_BLOCK < 300
+        # With blocks of 8, 1 pair is a partial block and 300 cross 37 block boundaries.
         for pairs_per_dut in (1, 300):
             config = CurationConfig(pairs_per_dut=pairs_per_dut, teacher=teacher, seed=seed)
             got, expected = tmp_path / "got.jsonl", tmp_path / "expected.jsonl"
-            stats = curate(corpus, config, got)
+            with patch.object(policy_module, "STREAM_BLOCK", 8):
+                stats = curate(corpus, config, got)
             counts = reference_curation.curate(corpus, config, expected)
             assert got.read_bytes() == expected.read_bytes()
             assert (stats.kept, stats.dropped_both_invalid, stats.dropped_tie) == (

@@ -1,10 +1,13 @@
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 
+from covstim import policy as policy_module
 from covstim.codec import Vocab
 from covstim.evaluation import ABLATION_POLICIES, METRICS, EvalConfig, eval_policy
 from covstim.pipeline import ablate, write_artifact
-from covstim.policy import STREAM_BLOCK, TabularPolicy
+from covstim.policy import TabularPolicy
 from covstim.training import TrainConfig
 
 from policy_helpers import adjust
@@ -79,15 +82,16 @@ class TestEvalPolicy:
         for m in METRICS:
             assert 0.0 <= report.mean[m] <= report.best[m] <= 1.0
 
-    @pytest.mark.parametrize("n", [30, STREAM_BLOCK + 5])
+    @pytest.mark.parametrize("n", [30, 261])
     def test_generations_match_per_generation_choice_loop(self, toy1, n):
-        # Batched sampler calls, over more than one block at the larger n,
-        # draw what generation i drew alone from its own generator [seed, i]
-        # with rng.choice.
+        # Batched sampler calls, over blocks of 8 (4 and 33 blocks, the last
+        # one partial), draw what generation i drew alone from its own
+        # generator [seed, i] with rng.choice.
         policy = TabularPolicy(VOCAB, 2, T_MAX)
         for ctx, token in (((BOS, BOS), 1), ((BOS, 1), 0), ((1, 0), EOS)):
             adjust(policy, "toy1", ctx, token, 2.0)
-        report = eval_policy(policy, toy1, EvalConfig(n, 0.8, 9))
+        with patch.object(policy_module, "STREAM_BLOCK", 8):
+            report = eval_policy(policy, toy1, EvalConfig(n, 0.8, 9))
         assert [g.tokens for g in report.generations] == [
             reference_sample(policy, "toy1", 0.8, np.random.default_rng([9, i])) for i in range(n)]
 

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from covstim import policy as policy_module
 from covstim.codec import CodecError, Vocab
 from covstim.curation import CurationConfig, NoveltyTeacher
 from covstim.policy import (
-    STREAM_BLOCK,
     STREAM_WINDOW,
     ReferencePolicy,
     Steps,
@@ -460,19 +460,22 @@ class TestLockstepDraw:
 
 
 class TestSampleIndexed:
+    BLOCK = 8  # STREAM_BLOCK in these tests, so that n crosses block boundaries
+
     @given(indexed_samplers(),
            st.lists(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**40)), max_size=2),
-           st.one_of(st.integers(0, 3), st.integers(STREAM_BLOCK - 1, STREAM_BLOCK + 2)),
+           st.one_of(st.integers(0, 3), st.integers(BLOCK - 1, 3 * BLOCK + 2)),
            st.lists(st.sampled_from([0.5, 0.9, 1.4]), min_size=1, max_size=3))
     @settings(max_examples=100, deadline=None)
     def test_tuple_i_draws_the_taus_in_order_from_stream_i(self, sampler, prefix, n, taus):
         # A tuple may take len(taus) * t_max draws, past a STREAM_WINDOW, and
-        # n may cross a block boundary.
-        blocks = list(sample_indexed(sampler, "d", prefix, n, taus))
+        # n may cross block boundaries.
+        with patch.object(policy_module, "STREAM_BLOCK", self.BLOCK):
+            blocks = list(sample_indexed(sampler, "d", prefix, n, taus))
         assert all(len(block) == len(taus) for block in blocks)
         sizes = [len(block[0]) for block in blocks]
         assert all(len(seqs) == size for block, size in zip(blocks, sizes) for seqs in block)
-        assert sizes[:-1] == [STREAM_BLOCK] * (len(sizes) - 1)
+        assert sizes[:-1] == [self.BLOCK] * (len(sizes) - 1)
         got = [seqs for block in blocks for seqs in zip(*block)]
         assert len(got) == n
         for i, seqs in enumerate(got):
