@@ -52,11 +52,6 @@ def _to_int(text: str, where: str) -> int:
 
 def cmd_simulate(args) -> int:
     dut = parse(Path(args.file).read_text(encoding="utf-8"))
-    issues = lint(dut)
-    if issues:
-        for issue in issues:
-            print(issue, file=sys.stderr)
-        return 1
     try:
         vocab = Vocab(args.wmax)
     except ValueError as err:

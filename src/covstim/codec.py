@@ -6,12 +6,16 @@ port taking the least-significant bits.  The vocabulary is global (sized by
 ``wmax``), so a policy can emit values too wide for a given DUT; that
 rejection path is the artifact's stand-in for a compile failure.
 
+Each function here that reads a design's widths first passes the design
+through ``sim.compiled``, the one design gate, which refuses a design that
+does not lint clean.
+
 :func:`simulate_tokens` is the one scoring rule of curation and evaluation:
 a sequence that does not decode scores 0, and any other scores the
 coverage its stimulus reaches in simulation.  :func:`simulate_block` is its
 block form, the one both stages call on a block of sampled sequences: it
-gives the same report per sequence, rejects the hopeless ones without
-decoding them and simulates each distinct one once.
+gives the same report per sequence, rejects the ones that do not decode
+without decoding them and simulates each distinct one once.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 from .checks import JSON_SCALARS, check_int, shown
 from .hdl import MAX_WIDTH, DutModel
-from .sim import CoverageReport, Stimulus, simulate
+from .sim import CoverageReport, Stimulus, compiled, simulate
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,7 @@ def check_well_formed(tokens, vocab: Vocab, t_max: int) -> None:
 
 def validate_and_decode(dut: DutModel, tokens, vocab: Vocab, t_max: int) -> Stimulus:
     """Decode a token sequence into a Stimulus or raise CodecError."""
+    compiled(dut)
     check_well_formed(tokens, vocab, t_max)
     interior = tokens[1:-1]
     if not interior:
@@ -112,44 +117,41 @@ def simulate_tokens(dut: DutModel, tokens, vocab: Vocab, t_max: int) -> Coverage
 def simulate_block(dut: DutModel, seqs, vocab: Vocab, t_max: int) -> list[CoverageReport | None]:
     """``[simulate_tokens(dut, s, vocab, t_max) for s in seqs]``, each distinct sequence run once.
 
-    A sequence of at most 2 tokens, or with an interior token at or above
-    ``1 << total_input_width(dut)``, fails ``validate_and_decode`` whatever
-    else it holds, so it gets None without being decoded.  A sequence of
-    BOS, at most t_max values the design's inputs hold, and EOS decodes
-    through a table of each value's cycle, which decoding does one value at
-    a time: only a sequence holding a value the table lacks goes through
-    ``validate_and_decode``, which fills the table in.  Any other sequence
-    goes through ``simulate_tokens``.  Tokens are ints, as sampling and
-    ``load_dataset`` give them.
+    A sequence decodes exactly when it is BOS, 1..t_max values each below
+    both ``vocab.n_values`` and ``1 << total_input_width(dut)``, then EOS;
+    any other gets None without being decoded.  A sequence that decodes
+    goes through a table of each value's cycle, which decoding does one
+    value at a time: only a sequence holding a value the table lacks goes
+    through ``validate_and_decode``, which fills the table in.  Tokens are
+    ints, as sampling and ``load_dataset`` give them.
     """
-    limit = 1 << total_input_width(dut)
-    bos, eos, fits = vocab.bos, vocab.eos, min(limit, vocab.n_values)
+    compiled(dut)
+    bos, eos = vocab.bos, vocab.eos
+    fits = min(1 << total_input_width(dut), vocab.n_values)
     table: dict[int, dict] = {}  # value token -> its cycle
     reports: dict[tuple, CoverageReport | None] = {}
     out = []
     for seq in seqs:
-        if len(seq) <= 2 or max(seq[1:-1]) >= limit:
+        if (not 2 < len(seq) <= t_max + 2 or seq[0] != bos or seq[-1] != eos
+                or max(values := seq[1:-1]) >= fits or min(values) < 0):
             out.append(None)
             continue
         key = tuple(seq)
         if key not in reports:
             interior = key[1:-1]
-            if (key[0] == bos and key[-1] == eos and len(interior) <= t_max
-                    and all(0 <= t < fits for t in interior)):
-                if set(interior) <= table.keys():
-                    stim = Stimulus(tuple(table[t] for t in interior))
-                else:
-                    stim = validate_and_decode(dut, key, vocab, t_max)
-                    table.update(zip(interior, stim.cycles))
-                reports[key] = simulate(dut, stim)
+            if set(interior) <= table.keys():
+                stim = Stimulus(tuple(table[t] for t in interior))
             else:
-                reports[key] = simulate_tokens(dut, seq, vocab, t_max)
+                stim = validate_and_decode(dut, key, vocab, t_max)
+                table.update(zip(interior, stim.cycles))
+            reports[key] = simulate(dut, stim)
         out.append(reports[key])
     return out
 
 
 def encode(dut: DutModel, stim: Stimulus, vocab: Vocab, t_max: int) -> list[int]:
     """Exact inverse of validate_and_decode on valid inputs."""
+    compiled(dut)
     if not 1 <= len(stim.cycles) <= t_max:
         raise ValueError(f"stimulus length {len(stim.cycles)} outside 1..{t_max}")
     tokens = [vocab.bos]

@@ -20,9 +20,9 @@ import numpy as np
 from .checks import (JSON_SCALARS, check_int, check_positive, check_str, is_finite_number, is_int,
                      parse_json, shown)
 from .codec import CodecError, Vocab, check_well_formed, simulate_block
-from .hdl import DutModel, lint, lint_kinds, pretty_print
+from .hdl import DutModel, pretty_print
 from .policy import TabularPolicy, sample_indexed, sample_tokens
-from .sim import CoverageReport
+from .sim import CoverageReport, compiled
 from .training import PreferencePair
 
 DATASET_VERSION = "pairanet_mini/1"
@@ -183,13 +183,11 @@ def curate(corpus, config: CurationConfig, out_path) -> CurationStats:
     ``sample_indexed`` draws pair p of design d, its tau1 sequence and then
     its tau2 one, from the stream ``default_rng([seed, d, p])``, so the
     output depends on neither the order of the pairs nor the block size.
+    A design that does not lint clean raises ``sim.compiled``'s ValueError
+    before anything is written.
     """
-    offenders = [(dut.name, issues) for dut in corpus if (issues := lint(dut))]
-    if offenders:
-        name, issues = offenders[0]
-        more = f" (designs with lint issues: {len(offenders)})" if len(offenders) > 1 else ""
-        raise ValueError(f"corpus has lint issues: {shown(name)}: {lint_kinds(issues)}{more}")
-
+    for dut in corpus:
+        compiled(dut)
     teacher = make_teacher(config)
     vocab = Vocab(config.wmax)
     stats = CurationStats()

@@ -11,7 +11,6 @@ conditionals nested deeper than ``MAX_DEPTH`` are syntax errors.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Union
@@ -607,13 +606,6 @@ def lint(dut: DutModel) -> list[LintIssue]:
 
     issues.sort(key=lambda i: (i.line, i.column))
     return issues
-
-
-def lint_kinds(issues: list[LintIssue]) -> str:
-    """Each kind among ``issues`` once, in order of first appearance, with its
-    count when above 1: a summary whose length does not grow with the design."""
-    counts = Counter(i.kind for i in issues)
-    return ", ".join(kind if n == 1 else f"{kind} x{n}" for kind, n in counts.items())
 
 
 # --- Debug emitter --------------------------------------------------------

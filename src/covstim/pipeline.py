@@ -1,4 +1,4 @@
-"""The experiment pipeline as a library: the run configuration and its stages.
+"""The experiment pipeline as a library: the run configuration, its corpus loader and its stages.
 
 Each ``run_*`` stage writes its artifacts under ``report_dir`` and returns its result.
 ``train_modes`` is the one reader of ``TrainConfig.ref_source``.
@@ -11,11 +11,40 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .checks import check_str, parse_json, shown
-from .corpus import load_bundled_corpus, load_corpus_dir
+from .corpus import load_bundled_corpus
 from .curation import CurationConfig, curate, load_dataset
 from .evaluation import ABLATION_POLICIES, METRICS, AblationTable, EvalConfig, eval_policy
+from .hdl import DutModel, ParseError, parse
 from .policy import TabularPolicy
+from .sim import compiled
 from .training import TrainConfig, train
+
+
+def load_corpus_dir(path) -> list[DutModel]:
+    """Parse every *.hdl file in a directory, sorted by filename, and pass each design
+    through ``sim.compiled``, the one design gate; each error names its file.
+
+    Module names must be unique: policy rows and pair ids are keyed by them.
+    """
+    files = sorted(Path(path).glob("*.hdl"))
+    if not files:
+        raise ValueError(f"no *.hdl files in {path}")
+    corpus = []
+    seen: dict[str, Path] = {}
+    for f in files:
+        try:
+            dut = parse(f.read_text(encoding="utf-8"))
+            compiled(dut)
+        except ParseError as err:
+            err.args = (f"{f}: {err}",)  # still a ParseError, with its line and column
+            raise
+        except ValueError as err:  # not UTF-8 text, or not lint clean
+            raise ValueError(f"{f}: {err}") from None
+        if dut.name in seen:
+            raise ValueError(f"{seen[dut.name]} and {f} both declare module {shown(dut.name)}")
+        seen[dut.name] = f
+        corpus.append(dut)
+    return corpus
 
 
 def _check_keys(prefix: str, doc, keys) -> None:

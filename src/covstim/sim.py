@@ -285,7 +285,11 @@ def compile_model(dut: DutModel):
 
 
 def compiled(dut: DutModel):
-    """``compile_model(dut)``, made on the first call and kept on the model."""
+    """``compile_model(dut)``, made on the first call and kept on the model.
+
+    The one design gate: whatever reads a design's widths calls it first,
+    so each design is linted once, and refused by :func:`cycle_source`.
+    """
     return dut.__dict__.get("_run") or dut.__dict__.setdefault("_run", compile_model(dut))
 
 

@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 
 from covstim.cli import main
 from covstim.codec import Vocab
-from covstim.corpus import BUNDLED_NAMES, bundled_source, load_bundled_corpus, load_corpus_dir
+from covstim.corpus import BUNDLED_NAMES, bundled_source, load_bundled_corpus
 from covstim.curation import CurationConfig
 from covstim.evaluation import EvalConfig
 from covstim.hdl import lint
-from covstim.pipeline import ExperimentConfig
+from covstim.pipeline import ExperimentConfig, load_corpus_dir
 from covstim.policy import TabularPolicy
 from covstim.sim import Stimulus, simulate
 from covstim.training import TrainConfig
@@ -298,7 +298,8 @@ class TestBundledCorpus:
         assert main(["curate", "--config", config]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"error: {corpus / 'b.hdl'}: lint issues: undeclared_identifier x2000\n"
+        assert err == (f"error: {corpus / 'b.hdl'}: design 'b' does not lint clean: 2:12: "
+                       f"undeclared_identifier: identifier 'q0' is not declared (and 1999 more)\n")
         assert not (report_dir / "pairs.jsonl").exists()
 
     def test_bundled_names(self):

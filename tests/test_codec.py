@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,11 @@ from covstim import codec
 from covstim.codec import (CodecError, Vocab, check_well_formed, encode, simulate_block,
                            simulate_tokens, total_input_width, validate_and_decode)
 from covstim.corpus import load_bundled_corpus
-from covstim.curation import NoveltyTeacher
+from covstim.curation import DATASET_VERSION, CurationConfig, NoveltyTeacher, load_dataset
+from covstim.evaluation import EvalConfig, eval_policy
 from covstim.hdl import parse
 from covstim.policy import TabularPolicy, sample_indexed
-from covstim.sim import simulate
+from covstim.sim import Stimulus, simulate
 
 VOCAB = Vocab(4)
 T_MAX = 8
@@ -250,3 +253,39 @@ class TestSimulateBlock:
             assert sorted(calls) == sorted(set(accepted)), dut.name
             repeated += len(accepted) - len(calls)
         assert repeated >= 200
+
+
+# Input widths lint flags width_out_of_range: one past what a shift can take,
+# one that a shift takes but no design may declare.
+HOSTILE_WIDTHS = {"40_hex_digits": "0x" + "f" * 40, "2**20": str(2**20)}
+ONE_CYCLE = [VOCAB.bos, 1, VOCAB.eos]
+
+
+def _load_one_line(dut, tmp_path):
+    path = tmp_path / "pairs.jsonl"
+    record = {"version": DATASET_VERSION, "dut": dut.name, "prompt": "", "chosen": ONE_CYCLE,
+              "rejected": [VOCAB.bos, 0, VOCAB.eos], "chosen_score": 1.0, "rejected_score": 0.0}
+    path.write_text(json.dumps(record) + "\n")
+    return load_dataset(path, CurationConfig(), [dut])
+
+
+# Each function that reads a design's widths, called on a design with one
+# sequence or stimulus that fits the vocabulary.
+WIDTH_READERS = {
+    "validate_and_decode": lambda dut, _: validate_and_decode(dut, ONE_CYCLE, VOCAB, T_MAX),
+    "simulate_block": lambda dut, _: simulate_block(dut, [ONE_CYCLE], VOCAB, T_MAX),
+    "encode": lambda dut, _: encode(dut, Stimulus(({"a": 1},)), VOCAB, T_MAX),
+    "eval_policy": lambda dut, _: eval_policy(TabularPolicy(VOCAB, 2, T_MAX), dut,
+                                              EvalConfig(n=2)),
+    "load_dataset": _load_one_line,
+}
+
+
+@pytest.mark.parametrize("width", list(HOSTILE_WIDTHS.values()), ids=list(HOSTILE_WIDTHS))
+@pytest.mark.parametrize("call", list(WIDTH_READERS))
+def test_design_gate_refuses_hostile_width(tmp_path, call, width):
+    """A design that does not lint clean is refused through ``sim.compiled`` before its
+    widths are read: a ValueError naming the issue, never an OverflowError or a result."""
+    dut = parse(f"module m (input a[{width}], output y[1]); assign y = a; endmodule")
+    with pytest.raises(ValueError, match="design 'm' does not lint clean: .*width_out_of_range"):
+        WIDTH_READERS[call](dut, tmp_path)

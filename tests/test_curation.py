@@ -1,6 +1,8 @@
+import importlib
 import itertools
 import json
 import math
+import pkgutil
 import re
 import tempfile
 from pathlib import Path
@@ -11,10 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from covstim import curation
+import covstim
+from covstim import curation, hdl, sim
 from covstim import policy as policy_module
 from covstim.codec import Vocab, simulate_tokens
-from covstim.corpus import load_bundled_corpus
+from covstim.corpus import BUNDLED_NAMES, bundled_source, load_bundled_corpus
 from covstim.curation import (
     CurationConfig,
     DropReason,
@@ -26,6 +29,7 @@ from covstim.curation import (
     make_teacher,
 )
 from covstim.hdl import parse, pretty_print
+from covstim.pipeline import load_corpus_dir
 from covstim.policy import STREAM_WINDOW, Streams, TabularPolicy, sample_tokens
 
 import reference_curation
@@ -298,8 +302,32 @@ class TestCurate:
         other = parse("module other (input a[1], output y[1]); endmodule")
         with pytest.raises(ValueError) as exc:
             curate([many, other], CurationConfig(seed=0), tmp_path / "pairs.jsonl")
-        assert str(exc.value) == ("corpus has lint issues: 'many': undeclared_identifier x2000 "
-                                  "(designs with lint issues: 2)")
+        assert str(exc.value) == ("design 'many' does not lint clean: 1:51: undeclared_identifier: "
+                                  "identifier 'q0' is not declared (and 1999 more)")
+        assert not (tmp_path / "pairs.jsonl").exists()
+
+    def test_each_model_linted_once(self, tmp_path, monkeypatch):
+        """Loading a corpus directory, curating it and loading the dataset lint each design
+        once, through ``sim.compiled``; no covstim module but hdl, sim and cli binds lint."""
+        corpus_dir = tmp_path / "corpus"
+        corpus_dir.mkdir()
+        for name in BUNDLED_NAMES:
+            (corpus_dir / f"{name}.hdl").write_text(bundled_source(name), encoding="utf-8")
+        linted = []
+
+        def counting(dut):
+            linted.append(dut.name)
+            return hdl.lint(dut)
+
+        monkeypatch.setattr(sim, "lint", counting)
+        config = CurationConfig(pairs_per_dut=20, seed=1)
+        corpus = load_corpus_dir(corpus_dir)
+        curate(corpus, config, tmp_path / "pairs.jsonl")
+        assert load_dataset(tmp_path / "pairs.jsonl", config, corpus)
+        assert sorted(linted) == sorted(BUNDLED_NAMES)
+        binders = [m.name for m in pkgutil.iter_modules(covstim.__path__)
+                   if "lint" in vars(importlib.import_module(f"covstim.{m.name}"))]
+        assert sorted(binders) == ["cli", "hdl", "sim"]
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
