@@ -18,7 +18,7 @@ from .codec import Vocab, validate_and_decode
 from .curation import CurationConfig
 from .hdl import ParseError, lint, parse
 from .pipeline import ExperimentConfig, run_ablate, run_curate, run_eval, run_train
-from .sim import SimulationError, Stimulus, simulate
+from .sim import Stimulus, simulate
 from .training import MODES, TrainingError
 
 
@@ -174,7 +174,7 @@ def main(argv=None) -> int:
     except ParseError as err:
         print(f"parse error: {err}", file=sys.stderr)
         return 1
-    except (SimulationError, TrainingError, ValueError) as err:
+    except (TrainingError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except MemoryError as err:

@@ -10,11 +10,10 @@ Each function here that reads a design's widths first passes the design
 through ``sim.compiled``, the one design gate, which refuses a design that
 does not lint clean.
 
-:func:`simulate_tokens` is the one scoring rule of curation and evaluation:
-a sequence that does not decode scores 0, and any other scores the
-coverage its stimulus reaches in simulation.  :func:`simulate_block` is its
-block form, the one both stages call on a block of sampled sequences: it
-gives the same report per sequence, rejects the ones that do not decode
+:func:`simulate_block` is the one scoring rule of curation and evaluation,
+applied to a block of sampled sequences: a sequence that does not decode
+gets None and scores 0, and any other gets the coverage its stimulus
+reaches in simulation.  It rejects the sequences that do not decode
 without decoding them and simulates each distinct one once.
 """
 
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 
 from .checks import JSON_SCALARS, check_int, shown
 from .hdl import MAX_WIDTH, DutModel
-from .sim import CoverageReport, Stimulus, compiled, simulate
+from .sim import CoverageReport, Stimulus, compiled, input_rows, simulate
 
 
 @dataclass(frozen=True)
@@ -105,25 +104,18 @@ def validate_and_decode(dut: DutModel, tokens, vocab: Vocab, t_max: int) -> Stim
     return Stimulus(tuple(cycles))
 
 
-def simulate_tokens(dut: DutModel, tokens, vocab: Vocab, t_max: int) -> CoverageReport | None:
-    """The coverage of the stimulus the tokens decode to; None (score 0) if they do not."""
-    try:
-        stim = validate_and_decode(dut, tokens, vocab, t_max)
-    except CodecError:
-        return None
-    return simulate(dut, stim)
-
-
 def simulate_block(dut: DutModel, seqs, vocab: Vocab, t_max: int) -> list[CoverageReport | None]:
-    """``[simulate_tokens(dut, s, vocab, t_max) for s in seqs]``, each distinct sequence run once.
+    """Each sequence's coverage report, or None if it does not decode; each distinct one run once.
 
-    A sequence decodes exactly when it is BOS, 1..t_max values each below
-    both ``vocab.n_values`` and ``1 << total_input_width(dut)``, then EOS;
-    any other gets None without being decoded.  A sequence that decodes
-    goes through a table of each value's cycle, which decoding does one
-    value at a time: only a sequence holding a value the table lacks goes
-    through ``validate_and_decode``, which fills the table in.  Tokens are
-    ints, as sampling and ``load_dataset`` give them.
+    The report is ``simulate`` of the stimulus that ``validate_and_decode``
+    gives the sequence.  A sequence decodes exactly when it is BOS, 1..t_max
+    values each below both ``vocab.n_values`` and
+    ``1 << total_input_width(dut)``, then EOS; any other gets None without
+    being decoded.  A sequence that decodes goes through a table of each
+    value's cycle, which decoding does one value at a time: only a sequence
+    holding a value the table lacks goes through ``validate_and_decode``,
+    which fills the table in.  Tokens are ints, as sampling and
+    ``load_dataset`` give them.
     """
     compiled(dut)
     bos, eos = vocab.bos, vocab.eos
@@ -150,21 +142,15 @@ def simulate_block(dut: DutModel, seqs, vocab: Vocab, t_max: int) -> list[Covera
 
 
 def encode(dut: DutModel, stim: Stimulus, vocab: Vocab, t_max: int) -> list[int]:
-    """Exact inverse of validate_and_decode on valid inputs."""
+    """Exact inverse of validate_and_decode; refuses a stimulus as ``simulate`` does."""
     compiled(dut)
     if not 1 <= len(stim.cycles) <= t_max:
         raise ValueError(f"stimulus length {len(stim.cycles)} outside 1..{t_max}")
     tokens = [vocab.bos]
-    for i, cycle in enumerate(stim.cycles):
+    for i, row in enumerate(input_rows(dut, stim)):
         value = 0
-        shift = 0
-        for port in dut.input_ports:
-            v = cycle[port.name]
-            if not 0 <= v < (1 << port.width):
-                raise ValueError(f"cycle {i}: value {shown(v, JSON_SCALARS)} out of range "
-                                 f"for port {shown(port.name)}")
-            value |= v << shift
-            shift += port.width
+        for port in reversed(dut.input_ports):
+            value = value << port.width | row[port.name]
         if value >= vocab.n_values:
             raise ValueError(f"cycle {i}: packed value {shown(value, int)} exceeds vocabulary")
         tokens.append(value)

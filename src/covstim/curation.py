@@ -3,10 +3,10 @@
 For each attempted pair two candidate stimuli are drawn from a teacher at
 two distinct temperatures.  Each block of candidates that
 ``policy.sample_indexed`` yields at one temperature is scored by one
-``codec.simulate_block`` call, the block form of ``codec.simulate_tokens``.
-An invalid candidate carries no coverage detail; the higher-scoring
-candidate becomes the chosen sample.  Pairs where both candidates are
-invalid, or where scores tie, are dropped.
+``codec.simulate_block`` call, the one scoring rule.  An invalid
+candidate carries no coverage detail; the higher-scoring candidate becomes
+the chosen sample.  Pairs where both candidates are invalid, or where
+scores tie, are dropped.
 """
 
 from __future__ import annotations
@@ -141,8 +141,8 @@ def make_pair(dut: DutModel, a, b, config: CurationConfig, pair_id: str,
               prompt: str) -> Union[PairRecord, DropReason]:
     """Label or drop the pair of candidates a (sampled at tau1) and b (at tau2).
 
-    Each candidate is (sequence, report), its report the sequence's
-    ``codec.simulate_tokens``: None when it does not decode.  prompt is the
+    Each candidate is (sequence, report), the report ``codec.simulate_block``
+    gives the sequence: None when it does not decode.  prompt is the
     design's source text, ``pretty_print(dut)``.
     """
     (seq_a, report_a), (seq_b, report_b) = a, b
@@ -183,8 +183,10 @@ def curate(corpus, config: CurationConfig, out_path) -> CurationStats:
     ``sample_indexed`` draws pair p of design d, its tau1 sequence and then
     its tau2 one, from the stream ``default_rng([seed, d, p])``, so the
     output depends on neither the order of the pairs nor the block size.
-    A design that does not lint clean raises ``sim.compiled``'s ValueError
-    before anything is written.
+    d is the design's position in ``corpus``, so a design added, removed or
+    renamed in a ``corpus_dir`` re-draws the pairs of every design sorted
+    after it.  A design that does not lint clean raises ``sim.compiled``'s
+    ValueError before anything is written.
     """
     for dut in corpus:
         compiled(dut)

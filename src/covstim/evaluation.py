@@ -1,7 +1,7 @@
 """Policy evaluation (mean@N / best@N) and the four-way ablation table.
 
 Each block of generations that ``policy.sample_indexed`` yields is scored by
-one ``codec.simulate_block`` call, the block form of ``codec.simulate_tokens``.
+one ``codec.simulate_block`` call, the one scoring rule.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ one Python function that runs a whole stimulus; :func:`compiled` keeps it
 on the model.  Only a design that :func:`hdl.lint` passes compiles.  The
 function reads each cycle's inputs straight from the stimulus's dicts and
 checks them as it goes, giving up on the first bad cycle; only then does
-:func:`simulate` look for the cycle and port to name.  It computes each
+:func:`simulate` look for the cycle and port to name, by :func:`input_rows`,
+the one stimulus rule, which ``codec.encode`` applies too.  It computes each
 subexpression only to the bits that its consumer reads, and it counts
 coverage once, after the last cycle: a statement by the arm that holds
 it, a bin by the values its signal took.  Nothing recurses or dispatches
@@ -22,8 +23,8 @@ on node types at simulation time.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 
 from .checks import JSON_SCALARS, shown
@@ -36,13 +37,14 @@ _FILENAME = "<covstim cycle function>"
 METRICS = ("statement", "branch", "functional")
 
 
-class SimulationError(Exception):
-    """Malformed stimulus: names the offending cycle and port."""
+class SimulationError(ValueError):
+    """Malformed stimulus: names the offending cycle and port (None: not a mapping)."""
 
-    def __init__(self, cycle: int, port: str, message: str):
+    def __init__(self, cycle: int, port, message: str):
         self.cycle = cycle
         self.port = port
-        super().__init__(f"cycle {cycle}, port {shown(port, JSON_SCALARS)}: {message}")
+        where = "" if port is None else f", port {shown(port, JSON_SCALARS)}"
+        super().__init__(f"cycle {cycle}{where}: {message}")
 
 
 @dataclass(frozen=True)
@@ -76,9 +78,12 @@ class CoverageReport:
     average: float = field(init=False, compare=False)
 
     def __post_init__(self):
-        active = [Fraction(m.covered, m.total) for m in self.metrics().values() if m.total > 0]
-        average = float(sum(active, Fraction(0)) / len(active)) if active else 0.0
-        object.__setattr__(self, "average", average)
+        # num / den sums covered / total exactly; int / int rounds correctly.
+        num, den, n = 0, 1, 0
+        for m in self.metrics().values():
+            if m.total > 0:
+                num, den, n = num * m.total + m.covered * den, den * m.total, n + 1
+        object.__setattr__(self, "average", num / (den * n) if n else 0.0)
 
     def metrics(self) -> dict[str, MetricCount]:
         """Each metric's count, by name, in ``METRICS`` order."""
@@ -293,15 +298,18 @@ def compiled(dut: DutModel):
     return dut.__dict__.get("_run") or dut.__dict__.setdefault("_run", compile_model(dut))
 
 
-def _input_rows(dut: DutModel, stim: Stimulus) -> list[dict]:
-    """Every cycle's inputs as a dict of plain ints; raise on the first bad one.
+def input_rows(dut: DutModel, stim: Stimulus) -> list[dict]:
+    """Every cycle's inputs as a dict of plain ints; raise SimulationError on the first bad one.
 
-    A cycle must give every input port an int (not a bool) in its range,
-    and name no other port.
+    The one stimulus rule: a cycle must be a mapping that gives every input
+    port an int (not a bool) in its range, and names no other port.
     """
     ports = dut.input_ports
     rows = []
     for cycle_no, cycle in enumerate(stim.cycles):
+        if not isinstance(cycle, Mapping):
+            raise SimulationError(cycle_no, None, "must be a mapping of port names to values, "
+                                  f"got {shown(cycle, Mapping)}")
         row = {}
         for port in ports:
             if port.name not in cycle:
@@ -324,7 +332,7 @@ def simulate(dut: DutModel, stim: Stimulus) -> CoverageReport:
 
     The compiled function checks each cycle's inputs as it runs them, and
     there is no report unless every cycle passes.  When it refuses a
-    stimulus, :func:`_input_rows` names the first bad cycle and port in a
+    stimulus, :func:`input_rows` names the first bad cycle and port in a
     SimulationError; a stimulus it accepts there (an int subclass other
     than bool as a value, a mapping other than a dict as a cycle) runs
     again with its values as plain ints in plain dicts.  A model with lint
@@ -336,7 +344,7 @@ def simulate(dut: DutModel, stim: Stimulus) -> CoverageReport:
     except (LookupError, TypeError):
         counts = None
     if counts is None:
-        counts = run(_input_rows(dut, stim))
+        counts = run(input_rows(dut, stim))
     statements, branches, bins = counts
     return _report(statements, dut.total_statements, branches, dut.total_branch_outcomes,
                    bins, dut.total_bins, len(stim.cycles))

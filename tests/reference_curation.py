@@ -13,11 +13,12 @@ from dataclasses import asdict
 import numpy as np
 
 from covstim import curation
-from covstim.codec import Vocab, simulate_tokens
+from covstim.codec import Vocab
 from covstim.hdl import pretty_print
 from covstim.policy import masked_softmax
 
 from policy_helpers import context, logits
+from reference_codec import simulate_tokens
 
 
 def reference_sample_tokens(vocab, t_max, tau, rng, next_logits) -> list[int]:

@@ -1,4 +1,5 @@
 import json
+from enum import IntEnum
 
 import numpy as np
 import pytest
@@ -7,13 +8,15 @@ from hypothesis import strategies as st
 
 from covstim import codec
 from covstim.codec import (CodecError, Vocab, check_well_formed, encode, simulate_block,
-                           simulate_tokens, total_input_width, validate_and_decode)
+                           total_input_width, validate_and_decode)
 from covstim.corpus import load_bundled_corpus
 from covstim.curation import DATASET_VERSION, CurationConfig, NoveltyTeacher, load_dataset
 from covstim.evaluation import EvalConfig, eval_policy
 from covstim.hdl import parse
 from covstim.policy import TabularPolicy, sample_indexed
 from covstim.sim import Stimulus, simulate
+
+from reference_codec import simulate_tokens
 
 VOCAB = Vocab(4)
 T_MAX = 8
@@ -118,6 +121,16 @@ class TestEncode:
         with pytest.raises(ValueError, match="cycle 1: packed value 16 exceeds vocabulary"):
             encode(FIVE_BIT_DUT, Stimulus(({"a": 15}, {"a": 16})), VOCAB, T_MAX)
 
+    def test_int_enum_value_encodes_as_the_plain_int(self, corpus):
+        adder2 = next(dut for dut in corpus if dut.name == "adder2")
+        three = IntEnum("Value", {"THREE": 3}).THREE
+
+        def tokens(a, b):
+            return encode(adder2, Stimulus(({"a": a, "b": 1}, {"a": 0, "b": b})), VOCAB, T_MAX)
+
+        assert tokens(three, three) == tokens(3, 3) == [VOCAB.bos, 7, 12, VOCAB.eos]
+        assert all(type(t) is int for t in tokens(three, three))
+
 
 class TestRoundTripProperty:
     @given(st.lists(st.integers(0, 15), min_size=1, max_size=T_MAX))
@@ -182,10 +195,13 @@ class TestWellFormed:
 
 
 class TestSimulateTokens:
+    """``simulate_block`` on a block of one sequence: the rule that
+    ``reference_codec.simulate_tokens`` keeps."""
+
     @given(st.sampled_from([THREE_BIT_DUT, *load_bundled_corpus()]), TOKEN_LISTS)
     @settings(max_examples=300, deadline=None)
     def test_none_exactly_when_decode_fails(self, dut, tokens):
-        report = simulate_tokens(dut, tokens, VOCAB, T_MAX)
+        (report,) = simulate_block(dut, [tokens], VOCAB, T_MAX)
         try:
             stim = validate_and_decode(dut, tokens, VOCAB, T_MAX)
         except CodecError:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import covstim
 from covstim import curation, hdl, sim
 from covstim import policy as policy_module
-from covstim.codec import Vocab, simulate_tokens
+from covstim.codec import Vocab
 from covstim.corpus import BUNDLED_NAMES, bundled_source, load_bundled_corpus
 from covstim.curation import (
     CurationConfig,
@@ -33,6 +33,7 @@ from covstim.pipeline import load_corpus_dir
 from covstim.policy import STREAM_WINDOW, Streams, TabularPolicy, sample_tokens
 
 import reference_curation
+from reference_codec import simulate_tokens
 from reference_curation import reference_novelty_sample, reference_penalties
 from policy_helpers import adjust, set_logits
 

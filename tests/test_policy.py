@@ -583,7 +583,7 @@ for name in corpus.BUNDLED_NAMES:
     dut = hdl.parse(corpus.bundled_source(name))
     assert hdl.lint(dut) == []
     sim.simulate(dut, sim.Stimulus(({port.name: 1 for port in dut.input_ports},)))
-    assert codec.simulate_tokens(dut, [vocab.bos, 0, 1, vocab.eos], vocab, 8) is not None
+    assert codec.simulate_block(dut, [[vocab.bos, 0, 1, vocab.eos]], vocab, 8)[0] is not None
 """)
 
 

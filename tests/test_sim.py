@@ -4,6 +4,7 @@ import random
 import re
 import tokenize
 from collections import defaultdict
+from collections.abc import Mapping
 from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from covstim import sim
 from covstim.checks import JSON_SCALARS, shown
+from covstim.codec import Vocab, encode
 from covstim.corpus import load_bundled_corpus
 from covstim.hdl import MAX_DEPTH, MAX_WIDTH, BinOp, Const, Ident, UnOp, lint, parse
 from covstim.sim import (CoverageReport, MetricCount, SimulationError, Stimulus, average_score,
@@ -144,6 +146,16 @@ class TestSemantics:
             simulate(toy1, Stimulus(({"a": 0}, {"a": True})))
         assert (exc.value.cycle, exc.value.port) == (1, "a")
 
+    @pytest.mark.parametrize("cycle", [None, 0, ["a"], "ab"], ids=repr)
+    def test_cycle_not_a_mapping_refused(self, toy1, cycle):
+        stimulus = Stimulus(({"a": 1}, cycle))
+        for call in (lambda: simulate(toy1, stimulus), lambda: encode(toy1, stimulus, Vocab(4), 8)):
+            with pytest.raises(SimulationError) as exc:
+                call()
+            assert (exc.value.cycle, exc.value.port) == (1, None)
+            assert str(exc.value) == ("cycle 1: must be a mapping of port names to values, "
+                                      f"got {type(cycle).__name__}")
+
 
 class TestProperties:
     def test_oracle_equivalence_toy1(self, toy1):
@@ -245,6 +257,16 @@ class TestProperties:
         report = simulate(toy1, stim(1))
         expected = (Fraction(2, 3) + Fraction(1, 2) + Fraction(1, 2)) / 3
         assert report.average == float(expected)
+
+    @given(st.lists(st.integers(0, 2**40).flatmap(
+        lambda total: st.tuples(st.integers(0, total), st.just(total))), min_size=3, max_size=3))
+    @settings(max_examples=500, deadline=None)
+    def test_average_equals_the_fraction_mean(self, triple):
+        # Totals of 0 drop out of the mean; the reference sums Fractions.
+        report = CoverageReport(*(MetricCount(c, t) for c, t in triple), cycles_run=1)
+        active = [Fraction(c, t) for c, t in triple if t > 0]
+        expected = float(sum(active, Fraction(0)) / len(active)) if active else 0.0
+        assert report.average == expected
 
 
 def refusal(name, issues):
@@ -591,6 +613,9 @@ def parent_input_rows(dut, stim):
     ports = dut.input_ports
     rows = []
     for cycle_no, cycle in enumerate(stim.cycles):
+        if not isinstance(cycle, Mapping):
+            raise SimulationError(cycle_no, None, "must be a mapping of port names to values, "
+                                  f"got {type(cycle).__name__}")
         row = []
         for port in ports:
             if port.name not in cycle:
@@ -667,6 +692,14 @@ class TestRefusal:
         expected = outcome(lambda: parent_input_rows(dut, stimulus))
         assert expected is not None
         assert outcome(lambda: simulate(dut, stimulus)) == expected
+
+    @given(corrupted_stimuli())
+    @settings(max_examples=400, deadline=None)
+    def test_encode_refuses_what_simulate_refuses(self, case):
+        dut, stimulus = case
+        expected = outcome(lambda: simulate(dut, stimulus))
+        assert expected is not None
+        assert outcome(lambda: encode(dut, stimulus, Vocab(4), 8)) == expected
 
     @given(st.sampled_from(_REFUSAL_DESIGNS), st.data())
     @settings(max_examples=100, deadline=None)
