@@ -5,7 +5,8 @@ through ``next`` statements, wires driven by ``assign``, conditionals, and
 ``cover`` groups declaring value bins on a signal.  The parser is total
 over arbitrary text: it either returns a :class:`DutModel` or raises
 :class:`ParseError` at the first offending token.  Expressions and
-conditionals nested deeper than ``MAX_DEPTH`` are syntax errors.
+conditionals nested deeper than ``MAX_DEPTH`` are syntax errors.  Only
+syntax and lint live here: ``sim``'s compiler counts what a design covers.
 """
 
 from __future__ import annotations
@@ -170,7 +171,6 @@ class Conditional:
     else_body: tuple["Stmt", ...]
     line: int = field(default=0, compare=False)
     column: int = field(default=0, compare=False)
-    index: int = field(default=0, compare=False)  # pre-order among Conditionals
 
 
 Stmt = Union[Assign, Conditional]
@@ -219,7 +219,7 @@ class Covergroup:
 
 @dataclass(frozen=True)
 class DutModel:
-    """A parsed design; the parser numbers its conditionals and sets the totals."""
+    """A parsed design, as written: what it covers is counted by ``sim``'s compiler."""
 
     name: str
     ports: tuple[Port, ...]
@@ -227,8 +227,6 @@ class DutModel:
     wires: tuple[Wire, ...]
     body: tuple[Stmt, ...]
     covergroups: tuple[Covergroup, ...]
-    total_statements: int
-    total_branch_outcomes: int
 
     @cached_property
     def input_ports(self) -> tuple[Port, ...]:
@@ -246,10 +244,6 @@ class DutModel:
             widths.setdefault(d.name, d.width)
         return widths
 
-    @property
-    def total_bins(self) -> int:
-        return sum(len(cg.bins) for cg in self.covergroups)
-
 
 # --- Parser ---------------------------------------------------------------
 
@@ -266,8 +260,6 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
-        self.n_statements = 0
-        self.n_conditionals = 0
 
     @property
     def cur(self) -> Token:
@@ -341,9 +333,7 @@ class _Parser:
         if self.cur.kind != "eof":
             self._fail("trailing input after 'endmodule'")
         return DutModel(name=name, ports=tuple(ports), regs=tuple(regs), wires=tuple(wires),
-                        body=tuple(body), covergroups=tuple(covergroups),
-                        total_statements=self.n_statements,
-                        total_branch_outcomes=2 * self.n_conditionals)
+                        body=tuple(body), covergroups=tuple(covergroups))
 
     def parse_port(self) -> Port:
         if not (self.at("input") or self.at("output")):
@@ -397,7 +387,6 @@ class _Parser:
         """Parse one statement inside ``nest`` enclosing conditionals."""
         if self.at("assign") or self.at("next"):
             kw = self.advance()
-            self.n_statements += 1
             target = self.expect_kind("ident").text
             self.expect("=")
             expr, _ = self.parse_expr()
@@ -406,8 +395,6 @@ class _Parser:
         if self.at("if"):
             kw = self.advance()
             self._nest(kw, nest + 1, MAX_DEPTH, "conditionals")
-            index = self.n_conditionals
-            self.n_conditionals += 1
             self.expect("(")
             cond, _ = self.parse_expr()
             self.expect(")")
@@ -416,7 +403,7 @@ class _Parser:
             if self.at("else"):
                 self.advance()
                 else_body = self.parse_block(nest + 1)
-            return Conditional(cond, then_body, else_body, kw.line, kw.column, index)
+            return Conditional(cond, then_body, else_body, kw.line, kw.column)
         self._fail(f"expected statement, found {shown(self.cur.text or 'end of input')}")
 
     def parse_block(self, nest: int) -> tuple[Stmt, ...]:

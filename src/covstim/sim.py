@@ -9,16 +9,17 @@ the end of item evaluation, before registers latch.  All arithmetic is
 64-bit unsigned with masking to the target width on assignment.
 
 Each design is compiled once, by :func:`cycle_source`, into the source of
-one Python function that runs a whole stimulus; :func:`compiled` keeps it
-on the model.  Only a design that :func:`hdl.lint` passes compiles.  The
-function reads each cycle's inputs straight from the stimulus's dicts and
-checks them as it goes, giving up on the first bad cycle; only then does
-:func:`simulate` look for the cycle and port to name, by :func:`input_rows`,
-the one stimulus rule, which ``codec.encode`` applies too.  It computes each
-subexpression only to the bits that its consumer reads, and it counts
-coverage once, after the last cycle: a statement by the arm that holds
-it, a bin by the values its signal took.  Nothing recurses or dispatches
-on node types at simulation time.
+one Python function that runs a whole stimulus and returns its report;
+:func:`compiled` keeps it on the model.  The compiler alone numbers and
+counts what a design covers.  Only a design that :func:`hdl.lint` passes
+compiles.  The function reads each cycle's inputs straight from the
+stimulus's dicts and checks them as it goes, giving up on the first bad
+cycle; only then does :func:`simulate` look for the cycle and port to name,
+by :func:`input_rows`, the one stimulus rule, which ``codec.encode`` applies
+too.  It computes each subexpression only to the bits that its consumer
+reads, and it counts coverage once, after the last cycle: a statement by
+the arm that holds it, a bin by the values its signal took.  Nothing
+recurses or dispatches on node types at simulation time.
 """
 
 from __future__ import annotations
@@ -38,12 +39,13 @@ METRICS = ("statement", "branch", "functional")
 
 
 class SimulationError(ValueError):
-    """Malformed stimulus: names the offending cycle and port (None: not a mapping)."""
+    """Malformed stimulus: names the offending cycle, and its port (None included)
+    unless ``has_port`` is False: the cycle is not a mapping, and ``port`` is None."""
 
-    def __init__(self, cycle: int, port, message: str):
+    def __init__(self, cycle: int, port, message: str, *, has_port: bool = True):
         self.cycle = cycle
-        self.port = port
-        where = "" if port is None else f", port {shown(port, JSON_SCALARS)}"
+        self.port = port if has_port else None
+        where = f", port {shown(port, JSON_SCALARS)}" if has_port else ""
         super().__init__(f"cycle {cycle}{where}: {message}")
 
 
@@ -114,14 +116,18 @@ def _sum(terms: list[str]) -> str:
 
 
 class _Compiler:
-    """Emits the source of ``run(cycles)`` for one design.
+    """Emits the source of ``run(cycles)`` for one design, and numbers and
+    counts what it covers.
 
     Inputs, registers, and wires and outputs live in locals ``i<j>``,
-    ``r<j>`` and ``w<j>``, numbered in declaration order; ``c`` is the
-    current cycle's dict, and the global ``k<j>`` input j's name.  ``next`` writes
+    ``r<j>`` and ``w<j>``, numbered in declaration order; ``t`` is the
+    number of cycles, ``c`` the current cycle's dict, and the global ``k<j>``
+    input j's name.  ``next`` writes
     ``n<j>``, register j's value for the next cycle, whose ``r<j>`` starts
     from it.  ``b<k>`` becomes 1 once branch outcome k runs, and
-    ``c<g>[v]`` once covergroup g's signal ends a cycle at value v.
+    ``c<g>[v]`` once covergroup g's signal ends a cycle at value v.  The
+    walk over the body numbers the outcomes as it reaches each conditional,
+    in pre-order: a conditional's two come before those in its arms.
     ``arms`` counts, per branch outcome, the statements its arm holds
     directly: they run whenever the outcome does.
 
@@ -131,6 +137,7 @@ class _Compiler:
     """
 
     def __init__(self, dut: DutModel):
+        self.dut = dut
         self.widths = dut.widths
         self.local: dict[str, str] = {}
         for prefix, decls in (("i", dut.input_ports), ("r", dut.regs),
@@ -214,13 +221,49 @@ class _Compiler:
                 mask = (1 << width) - 1
                 emit(f"{indent}{target} = {source}" + (f" & {mask}" if bound > mask else ""))
                 continue
+            k = len(self.arms)
+            self.arms[k] = self.arms[k + 1] = 0  # taken before the arms number theirs
             emit(f"{indent}if {self.condition(st.cond)}:")
-            for k, arm in ((2 * st.index, st.then_body), (2 * st.index + 1, st.else_body)):
+            for k, arm in ((k, st.then_body), (k + 1, st.else_body)):
                 if k % 2:
                     emit(f"{indent}else:")
                 emit(f"{indent} b{k} = 1")
                 self.arms[k] = sum(isinstance(s, Assign) for s in arm)
                 self.body(arm, indent + " ")
+
+    def source(self) -> str:
+        """Source of ``run``: the body first, numbering the outcomes, then the rest."""
+        dut = self.dut
+        self.body(dut.body, "  ")
+        outcomes = len(self.arms)
+        # t first: cycles with no len raise before any is read, so simulate can re-read them.
+        lines = ["def run(cycles):", " t = len(cycles)",
+                 *(f" n{j} = {r.init}" for j, r in enumerate(dut.regs))]
+        if outcomes:
+            lines.append(f" {' = '.join(f'b{k}' for k in range(outcomes))} = 0")
+        lines += [f" c{g} = bytearray({1 << self.widths[cg.signal]})"
+                  for g, cg in enumerate(dut.covergroups)]
+        lines.append(" for c in cycles:")
+        checks = [f"type(c) is not dict or len(c) != {len(dut.input_ports)}"] + [
+            f"type(i{j} := c[k{j}]) is not int or not 0 <= i{j} < {1 << p.width}"
+            for j, p in enumerate(dut.input_ports)]
+        lines.append(f"  if {' or '.join(checks)}: return None")
+        lines += [f"  r{j} = n{j}" for j in range(len(dut.regs))]
+        n_wires = len(dut.wires) + len(dut.output_ports)
+        if n_wires:
+            lines.append(f"  {' = '.join(f'w{j}' for j in range(n_wires))} = 0")
+        lines += self.lines
+        lines += [f"  c{g}[{self.local[cg.signal]}] = 1" for g, cg in enumerate(dut.covergroups)]
+        top = sum(isinstance(st, Assign) for st in dut.body)
+        statements = ([f"({top} if t else 0)"] if top else []) + [
+            f"{n} * b{k}" if n > 1 else f"b{k}" for k, n in sorted(self.arms.items()) if n]
+        branches = [f"b{k}" for k in range(outcomes)]
+        # A bin's term is a bool, so the sum starts from an int.
+        bins = [f"(c{g}.find(1, {b.lo}, {b.hi + 1}) >= 0)"
+                for g, cg in enumerate(dut.covergroups) for b in cg.bins]
+        lines.append(f" return report({_sum(statements)}, {top + sum(self.arms.values())},"
+                     f" {_sum(branches)}, {outcomes}, {_sum(['0', *bins])}, {len(bins)}, t)")
+        return "\n".join(lines) + "\n"
 
 
 def cycle_source(dut: DutModel) -> str:
@@ -231,71 +274,39 @@ def cycle_source(dut: DutModel) -> str:
     ``c[k<j>]``.  In one line per cycle it checks that ``c`` is a dict
     with one key per input port and that each value is an int (of type
     int exactly) in its port's range, and it returns None at the first
-    cycle that fails.  Otherwise it returns how many statements, branch
-    outcomes and cover bins the stimulus covered.  The source holds only
-    integer constants, builtins and the locals above, never a name from
-    the design; :func:`compile_model` binds ``k<j>`` to port j's name.
-    A design that :func:`hdl.lint` flags raises ValueError naming its first
-    issue, as ``covstim lint`` prints it, and how many more there are.
+    cycle that fails.  Otherwise it returns the stimulus's CoverageReport:
+    how many statements, branch outcomes and cover bins it covered, out of
+    totals that the compiler counted and wrote in as constants.  The source
+    holds only integer constants, builtins, ``report`` and the locals above,
+    never a name from the design; :func:`compiled` binds ``k<j>`` to port
+    j's name.  A design that :func:`hdl.lint` flags raises ValueError
+    naming its first issue, as ``covstim lint`` prints it, and how many
+    more there are.
     """
     issues = lint(dut)
     if issues:
         more = f" (and {len(issues) - 1} more)" if len(issues) > 1 else ""
         raise ValueError(f"design {shown(dut.name)} does not lint clean: {issues[0]}{more}")
-    comp = _Compiler(dut)
-    emit = comp.lines.append
-    emit("def run(cycles):")
-    for j, r in enumerate(dut.regs):
-        emit(f" n{j} = {r.init}")
-    if dut.total_branch_outcomes:
-        emit(f" {' = '.join(f'b{k}' for k in range(dut.total_branch_outcomes))} = 0")
-    for g, cg in enumerate(dut.covergroups):
-        emit(f" c{g} = bytearray({1 << dut.widths[cg.signal]})")
-    emit(" for c in cycles:")
-    checks = [f"type(c) is not dict or len(c) != {len(dut.input_ports)}"] + [
-        f"type(i{j} := c[k{j}]) is not int or not 0 <= i{j} < {1 << p.width}"
-        for j, p in enumerate(dut.input_ports)]
-    emit(f"  if {' or '.join(checks)}: return None")
-    for j in range(len(dut.regs)):
-        emit(f"  r{j} = n{j}")
-    n_wires = len(dut.wires) + len(dut.output_ports)
-    if n_wires:
-        emit(f"  {' = '.join(f'w{j}' for j in range(n_wires))} = 0")
-    comp.body(dut.body, "  ")
-    for g, cg in enumerate(dut.covergroups):
-        emit(f"  c{g}[{comp.local[cg.signal]}] = 1")
-    top = sum(isinstance(st, Assign) for st in dut.body)
-    statements = ([f"({top} if cycles else 0)"] if top else []) + [
-        f"{n} * b{k}" if n > 1 else f"b{k}" for k, n in sorted(comp.arms.items()) if n]
-    branches = [f"b{k}" for k in range(dut.total_branch_outcomes)]
-    # A bin's term is a bool, so the sum starts from an int.
-    bins = ["0"] + [f"(c{g}.find(1, {b.lo}, {b.hi + 1}) >= 0)"
-                    for g, cg in enumerate(dut.covergroups) for b in cg.bins]
-    emit(f" return {_sum(statements)}, {_sum(branches)}, {_sum(bins)}")
-    return "\n".join(comp.lines) + "\n"
-
-
-def compile_model(dut: DutModel):
-    """Compile :func:`cycle_source`'s function; :func:`compiled` caches it.
-
-    Its namespace holds the builtins the source calls and ``k<j>``, the
-    name of input port j, so the source itself names nothing from the
-    design.
-    """
-    namespace = {"__builtins__": {}, "min": min, "bytearray": bytearray, "type": type,
-                 "int": int, "dict": dict, "len": len,
-                 **{f"k{j}": p.name for j, p in enumerate(dut.input_ports)}}
-    exec(compile(cycle_source(dut), _FILENAME, "exec"), namespace)
-    return namespace["run"]
+    return _Compiler(dut).source()
 
 
 def compiled(dut: DutModel):
-    """``compile_model(dut)``, made on the first call and kept on the model.
+    """The function :func:`cycle_source` emits, compiled on the first call and kept on the model.
 
     The one design gate: whatever reads a design's widths calls it first,
     so each design is linted once, and refused by :func:`cycle_source`.
+    The function's namespace holds the builtins the source calls,
+    ``report`` (:func:`_report`) and ``k<j>``, the name of input port j, so
+    the source itself names nothing from the design.
     """
-    return dut.__dict__.get("_run") or dut.__dict__.setdefault("_run", compile_model(dut))
+    run = dut.__dict__.get("_run")
+    if run is None:
+        namespace = {"__builtins__": {}, "min": min, "bytearray": bytearray, "type": type,
+                     "int": int, "dict": dict, "len": len, "report": _report,
+                     **{f"k{j}": p.name for j, p in enumerate(dut.input_ports)}}
+        exec(compile(cycle_source(dut), _FILENAME, "exec"), namespace)
+        run = dut.__dict__.setdefault("_run", namespace["run"])
+    return run
 
 
 def input_rows(dut: DutModel, stim: Stimulus) -> list[dict]:
@@ -309,7 +320,7 @@ def input_rows(dut: DutModel, stim: Stimulus) -> list[dict]:
     for cycle_no, cycle in enumerate(stim.cycles):
         if not isinstance(cycle, Mapping):
             raise SimulationError(cycle_no, None, "must be a mapping of port names to values, "
-                                  f"got {shown(cycle, Mapping)}")
+                                  f"got {shown(cycle, Mapping)}", has_port=False)
         row = {}
         for port in ports:
             if port.name not in cycle:
@@ -334,20 +345,17 @@ def simulate(dut: DutModel, stim: Stimulus) -> CoverageReport:
     there is no report unless every cycle passes.  When it refuses a
     stimulus, :func:`input_rows` names the first bad cycle and port in a
     SimulationError; a stimulus it accepts there (an int subclass other
-    than bool as a value, a mapping other than a dict as a cycle) runs
-    again with its values as plain ints in plain dicts.  A model with lint
+    than bool as a value, a mapping other than a dict as a cycle, cycles
+    in an iterable that has no len) runs again with its values as plain
+    ints in plain dicts.  A model with lint
     issues raises :func:`cycle_source`'s ValueError.
     """
     run = compiled(dut)
     try:
-        counts = run(stim.cycles)
+        report = run(stim.cycles)
     except (LookupError, TypeError):
-        counts = None
-    if counts is None:
-        counts = run(input_rows(dut, stim))
-    statements, branches, bins = counts
-    return _report(statements, dut.total_statements, branches, dut.total_branch_outcomes,
-                   bins, dut.total_bins, len(stim.cycles))
+        report = None
+    return run(input_rows(dut, stim)) if report is None else report
 
 
 @lru_cache(maxsize=1 << 10)

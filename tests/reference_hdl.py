@@ -78,8 +78,6 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
-        self.n_statements = 0
-        self.n_conditionals = 0
 
     @property
     def cur(self) -> Token:
@@ -149,9 +147,7 @@ class _Parser:
         if self.cur.kind != "eof":
             self._fail("trailing input after 'endmodule'")
         return DutModel(name=name, ports=tuple(ports), regs=tuple(regs), wires=tuple(wires),
-                        body=tuple(body), covergroups=tuple(covergroups),
-                        total_statements=self.n_statements,
-                        total_branch_outcomes=2 * self.n_conditionals)
+                        body=tuple(body), covergroups=tuple(covergroups))
 
     def parse_port(self) -> Port:
         if not (self.at("input") or self.at("output")):
@@ -205,7 +201,6 @@ class _Parser:
         """Parse one statement inside ``nest`` enclosing conditionals."""
         if self.at("assign") or self.at("next"):
             kw = self.advance()
-            self.n_statements += 1
             target = self.expect_kind("ident").text
             self.expect("=")
             expr, _ = self.parse_expr()
@@ -214,8 +209,6 @@ class _Parser:
         if self.at("if"):
             kw = self.advance()
             self._nest(kw, nest + 1, MAX_DEPTH, "conditionals")
-            index = self.n_conditionals
-            self.n_conditionals += 1
             self.expect("(")
             cond, _ = self.parse_expr()
             self.expect(")")
@@ -224,7 +217,7 @@ class _Parser:
             if self.at("else"):
                 self.advance()
                 else_body = self.parse_block(nest + 1)
-            return Conditional(cond, then_body, else_body, kw.line, kw.column, index)
+            return Conditional(cond, then_body, else_body, kw.line, kw.column)
         self._fail(f"expected statement, found {shown(self.cur.text or 'end of input')}")
 
     def parse_block(self, nest: int) -> tuple[Stmt, ...]:

@@ -156,6 +156,14 @@ class TestSemantics:
             assert str(exc.value) == ("cycle 1: must be a mapping of port names to values, "
                                       f"got {type(cycle).__name__}")
 
+    def test_extra_none_key_named(self, toy1):
+        stimulus = Stimulus(({"a": 1, None: 0},))
+        for call in (lambda: simulate(toy1, stimulus), lambda: encode(toy1, stimulus, Vocab(4), 8)):
+            with pytest.raises(SimulationError) as exc:
+                call()
+            assert (exc.value.cycle, exc.value.port) == (0, None)
+            assert str(exc.value) == "cycle 0, port None: no such input port"
+
 
 class TestProperties:
     def test_oracle_equivalence_toy1(self, toy1):
@@ -190,6 +198,11 @@ class TestProperties:
                 )
                 assert got == oracle_simulate(dut, cycles)
 
+    def test_totals_match_oracle(self, corpus):
+        # The compiler counts what a design covers; the oracle walks the model on its own.
+        for dut in corpus:
+            assert counts(simulate(dut, Stimulus(()))) == oracle_simulate(dut, ()), dut.name
+
     def test_oracle_equivalence_generated(self, monkeypatch):
         # The benchmark's generated designs: ~100 lines, 48 statements,
         # conditionals nested up to 3 deep (gen0 of seed 0 reaches 3),
@@ -200,8 +213,9 @@ class TestProperties:
         designs, stimuli = designgen.generate(0, 3, 2)
         for design, per_design in zip(designs, stimuli):
             dut = parse(design.text)
-            assert dut.total_statements == design.statements == 48
-            assert dut.total_branch_outcomes == 2 * design.conditionals
+            empty = simulate(dut, Stimulus(()))
+            assert empty.statement.total == design.statements == 48
+            assert empty.branch.total == 2 * design.conditionals
             for cycles in per_design:
                 report = simulate(dut, Stimulus(tuple(cycles)))
                 got = (
@@ -417,8 +431,10 @@ class TestNarrowBits:
 
     def test_counts_are_ints(self, toy1):
         for cycles in ((), ({"a": 1},), ({"a": 1}, {"a": 0})):
-            run = sim.compiled(toy1)
-            assert all(type(n) is int for n in run(cycles))
+            report = sim.compiled(toy1)(cycles)
+            assert type(report) is CoverageReport and type(report.cycles_run) is int
+            assert all(type(n) is int for m in report.metrics().values()
+                       for n in (m.covered, m.total))
 
 
 # One design per lint kind, the kind its first issue: test_hdl.py's TestLint
@@ -516,7 +532,7 @@ class TestCompiled:
                 " endmodule")
         dut = parse(text)
         assert lint(dut) == []
-        assert dut.total_branch_outcomes == 2 * MAX_DEPTH
+        assert simulate(dut, Stimulus(())).branch.total == 2 * MAX_DEPTH
         rng = np.random.default_rng(17)
         for length in (1, 10, 200):
             cycles = [{"a": int(rng.integers(0, 16)), "b": int(rng.integers(0, 8))}
@@ -538,7 +554,7 @@ class TestCompiled:
             assert name not in source
         allowed = {"def", "run", "inputs", "s", "b", "c", "for", "in", "if", "else", "True",
                    "min", "return", "bytearray", "find", "cycles", "type", "int", "dict", "len",
-                   "is", "not", "or", "None"}
+                   "is", "not", "or", "None", "report", "t"}
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):
             assert tok.type != tokenize.STRING
             if tok.type == tokenize.NAME:
@@ -549,8 +565,8 @@ class TestCompiled:
     def test_compiles_once_per_model(self, monkeypatch, toy1_source):
         dut = parse(toy1_source)
         calls = []
-        real = sim.compile_model
-        monkeypatch.setattr(sim, "compile_model", lambda d: calls.append(d) or real(d))
+        real = sim.cycle_source
+        monkeypatch.setattr(sim, "cycle_source", lambda d: calls.append(d) or real(d))
         for _ in range(3):
             simulate(dut, stim(1, 0))
         assert len(calls) == 1 and sim.compiled(dut) is sim.compiled(dut)
@@ -615,7 +631,7 @@ def parent_input_rows(dut, stim):
     for cycle_no, cycle in enumerate(stim.cycles):
         if not isinstance(cycle, Mapping):
             raise SimulationError(cycle_no, None, "must be a mapping of port names to values, "
-                                  f"got {type(cycle).__name__}")
+                                  f"got {type(cycle).__name__}", has_port=False)
         row = []
         for port in ports:
             if port.name not in cycle:
@@ -649,14 +665,16 @@ _FAULTS = ("missing", "extra", "bool", "float", "str", "none", "negative", "too_
 
 
 def corrupt(cycle, port, fault, extra):
-    """``cycle`` with one fault at ``port``; a non-dict cycle for "not_dict"."""
+    """``cycle`` with one fault at ``port``; a non-dict cycle for "not_dict".
+
+    One "extra" fault in ten adds the key None, which must be named as a port."""
     if fault == "not_dict":
-        return (list(cycle.values()), tuple(cycle), "".join(cycle), None, 0)[extra % 5]
+        return (list(cycle.values()), tuple(cycle), "".join(map(str, cycle)), None, 0)[extra % 5]
     cycle = dict(cycle)
     if fault == "missing":
         cycle.pop(port.name, None)
     elif fault == "extra":
-        cycle[f"no_port_{extra}"] = 0
+        cycle[None if extra % 10 == 0 else f"no_port_{extra}"] = 0
     else:
         cycle[port.name] = {"bool": extra % 2 == 0, "float": float(extra), "str": str(extra),
                             "none": None, "negative": -1 - extra,
@@ -710,6 +728,10 @@ class TestRefusal:
         enum_cycles = [dict(c) for c in cycles]
         enum_cycles[at][port] = IntEnum("Value", {"V": cycles[at][port]}).V
         assert simulate(dut, Stimulus(tuple(enum_cycles))) == simulate(dut, Stimulus(tuple(cycles)))
+
+    def test_cycles_without_len_read_once(self, toy1):
+        cycles = ({"a": 1}, {"a": 0})
+        assert simulate(toy1, Stimulus(iter(cycles))) == simulate(toy1, Stimulus(cycles))
 
     def test_dict_subclass_with_defaults_refused_like_a_dict(self):
         # A defaultdict or Counter answers a missing port with 0; it must still be refused,
