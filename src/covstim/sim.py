@@ -8,18 +8,18 @@ and marks its branch outcome; covergroup bins sample the values current at
 the end of item evaluation, before registers latch.  All arithmetic is
 64-bit unsigned with masking to the target width on assignment.
 
-Each design is compiled once, by :func:`cycle_source`, into the source of
-one Python function that runs a whole stimulus and returns its report;
-:func:`compiled` keeps it on the model.  The compiler alone numbers and
-counts what a design covers.  Only a design that :func:`hdl.lint` passes
-compiles.  The function reads each cycle's inputs straight from the
-stimulus's dicts and checks them as it goes, giving up on the first bad
-cycle; only then does :func:`simulate` look for the cycle and port to name,
-by :func:`input_rows`, the one stimulus rule, which ``codec.encode`` applies
-too.  It computes each subexpression only to the bits that its consumer
-reads, and it counts coverage once, after the last cycle: a statement by
-the arm that holds it, a bin by the values its signal took.  Nothing
-recurses or dispatches on node types at simulation time.
+Each design is compiled once, by :func:`cycle_source`, into the source of one
+Python function that runs a stimulus from a register state; :func:`compiled`
+keeps it on the model.  The compiler alone numbers what a design covers, one
+bit per item of a report's covered set.  Only a design that :func:`hdl.lint`
+passes compiles.  The function reads each cycle's inputs straight from the
+stimulus's dicts and checks them as it goes, giving up on the first bad cycle;
+only then does :func:`simulate` look for the cycle and port to name, by
+:func:`input_rows`, the one stimulus rule, which ``codec.encode`` applies too.
+It computes each subexpression only to the bits that its consumer reads, and
+it builds the covered set once, after the last cycle: a statement by the arm
+that holds it, a bin by the values its signal took.  Nothing recurses or
+dispatches on node types at simulation time.
 """
 
 from __future__ import annotations
@@ -75,8 +75,8 @@ class CoverageReport:
     branch: MetricCount
     functional: MetricCount
     cycles_run: int
-    # Unweighted mean over metrics with a nonzero total; 0 if none.  Set
-    # once, on construction.
+    covered: int = 0  # a bit per item, as the compiler numbers them; 0 if built by hand
+    # Unweighted mean over metrics with a nonzero total; 0 if none.  Set once, on construction.
     average: float = field(init=False, compare=False)
 
     def __post_init__(self):
@@ -111,25 +111,21 @@ def _ones(bound: int) -> int:
     return (1 << bound.bit_length()) - 1
 
 
-def _sum(terms: list[str]) -> str:
-    return " + ".join(terms) or "0"
-
-
 class _Compiler:
-    """Emits the source of ``run(cycles)`` for one design, and numbers and
-    counts what it covers.
+    """Emits the source of ``run(cycles, n0, …)`` for one design, and numbers what it covers.
 
     Inputs, registers, and wires and outputs live in locals ``i<j>``,
     ``r<j>`` and ``w<j>``, numbered in declaration order; ``t`` is the
     number of cycles, ``c`` the current cycle's dict, and the global ``k<j>``
-    input j's name.  ``next`` writes
-    ``n<j>``, register j's value for the next cycle, whose ``r<j>`` starts
-    from it.  ``b<k>`` becomes 1 once branch outcome k runs, and
-    ``c<g>[v]`` once covergroup g's signal ends a cycle at value v.  The
-    walk over the body numbers the outcomes as it reaches each conditional,
-    in pre-order: a conditional's two come before those in its arms.
-    ``arms`` counts, per branch outcome, the statements its arm holds
-    directly: they run whenever the outcome does.
+    input j's name.  ``next`` writes ``n<j>``, register j's value for the
+    next cycle, whose ``r<j>`` starts from it.  ``c<g>[v]`` becomes 1 once
+    covergroup g's signal ends a cycle at value v.
+
+    Each coverage item is one bit, numbered as the walk reaches it: a
+    statement where it is emitted, a conditional's two outcomes before its
+    arms number theirs, the bins last; ``masks`` holds each metric's bits.
+    Outcome k's flag ``b<k>`` becomes, once it runs, the bits of the outcome
+    and of the statements its arm holds directly: they run whenever it does.
 
     Every local holds a value already masked to its width, so
     :meth:`expr` emits a subexpression for its consumer's ``d`` low bits
@@ -145,7 +141,7 @@ class _Compiler:
             for j, d in enumerate(decls):
                 self.local[d.name] = f"{prefix}{j}"
         self.lines: list[str] = []
-        self.arms: dict[int, int] = {}
+        self.masks = dict.fromkeys(METRICS, 0)
 
     def expr(self, e: Expr, d: int) -> tuple[str, int]:
         """Source of ``e`` for a consumer that reads its low ``d`` bits, and a bound.
@@ -209,10 +205,18 @@ class _Compiler:
             return f"{self.expr(e.left, 64)[0]} {e.op} {self.expr(e.right, 64)[0]}"
         return self.expr(e, 64)[0]
 
-    def body(self, stmts, indent: str) -> None:
+    def bit(self, metric: str) -> int:
+        """The next coverage item's bit, added to ``metric``'s mask."""
+        self.masks[metric] |= (bit := sum(self.masks.values()) + 1)  # n items' sum: 2**n - 1
+        return bit
+
+    def body(self, stmts, indent: str) -> int:
+        """Emit ``stmts``; return the bits of the statements among them."""
         emit = self.lines.append
+        held = 0
         for st in stmts:
             if isinstance(st, Assign):
+                held |= self.bit("statement")
                 target = self.local[st.target]
                 if st.kind == "next":
                     target = "n" + target[1:]
@@ -221,26 +225,26 @@ class _Compiler:
                 mask = (1 << width) - 1
                 emit(f"{indent}{target} = {source}" + (f" & {mask}" if bound > mask else ""))
                 continue
-            k = len(self.arms)
-            self.arms[k] = self.arms[k + 1] = 0  # taken before the arms number theirs
+            k = self.masks["branch"].bit_count()
+            taken = self.bit("branch"), self.bit("branch")  # before the arms number theirs
             emit(f"{indent}if {self.condition(st.cond)}:")
-            for k, arm in ((k, st.then_body), (k + 1, st.else_body)):
+            for k, bit, arm in zip((k, k + 1), taken, (st.then_body, st.else_body)):
                 if k % 2:
                     emit(f"{indent}else:")
-                emit(f"{indent} b{k} = 1")
-                self.arms[k] = sum(isinstance(s, Assign) for s in arm)
-                self.body(arm, indent + " ")
+                # The flag goes last: its arm's statements are numbered as they are emitted.
+                flag = bit | self.body(arm, indent + " ")
+                emit(f"{indent} b{k} = {flag}")
+        return held
 
     def source(self) -> str:
-        """Source of ``run``: the body first, numbering the outcomes, then the rest."""
+        """Source of ``run``: the body first, numbering its items, then the rest."""
         dut = self.dut
-        self.body(dut.body, "  ")
-        outcomes = len(self.arms)
+        top = self.body(dut.body, "  ")
+        outcomes = self.masks["branch"].bit_count()
+        defaults = "".join(f", n{j}={r.init}" for j, r in enumerate(dut.regs))
         # t first: cycles with no len raise before any is read, so simulate can re-read them.
-        lines = ["def run(cycles):", " t = len(cycles)",
-                 *(f" n{j} = {r.init}" for j, r in enumerate(dut.regs))]
-        if outcomes:
-            lines.append(f" {' = '.join(f'b{k}' for k in range(outcomes))} = 0")
+        lines = [f"def run(cycles{defaults}):", " t = len(cycles)"]
+        lines += [f" b{k} = 0" for k in range(outcomes)]
         lines += [f" c{g} = bytearray({1 << self.widths[cg.signal]})"
                   for g, cg in enumerate(dut.covergroups)]
         lines.append(" for c in cycles:")
@@ -254,34 +258,31 @@ class _Compiler:
             lines.append(f"  {' = '.join(f'w{j}' for j in range(n_wires))} = 0")
         lines += self.lines
         lines += [f"  c{g}[{self.local[cg.signal]}] = 1" for g, cg in enumerate(dut.covergroups)]
-        top = sum(isinstance(st, Assign) for st in dut.body)
-        statements = ([f"({top} if t else 0)"] if top else []) + [
-            f"{n} * b{k}" if n > 1 else f"b{k}" for k, n in sorted(self.arms.items()) if n]
-        branches = [f"b{k}" for k in range(outcomes)]
-        # A bin's term is a bool, so the sum starts from an int.
-        bins = [f"(c{g}.find(1, {b.lo}, {b.hi + 1}) >= 0)"
-                for g, cg in enumerate(dut.covergroups) for b in cg.bins]
-        lines.append(f" return report({_sum(statements)}, {top + sum(self.arms.values())},"
-                     f" {_sum(branches)}, {outcomes}, {_sum(['0', *bins])}, {len(bins)}, t)")
+        covered = ([f"({top} if t else 0)"] if top else []) + [f"b{k}" for k in range(outcomes)]
+        covered += [f"({self.bit('functional')} if c{g}.find(1, {b.lo}, {b.hi + 1}) >= 0 else 0)"
+                    for g, cg in enumerate(dut.covergroups) for b in cg.bins]
+        masks = ", ".join(map(str, self.masks.values()))
+        state = "".join(f"n{j}, " for j in range(len(dut.regs)))  # the final register values
+        lines.append(f" return report({' | '.join(covered) or '0'}, {masks}, t), ({state})")
         return "\n".join(lines) + "\n"
 
 
 def cycle_source(dut: DutModel) -> str:
-    """Source of ``run(cycles)``, which simulates a whole stimulus.
+    """Source of ``run(cycles, n0, …)``, which simulates a whole stimulus.
 
     ``cycles`` holds one dict of input values per cycle, as
     ``Stimulus.cycles`` does; ``run`` reads input j of cycle ``c`` as
-    ``c[k<j>]``.  In one line per cycle it checks that ``c`` is a dict
-    with one key per input port and that each value is an int (of type
-    int exactly) in its port's range, and it returns None at the first
-    cycle that fails.  Otherwise it returns the stimulus's CoverageReport:
-    how many statements, branch outcomes and cover bins it covered, out of
-    totals that the compiler counted and wrote in as constants.  The source
-    holds only integer constants, builtins, ``report`` and the locals above,
-    never a name from the design; :func:`compiled` binds ``k<j>`` to port
-    j's name.  A design that :func:`hdl.lint` flags raises ValueError
-    naming its first issue, as ``covstim lint`` prints it, and how many
-    more there are.
+    ``c[k<j>]``.  ``n<j>`` is register j's value to start from, its reset
+    value by default.  In one line per cycle it checks that ``c`` is a dict
+    with one key per input port and that each value is an int (of type int
+    exactly) in its port's range, and it returns None at the first cycle that
+    fails.  Otherwise it returns the stimulus's CoverageReport, whose
+    ``covered`` has one bit per statement, branch outcome and bin, and the
+    final register values, from which a second run goes on.  The source holds
+    only integer constants, builtins, ``report`` and the locals above, never a
+    name from the design; :func:`compiled` binds ``k<j>`` to port j's name.  A
+    design that :func:`hdl.lint` flags raises ValueError naming its first
+    issue, as ``covstim lint`` prints it, and how many more there are.
     """
     issues = lint(dut)
     if issues:
@@ -313,8 +314,9 @@ def input_rows(dut: DutModel, stim: Stimulus) -> list[dict]:
     """Every cycle's inputs as a dict of plain ints; raise SimulationError on the first bad one.
 
     The one stimulus rule: a cycle must be a mapping that gives every input
-    port an int (not a bool) in its range, and names no other port.
+    port an int (not a bool) in its range, and names no other port.  It gates the design first.
     """
+    compiled(dut)
     ports = dut.input_ports
     rows = []
     for cycle_no, cycle in enumerate(stim.cycles):
@@ -339,7 +341,7 @@ def input_rows(dut: DutModel, stim: Stimulus) -> list[dict]:
 
 
 def simulate(dut: DutModel, stim: Stimulus) -> CoverageReport:
-    """Run the stimulus on a lint-clean model and return cumulative coverage.
+    """Run the stimulus from reset on a lint-clean model and return cumulative coverage.
 
     The compiled function checks each cycle's inputs as it runs them, and
     there is no report unless every cycle passes.  When it refuses a
@@ -347,22 +349,20 @@ def simulate(dut: DutModel, stim: Stimulus) -> CoverageReport:
     SimulationError; a stimulus it accepts there (an int subclass other
     than bool as a value, a mapping other than a dict as a cycle, cycles
     in an iterable that has no len) runs again with its values as plain
-    ints in plain dicts.  A model with lint
-    issues raises :func:`cycle_source`'s ValueError.
+    ints in plain dicts.  A model with lint issues raises :func:`cycle_source`'s ValueError.
     """
     run = compiled(dut)
     try:
-        report = run(stim.cycles)
+        result = run(stim.cycles)
     except (LookupError, TypeError):
-        report = None
-    return run(input_rows(dut, stim)) if report is None else report
+        result = None
+    return (run(input_rows(dut, stim)) if result is None else result)[0]
 
 
 @lru_cache(maxsize=1 << 10)
-def _report(stmt: int, stmt_total: int, branch: int, branch_total: int, bins: int,
-            bins_total: int, cycles_run: int) -> CoverageReport:
-    """One shared report per distinct result.  Reports are immutable values,
-    so a caller that keeps many, such as a benchmark loop keeping one per
-    call, holds a few objects instead of one per call."""
-    return CoverageReport(MetricCount(stmt, stmt_total), MetricCount(branch, branch_total),
-                          MetricCount(bins, bins_total), cycles_run)
+def _report(covered: int, stmts: int, branches: int, bins: int, cycles_run: int) -> CoverageReport:
+    """The report of ``covered``: each metric counts the bits of its mask.  One shared
+    report per distinct result.  Reports are immutable values, so a caller that keeps many,
+    such as a benchmark loop keeping one per call, holds a few objects instead of one per call."""
+    return CoverageReport(*(MetricCount((covered & mask).bit_count(), mask.bit_count())
+                            for mask in (stmts, branches, bins)), cycles_run, covered)

@@ -37,11 +37,6 @@ def oracle_eval(expr, values):
 
 def oracle_simulate(dut: DutModel, cycles):
     """Return (statement, branch, functional) covered/total count pairs."""
-    width = {}
-    for group in (dut.ports, dut.regs, dut.wires):
-        for item in group:
-            width[item.name] = item.width
-
     all_stmts = []
     all_branches = []
 
@@ -57,6 +52,18 @@ def oracle_simulate(dut: DutModel, cycles):
 
     collect(dut.body)
     all_bins = [(cg.signal, b.name) for cg in dut.covergroups for b in cg.bins]
+    covered = oracle_covered(dut, cycles)
+    return tuple((len(c), len(a)) for c, a in zip(covered, (all_stmts, all_branches, all_bins)))
+
+
+def oracle_covered(dut: DutModel, cycles):
+    """Return the (statement, branch, functional) covered sets: statements as
+    (line, column), branch outcomes as (line, column, taken), bins as
+    (signal, bin name)."""
+    width = {}
+    for group in (dut.ports, dut.regs, dut.wires):
+        for item in group:
+            width[item.name] = item.width
 
     covered_stmts = set()
     covered_branches = set()
@@ -96,8 +103,4 @@ def oracle_simulate(dut: DutModel, cycles):
                     covered_bins.add((cg.signal, b.name))
         regs.update(nxt)
 
-    return (
-        (len(covered_stmts), len(all_stmts)),
-        (len(covered_branches), len(all_branches)),
-        (len(covered_bins), len(all_bins)),
-    )
+    return covered_stmts, covered_branches, covered_bins

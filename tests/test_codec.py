@@ -14,7 +14,7 @@ from covstim.curation import DATASET_VERSION, CurationConfig, NoveltyTeacher, lo
 from covstim.evaluation import EvalConfig, eval_policy
 from covstim.hdl import parse
 from covstim.policy import TabularPolicy, sample_indexed
-from covstim.sim import Stimulus, simulate
+from covstim.sim import Stimulus, input_rows, simulate
 
 from reference_codec import simulate_tokens
 
@@ -291,6 +291,7 @@ WIDTH_READERS = {
     "validate_and_decode": lambda dut, _: validate_and_decode(dut, ONE_CYCLE, VOCAB, T_MAX),
     "simulate_block": lambda dut, _: simulate_block(dut, [ONE_CYCLE], VOCAB, T_MAX),
     "encode": lambda dut, _: encode(dut, Stimulus(({"a": 1},)), VOCAB, T_MAX),
+    "input_rows": lambda dut, _: input_rows(dut, Stimulus(({"a": 1},))),
     "eval_policy": lambda dut, _: eval_policy(TabularPolicy(VOCAB, 2, T_MAX), dut,
                                               EvalConfig(n=2)),
     "load_dataset": _load_one_line,

@@ -18,11 +18,11 @@ from covstim import sim
 from covstim.checks import JSON_SCALARS, shown
 from covstim.codec import Vocab, encode
 from covstim.corpus import load_bundled_corpus
-from covstim.hdl import MAX_DEPTH, MAX_WIDTH, BinOp, Const, Ident, UnOp, lint, parse
-from covstim.sim import (CoverageReport, MetricCount, SimulationError, Stimulus, average_score,
-                         cycle_source, simulate)
+from covstim.hdl import MAX_DEPTH, MAX_WIDTH, Assign, BinOp, Const, Ident, UnOp, lint, parse
+from covstim.sim import (METRICS, CoverageReport, MetricCount, SimulationError, Stimulus,
+                         average_score, cycle_source, input_rows, simulate)
 
-from oracle_sim import oracle_eval, oracle_simulate
+from oracle_sim import oracle_covered, oracle_eval, oracle_simulate
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -431,10 +431,128 @@ class TestNarrowBits:
 
     def test_counts_are_ints(self, toy1):
         for cycles in ((), ({"a": 1},), ({"a": 1}, {"a": 0})):
-            report = sim.compiled(toy1)(cycles)
+            report, state = sim.compiled(toy1)(cycles)
             assert type(report) is CoverageReport and type(report.cycles_run) is int
             assert all(type(n) is int for m in report.metrics().values()
                        for n in (m.covered, m.total))
+            assert type(report.covered) is int and type(state) is tuple
+            assert all(type(v) is int for v in state)
+
+
+def compiler_order(dut):
+    """Every coverage item as (metric, oracle key), in the order sim's compiler
+    numbers them: statements and conditionals as the walk over the body reaches
+    them, a conditional's two outcomes before the items in its arms, bins last."""
+    items = []
+
+    def walk(body):
+        for s in body:
+            if isinstance(s, Assign):
+                items.append(("statement", (s.line, s.column)))
+            else:
+                items.extend(("branch", (s.line, s.column, taken)) for taken in (True, False))
+                walk(s.then_body)
+                walk(s.else_body)
+
+    walk(dut.body)
+    return items + [("functional", (cg.signal, b.name)) for cg in dut.covergroups for b in cg.bins]
+
+
+def oracle_bits(dut, cycles):
+    """The oracle's covered sets as one int, a bit per item in the compiler's order."""
+    covered = dict(zip(METRICS, oracle_covered(dut, cycles)))
+    return sum(1 << i for i, (metric, key) in enumerate(compiler_order(dut))
+               if key in covered[metric])
+
+
+_BUNDLED = load_bundled_corpus()
+
+
+@st.composite
+def split_runs(draw):
+    """A bundled or generated design, a valid stimulus for it, and a cycle to split it at."""
+    if draw(st.booleans()):
+        dut = draw(st.sampled_from(_BUNDLED))
+        cycles = draw(st.lists(st.fixed_dictionaries(
+            {p.name: st.integers(0, (1 << p.width) - 1) for p in dut.input_ports}), max_size=8))
+    else:
+        text, cycles = random_design(draw(st.integers(0, 2**32)))
+        dut = parse(text)
+    return dut, cycles, draw(st.integers(0, len(cycles)))
+
+
+def assert_split_equals_whole(dut, cycles, k):
+    run = sim.compiled(dut)
+    whole, end = run(cycles)
+    first, state = run(cycles[:k])
+    second, last = run(cycles[k:], *state)
+    assert first.covered | second.covered == whole.covered
+    assert last == end
+    assert first.cycles_run + second.cycles_run == whole.cycles_run
+
+
+class TestCoveredSet:
+    @given(split_runs())
+    @settings(max_examples=300, deadline=None)
+    def test_split_run_carries_the_state(self, case):
+        # Two runs, the second from the first's final registers, cover what one run covers.
+        assert_split_equals_whole(*case)
+
+    def test_split_run_on_large_generated_designs(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import designgen
+
+        designs, stimuli = designgen.generate(0, 3, 2)
+        rng = random.Random(0)
+        for design, per_design in zip(designs, stimuli):
+            dut = parse(design.text)
+            for cycles in per_design:
+                for k in (0, rng.randrange(len(cycles) + 1), len(cycles)):
+                    assert_split_equals_whole(dut, cycles, k)
+
+    def test_each_bit_is_the_oracles_item(self, corpus, toy1):
+        # Criterion 4's designs and stimuli: toy1's 30 stimuli of 1-4 cycles, then
+        # 1,000 random stimuli over the corpus and a prefix of each.
+        for length in range(1, 5):
+            for bits in itertools.product((0, 1), repeat=length):
+                cycles = tuple({"a": b} for b in bits)
+                assert simulate(toy1, Stimulus(cycles)).covered == oracle_bits(toy1, cycles)
+        rng = np.random.default_rng(5)
+        for _ in range(1000):
+            dut = corpus[int(rng.integers(0, len(corpus)))]
+            total = int(rng.integers(1, 9))
+            cut = int(rng.integers(0, total + 1))
+            cycles = tuple(
+                {p.name: int(rng.integers(0, 2**p.width)) for p in dut.input_ports}
+                for _ in range(total)
+            )
+            for part in (cycles, cycles[:cut]):
+                assert simulate(dut, Stimulus(part)).covered == oracle_bits(dut, part), dut.name
+
+    def test_toy1_bits(self, toy1):
+        # The conditional's two outcomes, the assignment in each arm, the top-level
+        # assignment, then the two bins.
+        run = sim.compiled(toy1)
+        assert [item for item, _ in compiler_order(toy1)] == [
+            "branch", "branch", "statement", "statement", "statement", "functional", "functional"]
+        first, state = run(({"a": 1},))
+        second, _ = run(({"a": 0},), *state)
+        assert (first.covered, second.covered, run(({"a": 1}, {"a": 0}))[0].covered) == (53, 90, 127)
+
+    def test_report_dict_leaves_the_set_out(self, toy1):
+        report = simulate(toy1, stim(1, 0))
+        assert report.covered and set(report.to_dict()) == {
+            *METRICS, *(f"{m}_fraction" for m in METRICS), "average", "cycles_run"}
+
+    def test_input_rows_gates_the_design(self):
+        # input_rows reads port widths; unchecked, this one costs a 12.5 MB int per check.
+        dut = parse("module m (input a[100000000], output y[1]); assign y = a; endmodule")
+        [issue] = lint(dut)
+        for call in (lambda: input_rows(dut, Stimulus(({"a": 1},))),
+                     lambda: encode(dut, Stimulus(()), Vocab(4), 8)):
+            with pytest.raises(ValueError) as exc:
+                call()
+            assert str(exc.value) == f"design 'm' does not lint clean: {issue}"
 
 
 # One design per lint kind, the kind its first issue: test_hdl.py's TestLint
@@ -476,6 +594,7 @@ class TestCompiled:
         assert lint(dut) == []
         report = simulate(dut, Stimulus(tuple(cycles)))
         assert counts(report) == oracle_simulate(dut, cycles)
+        assert report.covered == oracle_bits(dut, cycles)
         assert report.cycles_run == len(cycles)
 
     @given(st.integers(0, 2**32))
