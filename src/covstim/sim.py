@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .checks import JSON_SCALARS, shown
 from .hdl import Assign, BinOp, Const, DutModel, Expr, Ident, UnOp, lint
@@ -242,8 +242,14 @@ class _Compiler:
         top = self.body(dut.body, "  ")
         outcomes = self.masks["branch"].bit_count()
         defaults = "".join(f", n{j}={r.init}" for j, r in enumerate(dut.regs))
+        state = "".join(f"n{j}, " for j in range(len(dut.regs)))  # the register values
+        lines = [f"def run(cycles{defaults}):"]
+        if dut.regs:  # the start state, by the inputs' rule, before any cycle
+            bad = [f"type(n{j}) is not int or not 0 <= n{j} < {1 << r.width}"
+                   for j, r in enumerate(dut.regs)]
+            lines.append(f" if {' or '.join(bad)}: refuse_state({state})")
         # t first: cycles with no len raise before any is read, so simulate can re-read them.
-        lines = [f"def run(cycles{defaults}):", " t = len(cycles)"]
+        lines.append(" t = len(cycles)")
         lines += [f" b{k} = 0" for k in range(outcomes)]
         lines += [f" c{g} = bytearray({1 << self.widths[cg.signal]})"
                   for g, cg in enumerate(dut.covergroups)]
@@ -262,7 +268,6 @@ class _Compiler:
         covered += [f"({self.bit('functional')} if c{g}.find(1, {b.lo}, {b.hi + 1}) >= 0 else 0)"
                     for g, cg in enumerate(dut.covergroups) for b in cg.bins]
         masks = ", ".join(map(str, self.masks.values()))
-        state = "".join(f"n{j}, " for j in range(len(dut.regs)))  # the final register values
         lines.append(f" return report({' | '.join(covered) or '0'}, {masks}, t), ({state})")
         return "\n".join(lines) + "\n"
 
@@ -273,7 +278,9 @@ def cycle_source(dut: DutModel) -> str:
     ``cycles`` holds one dict of input values per cycle, as
     ``Stimulus.cycles`` does; ``run`` reads input j of cycle ``c`` as
     ``c[k<j>]``.  ``n<j>`` is register j's value to start from, its reset
-    value by default.  In one line per cycle it checks that ``c`` is a dict
+    value by default; a start value that is not an int (of type int
+    exactly) that fits its register raises ValueError before any cycle
+    runs.  In one line per cycle it checks that ``c`` is a dict
     with one key per input port and that each value is an int (of type int
     exactly) in its port's range, and it returns None at the first cycle that
     fails.  Otherwise it returns the stimulus's CoverageReport, whose
@@ -297,17 +304,30 @@ def compiled(dut: DutModel):
     The one design gate: whatever reads a design's widths calls it first,
     so each design is linted once, and refused by :func:`cycle_source`.
     The function's namespace holds the builtins the source calls,
-    ``report`` (:func:`_report`) and ``k<j>``, the name of input port j, so
-    the source itself names nothing from the design.
+    ``report`` (:func:`_report`), ``refuse_state`` (:func:`_refuse_state`
+    given the registers' names and widths) and ``k<j>``, the name of input
+    port j, so the source itself names nothing from the design.
     """
     run = dut.__dict__.get("_run")
     if run is None:
+        regs = tuple((r.name, r.width) for r in dut.regs)
         namespace = {"__builtins__": {}, "min": min, "bytearray": bytearray, "type": type,
                      "int": int, "dict": dict, "len": len, "report": _report,
+                     "refuse_state": partial(_refuse_state, regs),
                      **{f"k{j}": p.name for j, p in enumerate(dut.input_ports)}}
         exec(compile(cycle_source(dut), _FILENAME, "exec"), namespace)
         run = dut.__dict__.setdefault("_run", namespace["run"])
     return run
+
+
+def _refuse_state(regs, *state):
+    """Raise a ValueError naming the first register whose start value in ``state`` is not
+    an int (of type int exactly) that fits its width; ``regs`` holds each (name, width)."""
+    for (name, width), value in zip(regs, state):
+        if type(value) is not int or not 0 <= value < 1 << width:
+            raise ValueError(f"register {shown(name)} cannot start at "
+                             f"{shown(value, JSON_SCALARS)}: it holds an int in "
+                             f"0..{(1 << width) - 1}")
 
 
 def input_rows(dut: DutModel, stim: Stimulus) -> list[dict]:

@@ -7,12 +7,11 @@ normalization f of the coverage-score gap s_p - s_np, so pairs with a
 clearer coverage difference drive larger updates.
 
 ``train`` compiles its dataset once (``_Compiled``), and each epoch once,
-after its shuffle: one gather puts the epoch's sequence ids in mini-batch
-order by a layout index built once per (dataset size, batch size)
-(``_epoch_layout``), one gather each takes their reference log-probs and
-the items' beta*, and one ``TabularPolicy.batches`` call builds the
-``Steps`` of every mini-batch.  A mini-batch then reads views of those
-arrays.  Its loss gives each sequence a weight, d loss / d log pi(seq),
+after its shuffle: a reshape of the shuffled sequence ids puts them in
+mini-batch order, one gather each takes their reference log-probs and the
+items' beta*, and one ``TabularPolicy.batches`` call builds the ``Steps``
+of every mini-batch.  A mini-batch then reads views of those arrays, cut
+at its start.  Its loss gives each sequence a weight, d loss / d log pi(seq),
 and its update is built per touched row from those weights and the rows'
 softmax (``TabularPolicy.apply_update``), with no per-step gradient.  The
 one-pair functions below are batch-of-one calls of the same loss code.
@@ -22,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -195,26 +193,6 @@ class TrainResult:
     history: TrainHistory
 
 
-@lru_cache(maxsize=16)
-def _epoch_layout(n_pairs: int, batch_size: int, halves: int):
-    """Where an epoch's sequences come from, and how many each mini-batch holds.
-
-    Mini-batch b holds the shuffled items ``b * batch_size`` up to
-    ``(b + 1) * batch_size``, and its sequences are their chosen ids, then,
-    for halves = 2, their rejected ids.  Returns ``index``, such that the
-    epoch's sequences in that order are ``seqs[:, order].ravel()[index]``
-    for ids ``seqs`` (halves x n_pairs), and each batch's sequence count.
-    It depends only on its arguments, so a run builds it once.
-    """
-    batch = np.arange(n_pairs) // batch_size
-    # Sequence (h, i) sorts by its batch, then by h; a stable sort keeps i in order.
-    index = np.argsort((halves * batch + np.arange(halves)[:, None]).ravel(), kind="stable")
-    counts = halves * np.bincount(batch)
-    for array in (index, counts):  # the cache hands these arrays to every caller
-        array.flags.writeable = False
-    return index, counts
-
-
 class _Compiled:
     """A dataset as ids of its distinct (dut_id, seq) sequences, and their steps.
 
@@ -245,25 +223,33 @@ class _Compiled:
     def epoch(self, order: np.ndarray, batch_size: int) -> list:
         """(steps, ref_log_probs, beta_star) of each mini-batch of the shuffled items ``order``.
 
-        A batch's sequences are ``_epoch_layout``'s: its items' chosen
-        sequences, then, for preference data, their rejected ones; a
-        repeated sequence is scored again.  steps equals ``theta.steps`` of
-        those sequences, and ref_log_probs and beta_star are views of one
-        gather per epoch: the sequences' reference log-probs and the items'
-        beta*, both None for SFT.  The steps of the whole epoch are one
-        gather and one ``theta.batches`` call.
+        Batch b holds the items ``order[b * batch_size:(b + 1) * batch_size]``,
+        and its sequences are their chosen ones, then, for preference data,
+        their rejected ones; a repeated sequence is scored again.  One
+        reshape puts the full batches' sequence ids in that order, and the
+        short last batch's follow.  steps equals ``theta.steps`` of those
+        sequences, and ref_log_probs and beta_star are views of one gather
+        per epoch: the sequences' reference log-probs and the items' beta*,
+        both None for SFT.  Each batch's count and views are cut at its
+        start.  The steps of the whole epoch are one gather and one
+        ``theta.batches`` call.
         """
-        index, counts = _epoch_layout(len(order), batch_size, len(self.seqs))
-        flat = self.seqs[:, order].ravel()[index]
+        h, n = len(self.seqs), len(order)
+        starts = range(0, n, batch_size)
+        full = n - n % batch_size  # the items of the full batches; the rest make a short one
+        ids = self.seqs[:, order]
+        flat = np.concatenate([ids[:, :full].reshape(h, -1, batch_size).swapaxes(0, 1),
+                               ids[:, full:]], axis=None)
         lens = self.lens[flat]
         ends = np.cumsum(lens)
         idx = np.arange(ends[-1]) + np.repeat(self.starts[flat] - ends + lens, lens)
-        steps = self.theta.batches(self.rows[idx], self.targets[idx], lens, counts)
+        steps = self.theta.batches(self.rows[idx], self.targets[idx], lens,
+                                   [h * min(batch_size, n - a) for a in starts])
         if self.ref_log_probs is None:
             return [(s, None, None) for s in steps]
         ref, beta_star = self.ref_log_probs[flat], self.beta_star[order]
         return [(s, ref[2 * a:2 * a + s.n], beta_star[a:a + s.n // 2])
-                for s, a in zip(steps, range(0, len(order), batch_size))]
+                for s, a in zip(steps, starts)]
 
 
 def train(dataset, config: TrainConfig, init: TabularPolicy) -> TrainResult:

@@ -539,6 +539,26 @@ class TestCoveredSet:
         second, _ = run(({"a": 0},), *state)
         assert (first.covered, second.covered, run(({"a": 1}, {"a": 0}))[0].covered) == (53, 90, 127)
 
+    def test_run_refuses_a_start_state_it_cannot_hold(self, toy1):
+        # toy1 has one 1-bit register; its first call once raised IndexError, the
+        # second returned the state (5,) and the third covered=90.
+        run = sim.compiled(toy1)
+        for cycles, value in [(({"a": 0},), 2), ((), 5), (({"a": 0},), -1), ((), True),
+                              ((), 1.5), ((), 10**100), (({"b": 0},), 7)]:
+            with pytest.raises(ValueError) as exc:
+                run(cycles, value)
+            assert str(exc.value).startswith("register 's' cannot start at "), exc.value
+            assert str(exc.value).endswith(": it holds an int in 0..1")
+            assert len(str(exc.value)) < 100
+        # The first register that does not fit is named, whichever it is.
+        dut = parse("module m (input a[1], output y[4]); reg r[4] = 9; reg q[2] = 1;"
+                    " next r = r + a; next q = a; assign y = r; endmodule")
+        run = sim.compiled(dut)
+        assert run(({"a": 1},), 15, 3)[1] == (0, 1)
+        for state, name in [((16, 0), "'r'"), ((0, 4), "'q'"), ((0, 1.0), "'q'")]:
+            with pytest.raises(ValueError, match=f"^register {name} cannot start at "):
+                run(({"a": 1},), *state)
+
     def test_report_dict_leaves_the_set_out(self, toy1):
         report = simulate(toy1, stim(1, 0))
         assert report.covered and set(report.to_dict()) == {
@@ -673,7 +693,7 @@ class TestCompiled:
             assert name not in source
         allowed = {"def", "run", "inputs", "s", "b", "c", "for", "in", "if", "else", "True",
                    "min", "return", "bytearray", "find", "cycles", "type", "int", "dict", "len",
-                   "is", "not", "or", "None", "report", "t"}
+                   "is", "not", "or", "None", "report", "t", "refuse_state"}
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):
             assert tok.type != tokenize.STRING
             if tok.type == tokenize.NAME:

@@ -524,12 +524,16 @@ class TestEpochCompile:
     views of the epoch's one gather of reference log-probs and beta* against per-batch gathers."""
 
     @pytest.mark.parametrize("layout", ["SFT", "preference"])
-    @pytest.mark.parametrize("batching", ["one", "non_divisor", "larger"])
+    @pytest.mark.parametrize("batching", ["one", "divisor", "non_divisor", "larger"])
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
     def test_batches_equal_steps_of_their_items(self, layout, batching, data):
         pool, init = pin_dataset()
-        size = data.draw(st.integers(3 if batching == "non_divisor" else 1, 30), label="N")
+        if batching == "divisor":  # several full batches, no short one
+            batch_size = data.draw(st.integers(2, 15), label="batch_size")
+            size = batch_size * data.draw(st.integers(2, 30 // batch_size), label="batches")
+        else:
+            size = data.draw(st.integers(3 if batching == "non_divisor" else 1, 30), label="N")
         # Indices repeat, so a batch can score one sequence twice.
         pairs = [pool[i] for i in data.draw(st.lists(st.integers(0, len(pool) - 1),
                                                      min_size=size, max_size=size))]
@@ -537,7 +541,7 @@ class TestEpochCompile:
             batch_size = 1
         elif batching == "larger":  # one batch: batch_size >= the dataset size
             batch_size = data.draw(st.integers(size, size + 5), label="batch_size")
-        else:  # a short last batch
+        elif batching == "non_divisor":  # a short last batch
             batch_size = data.draw(st.integers(2, size - 1).filter(lambda b: size % b),
                                    label="batch_size")
         theta = init.copy()
