@@ -48,6 +48,9 @@ class CurationConfig:
         check_str("curation.teacher", self.teacher)
         check_int("curation.seed", self.seed, 0)
         self.uniform_policy()  # checks wmax, k and t_max
+        # From k = t_max on, each context holds the whole prefix, and a larger k adds only
+        # BOS; the bound is t_max + 1 so that the default k = 2 holds at t_max = 1.
+        check_int("k", self.k, 1, self.t_max + 1)
 
     def uniform_policy(self) -> TabularPolicy:
         """The all-zero policy under this run's wmax, k and t_max."""

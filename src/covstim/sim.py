@@ -55,9 +55,6 @@ class Stimulus:
 
     cycles: tuple[dict, ...]
 
-    def __len__(self) -> int:
-        return len(self.cycles)
-
 
 @dataclass(frozen=True, slots=True)
 class MetricCount:
@@ -71,18 +68,22 @@ class MetricCount:
 
 @dataclass(frozen=True, slots=True)
 class CoverageReport:
-    statement: MetricCount
-    branch: MetricCount
-    functional: MetricCount
+    covered: int  # a bit per item, as the compiler numbers them
+    masks: tuple[int, ...]  # each metric's item bits, in METRICS order
     cycles_run: int
-    covered: int = 0  # a bit per item, as the compiler numbers them; 0 if built by hand
-    # Unweighted mean over metrics with a nonzero total; 0 if none.  Set once, on construction.
+    # Set once, on construction: each metric's count of its mask's bits, and of those
+    # in covered; their unweighted mean over metrics with a nonzero total, 0 if none.
+    statement: MetricCount = field(init=False, compare=False)
+    branch: MetricCount = field(init=False, compare=False)
+    functional: MetricCount = field(init=False, compare=False)
     average: float = field(init=False, compare=False)
 
     def __post_init__(self):
         # num / den sums covered / total exactly; int / int rounds correctly.
         num, den, n = 0, 1, 0
-        for m in self.metrics().values():
+        for name, mask in zip(METRICS, self.masks, strict=True):
+            m = MetricCount((self.covered & mask).bit_count(), mask.bit_count())
+            object.__setattr__(self, name, m)
             if m.total > 0:
                 num, den, n = num * m.total + m.covered * den, den * m.total, n + 1
         object.__setattr__(self, "average", num / (den * n) if n else 0.0)
@@ -268,7 +269,7 @@ class _Compiler:
         covered += [f"({self.bit('functional')} if c{g}.find(1, {b.lo}, {b.hi + 1}) >= 0 else 0)"
                     for g, cg in enumerate(dut.covergroups) for b in cg.bins]
         masks = ", ".join(map(str, self.masks.values()))
-        lines.append(f" return report({' | '.join(covered) or '0'}, {masks}, t), ({state})")
+        lines.append(f" return report({' | '.join(covered) or '0'}, ({masks}), t), ({state})")
         return "\n".join(lines) + "\n"
 
 
@@ -304,7 +305,7 @@ def compiled(dut: DutModel):
     The one design gate: whatever reads a design's widths calls it first,
     so each design is linted once, and refused by :func:`cycle_source`.
     The function's namespace holds the builtins the source calls,
-    ``report`` (:func:`_report`), ``refuse_state`` (:func:`_refuse_state`
+    ``report`` (the cached ``_report``), ``refuse_state`` (:func:`_refuse_state`
     given the registers' names and widths) and ``k<j>``, the name of input
     port j, so the source itself names nothing from the design.
     """
@@ -379,10 +380,6 @@ def simulate(dut: DutModel, stim: Stimulus) -> CoverageReport:
     return (run(input_rows(dut, stim)) if result is None else result)[0]
 
 
-@lru_cache(maxsize=1 << 10)
-def _report(covered: int, stmts: int, branches: int, bins: int, cycles_run: int) -> CoverageReport:
-    """The report of ``covered``: each metric counts the bits of its mask.  One shared
-    report per distinct result.  Reports are immutable values, so a caller that keeps many,
-    such as a benchmark loop keeping one per call, holds a few objects instead of one per call."""
-    return CoverageReport(*(MetricCount((covered & mask).bit_count(), mask.bit_count())
-                            for mask in (stmts, branches, bins)), cycles_run, covered)
+# One shared report per distinct result.  Reports are immutable values, so a caller that
+# keeps many, such as a benchmark loop keeping one per call, holds a few objects, not one per call.
+_report = lru_cache(maxsize=1 << 10)(CoverageReport)

@@ -435,18 +435,39 @@ class TestPipelineCommands:
     # Sizes of 10**15 fail to allocate before any memory is touched.
     @pytest.mark.parametrize("command, doc", [
         ("curate", {"t_max": 10**15, "curation": {"pairs_per_dut": 1}}),
-        ("curate", {"k": 10**15, "curation": {"pairs_per_dut": 1, "teacher": "uniform"}}),
-        ("train", {"k": 10**15, "curation": {"pairs_per_dut": 1, "teacher": "uniform"}}),
     ])
     def test_out_of_memory_exits_one(self, tmp_path, capsys, command, doc):
-        if command == "train":
-            assert main(["curate", "--config", small_config(tmp_path)[0]]) == 0
         config, _ = small_config(tmp_path, **doc)
         capsys.readouterr()
         assert main([command, "--config", config]) == 1
         out, err = capsys.readouterr()
         assert len(err.splitlines()) == 1 and err.startswith("error: out of memory")
         assert "Traceback" not in out + err
+
+    # A k past t_max + 1 only pads each context with BOS: the config refuses it before
+    # any stage runs, a dataset written under a valid k included.
+    @pytest.mark.parametrize("command, doc", [
+        ("curate", {"k": 10**15, "curation": {"pairs_per_dut": 1, "teacher": "uniform"}}),
+        ("train", {"k": 10**15, "curation": {"pairs_per_dut": 1, "teacher": "uniform"}}),
+        ("curate", {"k": 20000}),
+        ("demo", {"k": 10}),
+        ("demo", {"k": 3, "t_max": 1}),
+    ])
+    def test_k_above_t_max_plus_one_exits_one(self, tmp_path, capsys, command, doc):
+        if command == "train":
+            assert main(["curate", "--config", small_config(tmp_path)[0]]) == 0
+        config, report_dir = small_config(tmp_path, **doc)
+        capsys.readouterr()
+        assert main([command, "--config", config]) == 1
+        t_max = doc.get("t_max", 8)
+        assert capsys.readouterr() == ("", f"error: k must be in 1..{t_max + 1}, got {doc['k']}\n")
+        assert command == "train" or not report_dir.exists()
+
+    @pytest.mark.parametrize("doc", [{"k": 9}, {"t_max": 1}])
+    def test_k_up_to_t_max_plus_one_runs(self, tmp_path, capsys, doc):
+        config, report_dir = small_config(tmp_path, **doc, curation={"pairs_per_dut": 4})
+        assert main(["curate", "--config", config]) == 0
+        assert (report_dir / "pairs.jsonl").exists()
 
     @pytest.mark.parametrize("section", ["curation", "train", "eval"])
     @pytest.mark.parametrize("command", ["curate", "train", "eval", "ablate", "demo"])

@@ -41,6 +41,17 @@ class TestParse:
         # Error points at the token 'endmodule'.
         assert "endmodule" in exc.value.message
 
+    @pytest.mark.parametrize("text, line, column", [
+        ("module m (input a[1], output y[1]);", 1, 36),
+        ("module m (input a[1], output y[1]);\n  assign y = a;\n", 3, 1),
+        ("module m (input a[1], output y[1]);\n  assign y = a; // no end", 2, 17),
+    ])
+    def test_missing_endmodule_points_at_eof(self, text, line, column):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.kind, exc.value.line, exc.value.column) == ("syntax", line, column)
+        assert exc.value.message == "expected 'endmodule'"
+
     def test_lex_error(self):
         with pytest.raises(ParseError) as exc:
             parse("module m (input a[1], output y[1]); assign y = a @ 1; endmodule")

@@ -5,13 +5,14 @@ import re
 import tokenize
 from collections import defaultdict
 from collections.abc import Mapping
+from dataclasses import replace
 from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covstim import sim
@@ -19,7 +20,7 @@ from covstim.checks import JSON_SCALARS, shown
 from covstim.codec import Vocab, encode
 from covstim.corpus import load_bundled_corpus
 from covstim.hdl import MAX_DEPTH, MAX_WIDTH, Assign, BinOp, Const, Ident, UnOp, lint, parse
-from covstim.sim import (METRICS, CoverageReport, MetricCount, SimulationError, Stimulus,
+from covstim.sim import (METRICS, CoverageReport, SimulationError, Stimulus,
                          average_score, cycle_source, input_rows, simulate)
 
 from oracle_sim import oracle_covered, oracle_eval, oracle_simulate
@@ -55,20 +56,33 @@ class TestSimulateToy1:
         assert report.cycles_run == 0
 
 
+def built_report(counts, cycles_run):
+    """A report whose metrics have the (covered, total) counts given, in METRICS order:
+    each metric's mask is the next ``total`` bits, and its low ``covered`` ones are covered."""
+    covered, masks, at = 0, [], 0
+    for c, t in counts:
+        covered |= ((1 << c) - 1) << at
+        masks.append(((1 << t) - 1) << at)
+        at += t
+    report = CoverageReport(covered, tuple(masks), cycles_run)
+    assert [(m.covered, m.total) for m in report.metrics().values()] == list(counts)
+    return report
+
+
 class TestAverageScore:
     def test_mean_of_fractions(self, toy1):
         assert average_score(simulate(toy1, stim(1))) == pytest.approx(5 / 9, abs=1e-15)
 
     def test_full_coverage(self):
-        report = CoverageReport(MetricCount(3, 3), MetricCount(2, 2), MetricCount(2, 2), 5)
+        report = built_report([(3, 3), (2, 2), (2, 2)], 5)
         assert average_score(report) == 1.0
 
     def test_zero_total_metric_excluded(self):
-        report = CoverageReport(MetricCount(1, 2), MetricCount(1, 2), MetricCount(0, 0), 1)
+        report = built_report([(1, 2), (1, 2), (0, 0)], 1)
         assert average_score(report) == 0.5
 
     def test_all_totals_zero(self):
-        report = CoverageReport(MetricCount(0, 0), MetricCount(0, 0), MetricCount(0, 0), 0)
+        report = built_report([(0, 0), (0, 0), (0, 0)], 0)
         assert average_score(report) == 0.0
 
 
@@ -272,12 +286,15 @@ class TestProperties:
         expected = (Fraction(2, 3) + Fraction(1, 2) + Fraction(1, 2)) / 3
         assert report.average == float(expected)
 
-    @given(st.lists(st.integers(0, 2**40).flatmap(
+    # Each total is a mask's bit count, so totals stop at 2**20; the product of three,
+    # the mean's denominator, still passes 2**53, where an int's float is no longer exact.
+    @given(st.lists(st.integers(0, 2**20).flatmap(
         lambda total: st.tuples(st.integers(0, total), st.just(total))), min_size=3, max_size=3))
+    @example([(2**20 - 1, 2**20), (1, 2**20 - 1), (2**19 + 1, 2**20 - 3)])
     @settings(max_examples=500, deadline=None)
     def test_average_equals_the_fraction_mean(self, triple):
         # Totals of 0 drop out of the mean; the reference sums Fractions.
-        report = CoverageReport(*(MetricCount(c, t) for c, t in triple), cycles_run=1)
+        report = built_report(triple, 1)
         active = [Fraction(c, t) for c, t in triple if t > 0]
         expected = float(sum(active, Fraction(0)) / len(active)) if active else 0.0
         assert report.average == expected
@@ -489,6 +506,11 @@ def assert_split_equals_whole(dut, cycles, k):
     assert first.covered | second.covered == whole.covered
     assert last == end
     assert first.cycles_run + second.cycles_run == whole.cycles_run
+    # The union is the first report with the whole's covered set: its counts follow.
+    union = replace(first, covered=first.covered | second.covered,
+                    cycles_run=first.cycles_run + second.cycles_run)
+    assert union.to_dict() == whole.to_dict()
+    assert union == whole
 
 
 class TestCoveredSet:
