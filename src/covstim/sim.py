@@ -17,9 +17,14 @@ stimulus's dicts and checks them as it goes, giving up on the first bad cycle;
 only then does :func:`simulate` look for the cycle and port to name, by
 :func:`input_rows`, the one stimulus rule, which ``codec.encode`` applies too.
 It computes each subexpression only to the bits that its consumer reads, and
-it builds the covered set once, after the last cycle: a statement by the arm
-that holds it, a bin by the values its signal took.  Nothing recurses or
-dispatches on node types at simulation time.
+it computes no store that no later read can see: one overwritten on every path
+before a read, or one to an output that nothing reads and no covergroup
+samples.  Such a store still counts as covered when its arm runs.  Each cycle starts by
+setting only what a read can reach: the registers that are read, and the
+wires and outputs read before their first drive on some path.  It builds the
+covered set once, after the last cycle: a statement by the arm that holds it,
+a bin by the values its signal took.  Nothing recurses or dispatches on node
+types at simulation time.
 """
 
 from __future__ import annotations
@@ -131,6 +136,15 @@ class _Compiler:
     Every local holds a value already masked to its width, so
     :meth:`expr` emits a subexpression for its consumer's ``d`` low bits
     only, and masks only where the bound on its value can reach ``2**d``.
+
+    Before the body is emitted, :meth:`live` walks it backward from what is
+    live at the end of a cycle, every ``n<j>`` and every covergroup's signal,
+    and keeps each store that some path reads before storing to its target
+    again.  :meth:`body` emits only kept stores, though every store keeps its
+    bit, every condition is evaluated and every arm sets its flag.  The cycle's
+    prologue copies ``r<j> = n<j>``, and zeroes a wire or output, only when it
+    is live before the body.  Stores are kept by id, as the parser makes one
+    object per statement: two equal stores in different places are told apart.
     """
 
     def __init__(self, dut: DutModel):
@@ -143,6 +157,7 @@ class _Compiler:
                 self.local[d.name] = f"{prefix}{j}"
         self.lines: list[str] = []
         self.masks = dict.fromkeys(METRICS, 0)
+        self.kept: set[int] = set()  # the id of each store that a later read can see
 
     def expr(self, e: Expr, d: int) -> tuple[str, int]:
         """Source of ``e`` for a consumer that reads its low ``d`` bits, and a bound.
@@ -211,16 +226,49 @@ class _Compiler:
         self.masks[metric] |= (bit := sum(self.masks.values()) + 1)  # n items' sum: 2**n - 1
         return bit
 
+    def reads(self, e: Expr) -> set[str]:
+        """The locals that ``e`` reads."""
+        if isinstance(e, Ident):
+            return {self.local[e.name]}
+        if isinstance(e, UnOp):
+            return self.reads(e.operand)
+        if isinstance(e, BinOp):
+            return self.reads(e.left) | self.reads(e.right)
+        return set()
+
+    def target(self, st: Assign) -> str:
+        """The local that ``st`` stores to: ``n<j>`` for a ``next``."""
+        target = self.local[st.target]
+        return "n" + target[1:] if st.kind == "next" else target
+
+    def live(self, stmts, live: set[str]) -> set[str]:
+        """The locals live before ``stmts``, given those live after them.
+
+        A store is kept, by its id, when its target is live after it: some
+        path reads the target before it is stored to again.  Every condition is read.
+        """
+        for st in reversed(stmts):
+            if isinstance(st, Assign):
+                target = self.target(st)
+                if target in live:
+                    self.kept.add(id(st))
+                    live = (live - {target}) | self.reads(st.expr)
+            else:
+                live = (self.live(st.then_body, live) | self.live(st.else_body, live)
+                        | self.reads(st.cond))
+        return live
+
     def body(self, stmts, indent: str) -> int:
-        """Emit ``stmts``; return the bits of the statements among them."""
+        """Emit ``stmts``, leaving out each store that is not kept; return the
+        bits of the statements among them, emitted or not."""
         emit = self.lines.append
         held = 0
         for st in stmts:
             if isinstance(st, Assign):
                 held |= self.bit("statement")
-                target = self.local[st.target]
-                if st.kind == "next":
-                    target = "n" + target[1:]
+                if id(st) not in self.kept:
+                    continue
+                target = self.target(st)
                 width = self.widths[st.target]
                 source, bound = self.expr(st.expr, width)
                 mask = (1 << width) - 1
@@ -240,6 +288,9 @@ class _Compiler:
     def source(self) -> str:
         """Source of ``run``: the body first, numbering its items, then the rest."""
         dut = self.dut
+        # Live after the body: each register's next value, and each covergroup's signal.
+        live = self.live(dut.body, {f"n{j}" for j in range(len(dut.regs))}
+                         | {self.local[cg.signal] for cg in dut.covergroups})
         top = self.body(dut.body, "  ")
         outcomes = self.masks["branch"].bit_count()
         defaults = "".join(f", n{j}={r.init}" for j, r in enumerate(dut.regs))
@@ -259,10 +310,11 @@ class _Compiler:
             f"type(i{j} := c[k{j}]) is not int or not 0 <= i{j} < {1 << p.width}"
             for j, p in enumerate(dut.input_ports)]
         lines.append(f"  if {' or '.join(checks)}: return None")
-        lines += [f"  r{j} = n{j}" for j in range(len(dut.regs))]
-        n_wires = len(dut.wires) + len(dut.output_ports)
-        if n_wires:
-            lines.append(f"  {' = '.join(f'w{j}' for j in range(n_wires))} = 0")
+        lines += [f"  r{j} = n{j}" for j in range(len(dut.regs)) if f"r{j}" in live]
+        zeroed = [f"w{j}" for j in range(len(dut.wires) + len(dut.output_ports))
+                  if f"w{j}" in live]
+        if zeroed:
+            lines.append(f"  {' = '.join(zeroed)} = 0")
         lines += self.lines
         lines += [f"  c{g}[{self.local[cg.signal]}] = 1" for g, cg in enumerate(dut.covergroups)]
         covered = ([f"({top} if t else 0)"] if top else []) + [f"b{k}" for k in range(outcomes)]
@@ -286,7 +338,10 @@ def cycle_source(dut: DutModel) -> str:
     exactly) in its port's range, and it returns None at the first cycle that
     fails.  Otherwise it returns the stimulus's CoverageReport, whose
     ``covered`` has one bit per statement, branch outcome and bin, and the
-    final register values, from which a second run goes on.  The source holds
+    final register values, from which a second run goes on.  A store that no
+    later read can see, and no covergroup samples, is left out of the source,
+    though its statement still counts; each cycle sets only the registers,
+    wires and outputs that a read can reach before a store.  The source holds
     only integer constants, builtins, ``report`` and the locals above, never a
     name from the design; :func:`compiled` binds ``k<j>`` to port j's name.  A
     design that :func:`hdl.lint` flags raises ValueError naming its first

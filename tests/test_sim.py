@@ -713,9 +713,9 @@ class TestCompiled:
         for name in ("secret_mod", "alpha", "beta_in", "omega_out", "gamma_reg",
                      "delta_wire", "lowbin", "highbin"):
             assert name not in source
-        allowed = {"def", "run", "inputs", "s", "b", "c", "for", "in", "if", "else", "True",
-                   "min", "return", "bytearray", "find", "cycles", "type", "int", "dict", "len",
-                   "is", "not", "or", "None", "report", "t", "refuse_state"}
+        allowed = {"def", "run", "c", "for", "in", "if", "else", "min", "return", "bytearray",
+                   "find", "cycles", "type", "int", "dict", "len", "is", "not", "or", "None",
+                   "report", "t", "refuse_state"}
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):
             assert tok.type != tokenize.STRING
             if tok.type == tokenize.NAME:
@@ -782,6 +782,116 @@ class TestCompiled:
             assert not hasattr(obj, "__dict__")
         assert simulate(toy1, stim(1)) is report
         assert simulate(toy1, stim(1, 0)) != report
+
+
+# Inputs for the dead-store designs below: both arms of every conditional, and a
+# range of values, run from reset; each prefix is checked too.
+_DEAD_CYCLES = [{"a": a, "c": c} for a, c in ((5, 1), (200, 0), (77, 1), (0, 0), (255, 1), (9, 0))]
+
+
+def zeroed(source):
+    """The wires and outputs that the per-cycle prologue zeroes."""
+    line = re.search(r"^  ((?:w\d+ = )+)0$", source, re.MULTILINE)
+    return set(line.group(1).split(" = ")[:-1]) if line else set()
+
+
+def dead_store_case(text, dropped=(), kept=()):
+    """``text``'s compiled source, after checking that the store of ``a + k`` is left
+    out for each k in ``dropped`` and emitted for each in ``kept``, and that every
+    prefix of ``_DEAD_CYCLES`` covers what the oracle covers."""
+    dut = parse(text)
+    assert lint(dut) == []
+    source = cycle_source(dut)
+    for k in dropped:
+        assert f"+ {k})" not in source, k
+    for k in kept:
+        assert f"+ {k})" in source, k
+    for n in range(len(_DEAD_CYCLES) + 1):
+        cycles = _DEAD_CYCLES[:n]
+        report = simulate(dut, Stimulus(tuple(cycles)))
+        assert counts(report) == oracle_simulate(dut, cycles)
+        assert report.covered == oracle_bits(dut, cycles)
+    return source
+
+
+class TestDeadStores:
+    # Each store's value is ``a + k`` for a k that no other line of the source holds.
+    PORTS = "module m (input a[8], input c[1], output y[8]);"
+
+    def test_overwritten_store_dropped(self):
+        dead_store_case(
+            f"{self.PORTS} reg r[8] = 3; wire w[8];"
+            " assign w = a + 11; next r = a + 33; assign w = a + 22; next r = a + 44;"
+            " assign y = w ^ r; cover y { lo: 0..99 } endmodule",
+            dropped=(11, 33), kept=(22, 44))
+
+    def test_store_overwritten_in_one_arm_kept(self):
+        dead_store_case(
+            f"{self.PORTS} wire w[8];"
+            " assign w = a + 11; if (c) { assign w = a + 22; } assign y = w;"
+            " cover y { lo: 0..99 } endmodule",
+            kept=(11, 22))
+
+    def test_only_wires_read_before_a_drive_are_zeroed(self):
+        # u (w0) is read before any drive when c is 0; v (w1) and y (w2) are always
+        # driven first.  Register q is never read, so it is not copied from its next value.
+        source = dead_store_case(
+            f"{self.PORTS} reg r[8] = 1; reg q[8] = 2; wire u[8]; wire v[8];"
+            " if (c) { assign u = a + 11; } assign v = a + 22; assign y = u ^ v;"
+            " next r = a + 33; next q = r + 44; cover y { lo: 0..99 } endmodule",
+            kept=(11, 22, 33, 44))
+        assert zeroed(source) == {"w0"}
+        assert "r0 = n0" in source and "r1 = n1" not in source
+
+    def test_unread_uncovered_output_not_computed(self, corpus):
+        source = dead_store_case(
+            f"{self.PORTS} reg r[8] = 0; next r = a; assign y = r + 11;"
+            " cover r { lo: 0..99 } endmodule", dropped=(11,))
+        assert zeroed(source) == set()
+        # deadend drives an output that nothing reads and no covergroup samples;
+        # its statement bit still counts.
+        deadend = next(dut for dut in corpus if dut.name == "deadend")
+        source = cycle_source(deadend)
+        assert re.search(r"\bw\d", source) is None
+        report = simulate(deadend, stim(0, 1))
+        assert (report.statement.covered, report.statement.total) == (1, 2)
+        assert counts(report) == oracle_simulate(deadend, stim(0, 1).cycles)
+
+    def test_next_last_on_some_path_kept(self):
+        text = (f"{self.PORTS} reg r[8] = 7; next r = a + 11; if (c) {{ next r = a + 22; }}"
+                " assign y = r; cover y { lo: 0..99 } endmodule")
+        dead_store_case(text, kept=(11, 22))
+        # The final register state is the last cycle's a + 22 when c is 1, else a + 11.
+        run = sim.compiled(parse(text))
+        for cycles in _DEAD_CYCLES[:3], _DEAD_CYCLES[:4]:
+            a, c = cycles[-1]["a"], cycles[-1]["c"]
+            assert run(cycles)[1] == ((a + (22 if c else 11)) % 256,)
+
+    def test_arms_without_stores_record_both_outcomes(self):
+        dead_store_case(
+            f"{self.PORTS} wire w[8];"
+            " if (c) { assign w = a + 11; } else { assign w = a + 22; } assign w = a + 33;"
+            " assign y = w; cover y { lo: 0..99 } endmodule",
+            dropped=(11, 22), kept=(33,))
+        text = (f"{self.PORTS} if (c) {{ assign y = a + 11; }} else {{ assign y = a + 22; }}"
+                " endmodule")
+        dead_store_case(text, dropped=(11, 22))
+        report = simulate(parse(text), Stimulus(tuple(_DEAD_CYCLES[:2])))
+        assert counts(report) == ((2, 2), (2, 2), (0, 0))
+
+    @pytest.mark.parametrize("seed", [61, 101])
+    def test_generated_designs_match_oracle(self, monkeypatch, seed):
+        # perfbench's designs, where about half the stores are dead.
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import designgen
+
+        designs, stimuli = designgen.generate(seed, 4, 2)
+        for design, per_design in zip(designs, stimuli):
+            dut = parse(design.text)
+            for cycles in per_design:
+                report = simulate(dut, Stimulus(tuple(cycles)))
+                assert counts(report) == oracle_simulate(dut, cycles), design.name
+                assert report.covered == oracle_bits(dut, cycles), design.name
 
 
 def parent_input_rows(dut, stim):
