@@ -12,7 +12,6 @@ syntax and lint live here: ``sim``'s compiler counts what a design covers.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Union
 
@@ -47,9 +46,10 @@ _SYMBOLS = [
 ]
 # Blanks, then one alternative per token class, tried in order, or any other
 # character as 'bad'.  It is matched against one line at a time, so '.' takes
-# any character; blanks that end a line match nothing.  \w is str.isalnum
-# plus '_', and \d the decimal digits that int() reads.
-_TOKEN_RE = re.compile(r"""[ \t\r]*(?:
+# any character; blanks that end a line match nothing, and every other
+# character is in some match, so the matches tile the line.  \w is
+# str.isalnum plus '_', and \d the decimal digits that int() reads.
+_TOKEN_RE = re.compile(r"""(?P<blank>[ \t\r]*)(?:
     (?P<sym>""" + "|".join(map(re.escape, _SYMBOLS)) + r""")
   | (?P<word>[^\W\d]\w*)
   | (?P<hex>0[xX][0-9a-fA-F]*)
@@ -80,153 +80,227 @@ class Token(NamedTuple):
 def _lex(text: str) -> list[Token]:
     """Tokens of ``text``, ending with 'eof'; raise ParseError at the first bad one.
 
-    No token spans a newline, so each line is matched on its own: one
-    pattern match per token, whose blanks it skips, and the column is the
-    offset in the line.  A comment that ends the text leaves 'eof' at its
-    start.
+    No token spans a newline, so each line is matched on its own, by one
+    ``findall`` whose matches tile it: each gives its blanks and the text
+    of its one token class, and a running offset past them gives the
+    column.  A comment that ends the text leaves 'eof' at its start.
     """
     tokens: list[Token] = []
     append = tokens.append
     new = tuple.__new__  # Token(...) without its Python-level __new__
+    findall = _TOKEN_RE.findall
     for lineno, line in enumerate(text.split("\n"), 1):
-        comment_col = 0
-        for m in _TOKEN_RE.finditer(line):
-            kind = m.lastgroup
-            start, end = m.span(kind)
-            word, col = line[start:end], start + 1
-            if kind == "sym":
-                append(new(Token, ("sym", word, 0, lineno, col)))
-            elif kind == "word":
+        end = comment_col = 0
+        for blank, sym, word, hexa, num, comment, bad in findall(line):
+            start = end + len(blank)
+            end = start + len(sym or word or hexa or num or comment or bad)
+            col = start + 1
+            if sym:
+                append(new(Token, ("sym", sym, 0, lineno, col)))
+            elif word:
                 # \w also holds numerals such as '²' that are not letters.
                 if not (word[0].isalpha() or word[0] == "_"):
                     raise ParseError(lineno, col, "lex", f"unexpected character {word[0]!r}")
                 append(new(Token, ("kw" if word in KEYWORDS else "ident", word, 0, lineno, col)))
-            elif kind == "int":
+            elif num:
                 # Reject '12ab' outright rather than splitting tokens.
                 if end < len(line) and (line[end].isalpha() or line[end] == "_"):
                     raise ParseError(lineno, col, "lex",
                                      f"malformed number {shown(line[start:end + 1])}")
                 try:
-                    value = int(word)
+                    value = int(num)
                 except ValueError:  # more digits than int() converts
                     raise ParseError(lineno, col, "lex", "number literal too long") from None
-                append(new(Token, ("int", word, value, lineno, col)))
-            elif kind == "hex":
-                if end == start + 2:
+                append(new(Token, ("int", num, value, lineno, col)))
+            elif hexa:
+                if len(hexa) == 2:
                     raise ParseError(lineno, col, "lex", "incomplete hex literal")
-                append(new(Token, ("int", word, int(word, 16), lineno, col)))
-            elif kind == "comment":
+                append(new(Token, ("int", hexa, int(hexa, 16), lineno, col)))
+            elif comment:
                 comment_col = col
             else:
-                raise ParseError(lineno, col, "lex", f"unexpected character {word!r}")
+                raise ParseError(lineno, col, "lex", f"unexpected character {bad!r}")
     append(Token("eof", "", 0, lineno, comment_col or len(line) + 1))
     return tokens
 
 
 # --- AST ------------------------------------------------------------------
+# Plain classes, so that importing hdl generates no code: a node's
+# constructor sets its slots directly.  Nodes do not refuse assignment, but
+# nothing changes one after the parser builds it.
 
-@dataclass(frozen=True, slots=True)
-class Ident:
-    name: str
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
-
-
-@dataclass(frozen=True, slots=True)
-class Const:
-    value: int
+def _repr(obj, names) -> str:
+    fields = ", ".join(f"{name}={getattr(obj, name)!r}" for name in names)
+    return f"{type(obj).__qualname__}({fields})"
 
 
-@dataclass(frozen=True, slots=True)
-class UnOp:
-    op: str  # '~' | '!'
-    operand: "Expr"
+class _Node:
+    """A syntax node, equal to a node of its own class whose ``_key`` fields
+    are equal: every field but its position (``line``, ``column``).  Its
+    repr shows every slot, position included."""
+
+    __slots__ = ()
+    _key: tuple[str, ...]
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._key])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        return _repr(self, self.__slots__)
 
 
-@dataclass(frozen=True, slots=True)
-class BinOp:
-    op: str
-    left: "Expr"
-    right: "Expr"
+class Ident(_Node):
+    __slots__ = ("name", "line", "column")
+    _key = ("name",)
+
+    def __init__(self, name: str, line: int = 0, column: int = 0):
+        self.name = name
+        self.line = line
+        self.column = column
+
+
+class Const(_Node):
+    __slots__ = _key = ("value",)
+
+    def __init__(self, value: int):
+        self.value = value
+
+
+class UnOp(_Node):
+    __slots__ = _key = ("op", "operand")
+
+    def __init__(self, op: str, operand: Expr):
+        self.op = op  # '~' | '!'
+        self.operand = operand
+
+
+class BinOp(_Node):
+    __slots__ = _key = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expr, right: Expr):
+        self.op = op
+        self.left = left
+        self.right = right
 
 
 Expr = Union[Ident, Const, UnOp, BinOp]
 
 
-@dataclass(frozen=True, slots=True)
-class Assign:
+class Assign(_Node):
     """'assign' (combinational wire drive) or 'next' (register update)."""
 
-    kind: str  # 'assign' | 'next'
-    target: str
-    expr: Expr
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+    __slots__ = ("kind", "target", "expr", "line", "column")
+    _key = ("kind", "target", "expr")
+
+    def __init__(self, kind: str, target: str, expr: Expr, line: int = 0, column: int = 0):
+        self.kind = kind  # 'assign' | 'next'
+        self.target = target
+        self.expr = expr
+        self.line = line
+        self.column = column
 
 
-@dataclass(frozen=True, slots=True)
-class Conditional:
-    cond: Expr
-    then_body: tuple["Stmt", ...]
-    else_body: tuple["Stmt", ...]
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+class Conditional(_Node):
+    __slots__ = ("cond", "then_body", "else_body", "line", "column")
+    _key = ("cond", "then_body", "else_body")
+
+    def __init__(self, cond: Expr, then_body: tuple[Stmt, ...], else_body: tuple[Stmt, ...],
+                 line: int = 0, column: int = 0):
+        self.cond = cond
+        self.then_body = then_body
+        self.else_body = else_body
+        self.line = line
+        self.column = column
 
 
 Stmt = Union[Assign, Conditional]
 
 
-@dataclass(frozen=True, slots=True)
-class Port:
-    name: str
-    direction: str  # 'input' | 'output'
-    width: int
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+class Port(_Node):
+    __slots__ = ("name", "direction", "width", "line", "column")
+    _key = ("name", "direction", "width")
+
+    def __init__(self, name: str, direction: str, width: int, line: int = 0, column: int = 0):
+        self.name = name
+        self.direction = direction  # 'input' | 'output'
+        self.width = width
+        self.line = line
+        self.column = column
 
 
-@dataclass(frozen=True, slots=True)
-class Reg:
-    name: str
-    width: int
-    init: int
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+class Reg(_Node):
+    __slots__ = ("name", "width", "init", "line", "column")
+    _key = ("name", "width", "init")
+
+    def __init__(self, name: str, width: int, init: int, line: int = 0, column: int = 0):
+        self.name = name
+        self.width = width
+        self.init = init
+        self.line = line
+        self.column = column
 
 
-@dataclass(frozen=True, slots=True)
-class Wire:
-    name: str
-    width: int
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+class Wire(_Node):
+    __slots__ = ("name", "width", "line", "column")
+    _key = ("name", "width")
+
+    def __init__(self, name: str, width: int, line: int = 0, column: int = 0):
+        self.name = name
+        self.width = width
+        self.line = line
+        self.column = column
 
 
-@dataclass(frozen=True, slots=True)
-class CoverBin:
-    name: str
-    lo: int
-    hi: int
+class CoverBin(_Node):
+    __slots__ = _key = ("name", "lo", "hi")
+
+    def __init__(self, name: str, lo: int, hi: int):
+        self.name = name
+        self.lo = lo
+        self.hi = hi
 
 
-@dataclass(frozen=True, slots=True)
-class Covergroup:
-    signal: str
-    bins: tuple[CoverBin, ...]
-    line: int = field(default=0, compare=False)
-    column: int = field(default=0, compare=False)
+class Covergroup(_Node):
+    __slots__ = ("signal", "bins", "line", "column")
+    _key = ("signal", "bins")
+
+    def __init__(self, signal: str, bins: tuple[CoverBin, ...], line: int = 0, column: int = 0):
+        self.signal = signal
+        self.bins = bins
+        self.line = line
+        self.column = column
 
 
-@dataclass(frozen=True)
-class DutModel:
-    """A parsed design, as written: what it covers is counted by ``sim``'s compiler."""
+class DutModel(_Node):
+    """A parsed design, as written: what it covers is counted by ``sim``'s compiler.
 
-    name: str
-    ports: tuple[Port, ...]
-    regs: tuple[Reg, ...]
-    wires: tuple[Wire, ...]
-    body: tuple[Stmt, ...]
-    covergroups: tuple[Covergroup, ...]
+    Unlike a syntax node it has a ``__dict__``, which holds its cached
+    properties and ``sim.compiled``'s function; equality, hash and repr
+    read its six fields alone.
+    """
+
+    _key = ("name", "ports", "regs", "wires", "body", "covergroups")
+
+    def __init__(self, name: str, ports: tuple[Port, ...], regs: tuple[Reg, ...],
+                 wires: tuple[Wire, ...], body: tuple[Stmt, ...],
+                 covergroups: tuple[Covergroup, ...]):
+        self.name = name
+        self.ports = ports
+        self.regs = regs
+        self.wires = wires
+        self.body = body
+        self.covergroups = covergroups
+
+    def __repr__(self) -> str:
+        return _repr(self, self._key)
 
     @cached_property
     def input_ports(self) -> tuple[Port, ...]:
@@ -479,8 +553,7 @@ def parse(text: str) -> DutModel:
 
 # --- Lint -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LintIssue:
+class LintIssue(NamedTuple):
     kind: str
     line: int
     column: int

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from covstim.corpus import BUNDLED_NAMES, bundled_source
-from covstim.hdl import (_SYMBOLS, KEYWORDS, MAX_DEPTH, DutModel, ParseError, Token, _lex, lint,
-                         parse, pretty_print)
-from covstim.sim import Stimulus, simulate
+from covstim import hdl
+from covstim.hdl import (_SYMBOLS, KEYWORDS, MAX_DEPTH, Assign, BinOp, Conditional, Const,
+                         CoverBin, Covergroup, DutModel, Ident, LintIssue, ParseError, Port, Reg,
+                         Token, UnOp, Wire, _lex, lint, parse, pretty_print)
+from covstim.sim import Stimulus, compiled, simulate
 
 import reference_hdl
 
@@ -509,3 +511,83 @@ class TestMatchesReference:
     def test_expression_designs(self, text):
         assert lex_outcome(_lex, text) == lex_outcome(reference_hdl._lex, text)
         assert parse_outcome(parse, text) == parse_outcome(reference_hdl.reference_parse, text)
+
+
+# Every syntax class, built by keyword in its field order; a position ('line',
+# 'column') follows the other fields and defaults to 0.
+_NODES = [
+    (Ident, {"name": "a"}),
+    (Const, {"value": 3}),
+    (UnOp, {"op": "~", "operand": Const(1)}),
+    (BinOp, {"op": "+", "left": Ident("a", 1, 2), "right": Const(1)}),
+    (Assign, {"kind": "assign", "target": "y", "expr": Ident("a", 1, 2)}),
+    (Conditional, {"cond": Ident("a"), "then_body": (Assign("next", "r", Const(0)),),
+                   "else_body": ()}),
+    (Port, {"name": "a", "direction": "input", "width": 1}),
+    (Reg, {"name": "r", "width": 2, "init": 1}),
+    (Wire, {"name": "w", "width": 2}),
+    (CoverBin, {"name": "lo", "lo": 0, "hi": 1}),
+    (Covergroup, {"signal": "a", "bins": (CoverBin("lo", 0, 1),)}),
+]
+_LOCATED = {Ident, Assign, Conditional, Port, Reg, Wire, Covergroup}
+DUT_FIELDS = ("name", "ports", "regs", "wires", "body", "covergroups")
+
+
+def shown_fields(fields: dict) -> str:
+    return ", ".join(f"{name}={value!r}" for name, value in fields.items())
+
+
+class TestNodeContract:
+    """What the parser's tests and ``sim`` read of a node: keyword construction,
+    equality and hash over every field but the position, and a repr of every field."""
+
+    def test_every_node_class_is_covered(self):
+        assert set(hdl._Node.__subclasses__()) == {cls for cls, _ in _NODES} | {DutModel}
+
+    @pytest.mark.parametrize("cls, fields", _NODES, ids=[cls.__name__ for cls, _ in _NODES])
+    def test_syntax_node(self, cls, fields):
+        node = cls(**fields)
+        assert node == cls(*fields.values())
+        assert [getattr(node, name) for name in fields] == list(fields.values())
+        assert not hasattr(node, "__dict__")
+        if cls in _LOCATED:
+            assert (node.line, node.column) == (0, 0)
+            moved = cls(**fields, line=3, column=7)
+            assert moved == node and hash(moved) == hash(node)
+            assert repr(moved) == f"{cls.__name__}({shown_fields(fields)}, line=3, column=7)"
+        else:
+            with pytest.raises(TypeError):
+                cls(**fields, line=3)
+            assert repr(node) == f"{cls.__name__}({shown_fields(fields)})"
+        for name in fields:
+            assert cls(**{**fields, name: "other"}) != node, name
+
+        class Twin(cls):
+            __slots__ = ()
+
+        assert Twin(**fields) != node and node != Twin(**fields)
+        assert node != tuple(fields.values())
+        assert all(node != other(**values) for other, values in _NODES if other is not cls)
+
+    def test_dut_model(self, toy1_source):
+        dut = parse(toy1_source)
+        fields = {name: getattr(dut, name) for name in DUT_FIELDS}
+        assert DutModel(**fields) == dut == DutModel(*fields.values())
+        moved = parse("\n\n" + toy1_source)
+        assert repr(moved) != repr(dut)
+        assert moved == dut and hash(moved) == hash(dut)
+        for name in fields:
+            assert DutModel(**{**fields, name: "other"}) != dut, name
+        simulate(dut, Stimulus(({"a": 1},)))
+        assert {"_run", "widths", "input_ports"} <= set(dut.__dict__)
+        assert compiled(dut) is dut.__dict__["_run"]
+        assert dut == moved and hash(dut) == hash(DutModel(**fields))
+        assert repr(dut) == f"DutModel({shown_fields(fields)})"
+
+    def test_lint_issue(self):
+        issue = LintIssue(kind="no_inputs", line=1, column=2, message="none")
+        assert issue == LintIssue("no_inputs", 1, 2, "none")
+        assert hash(issue) == hash(LintIssue("no_inputs", 1, 2, "none"))
+        assert issue != LintIssue("no_inputs", 1, 3, "none")
+        assert str(issue) == "1:2: no_inputs: none"
+        assert repr(issue) == "LintIssue(kind='no_inputs', line=1, column=2, message='none')"

@@ -1,6 +1,8 @@
 """The library pipeline: which policy each mode starts from, and the package's import graph."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -116,3 +118,15 @@ def test_import_graph():
             front_end.add(stem)
             todo += _covstim_modules(trees[stem])
     assert front_end & {"policy", "training", "curation", "evaluation", "pipeline"} == set()
+
+
+def test_front_end_set_up_loads_no_code_generation():
+    """A fresh interpreter that imports covstim.corpus and loads the bundled corpus loads
+    neither numpy nor dataclasses, nor the inspect that dataclasses imports: the set-up
+    of every process that reads a design stays cheap."""
+    code = (f"import sys\nsys.path.insert(0, {str(SRC.parent)!r})\nimport covstim.corpus\n"
+            "covstim.corpus.load_bundled_corpus()\n"
+            "print(sorted({'dataclasses', 'inspect', 'numpy'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
