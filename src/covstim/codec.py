@@ -15,6 +15,8 @@ applied to a block of sampled sequences: a sequence that does not decode
 gets None and scores 0, and any other gets the coverage its stimulus
 reaches in simulation.  It rejects the sequences that do not decode
 without decoding them and simulates each distinct one once.
+:func:`simulate_rows` applies it to the rows of a sampled block that may
+decode, once the others have been found on the block's token array.
 """
 
 from __future__ import annotations
@@ -104,22 +106,30 @@ def validate_and_decode(dut: DutModel, tokens, vocab: Vocab, t_max: int) -> Stim
     return Stimulus(tuple(cycles))
 
 
+def value_limit(dut: DutModel, vocab: Vocab) -> int:
+    """The bound every value of a sequence that decodes on dut stays below: the smaller
+    of ``1 << total_input_width(dut)`` and ``vocab.n_values``."""
+    compiled(dut)
+    return min(1 << total_input_width(dut), vocab.n_values)
+
+
 def simulate_block(dut: DutModel, seqs, vocab: Vocab, t_max: int) -> list[CoverageReport | None]:
     """Each sequence's coverage report, or None if it does not decode; each distinct one run once.
 
     The report is ``simulate`` of the stimulus that ``validate_and_decode``
     gives the sequence.  A sequence decodes exactly when it is BOS, 1..t_max
-    values each below both ``vocab.n_values`` and
-    ``1 << total_input_width(dut)``, then EOS; any other gets None without
-    being decoded.  A sequence that decodes goes through a table of each
-    value's cycle, which decoding does one value at a time: only a sequence
-    holding a value the table lacks goes through ``validate_and_decode``,
-    which fills the table in.  Tokens are ints, as sampling and
-    ``load_dataset`` give them.
+    values each below ``value_limit(dut, vocab)``, then EOS; any other gets
+    None without being decoded.  A sequence that decodes goes through a
+    table of each value's cycle, which decoding does one value at a time:
+    only a sequence holding a value the table lacks goes through
+    ``validate_and_decode``, which fills the table in.  Tokens are ints, as
+    sampling and ``load_dataset`` give them.  Curation and evaluation find
+    the sampled rows that cannot decode on their token array
+    (``policy.TokenBlock.decodable``) and pass only the others, so this
+    per-row check runs on the rows that can.
     """
-    compiled(dut)
     bos, eos = vocab.bos, vocab.eos
-    fits = min(1 << total_input_width(dut), vocab.n_values)
+    fits = value_limit(dut, vocab)
     table: dict[int, dict] = {}  # value token -> its cycle
     reports: dict[tuple, CoverageReport | None] = {}
     out = []
@@ -139,6 +149,20 @@ def simulate_block(dut: DutModel, seqs, vocab: Vocab, t_max: int) -> list[Covera
             reports[key] = simulate(dut, stim)
         out.append(reports[key])
     return out
+
+
+def simulate_rows(dut: DutModel, seqs, rows, vocab: Vocab,
+                  t_max: int) -> list[CoverageReport | None]:
+    """``simulate_block`` of ``seqs[i]`` for each index i in rows, and None for every other.
+
+    rows lists the sequences that may decode: its caller has found on its
+    token array that no other can (see ``policy.TokenBlock.decodable``), so
+    the others are neither read nor checked.
+    """
+    reports = [None] * len(seqs)
+    for i, report in zip(rows, simulate_block(dut, [seqs[i] for i in rows], vocab, t_max)):
+        reports[i] = report
+    return reports
 
 
 def encode(dut: DutModel, stim: Stimulus, vocab: Vocab, t_max: int) -> list[int]:

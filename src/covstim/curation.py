@@ -2,11 +2,12 @@
 
 For each attempted pair two candidate stimuli are drawn from a teacher at
 two distinct temperatures.  Each block of candidates that
-``policy.sample_indexed`` yields at one temperature is scored by one
-``codec.simulate_block`` call, the one scoring rule.  An invalid
-candidate carries no coverage detail; the higher-scoring candidate becomes
-the chosen sample.  Pairs where both candidates are invalid, or where
-scores tie, are dropped.
+``policy.sample_indexed`` yields at one temperature is one token array:
+the candidates that cannot decode are found on it and get no report, and
+the others are scored by one ``codec.simulate_block`` call, the one
+scoring rule.  An invalid candidate carries no coverage detail; the
+higher-scoring candidate becomes the chosen sample.  Pairs where both
+candidates are invalid, or where scores tie, are dropped.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import numpy as np
 
 from .checks import (JSON_SCALARS, check_int, check_positive, check_str, is_finite_number, is_int,
                      parse_json, shown)
-from .codec import CodecError, Vocab, check_well_formed, simulate_block
+from .codec import CodecError, Vocab, check_well_formed, simulate_block, simulate_rows, value_limit
 from .hdl import DutModel, pretty_print
-from .policy import TabularPolicy, sample_indexed, sample_tokens
+from .policy import TabularPolicy, TokenBlock, sample_indexed, sample_tokens
 from .sim import CoverageReport, compiled
 from .training import PreferencePair
 
@@ -73,7 +74,7 @@ class NoveltyTeacher:
         self.vocab = vocab
         self.t_max = t_max
 
-    def sample(self, dut_id, tau: float, streams) -> list[list[int]]:
+    def sample(self, dut_id, tau: float, streams) -> TokenBlock:
         """Draw one sequence per row of streams with ``sample_tokens``.
 
         Each row's logits are kept from step to step with its count of
@@ -120,15 +121,22 @@ class PairRecord:
 
     def to_json_dict(self) -> dict:
         # Shallow, in field order: asdict's deep copy of every record is waste.
-        doc = {"version": DATASET_VERSION, **{f.name: getattr(self, f.name) for f in fields(self)}}
+        doc = {"version": DATASET_VERSION, **{name: getattr(self, name) for name in _PAIR_FIELDS}}
         if self.rejected_cov is None:
             del doc["rejected_cov"]
         return doc
 
 
+_PAIR_FIELDS = tuple(f.name for f in fields(PairRecord))
+
+
 @dataclass(frozen=True)
 class DropReason:
     kind: str  # 'both_invalid' | 'tie'
+
+
+# make_pair's drops, one per kind: a frozen record is built once, not per dropped pair.
+_BOTH_INVALID, _TIE = DropReason("both_invalid"), DropReason("tie")
 
 
 def _score(report: Optional[CoverageReport]) -> float:
@@ -145,15 +153,17 @@ def make_pair(dut: DutModel, a, b, config: CurationConfig, pair_id: str,
     """Label or drop the pair of candidates a (sampled at tau1) and b (at tau2).
 
     Each candidate is (sequence, report), the report ``codec.simulate_block``
-    gives the sequence: None when it does not decode.  prompt is the
-    design's source text, ``pretty_print(dut)``.
+    gives the sequence: None when it does not decode.  A pair with no
+    report is dropped before either sequence is read, so its sequences may
+    be None.  prompt is the design's source text, ``pretty_print(dut)``.
+    Each kind of drop returns its one shared ``DropReason``.
     """
     (seq_a, report_a), (seq_b, report_b) = a, b
     if report_a is None and report_b is None:
-        return DropReason("both_invalid")
+        return _BOTH_INVALID
     score_a, score_b = _score(report_a), _score(report_b)
     if score_a == score_b:
-        return DropReason("tie")
+        return _TIE
     a, b = (seq_a, report_a, config.tau1), (seq_b, report_b, config.tau2)
     (chosen, chosen_report, temp_chosen), (rejected, rejected_report, temp_rejected) = (
         (a, b) if score_a > score_b else (b, a))
@@ -202,9 +212,7 @@ def curate(corpus, config: CurationConfig, out_path) -> CurationStats:
             prompt = pretty_print(dut)
             blocks = sample_indexed(teacher, dut.name, [config.seed, dut_i],
                                     config.pairs_per_dut, (config.tau1, config.tau2))
-            # Each pair as its two (sequence, report) candidates, the tau1 one first.
-            pairs = (pair for block in blocks for pair in zip(
-                *[zip(seqs, simulate_block(dut, seqs, vocab, config.t_max)) for seqs in block]))
+            pairs = (pair for block in blocks for pair in _candidates(dut, block, vocab, config))
             for pair_i, (a, b) in enumerate(pairs):
                 result = make_pair(dut, a, b, config, f"{dut.name}:{pair_i}", prompt)
                 stats.attempted += 1
@@ -219,6 +227,26 @@ def curate(corpus, config: CurationConfig, out_path) -> CurationStats:
                 stats.gap_histogram[min(int(gap * 10), 9)] += 1
                 fh.write(json.dumps(result.to_json_dict()) + "\n")
     return stats
+
+
+def _candidates(dut: DutModel, block: list[TokenBlock], vocab: Vocab, config: CurationConfig):
+    """Each pair of one sampled block as its two (sequence, report) candidates, tau1's first.
+
+    The rows that cannot decode are found on each temperature's token
+    array and get no report without a check; the others go to one
+    ``simulate_block`` call.  Only the rows of a pair with a row that can
+    decode become lists: a pair whose rows both cannot is dropped unread,
+    so its candidates are (None, None).
+    """
+    limit = value_limit(dut, vocab)
+    fits = [seqs.decodable(limit) for seqs in block]
+    either = np.logical_or.reduce(fits)
+    candidates = []
+    for seqs, ok in zip(block, fits):
+        rows = seqs.tolist(either)
+        reports = simulate_rows(dut, rows, np.flatnonzero(ok).tolist(), vocab, config.t_max)
+        candidates.append(zip(rows, reports))
+    return zip(*candidates)
 
 
 def _is_token_list(value) -> bool:

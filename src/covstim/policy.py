@@ -26,10 +26,16 @@ def _masked_exp(z: np.ndarray, bos: int):
     most 1: a -inf logit never wins the max, and a row holding +inf or NaN
     turns all-NaN.  Returns m, the exp-logits and their row sums, each
     keeping the reduced last axis; z may be one row (1-D) or a stack of rows.
+
+    The max runs down the columns of a transposed copy, one elementwise
+    max of n entries per token, since a reduction along a row of only V
+    entries is slow and a max is exact in any order.  The sums stay along
+    the contiguous rows: numpy adds each row pairwise, and every sampled
+    token and log-probability depends on the bits of that order.
     """
     z[..., bos] = -np.inf
     # The ufunc reductions that ``max`` and ``sum`` wrap, without their Python layer.
-    m = np.maximum.reduce(z, axis=-1, keepdims=True, initial=0.0)
+    m = np.maximum.reduce(z.T.copy(), axis=0, keepdims=True, initial=0.0).T
     e = np.exp(z - m)
     return m, e, np.add.reduce(e, axis=-1, keepdims=True)
 
@@ -49,10 +55,16 @@ def draw_tokens(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     ``rng.choice(V, p=probs[i])`` gives from a generator whose next
     ``random()`` is ``uniforms[i]``.  probs must hold no NaN, which
     ``choice`` refuses; ``sample_tokens`` checks that before it draws.
+
+    The cumulative sum is a running sum along each row, as ``choice``
+    takes it.  The division writes the cdf transposed, a row per token,
+    and the count runs down its columns, since a count along a row of only
+    V entries is slow; both are exact in any order, so the tokens are
+    those of the row-wise form.
     """
-    cdf = probs.cumsum(axis=1)
-    cdf /= cdf[:, -1:]
-    return np.count_nonzero(cdf <= uniforms[:, None], axis=1)
+    cum = probs.cumsum(axis=1)
+    cdf = np.divide(cum.T, cum[:, -1], out=np.empty(cum.shape[::-1]))
+    return np.add.reduce(cdf <= uniforms, axis=0)
 
 
 _MASK32 = 0xFFFFFFFF
@@ -201,11 +213,54 @@ class Streams:
         return self._uniforms[rows, col]
 
 
+class TokenBlock:
+    """Sampled token sequences kept as one array: sequence i is ``tokens[i, :lengths[i]]``.
+
+    ``sample_tokens`` returns one, so a block goes to scoring without a
+    Python list per row; every position past a sequence's end holds EOS.
+    Iterating it, or ``tolist()``, gives each sequence as a list of ints.
+    """
+
+    __slots__ = ("tokens", "lengths")
+
+    def __init__(self, tokens: np.ndarray, lengths: np.ndarray):
+        self.tokens = tokens
+        self.lengths = lengths
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def __iter__(self):
+        return iter(self.tolist())
+
+    def tolist(self, where=None) -> list:
+        """Each sequence as a list of ints; given a mask, None for each row it leaves out."""
+        if where is None:
+            return [row[:n] for row, n in zip(self.tokens.tolist(), self.lengths.tolist())]
+        out = [None] * len(self)
+        rows = np.flatnonzero(where)
+        for i, row, n in zip(rows.tolist(), self.tokens[rows].tolist(),
+                             self.lengths[rows].tolist()):
+            out[i] = row[:n]
+        return out
+
+    def decodable(self, limit: int) -> np.ndarray:
+        """Whether each sequence holds a value and every value is below limit, as a mask.
+
+        For a block that ``sample_tokens`` drew and a limit of at most its
+        vocabulary's ``n_values`` (``codec.value_limit``), these are exactly
+        the sequences that can decode: each is BOS, at most t_max values,
+        EOS, and each position past its values holds EOS, which is >= limit.
+        """
+        values = self.tokens[:, 1:-1]
+        return (self.lengths > 2) & (np.count_nonzero(values < limit, axis=1) == self.lengths - 2)
+
+
 def sample_indexed(sampler, dut_id, prefix, n: int, taus):
     """Yield indices 0..n-1 a block at a time: per tau in taus, its block's sequences.
 
     A block is the next STREAM_BLOCK indices (fewer in the last one), and
-    its yield is a list with one list of sequences per tau, in index order.
+    its yield is a list with one ``TokenBlock`` per tau, in index order.
     Index i's sequences are ``sampler.sample(dut_id, tau, streams)`` drawn
     in taus order from one stream, the ``random()`` draws of
     ``default_rng([*prefix, i])``: each starts where the one before stopped.
@@ -218,8 +273,7 @@ def sample_indexed(sampler, dut_id, prefix, n: int, taus):
         yield [sampler.sample(dut_id, tau, streams) for tau in taus]
 
 
-def sample_tokens(vocab: Vocab, t_max: int, tau: float, streams,
-                  next_logits) -> list[list[int]]:
+def sample_tokens(vocab: Vocab, t_max: int, tau: float, streams, next_logits) -> TokenBlock:
     """Draw one well-formed token sequence per row of streams, all in lockstep.
 
     Sequence i draws one uniform per drawn token from row i of streams, a
@@ -231,11 +285,13 @@ def sample_tokens(vocab: Vocab, t_max: int, tau: float, streams,
     still running, in increasing order.  A row keeps its index from step
     to step, so a sampler may keep per-row state; it must not write to
     tokens.  Each running row's next token is drawn with ``draw_tokens``
-    from the softmax of its logits / tau over every token but BOS.  A
+    from ``masked_softmax`` of its logits / tau: the row max runs down the
+    columns, the row sums along the rows (see ``_masked_exp``).  A
     sequence ends at a drawn EOS, or after the ``t_max``-th value token,
     where EOS is appended without a draw.  A row whose softmax is NaN
     because a logit / tau overflowed raises one ValueError naming tau,
-    before that step draws from any row.
+    before that step draws from any row.  Returns that token array, every
+    column past a row's end EOS, as a ``TokenBlock``.
     """
     if not tau > 0:  # also refuses NaN
         raise ValueError(f"temperature must be > 0, got {tau}")
@@ -257,7 +313,7 @@ def sample_tokens(vocab: Vocab, t_max: int, tau: float, streams,
         ended = drawn == vocab.eos
         lengths[running[ended]] = j + 1
         running = running[~ended]
-    return [row[:n] for row, n in zip(tokens.tolist(), lengths.tolist())]
+    return TokenBlock(tokens, lengths)
 
 
 @lru_cache(maxsize=1 << 13)
@@ -368,7 +424,7 @@ class TabularPolicy:
 
     # -- distributions ----------------------------------------------------
 
-    def sample(self, dut_id, tau: float, streams) -> list[list[int]]:
+    def sample(self, dut_id, tau: float, streams) -> TokenBlock:
         """Draw one sequence per row of streams with ``sample_tokens`` from this policy's rows."""
         get, k = self.rows.get, self.k
 

@@ -1,8 +1,18 @@
-"""Hand-set logits of a TabularPolicy, and whole-policy gradients, for tests."""
+"""Hand-set logits of a TabularPolicy, whole-policy gradients and sampled blocks, for tests."""
 
 import numpy as np
 
+from covstim.policy import TokenBlock
 from covstim.training import pair_gradient
+
+
+def token_block(seqs, vocab, t_max) -> TokenBlock:
+    """The block ``sample_tokens`` returns for seqs: each BOS, at most t_max values, EOS,
+    and every position past a sequence's end EOS."""
+    tokens = np.full((len(seqs), t_max + 2), vocab.eos, dtype=np.intp)
+    for row, seq in zip(tokens, seqs):
+        row[:len(seq)] = seq
+    return TokenBlock(tokens, np.array([len(seq) for seq in seqs], dtype=np.intp))
 
 
 def context(policy, tokens) -> tuple:

@@ -1,21 +1,26 @@
 import json
+import tempfile
 from enum import IntEnum
+from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covstim import codec
+from covstim import codec, curation
 from covstim.codec import (CodecError, Vocab, check_well_formed, encode, simulate_block,
-                           total_input_width, validate_and_decode)
+                           total_input_width, validate_and_decode, value_limit)
 from covstim.corpus import load_bundled_corpus
-from covstim.curation import DATASET_VERSION, CurationConfig, NoveltyTeacher, load_dataset
+from covstim.curation import (DATASET_VERSION, CurationConfig, NoveltyTeacher, PairRecord,
+                              curate, load_dataset, make_pair)
 from covstim.evaluation import EvalConfig, eval_policy
-from covstim.hdl import parse
+from covstim.hdl import parse, pretty_print
 from covstim.policy import TabularPolicy, sample_indexed
 from covstim.sim import Stimulus, input_rows, simulate
 
+from policy_helpers import token_block
 from reference_codec import simulate_tokens
 
 VOCAB = Vocab(4)
@@ -262,13 +267,89 @@ class TestSimulateBlock:
         repeated = 0
         for dut in corpus:
             (block,) = next(sample_indexed(teacher, dut.name, [5], 200, (tau,)))
-            block = block + block[::-1]  # every row at least twice
+            block = block.tolist()
+            block += block[::-1]  # every row at least twice
             calls.clear()
             reports = simulate_block(dut, block, VOCAB, T_MAX)
             accepted = [tuple(seq) for seq, report in zip(block, reports) if report is not None]
             assert sorted(calls) == sorted(set(accepted)), dut.name
             repeated += len(accepted) - len(calls)
         assert repeated >= 200
+
+
+class ScriptedSampler:
+    """Gives fixed rows per temperature as ``sample_tokens``'s blocks, whatever the streams draw."""
+
+    def __init__(self, vocab, t_max, rows_by_tau):
+        self.vocab, self.t_max, self.rows_by_tau = vocab, t_max, rows_by_tau
+        self.at = dict.fromkeys(rows_by_tau, 0)
+
+    def sample(self, dut_id, tau, streams):
+        start = self.at[tau]
+        self.at[tau] += len(streams)
+        return token_block(self.rows_by_tau[tau][start:start + len(streams)], self.vocab,
+                           self.t_max)
+
+
+@st.composite
+def sampled_rows(draw):
+    """A design of 1-5 input bits over 1-3 ports, a wmax of 1-4 and a t_max of 1-8, and two
+    lists of as many rows shaped as sampling shapes them: BOS, at most t_max values (often
+    exactly t_max, and often just below or at the value limit), then EOS."""
+    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(
+        lambda ws: sum(ws) <= 5))
+    ports = ", ".join(f"input p{i}[{w}]" for i, w in enumerate(widths))
+    dut = parse(f"module m ({ports}, output y[1]); "
+                "if (p0 == 1) { assign y = 1; } else { assign y = 0; } "
+                "cover y { zero: 0..0, one: 1..1 } cover p0 { low: 0..0, high: 1..1 } endmodule")
+    vocab, t_max = Vocab(draw(st.integers(1, 4))), draw(st.integers(1, 8))
+    limit = min(1 << sum(widths), vocab.n_values)
+    edges = sorted({0, limit - 1, limit} & set(range(vocab.n_values)))
+    value = st.one_of(st.sampled_from(edges), st.integers(0, vocab.n_values - 1))
+    row = st.one_of(st.lists(value, max_size=t_max),
+                    st.lists(value, min_size=t_max, max_size=t_max)).map(
+        lambda values: [vocab.bos, *values, vocab.eos])
+    n = draw(st.integers(1, 12))
+    rows = st.lists(row, min_size=n, max_size=n)
+    return dut, vocab, t_max, draw(rows), draw(rows)
+
+
+class TestRejectionOnTheArray:
+    """The rows of a sampled block that cannot decode are found on its token array; every
+    other row goes through ``simulate_block``, whose reports curation and evaluation keep."""
+
+    @given(sampled_rows())
+    @settings(max_examples=150, deadline=None)
+    def test_rejected_rows_are_the_rows_simulate_block_refuses(self, case):
+        dut, vocab, t_max, rows_a, rows_b = case
+        reports_a = simulate_block(dut, rows_a, vocab, t_max)
+        fits = token_block(rows_a, vocab, t_max).decodable(value_limit(dut, vocab))
+        assert fits.tolist() == [report is not None for report in reports_a]
+
+        sampler = ScriptedSampler(vocab, t_max, {1.0: rows_a})
+        evaluated = eval_policy(sampler, dut, EvalConfig(n=len(rows_a)))
+        assert [g.tokens for g in evaluated.generations] == rows_a
+        assert [g.valid for g in evaluated.generations] == fits.tolist()
+        for g, report in zip(evaluated.generations, reports_a):
+            if report is not None:
+                assert g.fractions["average"] == report.average
+                assert all(g.fractions[name] == m.fraction
+                           for name, m in report.metrics().items())
+
+        config = CurationConfig(pairs_per_dut=len(rows_a), wmax=vocab.wmax, t_max=t_max)
+        sampler = ScriptedSampler(vocab, t_max, {config.tau1: rows_a, config.tau2: rows_b})
+        expected = []
+        for i, (a, b) in enumerate(zip(zip(rows_a, reports_a),
+                                       zip(rows_b, simulate_block(dut, rows_b, vocab, t_max)))):
+            result = make_pair(dut, a, b, config, f"m:{i}", pretty_print(dut))
+            if isinstance(result, PairRecord):
+                expected.append(json.dumps(result.to_json_dict()) + "\n")
+        with tempfile.TemporaryDirectory() as tmp, \
+                patch.object(curation, "make_teacher", lambda _: sampler):
+            path = Path(tmp) / "pairs.jsonl"
+            stats = curate([dut], config, path)
+            assert path.read_text(encoding="utf-8") == "".join(expected)
+        assert stats.kept == len(expected) and stats.attempted == len(rows_a)
 
 
 # Input widths lint flags width_out_of_range: one past what a shift can take,
@@ -290,6 +371,7 @@ def _load_one_line(dut, tmp_path):
 WIDTH_READERS = {
     "validate_and_decode": lambda dut, _: validate_and_decode(dut, ONE_CYCLE, VOCAB, T_MAX),
     "simulate_block": lambda dut, _: simulate_block(dut, [ONE_CYCLE], VOCAB, T_MAX),
+    "value_limit": lambda dut, _: value_limit(dut, VOCAB),
     "encode": lambda dut, _: encode(dut, Stimulus(({"a": 1},)), VOCAB, T_MAX),
     "input_rows": lambda dut, _: input_rows(dut, Stimulus(({"a": 1},))),
     "eval_policy": lambda dut, _: eval_policy(TabularPolicy(VOCAB, 2, T_MAX), dut,

@@ -10,7 +10,7 @@ from covstim.pipeline import ablate, write_artifact
 from covstim.policy import TabularPolicy
 from covstim.training import TrainConfig
 
-from policy_helpers import adjust
+from policy_helpers import adjust, token_block
 from reference_curation import reference_sample
 
 VOCAB = Vocab(4)
@@ -29,10 +29,9 @@ class ScriptedPolicy:
         self.i = 0
 
     def sample(self, dut_id, tau, streams):
-        seqs = [list(self.sequences[(self.i + j) % len(self.sequences)])
-                for j in range(len(streams))]
+        seqs = [self.sequences[(self.i + j) % len(self.sequences)] for j in range(len(streams))]
         self.i += len(streams)
-        return seqs
+        return token_block(seqs, self.vocab, self.t_max)
 
 
 class TestEvalPolicy:

@@ -315,7 +315,7 @@ class TestStepDistribution:
         np.testing.assert_allclose(np.delete(probs, VOCAB.bos), 1 / 17, atol=1e-15)
         assert abs(probs.sum() - 1.0) < 1e-12
         stream = ScriptedStream([uniform_for(VOCAB.eos, probs)])
-        assert uniform_policy().sample("d", 1.0, stream) == [[VOCAB.bos, VOCAB.eos]]
+        assert uniform_policy().sample("d", 1.0, stream).tolist() == [[VOCAB.bos, VOCAB.eos]]
         assert np.array_equal(softmax_rows, [probs])
         assert stream.uniforms == []
 
@@ -323,14 +323,15 @@ class TestStepDistribution:
         # Three draws; the EOS after the third value is appended, not drawn.
         probs = masked_softmax(np.zeros(VOCAB.size), VOCAB.bos)
         stream = ScriptedStream([uniform_for(t, probs) for t in (1, 2, 3)])
-        assert uniform_policy(t_max=3).sample("d", 1.0, stream) == [[VOCAB.bos, 1, 2, 3, VOCAB.eos]]
+        assert uniform_policy(t_max=3).sample("d", 1.0, stream).tolist() == [
+            [VOCAB.bos, 1, 2, 3, VOCAB.eos]]
         assert len(softmax_rows) == 3 and stream.uniforms == []
 
     def test_temperature_sharpening(self, softmax_rows):
         policy = uniform_policy()
         adjust(policy, "d", (VOCAB.bos, VOCAB.bos), 0, +1.0)
         stream = ScriptedStream([0.999])  # EOS, the last token, has p = 1 / (e^2 + 16) > 0.001
-        assert policy.sample("d", 0.5, stream) == [[VOCAB.bos, VOCAB.eos]]
+        assert policy.sample("d", 0.5, stream).tolist() == [[VOCAB.bos, VOCAB.eos]]
         (probs,) = softmax_rows
         # Proportional to (e^2, 1, ..., 1) over the 17 emittable tokens.
         expected0 = math.exp(2) / (math.exp(2) + 16)
@@ -359,8 +360,8 @@ class TestSample:
 
     def test_determinism(self):
         policy = uniform_policy()
-        s1 = policy.sample("d", 1.0, Streams([], [7], policy.t_max))
-        s2 = policy.sample("d", 1.0, Streams([], [7], policy.t_max))
+        s1 = policy.sample("d", 1.0, Streams([], [7], policy.t_max)).tolist()
+        s2 = policy.sample("d", 1.0, Streams([], [7], policy.t_max)).tolist()
         assert s1 == s2
 
     def test_argmax_limit(self):
@@ -369,7 +370,7 @@ class TestSample:
         policy = uniform_policy(t_max=4)
         for ctx in ((VOCAB.bos, VOCAB.bos), (VOCAB.bos, 5), (5, 5)):
             adjust(policy, "d", ctx, 5, +3.0)
-        seqs = policy.sample("d", 1e-3, Streams([], [1], policy.t_max))
+        seqs = policy.sample("d", 1e-3, Streams([], [1], policy.t_max)).tolist()
         assert seqs == [[VOCAB.bos, 5, 5, 5, 5, VOCAB.eos]]
 
     @pytest.mark.parametrize("t_max", [1, 2, 3, 8])
@@ -413,6 +414,56 @@ class TestLockstepDraw:
                 once.random()
                 assert twin.bit_generator.state == once.bit_generator.state, (wmax, seed)
 
+    @pytest.mark.parametrize("n", [1, 20, 149, 150, 600])
+    def test_draw_is_rng_choice_at_every_block_size(self, n):
+        # The column-wise division and count give choice's token on blocks of
+        # either side of any row count a kernel might switch at, from the
+        # sampler's own softmax with -inf logits and with one-hot rows.
+        maker = np.random.default_rng(n)
+        for wmax in range(1, 7):
+            size = Vocab(wmax).size
+            z = maker.normal(0, 3, (n, size))
+            z[maker.random(z.shape) < 0.3] = -np.inf
+            z[:, 0] = maker.normal(0, 3, n)  # a finite logit on a token that is not BOS
+            hot = maker.random(n) < 0.1
+            z[hot] = -np.inf
+            token = maker.integers(0, size - 1, hot.sum())
+            token[token == size - 2] = size - 1  # BOS is size - 2 and EOS size - 1
+            z[hot, token] = 0.0
+            probs = masked_softmax(z, size - 2)
+            seeds = range(7000 * wmax, 7000 * wmax + n)
+            tokens = draw_tokens(probs, Streams([], seeds, 1).next(np.arange(n)))
+            for seed, p, token in zip(seeds, probs, tokens.tolist()):
+                assert token == np.random.default_rng(seed).choice(size, p=p), (wmax, seed)
+            # choice's row-wise form, at uniforms on and just below each cdf entry:
+            # a cdf that differs in one bit, or a strict comparison, moves a token.
+            cdf = probs.cumsum(axis=1)
+            cdf /= cdf[:, -1:]
+            for edge in (cdf, np.nextafter(cdf, 0.0)):
+                for uniforms in edge.T:
+                    expected = np.count_nonzero(cdf <= uniforms[:, None], axis=1)
+                    assert np.array_equal(draw_tokens(probs, uniforms), expected), wmax
+
+    def test_masked_exp_equals_the_row_wise_max(self):
+        # The max down the columns of the transposed copy is the row max bit
+        # for bit, with -inf, +inf and NaN logits, on one row and on stacks.
+        rng = np.random.default_rng(3)
+        for n in (0, 1, 7, 150, 600):
+            z = rng.normal(0, 5, (n, VOCAB.size)) * rng.choice([1e-3, 1.0, 1e3], (n, 1))
+            for special in (-np.inf, np.inf, np.nan, -0.0):
+                z[rng.random(z.shape) < 0.05] = special
+            for logits in (z, *z[:2]):
+                with np.errstate(invalid="ignore"):
+                    m, e, sums = _masked_exp(logits.copy(), VOCAB.bos)
+                    masked = logits.copy()
+                    masked[..., VOCAB.bos] = -np.inf
+                    m_rows = np.maximum.reduce(masked, axis=-1, keepdims=True, initial=0.0)
+                    e_rows = np.exp(masked - m_rows)
+                assert m.shape == m_rows.shape and (m == m_rows)[~np.isnan(m)].all()
+                assert np.array_equal(np.isnan(m), np.isnan(m_rows))
+                assert e.tobytes() == e_rows.tobytes()
+                assert sums.tobytes() == np.add.reduce(e_rows, axis=-1, keepdims=True).tobytes()
+
     def test_rows_equal_one_row_softmax(self):
         rng = np.random.default_rng(21)
         for wmax in (1, 2, 3, 4):
@@ -455,8 +506,8 @@ class TestLockstepDraw:
         assert streams.next([1]) == np.random.default_rng(0).random()
 
     def test_empty_batch(self):
-        assert uniform_policy().sample("d", 1.0, Streams([], [], 8)) == []
-        assert NoveltyTeacher(VOCAB, 8).sample("d", 1.0, Streams([], [], 8)) == []
+        assert uniform_policy().sample("d", 1.0, Streams([], [], 8)).tolist() == []
+        assert NoveltyTeacher(VOCAB, 8).sample("d", 1.0, Streams([], [], 8)).tolist() == []
 
 
 class TestSampleIndexed:
@@ -481,6 +532,24 @@ class TestSampleIndexed:
         for i, seqs in enumerate(got):
             rng = np.random.default_rng([*prefix, i])
             assert seqs == tuple(reference_sample(sampler, "d", tau, rng) for tau in taus), i
+
+
+    @pytest.mark.parametrize("sampler", ["novelty", "policy"])
+    def test_block_size_changes_no_sequence(self, sampler):
+        # 600 indices: blocks of 8, and the default block with a partial one
+        # after it, give the same token arrays row for row.
+        if sampler == "novelty":
+            sampler = NoveltyTeacher(VOCAB, 8)
+        else:
+            sampler = random_policy(np.random.default_rng(8), k=2, t_max=8, n_contexts=60)
+        default = list(sample_indexed(sampler, "dut", [4], 600, (0.7, 1.2)))
+        with patch.object(policy_module, "STREAM_BLOCK", self.BLOCK):
+            small = list(sample_indexed(sampler, "dut", [4], 600, (0.7, 1.2)))
+        assert len(default) == 2 and len(small) == 600 // self.BLOCK
+        for t in range(2):
+            for field in ("tokens", "lengths"):
+                assert np.array_equal(np.concatenate([getattr(b[t], field) for b in default]),
+                                      np.concatenate([getattr(b[t], field) for b in small]))
 
 
 def loads_module(module: str, code: str) -> bool:
