@@ -15,8 +15,6 @@ applied to a block of sampled sequences: a sequence that does not decode
 gets None and scores 0, and any other gets the coverage its stimulus
 reaches in simulation.  It rejects the sequences that do not decode
 without decoding them and simulates each distinct one once.
-:func:`simulate_rows` applies it to the rows of a sampled block that may
-decode, once the others have been found on the block's token array.
 """
 
 from __future__ import annotations
@@ -123,10 +121,11 @@ def simulate_block(dut: DutModel, seqs, vocab: Vocab, t_max: int) -> list[Covera
     table of each value's cycle, which decoding does one value at a time:
     only a sequence holding a value the table lacks goes through
     ``validate_and_decode``, which fills the table in.  Tokens are ints, as
-    sampling and ``load_dataset`` give them.  Curation and evaluation find
-    the sampled rows that cannot decode on their token array
-    (``policy.TokenBlock.decodable``) and pass only the others, so this
-    per-row check runs on the rows that can.
+    sampling and ``load_dataset`` give them.  A None entry gets None
+    unchecked: curation and evaluation find the sampled rows that cannot
+    decode on their token array (``policy.TokenBlock.decodable``) and pass
+    None for each (``TokenBlock.tolist(mask)``), so this per-row check runs
+    only on the rows that may decode.
     """
     bos, eos = vocab.bos, vocab.eos
     fits = value_limit(dut, vocab)
@@ -134,7 +133,7 @@ def simulate_block(dut: DutModel, seqs, vocab: Vocab, t_max: int) -> list[Covera
     reports: dict[tuple, CoverageReport | None] = {}
     out = []
     for seq in seqs:
-        if (not 2 < len(seq) <= t_max + 2 or seq[0] != bos or seq[-1] != eos
+        if (seq is None or not 2 < len(seq) <= t_max + 2 or seq[0] != bos or seq[-1] != eos
                 or max(values := seq[1:-1]) >= fits or min(values) < 0):
             out.append(None)
             continue
@@ -149,20 +148,6 @@ def simulate_block(dut: DutModel, seqs, vocab: Vocab, t_max: int) -> list[Covera
             reports[key] = simulate(dut, stim)
         out.append(reports[key])
     return out
-
-
-def simulate_rows(dut: DutModel, seqs, rows, vocab: Vocab,
-                  t_max: int) -> list[CoverageReport | None]:
-    """``simulate_block`` of ``seqs[i]`` for each index i in rows, and None for every other.
-
-    rows lists the sequences that may decode: its caller has found on its
-    token array that no other can (see ``policy.TokenBlock.decodable``), so
-    the others are neither read nor checked.
-    """
-    reports = [None] * len(seqs)
-    for i, report in zip(rows, simulate_block(dut, [seqs[i] for i in rows], vocab, t_max)):
-        reports[i] = report
-    return reports
 
 
 def encode(dut: DutModel, stim: Stimulus, vocab: Vocab, t_max: int) -> list[int]:

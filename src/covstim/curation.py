@@ -2,12 +2,12 @@
 
 For each attempted pair two candidate stimuli are drawn from a teacher at
 two distinct temperatures.  Each block of candidates that
-``policy.sample_indexed`` yields at one temperature is one token array:
-the candidates that cannot decode are found on it and get no report, and
-the others are scored by one ``codec.simulate_block`` call, the one
-scoring rule.  An invalid candidate carries no coverage detail; the
-higher-scoring candidate becomes the chosen sample.  Pairs where both
-candidates are invalid, or where scores tie, are dropped.
+``policy.sample_indexed`` yields at one temperature is one token array,
+scored by one ``codec.simulate_block`` call, the one scoring rule, with
+None for each candidate found on the array not to decode.  An invalid
+candidate carries no coverage detail; the higher-scoring candidate becomes
+the chosen sample.  Pairs where both candidates are invalid, or where
+scores tie, are dropped.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .checks import (JSON_SCALARS, check_int, check_positive, check_str, is_finite_number, is_int,
                      parse_json, shown)
-from .codec import CodecError, Vocab, check_well_formed, simulate_block, simulate_rows, value_limit
+from .codec import CodecError, Vocab, check_well_formed, simulate_block, value_limit
 from .hdl import DutModel, pretty_print
 from .policy import TabularPolicy, TokenBlock, sample_indexed, sample_tokens
 from .sim import CoverageReport, compiled
@@ -152,10 +152,10 @@ def make_pair(dut: DutModel, a, b, config: CurationConfig, pair_id: str,
               prompt: str) -> Union[PairRecord, DropReason]:
     """Label or drop the pair of candidates a (sampled at tau1) and b (at tau2).
 
-    Each candidate is (sequence, report), the report ``codec.simulate_block``
-    gives the sequence: None when it does not decode.  A pair with no
-    report is dropped before either sequence is read, so its sequences may
-    be None.  prompt is the design's source text, ``pretty_print(dut)``.
+    Each candidate is (sequence, report), as ``_candidates`` gives it: the
+    report is what ``codec.simulate_block`` gives the sequence.  A pair with
+    no report is dropped before either sequence is read, so its sequences
+    may be None.  prompt is the design's source text, ``pretty_print(dut)``.
     Each kind of drop returns its one shared ``DropReason``.
     """
     (seq_a, report_a), (seq_b, report_b) = a, b
@@ -232,20 +232,17 @@ def curate(corpus, config: CurationConfig, out_path) -> CurationStats:
 def _candidates(dut: DutModel, block: list[TokenBlock], vocab: Vocab, config: CurationConfig):
     """Each pair of one sampled block as its two (sequence, report) candidates, tau1's first.
 
-    The rows that cannot decode are found on each temperature's token
-    array and get no report without a check; the others go to one
-    ``simulate_block`` call.  Only the rows of a pair with a row that can
-    decode become lists: a pair whose rows both cannot is dropped unread,
-    so its candidates are (None, None).
+    Only the rows of a pair with a row that can decode, found on the
+    temperatures' token arrays, become lists, and each other row is None
+    (see ``simulate_block`` for None entries).  Each temperature's rows go
+    to one ``simulate_block`` call.
     """
     limit = value_limit(dut, vocab)
-    fits = [seqs.decodable(limit) for seqs in block]
-    either = np.logical_or.reduce(fits)
+    either = np.logical_or.reduce([seqs.decodable(limit) for seqs in block])
     candidates = []
-    for seqs, ok in zip(block, fits):
+    for seqs in block:
         rows = seqs.tolist(either)
-        reports = simulate_rows(dut, rows, np.flatnonzero(ok).tolist(), vocab, config.t_max)
-        candidates.append(zip(rows, reports))
+        candidates.append(zip(rows, simulate_block(dut, rows, vocab, config.t_max)))
     return zip(*candidates)
 
 

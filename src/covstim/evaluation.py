@@ -1,19 +1,16 @@
 """Policy evaluation (mean@N / best@N) and the four-way ablation table.
 
 Each block of generations that ``policy.sample_indexed`` yields is one token
-array: the generations that cannot decode are found on it and score 0, and
-the others are scored by one ``codec.simulate_block`` call, the one scoring
-rule.
+array, scored by one ``codec.simulate_block`` call, the one scoring rule,
+with None for each generation found on the array not to decode.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from .checks import check_int, check_positive
-from .codec import simulate_rows, value_limit
+from .codec import simulate_block, value_limit
 from .policy import sample_indexed
 from .sim import METRICS as COVERAGE_METRICS
 
@@ -59,16 +56,16 @@ def eval_policy(policy, dut, config: EvalConfig) -> EvalReport:
     """Score N independent generations with ``codec.simulate_block``.
 
     ``sample_indexed`` draws generation i from ``default_rng([seed, i])``,
-    and it is decoded under the policy's own ``vocab`` and ``t_max``; an
-    invalid one, found on the block's token array, scores 0 on every metric.
+    and it is decoded under the policy's own ``vocab`` and ``t_max``; one
+    that ``simulate_block`` gives no report scores 0 on every metric.
     """
     n = config.n
     report = EvalReport(dut=dut.name, n=n, tau=config.tau, seed=config.seed)
     limit = value_limit(dut, policy.vocab)
     for (block,) in sample_indexed(policy, dut.name, [config.seed], n, (config.tau,)):
-        seqs = block.tolist()
-        rows = np.flatnonzero(block.decodable(limit)).tolist()
-        for tokens, cov in zip(seqs, simulate_rows(dut, seqs, rows, policy.vocab, policy.t_max)):
+        reports = simulate_block(dut, block.tolist(block.decodable(limit)), policy.vocab,
+                                 policy.t_max)
+        for tokens, cov in zip(block.tolist(), reports):
             if cov is None:
                 fractions = dict.fromkeys(METRICS, 0.0)
             else:

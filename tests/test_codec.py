@@ -216,8 +216,9 @@ class TestSimulateTokens:
             assert report == expected and report.average == expected.average
 
 
-# Blocks drawn from a pool of token lists, so that rows repeat.
-TOKEN_BLOCKS = st.lists(TOKEN_LISTS, max_size=6).flatmap(
+# Blocks drawn from a pool of token lists, so that rows repeat, and of None,
+# the entry ``TokenBlock.tolist(mask)`` leaves for each row outside the mask.
+TOKEN_BLOCKS = st.lists(st.none() | TOKEN_LISTS, max_size=6).flatmap(
     lambda pool: st.lists(st.sampled_from(pool), max_size=12) if pool else st.just([]))
 
 
@@ -230,6 +231,9 @@ class TestSimulateBlock:
         got = simulate_block(dut, block, VOCAB, T_MAX)
         assert len(got) == len(block)
         for tokens, report in zip(block, got):
+            if tokens is None:
+                assert report is None
+                continue
             expected = simulate_tokens(dut, tokens, VOCAB, T_MAX)
             assert report == expected, tokens
             assert report is None or report.average == expected.average
