@@ -14,7 +14,8 @@ does not lint clean.
 applied to a block of sampled sequences: a sequence that does not decode
 gets None and scores 0, and any other gets the coverage its stimulus
 reaches in simulation.  It rejects the sequences that do not decode
-without decoding them and simulates each distinct one once.
+without decoding them and simulates each distinct one once.  Only curation
+first rejects rows on their token array (``policy.TokenBlock.decodable``).
 """
 
 from __future__ import annotations
@@ -122,10 +123,9 @@ def simulate_block(dut: DutModel, seqs, vocab: Vocab, t_max: int) -> list[Covera
     only a sequence holding a value the table lacks goes through
     ``validate_and_decode``, which fills the table in.  Tokens are ints, as
     sampling and ``load_dataset`` give them.  A None entry gets None
-    unchecked: curation and evaluation find the sampled rows that cannot
-    decode on their token array (``policy.TokenBlock.decodable``) and pass
-    None for each (``TokenBlock.tolist(mask)``), so this per-row check runs
-    only on the rows that may decode.
+    unchecked: curation finds the sampled rows that cannot decode on their
+    token array (``policy.TokenBlock.decodable``) and passes None for each
+    (``TokenBlock.tolist(mask)``); evaluation passes each row as a list.
     """
     bos, eos = vocab.bos, vocab.eos
     fits = value_limit(dut, vocab)

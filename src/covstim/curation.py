@@ -45,7 +45,7 @@ class CurationConfig:
         object.__setattr__(self, "tau2", check_positive("curation.tau2", self.tau2))
         if self.tau1 == self.tau2:
             raise ValueError(f"curation.tau1 and curation.tau2 must be distinct, got {self.tau1!r}")
-        check_int("curation.pairs_per_dut", self.pairs_per_dut, 1)
+        check_int("curation.pairs_per_dut", self.pairs_per_dut, 1, 2**32)
         check_str("curation.teacher", self.teacher)
         check_int("curation.seed", self.seed, 0)
         self.uniform_policy()  # checks wmax, k and t_max

@@ -1,8 +1,8 @@
 """Policy evaluation (mean@N / best@N) and the four-way ablation table.
 
-Each block of generations that ``policy.sample_indexed`` yields is one token
-array, scored by one ``codec.simulate_block`` call, the one scoring rule,
-with None for each generation found on the array not to decode.
+Each block of generations that ``policy.sample_indexed`` yields becomes one
+token list per generation, and the lists are scored by one
+``codec.simulate_block`` call, the one scoring rule, as ``load_dataset`` does.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 
 from .checks import check_int, check_positive
-from .codec import simulate_block, value_limit
+from .codec import simulate_block
 from .policy import sample_indexed
 from .sim import METRICS as COVERAGE_METRICS
 
@@ -27,7 +27,7 @@ class EvalConfig:
     seed: int = 42
 
     def __post_init__(self):
-        check_int("eval.n", self.n, 1)
+        check_int("eval.n", self.n, 1, 2**32)
         object.__setattr__(self, "tau", check_positive("eval.tau", self.tau))
         check_int("eval.seed", self.seed, 0)
 
@@ -61,11 +61,9 @@ def eval_policy(policy, dut, config: EvalConfig) -> EvalReport:
     """
     n = config.n
     report = EvalReport(dut=dut.name, n=n, tau=config.tau, seed=config.seed)
-    limit = value_limit(dut, policy.vocab)
     for (block,) in sample_indexed(policy, dut.name, [config.seed], n, (config.tau,)):
-        reports = simulate_block(dut, block.tolist(block.decodable(limit)), policy.vocab,
-                                 policy.t_max)
-        for tokens, cov in zip(block.tolist(), reports):
+        rows = block.tolist()
+        for tokens, cov in zip(rows, simulate_block(dut, rows, policy.vocab, policy.t_max)):
             if cov is None:
                 fractions = dict.fromkeys(METRICS, 0.0)
             else:

@@ -17,7 +17,7 @@ from .evaluation import ABLATION_POLICIES, METRICS, AblationTable, EvalConfig, e
 from .hdl import DutModel, ParseError, parse
 from .policy import TabularPolicy
 from .sim import compiled
-from .training import TrainConfig, train
+from .training import MODES, TrainConfig, train
 
 
 def load_corpus_dir(path) -> list[DutModel]:
@@ -135,7 +135,7 @@ def ablate(corpus, dataset, train_config: TrainConfig, eval_config: EvalConfig,
            init: TabularPolicy) -> tuple[AblationTable, dict]:
     """Train SFT / DPO / CD-DPO with ``train_modes`` and evaluate them and init, the vanilla
     row; return the table and the policies keyed by row name."""
-    results = train_modes(dataset, train_config, init, ("SFT", "DPO", "CDDPO"))
+    results = train_modes(dataset, train_config, init, MODES)
     policies = {"vanilla": init, **{mode.lower(): r.policy for mode, r in results.items()}}
     table = AblationTable(n=eval_config.n, tau=eval_config.tau, seed=eval_config.seed,
                           histories={mode.lower(): r.history for mode, r in results.items()})

@@ -216,7 +216,7 @@ class Streams:
 class TokenBlock:
     """Sampled token sequences kept as one array: sequence i is ``tokens[i, :lengths[i]]``.
 
-    ``sample_tokens`` returns one, so a block goes to scoring without a
+    ``sample_tokens`` returns one, so curation scores a block without a
     Python list per row; every position past a sequence's end holds EOS.
     Iterating it, or ``tolist()``, gives each sequence as a list of ints.
     """
@@ -234,7 +234,7 @@ class TokenBlock:
         return iter(self.tolist())
 
     def tolist(self, where=None) -> list:
-        """Each sequence as a list of ints; given a mask, None for each row it leaves out."""
+        """Each row as a list of ints; given curation's mask, None for each row it leaves out."""
         if where is None:
             return [row[:n] for row, n in zip(self.tokens.tolist(), self.lengths.tolist())]
         out = [None] * len(self)
@@ -245,7 +245,7 @@ class TokenBlock:
         return out
 
     def decodable(self, limit: int) -> np.ndarray:
-        """Whether each sequence holds a value and every value is below limit, as a mask.
+        """Whether each sequence holds a value and every value is below limit: curation's mask.
 
         For a block that ``sample_tokens`` drew and a limit of at most its
         vocabulary's ``n_values`` (``codec.value_limit``), these are exactly

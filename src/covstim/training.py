@@ -235,6 +235,7 @@ class _Compiled:
         ``theta.batches`` call.
         """
         h, n = len(self.seqs), len(order)
+        batch_size = min(batch_size, n)  # a larger one makes the same one batch of every item
         starts = range(0, n, batch_size)
         full = n - n % batch_size  # the items of the full batches; the rest make a short one
         ids = self.seqs[:, order]

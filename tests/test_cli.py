@@ -537,7 +537,7 @@ class TestPipelineCommands:
         ({"curation": {"tau2": float("nan")}}, "tau2 must be a finite number > 0"),
         ({"train": {"learning_rate": float("nan")}}, "learning_rate must be a finite number > 0"),
         ({"train": {"beta": float("inf")}}, "beta must be a finite number > 0"),
-        ({"eval": {"n": 0}}, "eval.n must be >= 1"),
+        ({"eval": {"n": 0}}, "eval.n must be in 1..4294967296"),
         ({"eval": {"tau": -1}}, "eval.tau must be a finite number > 0"),
         ({"eval": {"tau": float("nan")}}, "eval.tau must be a finite number > 0"),
     ])
@@ -551,6 +551,24 @@ class TestPipelineCommands:
         assert main(["curate", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
+        assert not (tmp_path / "report").exists()
+
+    @pytest.mark.parametrize("section, field", [("curation", "pairs_per_dut"), ("eval", "n")])
+    def test_sample_count_bounded_by_stream_indices(self, tmp_path, monkeypatch, capsys,
+                                                    section, field):
+        # Sample i reads stream index i, and Streams refuses an index >= 2**32.
+        build = {"curation": CurationConfig, "eval": EvalConfig}[section]
+        assert getattr(build(**{field: 2**32}), field) == 2**32
+        message = f"{section}.{field} must be in 1..{2**32}, got {2**32 + 1}"
+        with pytest.raises(ValueError) as exc:
+            build(**{field: 2**32 + 1})
+        assert str(exc.value) == message
+        monkeypatch.chdir(tmp_path)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({section: {field: 2**32 + 1}}))
+        assert main(["demo", "--config", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert message in err and "Traceback" not in out + err
         assert not (tmp_path / "report").exists()
 
     @pytest.mark.parametrize("doc, expected", [
@@ -697,7 +715,7 @@ class TestPipelineCommands:
     @pytest.mark.parametrize("build, message", [
         (lambda: CurationConfig(teacher=7), "curation.teacher must be a string, got int"),
         (lambda: TrainConfig(epochs=2.5), "train.epochs must be an integer >= 1, got float"),
-        (lambda: EvalConfig(n=True), "eval.n must be an integer >= 1, got bool"),
+        (lambda: EvalConfig(n=True), "eval.n must be an integer in 1..4294967296, got bool"),
         (lambda: CurationConfig(wmax=True), "wmax must be an integer in 1..16, got bool"),
         (lambda: Vocab("4"), "wmax must be an integer in 1..16, got str"),
         (lambda: TrainConfig(mode="sft"), "train.mode must be one of 'SFT', 'DPO', 'CDDPO', got 'sft'"),
@@ -715,7 +733,7 @@ class TestPipelineCommands:
     @pytest.mark.parametrize("doc, message", [
         ({"curation": {"teacher": 7}}, "curation.teacher must be a string, got int"),
         ({"train": {"epochs": 2.5}}, "train.epochs must be an integer >= 1, got float"),
-        ({"eval": {"n": True}}, "eval.n must be an integer >= 1, got bool"),
+        ({"eval": {"n": True}}, "eval.n must be an integer in 1..4294967296, got bool"),
         ({"wmax": True}, "wmax must be an integer in 1..16, got bool"),
         ({"report_dir": ["x"]}, "report_dir must be a string, got list"),
         ({"train": "x"}, "train must be a JSON object, got str"),

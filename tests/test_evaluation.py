@@ -1,3 +1,4 @@
+import itertools
 from unittest.mock import patch
 
 import numpy as np
@@ -10,7 +11,8 @@ from covstim.pipeline import ablate, write_artifact
 from covstim.policy import TabularPolicy
 from covstim.training import TrainConfig
 
-from policy_helpers import adjust, token_block
+from policy_helpers import adjust, set_logits, token_block
+from reference_codec import simulate_tokens
 from reference_curation import reference_sample
 
 VOCAB = Vocab(4)
@@ -93,6 +95,32 @@ class TestEvalPolicy:
             report = eval_policy(policy, toy1, EvalConfig(n, 0.8, 9))
         assert [g.tokens for g in report.generations] == [
             reference_sample(policy, "toy1", 0.8, np.random.default_rng([9, i])) for i in range(n)]
+
+    def test_scores_match_per_generation_reference(self, corpus):
+        # Each generation's valid flag and fractions are what the one-sequence
+        # rule gives its tokens, over blocks of 8 (the last one partial).
+        rng = np.random.default_rng(11)
+        policy = TabularPolicy(VOCAB, 2, T_MAX)
+        for dut in corpus:
+            for ctx in itertools.product([BOS, *range(VOCAB.n_values)], repeat=2):
+                set_logits(policy, dut.name, ctx, rng.normal(0, 2, VOCAB.size))
+        valid = []
+        for dut in corpus:
+            with patch.object(policy_module, "STREAM_BLOCK", 8):
+                report = eval_policy(policy, dut, EvalConfig(30, 1.0, 4))
+            assert len(report.generations) == 30
+            for g in report.generations:
+                cov = simulate_tokens(dut, g.tokens, VOCAB, T_MAX)
+                expected = dict.fromkeys(METRICS, 0.0) if cov is None else {
+                    **{name: m.fraction for name, m in cov.metrics().items()},
+                    "average": cov.average}
+                assert (g.valid, g.fractions) == (cov is not None, expected)
+                valid.append(g.valid)
+            for m in METRICS:
+                values = [g.fractions[m] for g in report.generations]
+                assert report.mean[m] == sum(values) / 30
+                assert report.best[m] == max(values)
+        assert any(valid) and not all(valid)
 
     def test_rejects_bad_n(self, toy1):
         with pytest.raises(ValueError):

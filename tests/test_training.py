@@ -404,6 +404,19 @@ class TestTrain:
         with pytest.raises(TrainingError, match="training diverged at epoch 0: update norm inf"):
             train(pairs, config, TabularPolicy(VOCAB))
 
+    @pytest.mark.parametrize("mode", ["SFT", "CDDPO"])
+    def test_huge_batch_size_trains_one_batch(self, mode):
+        # A batch size past the dataset size, even past numpy's largest
+        # dimension, trains as one batch of every pair.
+        pairs = [random_pair(np.random.default_rng(900 + i)) for i in range(7)]
+        results = [train(pairs, TrainConfig(mode=mode, epochs=3, batch_size=size, seed=2),
+                         TabularPolicy(VOCAB)) for size in (len(pairs), 2**62, 2**63)]
+        # The histories differ only in the batch_size their config records.
+        histories = [{**r.history.to_dict(), "config": None} for r in results]
+        assert histories[1] == histories[2] == histories[0]
+        for result in results[1:]:
+            assert np.array_equal(result.policy.theta, results[0].policy.theta)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(TrainingError):
             train([], TrainConfig(), TabularPolicy(VOCAB))
