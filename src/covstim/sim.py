@@ -19,9 +19,12 @@ only then does :func:`simulate` look for the cycle and port to name, by
 It computes each subexpression only to the bits that its consumer reads, and
 it computes no store that no later read can see: one overwritten on every path
 before a read, or one to an output that nothing reads and no covergroup
-samples.  Such a store still counts as covered when its arm runs.  Each cycle starts by
-setting only what a read can reach: the registers that are read, and the
-wires and outputs read before their first drive on some path.  It builds the
+samples.  Such a store still counts as covered when its arm runs.  A
+conditional whose truth its operands' value ranges decide is not tested: only
+the arm that runs is emitted, in line, and a decided comparison used as a value
+is a constant.  Each cycle starts by setting only what a read can reach: the
+registers that are read, and the wires and outputs read before their first
+drive on some path.  It builds the
 covered set once, after the last cycle: a statement by the arm that holds it,
 a bin by the values its signal took.  Nothing recurses or dispatches on node
 types at simulation time.
@@ -32,12 +35,13 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
+from operator import eq, gt, lt, ne
 
 from .checks import JSON_SCALARS, shown
 from .hdl import Assign, BinOp, Const, DutModel, Expr, Ident, UnOp, lint
 
 _MASK64 = (1 << 64) - 1
-_COMPARE = ("==", "!=", "<", ">")
+_COMPARE = {"==": eq, "!=": ne, "<": lt, ">": gt}
 _FILENAME = "<covstim cycle function>"
 # The coverage metrics, named as CoverageReport's fields.
 METRICS = ("statement", "branch", "functional")
@@ -136,12 +140,16 @@ class _Compiler:
     Every local holds a value already masked to its width, so
     :meth:`expr` emits a subexpression for its consumer's ``d`` low bits
     only, and masks only where the bound on its value can reach ``2**d``.
+    :meth:`interval` bounds a subexpression's 64-bit value from below and
+    above, and :meth:`decide` finds the conditions whose truth those bounds
+    fix: such a condition is never emitted, and only its arm that runs is.
 
     Before the body is emitted, :meth:`live` walks it backward from what is
     live at the end of a cycle, every ``n<j>`` and every covergroup's signal,
     and keeps each store that some path reads before storing to its target
     again.  :meth:`body` emits only kept stores, though every store keeps its
-    bit, every condition is evaluated and every arm sets its flag.  The cycle's
+    bit, every undecided condition is evaluated and every arm that can run
+    sets its flag.  The cycle's
     prologue copies ``r<j> = n<j>``, and zeroes a wire or output, only when it
     is live before the body.  Stores are kept by id, as the parser makes one
     object per statement: two equal stores in different places are told apart.
@@ -173,6 +181,9 @@ class _Compiler:
         if isinstance(e, UnOp) and e.op == "!":
             return f"(0 if {self.expr(e.operand, 64)[0]} else 1)", 1
         if e.op in _COMPARE:
+            truth = self.decide(e)
+            if truth is not None:
+                return str(int(truth)), int(truth)
             return f"(1 if {self.condition(e)} else 0)", 1
         if e.op in ("|", "^", "&"):
             a, a_max = self.expr(e.left, d)
@@ -215,6 +226,60 @@ class _Compiler:
         k, k_max = self.expr(e, 64)
         return (k, k_max) if k_max <= 63 else (f"min({k}, 63)", 63)
 
+    def interval(self, e: Expr) -> tuple[int, int]:
+        """Bounds ``lo <= hi`` on ``e``'s 64-bit value, as the oracle computes it.
+
+        ``+``, ``-`` and ``<<`` keep the exact interval unless it crosses a
+        multiple of ``2**64``, where the result can be anything; shift amounts
+        are clamped to 63.
+        """
+        if isinstance(e, Const):
+            value = e.value & _MASK64
+            return value, value
+        if isinstance(e, Ident):
+            return 0, (1 << self.widths[e.name]) - 1
+        if e.op == "!" or e.op in _COMPARE:
+            truth = self.decide(e.operand if e.op == "!" else e)
+            return (0, 1) if truth is None else (int(truth != (e.op == "!")),) * 2
+        if e.op == "~":
+            lo, hi = self.interval(e.operand)
+            return _MASK64 - hi, _MASK64 - lo
+        (a_lo, a_hi), (b_lo, b_hi) = self.interval(e.left), self.interval(e.right)
+        if e.op == "&":
+            return 0, min(a_hi, b_hi)
+        if e.op in ("|", "^"):
+            return (max(a_lo, b_lo) if e.op == "|" else 0), _ones(max(a_hi, b_hi))
+        if e.op in ("<<", ">>"):  # the amount is clamped to 63
+            b_lo, b_hi = min(b_lo, 63), min(b_hi, 63)
+            if e.op == ">>":
+                return a_lo >> b_hi, a_hi >> b_lo
+            lo, hi = a_lo << b_lo, a_hi << b_hi
+        elif e.op == "+":
+            lo, hi = a_lo + b_lo, a_hi + b_hi
+        else:
+            lo, hi = a_lo - b_hi, a_hi - b_lo
+        return (lo & _MASK64, hi & _MASK64) if lo >> 64 == hi >> 64 else (0, _MASK64)
+
+    def decide(self, cond: Expr) -> bool | None:
+        """``cond``'s truth where its operands' intervals fix it, else None.
+
+        A comparison is fixed when every pair of values from its operands'
+        intervals compares alike: for ``==`` and ``!=`` when the intervals are
+        disjoint or one and the same point, for ``<`` and ``>`` when the two
+        corners that bound them agree.  Any other condition is fixed when its
+        interval is ``[0, 0]`` or excludes 0.
+        """
+        if isinstance(cond, BinOp) and cond.op in _COMPARE:
+            (a_lo, a_hi), (b_lo, b_hi) = self.interval(cond.left), self.interval(cond.right)
+            compare = _COMPARE[cond.op]
+            if cond.op in ("<", ">"):
+                fixed = compare(a_lo, b_hi) == compare(a_hi, b_lo)
+            else:
+                fixed = a_hi < b_lo or b_hi < a_lo or a_lo == a_hi == b_lo == b_hi
+            return compare(a_lo, b_hi) if fixed else None
+        lo, hi = self.interval(cond)
+        return False if hi == 0 else True if lo > 0 else None
+
     def condition(self, e: Expr) -> str:
         """Source of ``e`` as a truth value; a comparison is emitted bare."""
         if isinstance(e, BinOp) and e.op in _COMPARE:
@@ -245,7 +310,9 @@ class _Compiler:
         """The locals live before ``stmts``, given those live after them.
 
         A store is kept, by its id, when its target is live after it: some
-        path reads the target before it is stored to again.  Every condition is read.
+        path reads the target before it is stored to again.  A decided
+        conditional is walked through the arm that runs alone; every other
+        condition is read.
         """
         for st in reversed(stmts):
             if isinstance(st, Assign):
@@ -253,6 +320,8 @@ class _Compiler:
                 if target in live:
                     self.kept.add(id(st))
                     live = (live - {target}) | self.reads(st.expr)
+            elif (truth := self.decide(st.cond)) is not None:
+                live = self.live(st.then_body if truth else st.else_body, live)
             else:
                 live = (self.live(st.then_body, live) | self.live(st.else_body, live)
                         | self.reads(st.cond))
@@ -260,7 +329,12 @@ class _Compiler:
 
     def body(self, stmts, indent: str) -> int:
         """Emit ``stmts``, leaving out each store that is not kept; return the
-        bits of the statements among them, emitted or not."""
+        bits of the statements among them, emitted or not.
+
+        A decided conditional emits neither its condition nor the arm that
+        never runs, though both arms' items are numbered in walk order: the
+        arm that runs goes in line, at ``indent``, followed by its flag.
+        """
         emit = self.lines.append
         held = 0
         for st in stmts:
@@ -276,14 +350,34 @@ class _Compiler:
                 continue
             k = self.masks["branch"].bit_count()
             taken = self.bit("branch"), self.bit("branch")  # before the arms number theirs
+            arms = zip((k, k + 1), taken, (st.then_body, st.else_body))
+            truth = self.decide(st.cond)
+            if truth is not None:
+                for k, bit, arm in arms:
+                    if truth == (k % 2 == 0):
+                        emit(f"{indent}b{k} = {bit | self.body(arm, indent)}")
+                    else:
+                        self.skip(arm)
+                continue
             emit(f"{indent}if {self.condition(st.cond)}:")
-            for k, bit, arm in zip((k, k + 1), taken, (st.then_body, st.else_body)):
+            for k, bit, arm in arms:
                 if k % 2:
                     emit(f"{indent}else:")
                 # The flag goes last: its arm's statements are numbered as they are emitted.
                 flag = bit | self.body(arm, indent + " ")
                 emit(f"{indent} b{k} = {flag}")
         return held
+
+    def skip(self, stmts) -> None:
+        """Number the items of ``stmts``, an arm that never runs, emitting nothing."""
+        for st in stmts:
+            if isinstance(st, Assign):
+                self.bit("statement")
+            else:  # its two outcomes, then its arms
+                self.bit("branch")
+                self.bit("branch")
+                self.skip(st.then_body)
+                self.skip(st.else_body)
 
     def source(self) -> str:
         """Source of ``run``: the body first, numbering its items, then the rest."""
@@ -340,7 +434,9 @@ def cycle_source(dut: DutModel) -> str:
     ``covered`` has one bit per statement, branch outcome and bin, and the
     final register values, from which a second run goes on.  A store that no
     later read can see, and no covergroup samples, is left out of the source,
-    though its statement still counts; each cycle sets only the registers,
+    though its statement still counts; so are a conditional's test and the arm
+    that never runs when its operands' value ranges decide it, though every
+    item in both arms still counts; each cycle sets only the registers,
     wires and outputs that a read can reach before a store.  The source holds
     only integer constants, builtins, ``report`` and the locals above, never a
     name from the design; :func:`compiled` binds ``k<j>`` to port j's name.  A

@@ -456,6 +456,60 @@ class TestNarrowBits:
             assert all(type(v) is int for v in state)
 
 
+M64 = 2**64 - 1
+
+
+def assert_range_holds(comp, expr, values):
+    """Every value of ``expr`` that the oracle computes on ``values`` lies in the
+    compiler's interval, and a truth the compiler decides is the oracle's."""
+    lo, hi = comp.interval(expr)
+    assert 0 <= lo <= hi <= M64
+    truth = comp.decide(expr)
+    for v in values:
+        got = oracle_eval(expr, v)
+        assert lo <= got <= hi, (expr, v)
+        assert truth is None or truth == (got != 0), (expr, v)
+
+
+class TestRanges:
+    @given(st.integers(0, 2**32))
+    @settings(max_examples=300, deadline=None)
+    def test_interval_holds_every_value(self, seed):
+        # Operands up to 64 bits wide, so that '+', '-' and '<<' wrap and '~' meets
+        # small values; each operand also takes its least and greatest value.
+        rng = random.Random(seed)
+        width = {f"v{j}": rng.choice((1, rng.randint(2, 16), rng.randint(17, 64)))
+                 for j in range(4)}
+        ports = ", ".join(f"input {n}[{w}]" for n, w in width.items())
+        comp = sim._Compiler(parse(f"module m ({ports}, output z[1]); endmodule"))
+        expr = _narrow_expr(rng, tuple(width))
+        values = [{n: 0 for n in width}, {n: (1 << w) - 1 for n, w in width.items()}]
+        values += [{n: rng.randrange(1 << w) for n, w in width.items()} for _ in range(6)]
+        assert_range_holds(comp, expr, values)
+
+    @pytest.mark.parametrize("text, expected", [
+        ("~a", (M64 - 255, M64)),
+        ("~(a | 16)", (M64 - 255, M64 - 16)),
+        ("a + 18446744073709551615", (0, M64)),  # can wrap
+        ("a - 1", (0, M64)),  # can wrap
+        ("a - 300", (2**64 - 300, 2**64 - 45)),  # always wraps, so still exact
+        ("a << 56", (0, 255 << 56)),
+        ("a << 60", (0, M64)),  # past bit 63
+        ("1 << b", (1, 2**63)),  # the amount clamped to 63
+        ("~a >> b", (1, M64)),  # the amount clamped to 63
+        ("(a & 5) | 2", (2, 7)),
+        ("(a > 255) + (b < 256) + !(a - 300)", (1, 1)),
+    ])
+    def test_interval_cases(self, text, expected):
+        dut = parse(f"module m (input a[8], input b[8], output z[64]); assign z = {text};"
+                    " endmodule")
+        comp = sim._Compiler(dut)
+        expr = dut.body[0].expr
+        assert comp.interval(expr) == expected
+        values = [{"a": a, "b": b} for a in range(256) for b in (*range(66), 127, 255)]
+        assert_range_holds(comp, expr, values)
+
+
 def compiler_order(dut):
     """Every coverage item as (metric, oracle key), in the order sim's compiler
     numbers them: statements and conditionals as the walk over the body reaches
@@ -892,6 +946,98 @@ class TestDeadStores:
                 report = simulate(dut, Stimulus(tuple(cycles)))
                 assert counts(report) == oracle_simulate(dut, cycles), design.name
                 assert report.covered == oracle_bits(dut, cycles), design.name
+
+
+def conditional_lines(source):
+    """The compiled source's lines that test a design's condition."""
+    return re.findall(r"^ +if .*:$", source, re.MULTILINE)
+
+
+def decided_case(dut, never=()):
+    """``dut``'s compiled source, after checking that every prefix of ``_DEAD_CYCLES``,
+    each value cut to its port's width, covers what the oracle covers, and that the
+    whole splits anywhere into two runs that cover it too.  Branch outcome k, for each
+    k in ``never``, is counted but never covered nor flagged; every other is covered."""
+    assert lint(dut) == []
+    source = cycle_source(dut)
+    cycles = [{p.name: row[p.name] % (1 << p.width) for p in dut.input_ports}
+              for row in _DEAD_CYCLES]
+    for n in range(len(cycles) + 1):
+        report = simulate(dut, Stimulus(tuple(cycles[:n])))
+        assert counts(report) == oracle_simulate(dut, cycles[:n])
+        assert report.covered == oracle_bits(dut, cycles[:n])
+        assert_split_equals_whole(dut, cycles, n)
+    outcomes = [1 << i for i in range(report.masks[1].bit_length()) if report.masks[1] >> i & 1]
+    for k, bit in enumerate(outcomes):
+        assert bool(report.covered & bit) == (k not in never), k
+        assert (f"b{k} = " in source.split(" for c in cycles:")[1]) == (k not in never), k
+    return source
+
+
+class TestDecidedConditionals:
+    PORTS = TestDeadStores.PORTS
+
+    def test_constant_against_constant(self):
+        source = decided_case(parse(
+            f"{self.PORTS} if (94 < 148) {{ assign y = a + 11; }} else {{ assign y = a + 22; }}"
+            " cover y { lo: 0..99 } endmodule"), never=(1,))
+        assert conditional_lines(source) == [] and "148" not in source
+        assert "+ 11)" in source and "+ 22)" not in source
+
+    def test_inverted_input_against_a_small_constant(self):
+        # ~a is at least 2**64 - 256: never below 230, and never equal to it.
+        source = decided_case(parse(
+            f"{self.PORTS} if (~(a) < 230) {{ assign y = a + 11; }}"
+            " if (~(a) != 230) { assign y = a + 22; } endmodule"), never=(0, 3))
+        assert conditional_lines(source) == [] and "230" not in source
+
+    def test_deadend_one_bit_input_above_one(self, corpus):
+        deadend = next(dut for dut in corpus if dut.name == "deadend")
+        source = decided_case(deadend, never=(0,))
+        assert conditional_lines(source) == []
+        assert counts(simulate(deadend, stim(0, 1))) == ((1, 2), (1, 2), (0, 0))
+
+    def test_conditional_nested_in_a_dead_arm(self):
+        # Outcomes 2 and 3 belong to the conditional on c, inside the arm that never runs;
+        # the live conditional after it still numbers its outcomes 4 and 5.
+        source = decided_case(parse(
+            f"{self.PORTS} if (3 > 5) {{ if (c) {{ assign y = a + 11; }}"
+            " else { assign y = a + 22; } } else { assign y = a + 33; }"
+            " if (c) { assign y = a + 44; } endmodule"), never=(0, 2, 3))
+        assert conditional_lines(source) == ["  if i1:"]
+        assert "b4 = " in source and "+ 11)" not in source and "+ 22)" not in source
+
+    def test_liveness_follows_the_arm_that_runs(self):
+        # Only the arm that never runs reads a + 11's store; the arm that runs always
+        # overwrites a + 33's.
+        dead_store_case(
+            f"{self.PORTS} wire w[8]; wire v[8]; assign w = a + 11; assign v = a + 33;"
+            " if (3 > 5) { assign y = w; } else { assign y = a + 22; assign v = a + 44; }"
+            " assign y = y ^ v; cover y { lo: 0..99 } endmodule",
+            dropped=(11, 33), kept=(22, 44))
+
+    def test_decided_comparison_as_a_value(self):
+        # a > 300 is always 0 and c < 2 always 1; a == c stays a comparison.
+        source = decided_case(parse(
+            f"{self.PORTS} assign y = (a + (a > 300)) + ((c < 2) + (a == c));"
+            " cover y { lo: 0..99 } endmodule"))
+        assert "  w0 = (((i0 + 0) + (1 + (1 if i0 == i1 else 0))) & 255)\n" in source
+
+    def test_generated_designs_fold_conditionals(self, monkeypatch):
+        # perfbench's designs, where operand ranges alone decide about a third of the
+        # conditionals: fewer are left in the source than the designs hold.
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import designgen
+
+        designs, stimuli = designgen.generate(61, 4, 2)
+        duts = [parse(design.text) for design in designs]
+        left = sum(len(conditional_lines(cycle_source(dut))) for dut in duts)
+        assert left < sum(design.conditionals for design in designs)
+        for dut, per_design in zip(duts, stimuli):
+            for cycles in per_design:
+                report = simulate(dut, Stimulus(tuple(cycles)))
+                assert counts(report) == oracle_simulate(dut, cycles), dut.name
+                assert report.covered == oracle_bits(dut, cycles), dut.name
 
 
 def parent_input_rows(dut, stim):
