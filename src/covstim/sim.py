@@ -19,10 +19,12 @@ only then does :func:`simulate` look for the cycle and port to name, by
 It computes each subexpression only to the bits that its consumer reads, and
 it computes no store that no later read can see: one overwritten on every path
 before a read, or one to an output that nothing reads and no covergroup
-samples.  Such a store still counts as covered when its arm runs.  A
-conditional whose truth its operands' value ranges decide is not tested: only
-the arm that runs is emitted, in line, and a decided comparison used as a value
-is a constant.  Each cycle starts by setting only what a read can reach: the
+samples.  Such a store still counts as covered when its arm runs.  One value
+range analysis bounds every subexpression as it is emitted: a value is masked
+only where its range can outgrow the bits read, a value whose range is one
+point is a constant, and a conditional whose range fixes its truth is not
+tested: only the arm that runs is emitted, in line, and it sets no flag of its
+own.  Each cycle starts by setting only what a read can reach: the
 registers that are read, and the wires and outputs read before their first
 drive on some path.  It builds the
 covered set once, after the last cycle: a statement by the arm that holds it,
@@ -134,22 +136,25 @@ class _Compiler:
     Each coverage item is one bit, numbered as the walk reaches it: a
     statement where it is emitted, a conditional's two outcomes before its
     arms number theirs, the bins last; ``masks`` holds each metric's bits.
-    Outcome k's flag ``b<k>`` becomes, once it runs, the bits of the outcome
-    and of the statements its arm holds directly: they run whenever it does.
+    Outcome k of a tested conditional has a flag ``b<k>``, listed in
+    ``flags``, which becomes, once it runs, the bits of the outcome and of
+    the items that run whenever it does: the statements its arm holds, and
+    the outcome and items of each decided conditional's arm that runs.
 
     Every local holds a value already masked to its width, so
     :meth:`expr` emits a subexpression for its consumer's ``d`` low bits
-    only, and masks only where the bound on its value can reach ``2**d``.
-    :meth:`interval` bounds a subexpression's 64-bit value from below and
-    above, and :meth:`decide` finds the conditions whose truth those bounds
-    fix: such a condition is never emitted, and only its arm that runs is.
+    only, with the range ``[lo, hi]`` of the value it emits, the one bound
+    on values in the compiler: it masks only where that range can leave
+    ``[0, 2**d - 1]``.  :meth:`decide` reads a condition's 64-bit range:
+    a condition whose range fixes its truth is never emitted, and only its
+    arm that runs is.
 
     Before the body is emitted, :meth:`live` walks it backward from what is
     live at the end of a cycle, every ``n<j>`` and every covergroup's signal,
     and keeps each store that some path reads before storing to its target
     again.  :meth:`body` emits only kept stores, though every store keeps its
-    bit, every undecided condition is evaluated and every arm that can run
-    sets its flag.  The cycle's
+    bit, and every undecided condition is evaluated and sets a flag for the
+    arm that runs.  The cycle's
     prologue copies ``r<j> = n<j>``, and zeroes a wire or output, only when it
     is live before the body.  Stores are kept by id, as the parser makes one
     object per statement: two equal stores in different places are told apart.
@@ -166,118 +171,91 @@ class _Compiler:
         self.lines: list[str] = []
         self.masks = dict.fromkeys(METRICS, 0)
         self.kept: set[int] = set()  # the id of each store that a later read can see
+        self.flags: list[int] = []  # k for each flag b<k> that the body sets
 
-    def expr(self, e: Expr, d: int) -> tuple[str, int]:
-        """Source of ``e`` for a consumer that reads its low ``d`` bits, and a bound.
+    def expr(self, e: Expr, d: int) -> tuple[str, int, int]:
+        """Source of ``e`` for a consumer that reads its low ``d`` bits, and bounds on its value.
 
-        The source's value is >= 0, at most the bound, and equal to ``e``'s
-        value mod ``2**d``; for ``d >= 64`` it is ``e``'s value.
+        The source's value lies in ``[lo, hi]``, with ``lo >= 0``, and equals
+        ``e``'s value mod ``2**min(d, 64)``: for ``d >= 64`` it is ``e``'s
+        value, so ``expr(e, 64)``'s bounds are ``e``'s 64-bit range.  A
+        one-point range is emitted as its constant.
         """
         if isinstance(e, Const):
             value = e.value & ((1 << min(d, 64)) - 1)
-            return str(value), value
+            return str(value), value, value
         if isinstance(e, Ident):
-            return self.local[e.name], (1 << self.widths[e.name]) - 1
-        if isinstance(e, UnOp) and e.op == "!":
-            return f"(0 if {self.expr(e.operand, 64)[0]} else 1)", 1
-        if e.op in _COMPARE:
-            truth = self.decide(e)
-            if truth is not None:
-                return str(int(truth)), int(truth)
-            return f"(1 if {self.condition(e)} else 0)", 1
-        if e.op in ("|", "^", "&"):
-            a, a_max = self.expr(e.left, d)
-            b, b_max = self.expr(e.right, d)
-            bound = min(a_max, b_max) if e.op == "&" else _ones(max(a_max, b_max))
-            return f"({a} {e.op} {b})", bound
-        if e.op == ">>":
-            if isinstance(e.right, Const):
-                k = min(e.right.value & _MASK64, 63)
-                a, a_max = self.expr(e.left, d + k)
-                return f"({a} >> {k})", a_max >> k
-            a, a_max = self.expr(e.left, 64)
-            return f"({a} >> {self.shift_amount(e.right)[0]})", a_max
-        # '~', '+', '-' and '<<' wrap at 64 bits, and bit i of their result
-        # reads only bits <= i of their operands.
-        d = min(d, 64)
-        mask = (1 << d) - 1
-        if e.op == "~":
-            a, a_max = self.expr(e.operand, d)
-            return f"({a} ^ {mask})", _ones(max(a_max, mask))
-        if e.op == "<<":
-            if isinstance(e.right, Const):
-                k = k_max = min(e.right.value & _MASK64, 63)
-                a, a_max = self.expr(e.left, max(d - k, 0))
-            else:
-                a, a_max = self.expr(e.left, d)
-                k, k_max = self.shift_amount(e.right)
-            source, bound = f"({a} << {k})", a_max << k_max
-        else:
-            a, a_max = self.expr(e.left, d)
-            b, b_max = self.expr(e.right, d)
-            source = f"({a} {e.op} {b})"
-            bound = a_max + b_max if e.op == "+" else mask + 1  # '-' always wraps
-        if bound > mask:
-            return f"({source} & {mask})", mask
-        return source, bound
-
-    def shift_amount(self, e: Expr) -> tuple[str, int]:
-        """Source of a shift amount clamped to 63, and its bound."""
-        k, k_max = self.expr(e, 64)
-        return (k, k_max) if k_max <= 63 else (f"min({k}, 63)", 63)
-
-    def interval(self, e: Expr) -> tuple[int, int]:
-        """Bounds ``lo <= hi`` on ``e``'s 64-bit value, as the oracle computes it.
-
-        ``+``, ``-`` and ``<<`` keep the exact interval unless it crosses a
-        multiple of ``2**64``, where the result can be anything; shift amounts
-        are clamped to 63.
-        """
-        if isinstance(e, Const):
-            value = e.value & _MASK64
-            return value, value
-        if isinstance(e, Ident):
-            return 0, (1 << self.widths[e.name]) - 1
-        if e.op == "!" or e.op in _COMPARE:
-            truth = self.decide(e.operand if e.op == "!" else e)
-            return (0, 1) if truth is None else (int(truth != (e.op == "!")),) * 2
-        if e.op == "~":
-            lo, hi = self.interval(e.operand)
-            return _MASK64 - hi, _MASK64 - lo
-        (a_lo, a_hi), (b_lo, b_hi) = self.interval(e.left), self.interval(e.right)
-        if e.op == "&":
-            return 0, min(a_hi, b_hi)
-        if e.op in ("|", "^"):
-            return (max(a_lo, b_lo) if e.op == "|" else 0), _ones(max(a_hi, b_hi))
-        if e.op in ("<<", ">>"):  # the amount is clamped to 63
-            b_lo, b_hi = min(b_lo, 63), min(b_hi, 63)
-            if e.op == ">>":
-                return a_lo >> b_hi, a_hi >> b_lo
-            lo, hi = a_lo << b_lo, a_hi << b_hi
-        elif e.op == "+":
-            lo, hi = a_lo + b_lo, a_hi + b_hi
-        else:
-            lo, hi = a_lo - b_hi, a_hi - b_lo
-        return (lo & _MASK64, hi & _MASK64) if lo >> 64 == hi >> 64 else (0, _MASK64)
-
-    def decide(self, cond: Expr) -> bool | None:
-        """``cond``'s truth where its operands' intervals fix it, else None.
-
-        A comparison is fixed when every pair of values from its operands'
-        intervals compares alike: for ``==`` and ``!=`` when the intervals are
-        disjoint or one and the same point, for ``<`` and ``>`` when the two
-        corners that bound them agree.  Any other condition is fixed when its
-        interval is ``[0, 0]`` or excludes 0.
-        """
-        if isinstance(cond, BinOp) and cond.op in _COMPARE:
-            (a_lo, a_hi), (b_lo, b_hi) = self.interval(cond.left), self.interval(cond.right)
-            compare = _COMPARE[cond.op]
-            if cond.op in ("<", ">"):
+            return self.local[e.name], 0, (1 << self.widths[e.name]) - 1
+        if e.op == "!":
+            a, a_lo, a_hi = self.expr(e.operand, 64)
+            source, lo, hi = f"(0 if {a} else 1)", int(a_hi == 0), int(a_lo == 0)
+        elif e.op in _COMPARE:
+            # Each operand is walked once.  The truth is fixed when every pair of
+            # values from the two ranges compares alike: for '<' and '>' when the
+            # two corners that bound them agree, for '==' and '!=' when the ranges
+            # are disjoint or one and the same point.
+            a, a_lo, a_hi = self.expr(e.left, 64)
+            b, b_lo, b_hi = self.expr(e.right, 64)
+            compare = _COMPARE[e.op]
+            if e.op in ("<", ">"):
                 fixed = compare(a_lo, b_hi) == compare(a_hi, b_lo)
             else:
                 fixed = a_hi < b_lo or b_hi < a_lo or a_lo == a_hi == b_lo == b_hi
-            return compare(a_lo, b_hi) if fixed else None
-        lo, hi = self.interval(cond)
+            lo, hi = (int(compare(a_lo, b_hi)),) * 2 if fixed else (0, 1)
+            source = f"(1 if {a} {e.op} {b} else 0)"
+        elif e.op in ("|", "^", "&"):
+            a, a_lo, a_hi = self.expr(e.left, d)
+            b, b_lo, b_hi = self.expr(e.right, d)
+            source = f"({a} {e.op} {b})"
+            if e.op == "&":
+                lo, hi = 0, min(a_hi, b_hi)
+            else:
+                lo, hi = (max(a_lo, b_lo) if e.op == "|" else 0), _ones(max(a_hi, b_hi))
+        elif e.op == ">>":
+            if isinstance(e.right, Const):
+                k = k_lo = k_hi = min(e.right.value & _MASK64, 63)
+                a, a_lo, a_hi = self.expr(e.left, d + k)
+            else:
+                a, a_lo, a_hi = self.expr(e.left, 64)
+                k, k_lo, k_hi = self.shift_amount(e.right)
+            source, lo, hi = f"({a} >> {k})", a_lo >> k_hi, a_hi >> k_lo
+        else:
+            # '~', '+', '-' and '<<' wrap at 64 bits, and bit i of their result
+            # reads only bits <= i of their operands.
+            d = min(d, 64)
+            mask = (1 << d) - 1
+            if e.op == "~":
+                a, a_lo, a_hi = self.expr(e.operand, d)
+                source = f"({a} ^ {mask})"
+                lo, hi = (mask - a_hi, mask - a_lo) if a_hi <= mask else (0, _ones(a_hi))
+            elif e.op == "<<":
+                if isinstance(e.right, Const):
+                    k = k_lo = k_hi = min(e.right.value & _MASK64, 63)
+                    a, a_lo, a_hi = self.expr(e.left, max(d - k, 0))
+                else:
+                    a, a_lo, a_hi = self.expr(e.left, d)
+                    k, k_lo, k_hi = self.shift_amount(e.right)
+                source, lo, hi = f"({a} << {k})", a_lo << k_lo, a_hi << k_hi
+            else:
+                a, a_lo, a_hi = self.expr(e.left, d)
+                b, b_lo, b_hi = self.expr(e.right, d)
+                source = f"({a} {e.op} {b})"
+                lo, hi = (a_lo + b_lo, a_hi + b_hi) if e.op == "+" else (a_lo - b_hi, a_hi - b_lo)
+            if lo < 0 or hi > mask:
+                # The exact range survives the mask unless it crosses a multiple of 2**d.
+                source = f"({source} & {mask})"
+                lo, hi = (lo & mask, hi & mask) if lo >> d == hi >> d else (0, mask)
+        return (str(lo), lo, lo) if lo == hi else (source, lo, hi)
+
+    def shift_amount(self, e: Expr) -> tuple[str, int, int]:
+        """Source of a shift amount clamped to 63, and its clamped bounds."""
+        k, lo, hi = self.expr(e, 64)
+        return (k if hi <= 63 else f"min({k}, 63)"), min(lo, 63), min(hi, 63)
+
+    def decide(self, cond: Expr) -> bool | None:
+        """``cond``'s truth where its 64-bit range fixes it, else None: false
+        when the range is ``[0, 0]``, true when it excludes 0."""
+        _, lo, hi = self.expr(cond, 64)
         return False if hi == 0 else True if lo > 0 else None
 
     def condition(self, e: Expr) -> str:
@@ -329,11 +307,13 @@ class _Compiler:
 
     def body(self, stmts, indent: str) -> int:
         """Emit ``stmts``, leaving out each store that is not kept; return the
-        bits of the statements among them, emitted or not.
+        bits of the items that run whenever ``stmts`` do: their statements,
+        emitted or not, and each decided conditional's taken outcome and the
+        bits its arm that runs returns.
 
-        A decided conditional emits neither its condition nor the arm that
-        never runs, though both arms' items are numbered in walk order: the
-        arm that runs goes in line, at ``indent``, followed by its flag.
+        A decided conditional emits neither its condition, nor a flag, nor the
+        arm that never runs, though both arms' items are numbered in walk
+        order: the arm that runs goes in line, at ``indent``.
         """
         emit = self.lines.append
         held = 0
@@ -344,9 +324,9 @@ class _Compiler:
                     continue
                 target = self.target(st)
                 width = self.widths[st.target]
-                source, bound = self.expr(st.expr, width)
+                source, _, hi = self.expr(st.expr, width)
                 mask = (1 << width) - 1
-                emit(f"{indent}{target} = {source}" + (f" & {mask}" if bound > mask else ""))
+                emit(f"{indent}{target} = {source}" + (f" & {mask}" if hi > mask else ""))
                 continue
             k = self.masks["branch"].bit_count()
             taken = self.bit("branch"), self.bit("branch")  # before the arms number theirs
@@ -355,11 +335,12 @@ class _Compiler:
             if truth is not None:
                 for k, bit, arm in arms:
                     if truth == (k % 2 == 0):
-                        emit(f"{indent}b{k} = {bit | self.body(arm, indent)}")
+                        held |= bit | self.body(arm, indent)
                     else:
                         self.skip(arm)
                 continue
             emit(f"{indent}if {self.condition(st.cond)}:")
+            self.flags += k, k + 1
             for k, bit, arm in arms:
                 if k % 2:
                     emit(f"{indent}else:")
@@ -386,7 +367,6 @@ class _Compiler:
         live = self.live(dut.body, {f"n{j}" for j in range(len(dut.regs))}
                          | {self.local[cg.signal] for cg in dut.covergroups})
         top = self.body(dut.body, "  ")
-        outcomes = self.masks["branch"].bit_count()
         defaults = "".join(f", n{j}={r.init}" for j, r in enumerate(dut.regs))
         state = "".join(f"n{j}, " for j in range(len(dut.regs)))  # the register values
         lines = [f"def run(cycles{defaults}):"]
@@ -396,7 +376,7 @@ class _Compiler:
             lines.append(f" if {' or '.join(bad)}: refuse_state({state})")
         # t first: cycles with no len raise before any is read, so simulate can re-read them.
         lines.append(" t = len(cycles)")
-        lines += [f" b{k} = 0" for k in range(outcomes)]
+        lines += [f" b{k} = 0" for k in self.flags]
         lines += [f" c{g} = bytearray({1 << self.widths[cg.signal]})"
                   for g, cg in enumerate(dut.covergroups)]
         lines.append(" for c in cycles:")
@@ -411,7 +391,7 @@ class _Compiler:
             lines.append(f"  {' = '.join(zeroed)} = 0")
         lines += self.lines
         lines += [f"  c{g}[{self.local[cg.signal]}] = 1" for g, cg in enumerate(dut.covergroups)]
-        covered = ([f"({top} if t else 0)"] if top else []) + [f"b{k}" for k in range(outcomes)]
+        covered = ([f"({top} if t else 0)"] if top else []) + [f"b{k}" for k in self.flags]
         covered += [f"({self.bit('functional')} if c{g}.find(1, {b.lo}, {b.hi + 1}) >= 0 else 0)"
                     for g, cg in enumerate(dut.covergroups) for b in cg.bins]
         masks = ", ".join(map(str, self.masks.values()))
@@ -434,9 +414,10 @@ def cycle_source(dut: DutModel) -> str:
     ``covered`` has one bit per statement, branch outcome and bin, and the
     final register values, from which a second run goes on.  A store that no
     later read can see, and no covergroup samples, is left out of the source,
-    though its statement still counts; so are a conditional's test and the arm
-    that never runs when its operands' value ranges decide it, though every
-    item in both arms still counts; each cycle sets only the registers,
+    though its statement still counts; so are a conditional's test, its flags
+    and the arm that never runs when its 64-bit value range decides it, though
+    every item in both arms still counts; a value whose range is one point is
+    emitted as a constant; each cycle sets only the registers,
     wires and outputs that a read can reach before a store.  The source holds
     only integer constants, builtins, ``report`` and the locals above, never a
     name from the design; :func:`compiled` binds ``k<j>`` to port j's name.  A

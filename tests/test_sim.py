@@ -404,9 +404,9 @@ class TestNarrowBits:
             values = {n: rng.randrange(1 << w) for n, w in width.items()}
             local = {comp.local[n]: v for n, v in values.items()}
             want = oracle_eval(expr, values)
-            for d, (source, bound) in emitted.items():
+            for d, (source, lo, hi) in emitted.items():
                 got = eval(source, {"__builtins__": {}, "min": min}, local)
-                assert 0 <= got <= bound, (source, d)
+                assert 0 <= lo <= got <= hi, (source, d)
                 assert got % 2**d == want % 2**d, (source, d)
 
     def test_narrow_design_has_no_64_bit_mask(self):
@@ -461,8 +461,8 @@ M64 = 2**64 - 1
 
 def assert_range_holds(comp, expr, values):
     """Every value of ``expr`` that the oracle computes on ``values`` lies in the
-    compiler's interval, and a truth the compiler decides is the oracle's."""
-    lo, hi = comp.interval(expr)
+    compiler's 64-bit range, and a truth the compiler decides is the oracle's."""
+    lo, hi = comp.expr(expr, 64)[1:]
     assert 0 <= lo <= hi <= M64
     truth = comp.decide(expr)
     for v in values:
@@ -505,9 +505,54 @@ class TestRanges:
                     " endmodule")
         comp = sim._Compiler(dut)
         expr = dut.body[0].expr
-        assert comp.interval(expr) == expected
+        assert comp.expr(expr, 64)[1:] == expected
         values = [{"a": a, "b": b} for a in range(256) for b in (*range(66), 127, 255)]
         assert_range_holds(comp, expr, values)
+
+    @pytest.mark.parametrize("text, store", [
+        # 1..255: the difference cannot wrap, so it is not masked.
+        ("(a | 128) - (b & 127)", "  w0 = ((i0 | 128) - (i1 & 127))"),
+        ("!(a | 1)", "  w0 = 0"),  # a | 1 is never 0
+        ("(r & 0) + a", "  w0 = (0 + i0)"),  # r & 0 is the one point 0
+    ])
+    def test_range_shapes_the_store(self, text, store):
+        dut = parse("module m (input a[8], input b[8], output y[8]); reg r[8] = 5;"
+                    f" next r = a ^ b; assign y = {text}; cover y {{ lo: 0..99 }} endmodule")
+        assert lint(dut) == []
+        assert re.findall(r"^  w0 = .*$", cycle_source(dut), re.MULTILINE) == [store]
+        rng = random.Random(7)
+        cycles = [{"a": rng.randrange(256), "b": rng.randrange(256)} for _ in range(9)]
+        cycles += [{"a": 0, "b": 0}, {"a": 255, "b": 255}, {"a": 128, "b": 127}]
+        report = simulate(dut, Stimulus(tuple(cycles)))
+        assert counts(report) == oracle_simulate(dut, cycles)
+        assert report.covered == oracle_bits(dut, cycles)
+
+    def test_each_comparison_walks_its_operands_once(self, monkeypatch):
+        # A condition and a store that are each MAX_DEPTH - 1 nested '<': walking a
+        # comparison's operands twice per level would make some 2**23 calls.
+        chain = "a"
+        for _ in range(MAX_DEPTH - 1):
+            chain = f"({chain} < b)"
+        dut = parse(f"module m (input a[8], input b[8], output y[1]); assign y = {chain};"
+                    f" if {chain} {{ assign y = 0; }} cover y {{ lo: 0..0 }} endmodule")
+        assert lint(dut) == []
+        limit = 10 * 2 * (MAX_DEPTH - 1)  # 10 calls per operator
+        calls = 0
+        expr = sim._Compiler.expr
+
+        def counted(self, e, d):
+            nonlocal calls
+            calls += 1
+            assert calls <= limit
+            return expr(self, e, d)
+
+        monkeypatch.setattr(sim._Compiler, "expr", counted)
+        source = cycle_source(dut)
+        assert len(conditional_lines(source)) == 1
+        cycles = [{"a": a, "b": b} for a, b in ((0, 0), (1, 0), (0, 1), (1, 1), (200, 3))]
+        report = simulate(dut, Stimulus(tuple(cycles)))
+        assert counts(report) == oracle_simulate(dut, cycles)
+        assert report.covered == oracle_bits(dut, cycles)
 
 
 def compiler_order(dut):
@@ -957,7 +1002,8 @@ def decided_case(dut, never=()):
     """``dut``'s compiled source, after checking that every prefix of ``_DEAD_CYCLES``,
     each value cut to its port's width, covers what the oracle covers, and that the
     whole splits anywhere into two runs that cover it too.  Branch outcome k, for each
-    k in ``never``, is counted but never covered nor flagged; every other is covered."""
+    k in ``never``, is counted but never covered nor flagged; every other is covered.
+    Only a tested conditional sets flags, one per arm."""
     assert lint(dut) == []
     source = cycle_source(dut)
     cycles = [{p.name: row[p.name] % (1 << p.width) for p in dut.input_ports}
@@ -970,7 +1016,11 @@ def decided_case(dut, never=()):
     outcomes = [1 << i for i in range(report.masks[1].bit_length()) if report.masks[1] >> i & 1]
     for k, bit in enumerate(outcomes):
         assert bool(report.covered & bit) == (k not in never), k
-        assert (f"b{k} = " in source.split(" for c in cycles:")[1]) == (k not in never), k
+    for k in never:
+        assert re.search(rf"\bb{k}\b", source) is None, k
+    loop = source.split(" for c in cycles:")[1]
+    flags = re.findall(r"^ +b\d+ = ", loop, re.MULTILINE)
+    assert len(flags) == 2 * len(conditional_lines(source))
     return source
 
 
