@@ -655,10 +655,13 @@ def lint(dut: DutModel) -> list[LintIssue]:
             continue
         width = dut.widths[cg.signal]
         for b in cg.bins:
-            if b.lo > b.hi or b.hi.bit_length() > width:
+            if b.lo > b.hi:
                 issue("bin_out_of_range", cg, f"bin {shown(b.name)} range {shown(b.lo, int)}.."
-                      f"{shown(b.hi, int)} invalid for {shown(width, int)}-bit signal "
-                      f"{shown(cg.signal)}")
+                      f"{shown(b.hi, int)} on {shown(cg.signal)} is empty")
+            # A width outside 1..MAX_WIDTH is reported at its declaration.
+            elif 1 <= width <= MAX_WIDTH and b.hi.bit_length() > width:
+                issue("bin_out_of_range", cg, f"bin {shown(b.name)} range {shown(b.lo, int)}.."
+                      f"{shown(b.hi, int)} invalid for {width}-bit signal {shown(cg.signal)}")
 
     for w in list(dut.wires) + list(dut.output_ports):
         if w.name not in assigned_wires:

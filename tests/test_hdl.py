@@ -380,6 +380,17 @@ class TestLint:
             " cover y { big: 0..2 } endmodule")
         assert "bin_out_of_range" in kinds
 
+    def test_empty_bin_message_stays_short(self):
+        # Long names, both bounds far past 2**64 and a signal width that is itself
+        # out of range: the message once echoed all five and reached 200 characters.
+        name, huge = "z" * 3000, "0x" + "f" * 5000
+        issues = lint(parse(
+            f"module m (input a[1], output {name}[{huge}]); assign {name} = a;"
+            f" cover {name} {{ {name}: {huge}1..{huge} }} endmodule"))
+        bins = [i for i in issues if i.kind == "bin_out_of_range"]
+        assert len(bins) == 1 and bins[0].message.endswith("is empty")
+        assert len(bins[0].message) < 200
+
     def test_duplicate_covergroup(self):
         # Lint-clean before: simulate counted 4/4 bins here, while a reader
         # naming bins by (signal, bin name), as tests/oracle_sim.py does, counts 2.
