@@ -452,8 +452,12 @@ class TabularPolicy:
         """The ``Steps`` of each run of ``counts[b]`` sequences, in order.
 
         rows, targets and lens are ``plan``'s arrays for all the sequences.
-        One ``np.unique`` over (batch, row) keys finds every batch's touched
-        rows and every step's slot at once, and one pass every step's cell.
+        Each step's row + 1 is marked in its batch's row of one boolean
+        (batches x len(theta)) array, and the running count of the marks
+        along each batch's row gives, with no sort, what ``np.unique`` of the
+        (batch, row) keys would: the touched rows in order, -1 first, and
+        each step's slot, its mark's count less one.  So a call holds
+        len(counts) x len(theta) marks and counts.
         """
         width = len(self.theta)  # rows + 1: row + 1 of a step is in [0, width)
         counts = np.asarray(counts)
@@ -461,15 +465,16 @@ class TabularPolicy:
         batch = np.repeat(seq_batch, lens)
         first = np.cumsum(counts) - counts  # each batch's first sequence
         owner = np.repeat(np.arange(len(lens)) - first[seq_batch], lens)
-        # Keys sort by batch, then row; -1 (no row) sorts first in its batch.
-        keys, inverse = np.unique(batch * width + rows + 1, return_inverse=True)
-        bounds = np.arange(len(counts) + 1)
-        key_at = np.searchsorted(keys, bounds * width)
-        touched = keys % width - 1
-        slot = inverse - key_at[batch]
+        keys = batch * width + rows + 1
+        mark = np.zeros(len(counts) * width, dtype=bool)
+        mark[keys] = True
+        running = mark.reshape(-1, width).cumsum(axis=1)
+        slot = running.ravel()[keys] - 1
         cell = slot * self.vocab.size + targets
-        step_at = np.searchsorted(batch, bounds).tolist()
-        key_at, counts = key_at.tolist(), counts.tolist()
+        touched = np.flatnonzero(mark) % width - 1
+        key_at = [0, *running[:, -1].cumsum().tolist()]
+        step_at = np.searchsorted(batch, np.arange(len(counts) + 1)).tolist()
+        counts = counts.tolist()
         return [Steps(owner[s:e], counts[b],
                       touched[key_at[b]:key_at[b + 1]], slot[s:e], cell[s:e])
                 for b, (s, e) in enumerate(zip(step_at, step_at[1:]))]
@@ -495,11 +500,15 @@ class TabularPolicy:
     def log_prob(self, dut_id, seq) -> tuple[float, list[float]]:
         """Total and per-step log-probability at temperature 1.
 
+        The steps come straight from ``_step_plan`` and this policy's rows,
+        each its own slot, so no ``plan`` arrays are built for one sequence.
         The forced-EOS step at interior position t_max contributes exactly 0.
         """
-        rows, targets, _ = self.plan([(dut_id, seq)])
-        slot = np.arange(len(rows))
-        per_step = self._score(rows, slot, slot * self.vocab.size + targets)[0].tolist()
+        contexts, targets = _step_plan(tuple(seq), self.vocab, self.k, self.t_max)
+        get = self.rows.get
+        slot = np.arange(len(targets))
+        per_step = self._score([get((dut_id, ctx), -1) for ctx in contexts], slot,
+                               slot * self.vocab.size + targets)[0].tolist()
         per_step += [0.0] * (len(seq) - 1 - len(per_step))
         return sum(per_step), per_step
 

@@ -145,16 +145,17 @@ class _Compiler:
     :meth:`expr` emits a subexpression for its consumer's ``d`` low bits
     only, with the range ``[lo, hi]`` of the value it emits, the one bound
     on values in the compiler: it masks only where that range can leave
-    ``[0, 2**d - 1]``.  :meth:`decide` reads a condition's 64-bit range:
+    ``[0, 2**d - 1]``.  :meth:`condition` reads a condition's 64-bit range:
     a condition whose range fixes its truth is never emitted, and only its
     arm that runs is.
 
     Before the body is emitted, :meth:`live` walks it backward from what is
     live at the end of a cycle, every ``n<j>`` and every covergroup's signal,
     and keeps each store that some path reads before storing to its target
-    again.  :meth:`body` emits only kept stores, though every store keeps its
-    bit, and every undecided condition is evaluated and sets a flag for the
-    arm that runs.  The cycle's
+    again; it records each conditional's source and truth, from the one walk
+    of its condition that compiling makes.  :meth:`body` emits only kept
+    stores, though every store keeps its bit, and every undecided condition
+    is evaluated and sets a flag for the arm that runs.  The cycle's
     prologue copies ``r<j> = n<j>``, and zeroes a wire or output, only when it
     is live before the body.  Stores are kept by id, as the parser makes one
     object per statement: two equal stores in different places are told apart.
@@ -172,6 +173,7 @@ class _Compiler:
         self.masks = dict.fromkeys(METRICS, 0)
         self.kept: set[int] = set()  # the id of each store that a later read can see
         self.flags: list[int] = []  # k for each flag b<k> that the body sets
+        self.conditions: dict[int, tuple] = {}  # condition() of each conditional, by id
 
     def expr(self, e: Expr, d: int) -> tuple[str, int, int]:
         """Source of ``e`` for a consumer that reads its low ``d`` bits, and bounds on its value.
@@ -190,19 +192,8 @@ class _Compiler:
             a, a_lo, a_hi = self.expr(e.operand, 64)
             source, lo, hi = f"(0 if {a} else 1)", int(a_hi == 0), int(a_lo == 0)
         elif e.op in _COMPARE:
-            # Each operand is walked once.  The truth is fixed when every pair of
-            # values from the two ranges compares alike: for '<' and '>' when the
-            # two corners that bound them agree, for '==' and '!=' when the ranges
-            # are disjoint or one and the same point.
-            a, a_lo, a_hi = self.expr(e.left, 64)
-            b, b_lo, b_hi = self.expr(e.right, 64)
-            compare = _COMPARE[e.op]
-            if e.op in ("<", ">"):
-                fixed = compare(a_lo, b_hi) == compare(a_hi, b_lo)
-            else:
-                fixed = a_hi < b_lo or b_hi < a_lo or a_lo == a_hi == b_lo == b_hi
-            lo, hi = (int(compare(a_lo, b_hi)),) * 2 if fixed else (0, 1)
-            source = f"(1 if {a} {e.op} {b} else 0)"
+            bare, lo, hi = self.compare(e)
+            source = f"(1 if {bare} else 0)"
         elif e.op in ("|", "^", "&"):
             a, a_lo, a_hi = self.expr(e.left, d)
             b, b_lo, b_hi = self.expr(e.right, d)
@@ -252,17 +243,34 @@ class _Compiler:
         k, lo, hi = self.expr(e, 64)
         return (k if hi <= 63 else f"min({k}, 63)"), min(lo, 63), min(hi, 63)
 
-    def decide(self, cond: Expr) -> bool | None:
-        """``cond``'s truth where its 64-bit range fixes it, else None: false
-        when the range is ``[0, 0]``, true when it excludes 0."""
-        _, lo, hi = self.expr(cond, 64)
-        return False if hi == 0 else True if lo > 0 else None
+    def compare(self, e: BinOp) -> tuple[str, int, int]:
+        """Source of the comparison ``e``, bare, and its range: its one truth where
+        the operands' ranges fix it, else ``[0, 1]``.
 
-    def condition(self, e: Expr) -> str:
-        """Source of ``e`` as a truth value; a comparison is emitted bare."""
-        if isinstance(e, BinOp) and e.op in _COMPARE:
-            return f"{self.expr(e.left, 64)[0]} {e.op} {self.expr(e.right, 64)[0]}"
-        return self.expr(e, 64)[0]
+        Each operand is walked once.  The truth is fixed when every pair of
+        values from the two ranges compares alike: for '<' and '>' when the two
+        corners that bound them agree, for '==' and '!=' when the ranges are
+        disjoint or one and the same point.
+        """
+        a, a_lo, a_hi = self.expr(e.left, 64)
+        b, b_lo, b_hi = self.expr(e.right, 64)
+        compare = _COMPARE[e.op]
+        if e.op in ("<", ">"):
+            fixed = compare(a_lo, b_hi) == compare(a_hi, b_lo)
+        else:
+            fixed = a_hi < b_lo or b_hi < a_lo or a_lo == a_hi == b_lo == b_hi
+        lo, hi = (int(compare(a_lo, b_hi)),) * 2 if fixed else (0, 1)
+        return f"{a} {e.op} {b}", lo, hi
+
+    def condition(self, cond: Expr) -> tuple[str, bool | None]:
+        """Source of ``cond`` as a truth value, a comparison bare, and its truth
+        where its 64-bit range fixes it, else None: false when the range is
+        ``[0, 0]``, true when it excludes 0.  One walk of ``cond`` gives both."""
+        if isinstance(cond, BinOp) and cond.op in _COMPARE:
+            source, lo, hi = self.compare(cond)
+        else:
+            source, lo, hi = self.expr(cond, 64)
+        return source, False if hi == 0 else True if lo > 0 else None
 
     def bit(self, metric: str) -> int:
         """The next coverage item's bit, added to ``metric``'s mask."""
@@ -288,9 +296,10 @@ class _Compiler:
         """The locals live before ``stmts``, given those live after them.
 
         A store is kept, by its id, when its target is live after it: some
-        path reads the target before it is stored to again.  A decided
-        conditional is walked through the arm that runs alone; every other
-        condition is read.
+        path reads the target before it is stored to again.  Each
+        conditional's ``condition`` is recorded, by its id, for ``body``.  A
+        decided conditional is walked through the arm that runs alone; every
+        other condition is read.
         """
         for st in reversed(stmts):
             if isinstance(st, Assign):
@@ -298,7 +307,9 @@ class _Compiler:
                 if target in live:
                     self.kept.add(id(st))
                     live = (live - {target}) | self.reads(st.expr)
-            elif (truth := self.decide(st.cond)) is not None:
+                continue
+            _, truth = self.conditions[id(st)] = self.condition(st.cond)
+            if truth is not None:
                 live = self.live(st.then_body if truth else st.else_body, live)
             else:
                 live = (self.live(st.then_body, live) | self.live(st.else_body, live)
@@ -331,7 +342,7 @@ class _Compiler:
             k = self.masks["branch"].bit_count()
             taken = self.bit("branch"), self.bit("branch")  # before the arms number theirs
             arms = zip((k, k + 1), taken, (st.then_body, st.else_body))
-            truth = self.decide(st.cond)
+            source, truth = self.conditions[id(st)]
             if truth is not None:
                 for k, bit, arm in arms:
                     if truth == (k % 2 == 0):
@@ -339,7 +350,7 @@ class _Compiler:
                     else:
                         self.skip(arm)
                 continue
-            emit(f"{indent}if {self.condition(st.cond)}:")
+            emit(f"{indent}if {source}:")
             self.flags += k, k + 1
             for k, bit, arm in arms:
                 if k % 2:

@@ -6,21 +6,26 @@ beta* = beta; the coverage-weighted variant scales it by an increasing
 normalization f of the coverage-score gap s_p - s_np, so pairs with a
 clearer coverage difference drive larger updates.
 
-``train`` compiles its dataset once (``_Compiled``), and each epoch once,
-after its shuffle: a reshape of the shuffled sequence ids puts them in
-mini-batch order, one gather each takes their reference log-probs and the
-items' beta*, and one ``TabularPolicy.batches`` call builds the ``Steps``
-of every mini-batch.  A mini-batch then reads views of those arrays, cut
-at its start.  Its loss gives each sequence a weight, d loss / d log pi(seq),
-and its update is built per touched row from those weights and the rows'
-softmax (``TabularPolicy.apply_update``), with no per-step gradient.  The
-one-pair functions below are batch-of-one calls of the same loss code.
+``train`` compiles its dataset once (``_Compiled``), then lays out its
+mini-batches in passes of consecutive batches that run across epoch
+boundaries (``_Compiled.batches``): a pass puts its shuffled sequence ids in
+mini-batch order with one gather, takes their reference log-probs and the
+items' beta* with one gather each, and builds the ``Steps`` of every batch
+with one ``TabularPolicy.batches`` call.  A mini-batch then reads views of
+those arrays and does only what its update needs: its loss gives each
+sequence a weight, d loss / d log pi(seq), and its update is built per
+touched row from those weights and the rows' softmax
+(``TabularPolicy.apply_update``), with no per-step gradient.  The losses and
+margins the history records are taken once per epoch, elementwise over its
+pairs.  The one-pair functions below are batch-of-one calls of the same
+loss code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -29,6 +34,10 @@ from .policy import ReferencePolicy, TabularPolicy
 
 MODES = ("SFT", "DPO", "CDDPO")
 F_VARIANTS = ("identity_clamp", "dataset_minmax")
+# The most (mini-batch x theta row) keys that one pass of ``_Compiled.batches``
+# lays out: ``TabularPolicy.batches`` marks each in one array.  No output
+# depends on it; it bounds a pass's memory, and a pass holds at least one batch.
+PASS_KEYS = 1 << 14
 
 
 class TrainingError(Exception):
@@ -156,23 +165,22 @@ def cddpo_loss(theta, ref, pair: PreferencePair, beta: float,
     return _pair_breakdown(theta, ref, pair, beta_star)
 
 
-def pair_gradient(bd: LossBreakdown):
+def pair_gradient(r_w, r_l, beta_star):
     """d loss / d log pi(chosen) of each pair; d loss / d log pi(rejected) is its negative.
 
     The weight is -beta* sigma(-margin) = -beta* / (1 + e^margin), margin =
-    beta* (r_w - r_l), recomputed from ``bd``'s rewards and beta*: a
-    breakdown given another beta* (``dataclasses.replace``) weighs by that
-    one.  With x = -margin it is taken as -beta* e^min(x, 0) / (1 + e^-|x|):
-    no exp overflows, and the weight stays within a relative 1e-15 of the
-    closed form.  The pair's gradient w.r.t. the logits is this weight times
-    (grad log pi(chosen) - grad log pi(rejected)); a descent step subtracts
-    it.  A negative or NaN beta* raises ValueError.
+    beta* (r_w - r_l), from the pairs' rewards and beta*, as
+    ``preference_loss`` takes them.  With x = -margin it is taken as
+    -beta* e^min(x, 0) / (1 + e^-|x|): no exp overflows, and the weight stays
+    within a relative 1e-15 of the closed form.  The pair's gradient w.r.t.
+    the logits is this weight times (grad log pi(chosen) - grad log
+    pi(rejected)); a descent step subtracts it.  A negative or NaN beta*
+    raises ValueError.
     """
-    beta_star = bd.beta_star
     # One comparison of the smallest beta*: a NaN propagates to it and fails it too.
     if not np.minimum.reduce(beta_star, axis=None, initial=np.inf) >= 0:
         raise ValueError("beta_star must be >= 0")
-    x = beta_star * (bd.r_l - bd.r_w)
+    x = beta_star * (r_l - r_w)
     return np.exp(np.minimum(x, 0.0)) / (-1.0 - np.exp(-np.abs(x))) * beta_star
 
 
@@ -220,37 +228,64 @@ class _Compiled:
         self.ref_log_probs = None if ref is None else np.array(
             [ref.log_prob(dut_id, seq)[0] for dut_id, seq in items])
 
-    def epoch(self, order: np.ndarray, batch_size: int) -> list:
-        """(steps, ref_log_probs, beta_star) of each mini-batch of the shuffled items ``order``.
+    def batches(self, rng, epochs: int, batch_size: int):
+        """Yield (steps, ref_log_probs, beta_star) of each mini-batch of ``epochs`` epochs.
 
-        Batch b holds the items ``order[b * batch_size:(b + 1) * batch_size]``,
-        and its sequences are their chosen ones, then, for preference data,
-        their rejected ones; a repeated sequence is scored again.  One
-        reshape puts the full batches' sequence ids in that order, and the
-        short last batch's follow.  steps equals ``theta.steps`` of those
-        sequences, and ref_log_probs and beta_star are views of one gather
-        per epoch: the sequences' reference log-probs and the items' beta*,
-        both None for SFT.  Each batch's count and views are cut at its
-        start.  The steps of the whole epoch are one gather and one
-        ``theta.batches`` call.
+        Each epoch shuffles the items with one ``rng.permutation``, and its
+        batch b holds the items ``order[b * batch_size:(b + 1) * batch_size]``;
+        a batch's sequences are their chosen ones, then, for preference
+        data, their rejected ones, and a repeated sequence is scored again.
+        steps equals ``theta.steps`` of those sequences; ref_log_probs and
+        beta_star are their reference log-probs and the items' beta*, both
+        None for SFT.
+
+        Consecutive batches are laid out together in passes that run across
+        epoch boundaries, each of at most PASS_KEYS // len(theta.theta)
+        batches and at least one.  A pass draws the permutation of each epoch
+        it reaches first, so every epoch's is that of one ``rng.permutation``
+        per epoch in order.  Its sequence ids, in batch order, are one gather
+        through one epoch's layout of halves and items, its steps one
+        ``theta.batches`` call, and each batch's ref_log_probs and beta_star
+        are views of one gather per pass, cut at the batch's start.
         """
-        h, n = len(self.seqs), len(order)
-        batch_size = min(batch_size, n)  # a larger one makes the same one batch of every item
-        starts = range(0, n, batch_size)
-        full = n - n % batch_size  # the items of the full batches; the rest make a short one
-        ids = self.seqs[:, order]
-        flat = np.concatenate([ids[:, :full].reshape(h, -1, batch_size).swapaxes(0, 1),
-                               ids[:, full:]], axis=None)
-        lens = self.lens[flat]
-        ends = np.cumsum(lens)
-        idx = np.arange(ends[-1]) + np.repeat(self.starts[flat] - ends + lens, lens)
-        steps = self.theta.batches(self.rows[idx], self.targets[idx], lens,
-                                   [h * min(batch_size, n - a) for a in starts])
-        if self.ref_log_probs is None:
-            return [(s, None, None) for s in steps]
-        ref, beta_star = self.ref_log_probs[flat], self.beta_star[order]
-        return [(s, ref[2 * a:2 * a + s.n], beta_star[a:a + s.n // 2])
-                for s, a in zip(steps, starts)]
+        h, n = self.seqs.shape
+        size = min(batch_size, n)  # a larger one makes the same one batch of every item
+        start = list(range(0, n, size)) + [n]  # each batch's first item in its epoch, then n
+        counts = [h * (b - a) for a, b in zip(start, start[1:])]  # each batch's sequences
+        per_epoch, total = len(counts), epochs * len(counts)
+        per_pass = max(1, PASS_KEYS // len(self.theta.theta))
+        # Place j of an epoch's batch order holds half place[j] // n of its item place[j] % n:
+        # a reshape puts the full batches' halves in order, and the short last batch's follow.
+        full, grid = n - n % size, np.arange(h * n).reshape(h, n)
+        half, item = np.divmod(np.concatenate(
+            [grid[:, :full].reshape(h, -1, size).swapaxes(0, 1), grid[:, full:]], axis=None), n)
+        order, first = np.zeros(0, dtype=np.intp), 0  # the permutations from epoch first on
+        for g0 in range(0, total, per_pass):
+            g1 = min(g0 + per_pass, total)
+            e0, e1 = g0 // per_epoch, -(-g1 // per_epoch)
+            # Keep the permutations from epoch e0 on, and draw those up to epoch e1.
+            order, first = order[(e0 - first) * n:], e0
+            if drawn := [rng.permutation(n) for _ in range(e0 + len(order) // n, e1)]:
+                order = np.concatenate([order, *drawn])
+            # The pass's items are order[a0:a1], and its sequences places h * a0 .. h * a1
+            # of the batch orders of epochs e0, e0 + 1, ... run end to end.
+            a0 = start[g0 % per_epoch]
+            a1 = (g1 // per_epoch - e0) * n + start[g1 % per_epoch]
+            epoch, place = np.divmod(np.arange(h * a0, h * a1), h * n)
+            flat = self.seqs[half[place], order[epoch * n + item[place]]]
+            lens = self.lens[flat]
+            ends = np.cumsum(lens)
+            idx = np.arange(ends[-1]) + np.repeat(self.starts[flat] - ends + lens, lens)
+            steps = self.theta.batches(self.rows[idx], self.targets[idx], lens,
+                                       [counts[g % per_epoch] for g in range(g0, g1)])
+            if self.ref_log_probs is None:
+                yield from ((s, None, None) for s in steps)
+                continue
+            ref, beta_star = self.ref_log_probs[flat], self.beta_star[order[a0:a1]]
+            a = 0
+            for s in steps:
+                yield s, ref[2 * a:2 * a + s.n], beta_star[a:a + s.n // 2]
+                a += s.n // 2
 
 
 def train(dataset, config: TrainConfig, init: TabularPolicy) -> TrainResult:
@@ -258,7 +293,8 @@ def train(dataset, config: TrainConfig, init: TabularPolicy) -> TrainResult:
 
     The preference modes take a frozen init as pi_ref; ``pipeline.train_modes`` picks init.
     Each mini-batch takes its log-probs and row softmax from ``grad_log_prob``,
-    weighs each sequence by d loss / d log pi, and steps by ``apply_update``.
+    weighs each sequence by d loss / d log pi, and steps by ``apply_update``;
+    the losses that only the history reads are taken once per epoch.
     """
     if not dataset:
         raise TrainingError("empty dataset")
@@ -277,31 +313,31 @@ def train(dataset, config: TrainConfig, init: TabularPolicy) -> TrainResult:
                                                               bounds) for p in dataset])
     data = _Compiled(dataset, theta, ref, beta_star)
 
-    rng = np.random.default_rng(config.seed)
+    batches = data.batches(np.random.default_rng(config.seed), config.epochs, config.batch_size)
+    per_epoch = -(-len(dataset) // config.batch_size)
     history = TrainHistory(config=config.to_dict())
-    for _ in range(config.epochs):
-        order = rng.permutation(len(dataset))
+    for epoch in range(config.epochs):
         epoch_start = theta.theta.copy()
-        losses, terms = [], []  # terms: each preference batch's LossBreakdown
-        for steps, ref_log_probs, batch_beta in data.epoch(order, config.batch_size):
+        scored = []  # each batch's log-probs (SFT), or its (r_w, r_l, beta*)
+        for steps, ref_log_probs, batch_beta in islice(batches, per_epoch):
             log_probs, probs = theta.grad_log_prob(steps)
             if ref is None:
-                n = steps.n
-                losses.extend([_mean_nll(log_probs.tolist())] * n)
-                step_weights = np.full(len(steps.owner), -1.0 / n)
+                scored.append(log_probs)
+                step_weights = np.full(len(steps.owner), -1.0 / steps.n)
             else:
                 n = len(batch_beta)
                 rewards = implicit_reward(log_probs, ref_log_probs)
-                bd = preference_loss(rewards[:n], rewards[n:], batch_beta)
-                terms.append(bd)
-                weights = (1.0 / n) * pair_gradient(bd)
+                terms = rewards[:n], rewards[n:], batch_beta
+                scored.append(terms)
+                weights = (1.0 / n) * pair_gradient(*terms)
                 step_weights = np.concatenate([weights, -weights])[steps.owner]
             theta.apply_update(steps, probs, step_weights, -config.learning_rate)
-        if ref is not None:
-            loss, margin, r_w, r_l = (np.concatenate([getattr(bd, name) for bd in terms])
-                                      for name in ("loss", "margin", "r_w", "r_l"))
-            losses = loss.tolist()
-        epoch = len(history.epoch_loss)
+        if ref is None:
+            losses = [loss for log_probs in scored
+                      for loss in [_mean_nll(log_probs.tolist())] * len(log_probs)]
+        else:
+            bd = preference_loss(*(np.concatenate(column) for column in zip(*scored)))
+            losses = bd.loss.tolist()
         mean_loss = sum(losses) / len(losses)
         if not math.isfinite(mean_loss):
             raise TrainingError(f"non-finite loss {mean_loss} at epoch {epoch}")
@@ -313,7 +349,7 @@ def train(dataset, config: TrainConfig, init: TabularPolicy) -> TrainResult:
         history.epoch_loss.append(mean_loss)
         history.epoch_update_norm.append(update_norm)
         if ref is not None:
-            history.epoch_pref_accuracy.append(np.count_nonzero(r_w > r_l) / len(dataset))
-            history.epoch_mean_margin.append(sum(margin.tolist()) / len(dataset))
+            history.epoch_pref_accuracy.append(np.count_nonzero(bd.r_w > bd.r_l) / len(dataset))
+            history.epoch_mean_margin.append(sum(bd.margin.tolist()) / len(dataset))
 
     return TrainResult(policy=theta, history=history)

@@ -71,7 +71,7 @@ def norm(grad: dict) -> float:
 
 def pair_grad(theta, pair, bd) -> dict:
     """Gradient of one pair's preference loss, given its breakdown bd under theta."""
-    weight = float(pair_gradient(bd))
+    weight = float(pair_gradient(bd.r_w, bd.r_l, bd.beta_star))
     return logit_gradient(theta, [(pair.dut_id, pair.chosen), (pair.dut_id, pair.rejected)],
                           [weight, -weight])
 

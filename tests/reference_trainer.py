@@ -5,7 +5,8 @@ scored in one softmax pass of its own; each pair's gradient is a sparse
 dict summed pair by pair into the batch's, and applied row by row.  This is
 the loop ``train`` ran before it compiled datasets to index arrays, plus the
 two per-epoch preference diagnostics.  ``test_training.TestReferencePin``
-pins the batched trainer to it.
+pins the batched trainer to it.  ``unique_batches`` is the sort-based
+``TabularPolicy.batches`` that the counting one replaced.
 """
 
 import math
@@ -13,7 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from covstim.policy import _step_plan
+from covstim.policy import Steps, _step_plan
 from covstim.training import gap_range, normalize_gap
 
 
@@ -149,3 +150,26 @@ def reference_train(dataset, config, init) -> tuple[dict, dict]:
             history["epoch_pref_accuracy"].append(wins / len(dataset))
             history["epoch_mean_margin"].append(sum(margins) / len(dataset))
     return theta.table, history
+
+
+def unique_batches(policy, rows, targets, lens, counts) -> list:
+    """``TabularPolicy.batches`` as one ``np.unique`` of the (batch, row + 1) keys builds it.
+
+    Keys sort by batch, then row, so -1 (no row) sorts first in its batch;
+    the inverse less each batch's first key is a step's slot.
+    """
+    width = len(policy.theta)
+    counts = np.asarray(counts)
+    seq_batch = np.repeat(np.arange(len(counts)), counts)
+    batch = np.repeat(seq_batch, lens)
+    first = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(len(lens)) - first[seq_batch], lens)
+    keys, inverse = np.unique(batch * width + rows + 1, return_inverse=True)
+    bounds = np.arange(len(counts) + 1)
+    key_at = np.searchsorted(keys, bounds * width)
+    touched = keys % width - 1
+    slot = inverse - key_at[batch]
+    cell = slot * policy.vocab.size + targets
+    step_at = np.searchsorted(batch, bounds)
+    return [Steps(owner[s:e], int(counts[b]), touched[key_at[b]:key_at[b + 1]], slot[s:e],
+                  cell[s:e]) for b, (s, e) in enumerate(zip(step_at, step_at[1:]))]

@@ -11,7 +11,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from covstim import policy as policy_module
@@ -31,6 +31,7 @@ from covstim.policy import (
 
 from policy_helpers import adjust, context, logits, set_logits
 from reference_curation import reference_sample
+from reference_trainer import unique_batches
 
 VOCAB = Vocab(4)  # V = 18, 17 emittable tokens
 
@@ -800,6 +801,44 @@ class TestScoringCaches:
         assert after == step_by_step_log_prob(policy, "dut", seq)
         assert_same_grad(seq_grad(policy, "dut", seq), step_by_step_grad(policy, "dut", seq),
                          seq)
+
+
+@st.composite
+def batch_layouts(draw):
+    """(width, rows, targets, lens, counts) of mini-batches of step sequences.
+
+    Steps read rows -1 .. width - 2 of a (width x V) theta, -1 being the
+    zero row of a context without one; sequences take 1-4 steps, and each
+    batch 1-4 sequences, so the last batch may be short or the only one.
+    """
+    width = draw(st.integers(1, 12))
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    lens = draw(st.lists(st.integers(1, 4), min_size=sum(counts), max_size=sum(counts)))
+    rows = draw(st.lists(st.integers(-1, width - 2), min_size=sum(lens), max_size=sum(lens)))
+    targets = draw(st.lists(st.integers(0, VOCAB.size - 1), min_size=sum(lens),
+                            max_size=sum(lens)))
+    return width, rows, targets, lens, counts
+
+
+class TestBatches:
+    """``batches`` counts marks where it once sorted: it builds what ``np.unique`` did."""
+
+    @given(batch_layouts())
+    @example((1, [-1, -1], [3, 4], [1, 1], [2]))  # one batch; every step without a row
+    @example((4, [2, -1, 0, -1, 2], [1, 2, 3, 4, 5], [1, 2, 1, 1], [3, 1]))  # a short last batch
+    @example((3, [-1, 1, 0, 1], [0, 1, 2, 3], [1, 1, 1, 1], [1, 1, 1, 1]))  # one-step sequences
+    @settings(max_examples=300, deadline=None)
+    def test_equals_np_unique_form(self, layout):
+        width, rows, targets, lens, counts = layout
+        policy = TabularPolicy(VOCAB)
+        policy.theta = np.zeros((width, VOCAB.size))
+        args = [np.array(a, dtype=np.intp) for a in (rows, targets, lens)] + [counts]
+        got, expected = policy.batches(*args), unique_batches(policy, *args)
+        assert len(got) == len(expected) == len(counts)
+        for steps, want in zip(got, expected):
+            assert steps.n == want.n
+            for name in ("owner", "touched", "slot", "cell"):
+                assert np.array_equal(getattr(steps, name), getattr(want, name)), name
 
 
 class TestDenseTable:

@@ -464,7 +464,7 @@ def assert_range_holds(comp, expr, values):
     compiler's 64-bit range, and a truth the compiler decides is the oracle's."""
     lo, hi = comp.expr(expr, 64)[1:]
     assert 0 <= lo <= hi <= M64
-    truth = comp.decide(expr)
+    truth = comp.condition(expr)[1]
     for v in values:
         got = oracle_eval(expr, v)
         assert lo <= got <= hi, (expr, v)
@@ -536,18 +536,23 @@ class TestRanges:
         dut = parse(f"module m (input a[8], input b[8], output y[1]); assign y = {chain};"
                     f" if {chain} {{ assign y = 0; }} cover y {{ lo: 0..0 }} endmodule")
         assert lint(dut) == []
-        limit = 10 * 2 * (MAX_DEPTH - 1)  # 10 calls per operator
+        # One call per node: the store's 2 * (MAX_DEPTH - 1) + 1, the condition's
+        # operands' 2 * (MAX_DEPTH - 1), as its one walk emits it bare, and the
+        # constant that 'assign y = 0' stores.
+        walks = 4 * (MAX_DEPTH - 1) + 2
         calls = 0
         expr = sim._Compiler.expr
 
         def counted(self, e, d):
             nonlocal calls
             calls += 1
-            assert calls <= limit
+            assert calls <= walks
             return expr(self, e, d)
 
         monkeypatch.setattr(sim._Compiler, "expr", counted)
         source = cycle_source(dut)
+        assert calls == walks
+        monkeypatch.undo()
         assert len(conditional_lines(source)) == 1
         cycles = [{"a": a, "b": b} for a, b in ((0, 0), (1, 0), (0, 1), (1, 1), (200, 3))]
         report = simulate(dut, Stimulus(tuple(cycles)))

@@ -6,6 +6,7 @@ import sys
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from unittest.mock import patch
 
 import mpmath
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import covstim
 from covstim import policy as policy_module
+from covstim import training as training_module
 from covstim.codec import Vocab
 from covstim.policy import ReferencePolicy, Streams, TabularPolicy
 from covstim.training import (
@@ -187,17 +189,14 @@ class TestPairGradient:
         assert norm(grad) == 0.0
 
     def test_negative_beta_star_rejected(self):
-        bd = preference_loss(np.array([0.5]), np.array([0.0]), np.array([-0.1]))
         with pytest.raises(ValueError, match="beta_star must be >= 0"):
-            pair_gradient(bd)
+            pair_gradient(np.array([0.5]), np.array([0.0]), np.array([-0.1]))
 
     @pytest.mark.parametrize("beta_star", [math.nan, np.array([0.2, math.nan, 0.1])])
     def test_nan_beta_star_rejected(self, beta_star):
         n = np.size(beta_star)
-        bd = replace(preference_loss(np.full(n, 0.5), np.zeros(n), np.full(n, 0.2)),
-                     beta_star=beta_star)
         with pytest.raises(ValueError, match="beta_star must be >= 0"):
-            pair_gradient(bd)
+            pair_gradient(np.full(n, 0.5), np.zeros(n), beta_star)
 
     @pytest.mark.parametrize("beta_star", [0.0, 1e-3, 0.2, 1.0, 4.0])
     def test_weight_equals_closed_form(self, beta_star):
@@ -217,7 +216,7 @@ class TestPairGradient:
         bd = preference_loss(r_w, np.zeros_like(r_w), np.full_like(r_w, beta_star))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            weights = pair_gradient(bd)
+            weights = pair_gradient(bd.r_w, bd.r_l, bd.beta_star)
         tiny = mpmath.mpf(np.finfo(float).tiny)
         with mpmath.workdps(60):
             for margin, weight in zip(bd.margin.tolist(), weights.tolist()):
@@ -226,18 +225,17 @@ class TestPairGradient:
                 assert error <= 1e-15 * max(abs(exact), tiny), (margin, weight)
         # A batch weighs each pair exactly as a batch of one does.
         for i in range(0, len(r_w), 97):
-            one = preference_loss(float(r_w[i]), 0.0, beta_star)
-            assert pair_gradient(one) == weights[i]
+            assert pair_gradient(float(r_w[i]), 0.0, beta_star) == weights[i]
 
     def test_batch_equals_pair_by_pair(self):
         rng = np.random.default_rng(14)
         r_w, r_l, beta_star = rng.normal(0, 3, 8), rng.normal(0, 3, 8), rng.uniform(0, 1, 8)
         batch = preference_loss(r_w, r_l, beta_star)
-        weights = pair_gradient(batch)
+        weights = pair_gradient(r_w, r_l, beta_star)
         for i in range(8):
             one = preference_loss(float(r_w[i]), float(r_l[i]), float(beta_star[i]))
             assert (one.margin, one.loss) == (batch.margin[i], batch.loss[i])
-            assert pair_gradient(one) == weights[i]
+            assert pair_gradient(one.r_w, one.r_l, one.beta_star) == weights[i]
 
     def test_finite_differences(self):
         eps = 1e-4
@@ -532,9 +530,52 @@ class TestReferencePin:
         assert keys == set(expected.rows) != set(every.rows)
 
 
+class TestPassCap:
+    """PASS_KEYS bounds only the memory of a layout pass: at its minimum (a batch a pass),
+    at three batches a pass (passes that end inside epochs) and at 2**40 (one pass), every
+    checkpoint, history and error is the default's, byte for byte."""
+
+    @staticmethod
+    def caps(pairs, init, config):
+        """The default cap, then the patched ones, for config's len(theta)."""
+        width = len(train(pairs, replace(config, epochs=1, learning_rate=1.5), init).policy.theta)
+        return training_module.PASS_KEYS, 1, 3 * width, 2**40
+
+    # dataset_minmax gives pin_dataset's pairs 3 and 11 beta* = 0.
+    @pytest.mark.parametrize("mode, f_variant", [("SFT", "identity_clamp"),
+                                                 ("DPO", "identity_clamp"),
+                                                 ("CDDPO", "dataset_minmax")])
+    @pytest.mark.parametrize("batch_size", [1, 5, 23, 40])
+    def test_runs_do_not_depend_on_it(self, tmp_path, mode, f_variant, batch_size):
+        pairs, init = pin_dataset()  # 23 pairs: 7 epochs are no multiple of 3 batches
+        config = TrainConfig(mode=mode, beta=0.5, f_variant=f_variant, learning_rate=1.5,
+                             epochs=7, batch_size=batch_size, seed=3)
+        runs = []
+        for keys in self.caps(pairs, init, config):
+            with patch.object(training_module, "PASS_KEYS", keys):
+                result = train(pairs, config, init)
+            path = tmp_path / f"{len(runs)}.json"
+            result.policy.save(path)
+            runs.append((path.read_bytes(), json.dumps(result.history.to_dict())))
+        assert all(run == runs[0] for run in runs[1:])
+
+    def test_divergence_at_the_same_epoch(self):
+        # Epoch 4 of 5 batches each, which passes of three batches split.
+        pairs, init = pin_dataset()
+        config = TrainConfig(mode="SFT", learning_rate=1e154, epochs=7, batch_size=5, seed=3)
+        messages = []
+        for keys in self.caps(pairs, init, config):
+            with patch.object(training_module, "PASS_KEYS", keys):
+                with pytest.raises(TrainingError, match="diverged at epoch 4") as err:
+                    train(pairs, config, init)
+            messages.append(str(err.value))
+        assert len(set(messages)) == 1
+
+
 class TestEpochCompile:
-    """Each batch of a compiled epoch against ``theta.steps`` of the batch's items, and its
-    views of the epoch's one gather of reference log-probs and beta* against per-batch gathers."""
+    """Each batch that ``_Compiled.batches`` lays out in passes against ``theta.steps`` of the
+    batch's items, and its views of each pass's one gather of reference log-probs and beta*
+    against per-batch gathers."""
 
     @pytest.mark.parametrize("layout", ["SFT", "preference"])
     @pytest.mark.parametrize("batching", ["one", "divisor", "non_divisor", "larger"])
@@ -565,11 +606,20 @@ class TestEpochCompile:
             beta_star = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5]),
                                                     min_size=size, max_size=size)))
             compiled = _Compiled(pairs, theta, ReferencePolicy(init), beta_star)
-        order = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(size)
-        batches = compiled.epoch(order, batch_size)
-        assert len(batches) == -(-size // batch_size)
-        for b, (steps, ref_log_probs, batch_beta) in enumerate(batches):
-            batch = order[b * batch_size:(b + 1) * batch_size]
+        epochs = data.draw(st.integers(1, 4), label="epochs")
+        # A pass of one batch, of a few batches that may end inside an epoch, or of all of them.
+        per_pass = data.draw(st.sampled_from([1, 2, 3, 5, 2**40]), label="batches per pass")
+        pass_keys = min(per_pass * len(theta.theta), 2**40)
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        with patch.object(training_module, "PASS_KEYS", pass_keys):
+            batches = list(compiled.batches(np.random.default_rng(seed), epochs, batch_size))
+        twin = np.random.default_rng(seed)  # one permutation per epoch, drawn in order
+        orders = [twin.permutation(size) for _ in range(epochs)]
+        per_epoch = -(-size // batch_size)
+        assert len(batches) == epochs * per_epoch
+        for g, (steps, ref_log_probs, batch_beta) in enumerate(batches):
+            b = g % per_epoch
+            batch = orders[g // per_epoch][b * batch_size:(b + 1) * batch_size]
             items = [pairs[i] for i in batch]
             seqs = [(p.dut_id, p.chosen) for p in items]
             if layout != "SFT":
@@ -588,8 +638,13 @@ class TestEpochCompile:
             seq_ids = compiled.seqs[:, batch].ravel()
             assert np.array_equal(ref_log_probs, compiled.ref_log_probs[seq_ids])
             assert np.array_equal(batch_beta, beta_star[batch])
-            assert ref_log_probs.base is batches[0][1].base is not None
-            assert batch_beta.base is batches[0][2].base is not None
+            # The batches of a pass view its one gather of each.
+            first = batches[g - g % min(per_pass, len(batches))]
+            assert ref_log_probs.base is first[1].base is not None
+            assert batch_beta.base is first[2].base is not None
+        if layout != "SFT":
+            bases = {id(ref_log_probs.base) for _, ref_log_probs, _ in batches}
+            assert len(bases) == -(-len(batches) // per_pass)
 
 
 class TestTrainDiagnostics:
