@@ -7,14 +7,14 @@ normalization f of the coverage-score gap s_p - s_np, so pairs with a
 clearer coverage difference drive larger updates.
 
 ``train`` compiles its dataset once (``_Compiled``), then lays out its
-mini-batches in passes of consecutive batches that run across epoch
-boundaries (``_Compiled.batches``): a pass puts its shuffled sequence ids in
-mini-batch order with one gather, takes their reference log-probs and the
-items' beta* with one gather each, and builds the ``Steps`` of every batch
-with one ``TabularPolicy.batches`` call.  A mini-batch then reads views of
-those arrays and does only what its update needs: its loss gives each
-sequence a weight, d loss / d log pi(seq), and its update is built per
-touched row from those weights and the rows' softmax
+mini-batches one epoch at a time (``_Compiled.batches``): an epoch draws its
+shuffle, puts its sequence ids in mini-batch order with one gather, takes
+their reference log-probs and the items' beta* with one gather each, and
+builds the ``Steps`` of its batches with ``TabularPolicy.batches``, in
+passes of consecutive batches that stay within the epoch.  A mini-batch
+then reads views of those arrays and does only what its update needs: its
+loss gives each sequence a weight, d loss / d log pi(seq), and its update is
+built per touched row from those weights and the rows' softmax
 (``TabularPolicy.apply_update``), with no per-step gradient.  The losses and
 margins the history records are taken once per epoch, elementwise over its
 pairs.  The one-pair functions below are batch-of-one calls of the same
@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import islice
 
 import numpy as np
 
@@ -36,7 +35,8 @@ MODES = ("SFT", "DPO", "CDDPO")
 F_VARIANTS = ("identity_clamp", "dataset_minmax")
 # The most (mini-batch x theta row) keys that one pass of ``_Compiled.batches``
 # lays out: ``TabularPolicy.batches`` marks each in one array.  No output
-# depends on it; it bounds a pass's memory, and a pass holds at least one batch.
+# depends on it; it bounds a pass's memory.  A pass holds at least one batch
+# and at most one epoch's.
 PASS_KEYS = 1 << 14
 
 
@@ -229,63 +229,54 @@ class _Compiled:
             [ref.log_prob(dut_id, seq)[0] for dut_id, seq in items])
 
     def batches(self, rng, epochs: int, batch_size: int):
-        """Yield (steps, ref_log_probs, beta_star) of each mini-batch of ``epochs`` epochs.
+        """Yield, for each of ``epochs`` epochs, an iterator of its mini-batches'
+        (steps, ref_log_probs, beta_star).
 
-        Each epoch shuffles the items with one ``rng.permutation``, and its
-        batch b holds the items ``order[b * batch_size:(b + 1) * batch_size]``;
-        a batch's sequences are their chosen ones, then, for preference
-        data, their rejected ones, and a repeated sequence is scored again.
-        steps equals ``theta.steps`` of those sequences; ref_log_probs and
-        beta_star are their reference log-probs and the items' beta*, both
-        None for SFT.
+        Each epoch shuffles the items with one ``rng.permutation``, drawn when
+        the epoch is yielded, and its batch b holds the items
+        ``order[b * batch_size:(b + 1) * batch_size]``; a batch's sequences
+        are their chosen ones, then, for preference data, their rejected
+        ones, and a repeated sequence is scored again.  steps equals
+        ``theta.steps`` of those sequences; ref_log_probs and beta_star are
+        their reference log-probs and the items' beta*, both None for SFT.
 
-        Consecutive batches are laid out together in passes that run across
-        epoch boundaries, each of at most PASS_KEYS // len(theta.theta)
-        batches and at least one.  A pass draws the permutation of each epoch
-        it reaches first, so every epoch's is that of one ``rng.permutation``
-        per epoch in order.  Its sequence ids, in batch order, are one gather
-        through one epoch's layout of halves and items, its steps one
-        ``theta.batches`` call, and each batch's ref_log_probs and beta_star
-        are views of one gather per pass, cut at the batch's start.
+        An epoch puts its sequence ids in batch order with one gather through
+        the layout of halves and items, and takes their reference log-probs
+        and the items' beta* with one gather each, which each batch views at
+        its start.  Its steps are built in passes of at most
+        PASS_KEYS // len(theta.theta) batches and at least one, one gather
+        and one ``theta.batches`` call each; a pass never leaves its epoch.
         """
         h, n = self.seqs.shape
         size = min(batch_size, n)  # a larger one makes the same one batch of every item
-        start = list(range(0, n, size)) + [n]  # each batch's first item in its epoch, then n
-        counts = [h * (b - a) for a, b in zip(start, start[1:])]  # each batch's sequences
-        per_epoch, total = len(counts), epochs * len(counts)
+        start = list(range(0, n, size)) + [n]  # each batch's first item, then n
         per_pass = max(1, PASS_KEYS // len(self.theta.theta))
-        # Place j of an epoch's batch order holds half place[j] // n of its item place[j] % n:
-        # a reshape puts the full batches' halves in order, and the short last batch's follow.
+        # Place j of the batch order holds half half[j] of item order[item[j]]: a reshape
+        # puts the full batches' halves in order, and the short last batch's follow.
         full, grid = n - n % size, np.arange(h * n).reshape(h, n)
         half, item = np.divmod(np.concatenate(
             [grid[:, :full].reshape(h, -1, size).swapaxes(0, 1), grid[:, full:]], axis=None), n)
-        order, first = np.zeros(0, dtype=np.intp), 0  # the permutations from epoch first on
-        for g0 in range(0, total, per_pass):
-            g1 = min(g0 + per_pass, total)
-            e0, e1 = g0 // per_epoch, -(-g1 // per_epoch)
-            # Keep the permutations from epoch e0 on, and draw those up to epoch e1.
-            order, first = order[(e0 - first) * n:], e0
-            if drawn := [rng.permutation(n) for _ in range(e0 + len(order) // n, e1)]:
-                order = np.concatenate([order, *drawn])
-            # The pass's items are order[a0:a1], and its sequences places h * a0 .. h * a1
-            # of the batch orders of epochs e0, e0 + 1, ... run end to end.
-            a0 = start[g0 % per_epoch]
-            a1 = (g1 // per_epoch - e0) * n + start[g1 % per_epoch]
-            epoch, place = np.divmod(np.arange(h * a0, h * a1), h * n)
-            flat = self.seqs[half[place], order[epoch * n + item[place]]]
-            lens = self.lens[flat]
-            ends = np.cumsum(lens)
-            idx = np.arange(ends[-1]) + np.repeat(self.starts[flat] - ends + lens, lens)
-            steps = self.theta.batches(self.rows[idx], self.targets[idx], lens,
-                                       [counts[g % per_epoch] for g in range(g0, g1)])
-            if self.ref_log_probs is None:
-                yield from ((s, None, None) for s in steps)
-                continue
-            ref, beta_star = self.ref_log_probs[flat], self.beta_star[order[a0:a1]]
-            a = 0
-            for s in steps:
-                yield s, ref[2 * a:2 * a + s.n], beta_star[a:a + s.n // 2]
-                a += s.n // 2
+
+        def epoch(order):
+            flat = self.seqs[half, order[item]]
+            if self.ref_log_probs is not None:
+                ref, beta_star = self.ref_log_probs[flat], self.beta_star[order]
+            for p in range(0, len(start) - 1, per_pass):
+                bounds = start[p:p + per_pass + 1]  # the pass's batches' first items, then its end
+                ids = flat[h * bounds[0]:h * bounds[-1]]
+                lens = self.lens[ids]
+                ends = np.cumsum(lens)
+                idx = np.arange(ends[-1]) + np.repeat(self.starts[ids] - ends + lens, lens)
+                steps = self.theta.batches(self.rows[idx], self.targets[idx], lens,
+                                           [h * (b - a) for a, b in zip(bounds, bounds[1:])])
+                if self.ref_log_probs is None:
+                    yield from ((s, None, None) for s in steps)
+                else:
+                    yield from ((s, ref[h * a:h * b], beta_star[a:b])
+                                for s, a, b in zip(steps, bounds, bounds[1:]))
+
+        for _ in range(epochs):
+            yield epoch(rng.permutation(n))
 
 
 def train(dataset, config: TrainConfig, init: TabularPolicy) -> TrainResult:
@@ -313,36 +304,36 @@ def train(dataset, config: TrainConfig, init: TabularPolicy) -> TrainResult:
                                                               bounds) for p in dataset])
     data = _Compiled(dataset, theta, ref, beta_star)
 
-    batches = data.batches(np.random.default_rng(config.seed), config.epochs, config.batch_size)
-    per_epoch = -(-len(dataset) // config.batch_size)
+    epochs = data.batches(np.random.default_rng(config.seed), config.epochs, config.batch_size)
     history = TrainHistory(config=config.to_dict())
-    for epoch in range(config.epochs):
+    for epoch, batches in enumerate(epochs):
         epoch_start = theta.theta.copy()
         scored = []  # each batch's log-probs (SFT), or its (r_w, r_l, beta*)
-        for steps, ref_log_probs, batch_beta in islice(batches, per_epoch):
-            log_probs, probs = theta.grad_log_prob(steps)
+        # An overflow or NaN is raised below as a non-finite loss or as divergence.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for steps, ref_log_probs, batch_beta in batches:
+                log_probs, probs = theta.grad_log_prob(steps)
+                if ref is None:
+                    scored.append(log_probs)
+                    step_weights = np.full(len(steps.owner), -1.0 / steps.n)
+                else:
+                    n = len(batch_beta)
+                    rewards = implicit_reward(log_probs, ref_log_probs)
+                    terms = rewards[:n], rewards[n:], batch_beta
+                    scored.append(terms)
+                    weights = (1.0 / n) * pair_gradient(*terms)
+                    step_weights = np.concatenate([weights, -weights])[steps.owner]
+                theta.apply_update(steps, probs, step_weights, -config.learning_rate)
             if ref is None:
-                scored.append(log_probs)
-                step_weights = np.full(len(steps.owner), -1.0 / steps.n)
+                losses = [loss for log_probs in scored
+                          for loss in [_mean_nll(log_probs.tolist())] * len(log_probs)]
             else:
-                n = len(batch_beta)
-                rewards = implicit_reward(log_probs, ref_log_probs)
-                terms = rewards[:n], rewards[n:], batch_beta
-                scored.append(terms)
-                weights = (1.0 / n) * pair_gradient(*terms)
-                step_weights = np.concatenate([weights, -weights])[steps.owner]
-            theta.apply_update(steps, probs, step_weights, -config.learning_rate)
-        if ref is None:
-            losses = [loss for log_probs in scored
-                      for loss in [_mean_nll(log_probs.tolist())] * len(log_probs)]
-        else:
-            bd = preference_loss(*(np.concatenate(column) for column in zip(*scored)))
-            losses = bd.loss.tolist()
+                bd = preference_loss(*(np.concatenate(column) for column in zip(*scored)))
+                losses = bd.loss.tolist()
+            update_norm = math.sqrt(float(np.square(theta.theta - epoch_start).sum()))
         mean_loss = sum(losses) / len(losses)
         if not math.isfinite(mean_loss):
             raise TrainingError(f"non-finite loss {mean_loss} at epoch {epoch}")
-        with np.errstate(over="ignore"):  # an overflow is raised below as divergence
-            update_norm = math.sqrt(float(np.square(theta.theta - epoch_start).sum()))
         if not (math.isfinite(update_norm) and np.isfinite(theta.theta).all()):
             raise TrainingError(f"training diverged at epoch {epoch}: update norm {update_norm}, "
                                 f"largest |logit| {float(np.abs(theta.theta).max())}")

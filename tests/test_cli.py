@@ -687,6 +687,31 @@ class TestPipelineCommands:
         assert re.fullmatch(rf"error: dataset line 3: field {field} is [0-9.e-]+, but its "
                             rf"sequence scores [0-9.]+\n", err), err
 
+    # beta* (r_w - r_l) overflows; the logits pass 1e299 in one step; and, on the shipped
+    # curation's pairs, a DPO step of 1e308 makes logits of inf, and softmax takes inf - inf.
+    @pytest.mark.parametrize("commands, pairs_per_dut, train, message", [
+        ([["demo"]], 60, {"beta": 1e300}, "non-finite loss inf at epoch 0"),
+        ([["demo"]], 60, {"learning_rate": 1e300, "batch_size": 1},
+         "training diverged at epoch 0"),
+        ([["curate"], ["train", "--mode", "DPO"]], 400,
+         {"mode": "DPO", "learning_rate": 1e308, "batch_size": 1},
+         "non-finite loss nan at epoch 0"),
+    ], ids=["beta", "learning_rate", "dpo_step"])
+    def test_diverging_run_warns_nothing(self, tmp_path, capsys, commands, pairs_per_dut, train,
+                                         message):
+        curation = {"pairs_per_dut": pairs_per_dut, "teacher": "novelty", "seed": 42}
+        base = {"mode": "CDDPO", "epochs": 4, "batch_size": 16, "seed": 42, "learning_rate": 2.0}
+        config, report_dir = small_config(tmp_path, curation=curation, train={**base, **train})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            codes = [main([*command, "--config", config]) for command in commands]
+        out, err = capsys.readouterr()
+        assert codes[-1] == 1 and all(code == 0 for code in codes[:-1])
+        assert [str(w.message) for w in caught] == []
+        assert "Warning" not in out + err and "Traceback" not in out + err
+        assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1, err
+        assert not list(report_dir.glob("*.ckpt.json"))
+
     @pytest.mark.parametrize("source", ["readme", "benchmark", "empty"])
     def test_one_set_of_defaults(self, tmp_path, monkeypatch, source):
         # The README's example and the benchmark's demo config spell out the

@@ -571,10 +571,54 @@ class TestPassCap:
             messages.append(str(err.value))
         assert len(set(messages)) == 1
 
+    @pytest.mark.parametrize("layout", ["SFT", "preference"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bounds_each_pass(self, layout, data):
+        """Each ``theta.batches`` call lays out at most max(1, PASS_KEYS // len(theta))
+        batches, all of the epoch being handed over, and epoch e's batches come after exactly
+        e + 1 permutations."""
+        pool, init = pin_dataset()
+        size = data.draw(st.integers(1, 30), label="N")
+        pairs = [pool[i] for i in data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                                     min_size=size, max_size=size))]
+        batch_size = data.draw(st.integers(1, size + 3), label="batch_size")
+        epochs = data.draw(st.integers(1, 4), label="epochs")
+        theta = init.copy()
+        if layout == "SFT":
+            compiled = _Compiled(pairs, theta, None, None)
+        else:
+            compiled = _Compiled(pairs, theta, ReferencePolicy(init), np.full(size, 0.5))
+        width, per_epoch = len(theta.theta), -(-size // batch_size)
+        # From no key at all (a batch a pass) to more than an epoch's keys.
+        keys = data.draw(st.integers(0, (per_epoch + 2) * width), label="PASS_KEYS")
+        cap = max(1, keys // width)
+        calls = []  # (the epoch handed over, the steps one call laid out)
+        original = TabularPolicy.batches
+
+        def spy(policy, rows, targets, lens, counts):
+            steps = original(policy, rows, targets, lens, counts)
+            calls.append((epoch, steps))
+            return steps
+
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        with patch.object(training_module, "PASS_KEYS", keys), \
+                patch.object(TabularPolicy, "batches", spy):
+            for epoch, batches in enumerate(compiled.batches(rng, epochs, batch_size)):
+                twin.permutation(size)
+                assert rng.bit_generator.state == twin.bit_generator.state
+                handed = [id(steps) for steps, _, _ in batches]
+                laid_out = [id(steps) for e, call in calls if e == epoch for steps in call]
+                assert handed == laid_out and len(handed) == per_epoch
+                assert rng.bit_generator.state == twin.bit_generator.state
+        assert epoch == epochs - 1
+        assert all(1 <= len(call) <= cap for _, call in calls)
+
 
 class TestEpochCompile:
     """Each batch that ``_Compiled.batches`` lays out in passes against ``theta.steps`` of the
-    batch's items, and its views of each pass's one gather of reference log-probs and beta*
+    batch's items, and its views of its epoch's one gather of reference log-probs and beta*
     against per-batch gathers."""
 
     @pytest.mark.parametrize("layout", ["SFT", "preference"])
@@ -607,12 +651,13 @@ class TestEpochCompile:
                                                     min_size=size, max_size=size)))
             compiled = _Compiled(pairs, theta, ReferencePolicy(init), beta_star)
         epochs = data.draw(st.integers(1, 4), label="epochs")
-        # A pass of one batch, of a few batches that may end inside an epoch, or of all of them.
+        # A pass of one batch, of a few batches that may end inside an epoch, or of an epoch.
         per_pass = data.draw(st.sampled_from([1, 2, 3, 5, 2**40]), label="batches per pass")
         pass_keys = min(per_pass * len(theta.theta), 2**40)
         seed = data.draw(st.integers(0, 2**32 - 1))
         with patch.object(training_module, "PASS_KEYS", pass_keys):
-            batches = list(compiled.batches(np.random.default_rng(seed), epochs, batch_size))
+            batches = [batch for epoch in compiled.batches(np.random.default_rng(seed), epochs,
+                                                           batch_size) for batch in epoch]
         twin = np.random.default_rng(seed)  # one permutation per epoch, drawn in order
         orders = [twin.permutation(size) for _ in range(epochs)]
         per_epoch = -(-size // batch_size)
@@ -638,13 +683,13 @@ class TestEpochCompile:
             seq_ids = compiled.seqs[:, batch].ravel()
             assert np.array_equal(ref_log_probs, compiled.ref_log_probs[seq_ids])
             assert np.array_equal(batch_beta, beta_star[batch])
-            # The batches of a pass view its one gather of each.
-            first = batches[g - g % min(per_pass, len(batches))]
+            # The batches of an epoch view its one gather of each.
+            first = batches[g - b]
             assert ref_log_probs.base is first[1].base is not None
             assert batch_beta.base is first[2].base is not None
         if layout != "SFT":
             bases = {id(ref_log_probs.base) for _, ref_log_probs, _ in batches}
-            assert len(bases) == -(-len(batches) // per_pass)
+            assert len(bases) == epochs
 
 
 class TestTrainDiagnostics:
