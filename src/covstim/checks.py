@@ -6,11 +6,11 @@ import sys
 
 
 def parse_json(text: str, source) -> object:
-    """``json.loads`` of text read from source; every malformed text raises ValueError,
-    nesting too deep for the decoder (its RecursionError) with source named."""
+    """``json.loads`` of text read from source; a malformed text (json's JSONDecodeError)
+    and nesting too deep for the decoder (its RecursionError) raise ValueError naming source."""
     try:
         return json.loads(text)
-    except RecursionError as err:
+    except (RecursionError, json.JSONDecodeError) as err:
         raise ValueError(f"{err} in {source}") from None
 
 

@@ -8,13 +8,21 @@ None for each candidate found on the array not to decode.  An invalid
 candidate carries no coverage detail; the higher-scoring candidate becomes
 the chosen sample.  Pairs where both candidates are invalid, or where
 scores tie, are dropped.
+
+Work goes to the pairs that can be kept.  A tau2 candidate whose tau1 one
+cannot decode is cut at its first value too wide for the design
+(``sample_indexed``'s limit), since its pair is lost unless it decodes.
+Each kept pair is written as one line built from parts encoded once per
+design or per call (``_line_writer``), byte for byte ``json.dumps`` of its
+record.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
-from typing import Optional, Union
+from dataclasses import asdict, dataclass, field
+from json.encoder import encode_basestring_ascii as _str
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -23,7 +31,7 @@ from .checks import (JSON_SCALARS, check_int, check_positive, check_str, is_fini
 from .codec import CodecError, Vocab, check_well_formed, simulate_block, value_limit
 from .hdl import DutModel, pretty_print
 from .policy import TabularPolicy, TokenBlock, sample_indexed, sample_tokens
-from .sim import CoverageReport, compiled
+from .sim import METRICS, CoverageReport, compiled
 from .training import PreferencePair
 
 DATASET_VERSION = "pairanet_mini/1"
@@ -74,8 +82,8 @@ class NoveltyTeacher:
         self.vocab = vocab
         self.t_max = t_max
 
-    def sample(self, dut_id, tau: float, streams) -> TokenBlock:
-        """Draw one sequence per row of streams with ``sample_tokens``.
+    def sample(self, dut_id, tau: float, streams, bound=None) -> TokenBlock:
+        """Draw one sequence per row of streams, each cut at its bound, with ``sample_tokens``.
 
         Each row's logits are kept from step to step with its count of
         distinct values: a step penalises the value each running row drew
@@ -95,7 +103,7 @@ class NoveltyTeacher:
                 z[fresh[distinct[fresh] == self.MIN_VALUES], eos] = 0.0
             return z.take(running, axis=0)
 
-        return sample_tokens(self.vocab, self.t_max, tau, streams, next_logits)
+        return sample_tokens(self.vocab, self.t_max, tau, streams, next_logits, bound)
 
 
 def make_teacher(config: CurationConfig):
@@ -106,8 +114,9 @@ def make_teacher(config: CurationConfig):
     return TabularPolicy.load(config.teacher, config)
 
 
-@dataclass(frozen=True)
-class PairRecord:
+class PairRecord(NamedTuple):
+    """A kept pair: its dataset record's fields after ``version``, in the line's order."""
+
     id: str
     dut: str
     prompt: str
@@ -118,16 +127,6 @@ class PairRecord:
     chosen_cov: dict
     meta: dict
     rejected_cov: Optional[dict]  # absent (None) when the rejected candidate was invalid
-
-    def to_json_dict(self) -> dict:
-        # Shallow, in field order: asdict's deep copy of every record is waste.
-        doc = {"version": DATASET_VERSION, **{name: getattr(self, name) for name in _PAIR_FIELDS}}
-        if self.rejected_cov is None:
-            del doc["rejected_cov"]
-        return doc
-
-
-_PAIR_FIELDS = tuple(f.name for f in fields(PairRecord))
 
 
 @dataclass(frozen=True)
@@ -145,7 +144,12 @@ def _score(report: Optional[CoverageReport]) -> float:
 
 
 def _cov_counts(report: CoverageReport) -> dict:
-    return {name: [m.covered, m.total] for name, m in report.metrics().items()}
+    return {name: [(m := getattr(report, name)).covered, m.total] for name in METRICS}
+
+
+def _meta(config: CurationConfig, temp_chosen: float, temp_rejected: float) -> dict:
+    return {"temp_chosen": temp_chosen, "temp_rejected": temp_rejected,
+            "seed": config.seed, "teacher": config.teacher}
 
 
 def make_pair(dut: DutModel, a, b, config: CurationConfig, pair_id: str,
@@ -174,9 +178,36 @@ def make_pair(dut: DutModel, a, b, config: CurationConfig, pair_id: str,
         id=pair_id, dut=dut.name, prompt=prompt, chosen=tuple(chosen), rejected=tuple(rejected),
         chosen_score=chosen_report.average, rejected_score=_score(rejected_report),
         chosen_cov=_cov_counts(chosen_report),
-        rejected_cov=None if rejected_report is None else _cov_counts(rejected_report),
-        meta={"temp_chosen": temp_chosen, "temp_rejected": temp_rejected,
-              "seed": config.seed, "teacher": config.teacher})
+        meta=_meta(config, temp_chosen, temp_rejected),
+        rejected_cov=None if rejected_report is None else _cov_counts(rejected_report))
+
+
+# A coverage-count object as json.dumps writes it, with a %s for each [covered, total] list.
+_COV = "{" + ", ".join(f'"{name}": %s' for name in METRICS) + "}"
+
+
+def _line_writer(dut: DutModel, prompt: str, metas: dict):
+    """The function from each of dut's kept pairs to its line: ``json.dumps`` of the
+    record, ``version`` first and ``rejected_cov`` left out when None, then a newline.
+
+    The version, dut and prompt are encoded once here, and metas holds the
+    encoded meta of each chosen temperature.  Per pair only the variable
+    parts are formatted, each as json writes it: the id through json's
+    ASCII string encoder, the tokens and counts as ints and the scores by
+    ``float.__repr__``.
+    """
+    head = f'{{"version": {_str(DATASET_VERSION)}, "id": '
+    shared = f', "dut": {_str(dut.name)}, "prompt": {_str(prompt)}, "chosen": '
+
+    def line(r: PairRecord) -> str:
+        tail = "}\n" if r.rejected_cov is None else (
+            f', "rejected_cov": {_COV % tuple(r.rejected_cov.values())}}}\n')
+        return (f'{head}{_str(r.id)}{shared}{list(r.chosen)}, "rejected": {list(r.rejected)}, '
+                f'"chosen_score": {float.__repr__(r.chosen_score)}, '
+                f'"rejected_score": {float.__repr__(r.rejected_score)}, '
+                f'"chosen_cov": {_COV % tuple(r.chosen_cov.values())}, '
+                f'"meta": {metas[r.meta["temp_chosen"]]}{tail}')
+    return line
 
 
 @dataclass
@@ -200,19 +231,29 @@ def curate(corpus, config: CurationConfig, out_path) -> CurationStats:
     renamed in a ``corpus_dir`` re-draws the pairs of every design sorted
     after it.  A design that does not lint clean raises ``sim.compiled``'s
     ValueError before anything is written.
+
+    A tau2 sequence whose tau1 one cannot decode is cut at its first value
+    that could not decode either (``sample_indexed``'s limit): its pair is
+    dropped as both invalid, which it would be uncut.  Each kept pair is
+    written as one line that ``_line_writer`` formats.
     """
     for dut in corpus:
         compiled(dut)
     teacher = make_teacher(config)
     vocab = Vocab(config.wmax)
     stats = CurationStats()
+    taus = config.tau1, config.tau2
+    metas = {tau: json.dumps(_meta(config, tau, other)) for tau, other in (taus, taus[::-1])}
 
     with open(out_path, "w", encoding="utf-8") as fh:
         for dut_i, dut in enumerate(corpus):
             prompt = pretty_print(dut)
+            line = _line_writer(dut, prompt, metas)
+            limit = value_limit(dut, vocab)
             blocks = sample_indexed(teacher, dut.name, [config.seed, dut_i],
-                                    config.pairs_per_dut, (config.tau1, config.tau2))
-            pairs = (pair for block in blocks for pair in _candidates(dut, block, vocab, config))
+                                    config.pairs_per_dut, taus, limit)
+            pairs = (pair for block in blocks
+                     for pair in _candidates(dut, block, vocab, config, limit))
             for pair_i, (a, b) in enumerate(pairs):
                 result = make_pair(dut, a, b, config, f"{dut.name}:{pair_i}", prompt)
                 stats.attempted += 1
@@ -225,19 +266,19 @@ def curate(corpus, config: CurationConfig, out_path) -> CurationStats:
                 stats.kept += 1
                 gap = result.chosen_score - result.rejected_score
                 stats.gap_histogram[min(int(gap * 10), 9)] += 1
-                fh.write(json.dumps(result.to_json_dict()) + "\n")
+                fh.write(line(result))
     return stats
 
 
-def _candidates(dut: DutModel, block: list[TokenBlock], vocab: Vocab, config: CurationConfig):
+def _candidates(dut: DutModel, block: list[TokenBlock], vocab: Vocab, config: CurationConfig,
+                limit: int):
     """Each pair of one sampled block as its two (sequence, report) candidates, tau1's first.
 
     Only the rows of a pair with a row that can decode, found on the
-    temperatures' token arrays, become lists, and each other row is None
-    (see ``simulate_block`` for None entries).  Each temperature's rows go
-    to one ``simulate_block`` call.
+    temperatures' token arrays under dut's ``value_limit``, become lists,
+    and each other row is None (see ``simulate_block`` for None entries).
+    Each temperature's rows go to one ``simulate_block`` call.
     """
-    limit = value_limit(dut, vocab)
     either = np.logical_or.reduce([seqs.decodable(limit) for seqs in block])
     candidates = []
     for seqs in block:

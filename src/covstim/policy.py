@@ -218,7 +218,10 @@ class TokenBlock:
 
     ``sample_tokens`` returns one, so curation scores a block without a
     Python list per row; every position past a sequence's end holds EOS.
-    Iterating it, or ``tolist()``, gives each sequence as a list of ints.
+    A row that ``sample_tokens`` cut at its bound has length 0: it is the
+    empty sequence, which never decodes, though the array keeps the tokens
+    it drew.  Iterating it, or ``tolist()``, gives each sequence as a list
+    of ints.
     """
 
     __slots__ = ("tokens", "lengths")
@@ -251,30 +254,48 @@ class TokenBlock:
         vocabulary's ``n_values`` (``codec.value_limit``), these are exactly
         the sequences that can decode: each is BOS, at most t_max values,
         EOS, and each position past its values holds EOS, which is >= limit.
+        A cut row, of length 0, is never decodable.
         """
         values = self.tokens[:, 1:-1]
         return (self.lengths > 2) & (np.count_nonzero(values < limit, axis=1) == self.lengths - 2)
 
 
-def sample_indexed(sampler, dut_id, prefix, n: int, taus):
+def sample_indexed(sampler, dut_id, prefix, n: int, taus, limit=None):
     """Yield indices 0..n-1 a block at a time: per tau in taus, its block's sequences.
 
     A block is the next STREAM_BLOCK indices (fewer in the last one), and
     its yield is a list with one ``TokenBlock`` per tau, in index order.
-    Index i's sequences are ``sampler.sample(dut_id, tau, streams)`` drawn
-    in taus order from one stream, the ``random()`` draws of
+    Index i's sequences are ``sampler.sample(dut_id, tau, streams, bound)``
+    drawn in taus order from one stream, the ``random()`` draws of
     ``default_rng([*prefix, i])``: each starts where the one before stopped.
     Each block's indices share one ``Streams`` with a budget of
     ``sampler.t_max`` draws per tau, so no sequence depends on the block size.
+
+    Given a limit (curation's ``codec.value_limit``), an index whose
+    sequences at every earlier tau are undecodable (``TokenBlock.decodable``)
+    samples its last-tau sequence with the bound limit: it is cut at a
+    value that could not decode either (see ``sample_tokens``).  Every other
+    sequence has the bound EOS.  Only the last tau is cut, since where an
+    earlier sequence stops fixes where the next one starts in its stream.
     """
+    *first, last = taus
     for start in range(0, n, STREAM_BLOCK):
         streams = Streams(prefix, range(start, min(start + STREAM_BLOCK, n)),
                           sampler.t_max * len(taus))
-        yield [sampler.sample(dut_id, tau, streams) for tau in taus]
+        block = [sampler.sample(dut_id, tau, streams) for tau in first]
+        bound = None
+        if limit is not None:
+            lost = np.ones(len(streams), dtype=bool)
+            for seqs in block:
+                lost &= ~seqs.decodable(limit)
+            bound = np.where(lost, limit, sampler.vocab.eos)
+        block.append(sampler.sample(dut_id, last, streams, bound))
+        yield block
 
 
-def sample_tokens(vocab: Vocab, t_max: int, tau: float, streams, next_logits) -> TokenBlock:
-    """Draw one well-formed token sequence per row of streams, all in lockstep.
+def sample_tokens(vocab: Vocab, t_max: int, tau: float, streams, next_logits,
+                  bound=None) -> TokenBlock:
+    """Draw one token sequence per row of streams, all in lockstep.
 
     Sequence i draws one uniform per drawn token from row i of streams, a
     ``Streams`` (see ``sample_indexed``): at most ``t_max`` per call.  From
@@ -286,18 +307,25 @@ def sample_tokens(vocab: Vocab, t_max: int, tau: float, streams, next_logits) ->
     to step, so a sampler may keep per-row state; it must not write to
     tokens.  Each running row's next token is drawn with ``draw_tokens``
     from ``masked_softmax`` of its logits / tau: the row max runs down the
-    columns, the row sums along the rows (see ``_masked_exp``).  A
-    sequence ends at a drawn EOS, or after the ``t_max``-th value token,
-    where EOS is appended without a draw.  A row whose softmax is NaN
-    because a logit / tau overflowed raises one ValueError naming tau,
-    before that step draws from any row.  Returns that token array, every
-    column past a row's end EOS, as a ``TokenBlock``.
+    columns, the row sums along the rows (see ``_masked_exp``).  A row
+    whose softmax is NaN because a logit / tau overflowed raises one
+    ValueError naming tau, before that step draws from any row.
+
+    bound holds a token per row, EOS for each if None: a row ends at the
+    first drawn token at or above its bound, or after the ``t_max``-th
+    value token, where EOS is appended without a draw.  A row that ends on
+    a drawn EOS, or on the appended one, is a well-formed sequence.  A row
+    that ends on any other token is cut: its length is 0, though its
+    tokens up to the one that cut it stay in the array.  Returns that token
+    array, every column past a row's last drawn token EOS, as a ``TokenBlock``.
     """
     if not tau > 0:  # also refuses NaN
         raise ValueError(f"temperature must be > 0, got {tau}")
-    tokens = np.full((len(streams), t_max + 2), vocab.eos, dtype=np.intp)
+    eos = vocab.eos
+    tokens = np.full((len(streams), t_max + 2), eos, dtype=np.intp)
     tokens[:, 0] = vocab.bos
     lengths = np.full(len(streams), t_max + 2)
+    bound = np.full(len(streams), eos) if bound is None else np.asarray(bound)
     running = np.arange(len(streams))
     for j in range(1, t_max + 1):
         if not len(running):
@@ -310,8 +338,8 @@ def sample_tokens(vocab: Vocab, t_max: int, tau: float, streams, next_logits) ->
                              f"divided by it is not a finite number")
         drawn = draw_tokens(probs, streams.next(running))
         tokens[running, j] = drawn
-        ended = drawn == vocab.eos
-        lengths[running[ended]] = j + 1
+        ended = drawn >= bound[running]
+        lengths[running[ended]] = np.where(drawn[ended] == eos, j + 1, 0)
         running = running[~ended]
     return TokenBlock(tokens, lengths)
 
@@ -424,8 +452,9 @@ class TabularPolicy:
 
     # -- distributions ----------------------------------------------------
 
-    def sample(self, dut_id, tau: float, streams) -> TokenBlock:
-        """Draw one sequence per row of streams with ``sample_tokens`` from this policy's rows."""
+    def sample(self, dut_id, tau: float, streams, bound=None) -> TokenBlock:
+        """Draw one sequence per row of streams, each cut at its bound, with ``sample_tokens``
+        from this policy's rows."""
         get, k = self.rows.get, self.k
 
         def next_logits(tokens: np.ndarray, running: np.ndarray, j: int) -> np.ndarray:
@@ -434,7 +463,7 @@ class TabularPolicy:
             contexts = tokens[running[:, None], np.arange(j - k, j).clip(0)].tolist()
             return self.theta[[get((dut_id, tuple(ctx)), -1) for ctx in contexts]]
 
-        return sample_tokens(self.vocab, self.t_max, tau, streams, next_logits)
+        return sample_tokens(self.vocab, self.t_max, tau, streams, next_logits, bound)
 
     def plan(self, items):
         """Check (dut_id, seq) items; return their steps' flat rows and targets, and step counts."""

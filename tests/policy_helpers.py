@@ -1,4 +1,5 @@
-"""Hand-set logits of a TabularPolicy, whole-policy gradients and sampled blocks, for tests."""
+"""Hand-set logits of a TabularPolicy, whole-policy gradients, sampled blocks and a scripted
+sampler, for tests."""
 
 import numpy as np
 
@@ -13,6 +14,21 @@ def token_block(seqs, vocab, t_max) -> TokenBlock:
     for row, seq in zip(tokens, seqs):
         row[:len(seq)] = seq
     return TokenBlock(tokens, np.array([len(seq) for seq in seqs], dtype=np.intp))
+
+
+class ScriptedSampler:
+    """Gives fixed rows per temperature as ``sample_tokens``'s blocks, whatever the streams draw;
+    it cuts no row at its bound, which changes no curated byte (see ``curation.curate``)."""
+
+    def __init__(self, vocab, t_max, rows_by_tau):
+        self.vocab, self.t_max, self.rows_by_tau = vocab, t_max, rows_by_tau
+        self.at = dict.fromkeys(rows_by_tau, 0)
+
+    def sample(self, dut_id, tau, streams, bound=None):
+        start = self.at[tau]
+        self.at[tau] += len(streams)
+        return token_block(self.rows_by_tau[tau][start:start + len(streams)], self.vocab,
+                           self.t_max)
 
 
 def context(policy, tokens) -> tuple:

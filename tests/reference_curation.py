@@ -2,13 +2,12 @@
 
 Each pair draws its two sequences from its own generator, one sequence at a
 time and one ``rng.choice`` per drawn token, and each kept record is
-serialised through ``dataclasses.asdict``.  Tests require
+serialised by ``json.dumps`` of ``record_dict``.  Tests require
 ``curation.curate`` and the batched samplers to give the same sequences,
 the same generator states and the same bytes.
 """
 
 import json
-from dataclasses import asdict
 
 import numpy as np
 
@@ -81,6 +80,15 @@ def reference_sample(teacher, dut_id, tau, rng) -> list[int]:
                                    lambda tokens: logits(teacher, dut_id, context(teacher, tokens)))
 
 
+def record_dict(record) -> dict:
+    """A kept pair's dataset record: version, then the ``PairRecord`` fields in order,
+    with rejected_cov left out when None."""
+    doc = {"version": curation.DATASET_VERSION, **record._asdict()}
+    if record.rejected_cov is None:
+        del doc["rejected_cov"]
+    return doc
+
+
 def make_pair(dut, teacher, config, rng, pair_id):
     """One attempted pair: both sequences from rng, the tau1 one first, each scored
     on its own by ``simulate_tokens``."""
@@ -103,8 +111,5 @@ def curate(corpus, config, out_path) -> dict:
                     counts[result.kind] += 1
                     continue
                 counts["kept"] += 1
-                doc = {"version": curation.DATASET_VERSION, **asdict(result)}
-                if result.rejected_cov is None:
-                    del doc["rejected_cov"]
-                fh.write(json.dumps(doc) + "\n")
+                fh.write(json.dumps(record_dict(result)) + "\n")
     return counts

@@ -417,6 +417,36 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(deep) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("text", ["", "{nonsense", '{"version": "tabular_policy/1",'])
+    @pytest.mark.parametrize("where", ["config", "checkpoint", "teacher"])
+    def test_malformed_json_names_its_file(self, tmp_path, capsys, where, text):
+        # Whether the config or a checkpoint is malformed, the message names the file.
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        if where == "config":
+            argv = ["curate", "--config", str(bad)]
+        elif where == "checkpoint":
+            argv = ["eval", "--config", small_config(tmp_path)[0], "--checkpoint", str(bad)]
+        else:
+            config, _ = small_config(tmp_path, curation={"pairs_per_dut": 2,
+                                                         "teacher": str(bad)})
+            argv = ["curate", "--config", config]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(rf"error: .* line 1 column \d+ \(char \d+\) in {re.escape(str(bad))}\n",
+                            err)
+
+    def test_malformed_dataset_line_names_line_first(self, tmp_path, capsys):
+        config, report_dir = small_config(tmp_path)
+        report_dir.mkdir()
+        (report_dir / "pairs.jsonl").write_text("\n{nonsense\n")
+        assert main(["train", "--config", config, "--mode", "SFT"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: dataset line 2: Expecting property name enclosed in "
+                              "double quotes: line 1 column 2 (char 1) in ")
+        assert str(report_dir / "pairs.jsonl") in err
+
     def test_eval_overflowing_temperature_exits_one(self, tmp_path, capsys):
         # 1e300 / 1e-10 overflows: one error naming the temperature, no numpy warning.
         config, report_dir = small_config(tmp_path, eval={"n": 4, "tau": 1e-10, "seed": 42})

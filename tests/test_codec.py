@@ -20,8 +20,9 @@ from covstim.hdl import parse, pretty_print
 from covstim.policy import TabularPolicy, sample_indexed
 from covstim.sim import Stimulus, input_rows, simulate
 
-from policy_helpers import token_block
+from policy_helpers import ScriptedSampler, token_block
 from reference_codec import simulate_tokens
+from reference_curation import record_dict
 
 VOCAB = Vocab(4)
 T_MAX = 8
@@ -281,20 +282,6 @@ class TestSimulateBlock:
         assert repeated >= 200
 
 
-class ScriptedSampler:
-    """Gives fixed rows per temperature as ``sample_tokens``'s blocks, whatever the streams draw."""
-
-    def __init__(self, vocab, t_max, rows_by_tau):
-        self.vocab, self.t_max, self.rows_by_tau = vocab, t_max, rows_by_tau
-        self.at = dict.fromkeys(rows_by_tau, 0)
-
-    def sample(self, dut_id, tau, streams):
-        start = self.at[tau]
-        self.at[tau] += len(streams)
-        return token_block(self.rows_by_tau[tau][start:start + len(streams)], self.vocab,
-                           self.t_max)
-
-
 @st.composite
 def sampled_rows(draw):
     """A design of 1-5 input bits over 1-3 ports, a wmax of 1-4 and a t_max of 1-8, and two
@@ -347,7 +334,7 @@ class TestRejectionOnTheArray:
                                        zip(rows_b, simulate_block(dut, rows_b, vocab, t_max)))):
             result = make_pair(dut, a, b, config, f"m:{i}", pretty_print(dut))
             if isinstance(result, PairRecord):
-                expected.append(json.dumps(result.to_json_dict()) + "\n")
+                expected.append(json.dumps(record_dict(result)) + "\n")
         with tempfile.TemporaryDirectory() as tmp, \
                 patch.object(curation, "make_teacher", lambda _: sampler):
             path = Path(tmp) / "pairs.jsonl"

@@ -34,8 +34,8 @@ from covstim.policy import STREAM_WINDOW, Streams, TabularPolicy, sample_tokens
 
 import reference_curation
 from reference_codec import simulate_tokens
-from reference_curation import reference_novelty_sample, reference_penalties
-from policy_helpers import adjust, set_logits
+from reference_curation import record_dict, reference_novelty_sample, reference_penalties
+from policy_helpers import ScriptedSampler, adjust, set_logits
 
 VOCAB = Vocab(4)
 BOS, EOS = VOCAB.bos, VOCAB.eos
@@ -175,12 +175,12 @@ class TestTeachers:
         teacher = NoveltyTeacher(Vocab(wmax), t_max)
         steps = []
 
-        def recording(vocab, t_max, tau, streams, next_logits):
+        def recording(vocab, t_max, tau, streams, next_logits, bound):
             def traced(tokens, running, j):
                 z = next_logits(tokens, running, j)
                 steps.append((tokens[running, :j], z.copy()))
                 return z
-            return sample_tokens(vocab, t_max, tau, streams, traced)
+            return sample_tokens(vocab, t_max, tau, streams, traced, bound)
 
         with patch.object(curation, "sample_tokens", recording):
             seqs = teacher.sample("d", tau, Streams([7], range(start, start + rows), t_max))
@@ -224,8 +224,11 @@ class TestCurateMatchesReference:
     @pytest.mark.parametrize("teacher", ["novelty", "uniform", "checkpoint"])
     @pytest.mark.parametrize("seed", [4, 19])
     def test_byte_identical_to_per_pair_loop(self, corpus, tmp_path, teacher, seed):
-        corpus = [corpus[0], corpus[3]]  # toy1 (1-bit input) and adder2 (most pairs kept)
-        assert [d.name for d in corpus] == ["toy1", "adder2"]
+        # toy1 (value limit 2: most tau2 rows of a lost pair are cut at their first
+        # value), mux2 (value limit 8: a lost pair's tau2 row is cut only at a value
+        # of 8 or more) and adder2 (limit 16, the vocabulary's: nothing is cut).
+        corpus = [corpus[0], corpus[1], corpus[3]]
+        assert [d.name for d in corpus] == ["toy1", "mux2", "adder2"]
         if teacher == "checkpoint":
             teacher = checkpoint_teacher(corpus, tmp_path / "teacher.json")
         # With blocks of 8, 1 pair is a partial block and 300 cross 37 block boundaries.
@@ -250,6 +253,79 @@ class TestCurateMatchesReference:
         curate(corpus[:4], config, got)
         reference_curation.curate(corpus[:4], config, expected)
         assert got.read_bytes() == expected.read_bytes()
+
+
+VOCAB3 = Vocab(3)
+BOS3, EOS3 = VOCAB3.bos, VOCAB3.eos
+# A design of 2 input bits under VOCAB3, with the given module name.
+_TWO_BIT = ("module {} (input a[2], output y[1]); "
+            "if (a == 1) {{ assign y = 1; }} else {{ assign y = 0; }} "
+            "cover y {{ zero: 0..0, one: 1..1 }} cover a {{ low: 0..1, high: 2..3 }} endmodule")
+# Strings json escapes: quotes, a backslash, control characters and a non-BMP character.
+_HOSTILE = ['"', "\\", "\x00\x1f\n\t", "\U0001f600", 'a "b" \\c\u2028\U00010348']
+
+
+@st.composite
+def written_pairs(draw):
+    """A design named by any identifier the lexer takes, non-ASCII ones included, a run
+    config with any teacher string, seed and pair of temperatures, and two lists of as
+    many rows: BOS, 0-4 values of 3 bits (of which the design's 2 input bits take 4),
+    then EOS."""
+    name = draw(st.one_of(st.sampled_from(["m", "é", "ß_1", "\U0001d518x", "日本"]),
+                          st.from_regex(r"[^\W\d]\w{0,6}", fullmatch=True)).filter(
+        lambda n: n not in hdl.KEYWORDS and (n[0].isalpha() or n[0] == "_")))
+    dut = parse(_TWO_BIT.format(name))
+    taus = draw(st.lists(st.one_of(st.sampled_from([1e-300, 1e300, 0.7, 1.2, 5e-324]),
+                                   st.floats(1e-300, 1e300)),
+                         min_size=2, max_size=2, unique=True))
+    teacher = draw(st.one_of(st.sampled_from(_HOSTILE), st.text(
+        st.characters(blacklist_categories=("Cs",)), max_size=12)))
+    n = draw(st.integers(1, 12))
+    config = CurationConfig(tau1=taus[0], tau2=taus[1], pairs_per_dut=n, teacher=teacher,
+                            seed=draw(st.integers(0, 2**64)), wmax=3, t_max=4)
+    row = st.lists(st.integers(0, 7), max_size=4).map(lambda values: [BOS3, *values, EOS3])
+    rows = st.lists(row, min_size=n, max_size=n)
+    return dut, config, draw(rows), draw(rows)
+
+
+class TestLineWriter:
+    """Each kept pair's line is ``json.dumps`` of its record's dict and a newline."""
+
+    @given(written_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_each_line_is_json_dumps_of_the_record(self, case):
+        dut, config, rows_a, rows_b = case
+        reports = [[simulate_tokens(dut, seq, VOCAB3, config.t_max) for seq in rows]
+                   for rows in (rows_a, rows_b)]
+        expected = []
+        for i, (a, b) in enumerate(zip(zip(rows_a, reports[0]), zip(rows_b, reports[1]))):
+            result = make_pair(dut, a, b, config, f"{dut.name}:{i}", pretty_print(dut))
+            if isinstance(result, PairRecord):
+                expected.append(json.dumps(record_dict(result)) + "\n")
+        sampler = ScriptedSampler(VOCAB3, config.t_max, {config.tau1: rows_a,
+                                                         config.tau2: rows_b})
+        with tempfile.TemporaryDirectory() as tmp, \
+                patch.object(curation, "make_teacher", lambda _: sampler):
+            path = Path(tmp) / "pairs.jsonl"
+            stats = curate([dut], config, path)
+            assert path.read_text(encoding="utf-8") == "".join(expected)
+        assert stats.kept == len(expected)
+
+    @pytest.mark.parametrize("rejected, with_cov", [([BOS3, 2, EOS3], True),
+                                                    ([BOS3, 7, EOS3], False)])
+    def test_with_and_without_rejected_cov(self, tmp_path, rejected, with_cov):
+        dut = parse(_TWO_BIT.format("é"))
+        config = CurationConfig(tau1=1e-300, tau2=1e300, pairs_per_dut=1, teacher=_HOSTILE[-1],
+                                seed=2**64, wmax=3, t_max=4)
+        sampler = ScriptedSampler(VOCAB3, 4, {1e-300: [[BOS3, 1, 0, EOS3]], 1e300: [rejected]})
+        with patch.object(curation, "make_teacher", lambda _: sampler):
+            curate([dut], config, tmp_path / "pairs.jsonl")
+        (line,) = (tmp_path / "pairs.jsonl").read_text(encoding="utf-8").splitlines(True)
+        doc = json.loads(line)
+        assert ("rejected_cov" in doc) == with_cov
+        assert doc["id"] == "é:0" and doc["meta"]["teacher"] == _HOSTILE[-1]
+        assert doc["meta"]["seed"] == 2**64 and doc["meta"]["temp_chosen"] == 1e-300
+        assert line == json.dumps(doc) + "\n" and line.isascii()
 
 
 class TestCurate:

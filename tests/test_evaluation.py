@@ -30,7 +30,7 @@ class ScriptedPolicy:
         self.sequences = [list(s) for s in sequences]
         self.i = 0
 
-    def sample(self, dut_id, tau, streams):
+    def sample(self, dut_id, tau, streams, bound=None):
         seqs = [self.sequences[(self.i + j) % len(self.sequences)] for j in range(len(streams))]
         self.i += len(streams)
         return token_block(seqs, self.vocab, self.t_max)

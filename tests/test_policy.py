@@ -553,6 +553,85 @@ class TestSampleIndexed:
                                       np.concatenate([getattr(b[t], field) for b in small]))
 
 
+@st.composite
+def bounded_samplers(draw):
+    """The NoveltyTeacher or a TabularPolicy at k = 2 with random logits on about half of its
+    reachable contexts, at a wmax of 1-4 and a t_max of 1-12."""
+    vocab, t_max = Vocab(draw(st.integers(1, 4))), draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        return NoveltyTeacher(vocab, t_max)
+    policy = TabularPolicy(vocab, 2, t_max)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for ctx in itertools.product([vocab.bos, *range(vocab.n_values)], repeat=2):
+        if rng.random() < 0.5:
+            set_logits(policy, "d", ctx, rng.normal(0, 2, vocab.size))
+    return policy
+
+
+def assert_cut_or_equal(bounded, free, bound, i, eos) -> bool:
+    """Whether row i of a block sampled with bound was cut; each uncut row must equal
+    the row drawn with no bound, and a cut one must stop at a drawn value >= its bound."""
+    n = int(bounded.lengths[i])
+    if n:
+        assert n == free.lengths[i]
+        assert bounded.tokens[i].tolist() == free.tokens[i].tolist()
+        assert (bounded.tokens[i, 1:n - 1] < bound[i]).all()
+        return False
+    drawn = bounded.tokens[i, 1:].tolist()
+    j = max(at for at, token in enumerate(drawn) if token != eos) + 1  # the last drawn
+    assert bound[i] <= bounded.tokens[i, j] != eos
+    assert (bounded.tokens[i, 1:j] < bound[i]).all()
+    # Up to the cut, the row drew what the unbounded one did.
+    assert bounded.tokens[i, :j + 1].tolist() == free.tokens[i, :j + 1].tolist()
+    return True
+
+
+class TestRowBound:
+    """``sample_tokens`` ends a row at its first drawn token at or above its bound, and
+    ``sample_indexed`` bounds only the last-tau rows of indices lost at every earlier tau."""
+
+    @given(bounded_samplers(), st.floats(0.3, 3.0), st.integers(0, 2**32 - 64),
+           st.integers(0, 40), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_row_is_cut_at_its_bound_or_drawn_as_unbounded(self, sampler, tau, start, rows,
+                                                              data):
+        vocab = sampler.vocab
+        bound = np.array(data.draw(st.lists(st.integers(0, vocab.eos), min_size=rows,
+                                            max_size=rows)), dtype=np.intp)
+        free = sampler.sample("d", tau, Streams([3], range(start, start + rows), sampler.t_max))
+        bounded = sampler.sample("d", tau, Streams([3], range(start, start + rows),
+                                                   sampler.t_max), bound)
+        for i in range(rows):
+            assert_cut_or_equal(bounded, free, bound, i, vocab.eos)
+        # A bound of EOS, the default, cuts nothing.
+        assert not (bounded.lengths[bound == vocab.eos] == 0).any()
+
+    @given(bounded_samplers(), st.integers(0, 20),
+           st.lists(st.sampled_from([0.5, 0.9, 1.4]), min_size=1, max_size=3), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_indexed_limit_cuts_only_lost_last_tau_rows(self, sampler, n, taus, data):
+        limit = data.draw(st.integers(1, sampler.vocab.n_values))
+        with patch.object(policy_module, "STREAM_BLOCK", 8):
+            free = list(sample_indexed(sampler, "d", [6], n, taus))
+            bounded = list(sample_indexed(sampler, "d", [6], n, taus, limit))
+        assert len(free) == len(bounded)
+        for free_block, bounded_block in zip(free, bounded):
+            # Without a limit no row is cut, and every earlier tau's block is unchanged.
+            assert all((seqs.lengths >= 2).all() for seqs in free_block)
+            for f, b in zip(free_block[:-1], bounded_block[:-1]):
+                assert np.array_equal(f.tokens, b.tokens)
+                assert np.array_equal(f.lengths, b.lengths)
+            lost = np.ones(len(free_block[-1]), dtype=bool)
+            for seqs in bounded_block[:-1]:
+                lost &= ~seqs.decodable(limit)
+            bound = np.where(lost, limit, sampler.vocab.eos)
+            for i in range(len(lost)):
+                if assert_cut_or_equal(bounded_block[-1], free_block[-1], bound, i,
+                                       sampler.vocab.eos):
+                    # A cut row could not decode unbounded either.
+                    assert lost[i] and not free_block[-1].decodable(limit)[i]
+
+
 def loads_module(module: str, code: str) -> bool:
     """Whether a fresh interpreter has module loaded after running code, covstim imported."""
     src = str(Path(policy_module.__file__).resolve().parents[1])
