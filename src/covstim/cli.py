@@ -167,6 +167,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The most characters of a quoted filename that an io error message shows.
+_PATH_SHOWN = 200
+
+
+def _io_error(err: OSError) -> str:
+    """err as one line, "io error: <strerror>: <filename>", the filename quoted as
+    Python quotes it; one whose quoted form is longer than _PATH_SHOWN characters is
+    cut to fit, and its length given."""
+    line = f"io error: {err.strerror or type(err).__name__}"
+    if err.filename is None:
+        return line
+    name = str(err.filename)
+    cut = name[:_PATH_SHOWN]
+    while len(repr(cut)) > _PATH_SHOWN:
+        cut = cut[:-1]
+    return f"{line}: {cut!r}" + (f"... ({len(name)} characters)" if cut != name else "")
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -181,7 +199,7 @@ def main(argv=None) -> int:
         print(f"error: out of memory: {str(err) or 'allocation failed'}", file=sys.stderr)
         return 1
     except OSError as err:
-        print(f"io error: {err}", file=sys.stderr)
+        print(_io_error(err), file=sys.stderr)
         return 2
 
 

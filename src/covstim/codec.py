@@ -116,11 +116,13 @@ def simulate_block(dut: DutModel, seqs, vocab: Vocab, t_max: int) -> list[Covera
     """Each sequence's coverage report, or None if it does not decode; each distinct one run once.
 
     The report is ``simulate`` of the stimulus that ``validate_and_decode``
-    gives the sequence.  A sequence decodes exactly when it is BOS, 1..t_max
+    gives the sequence.  Each sequence is first looked up in the call's memo
+    of the sequences it has seen, so each distinct one is checked and
+    simulated once.  A sequence decodes exactly when it is BOS, 1..t_max
     values each below ``value_limit(dut, vocab)``, then EOS; any other gets
-    None without being decoded.  A sequence that decodes goes through a
-    table of each value's cycle, which decoding does one value at a time:
-    only a sequence holding a value the table lacks goes through
+    None without being decoded.  A sequence that decodes builds its cycles
+    from a table of each value's cycle, which decoding does one value at a
+    time: only a sequence holding a value the table lacks goes through
     ``validate_and_decode``, which fills the table in.  Tokens are ints, as
     sampling and ``load_dataset`` give them.  A None entry gets None
     unchecked: curation finds the sampled rows that cannot decode on their
@@ -133,20 +135,24 @@ def simulate_block(dut: DutModel, seqs, vocab: Vocab, t_max: int) -> list[Covera
     reports: dict[tuple, CoverageReport | None] = {}
     out = []
     for seq in seqs:
-        if (seq is None or not 2 < len(seq) <= t_max + 2 or seq[0] != bos or seq[-1] != eos
-                or max(values := seq[1:-1]) >= fits or min(values) < 0):
+        if seq is None:
             out.append(None)
             continue
         key = tuple(seq)
-        if key not in reports:
-            interior = key[1:-1]
-            if set(interior) <= table.keys():
-                stim = Stimulus(tuple(table[t] for t in interior))
-            else:
+        if key in reports:
+            out.append(reports[key])
+            continue
+        report = None
+        if (2 < len(key) <= t_max + 2 and key[0] == bos and key[-1] == eos
+                and max(values := key[1:-1]) < fits and min(values) >= 0):
+            try:
+                stim = Stimulus(tuple([table[t] for t in values]))
+            except KeyError:
                 stim = validate_and_decode(dut, key, vocab, t_max)
-                table.update(zip(interior, stim.cycles))
-            reports[key] = simulate(dut, stim)
-        out.append(reports[key])
+                table.update(zip(values, stim.cycles))
+            report = simulate(dut, stim)
+        reports[key] = report
+        out.append(report)
     return out
 
 

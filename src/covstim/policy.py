@@ -305,9 +305,13 @@ def sample_tokens(vocab: Vocab, t_max: int, tau: float, streams, next_logits,
     j hold each running row's prefix; running holds the indices of the rows
     still running, in increasing order.  A row keeps its index from step
     to step, so a sampler may keep per-row state; it must not write to
-    tokens.  Each running row's next token is drawn with ``draw_tokens``
-    from ``masked_softmax`` of its logits / tau: the row max runs down the
-    columns, the row sums along the rows (see ``_masked_exp``).  A row
+    tokens.  A row's logits must depend only on its prefix.  Each running
+    row's next token is drawn with ``draw_tokens`` from ``masked_softmax``
+    of its logits / tau: the row max runs down the columns, the row sums
+    along the rows (see ``_masked_exp``).  At step 1 every prefix is BOS
+    alone, so every row is drawn from one distribution, the first row's:
+    its normalised cdf is taken once, and each row's token is the count of
+    its entries <= the row's uniform, as ``draw_tokens`` counts.  A row
     whose softmax is NaN because a logit / tau overflowed raises one
     ValueError naming tau, before that step draws from any row.
 
@@ -330,13 +334,21 @@ def sample_tokens(vocab: Vocab, t_max: int, tau: float, streams, next_logits,
     for j in range(1, t_max + 1):
         if not len(running):
             break
+        logits = next_logits(tokens, running, j)
+        if j == 1:  # every prefix is BOS alone, so every row has the first row's logits
+            logits = logits[:1]
         # An overflowed row turns to NaN here; it is refused before any row draws.
         with np.errstate(over="ignore", invalid="ignore"):
-            probs = masked_softmax(next_logits(tokens, running, j) / tau, vocab.bos)
-        if np.isnan(probs).any():
+            probs = masked_softmax(logits / tau, vocab.bos)
+        # A row with a NaN entry has a NaN or zero sum, so every entry of it is NaN.
+        if np.isnan(probs[:, 0]).any():
             raise ValueError(f"probabilities contain NaN at temperature {tau}: a logit "
                              f"divided by it is not a finite number")
-        drawn = draw_tokens(probs, streams.next(running))
+        if j == 1:
+            cum = probs[0].cumsum()
+            drawn = np.searchsorted(cum / cum[-1], streams.next(running), side="right")
+        else:
+            drawn = draw_tokens(probs, streams.next(running))
         tokens[running, j] = drawn
         ended = drawn >= bound[running]
         lengths[running[ended]] = np.where(drawn[ended] == eos, j + 1, 0)

@@ -405,6 +405,35 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert "checkpoint top level must be a JSON object" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("char", ["x", "\x01", "\U0001f600"], ids=["ascii", "control",
+                                                                       "non_bmp"])
+    @pytest.mark.parametrize("where", ["teacher", "corpus_dir", "report_dir", "checkpoint",
+                                       "lint"])
+    def test_long_path_io_error_is_one_bounded_line(self, tmp_path, capsys, monkeypatch,
+                                                     where, char):
+        # A 100,000-character path the OS refuses is quoted cut, with its length.
+        monkeypatch.chdir(tmp_path)
+        path = char * 100_000
+        if where == "checkpoint":
+            argv = ["eval", "--checkpoint", path]
+        elif where == "lint":
+            argv = ["lint", path]
+        else:
+            doc = {"curation": {"pairs_per_dut": 2, "teacher": path}} if where == "teacher" else {
+                where: path}
+            (tmp_path / "config.json").write_text(json.dumps(doc))
+            argv = ["curate", "--config", "config.json"]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and len(err) < 300, err
+        assert re.fullmatch(r"io error: [^:\n]+: (['\"]).+\1\.\.\. \(100000 characters\)\n", err)
+        assert "Traceback" not in err
+
+    def test_io_error_names_a_short_path_in_full(self, tmp_path, capsys):
+        path = str(tmp_path / "no\nsuch.hdl")
+        assert main(["lint", path]) == 2
+        assert capsys.readouterr().err == f"io error: No such file or directory: {path!r}\n"
+
     @pytest.mark.parametrize("flag", ["--config", "--checkpoint"])
     def test_deep_json_exits_one(self, tmp_path, capsys, monkeypatch, flag):
         # A 100,000-deep array overflows json's decoder with RecursionError.

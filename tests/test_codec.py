@@ -281,6 +281,46 @@ class TestSimulateBlock:
             repeated += len(accepted) - len(calls)
         assert repeated >= 200
 
+    def test_mixed_block_checks_and_runs_each_distinct_sequence_once(self, monkeypatch):
+        # None rows, repeated valid rows and repeated malformed rows in one block:
+        # each report is validate_and_decode then simulate of its row, or None
+        # where decoding raises CodecError; simulate runs once per distinct
+        # decodable sequence, and validate_and_decode once per sequence holding
+        # a value the decode table lacks.
+        dut, bos, eos = THREE_BIT_DUT, VOCAB.bos, VOCAB.eos
+        limit = value_limit(dut, VOCAB)
+        valid = [[bos, 1, 2, eos], [bos, 2, 1, eos], [bos, 1, 2, limit - 1, eos],
+                 [bos, 3, eos], [bos] + [0] * T_MAX + [eos]]
+        malformed = [[bos, eos], [bos], [], [bos] + [1] * (T_MAX + 1) + [eos],
+                     [eos, 1, eos], [1, 2, eos], [bos, 1, 2], [bos, 1, bos],
+                     [bos, limit, eos], [bos, 1, limit, eos]]
+        block = [None, *valid, *malformed, None, *valid[::-1], *malformed[::-1], *valid, None]
+        expected = [None if seq is None else simulate_tokens(dut, seq, VOCAB, T_MAX)
+                    for seq in block]
+        decoded, simulated = [], []
+
+        def decoding(dut, tokens, vocab, t_max):
+            decoded.append(tuple(tokens))
+            return validate_and_decode(dut, tokens, vocab, t_max)
+
+        def simulating(dut, stim):
+            simulated.append(tuple(encode(dut, stim, VOCAB, T_MAX)))
+            return simulate(dut, stim)
+
+        monkeypatch.setattr(codec, "validate_and_decode", decoding)
+        monkeypatch.setattr(codec, "simulate", simulating)
+        got = simulate_block(dut, block, VOCAB, T_MAX)
+        assert got == expected
+        assert [report is None for report in got] == [
+            seq is None or seq not in valid for seq in block]
+        assert simulated == [tuple(seq) for seq in valid]
+        table, lacking = set(), []
+        for seq in valid:
+            if not set(seq[1:-1]) <= table:
+                lacking.append(tuple(seq))
+                table.update(seq[1:-1])
+        assert decoded == lacking and len(lacking) < len(valid)
+
 
 @st.composite
 def sampled_rows(draw):

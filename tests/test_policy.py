@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from covstim import curation
 from covstim import policy as policy_module
 from covstim.codec import CodecError, Vocab
 from covstim.curation import CurationConfig, NoveltyTeacher
@@ -27,6 +28,7 @@ from covstim.policy import (
     draw_tokens,
     masked_softmax,
     sample_indexed,
+    sample_tokens,
 )
 
 from policy_helpers import adjust, context, logits, set_logits
@@ -630,6 +632,136 @@ class TestRowBound:
                                        sampler.vocab.eos):
                     # A cut row could not decode unbounded either.
                     assert lost[i] and not free_block[-1].decodable(limit)[i]
+
+
+class FixedUniforms:
+    """A stand-in for ``Streams`` whose rows each make one given draw."""
+
+    def __init__(self, uniforms):
+        self.uniforms = np.asarray(uniforms)
+
+    def __len__(self) -> int:
+        return len(self.uniforms)
+
+    def next(self, rows) -> np.ndarray:
+        return self.uniforms[rows]
+
+
+class ChoiceAt(np.random.Generator):
+    """A generator whose ``random()`` gives u, so ``choice(V, p=p)`` draws at u."""
+
+    def __init__(self, u):
+        super().__init__(np.random.PCG64(0))
+        self.u = u
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return self.u if size is None else np.full(size, self.u)
+
+
+def first_step_samplers():
+    """The NoveltyTeacher, and TabularPolicy at k = 1, 2 and 3 with random logits on their
+    all-BOS context and on about half of their other reachable contexts."""
+    vocab, t_max = Vocab(2), 6
+    samplers = [NoveltyTeacher(vocab, t_max)]
+    rng = np.random.default_rng(11)
+    for k in (1, 2, 3):
+        policy = TabularPolicy(vocab, k, t_max)
+        set_logits(policy, "d", (vocab.bos,) * k, rng.normal(0, 2, vocab.size))
+        for ctx in itertools.product([vocab.bos, *range(vocab.n_values)], repeat=k):
+            if rng.random() < 0.5 and ctx != (vocab.bos,) * k:
+                set_logits(policy, "d", ctx, rng.normal(0, 2, vocab.size))
+        samplers.append(policy)
+    return samplers
+
+
+def recorded_first_logits(sampler, tau, streams, bound=None):
+    """The block sampler draws, and the logits it gives every running row at step 1."""
+    module = curation if isinstance(sampler, NoveltyTeacher) else policy_module
+    first = []
+
+    def recording(vocab, t_max, tau, streams, next_logits, bound):
+        def traced(tokens, running, j):
+            z = next_logits(tokens, running, j)
+            if j == 1:
+                first.append(z.copy())
+            return z
+        return sample_tokens(vocab, t_max, tau, streams, traced, bound)
+
+    with patch.object(module, "sample_tokens", recording):
+        block = sampler.sample("d", tau, streams, bound)
+    return block, first
+
+
+class TestSharedFirstStep:
+    """At step 1 every row's prefix is BOS alone, so ``sample_tokens`` draws every row
+    from the first row's distribution; each sampler's logits depend only on the prefix."""
+
+    @pytest.mark.parametrize("wmax", [1, 2, 4])
+    def test_draw_at_ties_is_draw_tokens_and_rng_choice(self, wmax):
+        # Uniforms exactly at each cdf entry below 1, where a strict count
+        # (`<` in draw_tokens, or searchsorted's side="left") draws the token before;
+        # tokens with no mass repeat an entry, and just below each entry is no tie.
+        vocab = Vocab(wmax)
+        rng = np.random.default_rng(wmax)
+        for _ in range(20):
+            z = rng.normal(0, 2, vocab.size)
+            z[rng.random(vocab.size) < 0.3] = -np.inf
+            z[vocab.eos] = rng.normal(0, 2)
+            probs = masked_softmax(z.copy(), vocab.bos)
+            cdf = probs.cumsum()
+            cdf /= cdf[-1]
+            ties = cdf[cdf < 1.0]
+            uniforms = np.concatenate([ties, np.nextafter(ties, 0.0)])
+            block = sample_tokens(vocab, 1, 1.0, FixedUniforms(uniforms),
+                                  lambda tokens, running, j: np.tile(z, (len(running), 1)))
+            first = block.tokens[:, 1]
+            rows = np.tile(probs, (len(uniforms), 1))
+            assert first.tolist() == draw_tokens(rows, uniforms).tolist()
+            assert first.tolist() == [ChoiceAt(u).choice(vocab.size, p=probs) for u in uniforms]
+            assert first.tolist() == [np.count_nonzero(cdf <= u) for u in uniforms]
+
+    @pytest.mark.parametrize("sampler", first_step_samplers(), ids=lambda s: getattr(
+        s, "k", "novelty"))
+    @pytest.mark.parametrize("tau", [0.7, 1.2])
+    def test_every_row_has_the_first_rows_logits_at_step_one(self, sampler, tau):
+        bound = np.random.default_rng(3).integers(0, sampler.vocab.size, 300)
+        for bound in (None, bound):
+            _, first = recorded_first_logits(sampler, tau, Streams([2], range(300),
+                                                                   sampler.t_max), bound)
+            (z,) = first
+            assert z.shape == (300, sampler.vocab.size)
+            assert (z == z[0]).all()
+            if not isinstance(sampler, NoveltyTeacher):
+                assert (z[0] != 0).any()
+
+    @pytest.mark.parametrize("sampler", first_step_samplers(), ids=lambda s: getattr(
+        s, "k", "novelty"))
+    @pytest.mark.parametrize("tau", [0.7, 1.2])
+    def test_rows_cut_at_step_one_equal_the_reference_loop(self, sampler, tau):
+        # Small bounds cut most rows at their first token: each row drew what
+        # reference_sample draws alone, up to its cut, and spent one draw a token.
+        vocab, t_max, n = sampler.vocab, sampler.t_max, 300
+        bound = np.random.default_rng(4).integers(0, 3, n)
+        bound[::7] = vocab.eos
+        streams = Streams([8], range(n), t_max + 1)
+        block = sampler.sample("d", tau, streams, bound)
+        after = streams.next(np.arange(n)).tolist()
+        cut_at_first = 0
+        for i, uniform in enumerate(after):
+            twin = np.random.default_rng([8, i])
+            expected = reference_sample(sampler, "d", tau, twin)
+            if block.lengths[i]:
+                assert block.tolist()[i] == expected
+                assert uniform == twin.random()
+                continue
+            j = next(at for at, token in enumerate(expected) if at and token >= bound[i])
+            assert block.tokens[i, :j + 1].tolist() == expected[:j + 1]
+            assert (block.tokens[i, j + 1:] == vocab.eos).all()
+            spent = np.random.default_rng([8, i])
+            spent.random(j)
+            assert uniform == spent.random()
+            cut_at_first += j == 1
+        assert cut_at_first > n // 5
 
 
 def loads_module(module: str, code: str) -> bool:
