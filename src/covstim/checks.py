@@ -28,16 +28,16 @@ def is_finite_number(value) -> bool:
 JSON_SCALARS = (str, int, float, bool, type(None))
 
 
-def shown(value, kind=str) -> str:
+def shown(value, kind=str, most: int = 42) -> str:
     """value for a message "<setting> must be <what>, got <value>", in bounded length:
-    a string quoted, cut so its quoted form (escapes included) is at most 42 characters,
-    an int of 21 digits or more by its size, and a value not of kind, or a bool unless
-    kind is JSON_SCALARS, by its type's name."""
+    a string quoted, cut so its quoted form (escapes included) is at most ``most`` characters,
+    and followed by "..." if cut, an int of 21 digits or more by its size, and a value
+    not of kind, or a bool unless kind is JSON_SCALARS, by its type's name."""
     if isinstance(value, bool) and kind is not JSON_SCALARS or not isinstance(value, kind):
         return type(value).__name__
     if isinstance(value, str):
-        cut = value[:40]
-        while len(repr(cut)) > 42:
+        cut = value[:most - 2]
+        while len(repr(cut)) > most:
             cut = cut[:-1]
         return repr(cut) + "..." * (cut != value)
     if isinstance(value, int) and abs(value) >= 10**20:

@@ -167,22 +167,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# The most characters of a quoted filename that an io error message shows.
-_PATH_SHOWN = 200
-
-
 def _io_error(err: OSError) -> str:
-    """err as one line, "io error: <strerror>: <filename>", the filename quoted as
-    Python quotes it; one whose quoted form is longer than _PATH_SHOWN characters is
-    cut to fit, and its length given."""
+    """err as one line, "io error: <strerror>: <filename>", the filename quoted by
+    ``shown`` in at most 200 characters and, if cut, followed by its length."""
     line = f"io error: {err.strerror or type(err).__name__}"
     if err.filename is None:
         return line
     name = str(err.filename)
-    cut = name[:_PATH_SHOWN]
-    while len(repr(cut)) > _PATH_SHOWN:
-        cut = cut[:-1]
-    return f"{line}: {cut!r}" + (f"... ({len(name)} characters)" if cut != name else "")
+    quoted = shown(name, most=200)
+    return f"{line}: {quoted}" + (f" ({len(name)} characters)" if quoted != repr(name) else "")
 
 
 def main(argv=None) -> int:

@@ -310,8 +310,8 @@ def sample_tokens(vocab: Vocab, t_max: int, tau: float, streams, next_logits,
     of its logits / tau: the row max runs down the columns, the row sums
     along the rows (see ``_masked_exp``).  At step 1 every prefix is BOS
     alone, so every row is drawn from one distribution, the first row's:
-    its normalised cdf is taken once, and each row's token is the count of
-    its entries <= the row's uniform, as ``draw_tokens`` counts.  A row
+    only that row's softmax is taken, and ``draw_tokens`` broadcasts it
+    against every row's uniform.  A row
     whose softmax is NaN because a logit / tau overflowed raises one
     ValueError naming tau, before that step draws from any row.
 
@@ -340,15 +340,10 @@ def sample_tokens(vocab: Vocab, t_max: int, tau: float, streams, next_logits,
         # An overflowed row turns to NaN here; it is refused before any row draws.
         with np.errstate(over="ignore", invalid="ignore"):
             probs = masked_softmax(logits / tau, vocab.bos)
-        # A row with a NaN entry has a NaN or zero sum, so every entry of it is NaN.
-        if np.isnan(probs[:, 0]).any():
+        if np.isnan(probs).any():
             raise ValueError(f"probabilities contain NaN at temperature {tau}: a logit "
                              f"divided by it is not a finite number")
-        if j == 1:
-            cum = probs[0].cumsum()
-            drawn = np.searchsorted(cum / cum[-1], streams.next(running), side="right")
-        else:
-            drawn = draw_tokens(probs, streams.next(running))
+        drawn = draw_tokens(probs, streams.next(running))  # one row at step 1 serves every row
         tokens[running, j] = drawn
         ended = drawn >= bound[running]
         lengths[running[ended]] = np.where(drawn[ended] == eos, j + 1, 0)

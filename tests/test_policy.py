@@ -699,8 +699,9 @@ class TestSharedFirstStep:
     @pytest.mark.parametrize("wmax", [1, 2, 4])
     def test_draw_at_ties_is_draw_tokens_and_rng_choice(self, wmax):
         # Uniforms exactly at each cdf entry below 1, where a strict count
-        # (`<` in draw_tokens, or searchsorted's side="left") draws the token before;
-        # tokens with no mass repeat an entry, and just below each entry is no tie.
+        # (`<` in draw_tokens) draws the token before; the first step's one row,
+        # broadcast, must draw what every row drawn alone does.  Tokens with no
+        # mass repeat an entry, and just below each entry is no tie.
         vocab = Vocab(wmax)
         rng = np.random.default_rng(wmax)
         for _ in range(20):
